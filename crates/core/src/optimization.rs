@@ -704,16 +704,6 @@ impl OptimizationManager {
         }
         Ok(summary)
     }
-
-    /// Former fallible variant of `run`, kept as a thin compatibility
-    /// wrapper now that `run` itself returns `Result`.
-    #[deprecated(note = "use `run`, which now returns `Result<OptimizationSummary, RunError>`")]
-    pub fn run_checked<F>(&self, objective: F) -> Result<OptimizationSummary, String>
-    where
-        F: Fn(&EvalContext) -> f64 + Send + Sync,
-    {
-        self.run(objective).map_err(|e| e.to_string())
-    }
 }
 
 /// Map the schema's surrogate name onto the optimizer's model kind. The
@@ -1096,9 +1086,9 @@ optimization:
     }
 
     fn journaled_conf() -> OptimizationConf {
-        // max_concurrent stays at the conf's 2: byte-identity now holds at
-        // any concurrency, so the prefix-resume sweep exercises the
-        // deferred commit path too.
+        // max_concurrent stays at the conf's 2: byte-identity holds at any
+        // concurrency, so the prefix-resume sweep cuts journals with two
+        // trials in the commit window.
         ft_conf("random", 6, 1)
     }
 
@@ -1257,31 +1247,6 @@ optimization:
         assert!(matches!(err, RunError::Resume(_)), "{err:?}");
         assert!(err.to_string().contains("different configuration"), "{err}");
 
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_run_checked_wrapper_still_delegates() {
-        let summary = OptimizationManager::new(opt_conf("random", 4))
-            .with_seed(21)
-            .run_checked(objective)
-            .unwrap();
-        assert_eq!(summary.analysis.trials().len(), 4);
-
-        // Errors arrive pre-rendered, exactly as `run(...).to_string()`.
-        let dir = tmp("wrapper-mismatch", line!());
-        OptimizationManager::new(journaled_conf())
-            .with_seed(13)
-            .with_journal(JournalConfig::fresh(dir.join("journal")))
-            .run(objective)
-            .unwrap();
-        let err: String = OptimizationManager::new(journaled_conf())
-            .with_seed(14)
-            .with_journal(JournalConfig::resume(dir.join("journal")))
-            .run_checked(objective)
-            .unwrap_err();
-        assert!(err.contains("different configuration"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

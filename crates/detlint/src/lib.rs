@@ -126,10 +126,12 @@ impl Report {
     }
 }
 
-/// Lint every `.rs` file under `root` (skipping `Config::skip_dirs`),
-/// sorting findings by path and line for deterministic output.
-pub fn lint_workspace(root: &Path, config: &Config) -> std::io::Result<Report> {
-    let files = collect_rust_files(root, &config.skip_dirs)?;
+/// Lint every `.rs` file under `dir` (skipping `Config::skip_dirs`),
+/// sorting findings by path and line for deterministic output. Files are
+/// labelled relative to `root` (`dir` itself or a parent of it), so a
+/// subtree is judged by the same path-scoped rules as the whole.
+pub fn lint_workspace(root: &Path, dir: &Path, config: &Config) -> std::io::Result<Report> {
+    let files = collect_rust_files(dir, &config.skip_dirs)?;
     let mut report = Report {
         files_scanned: files.len(),
         ..Report::default()

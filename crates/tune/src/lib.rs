@@ -33,6 +33,9 @@
 //!   threads, feeding observations back to the searcher *asynchronously*
 //!   (workers do not wait for a generation barrier — the paper's
 //!   "asynchronous model optimization");
+//! * [`sequencer`] — the tuner's commit sequencer as a pure,
+//!   property-tested state machine (admission window, ask-order commits,
+//!   one journal turn at a time);
 //! * [`analysis`] — the result set: best trial, per-trial records;
 //! * [`clock`] — the single sanctioned wall-clock read (detlint DET002):
 //!   watchdog, backoff and deadline timing all route through it;
@@ -54,6 +57,7 @@ pub mod journal;
 pub mod logger;
 pub mod scheduler;
 pub mod searcher;
+pub mod sequencer;
 pub mod supervisor;
 pub mod trial;
 pub mod tuner;

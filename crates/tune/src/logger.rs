@@ -8,7 +8,7 @@
 //! which atomically rewrites the whole log from the settled trial set so
 //! a resumed run converges on the same bytes as an uninterrupted one.
 
-use crate::trial::{Trial, TrialStatus};
+use crate::trial::Trial;
 use std::fmt::Write as _;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -84,13 +84,7 @@ impl TrialLogger {
     /// along: `attempts` is the execution count and `failures` holds the
     /// error of every unsuccessful attempt, in order.
     fn to_json(trial: &Trial) -> String {
-        let (status, value) = match &trial.status {
-            TrialStatus::Terminated(v) => ("terminated", Some(*v)),
-            TrialStatus::StoppedEarly(v) => ("stopped_early", Some(*v)),
-            TrialStatus::Failed(_) => ("failed", None),
-            TrialStatus::Pending => ("pending", None),
-            TrialStatus::Running => ("running", None),
-        };
+        let (status, value) = (trial.status.token(), trial.status.value());
         let config = trial
             .config
             .iter()
@@ -167,7 +161,7 @@ fn json_escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trial::Attempt;
+    use crate::trial::{Attempt, TrialStatus};
 
     fn tmp(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("e2c-tune-log-{}-{name}", std::process::id()))

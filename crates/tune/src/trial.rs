@@ -104,6 +104,18 @@ impl TrialStatus {
         }
     }
 
+    /// Stable lowercase name of the state, as journals, traces and trial
+    /// logs spell it.
+    pub fn token(&self) -> &'static str {
+        match self {
+            TrialStatus::Pending => "pending",
+            TrialStatus::Running => "running",
+            TrialStatus::Terminated(_) => "terminated",
+            TrialStatus::StoppedEarly(_) => "stopped_early",
+            TrialStatus::Failed(_) => "failed",
+        }
+    }
+
     /// Whether the trial ended (in any way).
     pub fn is_finished(&self) -> bool {
         !matches!(self, TrialStatus::Pending | TrialStatus::Running)

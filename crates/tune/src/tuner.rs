@@ -12,14 +12,15 @@
 //! [`TrialContext`] plus a watchdog thread, and a [`FaultPlan`] injects
 //! deterministic failures so the robustness layer is itself testable.
 //!
-//! Parallel runs stay deterministic through a *commit sequencer*: trials
-//! execute concurrently on the worker pool, but every effect with
-//! observable order — searcher asks/tells, scheduler feeds, journal
-//! appends, trace events — is applied in ask-index order at each trial's
-//! *commit*, with out-of-order completions buffered until their turn.
-//! The journal, trace and artifacts of a run are therefore a pure
-//! function of (configuration, seed, worker count), byte-identical under
-//! any thread interleaving, and crash-resume replays them exactly.
+//! Runs stay deterministic through a *commit sequencer*
+//! ([`crate::sequencer`]): trials execute concurrently on the worker
+//! pool, but each trial's effects with observable order — searcher
+//! tells, scheduler feeds, journal appends, trace events — are buffered
+//! and applied at its *commit*, in ask-index order. One worker is simply
+//! a commit window of one. The journal, trace and artifacts of a run are
+//! therefore a pure function of (configuration, seed, worker count),
+//! byte-identical under any thread interleaving, and crash-resume
+//! replays them exactly.
 
 use crate::analysis::Analysis;
 use crate::clock;
@@ -27,11 +28,12 @@ use crate::fault::{FaultAction, FaultPlan, RetryPolicy};
 use crate::journal::{ResumeState, RunEvent, RunJournal};
 use crate::scheduler::{Decision, Scheduler};
 use crate::searcher::Searcher;
+use crate::sequencer::{AskOutcome, Dispatch, Sequencer};
 use crate::trial::{Attempt, Trial, TrialError, TrialStatus};
 use e2c_optim::space::Point;
 use e2c_trace::Fields;
 use parking_lot::{Condvar, Mutex};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -41,7 +43,7 @@ use std::time::{Duration, Instant};
 const WATCHDOG_TICK: Duration = Duration::from_millis(2);
 
 /// Safety-net timeout for workers parked on the commit sequencer: they
-/// are woken by every commit and dispatch, but re-check this often so a
+/// are woken whenever a journal turn ends, but re-check this often so a
 /// missed edge can never stall the run.
 const SUGGEST_WAIT: Duration = Duration::from_millis(50);
 
@@ -57,23 +59,17 @@ pub enum Mode {
 /// Handle given to the objective for intermediate reporting.
 ///
 /// Call [`TrialContext::report`] once per training iteration / evaluation
-/// window; a [`Decision::Stop`] means the scheduler cut the trial (or its
-/// deadline passed) — return your current metric value promptly.
+/// window. The scheduler judges the reports at the trial's commit: the
+/// first report it stops becomes the trial's final value and the later
+/// ones are dropped.
 pub struct TrialContext<'a> {
     /// This trial's id.
     pub trial_id: u64,
     /// 0-based execution attempt (> 0 when the retry layer re-runs a
     /// failed trial).
     pub attempt: u32,
-    mode: Mode,
-    scheduler: &'a dyn Scheduler,
-    journal: Option<&'a RunJournal>,
     tracer: Option<&'a e2c_trace::Tracer>,
-    /// Parallel (deferred-commit) execution: reports are buffered and fed
-    /// to the scheduler in canonical commit order instead of live.
-    deferred: bool,
     reports: Vec<(u64, f64)>,
-    stopped: bool,
     deadline: Option<Instant>,
     expired: Arc<AtomicBool>,
     /// Set by [`TrialContext::fail_attempt`]: the attempt is settled with
@@ -82,58 +78,26 @@ pub struct TrialContext<'a> {
 }
 
 impl<'a> TrialContext<'a> {
-    /// Report an intermediate metric value (user orientation); returns the
-    /// scheduler's verdict. Once the trial's deadline has passed this
-    /// returns [`Decision::Stop`] without consulting the scheduler.
-    ///
-    /// Under parallel execution the scheduler is consulted at the trial's
-    /// *commit*, not live — this returns [`Decision::Continue`] and the
-    /// early-stop (with its truncated report list) is settled in canonical
-    /// commit order, identically for every worker interleaving.
+    /// Report an intermediate metric value (user orientation). Returns
+    /// [`Decision::Stop`] once the trial's deadline has passed, else
+    /// [`Decision::Continue`]: the scheduler is consulted at the trial's
+    /// commit, not live, so the early stop (with its truncated report
+    /// list) is settled in canonical order for every worker count and
+    /// interleaving.
     pub fn report(&mut self, value: f64) -> Decision {
         if self.deadline_exceeded() {
             return Decision::Stop;
         }
         let iteration = self.reports.len() as u64 + 1;
         self.reports.push((iteration, value));
-        if self.deferred {
-            return Decision::Continue;
-        }
-        let normalized = match self.mode {
-            Mode::Min => value,
-            Mode::Max => -value,
-        };
-        let d = self
-            .scheduler
-            .on_report(self.trial_id, iteration, normalized);
-        if d == Decision::Stop {
-            self.stopped = true;
-        }
-        // Journal the report *with* the scheduler's verdict so resume can
-        // verify the replayed scheduler reproduces every decision.
-        // Deadline-shortcut stops above never consult the scheduler and
-        // are not journaled (the re-run regenerates them).
-        if let Some(j) = self.journal {
-            j.append(&RunEvent::Report {
-                trial: self.trial_id,
-                iteration,
-                normalized,
-                stop: d == Decision::Stop,
-            });
-        }
-        d
+        Decision::Continue
     }
 
-    /// Whether the scheduler already stopped this trial.
-    pub fn is_stopped(&self) -> bool {
-        self.stopped
-    }
-
-    /// The trace sink for this attempt's engine-side events. Under
-    /// parallel execution this is a per-trial buffer whose events are
-    /// spliced into the run trace at the trial's commit; objectives that
-    /// trace must use this handle, never a captured tracer, or their
-    /// events land mid-buffer in nondeterministic order.
+    /// The trace sink for this attempt's engine-side events: a per-trial
+    /// buffer whose events are spliced into the run trace at the trial's
+    /// commit. Objectives that trace must use this handle, never a
+    /// captured tracer, or their events land in the run trace out of
+    /// canonical order.
     pub fn tracer(&self) -> Option<&e2c_trace::Tracer> {
         self.tracer
     }
@@ -173,54 +137,36 @@ struct WatchEntry {
     expired: Arc<AtomicBool>,
 }
 
-/// The commit sequencer's shared state. Trials execute on any worker, in
-/// any real-time order, but their *effects* — searcher ask/tell, journal
-/// appends, scheduler feeds, trace events — are applied in ask-index
-/// order, so every run over the same seed and worker count produces the
-/// same journal, trace and artifacts under any thread interleaving.
-///
-/// Invariants (all under the one mutex):
-/// * trials `[next_commit, next_ask)` are in flight, at most `workers`;
-/// * ask `k` is admitted only while `next_ask < next_commit + workers`,
-///   so the journal's ask/commit permutation is the canonical greedy one;
-/// * trial `id` commits only when `next_commit == id` *and* no earlier
-///   ask is still admissible (window full, searcher parked/done, budget
-///   spent, or the run is winding down) — asks always journal before the
-///   commit they canonically precede.
-struct SeqState {
-    /// The searcher lives inside the sequencer: suggest order, journal
-    /// order and RNG draw order are one critical section.
-    searcher: Box<dyn Searcher>,
-    /// Next fresh trial id to ask for.
-    next_ask: u64,
-    /// Id of the next trial allowed to commit.
-    next_commit: u64,
-    /// The searcher refused a suggestion while trials were in flight
-    /// (e.g. a concurrency limiter at capacity); cleared by every commit,
-    /// after which dispatchers re-probe. Suggest paths that return `None`
-    /// are side-effect-free, so re-probing any number of times cannot
-    /// perturb determinism.
-    ask_parked: bool,
-    /// No further asks will ever be admitted (budget spent or searcher
-    /// exhausted); in-flight trials still commit.
-    asks_done: bool,
-    /// Fatal wind-down (searcher panicked): stop dispatching, let
-    /// in-flight trials commit, keep every settled result.
-    exhausted: bool,
-    /// Dangling trials of a resumed run, in id order.
-    pending: VecDeque<(u64, Point)>,
-    /// Ids settled by a previous incarnation (resume): `next_commit`
-    /// skips over them.
-    settled: std::collections::BTreeSet<u64>,
-}
-
-struct Sequencer {
-    state: Mutex<SeqState>,
+/// The [`Sequencer`] behind the workers' one mutex, plus the condvar
+/// that wakes them whenever a journal turn ends. Turn holders do their
+/// I/O with the mutex released.
+struct SharedSeq {
+    state: Mutex<Sequencer>,
     cv: Condvar,
 }
 
-/// One executed attempt plus the intermediate reports it buffered
-/// (deferred mode feeds these to the scheduler at commit).
+impl SharedSeq {
+    /// Apply `f` under the lock, then wake every waiting worker.
+    fn update<T>(&self, f: impl FnOnce(&mut Sequencer) -> T) -> T {
+        let out = f(&mut self.state.lock());
+        self.cv.notify_all();
+        out
+    }
+
+    /// Block until `f` returns `Some`, re-checking after each wake-up.
+    fn until<T>(&self, mut f: impl FnMut(&mut Sequencer) -> Option<T>) -> T {
+        let mut st = self.state.lock();
+        loop {
+            if let Some(out) = f(&mut st) {
+                return out;
+            }
+            self.cv.wait_for(&mut st, SUGGEST_WAIT);
+        }
+    }
+}
+
+/// One executed attempt plus the intermediate reports it buffered (fed
+/// to the scheduler at commit).
 struct ExecAttempt {
     attempt: Attempt,
     reports: Vec<(u64, f64)>,
@@ -230,9 +176,10 @@ struct ExecAttempt {
 pub struct Tuner {
     /// Total number of trials (`num_samples`).
     pub num_samples: usize,
-    /// Worker threads executing objectives concurrently. Note the
-    /// *searcher-side* concurrency cap is the [`ConcurrencyLimiter`]'s
-    /// job (`crate::searcher::ConcurrencyLimiter`); workers beyond the cap
+    /// Worker threads executing objectives concurrently, and the commit
+    /// sequencer's in-flight window. Note the *searcher-side* concurrency
+    /// cap is the [`ConcurrencyLimiter`]'s job
+    /// (`crate::searcher::ConcurrencyLimiter`); workers beyond the cap
     /// simply wait.
     pub workers: usize,
     /// Metric direction.
@@ -355,33 +302,23 @@ impl Tuner {
         F: Fn(&Point, &mut TrialContext<'_>) -> f64 + Send + Sync,
     {
         let resume = self.resume.clone().unwrap_or_else(ResumeState::empty);
-        // Live mode (one worker) journals and traces during execution,
-        // exactly as a sequential run always has; deferred mode (several
-        // workers) buffers each trial's effects and applies them at its
-        // commit, in ask-index order.
-        let deferred = self.workers > 1;
-        let settled: std::collections::BTreeSet<u64> = resume.trials.iter().map(|t| t.id).collect();
-        let mut next_commit = 0u64;
-        while settled.contains(&next_commit) {
-            next_commit += 1;
-        }
         // Dangling trials from a resumed journal (`pending`): asked
         // pre-crash but never settled. They re-execute from attempt 0
         // with their journaled configuration (no fresh suggest — the
         // replay already advanced the searcher past their asks).
-        let seq = Sequencer {
-            state: Mutex::new(SeqState {
-                searcher,
-                next_ask: resume.next_id,
-                next_commit,
-                ask_parked: false,
-                asks_done: false,
-                exhausted: false,
-                pending: resume.pending.into_iter().collect(),
-                settled,
-            }),
+        let seq = SharedSeq {
+            state: Mutex::new(Sequencer::new(
+                self.workers,
+                self.num_samples,
+                resume.next_id,
+                resume.trials.iter().map(|t| t.id).collect(),
+                resume.pending,
+            )),
             cv: Condvar::new(),
         };
+        // Only the holder of the journal turn touches the searcher, so
+        // suggest order, journal order and RNG draw order coincide.
+        let searcher = Mutex::new(searcher);
         let asks_at_mark = resume.asks_at_mark;
         let trials: Mutex<Vec<Trial>> = Mutex::new(resume.trials);
         let worst_seen = Mutex::new(resume.worst_seen);
@@ -394,10 +331,18 @@ impl Tuner {
         let scheduler = &*scheduler;
         let tracer = self.tracer.as_ref();
         let journal = self.journal.as_ref();
-        let num_samples = self.num_samples as u64;
-        let workers = self.workers as u64;
-        let (seq, trials, worst_seen) = (&seq, &trials, &worst_seen);
+        let (seq, searcher, trials, worst_seen) = (&seq, &searcher, &trials, &worst_seen);
         let (live_workers, watch) = (&live_workers, &watch);
+        let trace_ask = move |id: u64, config: &Point| {
+            if let Some(tr) = tracer {
+                tr.point(
+                    "searcher",
+                    "ask",
+                    Some(id),
+                    e2c_trace::fields([("config", fmt_point(config).into())]),
+                );
+            }
+        };
 
         let scoped = crossbeam::thread::scope(|scope| {
             // Deadline watchdog: sweeps running attempts and flags the
@@ -419,139 +364,71 @@ impl Tuner {
             for _ in 0..self.workers {
                 scope.spawn(move |_| {
                     let work = || loop {
-                        // ---- dispatch: claim a trial under the sequencer
-                        // lock. Dangling trials of a resumed run come
-                        // first; fresh asks are admitted only while the
-                        // in-flight window has room, so the journal's
-                        // ask/commit permutation is canonical.
-                        let mut st = seq.state.lock();
-                        let (id, config, resumed) = loop {
-                            if st.exhausted {
-                                return;
-                            }
-                            if let Some((id, config)) = st.pending.pop_front() {
-                                // Live mode journals the Restart marker
-                                // now, ahead of the re-run's live reports;
-                                // deferred mode journals it at commit with
-                                // the rest of the trial's records.
-                                if !deferred {
-                                    if let Some(j) = journal {
-                                        j.append(&RunEvent::Restart { trial: id });
-                                    }
-                                }
+                        // ---- dispatch: claim a trial, holding the
+                        // journal turn while its ask is journaled and
+                        // traced. Dangling trials of a resumed run come
+                        // first, then fresh asks while the window has room.
+                        let step = seq.until(|s| match s.dispatch() {
+                            Dispatch::Wait => None,
+                            step => Some(step),
+                        });
+                        let (id, config, resumed) = match step {
+                            Dispatch::Resume(id, config) => {
                                 // Re-emit the ask trace point only if the
                                 // original one was truncated away with the
                                 // pre-crash trace suffix: asks journaled
                                 // before the last committed tell (the
                                 // truncation mark) are still in the stream.
                                 if asks_at_mark.is_none_or(|a| id >= a) {
-                                    if let Some(tr) = tracer {
-                                        tr.point(
-                                            "searcher",
-                                            "ask",
-                                            Some(id),
-                                            e2c_trace::fields([(
-                                                "config",
-                                                fmt_point(&config).into(),
-                                            )]),
-                                        );
-                                    }
+                                    trace_ask(id, &config);
                                 }
-                                break (id, config, true);
+                                seq.update(|s| s.end_ask(AskOutcome::Suggested));
+                                (id, config, true)
                             }
-                            if st.next_ask >= num_samples {
-                                st.asks_done = true;
-                                seq.cv.notify_all();
-                                return;
-                            }
-                            if st.asks_done {
-                                return;
-                            }
-                            if !st.ask_parked && st.next_ask < st.next_commit + workers {
-                                let id = st.next_ask;
-                                let suggestion = match catch_unwind(AssertUnwindSafe(|| {
-                                    st.searcher.suggest(id)
-                                })) {
-                                    Ok(p) => p,
-                                    Err(_) => {
-                                        // A panicking searcher cannot
-                                        // drive the run further; wind
-                                        // down instead of poisoning
-                                        // every worker.
-                                        st.exhausted = true;
-                                        seq.cv.notify_all();
-                                        return;
-                                    }
+                            Dispatch::Ask(id) => {
+                                let suggestion = {
+                                    let mut searcher = searcher.lock();
+                                    catch_unwind(AssertUnwindSafe(|| searcher.suggest(id)))
                                 };
-                                match suggestion {
-                                    Some(config) => {
-                                        // Journal the ask inside the
-                                        // sequencer critical section:
-                                        // journal order must equal RNG
-                                        // draw order.
+                                let outcome = match &suggestion {
+                                    Ok(Some(config)) => {
                                         if let Some(j) = journal {
                                             j.append(&RunEvent::Ask {
                                                 trial: id,
                                                 config: config.clone(),
                                             });
                                         }
-                                        st.next_ask += 1;
-                                        if let Some(tr) = tracer {
-                                            tr.point(
-                                                "searcher",
-                                                "ask",
-                                                Some(id),
-                                                e2c_trace::fields([(
-                                                    "config",
-                                                    fmt_point(&config).into(),
-                                                )]),
-                                            );
-                                        }
-                                        seq.cv.notify_all();
-                                        break (id, config, false);
+                                        trace_ask(id, config);
+                                        AskOutcome::Suggested
                                     }
-                                    None => {
-                                        if st.next_commit == st.next_ask {
-                                            // Nothing in flight and nothing
-                                            // suggested: a dry searcher
-                                            // (exhausted grid) can never
-                                            // produce again.
-                                            st.asks_done = true;
-                                            seq.cv.notify_all();
-                                            return;
-                                        }
-                                        // Concurrency-limited or awaiting
-                                        // stragglers: the next commit both
-                                        // unblocks the searcher and clears
-                                        // the parking flag.
-                                        st.ask_parked = true;
-                                        seq.cv.notify_all();
-                                    }
+                                    Ok(None) => AskOutcome::Refused,
+                                    // A panicking searcher cannot drive the
+                                    // run further; wind down instead of
+                                    // poisoning every worker.
+                                    Err(_) => AskOutcome::Panicked,
+                                };
+                                seq.update(|s| s.end_ask(outcome));
+                                match suggestion {
+                                    Ok(Some(config)) => (id, config, false),
+                                    _ => continue,
                                 }
                             }
-                            seq.cv.wait_for(&mut st, SUGGEST_WAIT);
+                            Dispatch::Wait | Dispatch::Stop => return,
                         };
-                        drop(st);
-                        {
-                            let mut t = trials.lock();
-                            let mut trial = Trial::new(id, config.clone());
-                            trial.status = TrialStatus::Running;
-                            t.push(trial);
-                        }
-                        // Deferred mode buffers the trial's trace events
-                        // locally; they are spliced into the run trace —
-                        // re-stamped onto the shared virtual clock — at
-                        // the trial's commit.
-                        let buffer = (deferred && tracer.is_some()).then(e2c_trace::Tracer::new);
-                        let tr_exec: Option<&e2c_trace::Tracer> = buffer.as_ref().or(tracer);
+                        let mut trial = Trial::new(id, config.clone());
+                        trial.status = TrialStatus::Running;
+                        trials.lock().push(trial);
+                        // The trial's trace events are buffered locally and
+                        // spliced into the run trace — re-stamped onto the
+                        // shared virtual clock — at its commit.
+                        let buffer = tracer.map(|_| e2c_trace::Tracer::new());
+                        let tr_exec = buffer.as_ref();
                         let exec_span =
                             tr_exec.map(|tr| tr.begin("tuner", "execute", Some(id), Fields::new()));
                         // Attempt loop: run, classify, retry while the
-                        // policy allows. Live mode settles the trial here;
-                        // deferred mode only records outcomes — the trial
-                        // settles at its commit.
+                        // policy allows. Outcomes are only recorded here;
+                        // the trial settles at its commit.
                         let mut exec: Vec<ExecAttempt> = Vec::new();
-                        let mut live_settled: Option<(TrialStatus, f64)> = None;
                         let mut success: Option<f64> = None;
                         loop {
                             let attempt = exec.len() as u32;
@@ -569,13 +446,8 @@ impl Tuner {
                             let mut ctx = TrialContext {
                                 trial_id: id,
                                 attempt,
-                                mode: self.mode,
-                                scheduler,
-                                journal: if deferred { None } else { journal },
                                 tracer: tr_exec,
-                                deferred,
                                 reports: Vec::new(),
-                                stopped: false,
                                 deadline,
                                 expired: expired.clone(),
                                 abort: None,
@@ -630,7 +502,6 @@ impl Tuner {
                             let secs = started.elapsed().as_secs_f64();
                             let overran = expired.load(Ordering::SeqCst)
                                 || deadline.is_some_and(|d| clock::now() >= d);
-                            let stopped = ctx.stopped;
                             let abort = ctx.abort;
                             let reports = ctx.reports;
                             let raw = if invoked && abort.is_none() {
@@ -649,18 +520,6 @@ impl Tuner {
                                     Err(e) => (Some(e), None),
                                 }
                             };
-                            // Deferred attempts journal at commit.
-                            if !deferred {
-                                if let Some(j) = journal {
-                                    j.append(&RunEvent::Attempt {
-                                        trial: id,
-                                        index: attempt,
-                                        secs,
-                                        raw,
-                                        error: error.clone(),
-                                    });
-                                }
-                            }
                             if let (Some(tr), Some(e)) = (tr_exec, &error) {
                                 tr.point(
                                     "tuner",
@@ -675,39 +534,17 @@ impl Tuner {
                             exec.push(ExecAttempt {
                                 attempt: Attempt {
                                     index: attempt,
-                                    error: error.clone(),
+                                    error,
                                     secs,
                                     raw,
                                 },
                                 reports,
                             });
-                            if let Some(value) = value {
-                                if deferred {
-                                    success = Some(value);
-                                } else {
-                                    let normalized = match self.mode {
-                                        Mode::Min => value,
-                                        Mode::Max => -value,
-                                    };
-                                    {
-                                        let mut worst = worst_seen.lock();
-                                        *worst = worst.max(normalized);
-                                    }
-                                    let status = if stopped {
-                                        TrialStatus::StoppedEarly(value)
-                                    } else {
-                                        TrialStatus::Terminated(value)
-                                    };
-                                    live_settled = Some((status, normalized));
-                                }
+                            if value.is_some() {
+                                success = value;
                                 break;
                             }
                             if exec.len() as u32 >= self.retry.max_attempts() {
-                                if !deferred {
-                                    let reason = error.map(|e| e.to_string()).unwrap_or_default();
-                                    let penalty = self.failure_penalty(worst_seen);
-                                    live_settled = Some((TrialStatus::Failed(reason), penalty));
-                                }
                                 break;
                             }
                             let delay = self.retry.backoff(self.seed, id, attempt);
@@ -731,166 +568,109 @@ impl Tuner {
                             }
                         }
                         // ---- commit: wait for this trial's turn, then
-                        // apply its effects in canonical order. The gate
-                        // also requires that no earlier ask is still
-                        // admissible, so asks always journal before the
-                        // commit they canonically precede.
-                        let mut st = seq.state.lock();
-                        while !(st.next_commit == id
-                            && (st.next_ask >= id + workers
-                                || st.ask_parked
-                                || st.asks_done
-                                || st.exhausted
-                                || st.next_ask >= num_samples))
-                        {
-                            seq.cv.wait_for(&mut st, SUGGEST_WAIT);
+                        // apply its effects in canonical order.
+                        let asks = seq.until(|s| s.begin_commit(id));
+                        if resumed {
+                            if let Some(j) = journal {
+                                j.append(&RunEvent::Restart { trial: id });
+                            }
                         }
-                        let (status, feedback, final_reports) = if deferred {
-                            if resumed {
-                                if let Some(j) = journal {
-                                    j.append(&RunEvent::Restart { trial: id });
-                                }
-                            }
-                            // Splice the buffered trace onto the shared
-                            // clock; the execute span's begin reference is
-                            // remapped into the run trace.
-                            let exec_begin = match (tracer, &buffer) {
-                                (Some(tr), Some(buf)) => {
-                                    let (events, end_clock) = buf.drain_for_splice();
-                                    let seq_map = tr.splice(&events, end_clock);
-                                    exec_span.and_then(|s| seq_map.get(s as usize).copied())
-                                }
-                                _ => exec_span,
-                            };
-                            // Feed the buffered reports to the scheduler in
-                            // order, journaling each verdict; at the first
-                            // Stop the kept reports are truncated there,
-                            // exactly where a live sequential run would
-                            // have returned early.
-                            let mut stop_value: Option<f64> = None;
-                            let mut final_reports: Vec<(u64, f64)> = Vec::new();
-                            for ea in &exec {
-                                let mut kept: Vec<(u64, f64)> = Vec::new();
-                                if stop_value.is_none() {
-                                    for &(iteration, user_value) in &ea.reports {
-                                        let normalized = match self.mode {
-                                            Mode::Min => user_value,
-                                            Mode::Max => -user_value,
-                                        };
-                                        let d = scheduler.on_report(id, iteration, normalized);
-                                        if let Some(j) = journal {
-                                            j.append(&RunEvent::Report {
-                                                trial: id,
-                                                iteration,
-                                                normalized,
-                                                stop: d == Decision::Stop,
-                                            });
-                                        }
-                                        kept.push((iteration, user_value));
-                                        if d == Decision::Stop {
-                                            stop_value = Some(user_value);
-                                            break;
-                                        }
-                                    }
-                                }
-                                if let Some(j) = journal {
-                                    let a = &ea.attempt;
-                                    j.append(&RunEvent::Attempt {
-                                        trial: id,
-                                        index: a.index,
-                                        secs: a.secs,
-                                        raw: a.raw,
-                                        error: a.error.clone(),
-                                    });
-                                }
-                                final_reports = kept;
-                            }
-                            let (status, feedback) = match success {
-                                Some(v) => {
-                                    let (value, status) = match stop_value {
-                                        Some(s) => (s, TrialStatus::StoppedEarly(s)),
-                                        None => (v, TrialStatus::Terminated(v)),
-                                    };
+                        // Splice the buffered trace onto the shared clock;
+                        // the execute span's begin reference is remapped
+                        // into the run trace.
+                        let exec_begin = tracer.zip(buffer.as_ref()).and_then(|(tr, buf)| {
+                            let (events, end_clock) = buf.drain_for_splice();
+                            let seq_map = tr.splice(&events, end_clock);
+                            exec_span.and_then(|s| seq_map.get(s as usize).copied())
+                        });
+                        // Feed the buffered reports to the scheduler in
+                        // order, journaling each verdict; at the first
+                        // Stop the kept reports are truncated there and
+                        // the stopping report's value becomes the trial's.
+                        let mut stop_value: Option<f64> = None;
+                        let mut final_reports: Vec<(u64, f64)> = Vec::new();
+                        for ea in &exec {
+                            let mut kept: Vec<(u64, f64)> = Vec::new();
+                            if stop_value.is_none() {
+                                for &(iteration, user_value) in &ea.reports {
                                     let normalized = match self.mode {
-                                        Mode::Min => value,
-                                        Mode::Max => -value,
+                                        Mode::Min => user_value,
+                                        Mode::Max => -user_value,
                                     };
-                                    {
-                                        let mut worst = worst_seen.lock();
-                                        *worst = worst.max(normalized);
+                                    let d = scheduler.on_report(id, iteration, normalized);
+                                    if let Some(j) = journal {
+                                        j.append(&RunEvent::Report {
+                                            trial: id,
+                                            iteration,
+                                            normalized,
+                                            stop: d == Decision::Stop,
+                                        });
                                     }
-                                    (status, normalized)
+                                    kept.push((iteration, user_value));
+                                    if d == Decision::Stop {
+                                        stop_value = Some(user_value);
+                                        break;
+                                    }
                                 }
-                                None => {
-                                    let reason = exec
-                                        .last()
-                                        .and_then(|ea| ea.attempt.error.as_ref())
-                                        .map(|e| e.to_string())
-                                        .unwrap_or_default();
-                                    (
-                                        TrialStatus::Failed(reason),
-                                        self.failure_penalty(worst_seen),
-                                    )
-                                }
-                            };
-                            if let (Some(tr), Some(span)) = (tracer, exec_begin) {
-                                let outcome = match &status {
-                                    TrialStatus::Terminated(_) => "terminated",
-                                    TrialStatus::StoppedEarly(_) => "stopped_early",
-                                    TrialStatus::Failed(_) => "failed",
-                                    TrialStatus::Pending | TrialStatus::Running => "running",
-                                };
-                                tr.end(
-                                    "tuner",
-                                    "execute",
-                                    Some(id),
-                                    span,
-                                    e2c_trace::fields([
-                                        ("attempts", exec.len().into()),
-                                        ("outcome", outcome.into()),
-                                    ]),
-                                );
                             }
-                            (status, feedback, final_reports)
-                        } else {
-                            // The live attempt loop always settles before
-                            // reaching here; fail the trial rather than
-                            // poison the run if that invariant ever breaks.
-                            let (status, feedback) = live_settled.clone().unwrap_or_else(|| {
+                            if let Some(j) = journal {
+                                let a = &ea.attempt;
+                                j.append(&RunEvent::Attempt {
+                                    trial: id,
+                                    index: a.index,
+                                    secs: a.secs,
+                                    raw: a.raw,
+                                    error: a.error.clone(),
+                                });
+                            }
+                            final_reports = kept;
+                        }
+                        let (status, feedback) = match success {
+                            Some(v) => {
+                                let (value, status) = match stop_value {
+                                    Some(s) => (s, TrialStatus::StoppedEarly(s)),
+                                    None => (v, TrialStatus::Terminated(v)),
+                                };
+                                let normalized = match self.mode {
+                                    Mode::Min => value,
+                                    Mode::Max => -value,
+                                };
+                                {
+                                    let mut worst = worst_seen.lock();
+                                    *worst = worst.max(normalized);
+                                }
+                                (status, normalized)
+                            }
+                            None => {
+                                let reason = exec
+                                    .last()
+                                    .and_then(|ea| ea.attempt.error.as_ref())
+                                    .map(|e| e.to_string())
+                                    .unwrap_or_default();
                                 (
-                                    TrialStatus::Failed(
-                                        "live attempt loop ended without settling".to_string(),
-                                    ),
+                                    TrialStatus::Failed(reason),
                                     self.failure_penalty(worst_seen),
                                 )
-                            });
-                            if let (Some(tr), Some(span)) = (tracer, exec_span) {
-                                let outcome = match &status {
-                                    TrialStatus::Terminated(_) => "terminated",
-                                    TrialStatus::StoppedEarly(_) => "stopped_early",
-                                    TrialStatus::Failed(_) => "failed",
-                                    TrialStatus::Pending | TrialStatus::Running => "running",
-                                };
-                                tr.end(
-                                    "tuner",
-                                    "execute",
-                                    Some(id),
-                                    span,
-                                    e2c_trace::fields([
-                                        ("attempts", exec.len().into()),
-                                        ("outcome", outcome.into()),
-                                    ]),
-                                );
                             }
-                            let final_reports =
-                                exec.last().map(|ea| ea.reports.clone()).unwrap_or_default();
-                            (status, feedback, final_reports)
                         };
+                        if let (Some(tr), Some(span)) = (tracer, exec_begin) {
+                            tr.end(
+                                "tuner",
+                                "execute",
+                                Some(id),
+                                span,
+                                e2c_trace::fields([
+                                    ("attempts", exec.len().into()),
+                                    ("outcome", status.token().into()),
+                                ]),
+                            );
+                        }
                         // A panicking searcher must not poison the run: the
                         // trial is marked failed and the run winds down
                         // with every settled result intact.
-                        let observed =
-                            catch_unwind(AssertUnwindSafe(|| st.searcher.observe(id, feedback)));
+                        let observed = catch_unwind(AssertUnwindSafe(|| {
+                            searcher.lock().observe(id, feedback)
+                        }));
                         let status = match observed {
                             Ok(()) => {
                                 if let Some(tr) = tracer {
@@ -902,11 +682,6 @@ impl Tuner {
                                     );
                                 }
                                 if let Some(j) = journal {
-                                    let token = match &status {
-                                        TrialStatus::StoppedEarly(_) => "stopped_early",
-                                        TrialStatus::Failed(_) => "failed",
-                                        _ => "terminated",
-                                    };
                                     // The trace mark taken *after* the tell
                                     // point: resume truncates the streamed
                                     // trace here and restores the virtual
@@ -918,16 +693,16 @@ impl Tuner {
                                     j.append(&RunEvent::Tell {
                                         trial: id,
                                         feedback,
-                                        status: token.to_string(),
+                                        status: status.token().to_string(),
                                         value: status.value(),
                                         trace_mark,
-                                        asks: Some(st.next_ask),
+                                        asks: Some(asks),
                                     });
                                 }
                                 status
                             }
                             Err(panic) => {
-                                st.exhausted = true;
+                                seq.update(Sequencer::exhaust);
                                 TrialStatus::Failed(
                                     TrialError::Panicked(format!(
                                         "searcher observe panicked: {}",
@@ -937,13 +712,7 @@ impl Tuner {
                                 )
                             }
                         };
-                        st.next_commit += 1;
-                        while st.settled.contains(&st.next_commit) {
-                            st.next_commit += 1;
-                        }
-                        st.ask_parked = false;
-                        seq.cv.notify_all();
-                        drop(st);
+                        seq.update(Sequencer::end_commit);
                         {
                             // Recorded when the ask was admitted; a missing
                             // entry would mean the bookkeeping already lost
@@ -988,14 +757,7 @@ impl Tuner {
 
 /// Compact, deterministic rendering of a configuration for trace events.
 fn fmt_point(p: &Point) -> String {
-    let mut out = String::new();
-    for (i, v) in p.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("{v}"));
-    }
-    out
+    p.iter().map(f64::to_string).collect::<Vec<_>>().join(",")
 }
 
 /// Extract a printable message from a caught panic payload.
@@ -1158,6 +920,34 @@ mod tests {
         for t in analysis.trials().iter().filter(|t| t.stopped_early()) {
             assert!(t.iterations() < max_full);
         }
+    }
+
+    /// One worker is a commit window of one: the scheduler judges the
+    /// reports at commit, so an objective that ignores the verdict and
+    /// returns something else still settles at the stopping report.
+    #[test]
+    fn single_worker_early_stop_settles_at_the_stopping_report() {
+        let tuner = Tuner::new(4, 1, Mode::Min);
+        let analysis = tuner.run(
+            Box::new(GridSearch::from_points(
+                space(),
+                vec![vec![1.0], vec![2.0], vec![3.0], vec![9.0]],
+            )),
+            Arc::new(AsyncHyperBand::new(1, 2, 8)),
+            |cfg, ctx| {
+                for i in 0..8 {
+                    ctx.report(cfg[0] + f64::from(i) / 10.0);
+                }
+                cfg[0] + 100.0
+            },
+        );
+        let trials = analysis.trials();
+        assert_eq!(trials[0].status, TrialStatus::Terminated(101.0));
+        assert_eq!(trials[0].iterations(), 8);
+        // Rung 1 holds [1, 2, 3, 9] when trial 3 reports: ASHA cuts it
+        // at its first report.
+        assert_eq!(trials[3].status, TrialStatus::StoppedEarly(9.0));
+        assert_eq!(trials[3].reports, vec![(1, 9.0)]);
     }
 
     #[test]

@@ -1149,7 +1149,15 @@ fn main() -> ExitCode {
             }
             let root = root.unwrap_or_else(workspace_root);
             let baseline_file = baseline_path.unwrap_or_else(|| root.join("lint.baseline"));
-            let mut report = match detlint::lint_workspace(&root, &config) {
+            // A directory inside this workspace keeps workspace-relative
+            // labels, so the path-scoped rules apply to it as they do to
+            // the whole tree.
+            let workspace = workspace_root();
+            let (label_root, dir) = match root.canonicalize() {
+                Ok(dir) if dir.starts_with(&workspace) => (workspace, dir),
+                _ => (root.clone(), root.clone()),
+            };
+            let mut report = match detlint::lint_workspace(&label_root, &dir, &config) {
                 Ok(report) => report,
                 Err(e) => {
                     eprintln!("lint failed: {e}");

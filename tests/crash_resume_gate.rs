@@ -294,8 +294,8 @@ fn mid_run_kill_resumes_across_the_seed_concurrency_matrix() {
 
 #[test]
 fn a_crash_during_resume_is_itself_resumable() {
-    // Two workers: the double-crash path goes through the deferred
-    // commit sequencer, not just the sequential fast path.
+    // Two workers: each crash can leave two trials in the commit window,
+    // so the resumes re-dispatch more than one dangling trial.
     let fx = Fixture::new("double", 2, 3);
     let out = fx.optimize("base", &[]);
     assert!(

@@ -75,6 +75,23 @@ fn workspace_lint_is_clean() {
     assert!(stdout.contains("0 error(s)"), "{stdout}");
 }
 
+/// Linting one crate keeps workspace-relative labels, so its files stay
+/// under the path-scoped rules; the tuner must pass with no baseline.
+#[test]
+fn tuner_crate_lints_clean_without_a_baseline() {
+    let out = Command::new(env!("CARGO_BIN_EXE_e2clab"))
+        .args(["lint", "--no-baseline", "--format", "json"])
+        .arg(workspace_root().join("crates/tune"))
+        .output()
+        .expect("run e2clab lint");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "tuner crate lint failed:\n{stdout}");
+    assert!(
+        stdout.contains("\"file\": \"crates/tune/src/tuner.rs\""),
+        "{stdout}"
+    );
+}
+
 #[test]
 fn lint_rejects_a_dirty_tree() {
     let dir = std::env::temp_dir().join(format!("detlint-dirty-{}", std::process::id()));

@@ -109,9 +109,9 @@ fn archive_round_trips_through_the_filesystem() {
 #[test]
 fn same_seed_reproduces_the_whole_cycle() {
     // Reproducibility is the paper's core promise: identical seeds must
-    // produce identical evaluation sequences and identical optima. Bit-
-    // exact replay requires the sequential cycle (max_concurrent = 1);
-    // under concurrency the suggestion stream depends on OS scheduling.
+    // produce identical evaluation sequences and identical optima. The
+    // tuner's commit sequencer gives bit-exact replay at any
+    // max_concurrent; this test pins the single-slot window.
     let run = || {
         let conf = ExperimentConf::from_value(&e2clab::conf::parse(CONF).unwrap())
             .unwrap()
