@@ -180,10 +180,11 @@ impl<E> EventQueue<E> {
         None
     }
 
-    /// Number of entries still in the heap, *including* lazily cancelled
-    /// ones. Use [`EventQueue::is_empty`] for a liveness check.
+    /// Number of live events: scheduled and not yet fired or cancelled.
+    /// Lazily cancelled heap entries are not counted, so the figure does
+    /// not depend on how often the model cancels and reschedules.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.live
     }
 
     /// True when no live events remain.
@@ -281,9 +282,12 @@ mod tests {
         let h = q.schedule(SimTime::from_secs(1), "a");
         q.schedule(SimTime::from_secs(2), "b");
         assert!(!q.is_empty());
+        assert_eq!(q.len(), 2);
         q.cancel(h);
         q.cancel(h); // double-cancel must not underflow the live count
         assert!(!q.is_empty());
+        // The cancelled entry still sits in the heap but is not counted.
+        assert_eq!(q.len(), 1);
         assert_eq!(q.pop(), Some((SimTime::from_secs(2), "b")));
         assert!(q.is_empty());
         assert_eq!(q.pop(), None);

@@ -92,8 +92,9 @@ impl<M: Model> Simulation<M> {
     }
 
     /// Attach a tracer: each `run_until` segment emits one `des/run` event
-    /// carrying `label`, the segment's event count and the queue residue,
-    /// stamped with the sim clock (microseconds) as its virtual time.
+    /// carrying `label`, the segment's event count and the number of live
+    /// events still queued (`queued`), stamped with the sim clock
+    /// (microseconds) as its virtual time.
     pub fn set_trace(&mut self, tracer: e2c_trace::Tracer, label: &str) {
         self.trace = Some((tracer, label.to_string()));
     }
