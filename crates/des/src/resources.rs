@@ -15,7 +15,7 @@
 //! utilization over windows without instrumenting every state change.
 
 use crate::time::SimTime;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Opaque identifier chosen by the caller (e.g. a request id).
 pub type JobId = u64;
@@ -230,16 +230,21 @@ struct Job {
 
 /// A shared server processing all active jobs concurrently.
 ///
-/// The owning model is responsible for scheduling the completion event: call
-/// [`ProcShare::next_completion`] after every membership change, cancel the
-/// previously scheduled completion, and schedule the new one.
+/// The owning model is responsible for scheduling the completion event:
+/// once per handled event, after that event's last membership change,
+/// call [`ProcShare::next_completion`], cancel the previously scheduled
+/// completion and schedule the new one. Every call is an O(n) scan, and
+/// a completion computed before a later change in the same event would
+/// only be cancelled again.
 #[derive(Debug, Clone)]
 pub struct ProcShare {
     discipline: Discipline,
-    /// Active jobs. Ordered map: `advance()` iterates the values and
-    /// `next_completion` scans for the minimum, so enumeration order must
-    /// not depend on hash state (detlint DET001/DET005).
-    jobs: BTreeMap<JobId, Job>,
+    /// Active jobs, sorted by id. `advance()` and `next_completion` walk
+    /// them in id order, so the float updates and the smaller-id
+    /// tie-break never depend on insertion order or hash state (detlint
+    /// DET001/DET005). Job ids mostly arrive in increasing order, so an
+    /// insert lands at or near the end.
+    jobs: Vec<(JobId, Job)>,
     total_weight: f64,
     reserved_weight: f64,
     last_update: SimTime,
@@ -255,7 +260,7 @@ impl ProcShare {
     pub fn new(discipline: Discipline) -> Self {
         ProcShare {
             discipline,
-            jobs: BTreeMap::new(),
+            jobs: Vec::new(),
             total_weight: 0.0,
             reserved_weight: 0.0,
             last_update: SimTime::ZERO,
@@ -287,7 +292,7 @@ impl ProcShare {
             if !self.jobs.is_empty() {
                 let r_normal = self.rate_of(JobClass::Normal);
                 let r_reserved = self.rate_of(JobClass::Reserved);
-                for job in self.jobs.values_mut() {
+                for (_, job) in &mut self.jobs {
                     let rate = match job.class {
                         JobClass::Normal => r_normal,
                         JobClass::Reserved => r_reserved,
@@ -317,15 +322,16 @@ impl ProcShare {
     fn start_class(&mut self, now: SimTime, id: JobId, demand: f64, weight: f64, class: JobClass) {
         self.advance(now);
         assert!(demand >= 0.0 && weight > 0.0, "bad job parameters");
-        let prev = self.jobs.insert(
-            id,
-            Job {
-                remaining: demand,
-                weight,
-                class,
-            },
-        );
-        assert!(prev.is_none(), "job {id} already running");
+        let pos = match self.jobs.binary_search_by_key(&id, |&(j, _)| j) {
+            Ok(_) => panic!("job {id} already running"),
+            Err(pos) => pos,
+        };
+        let job = Job {
+            remaining: demand,
+            weight,
+            class,
+        };
+        self.jobs.insert(pos, (id, job));
         self.total_weight += weight;
         if class == JobClass::Reserved {
             self.reserved_weight += weight;
@@ -336,7 +342,8 @@ impl ProcShare {
     /// the job existed.
     pub fn remove(&mut self, now: SimTime, id: JobId) -> bool {
         self.advance(now);
-        if let Some(job) = self.jobs.remove(&id) {
+        if let Ok(pos) = self.jobs.binary_search_by_key(&id, |&(j, _)| j) {
+            let (_, job) = self.jobs.remove(pos);
             self.total_weight -= job.weight;
             if job.class == JobClass::Reserved {
                 self.reserved_weight -= job.weight;
@@ -366,7 +373,7 @@ impl ProcShare {
         let r_normal = self.rate_of(JobClass::Normal);
         let r_reserved = self.rate_of(JobClass::Reserved);
         let mut best: Option<(f64, JobId)> = None;
-        for (&id, job) in &self.jobs {
+        for &(id, job) in &self.jobs {
             let rate = match job.class {
                 JobClass::Normal => r_normal,
                 JobClass::Reserved => r_reserved,

@@ -140,3 +140,469 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// ProcShare against a reference model
+// ---------------------------------------------------------------------------
+
+/// The `BTreeMap`-backed `ProcShare` the sorted-`Vec` job table replaced,
+/// kept verbatim as a reference: the two must agree bit for bit on every
+/// completion time, tie-break and integral.
+mod reference {
+    use e2c_des::resources::{Discipline, JobClass};
+    use e2c_des::SimTime;
+    use std::collections::BTreeMap;
+
+    const MIN_RATE: f64 = 1e-9;
+
+    fn rate(
+        discipline: Discipline,
+        class: JobClass,
+        reserved_weight: f64,
+        normal_weight: f64,
+        n_jobs: usize,
+    ) -> f64 {
+        match discipline {
+            Discipline::ProcessorSharing { capacity } => match class {
+                JobClass::Reserved => {
+                    if reserved_weight <= capacity || reserved_weight == 0.0 {
+                        1.0
+                    } else {
+                        capacity / reserved_weight
+                    }
+                }
+                JobClass::Normal => {
+                    let left = (capacity - reserved_weight.min(capacity)).max(0.0);
+                    if normal_weight <= left || normal_weight == 0.0 {
+                        1.0
+                    } else {
+                        (left / normal_weight).max(MIN_RATE)
+                    }
+                }
+            },
+            Discipline::Saturating {
+                alpha,
+                cap,
+                devices,
+            } => {
+                if n_jobs == 0 {
+                    1.0
+                } else {
+                    let d = devices.max(1) as f64;
+                    let per_device = (n_jobs as f64 / d).ceil();
+                    let eff = 1.0 / (1.0 + alpha * (per_device - 1.0));
+                    eff.min(d * cap / n_jobs as f64).max(MIN_RATE)
+                }
+            }
+        }
+    }
+
+    #[derive(Clone, Copy)]
+    struct Job {
+        remaining: f64,
+        weight: f64,
+        class: JobClass,
+    }
+
+    pub struct RefProcShare {
+        discipline: Discipline,
+        jobs: BTreeMap<u64, Job>,
+        total_weight: f64,
+        reserved_weight: f64,
+        last_update: SimTime,
+        demand_integral: f64,
+        busy_integral: f64,
+        completed: u64,
+    }
+
+    impl RefProcShare {
+        pub fn new(discipline: Discipline) -> Self {
+            RefProcShare {
+                discipline,
+                jobs: BTreeMap::new(),
+                total_weight: 0.0,
+                reserved_weight: 0.0,
+                last_update: SimTime::ZERO,
+                demand_integral: 0.0,
+                busy_integral: 0.0,
+                completed: 0,
+            }
+        }
+
+        fn rate_of(&self, class: JobClass) -> f64 {
+            rate(
+                self.discipline,
+                class,
+                self.reserved_weight,
+                self.total_weight - self.reserved_weight,
+                self.jobs.len(),
+            )
+        }
+
+        fn advance(&mut self, now: SimTime) {
+            let dt = (now - self.last_update).as_secs_f64();
+            if dt > 0.0 {
+                if !self.jobs.is_empty() {
+                    let r_normal = self.rate_of(JobClass::Normal);
+                    let r_reserved = self.rate_of(JobClass::Reserved);
+                    for job in self.jobs.values_mut() {
+                        let rate = match job.class {
+                            JobClass::Normal => r_normal,
+                            JobClass::Reserved => r_reserved,
+                        };
+                        job.remaining = (job.remaining - rate * dt).max(0.0);
+                    }
+                    self.busy_integral += dt;
+                }
+                self.demand_integral += self.total_weight * dt;
+            }
+            self.last_update = now;
+        }
+
+        pub fn start(&mut self, now: SimTime, id: u64, demand: f64, weight: f64, class: JobClass) {
+            self.advance(now);
+            assert!(demand >= 0.0 && weight > 0.0, "bad job parameters");
+            let prev = self.jobs.insert(
+                id,
+                Job {
+                    remaining: demand,
+                    weight,
+                    class,
+                },
+            );
+            assert!(prev.is_none(), "job {id} already running");
+            self.total_weight += weight;
+            if class == JobClass::Reserved {
+                self.reserved_weight += weight;
+            }
+        }
+
+        pub fn remove(&mut self, now: SimTime, id: u64) -> bool {
+            self.advance(now);
+            if let Some(job) = self.jobs.remove(&id) {
+                self.total_weight -= job.weight;
+                if job.class == JobClass::Reserved {
+                    self.reserved_weight -= job.weight;
+                    if self.reserved_weight < 1e-12 {
+                        self.reserved_weight = 0.0;
+                    }
+                }
+                if self.total_weight < 1e-12 {
+                    self.total_weight = 0.0;
+                }
+                self.completed += 1;
+                true
+            } else {
+                false
+            }
+        }
+
+        pub fn next_completion(&mut self, now: SimTime) -> Option<(SimTime, u64)> {
+            self.advance(now);
+            if self.jobs.is_empty() {
+                return None;
+            }
+            let r_normal = self.rate_of(JobClass::Normal);
+            let r_reserved = self.rate_of(JobClass::Reserved);
+            let mut best: Option<(f64, u64)> = None;
+            for (&id, job) in &self.jobs {
+                let rate = match job.class {
+                    JobClass::Normal => r_normal,
+                    JobClass::Reserved => r_reserved,
+                };
+                let finish = job.remaining / rate;
+                match best {
+                    None => best = Some((finish, id)),
+                    Some((bf, bid)) => {
+                        if finish < bf || (finish == bf && id < bid) {
+                            best = Some((finish, id));
+                        }
+                    }
+                }
+            }
+            let (finish, id) = best.expect("non-empty job set");
+            let delta_us = (finish * 1e6).ceil().min(u64::MAX as f64 / 4.0) as u64;
+            Some((SimTime(now.0.saturating_add(delta_us)), id))
+        }
+
+        pub fn contains(&self, id: u64) -> bool {
+            self.jobs.contains_key(&id)
+        }
+
+        pub fn active_ids(&self) -> Vec<u64> {
+            self.jobs.keys().copied().collect()
+        }
+
+        pub fn active(&self) -> usize {
+            self.jobs.len()
+        }
+
+        pub fn demand(&self) -> f64 {
+            self.total_weight
+        }
+
+        pub fn reserved_demand(&self) -> f64 {
+            self.reserved_weight
+        }
+
+        pub fn completed(&self) -> u64 {
+            self.completed
+        }
+
+        pub fn demand_integral(&mut self, now: SimTime) -> f64 {
+            self.advance(now);
+            self.demand_integral
+        }
+
+        pub fn busy_integral(&mut self, now: SimTime) -> f64 {
+            self.advance(now);
+            self.busy_integral
+        }
+    }
+}
+
+use e2c_des::resources::JobClass;
+use reference::RefProcShare;
+
+/// One step of a ProcShare interleaving.
+#[derive(Debug, Clone)]
+enum PsOp {
+    /// Move the clock forward (zero keeps several operations at one time).
+    Advance(u64),
+    /// Start a job; skipped when the id is already active.
+    Start {
+        id: u64,
+        demand: f64,
+        weight: f64,
+        reserved: bool,
+    },
+    /// Remove an id, active or not.
+    Remove(u64),
+    NextCompletion,
+    /// Jump to the next completion and remove the job it names, as a
+    /// model's completion event does.
+    Complete,
+    DemandIntegral,
+    BusyIntegral,
+}
+
+fn arb_start() -> impl Strategy<Value = PsOp> {
+    let demand = prop_oneof![0.0f64..3.0, 0.0f64..3.0, 0.0f64..3.0, Just(0.0), Just(1e9)];
+    let weight = prop_oneof![0.05f64..4.0, Just(1.0)];
+    (0u64..24, demand, weight, any::<bool>()).prop_map(|(id, demand, weight, reserved)| {
+        PsOp::Start {
+            id,
+            demand,
+            weight,
+            reserved,
+        }
+    })
+}
+
+fn arb_ps_op() -> impl Strategy<Value = PsOp> {
+    // Arms are repeated to weight them (the vendored proptest has no
+    // weighted `prop_oneof`).
+    prop_oneof![
+        prop_oneof![0u64..400_000, Just(0u64)].prop_map(PsOp::Advance),
+        arb_start(),
+        arb_start(),
+        (0u64..24).prop_map(PsOp::Remove),
+        Just(PsOp::NextCompletion),
+        Just(PsOp::Complete),
+        Just(PsOp::Complete),
+        Just(PsOp::DemandIntegral),
+        Just(PsOp::BusyIntegral),
+    ]
+}
+
+fn arb_discipline() -> impl Strategy<Value = Discipline> {
+    prop_oneof![
+        (0.5f64..8.0).prop_map(|capacity| Discipline::ProcessorSharing { capacity }),
+        Just(Discipline::ProcessorSharing { capacity: 1.0 }),
+        (
+            0.0f64..1.0,
+            prop_oneof![Just(f64::INFINITY), 1.0f64..4.0],
+            1u32..4
+        )
+            .prop_map(|(alpha, cap, devices)| Discipline::Saturating {
+                alpha,
+                cap,
+                devices
+            }),
+    ]
+}
+
+/// Apply a `PsOp::Start` to the implementation under test.
+fn start_new(ps: &mut ProcShare, now: SimTime, op: &PsOp) {
+    if let PsOp::Start {
+        id,
+        demand,
+        weight,
+        reserved,
+    } = *op
+    {
+        if reserved {
+            ps.start_reserved(now, id, demand, weight);
+        } else {
+            ps.start(now, id, demand, weight);
+        }
+    }
+}
+
+/// Apply a `PsOp::Start` to the reference model.
+fn start_ref(model: &mut RefProcShare, now: SimTime, op: &PsOp) {
+    if let PsOp::Start {
+        id,
+        demand,
+        weight,
+        reserved,
+    } = *op
+    {
+        let class = if reserved {
+            JobClass::Reserved
+        } else {
+            JobClass::Normal
+        };
+        model.start(now, id, demand, weight, class);
+    }
+}
+
+/// Replay `ops` on both implementations, failing on the first observable
+/// difference. Returns the clock at the end.
+fn replay(
+    ps: &mut ProcShare,
+    model: &mut RefProcShare,
+    ops: &[PsOp],
+) -> Result<SimTime, proptest::test_runner::TestCaseError> {
+    let mut now = SimTime::ZERO;
+    for (step, op) in ops.iter().enumerate() {
+        match *op {
+            PsOp::Advance(us) => now += SimTime::from_micros(us),
+            PsOp::Start { id, .. } => {
+                if !model.contains(id) {
+                    start_new(ps, now, op);
+                    start_ref(model, now, op);
+                }
+            }
+            PsOp::Remove(id) => {
+                prop_assert_eq!(ps.remove(now, id), model.remove(now, id), "step {}", step);
+            }
+            PsOp::NextCompletion => {
+                prop_assert_eq!(
+                    ps.next_completion(now),
+                    model.next_completion(now),
+                    "step {}",
+                    step
+                );
+            }
+            PsOp::Complete => {
+                let got = ps.next_completion(now);
+                prop_assert_eq!(got, model.next_completion(now), "step {}", step);
+                // A starved job's horizon is far away; leave it running.
+                if let Some((at, id)) = got.filter(|&(at, _)| at.0 < u64::MAX / 8) {
+                    now = at;
+                    prop_assert!(ps.remove(now, id) && model.remove(now, id));
+                }
+            }
+            PsOp::DemandIntegral => {
+                prop_assert_eq!(
+                    ps.demand_integral(now).to_bits(),
+                    model.demand_integral(now).to_bits(),
+                    "step {}",
+                    step
+                );
+            }
+            PsOp::BusyIntegral => {
+                prop_assert_eq!(
+                    ps.busy_integral(now).to_bits(),
+                    model.busy_integral(now).to_bits(),
+                    "step {}",
+                    step
+                );
+            }
+        }
+        prop_assert_eq!(ps.active(), model.active(), "step {}", step);
+        prop_assert_eq!(ps.completed(), model.completed(), "step {}", step);
+        prop_assert_eq!(ps.demand().to_bits(), model.demand().to_bits());
+        prop_assert_eq!(
+            ps.reserved_demand().to_bits(),
+            model.reserved_demand().to_bits()
+        );
+    }
+    Ok(now)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The sorted-`Vec` job table is observably identical to the
+    /// `BTreeMap` one under random interleavings at non-decreasing times,
+    /// for both disciplines: same completion `(time, id)` (ties included),
+    /// same removals, same integrals to the bit.
+    #[test]
+    fn procshare_matches_the_reference_model(
+        discipline in arb_discipline(),
+        ops in prop::collection::vec(arb_ps_op(), 1..120)
+    ) {
+        let mut ps = ProcShare::new(discipline);
+        let mut model = RefProcShare::new(discipline);
+        let mut now = replay(&mut ps, &mut model, &ops)?;
+        // Drain: every remaining completion agrees too.
+        while let Some((at, id)) = model.next_completion(now) {
+            prop_assert_eq!(ps.next_completion(now), Some((at, id)));
+            if at.0 >= u64::MAX / 8 {
+                break;
+            }
+            now = at;
+            prop_assert!(ps.remove(now, id) && model.remove(now, id));
+        }
+        prop_assert_eq!(
+            ps.demand_integral(now).to_bits(),
+            model.demand_integral(now).to_bits()
+        );
+        prop_assert_eq!(
+            ps.busy_integral(now).to_bits(),
+            model.busy_integral(now).to_bits()
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Starting an id that is already active panics in both
+    /// implementations, with the same message.
+    #[test]
+    fn procshare_duplicate_start_panics_like_the_reference(
+        discipline in arb_discipline(),
+        ops in prop::collection::vec(arb_ps_op(), 1..40),
+        pick in 0usize..64,
+        reserved in any::<bool>()
+    ) {
+        let mut ps = ProcShare::new(discipline);
+        let mut model = RefProcShare::new(discipline);
+        let now = replay(&mut ps, &mut model, &ops)?;
+        let ids = model.active_ids();
+        if ids.is_empty() {
+            return Ok(());
+        }
+        let id = ids[pick % ids.len()];
+        let start = PsOp::Start {
+            id,
+            demand: 1.0,
+            weight: 1.0,
+            reserved,
+        };
+        let message = |r: std::thread::Result<()>| {
+            r.err().and_then(|p| p.downcast_ref::<String>().cloned())
+        };
+        let got = message(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            start_new(&mut ps, now, &start)
+        })));
+        let want = message(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            start_ref(&mut model, now, &start)
+        })));
+        prop_assert_eq!(got.clone(), Some(format!("job {id} already running")));
+        prop_assert_eq!(got, want);
+    }
+}
