@@ -32,7 +32,6 @@ use e2c_workload::{ImageMix, RateSchedule};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
-use std::collections::HashMap;
 use std::collections::VecDeque;
 
 /// What a [`ServiceFault`] does to the engine once it triggers.
@@ -233,6 +232,48 @@ struct Req {
     phase_start: SimTime,
 }
 
+/// Requests in flight, indexed by id. Ids are issued sequentially, so the
+/// live requests sit in a window starting at the oldest one still alive:
+/// slot `i` holds request `first + i`, `None` once it has left.
+#[derive(Default)]
+struct ReqWindow {
+    first: u64,
+    slots: VecDeque<Option<Req>>,
+}
+
+impl ReqWindow {
+    /// Admit request `id`, which must be the next id issued.
+    fn insert(&mut self, id: u64, req: Req) {
+        assert_eq!(
+            id,
+            self.first + self.slots.len() as u64,
+            "request ids must be issued in sequence"
+        );
+        self.slots.push_back(Some(req));
+    }
+
+    fn get(&self, id: u64) -> Option<&Req> {
+        let i = id.checked_sub(self.first)?;
+        self.slots.get(i as usize)?.as_ref()
+    }
+
+    fn get_mut(&mut self, id: u64) -> Option<&mut Req> {
+        let i = id.checked_sub(self.first)?;
+        self.slots.get_mut(i as usize)?.as_mut()
+    }
+
+    fn remove(&mut self, id: u64) -> Option<Req> {
+        let i = id.checked_sub(self.first)?;
+        let req = self.slots.get_mut(i as usize)?.take();
+        // Slide the window past every request that has already left.
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.first += 1;
+        }
+        req
+    }
+}
+
 /// The engine model driven by the DES kernel.
 pub struct Experiment {
     spec: ExperimentSpec,
@@ -247,11 +288,11 @@ pub struct Experiment {
     images: ImageMix,
     cpu_handle: Option<EventHandle>,
     gpu_handle: Option<EventHandle>,
-    // Requests in flight. Deliberately a HashMap: every access is a keyed
-    // lookup (get/insert/remove) driven by event order, never an
-    // iteration, so hash order can't leak into results (detlint DET001
-    // only fires on iteration).
-    reqs: HashMap<u64, Req>,
+    /// Set by a CPU/GPU membership change; the completion event is
+    /// rescheduled once, at the end of the handled event.
+    cpu_dirty: bool,
+    gpu_dirty: bool,
+    reqs: ReqWindow,
     next_req: u64,
     // Statistics.
     task_stats: BTreeMap<&'static str, OnlineStats>,
@@ -304,7 +345,9 @@ impl Experiment {
             images: ImageMix::new(spec.model.image_bytes_mean, spec.model.image_bytes_cv),
             cpu_handle: None,
             gpu_handle: None,
-            reqs: HashMap::new(),
+            cpu_dirty: false,
+            gpu_dirty: false,
+            reqs: ReqWindow::default(),
             next_req: 0,
             task_stats: BTreeMap::new(),
             registry: Registry::new(),
@@ -454,21 +497,28 @@ impl Experiment {
 
     // ---- resource completion rescheduling ----
 
-    fn resched_cpu(&mut self, ctx: &mut Context<'_, Ev>) {
-        if let Some(h) = self.cpu_handle.take() {
-            ctx.cancel(h);
+    /// Reschedule the completion event of every resource whose membership
+    /// changed during the handled event: GPU first, then CPU. Each
+    /// resource's next completion depends only on its final membership,
+    /// and the GPU-then-CPU order keeps the event sequence numbers, and
+    /// hence same-time tie order, the same as rescheduling after every
+    /// change.
+    fn flush_completions(&mut self, ctx: &mut Context<'_, Ev>) {
+        if std::mem::take(&mut self.gpu_dirty) {
+            if let Some(h) = self.gpu_handle.take() {
+                ctx.cancel(h);
+            }
+            if let Some((at, req)) = self.gpu.next_completion(ctx.now()) {
+                self.gpu_handle = Some(ctx.schedule(at, Ev::GpuDone { req }));
+            }
         }
-        if let Some((at, job)) = self.cpu.next_completion(ctx.now()) {
-            self.cpu_handle = Some(ctx.schedule(at, Ev::CpuDone { job }));
-        }
-    }
-
-    fn resched_gpu(&mut self, ctx: &mut Context<'_, Ev>) {
-        if let Some(h) = self.gpu_handle.take() {
-            ctx.cancel(h);
-        }
-        if let Some((at, req)) = self.gpu.next_completion(ctx.now()) {
-            self.gpu_handle = Some(ctx.schedule(at, Ev::GpuDone { req }));
+        if std::mem::take(&mut self.cpu_dirty) {
+            if let Some(h) = self.cpu_handle.take() {
+                ctx.cancel(h);
+            }
+            if let Some((at, job)) = self.cpu.next_completion(ctx.now()) {
+                self.cpu_handle = Some(ctx.schedule(at, Ev::CpuDone { job }));
+            }
         }
     }
 
@@ -479,19 +529,19 @@ impl Experiment {
             let d = self.spec.model.t_preprocess;
             self.sample_dist(d, ctx.now(), ctx.rng())
         };
-        self.reqs.get_mut(&req).expect("live request").phase_start = ctx.now();
+        self.reqs.get_mut(req).expect("live request").phase_start = ctx.now();
         self.cpu.start(
             ctx.now(),
             jid(req, code::PRE),
             t,
             self.spec.model.http_cpu_weight,
         );
-        self.resched_cpu(ctx);
+        self.cpu_dirty = true;
     }
 
     fn request_download(&mut self, ctx: &mut Context<'_, Ev>, req: u64) {
         let now = ctx.now();
-        self.reqs.get_mut(&req).expect("live request").phase_start = now;
+        self.reqs.get_mut(req).expect("live request").phase_start = now;
         if self.download.try_acquire(now, req) {
             self.record_task(Task::WaitDownload, now, now);
             self.start_net_transfer(ctx, req);
@@ -509,7 +559,7 @@ impl Experiment {
             self.sample_dist(d, ctx.now(), ctx.rng())
         };
         let secs = self.link.begin_flow(bytes).max(uplink);
-        self.reqs.get_mut(&req).expect("live request").phase_start = ctx.now();
+        self.reqs.get_mut(req).expect("live request").phase_start = ctx.now();
         ctx.schedule_in(SimTime::from_secs_f64(secs), Ev::NetDone { req });
     }
 
@@ -524,12 +574,12 @@ impl Experiment {
             t,
             self.spec.model.download_cpu_weight,
         );
-        self.resched_cpu(ctx);
+        self.cpu_dirty = true;
     }
 
     fn request_extract(&mut self, ctx: &mut Context<'_, Ev>, req: u64) {
         let now = ctx.now();
-        self.reqs.get_mut(&req).expect("live request").phase_start = now;
+        self.reqs.get_mut(req).expect("live request").phase_start = now;
         if self.extract.try_acquire(now, req) {
             self.record_task(Task::WaitExtract, now, now);
             self.start_extract(ctx, req);
@@ -542,7 +592,7 @@ impl Experiment {
             self.sample_dist(d, ctx.now(), ctx.rng())
         };
         let now = ctx.now();
-        self.reqs.get_mut(&req).expect("live request").phase_start = now;
+        self.reqs.get_mut(req).expect("live request").phase_start = now;
         self.gpu.start(now, req, t, 1.0);
         // CPU-side feeding load for the duration of the inference: a
         // *reserved* job (feeding always wins the scheduler) that never
@@ -553,8 +603,8 @@ impl Experiment {
             1e9,
             self.spec.model.extract_cpu_weight,
         );
-        self.resched_gpu(ctx);
-        self.resched_cpu(ctx);
+        self.gpu_dirty = true;
+        self.cpu_dirty = true;
     }
 
     fn start_process(&mut self, ctx: &mut Context<'_, Ev>, req: u64) {
@@ -562,19 +612,19 @@ impl Experiment {
             let d = self.spec.model.t_process;
             self.sample_dist(d, ctx.now(), ctx.rng())
         };
-        self.reqs.get_mut(&req).expect("live request").phase_start = ctx.now();
+        self.reqs.get_mut(req).expect("live request").phase_start = ctx.now();
         self.cpu.start(
             ctx.now(),
             jid(req, code::PROCESS),
             t,
             self.spec.model.http_cpu_weight,
         );
-        self.resched_cpu(ctx);
+        self.cpu_dirty = true;
     }
 
     fn request_simsearch(&mut self, ctx: &mut Context<'_, Ev>, req: u64) {
         let now = ctx.now();
-        self.reqs.get_mut(&req).expect("live request").phase_start = now;
+        self.reqs.get_mut(req).expect("live request").phase_start = now;
         if self.simsearch.try_acquire(now, req) {
             self.record_task(Task::WaitSimsearch, now, now);
             self.start_simsearch(ctx, req);
@@ -586,14 +636,14 @@ impl Experiment {
             let d = self.spec.model.t_simsearch;
             self.sample_dist(d, ctx.now(), ctx.rng())
         };
-        self.reqs.get_mut(&req).expect("live request").phase_start = ctx.now();
+        self.reqs.get_mut(req).expect("live request").phase_start = ctx.now();
         self.cpu.start(
             ctx.now(),
             jid(req, code::SIMSEARCH),
             t,
             self.spec.model.simsearch_cpu_weight,
         );
-        self.resched_cpu(ctx);
+        self.cpu_dirty = true;
     }
 
     fn start_postprocess(&mut self, ctx: &mut Context<'_, Ev>, req: u64) {
@@ -601,19 +651,19 @@ impl Experiment {
             let d = self.spec.model.t_postprocess;
             self.sample_dist(d, ctx.now(), ctx.rng())
         };
-        self.reqs.get_mut(&req).expect("live request").phase_start = ctx.now();
+        self.reqs.get_mut(req).expect("live request").phase_start = ctx.now();
         self.cpu.start(
             ctx.now(),
             jid(req, code::POST),
             t,
             self.spec.model.http_cpu_weight,
         );
-        self.resched_cpu(ctx);
+        self.cpu_dirty = true;
     }
 
     fn complete_request(&mut self, ctx: &mut Context<'_, Ev>, req: u64) {
         let now = ctx.now();
-        let r = self.reqs.remove(&req).expect("live request");
+        let r = self.reqs.remove(req).expect("live request");
         let response = (now - r.arrived).as_secs_f64();
         self.window_resp.push(response);
         self.completed += 1;
@@ -662,7 +712,7 @@ impl Experiment {
             if stale {
                 s.totals.shed += 1;
                 s.win_shed += 1;
-                self.reqs.remove(&waiter);
+                self.reqs.remove(waiter);
                 // The shed request held the freshly granted slot;
                 // release again for the next waiter.
                 continue;
@@ -698,7 +748,7 @@ impl Experiment {
                         let cancelled = self.http.cancel_wait(now, id);
                         debug_assert!(cancelled, "mirrored waiter not in queue");
                         s.waiting.pop_front();
-                        self.reqs.remove(&id);
+                        self.reqs.remove(id);
                         s.totals.shed += 1;
                         s.win_shed += 1;
                     } else {
@@ -924,7 +974,7 @@ impl Model for Experiment {
                     if over {
                         let cancelled = self.http.cancel_wait(now, req);
                         debug_assert!(cancelled, "rejected arrival not in queue");
-                        self.reqs.remove(&req);
+                        self.reqs.remove(req);
                         s.totals.rejected += 1;
                         s.win_rejected += 1;
                     } else {
@@ -943,7 +993,7 @@ impl Model for Experiment {
                 let c = job % 8;
                 let removed = self.cpu.remove(now, job);
                 debug_assert!(removed, "completion for unknown CPU job");
-                let phase_start = self.reqs.get(&req).expect("live request").phase_start;
+                let phase_start = self.reqs.get(req).expect("live request").phase_start;
                 match c {
                     code::PRE => {
                         self.record_task(Task::PreProcess, phase_start, now);
@@ -954,7 +1004,7 @@ impl Model for Experiment {
                         // Free the download thread; resume the next waiter
                         // (its wait-download span ends now).
                         if let Some(waiter) = self.download.release(now) {
-                            let ws = self.reqs.get(&waiter).expect("live waiter").phase_start;
+                            let ws = self.reqs.get(waiter).expect("live waiter").phase_start;
                             self.record_task(Task::WaitDownload, ws, now);
                             self.start_net_transfer(ctx, waiter);
                         }
@@ -967,7 +1017,7 @@ impl Model for Experiment {
                     code::SIMSEARCH => {
                         self.record_task(Task::Simsearch, phase_start, now);
                         if let Some(waiter) = self.simsearch.release(now) {
-                            let ws = self.reqs.get(&waiter).expect("live waiter").phase_start;
+                            let ws = self.reqs.get(waiter).expect("live waiter").phase_start;
                             self.record_task(Task::WaitSimsearch, ws, now);
                             self.start_simsearch(ctx, waiter);
                         }
@@ -979,7 +1029,7 @@ impl Model for Experiment {
                     }
                     other => unreachable!("unexpected CPU job code {other}"),
                 }
-                self.resched_cpu(ctx);
+                self.cpu_dirty = true;
             }
 
             Ev::GpuDone { req } => {
@@ -987,16 +1037,16 @@ impl Model for Experiment {
                 let removed = self.gpu.remove(now, req);
                 debug_assert!(removed, "completion for unknown GPU job");
                 self.cpu.remove(now, jid(req, code::GPU_FEED));
-                let phase_start = self.reqs.get(&req).expect("live request").phase_start;
+                let phase_start = self.reqs.get(req).expect("live request").phase_start;
                 self.record_task(Task::Extract, phase_start, now);
                 if let Some(waiter) = self.extract.release(now) {
-                    let ws = self.reqs.get(&waiter).expect("live waiter").phase_start;
+                    let ws = self.reqs.get(waiter).expect("live waiter").phase_start;
                     self.record_task(Task::WaitExtract, ws, now);
                     self.start_extract(ctx, waiter);
                 }
                 self.start_process(ctx, req);
-                self.resched_gpu(ctx);
-                self.resched_cpu(ctx);
+                self.gpu_dirty = true;
+                self.cpu_dirty = true;
             }
 
             Ev::NetDone { req } => {
@@ -1006,6 +1056,7 @@ impl Model for Experiment {
 
             Ev::Sample => self.sample_window(ctx),
         }
+        self.flush_completions(ctx);
     }
 }
 
