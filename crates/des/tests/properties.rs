@@ -1,8 +1,9 @@
 //! Property-based tests for the DES kernel invariants.
 
-use e2c_des::resources::{Discipline, ProcShare, Tokens};
+use e2c_des::resources::{Discipline, JobClass, ProcShare, Tokens};
 use e2c_des::{EventQueue, SimTime};
 use proptest::prelude::*;
+use reference::RefProcShare;
 
 proptest! {
     /// Events always pop in non-decreasing time order, whatever the
@@ -360,9 +361,6 @@ mod reference {
         }
     }
 }
-
-use e2c_des::resources::JobClass;
-use reference::RefProcShare;
 
 /// One step of a ProcShare interleaving.
 #[derive(Debug, Clone)]

@@ -498,11 +498,11 @@ impl Experiment {
     // ---- resource completion rescheduling ----
 
     /// Reschedule the completion event of every resource whose membership
-    /// changed during the handled event: GPU first, then CPU. Each
-    /// resource's next completion depends only on its final membership,
-    /// and the GPU-then-CPU order keeps the event sequence numbers, and
-    /// hence same-time tie order, the same as rescheduling after every
-    /// change.
+    /// changed during the handled event: GPU first, then CPU. All of an
+    /// event's changes happen at one instant, so the next completion
+    /// depends only on the final membership; and GPU-then-CPU is the
+    /// order in which rescheduling after every change left the surviving
+    /// events, so same-time tie order is unchanged too.
     fn flush_completions(&mut self, ctx: &mut Context<'_, Ev>) {
         if std::mem::take(&mut self.gpu_dirty) {
             if let Some(h) = self.gpu_handle.take() {
