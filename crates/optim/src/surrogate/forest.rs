@@ -6,7 +6,7 @@
 //! This is exactly how scikit-optimize derives `std` from its `ET`/`RF`
 //! base estimators.
 
-use super::tree::{RegressionTree, TreeParams};
+use super::tree::{Columns, RegressionTree, TreeParams};
 use super::Surrogate;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -71,6 +71,11 @@ impl Forest {
         self.params.n_trees
     }
 
+    /// Total node count over all trees (for tests/diagnostics).
+    pub fn node_count(&self) -> usize {
+        self.trees.iter().map(RegressionTree::node_count).sum()
+    }
+
     /// Ensemble mean and spread over per-tree predictions.
     fn moments(preds: &[f64]) -> (f64, f64) {
         let n = preds.len() as f64;
@@ -85,22 +90,21 @@ impl Surrogate for Forest {
         assert_eq!(x.len(), y.len(), "x/y length mismatch");
         assert!(!x.is_empty(), "cannot fit on empty data");
         self.trees.clear();
+        let cols = Columns::from_rows(x);
         let mut rng = StdRng::seed_from_u64(self.seed);
+        let (mut draws, mut by) = (Vec::new(), Vec::new());
         for t in 0..self.params.n_trees {
             let tree_seed = self.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ t as u64;
             let mut tree = RegressionTree::new(self.params.tree, tree_seed);
             if self.params.bootstrap {
                 let n = x.len();
-                let mut bx = Vec::with_capacity(n);
-                let mut by = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let i = rng.gen_range(0..n);
-                    bx.push(x[i].clone());
-                    by.push(y[i]);
-                }
-                tree.fit(&bx, &by);
+                draws.clear();
+                draws.extend((0..n).map(|_| rng.gen_range(0..n)));
+                by.clear();
+                by.extend(draws.iter().map(|&i| y[i]));
+                tree.grow(&cols.select(&draws), &by);
             } else {
-                tree.fit(x, y);
+                tree.grow(&cols, y);
             }
             self.trees.push(tree);
         }
@@ -108,24 +112,24 @@ impl Surrogate for Forest {
 
     fn predict(&self, x: &[f64]) -> (f64, f64) {
         assert!(!self.trees.is_empty(), "predict before fit");
-        let preds: Vec<f64> = self.trees.iter().map(|t| t.predict(x).0).collect();
+        let preds: Vec<f64> = self.trees.iter().map(|t| t.predict_one(x)).collect();
         Self::moments(&preds)
     }
 
     fn predict_many(&self, xs: &[Vec<f64>]) -> Vec<(f64, f64)> {
         assert!(!self.trees.is_empty(), "predict before fit");
-        // One per-tree buffer for the whole batch instead of a fresh Vec
-        // per point. The accumulation order matches `predict` exactly, so
-        // both paths return bit-identical values.
-        let mut preds = vec![0.0f64; self.trees.len()];
-        xs.iter()
-            .map(|x| {
-                for (slot, tree) in preds.iter_mut().zip(&self.trees) {
-                    *slot = tree.predict(x).0;
-                }
-                Self::moments(&preds)
-            })
-            .collect()
+        // Tree-major: each tree walks the whole batch while its nodes are
+        // hot in cache, filling a [point][tree] table. The moments then
+        // read each point's row in tree order, exactly as `predict` does,
+        // so both paths return bit-identical values.
+        let n_trees = self.trees.len();
+        let mut table = vec![0.0f64; xs.len() * n_trees];
+        for (t, tree) in self.trees.iter().enumerate() {
+            for (row, x) in table.chunks_exact_mut(n_trees).zip(xs) {
+                row[t] = tree.predict_one(x);
+            }
+        }
+        table.chunks_exact(n_trees).map(Self::moments).collect()
     }
 
     fn is_fitted(&self) -> bool {

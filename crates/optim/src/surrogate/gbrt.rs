@@ -5,7 +5,7 @@
 //! estimate than the quantile-ensemble trick scikit-optimize uses, but
 //! sufficient for acquisition ranking (documented substitution).
 
-use super::tree::{RegressionTree, TreeParams};
+use super::tree::{Columns, RegressionTree, TreeParams};
 use super::Surrogate;
 
 /// Gradient boosting machine for regression.
@@ -39,7 +39,7 @@ impl Gbrt {
     fn raw_predict(&self, x: &[f64]) -> f64 {
         let mut acc = self.base;
         for tree in &self.stages {
-            acc += self.learning_rate * tree.predict(x).0;
+            acc += self.learning_rate * tree.predict_one(x);
         }
         acc
     }
@@ -52,6 +52,7 @@ impl Surrogate for Gbrt {
         self.stages.clear();
         self.base = y.iter().sum::<f64>() / y.len() as f64;
         let mut residual: Vec<f64> = y.iter().map(|&v| v - self.base).collect();
+        let cols = Columns::from_rows(x);
         let params = TreeParams {
             max_depth: 3,
             min_samples_leaf: 2,
@@ -59,9 +60,9 @@ impl Surrogate for Gbrt {
         };
         for stage in 0..self.n_estimators {
             let mut tree = RegressionTree::new(params, self.seed ^ (stage as u64) << 1);
-            tree.fit(x, &residual);
+            tree.grow(&cols, &residual);
             for (r, xi) in residual.iter_mut().zip(x) {
-                *r -= self.learning_rate * tree.predict(xi).0;
+                *r -= self.learning_rate * tree.predict_one(xi);
             }
             self.stages.push(tree);
             // Early stop once residuals vanish (pure training fit).

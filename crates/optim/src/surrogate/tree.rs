@@ -42,16 +42,65 @@ impl TreeParams {
     }
 }
 
-enum Node {
-    Leaf {
-        mean: f64,
-    },
-    Split {
-        feature: usize,
-        threshold: f64,
-        left: usize,
-        right: usize,
-    },
+/// Training features stored column-major: `column(f)[i]` is feature `f`
+/// of row `i`. A fit makes one such copy of its rows; every tree of a
+/// forest and every boosting stage grows on it, so split scans read
+/// contiguous columns instead of chasing one pointer per row.
+pub(crate) struct Columns {
+    n_rows: usize,
+    data: Vec<f64>,
+}
+
+impl Columns {
+    /// Transpose `x` (rows of equal length, at least one row).
+    pub(crate) fn from_rows(x: &[Vec<f64>]) -> Self {
+        let n_rows = x.len();
+        let n_features = x[0].len();
+        let mut data = vec![0.0; n_rows * n_features];
+        for (i, row) in x.iter().enumerate() {
+            for f in 0..n_features {
+                data[f * n_rows + i] = row[f];
+            }
+        }
+        Columns { n_rows, data }
+    }
+
+    /// The rows `rows` in that order, repeats included (a bootstrap
+    /// resample).
+    pub(crate) fn select(&self, rows: &[usize]) -> Self {
+        let mut data = Vec::with_capacity(rows.len() * self.n_features());
+        for column in self.data.chunks_exact(self.n_rows) {
+            data.extend(rows.iter().map(|&i| column[i]));
+        }
+        Columns {
+            n_rows: rows.len(),
+            data,
+        }
+    }
+
+    fn n_features(&self) -> usize {
+        self.data.len() / self.n_rows
+    }
+
+    fn column(&self, f: usize) -> &[f64] {
+        &self.data[f * self.n_rows..(f + 1) * self.n_rows]
+    }
+}
+
+/// Marks a leaf in [`Node::feature`].
+const LEAF: u32 = u32::MAX;
+
+/// One node of the tree, stored in pre-order.
+#[derive(Clone, Copy)]
+struct Node {
+    /// Split threshold (`x[feature] <= value` goes left), or the leaf
+    /// mean.
+    value: f64,
+    /// Split feature, or [`LEAF`].
+    feature: u32,
+    /// `[left, right]` child indices (splits only). Indexing them by the
+    /// comparison keeps the descent free of data-dependent branches.
+    children: [u32; 2],
 }
 
 /// A single regression tree.
@@ -77,125 +126,38 @@ impl RegressionTree {
         }
     }
 
-    fn build(&mut self, x: &[Vec<f64>], y: &[f64], idx: Vec<usize>, depth: usize) -> usize {
-        let mean = idx.iter().map(|&i| y[i]).sum::<f64>() / idx.len() as f64;
-        let sse: f64 = idx.iter().map(|&i| (y[i] - mean).powi(2)).sum();
-        let stop = depth >= self.params.max_depth
-            || idx.len() < self.params.min_samples_split
-            || sse <= 1e-12;
-        if stop {
-            self.nodes.push(Node::Leaf { mean });
-            return self.nodes.len() - 1;
-        }
-        match self.best_split(x, y, &idx) {
-            None => {
-                self.nodes.push(Node::Leaf { mean });
-                self.nodes.len() - 1
-            }
-            Some((feature, threshold)) => {
-                let (left_idx, right_idx): (Vec<usize>, Vec<usize>) =
-                    idx.into_iter().partition(|&i| x[i][feature] <= threshold);
-                // Guard: degenerate partitions fall back to a leaf.
-                if left_idx.len() < self.params.min_samples_leaf
-                    || right_idx.len() < self.params.min_samples_leaf
-                {
-                    self.nodes.push(Node::Leaf { mean });
-                    return self.nodes.len() - 1;
-                }
-                // Reserve our slot before recursing so children get stable
-                // indices.
-                let slot = self.nodes.len();
-                self.nodes.push(Node::Leaf { mean }); // placeholder
-                let left = self.build(x, y, left_idx, depth + 1);
-                let right = self.build(x, y, right_idx, depth + 1);
-                self.nodes[slot] = Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                };
-                slot
-            }
-        }
+    /// Grow the tree on `cols` with targets `y`. Skips the residual-std
+    /// pass: ensemble members never report it.
+    pub(crate) fn grow(&mut self, cols: &Columns, y: &[f64]) {
+        assert_eq!(cols.n_rows, y.len(), "x/y length mismatch");
+        let n_features = cols.n_features();
+        self.nodes.clear();
+        let mut grower = Grower {
+            params: self.params,
+            rng: &mut self.rng,
+            nodes: &mut self.nodes,
+            cols,
+            y,
+            ids: (0..y.len() as u32).collect(),
+            spill: Vec::with_capacity(y.len()),
+            vals: Vec::with_capacity(y.len()),
+            ys: Vec::with_capacity(y.len()),
+            sorted: Vec::new(),
+            features: Vec::with_capacity(n_features),
+        };
+        grower.grow(0, y.len(), 0);
+        self.fitted = true;
     }
 
-    /// Pick the split `(feature, threshold)` minimizing the children's
-    /// summed squared error, or `None` if nothing separates the samples.
-    fn best_split(&mut self, x: &[Vec<f64>], y: &[f64], idx: &[usize]) -> Option<(usize, f64)> {
-        let n_features = x[0].len();
-        let k =
-            ((n_features as f64 * self.params.max_features).ceil() as usize).clamp(1, n_features);
-        // Sample k distinct features.
-        let mut features: Vec<usize> = (0..n_features).collect();
-        for i in 0..k {
-            let j = self.rng.gen_range(i..n_features);
-            features.swap(i, j);
-        }
-        let mut best: Option<(f64, usize, f64)> = None; // (score, feature, threshold)
-        for &f in &features[..k] {
-            let lo = idx.iter().map(|&i| x[i][f]).fold(f64::INFINITY, f64::min);
-            let hi = idx
-                .iter()
-                .map(|&i| x[i][f])
-                .fold(f64::NEG_INFINITY, f64::max);
-            if hi <= lo {
-                continue;
-            }
-            let thresholds: Vec<f64> = if self.params.random_threshold {
-                vec![lo + self.rng.gen::<f64>() * (hi - lo)]
-            } else {
-                // Scan midpoints between consecutive distinct values.
-                let mut vals: Vec<f64> = idx.iter().map(|&i| x[i][f]).collect();
-                vals.sort_by(|a, b| a.partial_cmp(b).expect("NaN feature"));
-                vals.dedup();
-                vals.windows(2).map(|w| (w[0] + w[1]) / 2.0).collect()
-            };
-            for t in thresholds {
-                let (mut nl, mut sl, mut ssl) = (0usize, 0.0, 0.0);
-                let (mut nr, mut sr, mut ssr) = (0usize, 0.0, 0.0);
-                for &i in idx {
-                    let v = y[i];
-                    if x[i][f] <= t {
-                        nl += 1;
-                        sl += v;
-                        ssl += v * v;
-                    } else {
-                        nr += 1;
-                        sr += v;
-                        ssr += v * v;
-                    }
-                }
-                if nl < self.params.min_samples_leaf || nr < self.params.min_samples_leaf {
-                    continue;
-                }
-                // SSE = Σy² - (Σy)²/n for each side.
-                let score = (ssl - sl * sl / nl as f64) + (ssr - sr * sr / nr as f64);
-                if best.is_none_or(|(b, _, _)| score < b) {
-                    best = Some((score, f, t));
-                }
-            }
-        }
-        best.map(|(_, f, t)| (f, t))
-    }
-
-    fn predict_one(&self, x: &[f64]) -> f64 {
-        let mut node = 0;
+    pub(crate) fn predict_one(&self, x: &[f64]) -> f64 {
+        let mut at = 0;
         loop {
-            match &self.nodes[node] {
-                Node::Leaf { mean } => return *mean,
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    node = if x[*feature] <= *threshold {
-                        *left
-                    } else {
-                        *right
-                    };
-                }
+            let node = &self.nodes[at];
+            if node.feature == LEAF {
+                return node.value;
             }
+            let left = x[node.feature as usize] <= node.value;
+            at = node.children[usize::from(!left)] as usize;
         }
     }
 
@@ -205,14 +167,180 @@ impl RegressionTree {
     }
 }
 
+/// The state of one tree build: the tree's RNG and node list, the shared
+/// training columns, and reusable scratch buffers.
+struct Grower<'a> {
+    params: TreeParams,
+    rng: &'a mut StdRng,
+    nodes: &'a mut Vec<Node>,
+    cols: &'a Columns,
+    y: &'a [f64],
+    /// Row ids; every node owns a contiguous range of them.
+    ids: Vec<u32>,
+    /// Right-hand ids while a range is partitioned.
+    spill: Vec<u32>,
+    /// One feature column gathered in the node's id order.
+    vals: Vec<f64>,
+    /// The targets gathered in the node's id order.
+    ys: Vec<f64>,
+    /// CART: the node's distinct feature values, ascending.
+    sorted: Vec<f64>,
+    /// Feature draw order.
+    features: Vec<usize>,
+}
+
+impl Grower<'_> {
+    /// Grow the subtree over `ids[lo..hi]` and return its root index.
+    fn grow(&mut self, lo: usize, hi: usize, depth: usize) -> usize {
+        self.ys.clear();
+        let y = self.y;
+        self.ys
+            .extend(self.ids[lo..hi].iter().map(|&i| y[i as usize]));
+        let n = hi - lo;
+        let mean = self.ys.iter().sum::<f64>() / n as f64;
+        let sse: f64 = self.ys.iter().map(|&v| (v - mean).powi(2)).sum();
+        let slot = self.nodes.len();
+        self.nodes.push(Node {
+            value: mean,
+            feature: LEAF,
+            children: [0, 0],
+        });
+        let stop =
+            depth >= self.params.max_depth || n < self.params.min_samples_split || sse <= 1e-12;
+        if stop {
+            return slot;
+        }
+        let Some((feature, threshold)) = self.best_split(lo, hi) else {
+            return slot;
+        };
+        // The sides get exactly the scan's counts, so both children keep
+        // at least `min_samples_leaf` samples.
+        let mid = self.partition(lo, hi, feature, threshold);
+        let left = self.grow(lo, mid, depth + 1);
+        let right = self.grow(mid, hi, depth + 1);
+        self.nodes[slot] = Node {
+            value: threshold,
+            feature: feature as u32,
+            children: [left as u32, right as u32],
+        };
+        slot
+    }
+
+    /// Pick the split `(feature, threshold)` of `ids[lo..hi]` minimizing
+    /// the children's summed squared error, or `None` if nothing
+    /// separates the samples. Expects `ys` to hold the node's targets.
+    fn best_split(&mut self, lo: usize, hi: usize) -> Option<(usize, f64)> {
+        let n_features = self.cols.n_features();
+        let k =
+            ((n_features as f64 * self.params.max_features).ceil() as usize).clamp(1, n_features);
+        // Sample k distinct features.
+        self.features.clear();
+        self.features.extend(0..n_features);
+        for i in 0..k {
+            let j = self.rng.gen_range(i..n_features);
+            self.features.swap(i, j);
+        }
+        let min_leaf = self.params.min_samples_leaf;
+        let mut best: Option<(f64, usize, f64)> = None; // (score, feature, threshold)
+        for &f in &self.features[..k] {
+            let column = self.cols.column(f);
+            self.vals.clear();
+            self.vals
+                .extend(self.ids[lo..hi].iter().map(|&i| column[i as usize]));
+            // NaN is skipped as by `f64::min`/`max`; of two equal zeros
+            // the first is kept, and a `-0.0` for a `+0.0` changes neither
+            // `max <= min` nor the drawn threshold.
+            let (min, max) = self
+                .vals
+                .iter()
+                .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
+                    (if v < lo { v } else { lo }, if v > hi { v } else { hi })
+                });
+            if max <= min {
+                continue;
+            }
+            let mut consider = |t: f64| {
+                if let Some(score) = split_score(&self.vals, &self.ys, t, min_leaf) {
+                    if best.is_none_or(|(b, _, _)| score < b) {
+                        best = Some((score, f, t));
+                    }
+                }
+            };
+            if self.params.random_threshold {
+                consider(min + self.rng.gen::<f64>() * (max - min));
+            } else {
+                // Scan midpoints between consecutive distinct values.
+                self.sorted.clear();
+                self.sorted.extend_from_slice(&self.vals);
+                self.sorted
+                    .sort_by(|a, b| a.partial_cmp(b).expect("NaN feature"));
+                self.sorted.dedup();
+                for w in self.sorted.windows(2) {
+                    consider((w[0] + w[1]) / 2.0);
+                }
+            }
+        }
+        best.map(|(_, f, t)| (f, t))
+    }
+
+    /// Stable in-place partition of `ids[lo..hi]` by
+    /// `x[feature] <= threshold`; returns where the right side starts.
+    /// Left ids are compacted in place (the write index never passes the
+    /// read index) and right ids wait in `spill`, so both sides keep
+    /// their order and every later sum adds the same values in the same
+    /// order as a fresh per-node list would. Each id is written to both
+    /// places and only the matching cursor advances, so the loop has no
+    /// data-dependent branch.
+    fn partition(&mut self, lo: usize, hi: usize, feature: usize, threshold: f64) -> usize {
+        let column = self.cols.column(feature);
+        self.spill.resize(hi - lo, 0);
+        let (mut mid, mut n_right) = (lo, 0);
+        for r in lo..hi {
+            let id = self.ids[r];
+            let left = column[id as usize] <= threshold;
+            self.ids[mid] = id;
+            self.spill[n_right] = id;
+            mid += usize::from(left);
+            n_right += usize::from(!left);
+        }
+        self.ids[mid..hi].copy_from_slice(&self.spill[..n_right]);
+        mid
+    }
+}
+
+/// The children's summed squared error for the cut `vals <= t`, or `None`
+/// if a side would keep fewer than `min_leaf` samples.
+///
+/// The scan is branch-free: each target is added to its own side and
+/// `+0.0` to the other. A sum that starts at `+0.0` never becomes `-0.0`
+/// (round-to-nearest gives `a + -a = +0.0`), and `s + 0.0 == s` bit for
+/// bit for every other `s`, so each side's sums are exactly those of
+/// adding only its own targets, in the same order.
+fn split_score(vals: &[f64], ys: &[f64], t: f64, min_leaf: usize) -> Option<f64> {
+    let (mut nl, mut sl, mut ssl) = (0usize, 0.0, 0.0);
+    let (mut sr, mut ssr) = (0.0, 0.0);
+    for (&x, &v) in vals.iter().zip(ys) {
+        let left = x <= t;
+        nl += usize::from(left);
+        let (vl, vr) = if left { (v, 0.0) } else { (0.0, v) };
+        sl += vl;
+        ssl += vl * vl;
+        sr += vr;
+        ssr += vr * vr;
+    }
+    let nr = vals.len() - nl;
+    if nl < min_leaf || nr < min_leaf {
+        return None;
+    }
+    // SSE = Σy² - (Σy)²/n for each side.
+    Some((ssl - sl * sl / nl as f64) + (ssr - sr * sr / nr as f64))
+}
+
 impl Surrogate for RegressionTree {
     fn fit(&mut self, x: &[Vec<f64>], y: &[f64]) {
         assert_eq!(x.len(), y.len(), "x/y length mismatch");
         assert!(!x.is_empty(), "cannot fit on empty data");
-        self.nodes.clear();
-        let idx: Vec<usize> = (0..x.len()).collect();
-        self.build(x, y, idx, 0);
-        self.fitted = true;
+        self.grow(&Columns::from_rows(x), y);
         let sse: f64 = x
             .iter()
             .zip(y)
