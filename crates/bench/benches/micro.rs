@@ -1,8 +1,9 @@
 //! Criterion micro-benchmarks over the substrates: DES kernel throughput,
-//! samplers, surrogate fit/predict, metaheuristic steps, and a full short
-//! engine experiment. These guard the performance of the pieces the
-//! experiment harness leans on (a full Table III reproduction runs ~10⁷
-//! DES events through these paths).
+//! samplers, metaheuristic steps, and a full short engine experiment.
+//! These guard the performance of the pieces the experiment harness leans
+//! on (a full Table III reproduction runs ~10⁷ DES events through these
+//! paths). Surrogate fit/predict is measured by the `surrogate_fit`
+//! registry benchmark (`e2clab bench`).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use e2c_des::resources::{ProcShare, Tokens};
@@ -12,11 +13,10 @@ use e2c_optim::bayes::BayesOpt;
 use e2c_optim::metaheuristics::{DifferentialEvolution, Metaheuristic};
 use e2c_optim::sampling::InitialDesign;
 use e2c_optim::space::Space;
-use e2c_optim::surrogate::SurrogateKind;
 use plantnet::sim::{Experiment, ExperimentSpec};
 use plantnet::PoolConfig;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 fn bench_des_kernel(c: &mut Criterion) {
     c.bench_function("des/tokens_acquire_release", |b| {
@@ -83,35 +83,6 @@ fn bench_samplers(c: &mut Criterion) {
     }
 }
 
-fn bench_surrogates(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(2);
-    let x: Vec<Vec<f64>> = (0..100)
-        .map(|_| (0..4).map(|_| rng.gen::<f64>()).collect())
-        .collect();
-    let y: Vec<f64> = x
-        .iter()
-        .map(|p| p.iter().map(|v| (v - 0.5) * (v - 0.5)).sum())
-        .collect();
-    for kind in [
-        SurrogateKind::ExtraTrees,
-        SurrogateKind::GpRbf,
-        SurrogateKind::Gbrt,
-    ] {
-        c.bench_function(&format!("surrogate/{}_fit100", kind.name()), |b| {
-            b.iter(|| {
-                let mut m = kind.build(3);
-                m.fit(&x, &y);
-                m
-            })
-        });
-        let mut fitted = kind.build(3);
-        fitted.fit(&x, &y);
-        c.bench_function(&format!("surrogate/{}_predict", kind.name()), |b| {
-            b.iter(|| fitted.predict(&[0.3, 0.7, 0.2, 0.9]))
-        });
-    }
-}
-
 fn bench_optimizers(c: &mut Criterion) {
     c.bench_function("bayes/ask_tell_cycle_after_20obs", |b| {
         b.iter_batched(
@@ -171,6 +142,6 @@ fn tuned() -> Criterion {
 criterion_group! {
     name = benches;
     config = tuned();
-    targets = bench_des_kernel, bench_samplers, bench_surrogates, bench_optimizers, bench_dists
+    targets = bench_des_kernel, bench_samplers, bench_optimizers, bench_dists
 }
 criterion_main!(benches);

@@ -8,6 +8,9 @@
 //!   the paper's 80-client workload.
 //! * [`BayesCycleBench`] — a 50-trial Bayesian optimization cycle
 //!   (Extra-Trees fit + `gp_hedge` ask per suggestion).
+//! * [`SurrogateFitBench`] — the surrogate work of one late suggestion:
+//!   a 50-tree Extra-Trees fit on 320 rows plus one 512-candidate batch
+//!   prediction.
 //! * [`JournalWalBench`] — WAL append (fsync'd) + recovery-scan replay.
 //! * [`JournalWireBench`] — the escaped-TSV wire codec alone
 //!   (`RunEvent::to_line` / `RunEvent::parse`), no I/O.
@@ -28,10 +31,13 @@ use crate::harness::{BenchPolicy, BenchRegistry, Benchmark};
 use e2c_des::{Context, Dist, Model, SimTime, Simulation};
 use e2c_optim::bayes::BayesOpt;
 use e2c_optim::space::Space;
+use e2c_optim::surrogate::SurrogateKind;
 use e2c_tune::journal::RunEvent;
 use e2c_tune::TrialError;
 use plantnet::sim::{Experiment, ExperimentSpec};
 use plantnet::PoolConfig;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::collections::VecDeque;
 
 /// The registry with every suite benchmark registered, ready for
@@ -41,6 +47,7 @@ pub fn default_registry() -> BenchRegistry {
         .register(DesMm1Bench::new())
         .register(PlantnetRunBench::new())
         .register(BayesCycleBench::new())
+        .register(SurrogateFitBench::new())
         .register(JournalWalBench::new())
         .register(JournalWireBench::new())
         .register(DetlintWorkspaceBench::new())
@@ -271,6 +278,69 @@ impl Benchmark for BayesCycleBench {
             opt.tell(p, y);
         }
         trials
+    }
+}
+
+/// Surrogate fit + ranking (`crates/optim/src/surrogate`): a 50-tree
+/// Extra-Trees fit on 320 observations of a 4-integer space in unit
+/// coordinates, then one 512-candidate `predict_many` — the work of one
+/// suggestion late in a 320-trial run. Units are suggestions.
+pub struct SurrogateFitBench {
+    seed: u64,
+    x: Vec<Vec<f64>>,
+    y: Vec<f64>,
+    candidates: Vec<Vec<f64>>,
+}
+
+impl SurrogateFitBench {
+    pub fn new() -> Self {
+        SurrogateFitBench {
+            seed: 0,
+            x: Vec::new(),
+            y: Vec::new(),
+            candidates: Vec::new(),
+        }
+    }
+}
+
+impl Default for SurrogateFitBench {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Benchmark for SurrogateFitBench {
+    fn name(&self) -> &'static str {
+        "surrogate_fit"
+    }
+    fn tags(&self) -> &'static [&'static str] {
+        &["smoke", "optim"]
+    }
+    fn policy(&self) -> BenchPolicy {
+        BenchPolicy::new(2, 15)
+    }
+    fn setup(&mut self, seed: u64) {
+        let space = Space::plantnet();
+        let mut rng = StdRng::seed_from_u64(seed);
+        self.seed = seed;
+        self.x = (0..320)
+            .map(|_| space.to_unit(&space.sample(&mut rng)))
+            .collect();
+        // The engine's response-surface shape: a sweet spot mid-space.
+        self.y = self
+            .x
+            .iter()
+            .map(|u| (u[0] - 0.5).powi(2) + (u[1] - 0.35).powi(2) + (u[3] - 0.5).abs())
+            .collect();
+        self.candidates = (0..512)
+            .map(|_| space.to_unit(&space.sample(&mut rng)))
+            .collect();
+    }
+    fn iter(&mut self, round: u64) -> u64 {
+        let mut model = SurrogateKind::ExtraTrees.build(self.seed.wrapping_add(round));
+        model.fit(&self.x, &self.y);
+        std::hint::black_box(model.predict_many(&self.candidates));
+        1
     }
 }
 
@@ -714,6 +784,7 @@ mod tests {
                 "des_mm1",
                 "plantnet_600s",
                 "bayes_cycle50",
+                "surrogate_fit",
                 "journal_wal",
                 "journal_wire",
                 "detlint_workspace",
@@ -722,7 +793,7 @@ mod tests {
             ]
         );
         // Every suite benchmark answers the CI smoke filter.
-        assert_eq!(default_registry().with_filter("smoke").selected().len(), 8);
+        assert_eq!(default_registry().with_filter("smoke").selected().len(), 9);
     }
 
     #[test]

@@ -25,6 +25,7 @@ fn every_registered_benchmark_runs_under_the_smoke_filter() {
             "des_mm1",
             "plantnet_600s",
             "bayes_cycle50",
+            "surrogate_fit",
             "journal_wal",
             "journal_wire",
             "detlint_workspace",
