@@ -66,6 +66,29 @@ impl Semaphore {
     }
 }
 
+/// Counts the requests inside one pipeline stage and keeps the most
+/// there at once.
+#[derive(Default)]
+struct Occupancy {
+    inside: AtomicUsize,
+    peak: AtomicUsize,
+}
+
+impl Occupancy {
+    fn enter(&self) {
+        let inside = self.inside.fetch_add(1, Ordering::SeqCst) + 1;
+        self.peak.fetch_max(inside, Ordering::SeqCst);
+    }
+
+    fn leave(&self) {
+        self.inside.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    fn peak(&self) -> usize {
+        self.peak.load(Ordering::SeqCst)
+    }
+}
+
 /// Results of a real-thread run.
 #[derive(Debug, Clone)]
 pub struct RtMetrics {
@@ -76,6 +99,8 @@ pub struct RtMetrics {
     /// Most requests ever inside the extract stage at once: what the
     /// extract pool admitted, independent of how the threads were timed.
     pub peak_extract: usize,
+    /// Most requests ever holding an HTTP (admission) slot at once.
+    pub peak_http: usize,
     /// Wall-clock duration of the run.
     pub elapsed: Duration,
 }
@@ -120,8 +145,8 @@ impl RtEngine {
         let extract = Arc::new(Semaphore::new(self.config.extract as usize));
         let simsearch = Arc::new(Semaphore::new(self.config.simsearch as usize));
         let stats = Arc::new(Mutex::new(OnlineStats::new()));
-        let in_extract = Arc::new(AtomicUsize::new(0));
-        let peak_extract = Arc::new(AtomicUsize::new(0));
+        let in_http = Arc::new(Occupancy::default());
+        let in_extract = Arc::new(Occupancy::default());
         // detlint: allow(DET002) real-time backend: this engine measures actual elapsed time by design (the DES backend is the reproducible path)
         let started = Instant::now();
 
@@ -132,8 +157,8 @@ impl RtEngine {
                 let extract = extract.clone();
                 let simsearch = simsearch.clone();
                 let stats = stats.clone();
+                let in_http = in_http.clone();
                 let in_extract = in_extract.clone();
-                let peak_extract = peak_extract.clone();
                 let engine = *self;
                 scope.spawn(move |_| {
                     use e2c_des::Dist;
@@ -143,21 +168,22 @@ impl RtEngine {
                         // detlint: allow(DET002) real-time backend: per-request latency is genuinely wall-clock here
                         let t0 = Instant::now();
                         http.acquire();
+                        in_http.enter();
                         engine.sleep_scaled(sample(engine.model.t_preprocess, &mut rng));
                         download.acquire();
                         engine.sleep_scaled(sample(engine.model.t_download_cpu, &mut rng));
                         download.release();
                         extract.acquire();
-                        let inside = in_extract.fetch_add(1, Ordering::SeqCst) + 1;
-                        peak_extract.fetch_max(inside, Ordering::SeqCst);
+                        in_extract.enter();
                         engine.sleep_scaled(sample(engine.model.t_extract_gpu, &mut rng));
-                        in_extract.fetch_sub(1, Ordering::SeqCst);
+                        in_extract.leave();
                         extract.release();
                         engine.sleep_scaled(sample(engine.model.t_process, &mut rng));
                         simsearch.acquire();
                         engine.sleep_scaled(sample(engine.model.t_simsearch, &mut rng));
                         simsearch.release();
                         engine.sleep_scaled(sample(engine.model.t_postprocess, &mut rng));
+                        in_http.leave();
                         http.release();
                         // Report response in *model* seconds (unscaled).
                         let resp = t0.elapsed().as_secs_f64() / engine.time_scale;
@@ -172,7 +198,8 @@ impl RtEngine {
         RtMetrics {
             response: Summary::from(&*stats),
             completed: stats.count(),
-            peak_extract: peak_extract.load(Ordering::SeqCst),
+            peak_extract: in_extract.peak(),
+            peak_http: in_http.peak(),
             elapsed: started.elapsed(),
         }
     }
