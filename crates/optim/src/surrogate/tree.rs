@@ -253,8 +253,8 @@ impl Grower<'_> {
             let (min, max) = self
                 .vals
                 .iter()
-                .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
-                    (if v < lo { v } else { lo }, if v > hi { v } else { hi })
+                .fold((f64::INFINITY, f64::NEG_INFINITY), |(min, max), &v| {
+                    (if v < min { v } else { min }, if v > max { v } else { max })
                 });
             if max <= min {
                 continue;
