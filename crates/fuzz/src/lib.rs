@@ -1,22 +1,23 @@
 //! # e2c-fuzz — deterministic fuzz + differential-test harness
 //!
-//! The repository hand-rolls five codecs — the YAML-subset configuration
+//! The repository hand-rolls six codecs — the YAML-subset configuration
 //! parser (`e2c-conf`), the tab-separated journal wire format
-//! (`e2c-tune`), the worker-farm stdio protocol (`e2c-tune`), the JSONL
-//! trace format (`e2c-trace`) and the CRC-framed write-ahead log
-//! (`e2c-journal`). Each sits on a crash-recovery or reproducibility
-//! path, where a panic on malformed bytes *is* data loss. This crate
-//! drives all five with seeded byte mutation and checks three property
-//! classes:
+//! (`e2c-tune`), the worker-farm stdio protocol (`e2c-tune`), the
+//! `--faults` plan grammar (`e2c-tune`), the JSONL trace format
+//! (`e2c-trace`) and the CRC-framed write-ahead log (`e2c-journal`).
+//! Each sits on a crash-recovery or reproducibility path, where a panic
+//! on malformed bytes *is* data loss. This crate drives all six with
+//! seeded byte mutation and checks three property classes:
 //!
 //! 1. **No panics** — feeding arbitrary bytes to a parser must return
 //!    `Ok`/`Err`, never unwind ([`engine::guard`] converts an unwind into
 //!    a reported failure).
 //! 2. **Roundtrip identity** — whenever a parser *accepts* an input,
 //!    re-encoding must be byte-stable: for the strict journal wire,
-//!    `parse(line).to_line() == line`; for YAML and JSONL, the second
-//!    encode of `encode(decode(encode(v)))` equals the first. Comparing
-//!    bytes (not values) keeps NaN-carrying events honest.
+//!    `parse(line).to_line() == line`; for YAML, JSONL and `--faults`
+//!    plans, the second encode of `encode(decode(encode(v)))` equals the
+//!    first. Comparing bytes (not values) keeps NaN-carrying events
+//!    honest.
 //! 3. **Differential oracles** — the YAML parser is compared against the
 //!    committed fixture corpus (`crates/conf/tests/corpus/*.tree`), and
 //!    torn-WAL recovery against a truncation oracle that predicts the
@@ -35,7 +36,8 @@ pub mod targets;
 
 pub use engine::{FailKind, SplitMix64};
 pub use targets::{
-    ConfYamlTarget, JournalWalTarget, JournalWireTarget, TraceJsonlTarget, WorkerWireTarget,
+    ConfYamlTarget, FaultPlanTarget, JournalWalTarget, JournalWireTarget, TraceJsonlTarget,
+    WorkerWireTarget,
 };
 
 use std::path::PathBuf;
@@ -309,12 +311,13 @@ impl FuzzRegistry {
     }
 }
 
-/// The registry with all five codec targets, in dependency order.
+/// The registry with all six codec targets, in dependency order.
 pub fn default_registry() -> FuzzRegistry {
     FuzzRegistry::new()
         .register(ConfYamlTarget::new())
         .register(JournalWireTarget::new())
         .register(WorkerWireTarget::new())
+        .register(FaultPlanTarget::new())
         .register(TraceJsonlTarget::new())
         .register(JournalWalTarget::new())
 }

@@ -1,11 +1,11 @@
-//! The five codec targets. Each pairs a deterministic input generator
+//! The six codec targets. Each pairs a deterministic input generator
 //! (seed corpus + byte mutation) with the property checks its codec
 //! promises; see the crate docs for the three property classes.
 
 use crate::engine::{mutate, SplitMix64};
 use crate::FuzzTarget;
 use e2c_trace::{EventKind, TraceEvent, Value as TraceValue};
-use e2c_tune::{RunEvent, WireMsg};
+use e2c_tune::{FaultPlan, RunEvent, WireMsg};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -360,6 +360,104 @@ impl FuzzTarget for WorkerWireTarget {
 }
 
 // ---------------------------------------------------------------------
+// fault_plan — the `--faults` knob.
+// ---------------------------------------------------------------------
+
+/// A random `--faults` string in the accepted grammar, spelled loosely:
+/// every fault kind, attempts present or not, both separators with and
+/// without padding, empty entries, and extreme numbers.
+fn random_fault_text(rng: &mut SplitMix64) -> String {
+    let number = |rng: &mut SplitMix64| match rng.below(4) {
+        0 => u64::MAX.to_string(),
+        1 => format!("+{}", rng.below(100)),
+        _ => rng.below(100).to_string(),
+    };
+    let mut out = String::new();
+    for i in 0..rng.index(5) {
+        if i > 0 {
+            out.push_str([";", ",", "; ", " , ", ";;"][rng.index(5)]);
+        }
+        let kind = ["fail", "nan", "delay", "worker-crash", "worker-stall"][rng.index(5)];
+        out.push_str(kind);
+        out.push(':');
+        out.push_str(&number(rng));
+        if rng.chance(1, 2) {
+            out.push('@');
+            out.push_str(&(rng.below(5) as u32).to_string());
+        }
+        if kind == "delay" {
+            out.push(':');
+            out.push_str(&number(rng));
+        }
+    }
+    out
+}
+
+/// Fuzzes [`FaultPlan::parse`], the `--faults` knob. No panics on
+/// arbitrary text, and the plan's canonical spelling (its `Display`) is a
+/// fixed point: it parses back to an equal plan that renders to the same
+/// bytes. The grammar admits padding and both separators, so this is the
+/// encode → decode → encode class, not identity on the input.
+pub struct FaultPlanTarget;
+
+impl FaultPlanTarget {
+    pub fn new() -> Self {
+        FaultPlanTarget
+    }
+}
+
+impl Default for FaultPlanTarget {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl FuzzTarget for FaultPlanTarget {
+    fn name(&self) -> &'static str {
+        "fault_plan"
+    }
+
+    fn tags(&self) -> &'static [&'static str] {
+        &["text", "smoke"]
+    }
+
+    fn generate(&mut self, rng: &mut SplitMix64) -> Vec<u8> {
+        match rng.below(5) {
+            0 | 1 => random_fault_text(rng).into_bytes(),
+            2 | 3 => {
+                let mut data = random_fault_text(rng).into_bytes();
+                mutate(rng, &mut data);
+                data
+            }
+            _ => random_text_soup(rng, 48),
+        }
+    }
+
+    fn check(&self, input: &[u8]) -> Result<(), String> {
+        let text = String::from_utf8_lossy(input);
+        let Ok(plan) = FaultPlan::parse(&text) else {
+            return Ok(());
+        };
+        let canonical = plan.to_string();
+        let reparsed = FaultPlan::parse(&canonical)
+            .map_err(|e| format!("canonical spelling {canonical:?} rejected: {e}"))?;
+        if reparsed != plan {
+            return Err(format!(
+                "canonical spelling {canonical:?} parses to a different plan:\n\
+                 accepted: {plan:?}\nreparsed: {reparsed:?}"
+            ));
+        }
+        let again = reparsed.to_string();
+        if again != canonical {
+            return Err(format!(
+                "canonical spelling is not stable: {canonical:?} → {again:?}"
+            ));
+        }
+        Ok(())
+    }
+}
+
+// ---------------------------------------------------------------------
 // trace_jsonl — one-line JSON trace events.
 // ---------------------------------------------------------------------
 
@@ -676,6 +774,31 @@ mod tests {
     #[test]
     fn worker_wire_smoke() {
         exercise(&mut WorkerWireTarget::new(), 300);
+    }
+
+    #[test]
+    fn fault_plan_smoke() {
+        exercise(&mut FaultPlanTarget::new(), 300);
+    }
+
+    #[test]
+    fn fault_generator_writes_accepted_text_of_every_kind() {
+        let mut rng = SplitMix64::new(31);
+        let mut kinds = std::collections::BTreeSet::new();
+        let mut accepted = 0;
+        for _ in 0..200 {
+            let text = random_fault_text(&mut rng);
+            if let Ok(plan) = FaultPlan::parse(&text) {
+                accepted += 1;
+                for entry in plan.to_string().split(';').filter(|e| !e.is_empty()) {
+                    kinds.insert(entry.split(':').next().unwrap().to_string());
+                }
+            }
+        }
+        assert_eq!(accepted, 200, "the generator writes only accepted text");
+        for kind in ["fail", "nan", "delay", "worker-crash", "worker-stall"] {
+            assert!(kinds.contains(kind), "generator never emitted {kind}");
+        }
     }
 
     #[test]

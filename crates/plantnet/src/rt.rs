@@ -150,7 +150,7 @@ impl RtEngine {
         // detlint: allow(DET002) real-time backend: this engine measures actual elapsed time by design (the DES backend is the reproducible path)
         let started = Instant::now();
 
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for c in 0..clients {
                 let http = http.clone();
                 let download = download.clone();
@@ -160,7 +160,7 @@ impl RtEngine {
                 let in_http = in_http.clone();
                 let in_extract = in_extract.clone();
                 let engine = *self;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     use e2c_des::Dist;
                     let mut rng = StdRng::seed_from_u64(seed ^ (c as u64) << 20);
                     let sample = |d: Dist, rng: &mut StdRng| -> f64 { d.sample(rng).max(1e-6) };
@@ -191,8 +191,7 @@ impl RtEngine {
                     }
                 });
             }
-        })
-        .expect("client thread panicked");
+        });
 
         let stats = stats.lock();
         RtMetrics {
@@ -243,7 +242,7 @@ impl RtEngine {
         // detlint: allow(DET002) real-time backend: this engine measures actual elapsed time by design (the DES backend is the reproducible path)
         let started = Instant::now();
 
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for (i, at) in arrivals.iter().enumerate() {
                 let due = Duration::from_secs_f64(at.as_secs_f64() * self.time_scale);
                 let since = started.elapsed();
@@ -268,7 +267,7 @@ impl RtEngine {
                 let queued = queued.clone();
                 let slo_violations = slo_violations.clone();
                 let engine = *self;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     use e2c_des::Dist;
                     let mut rng = StdRng::seed_from_u64(seed ^ ((i as u64) << 20));
                     let sample = |d: Dist, rng: &mut StdRng| -> f64 { d.sample(rng).max(1e-6) };
@@ -299,8 +298,7 @@ impl RtEngine {
                     stats.lock().push(resp);
                 });
             }
-        })
-        .expect("worker thread panicked");
+        });
 
         let stats = stats.lock();
         RtServingMetrics {
@@ -344,12 +342,12 @@ mod tests {
         let sem = Arc::new(Semaphore::new(3));
         let running = Arc::new(AtomicUsize::new(0));
         let peak = Arc::new(AtomicUsize::new(0));
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..12 {
                 let sem = sem.clone();
                 let running = running.clone();
                 let peak = peak.clone();
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     sem.acquire();
                     let now = running.fetch_add(1, Ordering::SeqCst) + 1;
                     peak.fetch_max(now, Ordering::SeqCst);
@@ -358,8 +356,7 @@ mod tests {
                     sem.release();
                 });
             }
-        })
-        .unwrap();
+        });
         assert!(peak.load(Ordering::SeqCst) <= 3);
         assert_eq!(sem.available(), 3);
     }

@@ -28,10 +28,10 @@
 //! deliberately *not* to the trace: the trace must replay byte-identically
 //! across worker counts and kill schedules.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::io::BufReader;
 use std::path::PathBuf;
-use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
+use std::process::{Child, ChildStdin, ChildStdout, Command, ExitStatus, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -43,6 +43,10 @@ use crate::fault::RetryPolicy;
 use crate::supervisor::{SlotState, Supervisor};
 use crate::trial::TrialError;
 use crate::worker::{read_frame, write_frame, WireMsg, WorkerAsk, PROTOCOL_VERSION};
+
+/// How long shutdown waits for the workers to exit on their own before
+/// SIGKILLing the stragglers.
+const SHUTDOWN_GRACE: Duration = Duration::from_millis(500);
 
 /// How the farm spawns and supervises its workers.
 #[derive(Debug, Clone)]
@@ -118,6 +122,17 @@ pub enum FarmOutcome {
     },
 }
 
+/// How one worker process ended when its farm shut down.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WorkerExit {
+    /// It closed its result stream within the grace period and exited
+    /// with this status.
+    Exited(ExitStatus),
+    /// It was still running when the grace period ran out and was
+    /// SIGKILLed.
+    Killed,
+}
+
 /// A parsed successful reply, trace events decoded.
 struct ParsedReply {
     value: f64,
@@ -151,12 +166,19 @@ struct FarmState {
     dispatched: Vec<u64>,
     kill_fired: bool,
     readers: Vec<std::thread::JoinHandle<()>>,
+    /// `(worker, generation)` of every incarnation whose result stream
+    /// reached end-of-stream: the process has exited, or is exiting.
+    at_eof: BTreeSet<(usize, u64)>,
 }
 
 struct FarmInner {
     spec: FarmSpec,
     state: Mutex<FarmState>,
     cv: Condvar,
+    /// Wakes the monitor: notified on every loss (a new respawn
+    /// deadline) and at shutdown. Results and heartbeats only push stall
+    /// deadlines later, so they leave the monitor asleep.
+    monitor_cv: Condvar,
     epoch: Instant,
     down: AtomicBool,
 }
@@ -190,12 +212,12 @@ impl FarmInner {
         }
         eprintln!("e2clab: farm: worker {worker} {reason}");
         self.cv.notify_all();
+        self.monitor_cv.notify_one();
     }
 }
 
 /// A running farm. Cheap to share (`&self` methods, internal locking);
-/// dropping it drains the workers: a `shutdown` frame each, a grace
-/// period, then SIGKILL for stragglers.
+/// dropping it drains the workers (see [`WorkerFarm::shutdown`]).
 pub struct WorkerFarm {
     inner: Arc<FarmInner>,
     monitor: Option<std::thread::JoinHandle<()>>,
@@ -224,8 +246,10 @@ impl WorkerFarm {
                 dispatched: vec![0; workers],
                 kill_fired: false,
                 readers: Vec::new(),
+                at_eof: BTreeSet::new(),
             }),
             cv: Condvar::new(),
+            monitor_cv: Condvar::new(),
             epoch: clock::now(),
             down: AtomicBool::new(false),
         });
@@ -388,52 +412,72 @@ impl WorkerFarm {
             }
         }
     }
-}
 
-impl Drop for WorkerFarm {
-    fn drop(&mut self) {
-        self.inner.down.store(true, Ordering::SeqCst);
+    /// Drain the workers and report how each ended: a `shutdown` frame
+    /// each, then a wait for every worker's result stream to reach EOF
+    /// within the grace period, then SIGKILL for the stragglers. Returns
+    /// as soon as the last worker has exited. Dropping the farm does the
+    /// same and discards the report.
+    pub fn shutdown(mut self) -> Vec<WorkerExit> {
+        self.close()
+    }
+
+    fn close(&mut self) -> Vec<WorkerExit> {
+        let inner = &self.inner;
+        inner.down.store(true, Ordering::SeqCst);
         let mut children = Vec::new();
-        {
-            let mut st = self.inner.state.lock();
-            for proc in st.procs.iter_mut() {
-                if let Some(mut p) = proc.take() {
-                    if let Some(mut stdin) = p.stdin.take() {
-                        let _ = write_frame(&mut stdin, &WireMsg::Shutdown);
-                        // Dropping stdin closes the pipe: EOF backstops
-                        // a worker that missed the frame.
-                    }
-                    children.push(p.child);
+        let mut st = inner.state.lock();
+        for worker in 0..st.procs.len() {
+            if let Some(mut p) = st.procs[worker].take() {
+                if let Some(mut stdin) = p.stdin.take() {
+                    let _ = write_frame(&mut stdin, &WireMsg::Shutdown);
+                    // Dropping stdin closes the pipe: EOF backstops
+                    // a worker that missed the frame.
                 }
+                let generation = st.sup.generation(worker).unwrap_or(0);
+                children.push(((worker, generation), p.child));
             }
         }
-        self.inner.cv.notify_all();
-        // Grace period, then SIGKILL stragglers and reap everything.
-        let deadline = clock::now() + Duration::from_millis(500);
-        for child in &mut children {
-            loop {
-                match child.try_wait() {
-                    Ok(Some(_)) => break,
-                    Ok(None) if clock::now() >= deadline => {
-                        let _ = child.kill();
-                        let _ = child.wait();
-                        break;
-                    }
-                    Ok(None) => {
-                        // detlint: allow(DET004) shutdown drain pacing: bounded poll while reaping workers
-                        std::thread::sleep(Duration::from_millis(10));
-                    }
-                    Err(_) => break,
-                }
+        // The monitor exits on `down`.
+        inner.monitor_cv.notify_one();
+        let deadline = clock::now() + SHUTDOWN_GRACE;
+        loop {
+            let now = clock::now();
+            if now >= deadline || children.iter().all(|(id, _)| st.at_eof.contains(id)) {
+                break;
             }
+            inner.cv.wait_for(&mut st, deadline - now);
         }
-        let readers = std::mem::take(&mut self.inner.state.lock().readers);
+        let at_eof = std::mem::take(&mut st.at_eof);
+        let readers = std::mem::take(&mut st.readers);
+        drop(st);
+        // A worker holds its stdout until it exits, so EOF means the
+        // process is gone or going and `wait` returns promptly.
+        let exits = children
+            .into_iter()
+            .filter_map(|(id, mut child)| {
+                if at_eof.contains(&id) {
+                    child.wait().ok().map(WorkerExit::Exited)
+                } else {
+                    let _ = child.kill();
+                    let _ = child.wait();
+                    Some(WorkerExit::Killed)
+                }
+            })
+            .collect();
         for handle in readers {
             let _ = handle.join();
         }
         if let Some(monitor) = self.monitor.take() {
             let _ = monitor.join();
         }
+        exits
+    }
+}
+
+impl Drop for WorkerFarm {
+    fn drop(&mut self) {
+        self.close();
     }
 }
 
@@ -565,6 +609,9 @@ fn spawn_reader(
                     return;
                 }
                 Ok(None) => {
+                    // Shutdown waits for this mark before reaping.
+                    inner.state.lock().at_eof.insert((worker, generation));
+                    inner.cv.notify_all();
                     if !inner.down.load(Ordering::SeqCst) {
                         inner.lose_worker(worker, generation, "exited (EOF on its result stream)");
                     }
@@ -626,15 +673,31 @@ fn route_result(
     true
 }
 
-/// Stall sweeps and respawns, every 50 ms until shutdown.
+/// Stall sweeps and respawns, each run when the supervisor says it is
+/// due ([`Supervisor::next_deadline`]), until shutdown. In between the
+/// monitor waits on `monitor_cv` until that deadline.
 fn monitor_loop(inner: &Arc<FarmInner>) {
-    while !inner.down.load(Ordering::SeqCst) {
-        // detlint: allow(DET004) supervision cadence: paces stall sweeps and respawns only; no result or decision reads this timing
-        std::thread::sleep(Duration::from_millis(50));
-        let now = inner.now_ms();
+    loop {
         let (stalled, due) = {
-            let st = inner.state.lock();
-            (st.sup.stalled(now), st.sup.due_respawns(now))
+            let mut st = inner.state.lock();
+            loop {
+                if inner.down.load(Ordering::SeqCst) {
+                    return;
+                }
+                let now = inner.now_ms();
+                let (stalled, due) = (st.sup.stalled(now), st.sup.due_respawns(now));
+                if !stalled.is_empty() || !due.is_empty() {
+                    break (stalled, due);
+                }
+                match st.sup.next_deadline(now) {
+                    Some(at) => {
+                        inner
+                            .monitor_cv
+                            .wait_for(&mut st, Duration::from_millis(at - now));
+                    }
+                    None => inner.monitor_cv.wait(&mut st),
+                }
+            }
         };
         for worker in stalled {
             let generation = inner.state.lock().sup.generation(worker).unwrap_or(0);
@@ -647,9 +710,12 @@ fn monitor_loop(inner: &Arc<FarmInner>) {
             match spawn_process(&inner.spec) {
                 Ok((mut proc, stdout)) => {
                     let mut st = inner.state.lock();
-                    if !matches!(st.sup.state(worker), Some(SlotState::Dead { .. })) {
-                        // Someone revived the slot meanwhile; reap the
-                        // spare process instead of leaking it.
+                    if inner.down.load(Ordering::SeqCst)
+                        || !matches!(st.sup.state(worker), Some(SlotState::Dead { .. }))
+                    {
+                        // The farm is shutting down, or someone revived
+                        // the slot meanwhile; reap the spare process
+                        // instead of leaking it.
                         drop(st);
                         let _ = proc.child.kill();
                         let _ = proc.child.wait();

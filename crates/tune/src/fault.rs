@@ -316,6 +316,34 @@ impl FaultPlan {
     }
 }
 
+/// The canonical `--faults` spelling: entries joined by `;` with no
+/// spaces, each `KIND:TRIAL[@ATTEMPT][:MILLIS]`. [`FaultPlan::parse`]
+/// reads it back to an equal plan.
+impl std::fmt::Display for FaultPlan {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        for (i, spec) in self.specs.iter().enumerate() {
+            if i > 0 {
+                f.write_str(";")?;
+            }
+            let kind = match spec.action {
+                FaultAction::Fail => "fail",
+                FaultAction::Nan => "nan",
+                FaultAction::Delay(_) => "delay",
+                FaultAction::WorkerCrash => "worker-crash",
+                FaultAction::WorkerStall => "worker-stall",
+            };
+            write!(f, "{kind}:{}", spec.trial)?;
+            if let Some(attempt) = spec.attempt {
+                write!(f, "@{attempt}")?;
+            }
+            if let FaultAction::Delay(delay) = spec.action {
+                write!(f, ":{}", delay.as_millis())?;
+            }
+        }
+        Ok(())
+    }
+}
+
 fn parse_target(target: &str) -> Result<(u64, Option<u32>), String> {
     match target.split_once('@') {
         Some((t, a)) => {
@@ -404,6 +432,19 @@ mod tests {
         let built = FaultPlan::new().worker_crash(2, 0).worker_stall(1, 1);
         assert_eq!(built.lookup(2, 0), Some(FaultAction::WorkerCrash));
         assert_eq!(built.lookup(1, 1), Some(FaultAction::WorkerStall));
+    }
+
+    #[test]
+    fn plan_renders_to_its_canonical_spelling() {
+        let text = "fail:3@0; nan:2, delay:1@1:250,worker-crash:2@0;worker-stall:3";
+        let plan = FaultPlan::parse(text).unwrap();
+        let canonical = plan.to_string();
+        assert_eq!(
+            canonical,
+            "fail:3@0;nan:2;delay:1@1:250;worker-crash:2@0;worker-stall:3"
+        );
+        assert_eq!(FaultPlan::parse(&canonical).unwrap(), plan);
+        assert_eq!(FaultPlan::new().to_string(), "");
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub mod worker;
 
 pub use analysis::Analysis;
 pub use evolution::EvolutionSearch;
-pub use farm::{FarmOutcome, FarmSpec, WorkerFarm};
+pub use farm::{FarmOutcome, FarmSpec, WorkerExit, WorkerFarm};
 pub use fault::{FaultAction, FaultPlan, FaultSpec, RetryPolicy};
 pub use journal::{load_events, replay, ResumeState, RunEvent, RunJournal, CRASH_EXIT_CODE};
 pub use logger::TrialLogger;

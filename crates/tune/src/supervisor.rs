@@ -4,7 +4,8 @@
 //! [`Supervisor`] owns no processes, threads or clocks — it is fed
 //! millisecond timestamps and events (heartbeats, results, losses) and
 //! answers scheduling questions (which slot takes the next ask, which
-//! workers stalled, which dead slots are due a respawn). Keeping it pure
+//! workers stalled, which dead slots are due a respawn, and when the next
+//! of those falls due). Keeping it pure
 //! makes the crash-tolerance logic exhaustively testable: the property
 //! suite drives it with arbitrary interleavings and checks the two
 //! invariants everything else leans on — **a ticket resolves at most
@@ -238,6 +239,27 @@ impl Supervisor {
             .collect()
     }
 
+    /// The earliest instant, no earlier than `now_ms`, at which
+    /// [`Supervisor::stalled`] or [`Supervisor::due_respawns`] becomes
+    /// non-empty if no further event arrives — the farm's monitor sleeps
+    /// until then. `None` means neither ever fires without a further
+    /// event: every slot is terminally dead, or its deadline lies past
+    /// the end of the `u64` millisecond scale.
+    pub fn next_deadline(&self, now_ms: u64) -> Option<u64> {
+        self.slots
+            .iter()
+            .filter_map(|s| match s.state {
+                SlotState::Dead { respawn_at_ms } => respawn_at_ms,
+                // `stalled` needs strictly more than the timeout of silence.
+                SlotState::Idle | SlotState::Busy { .. } => s
+                    .last_seen_ms
+                    .checked_add(self.heartbeat_timeout_ms)?
+                    .checked_add(1),
+            })
+            .min()
+            .map(|at| at.max(now_ms))
+    }
+
     /// A fresh process now occupies the slot: back to idle under a new
     /// generation, with one more respawn on the meter.
     pub fn respawned(&mut self, worker: usize, now_ms: u64) {
@@ -356,6 +378,28 @@ mod tests {
             matches!(s.state(0), Some(SlotState::Dead { .. })),
             "a zombie's beacon does not resurrect it"
         );
+    }
+
+    #[test]
+    fn next_deadline_is_the_first_stall_or_respawn() {
+        let mut s = sup(2);
+        s.heartbeat(0, 100);
+        s.heartbeat(1, 500);
+        assert_eq!(s.next_deadline(200), Some(1_101), "worker 0 stalls first");
+        assert!(s.stalled(1_100).is_empty());
+        assert_eq!(s.stalled(1_101), vec![0]);
+        assert_eq!(s.next_deadline(1_300), Some(1_300), "already overdue");
+        s.lost(0, 150);
+        let due_at = match s.state(0) {
+            Some(SlotState::Dead {
+                respawn_at_ms: Some(at),
+            }) => at,
+            other => panic!("expected scheduled respawn, got {other:?}"),
+        };
+        assert_eq!(s.next_deadline(150), Some(due_at.min(1_501)));
+        let mut s = Supervisor::new(1, 1_000, 0, 42, RetryPolicy::default());
+        s.lost(0, 0);
+        assert_eq!(s.next_deadline(0), None, "terminally dead");
     }
 
     #[test]

@@ -344,11 +344,12 @@ impl Tuner {
             }
         };
 
-        let scoped = crossbeam::thread::scope(|scope| {
+        let panic = std::thread::scope(|scope| {
+            let mut handles = Vec::new();
             // Deadline watchdog: sweeps running attempts and flags the
             // overdue ones so cooperative objectives bail out promptly.
             if self.time_budget.is_some() {
-                scope.spawn(move |_| {
+                handles.push(scope.spawn(move || {
                     while live_workers.load(Ordering::SeqCst) > 0 {
                         let now = clock::now();
                         for entry in watch.lock().values() {
@@ -359,10 +360,10 @@ impl Tuner {
                         // detlint: allow(DET004) watchdog cadence: paces deadline sweeps only; no result or decision reads this timing
                         std::thread::sleep(WATCHDOG_TICK);
                     }
-                });
+                }));
             }
             for _ in 0..self.workers {
-                scope.spawn(move |_| {
+                handles.push(scope.spawn(move || {
                     let work = || loop {
                         // ---- dispatch: claim a trial, holding the
                         // journal turn while its ask is journaled and
@@ -726,15 +727,29 @@ impl Tuner {
                             }
                         }
                     };
-                    work();
+                    // Counted out even when `work` unwinds, so the
+                    // watchdog still stops and the panic reaches the join.
+                    let worked = catch_unwind(AssertUnwindSafe(work));
                     live_workers.fetch_sub(1, Ordering::SeqCst);
-                });
+                    if let Err(panic) = worked {
+                        std::panic::resume_unwind(panic);
+                    }
+                }));
             }
+            // Join explicitly: `std::thread::scope` would replace a
+            // thread's panic payload with its own message.
+            let mut first = None;
+            for handle in handles {
+                if let Err(panic) = handle.join() {
+                    first.get_or_insert(panic);
+                }
+            }
+            first
         });
-        if let Err(panic) = scoped {
+        if let Some(panic) = panic {
             // A worker thread died outside catch_unwind (tuner bug, not an
-            // objective failure): re-raise on the caller's thread instead
-            // of aborting with a bare expect.
+            // objective failure): re-raise its original payload on the
+            // caller's thread instead of aborting with a bare expect.
             std::panic::resume_unwind(panic);
         }
 

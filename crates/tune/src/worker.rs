@@ -40,8 +40,7 @@
 
 use std::io::{Read, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex as StdMutex, PoisonError};
 use std::time::Duration;
 
 use e2c_journal::wire::{escape, parse_f64, parse_u32, parse_u64, unescape};
@@ -359,23 +358,12 @@ where
     )
     .map_err(|e| format!("write hello: {e}"))?;
 
-    let stop = Arc::new(AtomicBool::new(false));
     let heartbeat = {
         let stdout = Arc::clone(&stdout);
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            let mut seq = 0u64;
-            while !stop.load(Ordering::SeqCst) {
-                // detlint: allow(DET004) heartbeat cadence: liveness beacon only; no result or decision reads this timing
-                std::thread::sleep(HEARTBEAT_INTERVAL);
-                if stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                seq += 1;
-                if write_frame(&mut *stdout.lock(), &WireMsg::Heartbeat { seq }).is_err() {
-                    break; // parent gone; the main loop will see EOF too
-                }
-            }
+        // A failed write means the parent is gone; the main loop will see
+        // EOF too.
+        Heartbeat::start(HEARTBEAT_INTERVAL, move |seq| {
+            write_frame(&mut *stdout.lock(), &WireMsg::Heartbeat { seq }).is_ok()
         })
     };
 
@@ -426,9 +414,52 @@ where
             Err(e) => break Err(format!("bad frame from the tuner: {e}")),
         }
     };
-    stop.store(true, Ordering::SeqCst);
-    let _ = heartbeat.join();
+    heartbeat.stop();
     outcome
+}
+
+/// The worker's liveness beacon: a thread that calls `beat` with a rising
+/// sequence number (from 1) every `interval` until stopped, or until
+/// `beat` returns `false`. It waits on a condvar rather than sleeping, so
+/// [`Heartbeat::stop`] returns at once instead of after the rest of an
+/// interval.
+struct Heartbeat {
+    stopped: Arc<(StdMutex<bool>, Condvar)>,
+    thread: std::thread::JoinHandle<()>,
+}
+
+impl Heartbeat {
+    fn start(interval: Duration, mut beat: impl FnMut(u64) -> bool + Send + 'static) -> Self {
+        let stopped = Arc::new((StdMutex::new(false), Condvar::new()));
+        let thread = {
+            let stopped = Arc::clone(&stopped);
+            std::thread::spawn(move || {
+                let (flag, cv) = &*stopped;
+                for seq in 1.. {
+                    let guard = flag.lock().unwrap_or_else(PoisonError::into_inner);
+                    let (guard, _) = cv
+                        .wait_timeout_while(guard, interval, |stopped| !*stopped)
+                        .unwrap_or_else(PoisonError::into_inner);
+                    if *guard {
+                        return;
+                    }
+                    drop(guard);
+                    if !beat(seq) {
+                        return;
+                    }
+                }
+            })
+        };
+        Heartbeat { stopped, thread }
+    }
+
+    /// Wake the thread and join it.
+    fn stop(self) {
+        let (flag, cv) = &*self.stopped;
+        *flag.lock().unwrap_or_else(PoisonError::into_inner) = true;
+        cv.notify_all();
+        let _ = self.thread.join();
+    }
 }
 
 /// Render a panic payload to the string the parent re-raises — the same
@@ -569,6 +600,37 @@ mod tests {
         let mut r = &buf[..buf.len() - 2];
         let _ = read_frame(&mut r).unwrap();
         assert!(read_frame(&mut r).is_err());
+    }
+
+    #[test]
+    fn heartbeat_stops_without_waiting_out_its_interval() {
+        // An hour-long interval: stop must wake the thread, not outwait it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let beat = Heartbeat::start(Duration::from_secs(3600), move |seq| {
+            let _ = tx.send(seq);
+            true
+        });
+        beat.stop();
+        assert!(
+            rx.try_recv().is_err(),
+            "no beat before the interval elapsed"
+        );
+    }
+
+    #[test]
+    fn heartbeat_counts_up_until_beat_reports_the_peer_gone() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let beat = Heartbeat::start(Duration::from_millis(1), move |seq| {
+            let _ = tx.send(seq);
+            seq < 3
+        });
+        let seen: Vec<u64> = rx.iter().take(3).collect();
+        beat.stop();
+        assert_eq!(seen, vec![1, 2, 3]);
+        assert!(
+            rx.try_recv().is_err(),
+            "no beat after `beat` returned false"
+        );
     }
 
     #[test]

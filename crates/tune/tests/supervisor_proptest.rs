@@ -15,7 +15,11 @@
 //!   leaked or fabricated admission permits);
 //! * **tickets are never reused**, even across respawn generations;
 //! * **respawns stay within budget**, and a terminally dead farm is
-//!   recognized as such.
+//!   recognized as such;
+//! * **`next_deadline` is the first instant anything fires** — nothing
+//!   is stalled or due before it, something is at it, and `None` means
+//!   nothing ever fires without a further event (the farm's monitor
+//!   sleeps until it).
 
 use e2c_tune::fault::RetryPolicy;
 use e2c_tune::supervisor::{SlotState, StaleResult, Supervisor};
@@ -256,5 +260,96 @@ proptest! {
         prop_assert_eq!(orphans, 1, "ticket orphaned more than once");
         prop_assert_eq!(sup.busy_count(), 0);
         prop_assert_eq!(sup.complete(worker, ticket, 99), Err(StaleResult::NotBusy));
+    }
+
+    /// The monitor's wake-up time agrees with a shadow model of every
+    /// slot's last sign of life, and with the scans themselves: nothing
+    /// fires in `[now, next_deadline)`, something fires at it, and `None`
+    /// means the scans stay empty however late it gets.
+    #[test]
+    fn next_deadline_is_the_first_instant_a_scan_fires(
+        workers in 1usize..5,
+        timeout in 0u64..1_500,
+        ops in prop::collection::vec(arb_op(4), 1..80),
+    ) {
+        let mut sup = Supervisor::new(workers, timeout, 2, 11, RetryPolicy::default());
+        let mut last_seen = vec![0u64; workers];
+        let mut now = 0u64;
+        let fires = |sup: &Supervisor, t: u64| {
+            !sup.stalled(t).is_empty() || !sup.due_respawns(t).is_empty()
+        };
+
+        for op in ops {
+            let live = |sup: &Supervisor, w: usize| {
+                w < workers && !matches!(sup.state(w), Some(SlotState::Dead { .. }))
+            };
+            match op {
+                Op::Assign => {
+                    if let Some((worker, _)) = sup.try_assign(now) {
+                        last_seen[worker] = now;
+                    }
+                }
+                Op::CompleteCurrent { worker } => {
+                    if let Some(SlotState::Busy { ticket }) = sup.state(worker) {
+                        prop_assert_eq!(sup.complete(worker, ticket, now), Ok(()));
+                        last_seen[worker] = now;
+                    }
+                }
+                Op::CompleteStale { worker } => {
+                    // A refused result is no sign of life.
+                    let _ = sup.complete(worker, u64::MAX, now);
+                }
+                Op::Lost { worker } => {
+                    sup.lost(worker, now);
+                }
+                Op::Heartbeat { worker } => {
+                    if live(&sup, worker) {
+                        last_seen[worker] = now;
+                    }
+                    sup.heartbeat(worker, now);
+                }
+                Op::Advance { ms } => now += ms,
+                Op::ReapStalled => {
+                    for worker in sup.stalled(now) {
+                        sup.lost(worker, now);
+                    }
+                }
+                Op::RespawnDue => {
+                    for worker in sup.due_respawns(now) {
+                        sup.respawned(worker, now);
+                        last_seen[worker] = now;
+                    }
+                }
+            }
+
+            let expected = (0..workers)
+                .filter_map(|w| match sup.state(w) {
+                    Some(SlotState::Dead { respawn_at_ms }) => respawn_at_ms,
+                    _ => Some(last_seen[w] + timeout + 1),
+                })
+                .min()
+                .map(|at| at.max(now));
+            let deadline = sup.next_deadline(now);
+            prop_assert_eq!(deadline, expected, "deadline disagrees with the shadow model");
+            match deadline {
+                Some(at) => {
+                    prop_assert!(at >= now, "deadline {} lies before now {}", at, now);
+                    prop_assert!(fires(&sup, at), "nothing fires at the deadline {}", at);
+                    if at > now {
+                        for t in [now, now + (at - now) / 2, at - 1] {
+                            prop_assert!(
+                                !fires(&sup, t),
+                                "a scan fires at {} before the deadline {}", t, at
+                            );
+                        }
+                    }
+                }
+                None => {
+                    for t in [now, now + 1_000_000, u64::MAX] {
+                        prop_assert!(!fires(&sup, t), "a scan fires at {} with no deadline", t);
+                    }
+                }
+            }
+        }
     }
 }
