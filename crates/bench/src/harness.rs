@@ -28,7 +28,10 @@
 //!
 //! [`OptimizationManager`]: e2c_core::optimization::OptimizationManager
 
+use e2c_journal::json::{Escaped, Json};
 use e2c_tune::clock;
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Warmup/measurement iteration counts for one benchmark run.
@@ -210,68 +213,81 @@ impl BenchReport {
     /// Serialize with a fixed key order and shortest-round-trip floats;
     /// [`BenchReport::from_json`] inverts this exactly.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(256);
-        s.push_str("{\"name\":\"");
-        json_escape_into(&mut s, &self.name);
-        s.push_str(&format!(
-            "\",\"iterations\":{},\"warmup\":{},\"seed\":{},\"fingerprint\":\"",
-            self.iterations, self.warmup, self.seed
-        ));
-        json_escape_into(&mut s, &self.fingerprint);
         let w = &self.wall_ns;
-        s.push_str(&format!(
-            "\",\"wall_ns\":{{\"median\":{},\"p10\":{},\"p90\":{},\"min\":{},\"max\":{},\"mean\":{}}}",
+        let mut s = String::with_capacity(256);
+        let _ = write!(
+            s,
+            "{{\"name\":\"{}\",\"iterations\":{},\"warmup\":{},\"seed\":{},\"fingerprint\":\"{}\"",
+            Escaped(&self.name),
+            self.iterations,
+            self.warmup,
+            self.seed,
+            Escaped(&self.fingerprint)
+        );
+        let _ = write!(
+            s,
+            ",\"wall_ns\":{{\"median\":{},\"p10\":{},\"p90\":{},\"min\":{},\"max\":{},\"mean\":{}}}",
             w.median_ns, w.p10_ns, w.p90_ns, w.min_ns, w.max_ns, w.mean_ns
-        ));
-        s.push_str(&format!(
+        );
+        let _ = write!(
+            s,
             ",\"units\":{{\"per_iter\":{},\"per_sec\":{}}}}}",
             self.units_per_iter, self.units_per_sec
-        ));
+        );
         s
     }
 
-    /// Parse a report produced by [`BenchReport::to_json`].
+    /// Parse a report produced by [`BenchReport::to_json`]. Integers are
+    /// read exactly (never through `f64`); an `iterations` or `warmup`
+    /// count beyond `u32` is an error, not a truncation.
     pub fn from_json(text: &str) -> Result<BenchReport, String> {
-        let v = json::parse(text)?;
-        let obj = v.as_object().ok_or("report is not a JSON object")?;
-        let field = |key: &str| -> Result<&json::Value, String> {
-            json::get(obj, key).ok_or_else(|| format!("missing key `{key}`"))
+        let obj = match Json::parse(text)? {
+            Json::Obj(obj) => obj,
+            _ => return Err("report is not a JSON object".into()),
         };
-        let num_u64 = |v: &json::Value, key: &str| -> Result<u64, String> {
-            v.as_f64()
-                .filter(|n| n.fract() == 0.0 && *n >= 0.0)
-                .map(|n| n as u64)
-                .ok_or_else(|| format!("`{key}` is not a non-negative integer"))
+        let field = |key: &str| -> Result<&Json, String> {
+            obj.get(key).ok_or_else(|| format!("missing key `{key}`"))
         };
-        let wall = field("wall_ns")?
-            .as_object()
-            .ok_or("`wall_ns` is not an object")?;
+        let object = |key: &str| -> Result<&BTreeMap<String, Json>, String> {
+            match field(key)? {
+                Json::Obj(m) => Ok(m),
+                _ => Err(format!("`{key}` is not an object")),
+            }
+        };
+        let string = |key: &str| -> Result<String, String> {
+            field(key)?
+                .as_str()
+                .map(str::to_string)
+                .ok_or_else(|| format!("`{key}` is not a string"))
+        };
+        let count = |key: &str| -> Result<u32, String> {
+            field(key)?
+                .as_u64()
+                .and_then(|n| u32::try_from(n).ok())
+                .ok_or_else(|| format!("`{key}` is not an integer in 0..2^32"))
+        };
+        let wall = object("wall_ns")?;
         let wall_u64 = |key: &str| -> Result<u64, String> {
-            num_u64(
-                json::get(wall, key).ok_or_else(|| format!("missing key `wall_ns.{key}`"))?,
-                key,
-            )
+            wall.get(key)
+                .ok_or_else(|| format!("missing key `wall_ns.{key}`"))?
+                .as_u64()
+                .ok_or_else(|| format!("`wall_ns.{key}` is not a non-negative integer"))
         };
-        let units = field("units")?
-            .as_object()
-            .ok_or("`units` is not an object")?;
+        let units = object("units")?;
         let units_f64 = |key: &str| -> Result<f64, String> {
-            json::get(units, key)
-                .and_then(json::Value::as_f64)
+            units
+                .get(key)
+                .and_then(Json::as_f64)
                 .ok_or_else(|| format!("missing number `units.{key}`"))
         };
         Ok(BenchReport {
-            name: field("name")?
-                .as_str()
-                .ok_or("`name` is not a string")?
-                .to_string(),
-            iterations: num_u64(field("iterations")?, "iterations")? as u32,
-            warmup: num_u64(field("warmup")?, "warmup")? as u32,
-            seed: num_u64(field("seed")?, "seed")?,
-            fingerprint: field("fingerprint")?
-                .as_str()
-                .ok_or("`fingerprint` is not a string")?
-                .to_string(),
+            name: string("name")?,
+            iterations: count("iterations")?,
+            warmup: count("warmup")?,
+            seed: field("seed")?
+                .as_u64()
+                .ok_or("`seed` is not a non-negative integer")?,
+            fingerprint: string("fingerprint")?,
             wall_ns: WallStats {
                 median_ns: wall_u64("median")?,
                 p10_ns: wall_u64("p10")?,
@@ -310,20 +326,6 @@ fn fmt_ns(ns: u64) -> String {
         format!("{:.1}µs", ns / 1e3)
     } else {
         format!("{ns:.0}ns")
-    }
-}
-
-fn json_escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
     }
 }
 
@@ -487,203 +489,6 @@ pub fn write_reports(dir: &Path, reports: &[BenchReport]) -> Result<(), BenchErr
     Ok(())
 }
 
-/// A minimal JSON reader for [`BenchReport::from_json`] (objects, arrays,
-/// strings, numbers, booleans, null — no streaming, no numbers beyond
-/// `f64`). Key order is preserved so stability tests can assert on it.
-mod json {
-    /// A parsed JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        Null,
-        Bool(bool),
-        Num(f64),
-        Str(String),
-        Arr(Vec<Value>),
-        /// Key/value pairs in document order.
-        Obj(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        pub fn as_f64(&self) -> Option<f64> {
-            match self {
-                Value::Num(n) => Some(*n),
-                _ => None,
-            }
-        }
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-        pub fn as_object(&self) -> Option<&[(String, Value)]> {
-            match self {
-                Value::Obj(pairs) => Some(pairs),
-                _ => None,
-            }
-        }
-    }
-
-    /// First value under `key` in an object's pair list.
-    pub fn get<'a>(obj: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
-        obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let v = value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing data at byte {pos}"));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-            *pos += 1;
-        }
-    }
-
-    fn value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b'{') => object(b, pos),
-            Some(b'[') => array(b, pos),
-            Some(b'"') => string(b, pos).map(Value::Str),
-            Some(b't') => lit(b, pos, "true", Value::Bool(true)),
-            Some(b'f') => lit(b, pos, "false", Value::Bool(false)),
-            Some(b'n') => lit(b, pos, "null", Value::Null),
-            Some(_) => number(b, pos),
-            None => Err("unexpected end of input".to_string()),
-        }
-    }
-
-    fn lit(b: &[u8], pos: &mut usize, word: &str, v: Value) -> Result<Value, String> {
-        if b[*pos..].starts_with(word.as_bytes()) {
-            *pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {pos}", pos = *pos))
-        }
-    }
-
-    fn object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        *pos += 1; // '{'
-        let mut pairs = Vec::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&b'}') {
-            *pos += 1;
-            return Ok(Value::Obj(pairs));
-        }
-        loop {
-            skip_ws(b, pos);
-            let key = string(b, pos)?;
-            skip_ws(b, pos);
-            if b.get(*pos) != Some(&b':') {
-                return Err(format!("expected `:` at byte {}", *pos));
-            }
-            *pos += 1;
-            pairs.push((key, value(b, pos)?));
-            skip_ws(b, pos);
-            match b.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b'}') => {
-                    *pos += 1;
-                    return Ok(Value::Obj(pairs));
-                }
-                _ => return Err(format!("expected `,` or `}}` at byte {}", *pos)),
-            }
-        }
-    }
-
-    fn array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        *pos += 1; // '['
-        let mut items = Vec::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&b']') {
-            *pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            items.push(value(b, pos)?);
-            skip_ws(b, pos);
-            match b.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b']') => {
-                    *pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(format!("expected `,` or `]` at byte {}", *pos)),
-            }
-        }
-    }
-
-    fn string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected string at byte {}", *pos));
-        }
-        *pos += 1;
-        let mut out = String::new();
-        loop {
-            match b.get(*pos) {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    *pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    *pos += 1;
-                    match b.get(*pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = b
-                                .get(*pos + 1..*pos + 5)
-                                .ok_or("truncated \\u escape")
-                                .and_then(|h| {
-                                    std::str::from_utf8(h).map_err(|_| "bad \\u escape")
-                                })?;
-                            let cp = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape `{hex}`"))?;
-                            out.push(char::from_u32(cp).unwrap_or('\u{FFFD}'));
-                            *pos += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    *pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte safe).
-                    let start = *pos;
-                    let mut end = start + 1;
-                    while end < b.len() && (b[end] & 0xC0) == 0x80 {
-                        end += 1;
-                    }
-                    out.push_str(std::str::from_utf8(&b[start..end]).map_err(|e| e.to_string())?);
-                    *pos = end;
-                }
-            }
-        }
-    }
-
-    fn number(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        let start = *pos;
-        while *pos < b.len() && matches!(b[*pos], b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9') {
-            *pos += 1;
-        }
-        let text = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
-        text.parse::<f64>()
-            .map(Value::Num)
-            .map_err(|e| format!("bad number `{text}`: {e}"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -745,6 +550,33 @@ mod tests {
         assert!(BenchReport::from_json("{\"name\":\"x\"}").is_err());
         let truncated = &sample_report().to_json()[..40];
         assert!(BenchReport::from_json(truncated).is_err());
+    }
+
+    #[test]
+    fn nesting_bomb_is_an_error_not_a_stack_overflow() {
+        let err = BenchReport::from_json(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+    }
+
+    #[test]
+    fn large_integers_roundtrip_exactly() {
+        // 2^53 + 1 is the first integer an f64 cannot hold.
+        let mut report = sample_report();
+        report.seed = (1 << 53) + 1;
+        report.wall_ns.max_ns = u64::MAX;
+        let parsed = BenchReport::from_json(&report.to_json()).unwrap();
+        assert_eq!(parsed.seed, (1 << 53) + 1);
+        assert_eq!(parsed.wall_ns.max_ns, u64::MAX);
+        assert_eq!(parsed, report);
+    }
+
+    #[test]
+    fn iteration_counts_beyond_u32_are_rejected() {
+        let json = sample_report()
+            .to_json()
+            .replace("\"iterations\":7", "\"iterations\":4294967297");
+        let err = BenchReport::from_json(&json).unwrap_err();
+        assert!(err.contains("iterations"), "{err}");
     }
 
     #[test]

@@ -42,7 +42,7 @@ fn key(rule: &str, file: &str, fp: &str) -> String {
 }
 
 /// A multiset of accepted findings, keyed `rule \t file \t fingerprint`.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct Baseline {
     entries: BTreeMap<String, usize>,
 }

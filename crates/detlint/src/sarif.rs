@@ -13,26 +13,8 @@
 use crate::baseline::fingerprint;
 use crate::rules::{Finding, Rule};
 use crate::Report;
+use e2c_journal::json::Escaped;
 use std::fmt::Write as _;
-
-/// JSON string escape: quotes, backslashes, and control characters.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 fn sarif_result(out: &mut String, f: &Finding, level: &str, baselined: bool, indent: &str) {
     let _ = writeln!(out, "{indent}{{");
@@ -42,7 +24,7 @@ fn sarif_result(out: &mut String, f: &Finding, level: &str, baselined: bool, ind
     let _ = writeln!(
         out,
         "{indent}  \"message\": {{ \"text\": \"{}\" }},",
-        esc(&f.message)
+        Escaped(&f.message)
     );
     let _ = writeln!(out, "{indent}  \"locations\": [");
     let _ = writeln!(out, "{indent}    {{");
@@ -50,13 +32,13 @@ fn sarif_result(out: &mut String, f: &Finding, level: &str, baselined: bool, ind
     let _ = writeln!(
         out,
         "{indent}        \"artifactLocation\": {{ \"uri\": \"{}\" }},",
-        esc(&f.file)
+        Escaped(&f.file)
     );
     let _ = writeln!(
         out,
         "{indent}        \"region\": {{ \"startLine\": {}, \"snippet\": {{ \"text\": \"{}\" }} }}",
         f.line,
-        esc(f.snippet.trim_end())
+        Escaped(f.snippet.trim_end())
     );
     let _ = writeln!(out, "{indent}      }}");
     let _ = writeln!(out, "{indent}    }}");
@@ -64,7 +46,7 @@ fn sarif_result(out: &mut String, f: &Finding, level: &str, baselined: bool, ind
     let _ = write!(
         out,
         "{indent}  \"partialFingerprints\": {{ \"detlint/v1\": \"{}\" }}",
-        esc(&fingerprint(&f.snippet))
+        Escaped(&fingerprint(&f.snippet))
     );
     if baselined {
         let _ = writeln!(out, ",");
@@ -102,7 +84,7 @@ pub fn to_sarif(report: &Report) -> String {
             out,
             "            {{ \"id\": \"{}\", \"shortDescription\": {{ \"text\": \"{}\" }} }}",
             rule.code(),
-            esc(rule.summary())
+            Escaped(rule.summary())
         );
         out.push_str(if i + 1 < Rule::ALL.len() { ",\n" } else { "\n" });
     }
@@ -136,11 +118,11 @@ fn json_finding(out: &mut String, f: &Finding, indent: &str) {
         out,
         "{indent}{{ \"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"message\": \"{}\", \"snippet\": \"{}\", \"fingerprint\": \"{}\" }}",
         f.rule.code(),
-        esc(&f.file),
+        Escaped(&f.file),
         f.line,
-        esc(&f.message),
-        esc(f.snippet.trim_end()),
-        esc(&fingerprint(&f.snippet))
+        Escaped(&f.message),
+        Escaped(f.snippet.trim_end()),
+        Escaped(&fingerprint(&f.snippet))
     );
 }
 
@@ -221,11 +203,5 @@ mod tests {
         assert!(j.contains("\"errors\": ["));
         assert!(j.contains("\"fingerprint\": \"std::fs::write(p, b)?;\""));
         assert_eq!(to_json(&r), j);
-    }
-
-    #[test]
-    fn control_chars_are_escaped() {
-        assert_eq!(esc("a\u{1}b"), "a\\u0001b");
-        assert_eq!(esc("tab\there"), "tab\\there");
     }
 }

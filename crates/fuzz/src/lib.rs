@@ -1,13 +1,15 @@
 //! # e2c-fuzz — deterministic fuzz + differential-test harness
 //!
-//! The repository hand-rolls six codecs — the YAML-subset configuration
+//! The repository hand-rolls seven codecs — the YAML-subset configuration
 //! parser (`e2c-conf`), the tab-separated journal wire format
 //! (`e2c-tune`), the worker-farm stdio protocol (`e2c-tune`), the
-//! `--faults` plan grammar (`e2c-tune`), the JSONL trace format
-//! (`e2c-trace`) and the CRC-framed write-ahead log (`e2c-journal`).
-//! Each sits on a crash-recovery or reproducibility path, where a panic
-//! on malformed bytes *is* data loss. This crate drives all six with
-//! seeded byte mutation and checks three property classes:
+//! `--faults` plan grammar (`e2c-tune`), the JSON codec behind
+//! `trace.jsonl` and the benchmark reports (`e2c-journal::json`), the
+//! CRC-framed write-ahead log (`e2c-journal`) and the `lint.baseline`
+//! file (`detlint`). Each sits on a crash-recovery, reproducibility or
+//! gating path, where a panic on malformed bytes *is* data loss. This
+//! crate drives all seven with seeded byte mutation and checks three
+//! property classes:
 //!
 //! 1. **No panics** — feeding arbitrary bytes to a parser must return
 //!    `Ok`/`Err`, never unwind ([`engine::guard`] converts an unwind into
@@ -17,7 +19,9 @@
 //!    `parse(line).to_line() == line`; for YAML, JSONL and `--faults`
 //!    plans, the second encode of `encode(decode(encode(v)))` equals the
 //!    first. Comparing bytes (not values) keeps NaN-carrying events
-//!    honest.
+//!    honest. For `lint.baseline`, whose render sorts entries, the
+//!    property is on the entry multiset: `parse(render(parse(x))) ==
+//!    parse(x)`.
 //! 3. **Differential oracles** — the YAML parser is compared against the
 //!    committed fixture corpus (`crates/conf/tests/corpus/*.tree`), and
 //!    torn-WAL recovery against a truncation oracle that predicts the
@@ -36,8 +40,8 @@ pub mod targets;
 
 pub use engine::{FailKind, SplitMix64};
 pub use targets::{
-    ConfYamlTarget, FaultPlanTarget, JournalWalTarget, JournalWireTarget, TraceJsonlTarget,
-    WorkerWireTarget,
+    ConfYamlTarget, DetlintBaselineTarget, FaultPlanTarget, JournalWalTarget, JournalWireTarget,
+    TraceJsonlTarget, WorkerWireTarget,
 };
 
 use std::path::PathBuf;
@@ -104,9 +108,9 @@ impl FuzzReport {
     /// One aligned human-readable row for the CLI table.
     pub fn render_row(&self) -> String {
         match &self.failure {
-            None => format!("{:<14} {:>8} iters  ok", self.name, self.iters_run),
+            None => format!("{:<16} {:>8} iters  ok", self.name, self.iters_run),
             Some(f) => format!(
-                "{:<14} {:>8} iters  FAIL at iteration {} ({}) — minimized to {} bytes",
+                "{:<16} {:>8} iters  FAIL at iteration {} ({}) — minimized to {} bytes",
                 self.name,
                 self.iters_run,
                 f.iteration,
@@ -311,7 +315,7 @@ impl FuzzRegistry {
     }
 }
 
-/// The registry with all six codec targets, in dependency order.
+/// The registry with all seven codec targets, in dependency order.
 pub fn default_registry() -> FuzzRegistry {
     FuzzRegistry::new()
         .register(ConfYamlTarget::new())
@@ -320,6 +324,7 @@ pub fn default_registry() -> FuzzRegistry {
         .register(FaultPlanTarget::new())
         .register(TraceJsonlTarget::new())
         .register(JournalWalTarget::new())
+        .register(DetlintBaselineTarget::new())
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! The six codec targets. Each pairs a deterministic input generator
+//! The seven codec targets. Each pairs a deterministic input generator
 //! (seed corpus + byte mutation) with the property checks its codec
 //! promises; see the crate docs for the three property classes.
 
@@ -539,7 +539,7 @@ impl FuzzTarget for TraceJsonlTarget {
     fn check(&self, input: &[u8]) -> Result<(), String> {
         let text = String::from_utf8_lossy(input);
         // The raw JSON parser must be total (Ok or Err, never unwind).
-        let _ = e2c_trace::event::Json::parse(&text);
+        let _ = e2c_journal::json::Json::parse(&text);
         let Ok(ev) = TraceEvent::from_json(&text) else {
             return Ok(());
         };
@@ -736,6 +736,97 @@ impl FuzzTarget for JournalWalTarget {
     }
 }
 
+// ---------------------------------------------------------------------
+// detlint_baseline — the committed `lint.baseline` accepted-findings file.
+// ---------------------------------------------------------------------
+
+/// One random baseline line: mostly well-formed `CODE<TAB>path<TAB>fp`
+/// entries (real rule codes, fingerprints with inner tabs and padding),
+/// with comments, blanks and stray whitespace mixed in.
+fn random_baseline_line(rng: &mut SplitMix64) -> String {
+    let pad = |rng: &mut SplitMix64| [" ", "\t", "\r", ""][rng.index(4)];
+    match rng.below(8) {
+        0 => format!("{}# {}", pad(rng), random_name(rng)),
+        1 => pad(rng).to_string(),
+        _ => {
+            let code = if rng.chance(3, 4) {
+                detlint::Rule::ALL[rng.index(detlint::Rule::COUNT)]
+                    .code()
+                    .to_string()
+            } else {
+                random_name(rng)
+            };
+            format!(
+                "{code}\t{}\t{}{}{}",
+                random_name(rng),
+                pad(rng),
+                random_name(rng),
+                pad(rng)
+            )
+        }
+    }
+}
+
+/// Fuzzes `detlint::Baseline::parse`: it must never panic, and every
+/// accepted file must survive its own rendering — `parse(render(b))`
+/// equals `b` as a multiset of entries, so `--update-baseline` never
+/// rewrites the gate's meaning.
+pub struct DetlintBaselineTarget;
+
+impl DetlintBaselineTarget {
+    pub fn new() -> Self {
+        DetlintBaselineTarget
+    }
+}
+
+impl Default for DetlintBaselineTarget {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl FuzzTarget for DetlintBaselineTarget {
+    fn name(&self) -> &'static str {
+        "detlint_baseline"
+    }
+
+    fn tags(&self) -> &'static [&'static str] {
+        &["text", "smoke"]
+    }
+
+    fn generate(&mut self, rng: &mut SplitMix64) -> Vec<u8> {
+        let mut text = String::new();
+        for _ in 0..rng.index(6) {
+            text.push_str(&random_baseline_line(rng));
+            text.push_str(["\n", "\r\n"][rng.index(2)]);
+        }
+        let mut data = text.into_bytes();
+        match rng.below(4) {
+            0 | 1 => {}
+            2 => mutate(rng, &mut data),
+            _ => data = random_text_soup(rng, 96),
+        }
+        data
+    }
+
+    fn check(&self, input: &[u8]) -> Result<(), String> {
+        let text = String::from_utf8_lossy(input);
+        let Ok(baseline) = detlint::Baseline::parse(&text) else {
+            return Ok(());
+        };
+        let rendered = baseline.render();
+        let reparsed = detlint::Baseline::parse(&rendered)
+            .map_err(|e| format!("accepted baseline renders unparseably: {e}\n{rendered}"))?;
+        if reparsed != baseline {
+            return Err(format!(
+                "render/parse changed the entry set:\nrendered:\n{rendered}\nre-rendered:\n{}",
+                reparsed.render()
+            ));
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -820,6 +911,11 @@ mod tests {
                 "generator never emitted {family}"
             );
         }
+    }
+
+    #[test]
+    fn detlint_baseline_smoke() {
+        exercise(&mut DetlintBaselineTarget::new(), 300);
     }
 
     #[test]

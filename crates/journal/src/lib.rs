@@ -1,6 +1,6 @@
 //! # e2c-journal — crash-safe persistence primitives
 //!
-//! Two std-only building blocks for the crash-safe optimization story:
+//! Std-only building blocks for the crash-safe optimization story:
 //!
 //! * [`Wal`] — a write-ahead log of opaque byte records. Each record is
 //!   framed as `[u32 LE length][u32 LE CRC32][payload]`; every append is
@@ -16,6 +16,9 @@
 //! * [`wire`] — the shared tab-separated text spelling (escaping and
 //!   canonical numeric forms) that both record protocols layered on this
 //!   crate — the run journal and the worker-farm frames — encode with.
+//! * [`json`] — the one JSON codec: the string escaper every JSON writer
+//!   shares and the parser that reads `trace.jsonl`, `trials.jsonl` and
+//!   the benchmark reports back.
 //!
 //! The framing is deliberately dumb: no compression, no sequence numbers,
 //! no format versioning beyond the frame itself. Interpretation of the
@@ -23,6 +26,7 @@
 //! meaning — including their wire version, carried in its meta record —
 //! this crate only promises they are whole).
 
+pub mod json;
 pub mod wire;
 
 use std::fs::{File, OpenOptions};

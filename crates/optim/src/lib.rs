@@ -17,8 +17,8 @@
 //! * [`bayes`] — an ask/tell [`bayes::BayesOpt`] mirroring
 //!   `skopt.Optimizer`, safe to drive asynchronously (constant-liar
 //!   handling of in-flight points);
-//! * [`metaheuristics`] — GA, Differential Evolution, Simulated Annealing,
-//!   PSO behind one [`metaheuristics::Metaheuristic`] interface;
+//! * [`metaheuristics`] — Differential Evolution behind the
+//!   [`metaheuristics::Metaheuristic`] interface;
 //! * [`pareto`] — multi-objective tooling: dominance, non-dominated
 //!   sorting, crowding distance, NSGA-II (for the Fig. 4 placement
 //!   problems);

@@ -2,19 +2,14 @@
 //!
 //! Phase II distinguishes long-running workflows (Bayesian optimization)
 //! from short-running ones, which "can use other optimization techniques
-//! such as evolutionary algorithms and swarm intelligence": Genetic
-//! Algorithm, Differential Evolution, Simulated Annealing and Particle
-//! Swarm Optimization. All four live here behind [`Metaheuristic`].
+//! such as evolutionary algorithms and swarm intelligence".
+//! Differential Evolution lives here behind [`Metaheuristic`]; the
+//! genetic algorithm the `genetic_algorithm` search route runs is the
+//! tuner's ask/tell searcher (`e2c-tune`'s `evolution` module).
 
 mod de;
-mod ga;
-mod pso;
-mod sa;
 
 pub use de::DifferentialEvolution;
-pub use ga::GeneticAlgorithm;
-pub use pso::ParticleSwarm;
-pub use sa::SimulatedAnnealing;
 
 use crate::space::{Point, Space};
 
@@ -67,100 +62,82 @@ mod tests {
         Space::new().real("x", -5.0, 5.0).real("y", -5.0, 5.0)
     }
 
-    fn all_algos(seed: u64) -> Vec<Box<dyn Metaheuristic>> {
-        vec![
-            Box::new(GeneticAlgorithm::new(seed)),
-            Box::new(DifferentialEvolution::new(seed)),
-            Box::new(SimulatedAnnealing::new(seed)),
-            Box::new(ParticleSwarm::new(seed)),
-        ]
+    #[test]
+    fn minimizes_the_sphere() {
+        let space = space_2d();
+        let mut algo = DifferentialEvolution::new(3);
+        let mut f = sphere;
+        let result = algo.minimize(&space, &mut f, 3000);
+        assert!(
+            result.best_f < 0.05,
+            "{}: best {} at {:?}",
+            algo.name(),
+            result.best_f,
+            result.best_x
+        );
+        assert!(result.evals <= 3300, "{} overspent budget", algo.name());
+        assert!(space.contains(&space.sanitize(&result.best_x)));
     }
 
     #[test]
-    fn all_algorithms_minimize_the_sphere() {
+    fn handles_multimodal() {
         let space = space_2d();
-        for mut algo in all_algos(3) {
-            let mut f = sphere;
-            let result = algo.minimize(&space, &mut f, 3000);
-            assert!(
-                result.best_f < 0.05,
-                "{}: best {} at {:?}",
-                algo.name(),
-                result.best_f,
-                result.best_x
-            );
-            assert!(result.evals <= 3300, "{} overspent budget", algo.name());
-            assert!(space.contains(&space.sanitize(&result.best_x)));
-        }
-    }
-
-    #[test]
-    fn all_algorithms_handle_multimodal() {
-        let space = space_2d();
-        for mut algo in all_algos(7) {
-            let mut f = rastrigin;
-            let result = algo.minimize(&space, &mut f, 6000);
-            // Global minimum is 0 at origin; accept any good basin.
-            assert!(
-                result.best_f < 3.0,
-                "{}: best {}",
-                algo.name(),
-                result.best_f
-            );
-        }
+        let mut algo = DifferentialEvolution::new(7);
+        let mut f = rastrigin;
+        let result = algo.minimize(&space, &mut f, 6000);
+        // Global minimum is 0 at origin; accept any good basin.
+        assert!(
+            result.best_f < 3.0,
+            "{}: best {}",
+            algo.name(),
+            result.best_f
+        );
     }
 
     #[test]
     fn history_is_monotone_nonincreasing() {
         let space = space_2d();
-        for mut algo in all_algos(11) {
-            let mut f = sphere;
-            let result = algo.minimize(&space, &mut f, 1500);
-            for w in result.history.windows(2) {
-                assert!(
-                    w[1] <= w[0] + 1e-12,
-                    "{}: history regressed {w:?}",
-                    algo.name()
-                );
-            }
-            assert_eq!(
-                *result.history.last().unwrap(),
-                result.best_f,
-                "{}",
+        let mut algo = DifferentialEvolution::new(11);
+        let mut f = sphere;
+        let result = algo.minimize(&space, &mut f, 1500);
+        for w in result.history.windows(2) {
+            assert!(
+                w[1] <= w[0] + 1e-12,
+                "{}: history regressed {w:?}",
                 algo.name()
             );
         }
+        assert_eq!(
+            *result.history.last().unwrap(),
+            result.best_f,
+            "{}",
+            algo.name()
+        );
     }
 
     #[test]
     fn integer_spaces_yield_integer_points() {
         let space = Space::new().int("a", 0, 10).int("b", -5, 5);
-        for mut algo in all_algos(13) {
-            let mut f = |p: &[f64]| (p[0] - 4.0).powi(2) + (p[1] - 1.0).powi(2);
-            let result = algo.minimize(&space, &mut f, 800);
-            assert!(
-                space.contains(&result.best_x),
-                "{}: {:?} not in space",
-                algo.name(),
-                result.best_x
-            );
-            assert_eq!(result.best_x[0].fract(), 0.0, "{}", algo.name());
-        }
+        let mut algo = DifferentialEvolution::new(13);
+        let mut f = |p: &[f64]| (p[0] - 4.0).powi(2) + (p[1] - 1.0).powi(2);
+        let result = algo.minimize(&space, &mut f, 800);
+        assert!(
+            space.contains(&result.best_x),
+            "{}: {:?} not in space",
+            algo.name(),
+            result.best_x
+        );
+        assert_eq!(result.best_x[0].fract(), 0.0, "{}", algo.name());
     }
 
     #[test]
     fn deterministic_per_seed() {
         let space = space_2d();
-        for make in [
-            |s| -> Box<dyn Metaheuristic> { Box::new(GeneticAlgorithm::new(s)) },
-            |s| -> Box<dyn Metaheuristic> { Box::new(ParticleSwarm::new(s)) },
-        ] {
-            let mut f1 = sphere;
-            let mut f2 = sphere;
-            let r1 = make(5).minimize(&space, &mut f1, 1000);
-            let r2 = make(5).minimize(&space, &mut f2, 1000);
-            assert_eq!(r1.best_x, r2.best_x);
-            assert_eq!(r1.best_f, r2.best_f);
-        }
+        let mut f1 = sphere;
+        let mut f2 = sphere;
+        let r1 = DifferentialEvolution::new(5).minimize(&space, &mut f1, 1000);
+        let r2 = DifferentialEvolution::new(5).minimize(&space, &mut f2, 1000);
+        assert_eq!(r1.best_x, r2.best_x);
+        assert_eq!(r1.best_f, r2.best_f);
     }
 }

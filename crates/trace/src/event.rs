@@ -13,6 +13,7 @@
 //! `fields` in BTreeMap (sorted) order, so equal event streams produce
 //! byte-identical files.
 
+use e2c_journal::json::{Escaped, Json};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -147,9 +148,7 @@ impl Value {
                 }
             }
             Value::Str(s) => {
-                out.push('"');
-                out.push_str(&json_escape(s));
-                out.push('"');
+                let _ = write!(out, "\"{}\"", Escaped(s));
             }
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
         }
@@ -187,8 +186,8 @@ impl TraceEvent {
             "{{\"seq\":{},\"vt\":{},\"phase\":\"{}\",\"name\":\"{}\",\"kind\":\"{}\"",
             self.seq,
             self.vt,
-            json_escape(&self.phase),
-            json_escape(&self.name),
+            Escaped(&self.phase),
+            Escaped(&self.name),
             self.kind.as_str()
         );
         if let Some(t) = self.trial {
@@ -203,9 +202,7 @@ impl TraceEvent {
                 if i > 0 {
                     s.push(',');
                 }
-                s.push('"');
-                s.push_str(&json_escape(k));
-                s.push_str("\":");
+                let _ = write!(s, "\"{}\":", Escaped(k));
                 v.write_json(&mut s);
             }
             s.push('}');
@@ -216,28 +213,28 @@ impl TraceEvent {
 
     /// Parse one JSONL line produced by [`TraceEvent::to_json`].
     pub fn from_json(line: &str) -> Result<TraceEvent, String> {
-        let json = parse::parse(line)?;
+        let json = Json::parse(line)?;
         let obj = match json {
-            parse::Json::Obj(m) => m,
+            Json::Obj(m) => m,
             _ => return Err("trace line is not a JSON object".into()),
         };
         let need_u64 = |key: &str| -> Result<u64, String> {
             obj.get(key)
-                .and_then(parse::Json::as_u64)
+                .and_then(Json::as_u64)
                 .ok_or_else(|| format!("missing/invalid `{key}`"))
         };
         let need_str = |key: &str| -> Result<String, String> {
             obj.get(key)
-                .and_then(parse::Json::as_str)
+                .and_then(Json::as_str)
                 .map(str::to_string)
                 .ok_or_else(|| format!("missing/invalid `{key}`"))
         };
         let kind_s = need_str("kind")?;
         let kind = EventKind::parse(&kind_s).ok_or_else(|| format!("bad kind `{kind_s}`"))?;
         let mut fields = BTreeMap::new();
-        if let Some(parse::Json::Obj(m)) = obj.get("fields") {
+        if let Some(Json::Obj(m)) = obj.get("fields") {
             for (k, v) in m {
-                fields.insert(k.clone(), v.to_value());
+                fields.insert(k.clone(), json_to_value(v));
             }
         }
         Ok(TraceEvent {
@@ -246,269 +243,32 @@ impl TraceEvent {
             phase: need_str("phase")?,
             name: need_str("name")?,
             kind,
-            trial: obj.get("trial").and_then(parse::Json::as_u64),
-            span: obj.get("span").and_then(parse::Json::as_u64),
+            trial: obj.get("trial").and_then(Json::as_u64),
+            span: obj.get("span").and_then(Json::as_u64),
             fields,
         })
     }
 }
 
-/// Escape a string for embedding in a JSON document.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-pub use parse::Json;
-
-/// Minimal recursive-descent JSON parser — just enough to read back the
-/// lines this crate writes (and reject anything malformed with a useful
-/// message).  Numbers keep their raw text so u64 sequence numbers never
-/// round-trip through f64.  Public so the fuzz harness can drive the
-/// parser directly ([`Json::parse`]) with arbitrary byte soup.
-pub mod parse {
-    use super::Value;
-    use std::collections::BTreeMap;
-
-    /// Maximum object/array nesting. The writer emits at most two levels
-    /// (the event object and its `fields`); the bound turns `[[[[…` —
-    /// which used to recurse once per bracket and overflow the stack —
-    /// into a typed error.
-    const MAX_DEPTH: usize = 64;
-
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Json {
-        Obj(BTreeMap<String, Json>),
-        Arr(Vec<Json>),
-        Str(String),
-        Num(String),
-        Bool(bool),
-        Null,
-    }
-
-    impl Json {
-        /// Parse a complete JSON document (no trailing bytes). This is
-        /// [`parse`] as an associated function — the entry point the fuzz
-        /// harness and external tests use.
-        pub fn parse(input: &str) -> Result<Json, String> {
-            parse(input)
-        }
-
-        pub fn as_u64(&self) -> Option<u64> {
-            match self {
-                Json::Num(raw) => raw.parse().ok(),
-                _ => None,
+/// Lossy conversion of a parsed JSON field into a trace [`Value`].
+fn json_to_value(json: &Json) -> Value {
+    match json {
+        Json::Num(raw) => {
+            if let Ok(u) = raw.parse::<u64>() {
+                Value::U64(u)
+            } else if raw.starts_with('-') && raw.parse::<i64>() == Ok(0) {
+                // `-0` is integer-parseable but would re-encode as
+                // `0`; keep the sign by staying in float space.
+                Value::F64(-0.0)
+            } else if let Ok(i) = raw.parse::<i64>() {
+                Value::I64(i)
+            } else {
+                Value::F64(raw.parse().unwrap_or(f64::NAN))
             }
         }
-
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Json::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        /// Lossy conversion into a trace field [`Value`].
-        pub fn to_value(&self) -> Value {
-            match self {
-                Json::Num(raw) => {
-                    if let Ok(u) = raw.parse::<u64>() {
-                        Value::U64(u)
-                    } else if raw.starts_with('-') && raw.parse::<i64>() == Ok(0) {
-                        // `-0` is integer-parseable but would re-encode as
-                        // `0`; keep the sign by staying in float space.
-                        Value::F64(-0.0)
-                    } else if let Ok(i) = raw.parse::<i64>() {
-                        Value::I64(i)
-                    } else {
-                        Value::F64(raw.parse().unwrap_or(f64::NAN))
-                    }
-                }
-                Json::Str(s) => Value::Str(s.clone()),
-                Json::Bool(b) => Value::Bool(*b),
-                Json::Obj(_) | Json::Arr(_) | Json::Null => Value::Str(String::new()),
-            }
-        }
-    }
-
-    pub fn parse(input: &str) -> Result<Json, String> {
-        let bytes = input.as_bytes();
-        let mut pos = 0usize;
-        let v = value(bytes, &mut pos, 0)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing bytes at offset {pos}"));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-            *pos += 1;
-        }
-    }
-
-    fn value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
-        skip_ws(b, pos);
-        if depth >= MAX_DEPTH {
-            return Err(format!(
-                "nesting deeper than {MAX_DEPTH} levels at offset {pos}"
-            ));
-        }
-        match b.get(*pos) {
-            Some(b'{') => object(b, pos, depth),
-            Some(b'[') => array(b, pos, depth),
-            Some(b'"') => Ok(Json::Str(string(b, pos)?)),
-            Some(b't') => literal(b, pos, "true", Json::Bool(true)),
-            Some(b'f') => literal(b, pos, "false", Json::Bool(false)),
-            Some(b'n') => literal(b, pos, "null", Json::Null),
-            Some(c) if c.is_ascii_digit() || *c == b'-' => number(b, pos),
-            _ => Err(format!("unexpected byte at offset {pos}")),
-        }
-    }
-
-    fn literal(b: &[u8], pos: &mut usize, lit: &str, v: Json) -> Result<Json, String> {
-        if b[*pos..].starts_with(lit.as_bytes()) {
-            *pos += lit.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at offset {pos}"))
-        }
-    }
-
-    fn number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-        let start = *pos;
-        if b.get(*pos) == Some(&b'-') {
-            *pos += 1;
-        }
-        while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') {
-            *pos += 1;
-        }
-        let raw = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
-        raw.parse::<f64>()
-            .map_err(|_| format!("bad number `{raw}` at offset {start}"))?;
-        Ok(Json::Num(raw.to_string()))
-    }
-
-    fn string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-        // Callers dispatch here on a leading quote; verify rather than
-        // assert so no call path can turn a logic slip into a panic.
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected string at offset {pos}"));
-        }
-        *pos += 1;
-        let mut out = String::new();
-        loop {
-            match b.get(*pos) {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    *pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    *pos += 1;
-                    match b.get(*pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = b.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            *pos += 4;
-                        }
-                        _ => return Err("bad escape".into()),
-                    }
-                    *pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                    let Some(c) = rest.chars().next() else {
-                        return Err("unterminated string".into());
-                    };
-                    out.push(c);
-                    *pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn object(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
-        *pos += 1; // {
-        let mut map = BTreeMap::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&b'}') {
-            *pos += 1;
-            return Ok(Json::Obj(map));
-        }
-        loop {
-            skip_ws(b, pos);
-            if b.get(*pos) != Some(&b'"') {
-                return Err(format!("expected object key at offset {pos}"));
-            }
-            let key = string(b, pos)?;
-            skip_ws(b, pos);
-            if b.get(*pos) != Some(&b':') {
-                return Err(format!("expected `:` at offset {pos}"));
-            }
-            *pos += 1;
-            let v = value(b, pos, depth + 1)?;
-            map.insert(key, v);
-            skip_ws(b, pos);
-            match b.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b'}') => {
-                    *pos += 1;
-                    return Ok(Json::Obj(map));
-                }
-                _ => return Err(format!("expected `,` or `}}` at offset {pos}")),
-            }
-        }
-    }
-
-    fn array(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
-        *pos += 1; // [
-        let mut items = Vec::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&b']') {
-            *pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(value(b, pos, depth + 1)?);
-            skip_ws(b, pos);
-            match b.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b']') => {
-                    *pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected `,` or `]` at offset {pos}")),
-            }
-        }
+        Json::Str(s) => Value::Str(s.clone()),
+        Json::Bool(b) => Value::Bool(*b),
+        Json::Obj(_) | Json::Arr(_) | Json::Null => Value::Str(String::new()),
     }
 }
 
@@ -597,44 +357,6 @@ mod tests {
         assert!(TraceEvent::from_json("{not json").is_err());
         assert!(TraceEvent::from_json("[1,2]").is_err());
         assert!(TraceEvent::from_json("{\"seq\":1}").is_err());
-    }
-
-    #[test]
-    fn deep_nesting_is_a_typed_error_not_a_stack_overflow() {
-        // 100k opening brackets used to recurse once per bracket.
-        let bomb = "[".repeat(100_000);
-        let err = Json::parse(&bomb).unwrap_err();
-        assert!(err.contains("nesting deeper than"), "{err}");
-
-        let obj_bomb = "{\"k\":".repeat(100_000);
-        let err = Json::parse(&obj_bomb).unwrap_err();
-        assert!(err.contains("nesting deeper than"), "{err}");
-
-        // Realistic depth stays accepted (writer emits ≤ 2 levels).
-        let nested = format!("{}1{}", "[".repeat(20), "]".repeat(20));
-        assert!(Json::parse(&nested).is_ok());
-    }
-
-    #[test]
-    fn json_parse_never_panics_on_malformed_input() {
-        for s in [
-            "",
-            "\"",
-            "\"\\",
-            "\"\\u12",
-            "\"\\u12zz\"",
-            "{\"a\"",
-            "{\"a\":",
-            "[1,",
-            "-",
-            "1e",
-            "truf",
-            "nul",
-            "\u{fffd}",
-            "{\"a\":1}x",
-        ] {
-            assert!(Json::parse(s).is_err(), "accepted {s:?}");
-        }
     }
 
     #[test]

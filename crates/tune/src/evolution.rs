@@ -2,7 +2,7 @@
 //!
 //! §III-B2: applications whose evaluation takes only minutes "can use
 //! other optimization techniques such as evolutionary algorithms". Batch
-//! metaheuristics (e2c-optim's GA/DE/...) need the objective inline; this
+//! metaheuristics (e2c-optim's DE) need the objective inline; this
 //! adapter re-expresses a generational GA as a [`Searcher`] so the same
 //! parallel trial runner (and its concurrency limiter / scheduler stack)
 //! drives it.

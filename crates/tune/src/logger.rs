@@ -9,6 +9,7 @@
 //! a resumed run converges on the same bytes as an uninterrupted one.
 
 use crate::trial::Trial;
+use e2c_journal::json::{Escaped, Json};
 use std::fmt::Write as _;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -98,7 +99,7 @@ impl TrialLogger {
             .attempts
             .iter()
             .filter_map(|a| a.error.as_ref())
-            .map(|e| json_escape(&e.to_string()))
+            .map(|e| format!("\"{}\"", Escaped(&e.to_string())))
             .collect::<Vec<_>>()
             .join(",");
         format!(
@@ -114,48 +115,29 @@ impl TrialLogger {
     }
 
     /// Read back the `(id, status, value)` triples from `trials.jsonl`
-    /// with a minimal field scanner (enough to verify logs in tests and
-    /// to resume bookkeeping).
+    /// (enough to verify logs in tests and to resume bookkeeping). A
+    /// line that is not a JSON object with an integer `id` is
+    /// `InvalidData`; a `null` value reads as `None`.
     pub fn load_index(&self) -> io::Result<Vec<(u64, String, Option<f64>)>> {
         let text = std::fs::read_to_string(self.root.join("trials.jsonl"))?;
         let mut out = Vec::new();
         for line in text.lines() {
-            let grab = |key: &str| -> Option<String> {
-                let tag = format!("\"{key}\":");
-                let start = line.find(&tag)? + tag.len();
-                let rest = line.get(start..)?;
-                let end = rest.find([',', '}']).unwrap_or(rest.len());
-                Some(rest.get(..end)?.trim_matches('"').to_string())
+            let bad = |what: String| io::Error::new(io::ErrorKind::InvalidData, what);
+            let obj = match Json::parse(line) {
+                Ok(Json::Obj(obj)) => obj,
+                Ok(_) => return Err(bad("trial line is not a JSON object".into())),
+                Err(e) => return Err(bad(e)),
             };
-            let id: u64 = grab("id")
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad id"))?;
-            let status = grab("status").unwrap_or_default();
-            let value = grab("value").and_then(|s| s.parse::<f64>().ok());
-            out.push((id, status, value));
+            let id = obj
+                .get("id")
+                .and_then(Json::as_u64)
+                .ok_or_else(|| bad("bad id".into()))?;
+            let status = obj.get("status").and_then(Json::as_str).unwrap_or_default();
+            let value = obj.get("value").and_then(Json::as_f64);
+            out.push((id, status.to_string(), value));
         }
         Ok(out)
     }
-}
-
-/// Quote and escape an arbitrary string as a JSON string literal
-/// (failure reasons may carry panic payloads with quotes or newlines).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -262,12 +244,5 @@ mod tests {
         assert_eq!(a, b);
         std::fs::remove_dir_all(&append_dir).unwrap();
         std::fs::remove_dir_all(&rewrite_dir).unwrap();
-    }
-
-    #[test]
-    fn escape_handles_control_and_quote_chars() {
-        assert_eq!(json_escape("plain"), "\"plain\"");
-        assert_eq!(json_escape("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(json_escape("x\u{1}y"), "\"x\\u0001y\"");
     }
 }

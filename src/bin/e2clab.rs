@@ -117,7 +117,7 @@ use e2c_testbed::grid5000;
 use e2c_tune::FaultPlan;
 use plantnet::sim::{Experiment as EngineRun, ExperimentSpec};
 use plantnet::PoolConfig;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -418,44 +418,23 @@ fn run_replay_check(
             }
         }
     }
-    // Pairs of (label, file in run A, file in run B) to byte-compare.
-    let mut pairs: Vec<(String, PathBuf, PathBuf)> = ["evaluations.csv", "trials/trials.jsonl"]
-        .into_iter()
-        .map(|rel| (rel.to_string(), dir_a.join(rel), dir_b.join(rel)))
-        .collect();
+    let mut ok = compare_artifacts(
+        "",
+        &dir_a,
+        &dir_b,
+        &[
+            "evaluations.csv".to_string(),
+            "trials/trials.jsonl".to_string(),
+        ],
+    );
     if let (Some(ta), Some(tb)) = (&trace, &trace_b) {
         let mut rels = vec!["trace.jsonl".to_string(), "metrics.prom".to_string()];
-        if let Ok(read) = std::fs::read_dir(ta.join("cycles")) {
-            let mut names: Vec<String> = read
-                .flatten()
-                .filter_map(|e| e.file_name().into_string().ok())
-                .collect();
-            names.sort();
-            rels.extend(names.into_iter().map(|n| format!("cycles/{n}")));
-        }
-        for rel in rels {
-            pairs.push((format!("trace/{rel}"), ta.join(&rel), tb.join(&rel)));
-        }
-    }
-    let mut ok = true;
-    for (label, path_a, path_b) in pairs {
-        match (std::fs::read(path_a), std::fs::read(path_b)) {
-            (Ok(a), Ok(b)) if a == b => {
-                println!("replay-check: {label} identical ({} bytes)", a.len());
-            }
-            (Ok(a), Ok(b)) => {
-                eprintln!(
-                    "replay-check: {label} DIFFERS ({} vs {} bytes) — run is not replayable",
-                    a.len(),
-                    b.len()
-                );
-                ok = false;
-            }
-            (a, b) => {
-                eprintln!("replay-check: {label}: {:?} vs {:?}", a.err(), b.err());
-                ok = false;
-            }
-        }
+        rels.extend(
+            sorted_names(&ta.join("cycles"))
+                .into_iter()
+                .map(|n| format!("cycles/{n}")),
+        );
+        ok &= compare_artifacts("trace/", ta, tb, &rels);
     }
     let _ = std::fs::remove_dir_all(&dir_b);
     if let Some(tb) = &trace_b {
@@ -475,6 +454,50 @@ fn run_replay_check(
     } else {
         ExitCode::FAILURE
     }
+}
+
+/// File names directly under `dir`, sorted; empty when `dir` is missing.
+fn sorted_names(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .map(|read| {
+            read.flatten()
+                .filter_map(|e| e.file_name().into_string().ok())
+                .collect()
+        })
+        .unwrap_or_default();
+    names.sort();
+    names
+}
+
+/// The replay-check comparison: byte-compare each relative path under the
+/// two run roots, printing `identical` or `DIFFERS` per file (labelled
+/// `{prefix}{rel}`). True when every file exists in both runs and matches.
+fn compare_artifacts(prefix: &str, root_a: &Path, root_b: &Path, rels: &[String]) -> bool {
+    let mut ok = true;
+    for rel in rels {
+        let label = format!("{prefix}{rel}");
+        match (
+            std::fs::read(root_a.join(rel)),
+            std::fs::read(root_b.join(rel)),
+        ) {
+            (Ok(a), Ok(b)) if a == b => {
+                println!("replay-check: {label} identical ({} bytes)", a.len());
+            }
+            (Ok(a), Ok(b)) => {
+                eprintln!(
+                    "replay-check: {label} DIFFERS ({} vs {} bytes) — run is not replayable",
+                    a.len(),
+                    b.len()
+                );
+                ok = false;
+            }
+            (a, b) => {
+                eprintln!("replay-check: {label}: {:?} vs {:?}", a.err(), b.err());
+                ok = false;
+            }
+        }
+    }
+    ok
 }
 
 /// Run the serving loop twice — the second time into scratch dirs — and
@@ -502,41 +525,12 @@ fn run_serve_replay_check(cfg: &e2c_core::ServingConfig) -> ExitCode {
         }
     }
     let mut rels = vec!["serving.csv".to_string(), "trace.jsonl".to_string()];
-    if let Ok(read) = std::fs::read_dir(cfg.out_dir.join("epochs")) {
-        let mut names: Vec<String> = read
-            .flatten()
-            .filter_map(|e| e.file_name().into_string().ok())
-            .collect();
-        names.sort();
-        for name in names {
-            for file in ["evaluations.csv", "best.yaml", "trials/trials.jsonl"] {
-                rels.push(format!("epochs/{name}/{file}"));
-            }
+    for name in sorted_names(&cfg.out_dir.join("epochs")) {
+        for file in ["evaluations.csv", "best.yaml", "trials/trials.jsonl"] {
+            rels.push(format!("epochs/{name}/{file}"));
         }
     }
-    let mut ok = true;
-    for rel in rels {
-        match (
-            std::fs::read(cfg.out_dir.join(&rel)),
-            std::fs::read(dir_b.join(&rel)),
-        ) {
-            (Ok(a), Ok(b)) if a == b => {
-                println!("replay-check: {rel} identical ({} bytes)", a.len());
-            }
-            (Ok(a), Ok(b)) => {
-                eprintln!(
-                    "replay-check: {rel} DIFFERS ({} vs {} bytes) — run is not replayable",
-                    a.len(),
-                    b.len()
-                );
-                ok = false;
-            }
-            (a, b) => {
-                eprintln!("replay-check: {rel}: {:?} vs {:?}", a.err(), b.err());
-                ok = false;
-            }
-        }
-    }
+    let ok = compare_artifacts("", &cfg.out_dir, &dir_b, &rels);
     let _ = std::fs::remove_dir_all(&dir_b);
     if ok {
         println!("replay-check: PASS — serving run replays byte-identically");

@@ -70,9 +70,7 @@ pub mod optim {
     pub use e2c_optim::acquisition::Acquisition;
     pub use e2c_optim::bayes::BayesOpt;
     pub use e2c_optim::linalg;
-    pub use e2c_optim::metaheuristics::{
-        DifferentialEvolution, GeneticAlgorithm, Metaheuristic, ParticleSwarm, SimulatedAnnealing,
-    };
+    pub use e2c_optim::metaheuristics::{DifferentialEvolution, Metaheuristic};
     pub use e2c_optim::pareto::{Nsga2, ParetoSolution};
     pub use e2c_optim::problem::{OptimizationProblem, Sense};
     pub use e2c_optim::sampling::InitialDesign;

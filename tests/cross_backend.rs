@@ -70,12 +70,21 @@ fn both_backends_punish_starved_extract_pools() {
 #[test]
 fn rt_engine_response_has_sane_absolute_scale() {
     // A single uncontended client should take roughly the sum of service
-    // means (~1.3 model seconds) in both backends.
+    // means (~1.3 model seconds) in the DES. The real-thread side is
+    // checked by what it admitted, plus a lower bound only: sleeps can
+    // overrun under CPU contention but never finish early.
     let des = des_response(PoolConfig::baseline(), 1);
-    let rt = rt_run(PoolConfig::baseline(), 1).response.mean;
     assert!(
         (0.8..2.5).contains(&des),
         "DES single-client response {des}"
     );
-    assert!((0.8..3.5).contains(&rt), "RT single-client response {rt}");
+    let rt = rt_run(PoolConfig::baseline(), 1);
+    assert_eq!(rt.completed, 3);
+    assert_eq!(rt.peak_http, 1, "RT: one client held two HTTP slots");
+    assert_eq!(rt.peak_extract, 1, "RT: one client ran two inferences");
+    assert!(
+        rt.response.mean >= 0.8,
+        "RT single-client response {}",
+        rt.response.mean
+    );
 }
