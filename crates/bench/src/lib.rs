@@ -5,9 +5,10 @@
 //! 1. **The benchmark API** ([`harness`]): a public [`Benchmark`] trait, a
 //!    builder-style [`BenchRegistry`], and stable [`BenchReport`]
 //!    artifacts written as `BENCH_<name>.json`. The [`suite`] module
-//!    registers one benchmark per load-bearing path (DES event loop, full
-//!    Pl@ntNet run, Bayesian cycle, journal append/replay, wire codec,
-//!    detlint throughput, worker-farm dispatch overhead);
+//!    registers one benchmark per load-bearing path (DES event loop,
+//!    processor-sharing churn, full Pl@ntNet run, Bayesian cycle,
+//!    surrogate fit, journal append/replay, wire codec, detlint
+//!    throughput, worker-farm dispatch overhead, serving epoch);
 //!    [`default_registry`] wires them up and `e2clab bench` runs them, so
 //!    every PR can regenerate the performance trajectory.
 //! 2. **The paper harness**: one binary per table/figure of the paper
@@ -18,8 +19,7 @@
 //!    * `E2C_DURATION` — seconds per run (paper: 1380).
 //!
 //! The benchmark API honors `E2C_BENCH_WARMUP` / `E2C_BENCH_ITERS` the
-//! same way (see [`BenchPolicy::from_env`]). `cargo bench -p e2c-bench`
-//! additionally runs Criterion micro-benchmarks over the substrates.
+//! same way (see [`BenchPolicy::from_env`]).
 
 pub mod harness;
 pub mod suite;
@@ -27,7 +27,7 @@ pub mod suite;
 pub use harness::{BenchError, BenchPolicy, BenchRegistry, BenchReport, Benchmark, WallStats};
 pub use suite::{
     default_registry, BayesCycleBench, DesMm1Bench, JournalWalBench, JournalWireBench,
-    PlantnetRunBench, WorkerFarmOverheadBench,
+    PlantnetRunBench, ProcShareChurnBench, WorkerFarmOverheadBench,
 };
 
 use e2c_des::SimTime;

@@ -4,6 +4,9 @@
 //! * [`DesMm1Bench`] — the DES event loop: queue push/pop/cancel under an
 //!   M/M/1 workload with per-job timeouts (most timeouts are cancelled,
 //!   so the cancellation path is exercised as hard as scheduling).
+//! * [`ProcShareChurnBench`] — the engine's processor-sharing CPU model:
+//!   64 jobs started and drained completion by completion on a 40-core
+//!   [`ProcShare`].
 //! * [`PlantnetRunBench`] — a full 600 s simulated Pl@ntNet engine run at
 //!   the paper's 80-client workload.
 //! * [`BayesCycleBench`] — a 50-trial Bayesian optimization cycle
@@ -28,6 +31,7 @@
 //! `e2clab bench --filter smoke` (the CI job) runs them all.
 
 use crate::harness::{BenchPolicy, BenchRegistry, Benchmark};
+use e2c_des::resources::ProcShare;
 use e2c_des::{Context, Dist, Model, SimTime, Simulation};
 use e2c_optim::bayes::BayesOpt;
 use e2c_optim::space::Space;
@@ -45,6 +49,7 @@ use std::collections::VecDeque;
 pub fn default_registry() -> BenchRegistry {
     BenchRegistry::new()
         .register(DesMm1Bench::new())
+        .register(ProcShareChurnBench)
         .register(PlantnetRunBench::new())
         .register(BayesCycleBench::new())
         .register(SurrogateFitBench::new())
@@ -176,6 +181,46 @@ impl Benchmark for DesMm1Bench {
         sim.schedule(SimTime::ZERO, Mm1Ev::Arrive);
         // Drain fully (the arrival chain stops at the horizon).
         sim.run()
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Processor-sharing churn
+// ---------------------------------------------------------------------------
+
+/// Processor-sharing benchmark (`crates/des` resources): 64 jobs start
+/// 100 µs apart on a 40-core [`ProcShare`], then drain completion by
+/// completion — the start / next-completion / remove cycle the Pl@ntNet
+/// engine runs per request. One iteration repeats the churn 1 000 times;
+/// the workload is fixed, so the seed is unused.
+pub struct ProcShareChurnBench;
+
+impl Benchmark for ProcShareChurnBench {
+    fn name(&self) -> &'static str {
+        "procshare_churn"
+    }
+    fn tags(&self) -> &'static [&'static str] {
+        &["smoke", "des"]
+    }
+    fn policy(&self) -> BenchPolicy {
+        BenchPolicy::new(2, 7)
+    }
+    fn iter(&mut self, _round: u64) -> u64 {
+        let mut completed = 0;
+        for _ in 0..1_000 {
+            let mut cpu = ProcShare::cores(40.0);
+            let mut now = SimTime::ZERO;
+            for id in 0..64u64 {
+                cpu.start(now, id, 0.5, 1.0);
+                now += SimTime::from_micros(100);
+            }
+            while let Some((at, id)) = cpu.next_completion(now) {
+                now = at;
+                cpu.remove(now, id);
+                completed += 1;
+            }
+        }
+        completed
     }
 }
 
@@ -782,6 +827,7 @@ mod tests {
             reg.selected(),
             vec![
                 "des_mm1",
+                "procshare_churn",
                 "plantnet_600s",
                 "bayes_cycle50",
                 "surrogate_fit",
@@ -793,7 +839,7 @@ mod tests {
             ]
         );
         // Every suite benchmark answers the CI smoke filter.
-        assert_eq!(default_registry().with_filter("smoke").selected().len(), 9);
+        assert_eq!(default_registry().with_filter("smoke").selected().len(), 10);
     }
 
     #[test]
@@ -824,6 +870,11 @@ mod tests {
         let mut b = DetlintWorkspaceBench::new();
         b.setup(3);
         assert_eq!(a.iter(0), b.iter(0));
+    }
+
+    #[test]
+    fn procshare_churn_drains_every_job() {
+        assert_eq!(ProcShareChurnBench.iter(0), 64_000);
     }
 
     #[test]

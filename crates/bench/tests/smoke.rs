@@ -23,6 +23,7 @@ fn every_registered_benchmark_runs_under_the_smoke_filter() {
         names,
         vec![
             "des_mm1",
+            "procshare_churn",
             "plantnet_600s",
             "bayes_cycle50",
             "surrogate_fit",

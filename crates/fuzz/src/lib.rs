@@ -1,14 +1,14 @@
 //! # e2c-fuzz — deterministic fuzz + differential-test harness
 //!
-//! The repository hand-rolls seven codecs — the YAML-subset configuration
+//! The repository hand-rolls eight codecs — the YAML-subset configuration
 //! parser (`e2c-conf`), the tab-separated journal wire format
 //! (`e2c-tune`), the worker-farm stdio protocol (`e2c-tune`), the
 //! `--faults` plan grammar (`e2c-tune`), the JSON codec behind
 //! `trace.jsonl` and the benchmark reports (`e2c-journal::json`), the
-//! CRC-framed write-ahead log (`e2c-journal`) and the `lint.baseline`
-//! file (`detlint`). Each sits on a crash-recovery, reproducibility or
-//! gating path, where a panic on malformed bytes *is* data loss. This
-//! crate drives all seven with seeded byte mutation and checks three
+//! CRC-framed write-ahead log (`e2c-journal`), the `lint.baseline`
+//! file (`detlint`) and the `serving.wal` epoch rows (`e2c-core`). Each
+//! sits on a crash-recovery, reproducibility or gating path, where a
+//! panic on malformed bytes *is* data loss. This crate drives all eight with seeded byte mutation and checks three
 //! property classes:
 //!
 //! 1. **No panics** — feeding arbitrary bytes to a parser must return
@@ -16,8 +16,8 @@
 //!    a reported failure).
 //! 2. **Roundtrip identity** — whenever a parser *accepts* an input,
 //!    re-encoding must be byte-stable: for the strict journal wire,
-//!    `parse(line).to_line() == line`; for YAML, JSONL and `--faults`
-//!    plans, the second encode of `encode(decode(encode(v)))` equals the
+//!    `parse(line).to_line() == line`; for YAML, JSONL, `--faults`
+//!    plans and serving rows, the second encode of `encode(decode(encode(v)))` equals the
 //!    first. Comparing bytes (not values) keeps NaN-carrying events
 //!    honest. For `lint.baseline`, whose render sorts entries, the
 //!    property is on the entry multiset: `parse(render(parse(x))) ==
@@ -41,7 +41,7 @@ pub mod targets;
 pub use engine::{FailKind, SplitMix64};
 pub use targets::{
     ConfYamlTarget, DetlintBaselineTarget, FaultPlanTarget, JournalWalTarget, JournalWireTarget,
-    TraceJsonlTarget, WorkerWireTarget,
+    ServingRowTarget, TraceJsonlTarget, WorkerWireTarget,
 };
 
 use std::path::PathBuf;
@@ -315,7 +315,7 @@ impl FuzzRegistry {
     }
 }
 
-/// The registry with all seven codec targets, in dependency order.
+/// The registry with all eight codec targets, in dependency order.
 pub fn default_registry() -> FuzzRegistry {
     FuzzRegistry::new()
         .register(ConfYamlTarget::new())
@@ -325,6 +325,7 @@ pub fn default_registry() -> FuzzRegistry {
         .register(TraceJsonlTarget::new())
         .register(JournalWalTarget::new())
         .register(DetlintBaselineTarget::new())
+        .register(ServingRowTarget::new())
 }
 
 #[cfg(test)]

@@ -1,9 +1,10 @@
-//! The seven codec targets. Each pairs a deterministic input generator
+//! The eight codec targets. Each pairs a deterministic input generator
 //! (seed corpus + byte mutation) with the property checks its codec
 //! promises; see the crate docs for the three property classes.
 
 use crate::engine::{mutate, SplitMix64};
 use crate::FuzzTarget;
+use e2c_core::EpochRow;
 use e2c_trace::{EventKind, TraceEvent, Value as TraceValue};
 use e2c_tune::{FaultPlan, RunEvent, WireMsg};
 use std::collections::BTreeMap;
@@ -827,6 +828,112 @@ impl FuzzTarget for DetlintBaselineTarget {
     }
 }
 
+// ---------------------------------------------------------------------
+// serving_row — one `serving.wal` record (a rendered `serving.csv` row).
+// ---------------------------------------------------------------------
+
+/// A random float for a serving row: ordinary magnitudes plus NaN
+/// (a cycle whose trials all failed), the infinities, `-0` and extremes.
+fn random_row_f64(rng: &mut SplitMix64) -> f64 {
+    match rng.below(8) {
+        0 => f64::NAN,
+        1 => [
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+        ][rng.index(5)],
+        _ => (rng.next_u64() >> 11) as f64 / f64::from(1u32 << rng.below(24) as u32),
+    }
+}
+
+/// A random epoch row, rendered through the codec's own writer.
+fn random_epoch_row(rng: &mut SplitMix64) -> EpochRow {
+    let pool = |rng: &mut SplitMix64| rng.below(100) as u32;
+    let config = plantnet::PoolConfig {
+        http: pool(rng),
+        download: pool(rng),
+        simsearch: pool(rng),
+        extract: pool(rng),
+    };
+    let count = |rng: &mut SplitMix64| match rng.below(4) {
+        0 => rng.next_u64(),
+        _ => rng.below(100_000),
+    };
+    EpochRow {
+        epoch: rng.index(64),
+        label: format!("{}-{:02}", 2017 + rng.below(4), 1 + rng.below(12)),
+        rate: random_row_f64(rng),
+        config,
+        cost: random_row_f64(rng),
+        offered: count(rng),
+        admitted: count(rng),
+        rejected: count(rng),
+        shed: count(rng),
+        slo_violations: count(rng),
+        completed: count(rng),
+        response_mean: random_row_f64(rng),
+        throughput: random_row_f64(rng),
+    }
+}
+
+/// Fuzzes [`EpochRow::from_csv`], the decoder `serve --resume` runs on
+/// every `serving.wal` record. No panics on arbitrary text, and every
+/// accepted row is a fixed point of its rendering: `to_csv(from_csv(x))`
+/// parses back and renders the same bytes. Bytes are compared, not
+/// rows, because `cost` may be NaN.
+pub struct ServingRowTarget;
+
+impl ServingRowTarget {
+    pub fn new() -> Self {
+        ServingRowTarget
+    }
+}
+
+impl Default for ServingRowTarget {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl FuzzTarget for ServingRowTarget {
+    fn name(&self) -> &'static str {
+        "serving_row"
+    }
+
+    fn tags(&self) -> &'static [&'static str] {
+        &["text", "smoke"]
+    }
+
+    fn generate(&mut self, rng: &mut SplitMix64) -> Vec<u8> {
+        match rng.below(5) {
+            0 | 1 => random_epoch_row(rng).to_csv().into_bytes(),
+            2 | 3 => {
+                let mut data = random_epoch_row(rng).to_csv().into_bytes();
+                mutate(rng, &mut data);
+                data
+            }
+            _ => random_text_soup(rng, 96),
+        }
+    }
+
+    fn check(&self, input: &[u8]) -> Result<(), String> {
+        let text = String::from_utf8_lossy(input);
+        let Ok(row) = EpochRow::from_csv(&text) else {
+            return Ok(());
+        };
+        let rendered = row.to_csv();
+        let again = EpochRow::from_csv(&rendered)
+            .map_err(|e| format!("accepted row renders unparseably: {e}"))?
+            .to_csv();
+        if again != rendered {
+            return Err(format!("rendering is not stable: {rendered:?} → {again:?}"));
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -916,6 +1023,23 @@ mod tests {
     #[test]
     fn detlint_baseline_smoke() {
         exercise(&mut DetlintBaselineTarget::new(), 300);
+    }
+
+    #[test]
+    fn serving_row_smoke() {
+        exercise(&mut ServingRowTarget::new(), 300);
+    }
+
+    #[test]
+    fn row_generator_writes_accepted_rows_with_nan_costs() {
+        let mut rng = SplitMix64::new(41);
+        let mut nan = 0;
+        for _ in 0..200 {
+            let row = EpochRow::from_csv(&random_epoch_row(&mut rng).to_csv())
+                .expect("the generator writes accepted rows");
+            nan += usize::from(row.cost.is_nan());
+        }
+        assert!(nan > 0, "generator never emitted a NaN cost");
     }
 
     #[test]

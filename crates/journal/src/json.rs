@@ -199,14 +199,18 @@ fn string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar.
-                let rest = std::str::from_utf8(b.get(*pos..).unwrap_or_default())
-                    .map_err(|e| e.to_string())?;
-                let Some(c) = rest.chars().next() else {
-                    return Err("unterminated string".into());
-                };
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the unescaped run up to the next quote or
+                // backslash. Both are ASCII, so the run ends on a char
+                // boundary and validating it costs only its own length:
+                // the whole string decodes in linear time.
+                let rest = b.get(*pos..).unwrap_or_default();
+                let len = rest
+                    .iter()
+                    .position(|&c| c == b'"' || c == b'\\')
+                    .unwrap_or(rest.len());
+                let run = rest.get(..len).unwrap_or_default();
+                out.push_str(std::str::from_utf8(run).map_err(|e| e.to_string())?);
+                *pos += len;
             }
         }
     }
@@ -291,6 +295,33 @@ mod tests {
             let doc = format!("\"{}\"", Escaped(s));
             assert_eq!(Json::parse(&doc).unwrap(), Json::Str(s.to_string()));
         }
+    }
+
+    #[test]
+    fn multi_byte_chars_next_to_escapes_and_at_the_end() {
+        for (doc, want) in [
+            (r#""é\n€""#, "é\n€"),
+            (r#""\u00e9日本\t""#, "é日本\t"),
+            (r#""\"😀\\""#, "\"😀\\"),
+            (r#""tail 😀""#, "tail 😀"),
+            (r#""ü""#, "ü"),
+        ] {
+            assert_eq!(Json::parse(doc), Ok(Json::Str(want.into())), "{doc}");
+        }
+        for doc in ["\"😀", "\"é\\", "\"日本\\u00"] {
+            assert!(Json::parse(doc).is_err(), "accepted {doc:?}");
+        }
+    }
+
+    #[test]
+    fn long_strings_decode_in_linear_time() {
+        // 64k two-byte chars with an escape every 64: quadratic
+        // re-validation of the tail would take billions of byte checks.
+        let s: String = (0..1 << 16)
+            .map(|i| if i % 64 == 0 { '\n' } else { 'é' })
+            .collect();
+        let doc = format!("\"{}\"", Escaped(&s));
+        assert_eq!(Json::parse(&doc).unwrap(), Json::Str(s));
     }
 
     #[test]

@@ -13,10 +13,12 @@
 //! e2clab optimize [--repeat N] [--duration SECS] [--seed S]
 //!                 [--archive DIR] [--faults SPEC] [--trace DIR]
 //!                 [--replay-check] [--journal DIR | --resume DIR]
-//!                 [--crash-at N] <conf.yaml>
+//!                 [--crash-at N] [--workers N] [--kill-worker W@N]
+//!                 <conf.yaml>
 //!     Run the optimization cycle of the configuration's `optimization`
 //!     section against the Pl@ntNet engine model and print the Phase III
-//!     summary. `--faults` injects deterministic trial failures for
+//!     summary. `--repeat` and `--duration` must be at least 1.
+//!     `--faults` injects deterministic trial failures for
 //!     testing the retry layer, e.g.
 //!     `--faults "fail:2@0;delay:4:500;nan:5"` (fail trial 2's first
 //!     attempt, delay trial 4 by 500 ms, make trial 5 return NaN).
@@ -95,30 +97,48 @@
 //!     set. `--format json|sarif` emits machine-readable output (byte-
 //!     stable, fixed key order); `--out FILE` writes it atomically via
 //!     the journal crate's write-rename path while the text summary still
-//!     goes to stdout.
+//!     goes to stdout. `--config` may be given more than once; the files
+//!     apply in order.
 //! e2clab bench [--filter PAT] [--out DIR] [--iters N] [--warmup N]
 //!              [--seed S] [--list]
-//!     Run the registered benchmark suite (DES event loop, Pl@ntNet 600 s
-//!     run, 50-trial Bayesian cycle, journal WAL append/replay, journal
-//!     wire encode/decode) and write one `BENCH_<name>.json` report per
-//!     benchmark to `--out` (default: current directory). `--filter`
-//!     selects by name substring or exact tag (`smoke` matches every
-//!     registered benchmark); `--iters`/`--warmup` override each
-//!     benchmark's measurement policy (as do the `E2C_BENCH_ITERS` /
-//!     `E2C_BENCH_WARMUP` environment variables); `--list` prints the
-//!     selected names without running anything.
+//!     Run the registered benchmark suite (DES event loop, processor-
+//!     sharing churn, Pl@ntNet 600 s run, 50-trial Bayesian cycle,
+//!     surrogate fit + batch prediction, journal WAL append/replay,
+//!     journal wire encode/decode, detlint workspace scan, worker-farm
+//!     dispatch overhead, one overloaded serving epoch) and write one
+//!     `BENCH_<name>.json` report per benchmark to `--out` (default:
+//!     current directory). `--filter` selects by name substring or exact
+//!     tag (`smoke` matches every registered benchmark);
+//!     `--iters`/`--warmup` override each benchmark's measurement policy
+//!     (as do the `E2C_BENCH_ITERS` / `E2C_BENCH_WARMUP` environment
+//!     variables); `--list` prints the selected names without running
+//!     anything.
+//! e2clab fuzz [--codec NAME] [--iters N] [--seed S] [--out DIR] [--list]
+//!     Fuzz the hand-rolled codecs (YAML conf, journal wire, worker
+//!     frames, `--faults` plans, trace JSON, WAL, `lint.baseline`,
+//!     `serving.wal` rows) with seeded byte mutation, checking no-panic,
+//!     roundtrip and differential properties. `--codec` selects by name
+//!     substring or exact tag; a failure prints a reproduce command and
+//!     writes the minimized input to `DIR/FUZZ_<name>.crash`.
 //! ```
 
-use e2c_conf::schema::ExperimentConf;
+use e2c_conf::schema::{ExperimentConf, OptimizationConf};
 use e2c_core::experiment::Experiment;
-use e2c_core::optimization::{JournalConfig, OptimizationManager};
+use e2c_core::optimization::{
+    EvalContext, JournalConfig, OptimizationManager, OptimizationSummary,
+};
+use e2c_core::ServingConfig;
 use e2c_des::SimTime;
 use e2c_testbed::grid5000;
-use e2c_tune::FaultPlan;
+use e2c_tune::{FarmSpec, FaultPlan};
 use plantnet::sim::{Experiment as EngineRun, ExperimentSpec};
 use plantnet::PoolConfig;
+use std::collections::BTreeMap;
+use std::fmt::Display;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -141,20 +161,192 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-/// Workspace root for `lint` when no explicit path is given: the compiled
-/// source tree if it still exists (dev checkout), otherwise the current
-/// directory.
-fn workspace_root() -> PathBuf {
-    // The binary lives in the workspace's root package, so its manifest
-    // directory IS the workspace root.
-    let compiled = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    if compiled.join("Cargo.toml").is_file() {
-        // Canonicalize so report labels are workspace-relative.
-        compiled.canonicalize().unwrap_or(compiled)
-    } else {
-        PathBuf::from(".")
+/// Why a subcommand stopped early.
+enum Exit {
+    /// A malformed command line: exits 2 with the usage text.
+    Usage(String),
+    /// A run-time failure: exits 1.
+    Failed(String),
+}
+
+impl From<String> for Exit {
+    fn from(msg: String) -> Exit {
+        Exit::Usage(msg)
     }
 }
+
+impl From<&str> for Exit {
+    fn from(msg: &str) -> Exit {
+        Exit::Usage(msg.to_string())
+    }
+}
+
+fn failed(msg: impl Display) -> Exit {
+    Exit::Failed(msg.to_string())
+}
+
+/// A run-time failure about `path`.
+fn failed_at(path: &Path, e: impl Display) -> Exit {
+    failed(format!("{}: {e}", path.display()))
+}
+
+/// A subcommand's result: its exit code, or why it stopped early.
+type Outcome = Result<ExitCode, Exit>;
+
+/// Print why a subcommand stopped, if it did, and pick the exit code.
+fn exit_code(outcome: Outcome) -> ExitCode {
+    match outcome {
+        Ok(code) => code,
+        Err(Exit::Usage(msg)) => {
+            eprintln!("{msg}");
+            usage()
+        }
+        Err(Exit::Failed(msg)) => {
+            eprintln!("{msg}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+// ---------------------------------------------------------------------------
+// Flags
+// ---------------------------------------------------------------------------
+
+/// One subcommand's flag table: the flags that take a value, the
+/// switches, and whether a bare (non-`--`) argument is accepted.
+struct FlagSpec {
+    /// Value-taking flags, space-separated.
+    values: &'static str,
+    /// Switches, space-separated.
+    switches: &'static str,
+    positional: bool,
+}
+
+/// A command line split by its [`FlagSpec`]. Values keep their order; a
+/// flag given twice reads as its last value, and so does a repeated
+/// positional.
+#[derive(Debug, Default)]
+struct Flags {
+    values: Vec<(&'static str, String)>,
+    switches: Vec<&'static str>,
+    positional: Option<String>,
+}
+
+impl FlagSpec {
+    /// Split `args` by this table. A value flag takes the next argument
+    /// verbatim; a flag missing its value, an unknown flag, or a bare
+    /// argument where none is accepted is an error naming it.
+    fn parse(&self, args: &[String]) -> Result<Flags, String> {
+        let mut flags = Flags::default();
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            if let Some(name) = self.values.split_whitespace().find(|&f| f == arg) {
+                let value = it.next().ok_or_else(|| format!("{name} needs a value"))?;
+                flags.values.push((name, value.clone()));
+            } else if let Some(name) = self.switches.split_whitespace().find(|&f| f == arg) {
+                flags.switches.push(name);
+            } else if self.positional && !arg.starts_with("--") {
+                flags.positional = Some(arg.clone());
+            } else {
+                return Err(format!("unknown flag {arg}"));
+            }
+        }
+        Ok(flags)
+    }
+}
+
+impl Flags {
+    /// Every value given for `flag`, in command-line order.
+    fn all(&self, flag: &'static str) -> impl Iterator<Item = &str> {
+        self.values
+            .iter()
+            .filter(move |(f, _)| *f == flag)
+            .map(|(_, v)| v.as_str())
+    }
+
+    fn raw(&self, flag: &'static str) -> Option<&str> {
+        self.all(flag).last()
+    }
+
+    fn switch(&self, flag: &'static str) -> bool {
+        self.switches.contains(&flag)
+    }
+
+    fn path(&self, flag: &'static str) -> Option<PathBuf> {
+        self.raw(flag).map(PathBuf::from)
+    }
+
+    /// `flag`'s value read by `parse`; its error becomes `{flag}: {e}`.
+    fn parsed<T, E: Display>(
+        &self,
+        flag: &'static str,
+        parse: impl FnOnce(&str) -> Result<T, E>,
+    ) -> Result<Option<T>, String> {
+        self.raw(flag)
+            .map(|v| parse(v).map_err(|e| format!("{flag}: {e}")))
+            .transpose()
+    }
+
+    fn opt<T: FromStr>(&self, flag: &'static str) -> Result<Option<T>, String> {
+        self.parsed(flag, |v| {
+            v.parse::<T>().map_err(|_| format!("invalid value `{v}`"))
+        })
+    }
+
+    fn get<T: FromStr>(&self, flag: &'static str, default: T) -> Result<T, String> {
+        Ok(self.opt(flag)?.unwrap_or(default))
+    }
+
+    /// [`Flags::get`] for a count that must be at least 1.
+    fn positive<T: FromStr + Default + PartialEq>(
+        &self,
+        flag: &'static str,
+        default: T,
+    ) -> Result<T, String> {
+        let v = self.get(flag, default)?;
+        if v == T::default() {
+            return Err(format!("{flag} must be at least 1"));
+        }
+        Ok(v)
+    }
+}
+
+/// Parse `args` by `spec` and run `cmd` on the flags.
+fn with_flags(spec: &FlagSpec, args: &[String], cmd: fn(&Flags) -> Outcome) -> ExitCode {
+    exit_code(spec.parse(args).map_err(Exit::Usage).and_then(|f| cmd(&f)))
+}
+
+/// The crash-safety flags `optimize` and `serve` share, checked once:
+/// `--journal` and `--resume` are exclusive, the crash knobs need one of
+/// them, and `--replay-check` excludes both.
+fn journal_conf(flags: &Flags) -> Result<Option<JournalConfig>, String> {
+    let journal = match (flags.path("--journal"), flags.path("--resume")) {
+        (Some(_), Some(_)) => return Err("--journal and --resume are mutually exclusive".into()),
+        (Some(dir), None) => JournalConfig::fresh(dir),
+        (None, Some(dir)) => JournalConfig::resume(dir),
+        (None, None) => {
+            return match ["--crash-at", "--crash-at-epoch"]
+                .into_iter()
+                .find(|&knob| flags.raw(knob).is_some())
+            {
+                Some(knob) => Err(format!("{knob} needs --journal or --resume")),
+                None => Ok(None),
+            };
+        }
+    };
+    if flags.switch("--replay-check") {
+        return Err("--replay-check cannot be combined with --journal/--resume".into());
+    }
+    Ok(Some(journal.crash_after(flags.opt("--crash-at")?)))
+}
+
+// ---------------------------------------------------------------------------
+// The engine objective
+// ---------------------------------------------------------------------------
 
 /// Workload knobs shared by every evaluation of a cycle (the engine run
 /// behind the objective).
@@ -165,64 +357,120 @@ struct CycleSpec {
     clients: usize,
 }
 
-/// Run one full optimization cycle. With a trace directory this wires a
-/// fresh [`e2c_trace::Tracer`] through the manager, tuner, scheduler and
-/// the Pl@ntNet engine, then exports `trace.jsonl`, a cycle-level
-/// `metrics.prom` and one `cycles/cycle_<trial>.prom` snapshot per trial.
-#[allow(clippy::too_many_arguments)]
-fn run_cycle(
-    opt_conf: &e2c_conf::schema::OptimizationConf,
-    seed: u64,
-    faults: &FaultPlan,
-    archive: Option<PathBuf>,
-    trace_dir: Option<&std::path::Path>,
-    spec: CycleSpec,
-    journal: Option<JournalConfig>,
-    farm: Option<e2c_tune::FarmSpec>,
-) -> Result<e2c_core::optimization::OptimizationSummary, String> {
-    let tracer = trace_dir.map(|_| e2c_trace::Tracer::new());
-    if let Some(dir) = trace_dir {
+/// What one engine evaluation yields: the objective value, the trial's
+/// completed-request count and, when traced, its per-trial Prometheus
+/// snapshot.
+struct Evaluation {
+    mean: f64,
+    completed: f64,
+    prom: Option<String>,
+}
+
+impl CycleSpec {
+    /// Run the Pl@ntNet engine on `point` for `trial` — the one engine
+    /// evaluation, shared by the in-process objective and `e2clab worker`.
+    /// Engine events go through `tracer`: under concurrent execution it is
+    /// a per-trial buffer the commit sequencer splices into the run trace
+    /// in canonical order. A traced evaluation also renders its
+    /// repetitions, concatenated on one time axis, as Prometheus text.
+    fn evaluate(&self, point: &[f64], trial: u64, tracer: Option<e2c_trace::Tracer>) -> Evaluation {
+        let traced = tracer.is_some();
+        let mut espec = ExperimentSpec::paper(PoolConfig::from_point(point), self.clients);
+        espec.duration = SimTime::from_secs(self.duration);
+        espec.warmup = SimTime::from_secs((self.duration / 10).min(60));
+        let metrics = EngineRun::run_repeated_traced(espec, self.repeat, 1000 + trial, tracer);
+        let prom = traced.then(|| {
+            let mut merged = e2c_metrics::Registry::new();
+            for (rep, run) in metrics.runs.iter().enumerate() {
+                merged.append_shifted(&run.registry, (rep as u64 * self.duration) as f64);
+            }
+            let mut buf = Vec::new();
+            let _ = merged.write_prometheus(&mut buf);
+            String::from_utf8_lossy(&buf).into_owned()
+        });
+        Evaluation {
+            mean: metrics.response.mean,
+            completed: metrics.runs.iter().map(|r| r.completed).sum::<u64>() as f64,
+            prom,
+        }
+    }
+}
+
+impl Evaluation {
+    /// The aux pairs a worker ships back to the parent, which owns the
+    /// trace directory; empty when untraced. f64 `Display` round-trips
+    /// exactly through `parse`, so the parent re-renders identical bytes.
+    fn into_aux(self) -> Vec<(String, String)> {
+        let Some(prom) = self.prom else {
+            return Vec::new();
+        };
+        vec![
+            ("mean".to_string(), self.mean.to_string()),
+            ("completed".to_string(), self.completed.to_string()),
+            ("prom".to_string(), prom),
+        ]
+    }
+
+    fn from_aux(aux: &[(String, String)]) -> Option<Evaluation> {
+        let field = |name: &str| aux.iter().find(|(k, _)| k == name).map(|(_, v)| v.as_str());
+        Some(Evaluation {
+            mean: field("mean")?.parse().ok()?,
+            completed: field("completed")?.parse().ok()?,
+            prom: field("prom").map(str::to_owned),
+        })
+    }
+}
+
+/// Where a traced cycle lands each trial's side artifacts: the
+/// `cycles/cycle_NNNN.prom` snapshot, the sample behind `metrics.prom`
+/// and, for journaled runs, its `samples.wal` record. The in-process
+/// objective and the farm's aux hook both land here, so a farmed run's
+/// artifacts are byte-identical to an in-process one.
+struct TrialSink {
+    dir: PathBuf,
+    /// `(response mean, completed requests)` keyed by trial id. A map
+    /// rather than a Registry because concurrent workers finish trials
+    /// out of order, while a TimeSeries only accepts in-order appends —
+    /// the registry is built from the sorted map after the run, which
+    /// also keeps `metrics.prom` deterministic under concurrency.
+    samples: Mutex<BTreeMap<u64, (f64, f64)>>,
+    /// Journaled runs persist the samples in a side WAL: completed trials
+    /// are not re-evaluated on resume, yet `metrics.prom` must still
+    /// cover them. Records are `trial\tmean\tcompleted`.
+    wal: Option<Mutex<e2c_journal::Wal>>,
+}
+
+impl TrialSink {
+    fn open(dir: &Path, journal: Option<&JournalConfig>) -> Result<TrialSink, String> {
         std::fs::create_dir_all(dir.join("cycles"))
             .map_err(|e| format!("--trace {}: {e}", dir.display()))?;
-    }
-    // Cycle-level samples keyed by trial id. Collected in a map rather
-    // than a Registry because concurrent workers finish trials out of
-    // order, while a TimeSeries only accepts in-order appends — the
-    // registry is built from the sorted map after the run, which also
-    // keeps `metrics.prom` deterministic under concurrency. Shared (Arc)
-    // between the in-process objective and the farm's aux hook — farmed
-    // runs must land their samples in exactly the same map.
-    let cycle_samples =
-        std::sync::Arc::new(std::sync::Mutex::new(std::collections::BTreeMap::new()));
-    // Journaled + traced runs persist the per-trial samples in a side WAL
-    // (`samples.wal`): completed trials are not re-evaluated on resume,
-    // yet `metrics.prom` must still cover them.
-    let samples_wal = match (&journal, trace_dir) {
-        (Some(jc), Some(_)) => {
-            let path = jc.dir.join("samples.wal");
-            let wal = if jc.resume && path.is_file() {
+        let mut samples = BTreeMap::new();
+        let wal = match journal {
+            None => None,
+            Some(jc) if jc.resume && jc.dir.join("samples.wal").is_file() => {
+                let path = jc.dir.join("samples.wal");
                 let (wal, records) = e2c_journal::Wal::open(&path)
                     .map_err(|e| format!("--resume: open {}: {e}", path.display()))?;
-                let mut map = cycle_samples
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
                 for (i, rec) in records.iter().enumerate() {
                     let line = std::str::from_utf8(rec)
                         .map_err(|e| format!("samples.wal record {i}: not UTF-8: {e}"))?;
                     let mut parts = line.split('\t');
-                    let (trial, mean, completed) = (|| {
+                    let sample = (|| {
+                        let trial = parts.next()?.parse::<u64>().ok()?;
                         Some((
-                            parts.next()?.parse::<u64>().ok()?,
-                            parts.next()?.parse::<f64>().ok()?,
-                            parts.next()?.parse::<f64>().ok()?,
+                            trial,
+                            (parts.next()?.parse().ok()?, parts.next()?.parse().ok()?),
                         ))
-                    })()
-                    .ok_or_else(|| format!("samples.wal record {i}: malformed: {line:?}"))?;
-                    map.insert(trial, (mean, completed));
+                    })();
+                    let (trial, sample) = sample
+                        .ok_or_else(|| format!("samples.wal record {i}: malformed: {line:?}"))?;
+                    samples.insert(trial, sample);
                 }
-                wal
-            } else {
-                e2c_journal::Wal::create(&path).map_err(|e| {
+                Some(Mutex::new(wal))
+            }
+            Some(jc) => {
+                let path = jc.dir.join("samples.wal");
+                let wal = e2c_journal::Wal::create(&path).map_err(|e| {
                     if e.kind() == std::io::ErrorKind::AlreadyExists {
                         format!(
                             "--journal: {} already exists — use --resume to continue it",
@@ -231,144 +479,124 @@ fn run_cycle(
                     } else {
                         format!("--journal: create {}: {e}", path.display())
                     }
-                })?
-            };
-            Some(std::sync::Arc::new(std::sync::Mutex::new(wal)))
-        }
-        _ => None,
-    };
-    let trace_out = trace_dir.map(std::path::Path::to_path_buf);
-    let obj_trace_out = trace_out.clone();
-    let samples = std::sync::Arc::clone(&cycle_samples);
-    let samples_wal_obj = samples_wal.clone();
-    let objective = move |ctx: &e2c_core::optimization::EvalContext| {
-        let trace_out = &obj_trace_out;
-        let samples_wal = &samples_wal_obj;
-        let cfg = PoolConfig::from_point(&ctx.point);
-        let mut espec = ExperimentSpec::paper(cfg, spec.clients);
-        espec.duration = SimTime::from_secs(spec.duration);
-        espec.warmup = SimTime::from_secs((spec.duration / 10).min(60));
-        // Engine events go through the evaluation's own trace handle:
-        // under concurrent execution it is a per-trial buffer the commit
-        // sequencer splices into the run trace in canonical order.
-        let metrics = EngineRun::run_repeated_traced(
-            espec,
-            spec.repeat,
-            1000 + ctx.trial_id,
-            ctx.tracer.clone(),
-        );
-        if let Some(dir) = &trace_out {
-            // Per-trial engine snapshot: repetitions concatenated on one
-            // time axis, exported in Prometheus text form.
-            let mut merged = e2c_metrics::Registry::new();
-            for (rep, run) in metrics.runs.iter().enumerate() {
-                merged.append_shifted(&run.registry, (rep as u64 * spec.duration) as f64);
+                })?;
+                Some(Mutex::new(wal))
             }
-            let mut buf = Vec::new();
-            let _ = merged.write_prometheus(&mut buf);
-            let path = dir
+        };
+        Ok(TrialSink {
+            dir: dir.to_path_buf(),
+            samples: Mutex::new(samples),
+            wal,
+        })
+    }
+
+    fn land(&self, trial: u64, ev: &Evaluation) {
+        if let Some(prom) = &ev.prom {
+            let path = self
+                .dir
                 .join("cycles")
-                .join(format!("cycle_{:04}.prom", ctx.trial_id));
-            if let Err(e) = e2c_journal::write_atomic(&path, &buf) {
+                .join(format!("cycle_{trial:04}.prom"));
+            if let Err(e) = e2c_journal::write_atomic(&path, prom.as_bytes()) {
                 eprintln!("trace: {}: {e}", path.display());
             }
-            let completed = metrics.runs.iter().map(|r| r.completed).sum::<u64>();
-            samples
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .insert(ctx.trial_id, (metrics.response.mean, completed as f64));
-            if let Some(wal) = samples_wal {
-                let line = format!(
-                    "{}\t{}\t{}",
-                    ctx.trial_id, metrics.response.mean, completed as f64
-                );
-                if let Err(e) = wal
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .append(line.as_bytes())
-                {
-                    eprintln!("samples.wal: {e}");
-                }
+        }
+        lock(&self.samples).insert(trial, (ev.mean, ev.completed));
+        if let Some(wal) = &self.wal {
+            let line = format!("{trial}\t{}\t{}", ev.mean, ev.completed);
+            if let Err(e) = lock(wal).append(line.as_bytes()) {
+                eprintln!("samples.wal: {e}");
             }
         }
-        metrics.response.mean
-    };
-    let mut manager = OptimizationManager::new(opt_conf.clone())
-        .with_seed(seed)
-        .with_faults(faults.clone());
-    if let Some(dir) = archive {
-        manager = manager.with_archive(dir);
     }
-    if let Some(tr) = &tracer {
-        manager = manager.with_trace(tr.clone());
-    }
-    if let Some(jc) = journal {
-        manager = manager.with_journal(jc);
-    }
-    if let Some(spec) = farm {
-        // Multi-process execution: the engine runs in `e2clab worker`
-        // children; this hook lands each result's side artifacts exactly
-        // where the in-process objective would have written them, so a
-        // farmed run's outputs are byte-identical to an in-process one.
-        manager = manager.with_farm(spec);
-        let trace_out = trace_out.clone();
-        let samples = std::sync::Arc::clone(&cycle_samples);
-        let samples_wal = samples_wal.clone();
-        manager = manager.with_aux_hook(std::sync::Arc::new(
-            move |ctx: &e2c_core::optimization::EvalContext, aux: &[(String, String)]| {
-                let Some(dir) = &trace_out else { return };
-                let field =
-                    |name: &str| aux.iter().find(|(k, _)| k == name).map(|(_, v)| v.as_str());
-                if let Some(prom) = field("prom") {
-                    let path = dir
-                        .join("cycles")
-                        .join(format!("cycle_{:04}.prom", ctx.trial_id));
-                    if let Err(e) = e2c_journal::write_atomic(&path, prom.as_bytes()) {
-                        eprintln!("trace: {}: {e}", path.display());
-                    }
-                }
-                let mean = field("mean").and_then(|v| v.parse::<f64>().ok());
-                let completed = field("completed").and_then(|v| v.parse::<f64>().ok());
-                if let (Some(mean), Some(completed)) = (mean, completed) {
-                    samples
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .insert(ctx.trial_id, (mean, completed));
-                    if let Some(wal) = &samples_wal {
-                        let line = format!("{}\t{}\t{}", ctx.trial_id, mean, completed);
-                        if let Err(e) = wal
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner)
-                            .append(line.as_bytes())
-                        {
-                            eprintln!("samples.wal: {e}");
-                        }
-                    }
-                }
-            },
-        ));
-    }
-    let summary = manager.run(objective).map_err(|e| e.to_string())?;
-    if let (Some(tr), Some(dir)) = (&tracer, trace_dir) {
-        tr.save(&dir.join("trace.jsonl"))
-            .map_err(|e| format!("trace: {}: {e}", dir.display()))?;
+
+    /// Render the cycle-level `metrics.prom` from the landed samples.
+    fn write_metrics(&self) -> Result<(), String> {
         let mut registry = e2c_metrics::Registry::new();
-        for (&trial, &(mean, completed)) in cycle_samples
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .iter()
-        {
+        for (&trial, &(mean, completed)) in lock(&self.samples).iter() {
             let t = trial as f64;
             registry.record("objective_response_mean", t, mean);
             registry.record("trial_completed_requests", t, completed);
         }
         let mut buf = Vec::new();
         let _ = registry.write_prometheus(&mut buf);
-        e2c_journal::write_atomic(&dir.join("metrics.prom"), &buf)
-            .map_err(|e| format!("trace: {}: {e}", dir.display()))?;
+        e2c_journal::write_atomic(&self.dir.join("metrics.prom"), &buf)
+            .map_err(|e| format!("trace: {}: {e}", self.dir.display()))
     }
-    Ok(summary)
 }
+
+/// Everything one optimization cycle needs besides where its archive and
+/// trace go.
+struct Cycle {
+    opt_conf: OptimizationConf,
+    seed: u64,
+    faults: FaultPlan,
+    spec: CycleSpec,
+    journal: Option<JournalConfig>,
+    farm: Option<FarmSpec>,
+}
+
+impl Cycle {
+    /// Run the cycle. With a trace directory this wires a fresh
+    /// [`e2c_trace::Tracer`] through the manager, tuner, scheduler and
+    /// the Pl@ntNet engine, then exports `trace.jsonl`, a cycle-level
+    /// `metrics.prom` and one `cycles/cycle_<trial>.prom` per trial.
+    fn run(
+        &self,
+        archive: Option<PathBuf>,
+        trace_dir: Option<&Path>,
+    ) -> Result<OptimizationSummary, String> {
+        let sink = trace_dir
+            .map(|dir| TrialSink::open(dir, self.journal.as_ref()))
+            .transpose()?
+            .map(Arc::new);
+        let spec = self.spec;
+        let obj_sink = sink.clone();
+        let objective = move |ctx: &EvalContext| {
+            let ev = spec.evaluate(&ctx.point, ctx.trial_id, ctx.tracer.clone());
+            if let Some(sink) = &obj_sink {
+                sink.land(ctx.trial_id, &ev);
+            }
+            ev.mean
+        };
+        let tracer = sink.as_ref().map(|_| e2c_trace::Tracer::new());
+        let mut manager = OptimizationManager::new(self.opt_conf.clone())
+            .with_seed(self.seed)
+            .with_faults(self.faults.clone());
+        if let Some(dir) = archive {
+            manager = manager.with_archive(dir);
+        }
+        if let Some(tr) = &tracer {
+            manager = manager.with_trace(tr.clone());
+        }
+        if let Some(jc) = &self.journal {
+            manager = manager.with_journal(jc.clone());
+        }
+        if let Some(farm) = &self.farm {
+            // Multi-process execution: the engine runs in `e2clab worker`
+            // children, and this hook lands each result's side artifacts
+            // through the same sink as the in-process objective.
+            let sink = sink.clone();
+            manager = manager.with_farm(farm.clone()).with_aux_hook(Arc::new(
+                move |ctx: &EvalContext, aux: &[(String, String)]| {
+                    if let (Some(sink), Some(ev)) = (&sink, Evaluation::from_aux(aux)) {
+                        sink.land(ctx.trial_id, &ev);
+                    }
+                },
+            ));
+        }
+        let summary = manager.run(objective).map_err(|e| e.to_string())?;
+        if let (Some(tr), Some(sink)) = (&tracer, &sink) {
+            tr.save(&sink.dir.join("trace.jsonl"))
+                .map_err(|e| format!("trace: {}: {e}", sink.dir.display()))?;
+            sink.write_metrics()?;
+        }
+        Ok(summary)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Replay checks
+// ---------------------------------------------------------------------------
 
 /// Run the same seeded optimization twice at the configured concurrency
 /// (the commit sequencer orders effects canonically, so bit-exact replay
@@ -376,56 +604,31 @@ fn run_cycle(
 /// reproducibility artifacts of the two runs. With `--trace`, the trace
 /// artifacts (`trace.jsonl`, `metrics.prom`, `cycles/*.prom`) are diffed
 /// too.
-fn run_replay_check(
-    opt_conf: e2c_conf::schema::OptimizationConf,
-    seed: u64,
-    faults: FaultPlan,
-    archive: Option<PathBuf>,
-    trace: Option<PathBuf>,
-    spec: CycleSpec,
-) -> ExitCode {
-    let pid = std::process::id();
-    let dir_a = archive
-        .clone()
-        .unwrap_or_else(|| std::env::temp_dir().join(format!("e2clab-replay-a-{pid}")));
-    let dir_b = std::env::temp_dir().join(format!("e2clab-replay-b-{pid}"));
-    let _ = std::fs::remove_dir_all(&dir_b);
-    let trace_b = trace
-        .as_ref()
-        .map(|_| std::env::temp_dir().join(format!("e2clab-replay-trace-b-{pid}")));
-    if let Some(tb) = &trace_b {
-        let _ = std::fs::remove_dir_all(tb);
-    }
-    for (dir, tdir) in [(&dir_a, trace.as_deref()), (&dir_b, trace_b.as_deref())] {
-        match run_cycle(
-            &opt_conf,
-            seed,
-            &faults,
-            Some(dir.clone()),
-            tdir,
-            spec,
-            None,
-            None,
-        ) {
-            Ok(summary) => {
-                if dir == &dir_a {
-                    print!("{}", summary.render());
-                }
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
+fn run_replay_check(cycle: &Cycle, archive: Option<PathBuf>, trace: Option<PathBuf>) -> Outcome {
+    let scratch = |what: &str| {
+        std::env::temp_dir().join(format!("e2clab-replay-{what}-{}", std::process::id()))
+    };
+    let dir_a = archive.clone().unwrap_or_else(|| scratch("a"));
+    let dir_b = scratch("b");
+    let trace_b = trace.as_ref().map(|_| scratch("trace-b"));
+    let remove_b = || {
+        for dir in std::iter::once(&dir_b).chain(&trace_b) {
+            let _ = std::fs::remove_dir_all(dir);
         }
-    }
+    };
+    remove_b();
+    let summary = cycle
+        .run(Some(dir_a.clone()), trace.as_deref())
+        .map_err(failed)?;
+    print!("{}", summary.render());
+    cycle
+        .run(Some(dir_b.clone()), trace_b.as_deref())
+        .map_err(failed)?;
     let mut ok = compare_artifacts(
         "",
         &dir_a,
         &dir_b,
-        &[
-            "evaluations.csv".to_string(),
-            "trials/trials.jsonl".to_string(),
-        ],
+        &["evaluations.csv", "trials/trials.jsonl"],
     );
     if let (Some(ta), Some(tb)) = (&trace, &trace_b) {
         let mut rels = vec!["trace.jsonl".to_string(), "metrics.prom".to_string()];
@@ -436,10 +639,7 @@ fn run_replay_check(
         );
         ok &= compare_artifacts("trace/", ta, tb, &rels);
     }
-    let _ = std::fs::remove_dir_all(&dir_b);
-    if let Some(tb) = &trace_b {
-        let _ = std::fs::remove_dir_all(tb);
-    }
+    remove_b();
     if archive.is_none() {
         let _ = std::fs::remove_dir_all(&dir_a);
     } else {
@@ -448,12 +648,42 @@ fn run_replay_check(
     if let Some(dir) = &trace {
         println!("trace written to {}", dir.display());
     }
-    if ok {
-        println!("replay-check: PASS — seeded run replays byte-identically");
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
+    Ok(replay_verdict(ok, "seeded run"))
+}
+
+/// Run the serving loop twice — the second time into scratch dirs — and
+/// byte-diff every serving artifact: `serving.csv`, `trace.jsonl` and
+/// the per-epoch archives. The serving driver layers epoch cycles over
+/// the same commit sequencer as `optimize`, so the whole multi-epoch run
+/// must replay bit-exactly.
+fn run_serve_replay_check(cfg: &ServingConfig) -> Outcome {
+    let pid = std::process::id();
+    let dir_b = std::env::temp_dir().join(format!("e2clab-serve-replay-b-{pid}"));
+    let _ = std::fs::remove_dir_all(&dir_b);
+    let cfg_b = ServingConfig {
+        out_dir: dir_b.clone(),
+        ..cfg.clone()
+    };
+    let report = e2c_core::serving::run_serving(cfg).map_err(failed)?;
+    print!("{}", report.render());
+    e2c_core::serving::run_serving(&cfg_b).map_err(failed)?;
+    let mut rels = vec!["serving.csv".to_string(), "trace.jsonl".to_string()];
+    for name in sorted_names(&cfg.out_dir.join("epochs")) {
+        for file in ["evaluations.csv", "best.yaml", "trials/trials.jsonl"] {
+            rels.push(format!("epochs/{name}/{file}"));
+        }
     }
+    let ok = compare_artifacts("", &cfg.out_dir, &dir_b, &rels);
+    let _ = std::fs::remove_dir_all(&dir_b);
+    Ok(replay_verdict(ok, "serving run"))
+}
+
+fn replay_verdict(ok: bool, what: &str) -> ExitCode {
+    if !ok {
+        return ExitCode::FAILURE;
+    }
+    println!("replay-check: PASS — {what} replays byte-identically");
+    ExitCode::SUCCESS
 }
 
 /// File names directly under `dir`, sorted; empty when `dir` is missing.
@@ -472,9 +702,14 @@ fn sorted_names(dir: &Path) -> Vec<String> {
 /// The replay-check comparison: byte-compare each relative path under the
 /// two run roots, printing `identical` or `DIFFERS` per file (labelled
 /// `{prefix}{rel}`). True when every file exists in both runs and matches.
-fn compare_artifacts(prefix: &str, root_a: &Path, root_b: &Path, rels: &[String]) -> bool {
+fn compare_artifacts<S: AsRef<str>>(
+    prefix: &str,
+    root_a: &Path,
+    root_b: &Path,
+    rels: &[S],
+) -> bool {
     let mut ok = true;
-    for rel in rels {
+    for rel in rels.iter().map(AsRef::as_ref) {
         let label = format!("{prefix}{rel}");
         match (
             std::fs::read(root_a.join(rel)),
@@ -500,50 +735,444 @@ fn compare_artifacts(prefix: &str, root_a: &Path, root_b: &Path, rels: &[String]
     ok
 }
 
-/// Run the serving loop twice — the second time into scratch dirs — and
-/// byte-diff every serving artifact: `serving.csv`, `trace.jsonl` and
-/// the per-epoch archives. The serving driver layers epoch cycles over
-/// the same commit sequencer as `optimize`, so the whole multi-epoch run
-/// must replay bit-exactly.
-fn run_serve_replay_check(cfg: &e2c_core::ServingConfig) -> ExitCode {
-    let pid = std::process::id();
-    let dir_b = std::env::temp_dir().join(format!("e2clab-serve-replay-b-{pid}"));
-    let _ = std::fs::remove_dir_all(&dir_b);
-    let mut cfg_b = cfg.clone();
-    cfg_b.out_dir = dir_b.clone();
-    for (c, first) in [(cfg, true), (&cfg_b, false)] {
-        match e2c_core::serving::run_serving(c) {
-            Ok(report) => {
-                if first {
-                    print!("{}", report.render());
-                }
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
+// ---------------------------------------------------------------------------
+// Subcommands
+// ---------------------------------------------------------------------------
+
+/// Read and validate an experiment configuration; a failure reads
+/// `invalid: <path>: <why>` and exits 1.
+fn load_conf(path: &str) -> Result<ExperimentConf, Exit> {
+    std::fs::read_to_string(path)
+        .map_err(|e| e.to_string())
+        .and_then(|text| e2c_conf::parse(&text).map_err(|e| e.to_string()))
+        .and_then(|doc| ExperimentConf::from_value(&doc).map_err(|e| e.to_string()))
+        .map_err(|e| failed(format!("invalid: {path}: {e}")))
+}
+
+fn validate(path: &str) -> Outcome {
+    let conf = load_conf(path)?;
+    println!("ok: experiment `{}`", conf.name);
+    println!(
+        "  layers: {}  network rules: {}  optimization: {}",
+        conf.layers.len(),
+        conf.network.len(),
+        if conf.optimization.is_some() {
+            "yes"
+        } else {
+            "no"
         }
-    }
-    let mut rels = vec!["serving.csv".to_string(), "trace.jsonl".to_string()];
-    for name in sorted_names(&cfg.out_dir.join("epochs")) {
-        for file in ["evaluations.csv", "best.yaml", "trials/trials.jsonl"] {
-            rels.push(format!("epochs/{name}/{file}"));
-        }
-    }
-    let ok = compare_artifacts("", &cfg.out_dir, &dir_b, &rels);
-    let _ = std::fs::remove_dir_all(&dir_b);
-    if ok {
-        println!("replay-check: PASS — serving run replays byte-identically");
-        ExitCode::SUCCESS
+    );
+    Ok(ExitCode::SUCCESS)
+}
+
+fn deploy(path: &str) -> Outcome {
+    let mut exp = Experiment::new(load_conf(path)?, grid5000::paper_testbed());
+    exp.deploy()
+        .map_err(|e| failed(format!("deployment failed: {e}")))?;
+    print!("{}", exp.describe());
+    exp.teardown();
+    Ok(ExitCode::SUCCESS)
+}
+
+/// `report <archive-dir>`: re-print a written archive's summary.
+fn show_summary(dir: &str) -> Outcome {
+    let path = PathBuf::from(dir).join("summary.txt");
+    let text = std::fs::read_to_string(&path).map_err(|e| failed_at(&path, e))?;
+    print!("{text}");
+    Ok(ExitCode::SUCCESS)
+}
+
+/// `trace summarize <dir|trace.jsonl>`: render a recorded trace.
+fn summarize_trace(target: &str) -> Outcome {
+    let path = PathBuf::from(target);
+    let file = if path.is_dir() {
+        path.join("trace.jsonl")
     } else {
-        ExitCode::FAILURE
+        path
+    };
+    let events = e2c_trace::load_jsonl(&file).map_err(failed)?;
+    print!("{}", e2c_trace::TraceSummary::from_events(&events).render());
+    Ok(ExitCode::SUCCESS)
+}
+
+const OPTIMIZE: FlagSpec = FlagSpec {
+    values: "--repeat --duration --seed --archive --faults --trace --journal --resume \
+             --crash-at --workers --kill-worker",
+    switches: "--replay-check",
+    positional: true,
+};
+
+fn optimize(flags: &Flags) -> Outcome {
+    let path = flags
+        .positional
+        .as_deref()
+        .ok_or("optimize needs a <conf.yaml>")?;
+    let repeat = flags.positive("--repeat", 1)?;
+    let duration = flags.positive("--duration", 1380)?;
+    let seed = flags.get("--seed", 0)?;
+    let archive = flags.path("--archive");
+    let trace = flags.path("--trace");
+    let faults = flags
+        .parsed("--faults", FaultPlan::parse)?
+        .unwrap_or_default();
+    let replay_check = flags.switch("--replay-check");
+    let journal = journal_conf(flags)?;
+    let workers = flags.get("--workers", 0)?;
+    // Chaos knob for the crash gate: SIGKILL worker W after its Nth
+    // dispatched ask. `W@N`, e.g. `--kill-worker 1@2`.
+    let kill_worker = flags.parsed("--kill-worker", |v| {
+        v.split_once('@')
+            .and_then(|(w, n)| Some((w.parse().ok()?, n.parse().ok()?)))
+            .ok_or_else(|| format!("expected W@N, got `{v}`"))
+    })?;
+    if kill_worker.is_some() && workers == 0 {
+        return Err("--kill-worker needs --workers".into());
+    }
+    if workers > 0 && replay_check {
+        return Err("--workers cannot be combined with --replay-check".into());
+    }
+
+    let conf = load_conf(path)?;
+    let opt_conf = conf
+        .optimization
+        .ok_or_else(|| failed(format!("{path}: no `optimization` section")))?;
+    // Workload: total concurrent requests of all client services (falls
+    // back to the paper's 80).
+    let clients = conf
+        .layers
+        .iter()
+        .flat_map(|l| &l.services)
+        .filter(|s| s.name.contains("client"))
+        .map(|s| s.quantity * 20)
+        .sum::<usize>()
+        .max(80);
+    // `--workers N` farms evaluations out to N `e2clab worker` child
+    // processes. Deliberately NOT part of the journal fingerprint: the
+    // worker count shapes wall-clock only, never artifacts, so a resume
+    // may change it freely.
+    let farm = if workers > 0 {
+        let exe = std::env::current_exe()
+            .map_err(|e| failed(format!("--workers: cannot locate own binary: {e}")))?;
+        let wargs = format!("worker --repeat {repeat} --duration {duration} --clients {clients}");
+        let wargs = wargs.split(' ').map(String::from).collect();
+        let mut fs = FarmSpec::new(exe, wargs, workers, seed);
+        fs.kill_after = kill_worker;
+        Some(fs)
+    } else {
+        None
+    };
+    // Fold the CLI-level knobs that shape the objective into the journal
+    // fingerprint: a resume under a different workload must be refused,
+    // not silently diverge.
+    let journal = journal.map(|jc| {
+        jc.extra_fingerprint(format!(
+            "repeat={repeat};duration={duration};clients={clients};faults={faults:?}"
+        ))
+    });
+    let cycle = Cycle {
+        opt_conf,
+        seed,
+        faults,
+        spec: CycleSpec {
+            repeat,
+            duration,
+            clients,
+        },
+        journal,
+        farm,
+    };
+    if replay_check {
+        return run_replay_check(&cycle, archive, trace);
+    }
+    let summary = cycle
+        .run(archive.clone(), trace.as_deref())
+        .map_err(failed)?;
+    print!("{}", summary.render());
+    if let Some(dir) = archive {
+        println!("archive written to {}", dir.display());
+    }
+    if let Some(dir) = trace {
+        println!("trace written to {}", dir.display());
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+const SERVE: FlagSpec = FlagSpec {
+    values: "--out --scale --epochs --epoch-duration --samples --concurrent --slo \
+             --queue-bound --shed-after --seed --first-year --journal --resume --crash-at \
+             --crash-at-epoch",
+    switches: "--replay-check",
+    positional: false,
+};
+
+fn serve(flags: &Flags) -> Outcome {
+    let out = flags.path("--out").ok_or("serve needs --out DIR")?;
+    let mut cfg = ServingConfig::new(out);
+    cfg.scale = flags.get("--scale", cfg.scale)?;
+    cfg.epochs = flags.get("--epochs", cfg.epochs)?;
+    cfg.epoch_duration = SimTime::from_secs(flags.get("--epoch-duration", 180)?);
+    cfg.samples = flags.get("--samples", cfg.samples)?;
+    cfg.max_concurrent = flags.get("--concurrent", cfg.max_concurrent)?;
+    cfg.slo = flags.get("--slo", cfg.slo)?;
+    cfg.queue_bound = flags.get("--queue-bound", cfg.queue_bound)?;
+    // `--shed-after 0` disables deadline shedding.
+    let shed_after: f64 = flags.get("--shed-after", 8.0)?;
+    cfg.shed_after = (shed_after > 0.0).then(|| SimTime::from_secs_f64(shed_after));
+    cfg.seed = flags.get("--seed", cfg.seed)?;
+    cfg.first_year = flags.get("--first-year", cfg.first_year)?;
+    if let Some(jc) = journal_conf(flags)? {
+        cfg.journal_dir = Some(jc.dir);
+        cfg.resume = jc.resume;
+        cfg.crash_at = jc.crash_after;
+    }
+    cfg.crash_at_epoch = flags.opt("--crash-at-epoch")?;
+    if flags.switch("--replay-check") {
+        return run_serve_replay_check(&cfg);
+    }
+    let report = e2c_core::serving::run_serving(&cfg).map_err(failed)?;
+    print!("{}", report.render());
+    println!("serving artifacts written to {}", cfg.out_dir.display());
+    Ok(ExitCode::SUCCESS)
+}
+
+const WORKER: FlagSpec = FlagSpec {
+    values: "--repeat --duration --clients --builtin",
+    switches: "",
+    positional: false,
+};
+
+/// Farm child: speaks the framed stdio protocol on stdin/stdout and runs
+/// one engine evaluation per ask. Spawned by `optimize --workers N`; not
+/// intended for interactive use.
+fn worker(flags: &Flags) -> Outcome {
+    let spec = CycleSpec {
+        repeat: flags.positive("--repeat", 1)?,
+        duration: flags.positive("--duration", 1380)?,
+        clients: flags.get("--clients", 80)?,
+    };
+    let served = match flags.raw("--builtin") {
+        // Cheap deterministic objective for farm tests and benches: no
+        // engine run, just a quadratic bowl.
+        Some("quad") => e2c_tune::worker::serve(|ask, _tracer| {
+            let value = ask
+                .config
+                .iter()
+                .map(|x| (x - 3.0) * (x - 3.0))
+                .sum::<f64>();
+            (value, Vec::new())
+        }),
+        Some(other) => {
+            return Err(failed(format!(
+                "unknown --builtin objective `{other}` (expected quad)"
+            )))
+        }
+        // The engine objective the in-process path runs; the side
+        // artifacts travel back as aux pairs, since the parent owns the
+        // archive and trace directories.
+        None => e2c_tune::worker::serve(move |ask, tracer| {
+            let ev = spec.evaluate(&ask.config, ask.trial, tracer.cloned());
+            (ev.mean, ev.into_aux())
+        }),
+    };
+    served.map_err(|e| failed(format!("worker: {e}")))?;
+    Ok(ExitCode::SUCCESS)
+}
+
+/// Workspace root for `lint` when no explicit path is given: the compiled
+/// source tree if it still exists (dev checkout), otherwise the current
+/// directory.
+fn workspace_root() -> PathBuf {
+    // The binary lives in the workspace's root package, so its manifest
+    // directory IS the workspace root.
+    let compiled = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    if compiled.join("Cargo.toml").is_file() {
+        // Canonicalize so report labels are workspace-relative.
+        compiled.canonicalize().unwrap_or(compiled)
+    } else {
+        PathBuf::from(".")
     }
 }
 
-fn load_conf(path: &str) -> Result<ExperimentConf, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let doc = e2c_conf::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    ExperimentConf::from_value(&doc).map_err(|e| format!("{path}: {e}"))
+const LINT: FlagSpec = FlagSpec {
+    values: "--config --format --out --baseline",
+    switches: "--update-baseline --no-baseline",
+    positional: true,
+};
+
+fn lint(flags: &Flags) -> Outcome {
+    let format = flags.raw("--format").unwrap_or("text");
+    if !matches!(format, "text" | "json" | "sarif") {
+        return Err("--format must be text, json or sarif".into());
+    }
+    let mut config = detlint::Config::default();
+    for path in flags.all("--config") {
+        std::fs::read_to_string(path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| config.apply_file(&text).map_err(|e| e.to_string()))
+            .map_err(|e| failed(format!("{path}: {e}")))?;
+    }
+    let root = flags
+        .positional
+        .as_ref()
+        .map_or_else(workspace_root, PathBuf::from);
+    let baseline_file = flags
+        .path("--baseline")
+        .unwrap_or_else(|| root.join("lint.baseline"));
+    // A directory inside this workspace keeps workspace-relative labels,
+    // so the path-scoped rules apply to it as they do to the whole tree.
+    let workspace = workspace_root();
+    let (label_root, dir) = match root.canonicalize() {
+        Ok(dir) if dir.starts_with(&workspace) => (workspace, dir),
+        _ => (root.clone(), root.clone()),
+    };
+    let mut report = detlint::lint_workspace(&label_root, &dir, &config)
+        .map_err(|e| failed(format!("lint failed: {e}")))?;
+    if flags.switch("--update-baseline") {
+        // Record the current raw finding set as accepted debt, then gate
+        // this run against it (always clean).
+        let baseline = detlint::Baseline::from_findings(report.errors.iter());
+        e2c_journal::write_atomic(&baseline_file, baseline.render().as_bytes())
+            .map_err(|e| failed_at(&baseline_file, e))?;
+        eprintln!(
+            "wrote {} ({} entr{})",
+            baseline_file.display(),
+            baseline.len(),
+            if baseline.len() == 1 { "y" } else { "ies" }
+        );
+        report.apply_baseline(&baseline);
+    } else if !flags.switch("--no-baseline") && baseline_file.is_file() {
+        let baseline = std::fs::read_to_string(&baseline_file)
+            .map_err(|e| e.to_string())
+            .and_then(|text| detlint::Baseline::parse(&text).map_err(|e| e.to_string()))
+            .map_err(|e| failed_at(&baseline_file, e))?;
+        report.apply_baseline(&baseline);
+    }
+    let text = report.render();
+    let machine = match format {
+        "json" => Some(detlint::to_json(&report)),
+        "sarif" => Some(detlint::to_sarif(&report)),
+        _ => None,
+    };
+    if let Some(path) = flags.path("--out") {
+        // The file gets the selected format; stdout keeps the human
+        // summary for CI logs.
+        let rendered = machine.as_ref().unwrap_or(&text);
+        e2c_journal::write_atomic(&path, rendered.as_bytes()).map_err(|e| failed_at(&path, e))?;
+        print!("{text}");
+    } else {
+        print!("{}", machine.as_ref().unwrap_or(&text));
+    }
+    Ok(if report.is_clean() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    })
+}
+
+/// `--out DIR` (default: the current directory), created if missing;
+/// `what` prefixes the error.
+fn out_dir(flags: &Flags, what: &str) -> Result<PathBuf, Exit> {
+    let dir = flags.path("--out").unwrap_or_else(|| PathBuf::from("."));
+    std::fs::create_dir_all(&dir)
+        .map_err(|e| failed(format!("{what}: create {}: {e}", dir.display())))?;
+    Ok(dir)
+}
+
+const BENCH: FlagSpec = FlagSpec {
+    values: "--filter --out --iters --warmup --seed",
+    switches: "--list",
+    positional: false,
+};
+
+fn bench(flags: &Flags) -> Outcome {
+    let iters: Option<u32> = flags.opt("--iters")?;
+    let warmup: Option<u32> = flags.opt("--warmup")?;
+    let mut registry = e2c_bench::default_registry().with_seed(flags.get("--seed", 0)?);
+    if let Some(pat) = flags.raw("--filter") {
+        registry = registry.with_filter(pat.to_string());
+    }
+    // --iters/--warmup override every benchmark's own policy; either
+    // alone keeps the other knob at the registry default.
+    if iters.is_some() || warmup.is_some() {
+        let base = e2c_bench::BenchPolicy::default();
+        registry = registry.with_policy(e2c_bench::BenchPolicy::new(
+            warmup.unwrap_or(base.warmup_iters),
+            iters.unwrap_or(base.measure_iters),
+        ));
+    }
+    if flags.switch("--list") {
+        for name in registry.selected() {
+            println!("{name}");
+        }
+        return Ok(ExitCode::SUCCESS);
+    }
+    if registry.selected().is_empty() {
+        return Err(failed("bench: no benchmark matches the filter"));
+    }
+    let out = out_dir(flags, "bench")?;
+    let reports = registry
+        .with_out_dir(out.clone())
+        .run()
+        .map_err(|e| failed(format!("bench: {e}")))?;
+    for r in &reports {
+        println!("{}", r.render_row());
+    }
+    println!(
+        "bench: {} report(s) written to {}",
+        reports.len(),
+        out.display()
+    );
+    Ok(ExitCode::SUCCESS)
+}
+
+const FUZZ: FlagSpec = FlagSpec {
+    values: "--codec --out --iters --seed",
+    switches: "--list",
+    positional: false,
+};
+
+fn fuzz(flags: &Flags) -> Outcome {
+    let mut registry = e2c_fuzz::default_registry()
+        .with_seed(flags.get("--seed", 1)?)
+        .with_iters(flags.get("--iters", 10_000)?);
+    if let Some(pat) = flags.raw("--codec") {
+        registry = registry.with_filter(pat.to_string());
+    }
+    if flags.switch("--list") {
+        for name in registry.selected() {
+            println!("{name}");
+        }
+        return Ok(ExitCode::SUCCESS);
+    }
+    if registry.selected().is_empty() {
+        return Err(failed("fuzz: no codec matches the filter"));
+    }
+    let out = out_dir(flags, "fuzz")?;
+    let reports = registry
+        .with_out_dir(out.clone())
+        .run()
+        .map_err(|e| failed(format!("fuzz: {e}")))?;
+    let mut clean = true;
+    for r in &reports {
+        println!("{}", r.render_row());
+        if let Some(f) = &r.failure {
+            clean = false;
+            eprintln!(
+                "fuzz: {}: {}\nreproduce: e2clab fuzz --codec {} --seed {} --iters {}\nartifact: {}",
+                r.name,
+                f.kind,
+                r.name,
+                r.seed,
+                r.iters_requested,
+                out.join(format!("FUZZ_{}.crash", r.name)).display()
+            );
+        }
+    }
+    if !clean {
+        return Ok(ExitCode::FAILURE);
+    }
+    println!("fuzz: {} codec(s) clean", reports.len());
+    Ok(ExitCode::SUCCESS)
 }
 
 fn main() -> ExitCode {
@@ -551,875 +1180,114 @@ fn main() -> ExitCode {
     let Some(command) = args.first().map(|s| s.as_str()) else {
         return usage();
     };
-    match command {
-        "validate" => {
-            let Some(path) = args.get(1) else {
-                return usage();
-            };
-            match load_conf(path) {
-                Ok(conf) => {
-                    println!("ok: experiment `{}`", conf.name);
-                    println!(
-                        "  layers: {}  network rules: {}  optimization: {}",
-                        conf.layers.len(),
-                        conf.network.len(),
-                        if conf.optimization.is_some() {
-                            "yes"
-                        } else {
-                            "no"
-                        }
-                    );
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("invalid: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        "deploy" => {
-            let Some(path) = args.get(1) else {
-                return usage();
-            };
-            let conf = match load_conf(path) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("invalid: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let mut exp = Experiment::new(conf, grid5000::paper_testbed());
-            match exp.deploy() {
-                Ok(()) => {
-                    print!("{}", exp.describe());
-                    exp.teardown();
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("deployment failed: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        "optimize" => {
-            // Flag parsing: --repeat N --duration SECS --seed S
-            // --archive DIR --faults SPEC --trace DIR.
-            let mut repeat = 1usize;
-            let mut duration = 1380u64;
-            let mut seed = 0u64;
-            let mut archive: Option<PathBuf> = None;
-            let mut trace: Option<PathBuf> = None;
-            let mut faults = FaultPlan::new();
-            let mut replay_check = false;
-            let mut journal: Option<PathBuf> = None;
-            let mut resume: Option<PathBuf> = None;
-            let mut crash_at: Option<u64> = None;
-            let mut workers = 0usize;
-            let mut kill_worker: Option<(usize, u64)> = None;
-            let mut conf_path: Option<String> = None;
-            let mut it = args[1..].iter();
-            while let Some(arg) = it.next() {
-                let mut grab = |name: &str| -> Option<String> {
-                    let v = it.next();
-                    if v.is_none() {
-                        eprintln!("{name} needs a value");
-                    }
-                    v.cloned()
-                };
-                match arg.as_str() {
-                    "--repeat" => match grab("--repeat").and_then(|v| v.parse().ok()) {
-                        Some(v) => repeat = v,
-                        None => return usage(),
-                    },
-                    "--duration" => match grab("--duration").and_then(|v| v.parse().ok()) {
-                        Some(v) => duration = v,
-                        None => return usage(),
-                    },
-                    "--seed" => match grab("--seed").and_then(|v| v.parse().ok()) {
-                        Some(v) => seed = v,
-                        None => return usage(),
-                    },
-                    "--archive" => match grab("--archive") {
-                        Some(v) => archive = Some(PathBuf::from(v)),
-                        None => return usage(),
-                    },
-                    "--trace" => match grab("--trace") {
-                        Some(v) => trace = Some(PathBuf::from(v)),
-                        None => return usage(),
-                    },
-                    "--faults" => match grab("--faults") {
-                        Some(v) => match FaultPlan::parse(&v) {
-                            Ok(plan) => faults = plan,
-                            Err(e) => {
-                                eprintln!("--faults: {e}");
-                                return usage();
-                            }
-                        },
-                        None => return usage(),
-                    },
-                    "--journal" => match grab("--journal") {
-                        Some(v) => journal = Some(PathBuf::from(v)),
-                        None => return usage(),
-                    },
-                    "--resume" => match grab("--resume") {
-                        Some(v) => resume = Some(PathBuf::from(v)),
-                        None => return usage(),
-                    },
-                    "--crash-at" => match grab("--crash-at").and_then(|v| v.parse().ok()) {
-                        Some(v) => crash_at = Some(v),
-                        None => return usage(),
-                    },
-                    "--workers" => match grab("--workers").and_then(|v| v.parse().ok()) {
-                        Some(v) => workers = v,
-                        None => return usage(),
-                    },
-                    // Chaos knob for the crash gate: SIGKILL worker W after
-                    // its Nth dispatched ask. `W@N`, e.g. `--kill-worker 1@2`.
-                    "--kill-worker" => match grab("--kill-worker").and_then(|v| {
-                        let (w, n) = v.split_once('@')?;
-                        Some((w.parse().ok()?, n.parse().ok()?))
-                    }) {
-                        Some(v) => kill_worker = Some(v),
-                        None => return usage(),
-                    },
-                    "--replay-check" => replay_check = true,
-                    other if !other.starts_with("--") => conf_path = Some(other.to_string()),
-                    other => {
-                        eprintln!("unknown flag {other}");
-                        return usage();
-                    }
-                }
-            }
-            let Some(path) = conf_path else {
-                return usage();
-            };
-            let conf = match load_conf(&path) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("invalid: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let Some(opt_conf) = conf.optimization else {
-                eprintln!("{path}: no `optimization` section");
-                return ExitCode::FAILURE;
-            };
-            // Workload: total concurrent requests of all client services
-            // (falls back to the paper's 80).
-            let clients: usize = conf
-                .layers
-                .iter()
-                .flat_map(|l| &l.services)
-                .filter(|s| s.name.contains("client"))
-                .map(|s| s.quantity * 20)
-                .sum::<usize>()
-                .max(80);
-            let spec = CycleSpec {
-                repeat,
-                duration,
-                clients,
-            };
-            if journal.is_some() && resume.is_some() {
-                eprintln!("--journal and --resume are mutually exclusive");
-                return usage();
-            }
-            if crash_at.is_some() && journal.is_none() && resume.is_none() {
-                eprintln!("--crash-at needs --journal or --resume");
-                return usage();
-            }
-            if replay_check && (journal.is_some() || resume.is_some()) {
-                eprintln!("--replay-check cannot be combined with --journal/--resume");
-                return usage();
-            }
-            if kill_worker.is_some() && workers == 0 {
-                eprintln!("--kill-worker needs --workers");
-                return usage();
-            }
-            if workers > 0 && replay_check {
-                eprintln!("--workers cannot be combined with --replay-check");
-                return usage();
-            }
-            // `--workers N` farms evaluations out to N `e2clab worker`
-            // child processes. Deliberately NOT part of the journal
-            // fingerprint: the worker count shapes wall-clock only, never
-            // artifacts, so a resume may change it freely.
-            let farm_spec = (workers > 0).then(|| {
-                let exe = match std::env::current_exe() {
-                    Ok(p) => p,
-                    Err(e) => {
-                        eprintln!("--workers: cannot locate own binary: {e}");
-                        std::process::exit(1);
-                    }
-                };
-                let wargs = vec![
-                    "worker".to_string(),
-                    "--repeat".to_string(),
-                    spec.repeat.to_string(),
-                    "--duration".to_string(),
-                    spec.duration.to_string(),
-                    "--clients".to_string(),
-                    spec.clients.to_string(),
-                ];
-                let mut fs = e2c_tune::FarmSpec::new(exe, wargs, workers, seed);
-                fs.kill_after = kill_worker;
-                fs
-            });
-            let journal_conf = journal
-                .map(JournalConfig::fresh)
-                .or_else(|| resume.map(JournalConfig::resume))
-                .map(|jc| {
-                    // Fold the CLI-level knobs that shape the objective into
-                    // the journal fingerprint: a resume under a different
-                    // workload must be refused, not silently diverge.
-                    jc.crash_after(crash_at).extra_fingerprint(format!(
-                        "repeat={repeat};duration={duration};clients={clients};faults={faults:?}",
-                        repeat = spec.repeat,
-                        duration = spec.duration,
-                        clients = spec.clients,
-                    ))
-                });
-            if replay_check {
-                return run_replay_check(opt_conf, seed, faults, archive, trace, spec);
-            }
-            match run_cycle(
-                &opt_conf,
-                seed,
-                &faults,
-                archive.clone(),
-                trace.as_deref(),
-                spec,
-                journal_conf,
-                farm_spec,
-            ) {
-                Ok(summary) => {
-                    print!("{}", summary.render());
-                    if let Some(dir) = archive {
-                        println!("archive written to {}", dir.display());
-                    }
-                    if let Some(dir) = trace {
-                        println!("trace written to {}", dir.display());
-                    }
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("{e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        "serve" => {
-            let mut out: Option<PathBuf> = None;
-            let mut scale = 2_500_000.0f64;
-            let mut epochs = 6usize;
-            let mut epoch_duration = 180u64;
-            let mut samples = 8usize;
-            let mut concurrent = 2usize;
-            let mut slo = 4.0f64;
-            let mut queue_bound = 64usize;
-            let mut shed_after = 8.0f64;
-            let mut seed = 0u64;
-            let mut first_year = 2017u32;
-            let mut replay_check = false;
-            let mut journal: Option<PathBuf> = None;
-            let mut resume: Option<PathBuf> = None;
-            let mut crash_at: Option<u64> = None;
-            let mut crash_at_epoch: Option<usize> = None;
-            let mut it = args[1..].iter();
-            while let Some(arg) = it.next() {
-                let mut grab = |name: &str| -> Option<String> {
-                    let v = it.next();
-                    if v.is_none() {
-                        eprintln!("{name} needs a value");
-                    }
-                    v.cloned()
-                };
-                match arg.as_str() {
-                    "--out" => match grab("--out") {
-                        Some(v) => out = Some(PathBuf::from(v)),
-                        None => return usage(),
-                    },
-                    "--scale" => match grab("--scale").and_then(|v| v.parse().ok()) {
-                        Some(v) => scale = v,
-                        None => return usage(),
-                    },
-                    "--epochs" => match grab("--epochs").and_then(|v| v.parse().ok()) {
-                        Some(v) => epochs = v,
-                        None => return usage(),
-                    },
-                    "--epoch-duration" => {
-                        match grab("--epoch-duration").and_then(|v| v.parse().ok()) {
-                            Some(v) => epoch_duration = v,
-                            None => return usage(),
-                        }
-                    }
-                    "--samples" => match grab("--samples").and_then(|v| v.parse().ok()) {
-                        Some(v) => samples = v,
-                        None => return usage(),
-                    },
-                    "--concurrent" => match grab("--concurrent").and_then(|v| v.parse().ok()) {
-                        Some(v) => concurrent = v,
-                        None => return usage(),
-                    },
-                    "--slo" => match grab("--slo").and_then(|v| v.parse().ok()) {
-                        Some(v) => slo = v,
-                        None => return usage(),
-                    },
-                    "--queue-bound" => match grab("--queue-bound").and_then(|v| v.parse().ok()) {
-                        Some(v) => queue_bound = v,
-                        None => return usage(),
-                    },
-                    // `--shed-after 0` disables deadline shedding.
-                    "--shed-after" => match grab("--shed-after").and_then(|v| v.parse().ok()) {
-                        Some(v) => shed_after = v,
-                        None => return usage(),
-                    },
-                    "--seed" => match grab("--seed").and_then(|v| v.parse().ok()) {
-                        Some(v) => seed = v,
-                        None => return usage(),
-                    },
-                    "--first-year" => match grab("--first-year").and_then(|v| v.parse().ok()) {
-                        Some(v) => first_year = v,
-                        None => return usage(),
-                    },
-                    "--journal" => match grab("--journal") {
-                        Some(v) => journal = Some(PathBuf::from(v)),
-                        None => return usage(),
-                    },
-                    "--resume" => match grab("--resume") {
-                        Some(v) => resume = Some(PathBuf::from(v)),
-                        None => return usage(),
-                    },
-                    "--crash-at" => match grab("--crash-at").and_then(|v| v.parse().ok()) {
-                        Some(v) => crash_at = Some(v),
-                        None => return usage(),
-                    },
-                    "--crash-at-epoch" => {
-                        match grab("--crash-at-epoch").and_then(|v| v.parse().ok()) {
-                            Some(v) => crash_at_epoch = Some(v),
-                            None => return usage(),
-                        }
-                    }
-                    "--replay-check" => replay_check = true,
-                    other => {
-                        eprintln!("unknown flag {other}");
-                        return usage();
-                    }
-                }
-            }
-            let Some(out) = out else {
-                eprintln!("serve needs --out DIR");
-                return usage();
-            };
-            if journal.is_some() && resume.is_some() {
-                eprintln!("--journal and --resume are mutually exclusive");
-                return usage();
-            }
-            if (crash_at.is_some() || crash_at_epoch.is_some())
-                && journal.is_none()
-                && resume.is_none()
-            {
-                eprintln!("--crash-at/--crash-at-epoch need --journal or --resume");
-                return usage();
-            }
-            if replay_check && (journal.is_some() || resume.is_some()) {
-                eprintln!("--replay-check cannot be combined with --journal/--resume");
-                return usage();
-            }
-            let mut cfg = e2c_core::ServingConfig::new(out);
-            cfg.scale = scale;
-            cfg.epochs = epochs;
-            cfg.epoch_duration = SimTime::from_secs(epoch_duration);
-            cfg.samples = samples;
-            cfg.max_concurrent = concurrent;
-            cfg.slo = slo;
-            cfg.queue_bound = queue_bound;
-            cfg.shed_after = (shed_after > 0.0).then(|| SimTime::from_secs_f64(shed_after));
-            cfg.seed = seed;
-            cfg.first_year = first_year;
-            cfg.resume = resume.is_some();
-            cfg.journal_dir = journal.or(resume);
-            cfg.crash_at = crash_at;
-            cfg.crash_at_epoch = crash_at_epoch;
-            if replay_check {
-                return run_serve_replay_check(&cfg);
-            }
-            match e2c_core::serving::run_serving(&cfg) {
-                Ok(report) => {
-                    print!("{}", report.render());
-                    println!("serving artifacts written to {}", cfg.out_dir.display());
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("{e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        "worker" => {
-            // Farm child: speaks the framed stdio protocol on stdin/stdout
-            // and runs one engine evaluation per ask. Spawned by
-            // `optimize --workers N`; not intended for interactive use.
-            let mut repeat = 1usize;
-            let mut duration = 1380u64;
-            let mut clients = 80usize;
-            let mut builtin: Option<String> = None;
-            let mut it = args[1..].iter();
-            while let Some(arg) = it.next() {
-                let mut grab = |name: &str| -> Option<String> {
-                    let v = it.next();
-                    if v.is_none() {
-                        eprintln!("{name} needs a value");
-                    }
-                    v.cloned()
-                };
-                match arg.as_str() {
-                    "--repeat" => match grab("--repeat").and_then(|v| v.parse().ok()) {
-                        Some(v) => repeat = v,
-                        None => return usage(),
-                    },
-                    "--duration" => match grab("--duration").and_then(|v| v.parse().ok()) {
-                        Some(v) => duration = v,
-                        None => return usage(),
-                    },
-                    "--clients" => match grab("--clients").and_then(|v| v.parse().ok()) {
-                        Some(v) => clients = v,
-                        None => return usage(),
-                    },
-                    // Cheap deterministic objective for farm tests and
-                    // benches: no engine run, just a quadratic bowl.
-                    "--builtin" => match grab("--builtin") {
-                        Some(v) => builtin = Some(v),
-                        None => return usage(),
-                    },
-                    other => {
-                        eprintln!("unknown flag {other}");
-                        return usage();
-                    }
-                }
-            }
-            let result = match builtin.as_deref() {
-                Some("quad") => e2c_tune::worker::serve(|ask, _tracer| {
-                    let value = ask
-                        .config
-                        .iter()
-                        .map(|x| (x - 3.0) * (x - 3.0))
-                        .sum::<f64>();
-                    (value, Vec::new())
-                }),
-                Some(other) => {
-                    eprintln!("unknown --builtin objective `{other}` (expected quad)");
-                    return ExitCode::FAILURE;
-                }
-                // The engine objective: the exact computation the
-                // in-process path runs, with side artifacts shipped back
-                // as aux strings instead of written locally — the parent
-                // owns the archive/trace directories.
-                None => e2c_tune::worker::serve(move |ask, tracer| {
-                    let cfg = PoolConfig::from_point(&ask.config);
-                    let mut espec = ExperimentSpec::paper(cfg, clients);
-                    espec.duration = SimTime::from_secs(duration);
-                    espec.warmup = SimTime::from_secs((duration / 10).min(60));
-                    let metrics = EngineRun::run_repeated_traced(
-                        espec,
-                        repeat,
-                        1000 + ask.trial,
-                        tracer.cloned(),
-                    );
-                    let mut aux = Vec::new();
-                    if ask.traced {
-                        let mut merged = e2c_metrics::Registry::new();
-                        for (rep, run) in metrics.runs.iter().enumerate() {
-                            merged.append_shifted(&run.registry, (rep as u64 * duration) as f64);
-                        }
-                        let mut buf = Vec::new();
-                        let _ = merged.write_prometheus(&mut buf);
-                        let completed = metrics.runs.iter().map(|r| r.completed).sum::<u64>();
-                        // f64 `Display` round-trips exactly through `parse`,
-                        // so the parent re-renders identical bytes.
-                        aux.push(("mean".to_string(), metrics.response.mean.to_string()));
-                        aux.push(("completed".to_string(), (completed as f64).to_string()));
-                        aux.push((
-                            "prom".to_string(),
-                            String::from_utf8_lossy(&buf).into_owned(),
-                        ));
-                    }
-                    (metrics.response.mean, aux)
-                }),
-            };
-            match result {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("worker: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        "trace" => {
-            // `trace summarize <dir|trace.jsonl>`: render a recorded trace.
-            let (Some(sub), Some(target)) = (args.get(1), args.get(2)) else {
-                return usage();
-            };
-            if sub != "summarize" {
-                return usage();
-            }
-            let path = PathBuf::from(target);
-            let file = if path.is_dir() {
-                path.join("trace.jsonl")
-            } else {
-                path
-            };
-            match e2c_trace::load_jsonl(&file) {
-                Ok(events) => {
-                    print!("{}", e2c_trace::TraceSummary::from_events(&events).render());
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("{e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        "lint" => {
-            let mut config = detlint::Config::default();
-            let mut root: Option<PathBuf> = None;
-            let mut format = String::from("text");
-            let mut out_path: Option<PathBuf> = None;
-            let mut baseline_path: Option<PathBuf> = None;
-            let mut update_baseline = false;
-            let mut no_baseline = false;
-            let mut it = args[1..].iter();
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--config" => {
-                        let Some(path) = it.next() else {
-                            eprintln!("--config needs a value");
-                            return usage();
-                        };
-                        let text = match std::fs::read_to_string(path) {
-                            Ok(t) => t,
-                            Err(e) => {
-                                eprintln!("{path}: {e}");
-                                return ExitCode::FAILURE;
-                            }
-                        };
-                        if let Err(e) = config.apply_file(&text) {
-                            eprintln!("{path}: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    }
-                    "--format" => {
-                        let Some(value) = it.next() else {
-                            eprintln!("--format needs a value");
-                            return usage();
-                        };
-                        if !matches!(value.as_str(), "text" | "json" | "sarif") {
-                            eprintln!("--format must be text, json or sarif");
-                            return usage();
-                        }
-                        format = value.clone();
-                    }
-                    "--out" => {
-                        let Some(value) = it.next() else {
-                            eprintln!("--out needs a value");
-                            return usage();
-                        };
-                        out_path = Some(PathBuf::from(value));
-                    }
-                    "--baseline" => {
-                        let Some(value) = it.next() else {
-                            eprintln!("--baseline needs a value");
-                            return usage();
-                        };
-                        baseline_path = Some(PathBuf::from(value));
-                    }
-                    "--update-baseline" => update_baseline = true,
-                    "--no-baseline" => no_baseline = true,
-                    other if !other.starts_with("--") => root = Some(PathBuf::from(other)),
-                    other => {
-                        eprintln!("unknown flag {other}");
-                        return usage();
-                    }
-                }
-            }
-            let root = root.unwrap_or_else(workspace_root);
-            let baseline_file = baseline_path.unwrap_or_else(|| root.join("lint.baseline"));
-            // A directory inside this workspace keeps workspace-relative
-            // labels, so the path-scoped rules apply to it as they do to
-            // the whole tree.
-            let workspace = workspace_root();
-            let (label_root, dir) = match root.canonicalize() {
-                Ok(dir) if dir.starts_with(&workspace) => (workspace, dir),
-                _ => (root.clone(), root.clone()),
-            };
-            let mut report = match detlint::lint_workspace(&label_root, &dir, &config) {
-                Ok(report) => report,
-                Err(e) => {
-                    eprintln!("lint failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            if update_baseline {
-                // Record the current raw finding set as accepted debt,
-                // then gate this run against it (always clean).
-                let baseline = detlint::Baseline::from_findings(report.errors.iter());
-                let rendered = baseline.render();
-                if let Err(e) = e2c_journal::write_atomic(&baseline_file, rendered.as_bytes()) {
-                    eprintln!("{}: {e}", baseline_file.display());
-                    return ExitCode::FAILURE;
-                }
-                eprintln!(
-                    "wrote {} ({} entr{})",
-                    baseline_file.display(),
-                    baseline.len(),
-                    if baseline.len() == 1 { "y" } else { "ies" }
-                );
-                report.apply_baseline(&baseline);
-            } else if !no_baseline && baseline_file.is_file() {
-                let text = match std::fs::read_to_string(&baseline_file) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        eprintln!("{}: {e}", baseline_file.display());
-                        return ExitCode::FAILURE;
-                    }
-                };
-                match detlint::Baseline::parse(&text) {
-                    Ok(baseline) => report.apply_baseline(&baseline),
-                    Err(e) => {
-                        eprintln!("{}: {e}", baseline_file.display());
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            let machine = match format.as_str() {
-                "json" => Some(detlint::to_json(&report)),
-                "sarif" => Some(detlint::to_sarif(&report)),
-                _ => None,
-            };
-            match (machine, out_path) {
-                (Some(rendered), Some(path)) => {
-                    if let Err(e) = e2c_journal::write_atomic(&path, rendered.as_bytes()) {
-                        eprintln!("{}: {e}", path.display());
-                        return ExitCode::FAILURE;
-                    }
-                    // Keep the human summary on stdout for CI logs.
-                    print!("{}", report.render());
-                }
-                (Some(rendered), None) => print!("{rendered}"),
-                (None, Some(path)) => {
-                    let rendered = report.render();
-                    if let Err(e) = e2c_journal::write_atomic(&path, rendered.as_bytes()) {
-                        eprintln!("{}: {e}", path.display());
-                        return ExitCode::FAILURE;
-                    }
-                    print!("{rendered}");
-                }
-                (None, None) => print!("{}", report.render()),
-            }
-            if report.is_clean() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
-        "bench" => {
-            let mut filter: Option<String> = None;
-            let mut out: Option<PathBuf> = None;
-            let mut iters: Option<u32> = None;
-            let mut warmup: Option<u32> = None;
-            let mut seed = 0u64;
-            let mut list = false;
-            let mut it = args[1..].iter();
-            while let Some(arg) = it.next() {
-                let mut grab = |name: &str| -> Option<String> {
-                    let v = it.next();
-                    if v.is_none() {
-                        eprintln!("{name} needs a value");
-                    }
-                    v.cloned()
-                };
-                match arg.as_str() {
-                    "--filter" => match grab("--filter") {
-                        Some(v) => filter = Some(v),
-                        None => return usage(),
-                    },
-                    "--out" => match grab("--out") {
-                        Some(v) => out = Some(PathBuf::from(v)),
-                        None => return usage(),
-                    },
-                    "--iters" => match grab("--iters").and_then(|v| v.parse().ok()) {
-                        Some(v) => iters = Some(v),
-                        None => return usage(),
-                    },
-                    "--warmup" => match grab("--warmup").and_then(|v| v.parse().ok()) {
-                        Some(v) => warmup = Some(v),
-                        None => return usage(),
-                    },
-                    "--seed" => match grab("--seed").and_then(|v| v.parse().ok()) {
-                        Some(v) => seed = v,
-                        None => return usage(),
-                    },
-                    "--list" => list = true,
-                    other => {
-                        eprintln!("unknown flag {other}");
-                        return usage();
-                    }
-                }
-            }
-            let mut registry = e2c_bench::default_registry().with_seed(seed);
-            if let Some(pat) = filter {
-                registry = registry.with_filter(pat);
-            }
-            // --iters/--warmup override every benchmark's own policy;
-            // either alone keeps the other knob at the registry default.
-            if iters.is_some() || warmup.is_some() {
-                let base = e2c_bench::BenchPolicy::default();
-                registry = registry.with_policy(e2c_bench::BenchPolicy::new(
-                    warmup.unwrap_or(base.warmup_iters),
-                    iters.unwrap_or(base.measure_iters),
-                ));
-            }
-            if list {
-                for name in registry.selected() {
-                    println!("{name}");
-                }
-                return ExitCode::SUCCESS;
-            }
-            if registry.selected().is_empty() {
-                eprintln!("bench: no benchmark matches the filter");
-                return ExitCode::FAILURE;
-            }
-            let out_dir = out.unwrap_or_else(|| PathBuf::from("."));
-            if let Err(e) = std::fs::create_dir_all(&out_dir) {
-                eprintln!("bench: create {}: {e}", out_dir.display());
-                return ExitCode::FAILURE;
-            }
-            registry = registry.with_out_dir(out_dir.clone());
-            match registry.run() {
-                Ok(reports) => {
-                    for r in &reports {
-                        println!("{}", r.render_row());
-                    }
-                    println!(
-                        "bench: {} report(s) written to {}",
-                        reports.len(),
-                        out_dir.display()
-                    );
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("bench: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        "fuzz" => {
-            let mut codec: Option<String> = None;
-            let mut out: Option<PathBuf> = None;
-            let mut iters = 10_000u64;
-            let mut seed = 1u64;
-            let mut list = false;
-            let mut it = args[1..].iter();
-            while let Some(arg) = it.next() {
-                let mut grab = |name: &str| -> Option<String> {
-                    let v = it.next();
-                    if v.is_none() {
-                        eprintln!("{name} needs a value");
-                    }
-                    v.cloned()
-                };
-                match arg.as_str() {
-                    "--codec" => match grab("--codec") {
-                        Some(v) => codec = Some(v),
-                        None => return usage(),
-                    },
-                    "--out" => match grab("--out") {
-                        Some(v) => out = Some(PathBuf::from(v)),
-                        None => return usage(),
-                    },
-                    "--iters" => match grab("--iters").and_then(|v| v.parse().ok()) {
-                        Some(v) => iters = v,
-                        None => return usage(),
-                    },
-                    "--seed" => match grab("--seed").and_then(|v| v.parse().ok()) {
-                        Some(v) => seed = v,
-                        None => return usage(),
-                    },
-                    "--list" => list = true,
-                    other => {
-                        eprintln!("unknown flag {other}");
-                        return usage();
-                    }
-                }
-            }
-            let mut registry = e2c_fuzz::default_registry()
-                .with_seed(seed)
-                .with_iters(iters);
-            if let Some(pat) = codec {
-                registry = registry.with_filter(pat);
-            }
-            if list {
-                for name in registry.selected() {
-                    println!("{name}");
-                }
-                return ExitCode::SUCCESS;
-            }
-            if registry.selected().is_empty() {
-                eprintln!("fuzz: no codec matches the filter");
-                return ExitCode::FAILURE;
-            }
-            let out_dir = out.unwrap_or_else(|| PathBuf::from("."));
-            if let Err(e) = std::fs::create_dir_all(&out_dir) {
-                eprintln!("fuzz: create {}: {e}", out_dir.display());
-                return ExitCode::FAILURE;
-            }
-            registry = registry.with_out_dir(out_dir.clone());
-            match registry.run() {
-                Ok(reports) => {
-                    let mut failed = false;
-                    for r in &reports {
-                        println!("{}", r.render_row());
-                        if let Some(f) = &r.failure {
-                            failed = true;
-                            eprintln!(
-                                "fuzz: {}: {}\nreproduce: e2clab fuzz --codec {} --seed {} --iters {}\nartifact: {}",
-                                r.name,
-                                f.kind,
-                                r.name,
-                                r.seed,
-                                r.iters_requested,
-                                out_dir.join(format!("FUZZ_{}.crash", r.name)).display()
-                            );
-                        }
-                    }
-                    if failed {
-                        ExitCode::FAILURE
-                    } else {
-                        println!("fuzz: {} codec(s) clean", reports.len());
-                        ExitCode::SUCCESS
-                    }
-                }
-                Err(e) => {
-                    eprintln!("fuzz: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        "report" => {
-            let Some(dir) = args.get(1) else {
-                return usage();
-            };
-            let path = PathBuf::from(dir).join("summary.txt");
-            match std::fs::read_to_string(&path) {
-                Ok(text) => {
-                    print!("{text}");
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("{}: {e}", path.display());
-                    ExitCode::FAILURE
-                }
-            }
-        }
+    let rest = &args[1..];
+    let first = rest.first().map(String::as_str);
+    match (command, first) {
+        ("optimize", _) => with_flags(&OPTIMIZE, rest, optimize),
+        ("serve", _) => with_flags(&SERVE, rest, serve),
+        ("worker", _) => with_flags(&WORKER, rest, worker),
+        ("lint", _) => with_flags(&LINT, rest, lint),
+        ("bench", _) => with_flags(&BENCH, rest, bench),
+        ("fuzz", _) => with_flags(&FUZZ, rest, fuzz),
+        ("validate", Some(path)) => exit_code(validate(path)),
+        ("deploy", Some(path)) => exit_code(deploy(path)),
+        ("report", Some(dir)) => exit_code(show_summary(dir)),
+        ("trace", Some("summarize")) => match rest.get(1) {
+            Some(target) => exit_code(summarize_trace(target)),
+            None => usage(),
+        },
         _ => usage(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Parse a space-separated command line by `spec`.
+    fn parse(spec: &FlagSpec, line: &str) -> Result<Flags, String> {
+        spec.parse(
+            &line
+                .split_whitespace()
+                .map(String::from)
+                .collect::<Vec<_>>(),
+        )
+    }
+
+    #[test]
+    fn the_table_splits_values_switches_and_positionals() {
+        let flags = parse(&OPTIMIZE, "--seed 7 --replay-check a.yaml --seed 9 b.yaml").unwrap();
+        // The last value and the last positional win.
+        assert_eq!(flags.get("--seed", 0u64), Ok(9));
+        assert!(flags.switch("--replay-check"));
+        assert_eq!(flags.positional.as_deref(), Some("b.yaml"));
+        assert_eq!(flags.get("--workers", 3usize), Ok(3));
+        // A value flag takes the next argument verbatim.
+        let flags = parse(&OPTIMIZE, "--archive --trace").unwrap();
+        assert_eq!(flags.path("--archive"), Some(PathBuf::from("--trace")));
+        // Repeated `lint --config` files apply in order.
+        let flags = parse(&LINT, "--config a --config b").unwrap();
+        assert_eq!(flags.all("--config").collect::<Vec<_>>(), ["a", "b"]);
+    }
+
+    #[test]
+    fn malformed_command_lines_name_the_flag() {
+        let err = |spec, line| parse(spec, line).unwrap_err();
+        assert_eq!(err(&OPTIMIZE, "c.yaml --seed"), "--seed needs a value");
+        assert_eq!(err(&BENCH, "--list --iters"), "--iters needs a value");
+        assert_eq!(err(&OPTIMIZE, "--bogus"), "unknown flag --bogus");
+        for spec in [&SERVE, &WORKER, &BENCH, &FUZZ] {
+            assert_eq!(err(spec, "extra"), "unknown flag extra");
+        }
+        let flags = parse(&WORKER, "--clients abc --repeat 0").unwrap();
+        let clients = flags.get("--clients", 80usize);
+        assert_eq!(clients.unwrap_err(), "--clients: invalid value `abc`");
+        let repeat = flags.positive("--repeat", 1usize);
+        assert_eq!(repeat.unwrap_err(), "--repeat must be at least 1");
+        assert_eq!(flags.positive("--duration", 1380u64), Ok(1380));
+    }
+
+    #[test]
+    fn journal_flags_are_checked_once_for_both_commands() {
+        let conf = |spec, line| journal_conf(&parse(spec, line).unwrap());
+        for spec in [&OPTIMIZE, &SERVE] {
+            assert!(conf(spec, "--journal a --resume b").is_err());
+            assert!(conf(spec, "--replay-check --resume a").is_err());
+            let crash = conf(spec, "--crash-at 2").unwrap_err();
+            assert_eq!(crash, "--crash-at needs --journal or --resume");
+            assert!(conf(spec, "").unwrap().is_none());
+        }
+        assert!(conf(&SERVE, "--crash-at-epoch 0").is_err());
+        let jc = conf(&SERVE, "--resume j --crash-at 3").unwrap().unwrap();
+        assert!(jc.resume);
+        assert_eq!((jc.dir, jc.crash_after), (PathBuf::from("j"), Some(3)));
+    }
+
+    #[test]
+    fn traced_evaluations_round_trip_through_aux_pairs() {
+        let prom = Some("# TYPE x gauge\nx 1\n".to_string());
+        let (mean, completed) = (0.1 + 0.2, 4242.0);
+        let aux = Evaluation {
+            mean,
+            completed,
+            prom: prom.clone(),
+        }
+        .into_aux();
+        let keys: Vec<&str> = aux.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["mean", "completed", "prom"]);
+        let back = Evaluation::from_aux(&aux).unwrap();
+        assert_eq!(
+            (back.mean.to_bits(), back.completed),
+            (mean.to_bits(), completed)
+        );
+        assert_eq!(back.prom, prom);
+        // An untraced evaluation ships nothing, and nothing lands.
+        let untraced = Evaluation {
+            mean,
+            completed,
+            prom: None,
+        };
+        assert!(untraced.into_aux().is_empty());
+        assert!(Evaluation::from_aux(&[]).is_none());
     }
 }

@@ -186,3 +186,67 @@ fn injected_fault_is_retried_and_recorded_in_the_archive() {
     let _ = std::fs::remove_file(conf);
     let _ = std::fs::remove_dir_all(archive);
 }
+
+/// Run `e2clab` with `args`, assert it exits 2 with the usage text, and
+/// return its stderr.
+fn usage_error(args: &[&str]) -> String {
+    let out = bin().args(args).output().expect("spawn");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+    stderr
+}
+
+#[test]
+fn malformed_flags_are_usage_errors() {
+    let conf = write_conf("flags.yaml", CONF);
+    let conf = conf.to_str().unwrap();
+    let stderr = usage_error(&["optimize", conf, "--seed"]);
+    assert!(stderr.contains("--seed needs a value"), "{stderr}");
+    usage_error(&["optimize", "--seed", "abc", conf]);
+    let stderr = usage_error(&["optimize", "--bogus", conf]);
+    assert!(stderr.contains("unknown flag --bogus"), "{stderr}");
+    usage_error(&["lint", "--format", "xml"]);
+    let _ = std::fs::remove_file(conf);
+}
+
+#[test]
+fn subcommands_without_a_positional_reject_one() {
+    for args in [
+        &["serve", "--out", "unused", "extra"][..],
+        &["bench", "--list", "extra"][..],
+        &["fuzz", "--list", "extra"][..],
+        &["worker", "extra"][..],
+    ] {
+        usage_error(args);
+    }
+}
+
+#[test]
+fn farm_flags_are_validated() {
+    let conf = write_conf("farm-flags.yaml", CONF);
+    let conf = conf.to_str().unwrap();
+    // Malformed `W@N`, a kill knob without a farm, and a farmed replay
+    // check are all usage errors.
+    usage_error(&["optimize", "--workers", "2", "--kill-worker", "1-2", conf]);
+    usage_error(&["optimize", "--kill-worker", "1@1", conf]);
+    usage_error(&["optimize", "--workers", "2", "--replay-check", conf]);
+    let _ = std::fs::remove_file(conf);
+}
+
+#[test]
+fn zero_repeat_and_zero_duration_are_rejected() {
+    let conf = write_conf("zero.yaml", CONF);
+    let conf = conf.to_str().unwrap();
+    for command in ["optimize", "worker"] {
+        for flag in ["--repeat", "--duration"] {
+            let mut args = vec![command, flag, "0"];
+            if command == "optimize" {
+                args.push(conf);
+            }
+            let stderr = usage_error(&args);
+            assert!(stderr.contains(flag), "{args:?}: {stderr}");
+        }
+    }
+    let _ = std::fs::remove_file(conf);
+}
