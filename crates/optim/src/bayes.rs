@@ -125,9 +125,12 @@ impl BayesOpt {
 
     /// Request the next point to evaluate.
     pub fn ask(&mut self) -> Point {
-        // Phase 1: serve (and lazily generate) the initial design.
+        // Phase 1: serve (and lazily generate) the initial design, then
+        // uniform points until something has been told: a surrogate fitted
+        // on pending points alone would learn the constant liar of no
+        // observations, `max(∅) = -∞`.
         let served = self.xs.len() + self.pending.len();
-        if served < self.n_initial {
+        if served < self.n_initial || self.xs.is_empty() {
             if self.initial_queue.is_empty() {
                 self.initial_queue =
                     self.design
@@ -219,10 +222,7 @@ impl BayesOpt {
         }
         // Drop duplicates of evaluated/pending points (integer spaces
         // collide often); keep at least one candidate.
-        candidates.retain(|c| {
-            !self.xs.iter().any(|x| points_equal(x, c))
-                && !self.pending.iter().any(|p| points_equal(p, c))
-        });
+        drop_known(&mut candidates, &self.xs, &self.pending);
         if candidates.is_empty() {
             return self.space.sample(&mut self.rng);
         }
@@ -262,6 +262,29 @@ impl BayesOpt {
 
 fn points_equal(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| (x - y).abs() < 1e-9)
+}
+
+/// Drop every candidate that [`points_equal`] some point of `xs` or
+/// `pending`, without comparing every pair. The known points are sorted
+/// by first coordinate once; `fl(p₀ − c₀)` is monotone in `p₀`, so the
+/// points whose first coordinate is within 1e-9 of a candidate's form one
+/// run, found by `partition_point` on that same difference and scanned
+/// with the full comparison. A NaN first coordinate equals nothing, so
+/// such points are left out of the sort.
+fn drop_known(candidates: &mut Vec<Point>, xs: &[Point], pending: &[Point]) {
+    let mut known: Vec<&Point> = xs
+        .iter()
+        .chain(pending)
+        .filter(|p| !p[0].is_nan())
+        .collect();
+    known.sort_by(|a, b| a[0].total_cmp(&b[0]));
+    candidates.retain(|c| {
+        let lo = known.partition_point(|p| p[0] - c[0] <= -1e-9);
+        !known[lo..]
+            .iter()
+            .take_while(|p| p[0] - c[0] < 1e-9)
+            .any(|p| points_equal(p, c))
+    });
 }
 
 #[cfg(test)]
@@ -387,6 +410,130 @@ mod tests {
     fn non_finite_tell_rejected() {
         let mut opt = BayesOpt::new(space(), 1);
         opt.tell(vec![1.0, 0.5], f64::NAN);
+    }
+
+    #[test]
+    fn guided_asks_wait_for_the_first_observation() {
+        // One initial point and three asks before the first tell: a
+        // guided ask here would fit the constant liar of no observations,
+        // -inf, and the gp_hedge gains would become infinite.
+        let mut opt = BayesOpt::new(space(), 3).n_initial_points(1);
+        let early: Vec<Point> = (0..3).map(|_| opt.ask()).collect();
+        for p in early {
+            assert!(opt.space().contains(&p));
+            let y = objective(&p);
+            opt.tell(p, y);
+        }
+        for _ in 0..8 {
+            let p = opt.ask();
+            let y = objective(&p);
+            opt.tell(p, y);
+        }
+        let probabilities = opt.hedge.probabilities();
+        assert!(
+            probabilities.iter().all(|p| p.is_finite() && *p > 0.0),
+            "{probabilities:?}"
+        );
+    }
+
+    /// The duplicate filter as a linear scan: the reference for
+    /// [`drop_known`].
+    fn drop_known_linearly(candidates: &[Point], xs: &[Point], pending: &[Point]) -> Vec<Point> {
+        candidates
+            .iter()
+            .filter(|c| {
+                !xs.iter().any(|x| points_equal(x, c))
+                    && !pending.iter().any(|p| points_equal(p, c))
+            })
+            .cloned()
+            .collect()
+    }
+
+    /// Points of `dims` coordinates alternating integer and real values.
+    /// The first coordinate takes one of the few values in `firsts`, so it
+    /// ties often.
+    fn mixed_point(rng: &mut StdRng, firsts: &[f64], dims: usize) -> Point {
+        let mut p = vec![firsts[rng.gen_range(0..firsts.len())]];
+        for d in 1..dims {
+            p.push(if d % 2 == 1 {
+                rng.gen_range(0..4) as f64
+            } else {
+                rng.gen_range(0..3) as f64 * 0.25
+            });
+        }
+        p
+    }
+
+    /// Offsets around the 1e-9 tolerance: exactly on it, a hair inside
+    /// and outside, well inside and well outside, in both directions.
+    const OFFSETS: [f64; 11] = [
+        0.0,
+        1e-9,
+        -1e-9,
+        1e-9 - 1e-14,
+        -(1e-9 - 1e-14),
+        1e-9 + 1e-14,
+        -(1e-9 + 1e-14),
+        5e-10,
+        -5e-10,
+        3e-9,
+        -3e-9,
+    ];
+
+    fn bits(points: &[Point]) -> Vec<Vec<u64>> {
+        points
+            .iter()
+            .map(|p| p.iter().map(|v| v.to_bits()).collect())
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// The sorted filter keeps exactly the candidates the linear
+        /// `points_equal` scan keeps, in the same order.
+        #[test]
+        fn sorted_duplicate_filter_matches_the_linear_scan(
+            dims in 1usize..5,
+            n_xs in 0usize..40,
+            n_pending in 0usize..4,
+            n_candidates in 0usize..60,
+            seed in 0u64..1_000_000,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // Signed zeros, a value one tolerance from zero, integers, and
+            // reals, at which `v + 1e-9` rounds to either side of the
+            // tolerance.
+            let mut firsts = vec![-0.0, 0.0, 1e-9, 20.0, -3.0];
+            firsts.extend((0..3).map(|_| rng.gen_range(-50.0..50.0)));
+            let xs: Vec<Point> =
+                (0..n_xs).map(|_| mixed_point(&mut rng, &firsts, dims)).collect();
+            let pending: Vec<Point> =
+                (0..n_pending).map(|_| mixed_point(&mut rng, &firsts, dims)).collect();
+            let known: Vec<&Point> = xs.iter().chain(&pending).collect();
+            let candidates: Vec<Point> = (0..n_candidates)
+                .map(|_| {
+                    // Mostly near-copies of a known point: one coordinate
+                    // moved by an offset around the tolerance, or a zero's
+                    // sign flipped.
+                    if known.is_empty() || rng.gen::<f64>() < 0.2 {
+                        return mixed_point(&mut rng, &firsts, dims);
+                    }
+                    let mut c = known[rng.gen_range(0..known.len())].clone();
+                    let d = rng.gen_range(0..dims);
+                    if c[d] == 0.0 && rng.gen::<bool>() {
+                        c[d] = -c[d];
+                    } else {
+                        c[d] += OFFSETS[rng.gen_range(0..OFFSETS.len())];
+                    }
+                    c
+                })
+                .collect();
+            let want = drop_known_linearly(&candidates, &xs, &pending);
+            let mut got = candidates;
+            drop_known(&mut got, &xs, &pending);
+            proptest::prop_assert_eq!(bits(&got), bits(&want));
+        }
     }
 
     #[test]

@@ -118,18 +118,29 @@ impl Surrogate for Forest {
 
     fn predict_many(&self, xs: &[Vec<f64>]) -> Vec<(f64, f64)> {
         assert!(!self.trees.is_empty(), "predict before fit");
-        // Tree-major: each tree walks the whole batch while its nodes are
-        // hot in cache, filling a [point][tree] table. The moments then
-        // read each point's row in tree order, exactly as `predict` does,
-        // so both paths return bit-identical values.
-        let n_trees = self.trees.len();
-        let mut table = vec![0.0f64; xs.len() * n_trees];
-        for (t, tree) in self.trees.iter().enumerate() {
-            for (row, x) in table.chunks_exact_mut(n_trees).zip(xs) {
-                row[t] = tree.predict_one(x);
-            }
+        if xs.is_empty() {
+            return Vec::new();
         }
-        table.chunks_exact(n_trees).map(Self::moments).collect()
+        // Tree-major: the batch is transposed once, and each tree walks
+        // all of it in blocks while its nodes are hot in cache, filling a
+        // [tree][point] table. The moments then read each point's
+        // predictions in tree order, exactly as `predict` does, so both
+        // paths return bit-identical values.
+        let batch = Columns::blocks(xs);
+        let n = batch.n_rows();
+        let mut table = vec![0.0f64; n * self.trees.len()];
+        for (tree, out) in self.trees.iter().zip(table.chunks_exact_mut(n)) {
+            tree.predict_blocks(&batch, out);
+        }
+        let mut preds = vec![0.0f64; self.trees.len()];
+        (0..xs.len())
+            .map(|i| {
+                for (p, column) in preds.iter_mut().zip(table.chunks_exact(n)) {
+                    *p = column[i];
+                }
+                Self::moments(&preds)
+            })
+            .collect()
     }
 
     fn is_fitted(&self) -> bool {

@@ -36,10 +36,10 @@ pub trait Surrogate: Send {
 
     /// Predict `(mean, std)` for every row of `xs`. The default simply
     /// forwards to [`Surrogate::predict`]; models override it to amortize
-    /// per-call overhead (e.g. the forest reuses one per-tree buffer
-    /// across the whole batch). Overrides must return bit-identical
-    /// values to the per-point path — the Bayesian optimizer's replay
-    /// determinism depends on it.
+    /// per-call overhead (e.g. the forest transposes the batch once and
+    /// walks each tree over blocks of rows in lockstep). Overrides must
+    /// return bit-identical values to the per-point path — the Bayesian
+    /// optimizer's replay determinism depends on it.
     fn predict_many(&self, xs: &[Vec<f64>]) -> Vec<(f64, f64)> {
         xs.iter().map(|x| self.predict(x)).collect()
     }

@@ -54,7 +54,17 @@ pub(crate) struct Columns {
 impl Columns {
     /// Transpose `x` (rows of equal length, at least one row).
     pub(crate) fn from_rows(x: &[Vec<f64>]) -> Self {
-        let n_rows = x.len();
+        Columns::transpose(x, x.len())
+    }
+
+    /// Transpose a prediction batch `x` (at least one row) with its row
+    /// count rounded up to whole blocks of [`BLOCK`]; the padding rows are
+    /// zeros whose predictions nobody reads.
+    pub(crate) fn blocks(x: &[Vec<f64>]) -> Self {
+        Columns::transpose(x, x.len().div_ceil(BLOCK) * BLOCK)
+    }
+
+    fn transpose(x: &[Vec<f64>], n_rows: usize) -> Self {
         let n_features = x[0].len();
         let mut data = vec![0.0; n_rows * n_features];
         for (i, row) in x.iter().enumerate() {
@@ -63,6 +73,10 @@ impl Columns {
             }
         }
         Columns { n_rows, data }
+    }
+
+    pub(crate) fn n_rows(&self) -> usize {
+        self.n_rows
     }
 
     /// The rows `rows` in that order, repeats included (a bootstrap
@@ -87,27 +101,45 @@ impl Columns {
     }
 }
 
-/// Marks a leaf in [`Node::feature`].
-const LEAF: u32 = u32::MAX;
-
 /// One node of the tree, stored in pre-order.
+///
+/// A leaf is a self-loop: feature 0 and both children pointing at
+/// itself. A descent can therefore take exactly the tree's height in
+/// steps from any row, ending on its leaf whichever way the last
+/// comparisons went, so a batch of rows walks in lockstep.
 #[derive(Clone, Copy)]
 struct Node {
     /// Split threshold (`x[feature] <= value` goes left), or the leaf
     /// mean.
     value: f64,
-    /// Split feature, or [`LEAF`].
+    /// Split feature (0 for a leaf).
     feature: u32,
-    /// `[left, right]` child indices (splits only). Indexing them by the
-    /// comparison keeps the descent free of data-dependent branches.
+    /// `[left, right]` child indices, or the node's own index twice for a
+    /// leaf. Indexing them by the comparison keeps the descent free of
+    /// data-dependent branches.
     children: [u32; 2],
 }
+
+impl Node {
+    /// The child a row with `x` in this node's feature descends to. NaN
+    /// compares false, so it goes right.
+    fn next(&self, x: f64) -> u32 {
+        let left = x <= self.value;
+        self.children[usize::from(!left)]
+    }
+}
+
+/// Rows a batch prediction walks through a tree together: enough
+/// independent descents to hide each step's load latency.
+const BLOCK: usize = 16;
 
 /// A single regression tree.
 pub struct RegressionTree {
     params: TreeParams,
     rng: StdRng,
     nodes: Vec<Node>,
+    /// Depth of the deepest leaf: the steps every descent takes.
+    height: usize,
     fitted: bool,
     /// Training-residual std, reported as the (weak) uncertainty of a
     /// single tree.
@@ -121,6 +153,7 @@ impl RegressionTree {
             params,
             rng: StdRng::seed_from_u64(seed),
             nodes: Vec::new(),
+            height: 0,
             fitted: false,
             residual_std: 0.0,
         }
@@ -138,26 +171,48 @@ impl RegressionTree {
             nodes: &mut self.nodes,
             cols,
             y,
+            height: 0,
             ids: (0..y.len() as u32).collect(),
             spill: Vec::with_capacity(y.len()),
-            vals: Vec::with_capacity(y.len()),
-            ys: Vec::with_capacity(y.len()),
             sorted: Vec::new(),
             features: Vec::with_capacity(n_features),
+            cuts: Vec::new(),
         };
         grower.grow(0, y.len(), 0);
+        self.height = grower.height;
         self.fitted = true;
     }
 
     pub(crate) fn predict_one(&self, x: &[f64]) -> f64 {
         let mut at = 0;
-        loop {
-            let node = &self.nodes[at];
-            if node.feature == LEAF {
-                return node.value;
+        for _ in 0..self.height {
+            let node = &self.nodes[at as usize];
+            at = node.next(x[node.feature as usize]);
+        }
+        self.nodes[at as usize].value
+    }
+
+    /// Predict every row of `batch` (made by [`Columns::blocks`]) into
+    /// `out`, walking [`BLOCK`] rows down the tree in lockstep so their
+    /// node loads overlap.
+    pub(crate) fn predict_blocks(&self, batch: &Columns, out: &mut [f64]) {
+        let n = batch.n_rows;
+        assert!(
+            n.is_multiple_of(BLOCK) && out.len() == n,
+            "batch not in blocks"
+        );
+        for (b, out) in out.chunks_exact_mut(BLOCK).enumerate() {
+            let base = b * BLOCK;
+            let mut at = [0u32; BLOCK];
+            for _ in 0..self.height {
+                for (j, at) in at.iter_mut().enumerate() {
+                    let node = &self.nodes[*at as usize];
+                    *at = node.next(batch.data[node.feature as usize * n + base + j]);
+                }
             }
-            let left = x[node.feature as usize] <= node.value;
-            at = node.children[usize::from(!left)] as usize;
+            for (o, &at) in out.iter_mut().zip(&at) {
+                *o = self.nodes[at as usize].value;
+            }
         }
     }
 
@@ -175,38 +230,42 @@ struct Grower<'a> {
     nodes: &'a mut Vec<Node>,
     cols: &'a Columns,
     y: &'a [f64],
+    /// Depth of the deepest node so far.
+    height: usize,
     /// Row ids; every node owns a contiguous range of them.
     ids: Vec<u32>,
     /// Right-hand ids while a range is partitioned.
     spill: Vec<u32>,
-    /// One feature column gathered in the node's id order.
-    vals: Vec<f64>,
-    /// The targets gathered in the node's id order.
-    ys: Vec<f64>,
     /// CART: the node's distinct feature values, ascending.
     sorted: Vec<f64>,
     /// Feature draw order.
     features: Vec<usize>,
+    /// The node's candidate cuts, in the order the scan considers them.
+    cuts: Vec<Cut>,
+}
+
+/// A candidate split: `x[feature] <= threshold` goes left.
+#[derive(Clone, Copy)]
+struct Cut {
+    feature: usize,
+    threshold: f64,
 }
 
 impl Grower<'_> {
     /// Grow the subtree over `ids[lo..hi]` and return its root index.
     fn grow(&mut self, lo: usize, hi: usize, depth: usize) -> usize {
-        self.ys.clear();
-        let y = self.y;
-        self.ys
-            .extend(self.ids[lo..hi].iter().map(|&i| y[i as usize]));
         let n = hi - lo;
-        let mean = self.ys.iter().sum::<f64>() / n as f64;
-        let sse: f64 = self.ys.iter().map(|&v| (v - mean).powi(2)).sum();
+        let mean = self.targets(lo, hi).sum::<f64>() / n as f64;
         let slot = self.nodes.len();
         self.nodes.push(Node {
             value: mean,
-            feature: LEAF,
-            children: [0, 0],
+            feature: 0,
+            children: [slot as u32; 2],
         });
-        let stop =
-            depth >= self.params.max_depth || n < self.params.min_samples_split || sse <= 1e-12;
+        self.height = self.height.max(depth);
+        let stop = depth >= self.params.max_depth
+            || n < self.params.min_samples_split
+            || self.pure(lo, hi, mean);
         if stop {
             return slot;
         }
@@ -226,9 +285,27 @@ impl Grower<'_> {
         slot
     }
 
+    /// The targets of `ids[lo..hi]`, in that order.
+    fn targets(&self, lo: usize, hi: usize) -> impl Iterator<Item = f64> + '_ {
+        self.ids[lo..hi].iter().map(|&i| self.y[i as usize])
+    }
+
+    /// Whether the targets of `ids[lo..hi]` have a summed squared error
+    /// about `mean` of at most 1e-12. The squared deviations are never
+    /// negative, so the running sum never falls (and a NaN stays NaN):
+    /// the first prefix over the bound decides, and an impure node, the
+    /// common case, is known after a few terms.
+    fn pure(&self, lo: usize, hi: usize, mean: f64) -> bool {
+        let mut sse = 0.0;
+        self.targets(lo, hi).all(|v| {
+            sse += (v - mean).powi(2);
+            sse <= 1e-12
+        })
+    }
+
     /// Pick the split `(feature, threshold)` of `ids[lo..hi]` minimizing
     /// the children's summed squared error, or `None` if nothing
-    /// separates the samples. Expects `ys` to hold the node's targets.
+    /// separates the samples.
     fn best_split(&mut self, lo: usize, hi: usize) -> Option<(usize, f64)> {
         let n_features = self.cols.n_features();
         let k =
@@ -240,47 +317,72 @@ impl Grower<'_> {
             let j = self.rng.gen_range(i..n_features);
             self.features.swap(i, j);
         }
-        let min_leaf = self.params.min_samples_leaf;
-        let mut best: Option<(f64, usize, f64)> = None; // (score, feature, threshold)
-        for &f in &self.features[..k] {
-            let column = self.cols.column(f);
-            self.vals.clear();
-            self.vals
-                .extend(self.ids[lo..hi].iter().map(|&i| column[i as usize]));
+        // Read the ranges of the drawn features four at a time (a short
+        // last group repeats its last feature) and list the cuts: one
+        // random threshold per feature that varies (Extra Trees, drawn in
+        // feature order) or every midpoint between consecutive distinct
+        // values.
+        let cols = self.cols;
+        let ids = &self.ids[lo..hi];
+        self.cuts.clear();
+        for drawn in self.features[..k].chunks(4) {
+            let columns: [&[f64]; 4] =
+                std::array::from_fn(|c| cols.column(drawn[c.min(drawn.len() - 1)]));
             // NaN is skipped as by `f64::min`/`max`; of two equal zeros
             // the first is kept, and a `-0.0` for a `+0.0` changes neither
             // `max <= min` nor the drawn threshold.
-            let (min, max) = self
-                .vals
-                .iter()
-                .fold((f64::INFINITY, f64::NEG_INFINITY), |(min, max), &v| {
-                    (if v < min { v } else { min }, if v > max { v } else { max })
-                });
-            if max <= min {
-                continue;
-            }
-            let mut consider = |t: f64| {
-                if let Some(score) = split_score(&self.vals, &self.ys, t, min_leaf) {
-                    if best.is_none_or(|(b, _, _)| score < b) {
-                        best = Some((score, f, t));
-                    }
+            let (mut min, mut max) = ([f64::INFINITY; 4], [f64::NEG_INFINITY; 4]);
+            for &id in ids {
+                for c in 0..4 {
+                    let v = columns[c][id as usize];
+                    min[c] = if v < min[c] { v } else { min[c] };
+                    max[c] = if v > max[c] { v } else { max[c] };
                 }
-            };
-            if self.params.random_threshold {
-                consider(min + self.rng.gen::<f64>() * (max - min));
-            } else {
-                // Scan midpoints between consecutive distinct values.
-                self.sorted.clear();
-                self.sorted.extend_from_slice(&self.vals);
-                self.sorted
-                    .sort_by(|a, b| a.partial_cmp(b).expect("NaN feature"));
-                self.sorted.dedup();
-                for w in self.sorted.windows(2) {
-                    consider((w[0] + w[1]) / 2.0);
+            }
+            for (c, &feature) in drawn.iter().enumerate() {
+                let (min, max) = (min[c], max[c]);
+                if max <= min {
+                    continue;
+                }
+                if self.params.random_threshold {
+                    let threshold = min + self.rng.gen::<f64>() * (max - min);
+                    self.cuts.push(Cut { feature, threshold });
+                } else {
+                    let column = columns[c];
+                    self.sorted.clear();
+                    self.sorted
+                        .extend(ids.iter().map(|&id| column[id as usize]));
+                    self.sorted
+                        .sort_by(|a, b| a.partial_cmp(b).expect("NaN feature"));
+                    self.sorted.dedup();
+                    self.cuts.extend(self.sorted.windows(2).map(|w| Cut {
+                        feature,
+                        threshold: (w[0] + w[1]) / 2.0,
+                    }));
                 }
             }
         }
-        best.map(|(_, f, t)| (f, t))
+        // Score four cuts per pass; a short last group repeats its last
+        // cut. The first strictly lowest score wins.
+        let mut best: Option<(f64, Cut)> = None;
+        for group in self.cuts.chunks(4) {
+            let cut = |c: usize| group[c.min(group.len() - 1)];
+            let scores = score_cuts(
+                std::array::from_fn(|c| cols.column(cut(c).feature)),
+                std::array::from_fn(|c| cut(c).threshold),
+                ids,
+                self.y,
+                self.params.min_samples_leaf,
+            );
+            for (&cut, score) in group.iter().zip(scores) {
+                if let Some(score) = score {
+                    if best.is_none_or(|(b, _)| score < b) {
+                        best = Some((score, cut));
+                    }
+                }
+            }
+        }
+        best.map(|(_, cut)| (cut.feature, cut.threshold))
     }
 
     /// Stable in-place partition of `ids[lo..hi]` by
@@ -308,32 +410,45 @@ impl Grower<'_> {
     }
 }
 
-/// The children's summed squared error for the cut `vals <= t`, or `None`
-/// if a side would keep fewer than `min_leaf` samples.
+/// The children's summed squared error for each cut
+/// `columns[c] <= thresholds[c]`, or `None` where a side would keep fewer
+/// than `min_leaf` samples. One pass serves all four cuts, and their
+/// sixteen running sums are independent add chains.
 ///
 /// The scan is branch-free: each target is added to its own side and
 /// `+0.0` to the other. A sum that starts at `+0.0` never becomes `-0.0`
 /// (round-to-nearest gives `a + -a = +0.0`), and `s + 0.0 == s` bit for
 /// bit for every other `s`, so each side's sums are exactly those of
 /// adding only its own targets, in the same order.
-fn split_score(vals: &[f64], ys: &[f64], t: f64, min_leaf: usize) -> Option<f64> {
-    let (mut nl, mut sl, mut ssl) = (0usize, 0.0, 0.0);
-    let (mut sr, mut ssr) = (0.0, 0.0);
-    for (&x, &v) in vals.iter().zip(ys) {
-        let left = x <= t;
-        nl += usize::from(left);
-        let (vl, vr) = if left { (v, 0.0) } else { (0.0, v) };
-        sl += vl;
-        ssl += vl * vl;
-        sr += vr;
-        ssr += vr * vr;
+fn score_cuts(
+    columns: [&[f64]; 4],
+    thresholds: [f64; 4],
+    ids: &[u32],
+    y: &[f64],
+    min_leaf: usize,
+) -> [Option<f64>; 4] {
+    let n = ids.len();
+    let mut nl = [0usize; 4];
+    let (mut sl, mut ssl) = ([0.0; 4], [0.0; 4]);
+    let (mut sr, mut ssr) = ([0.0; 4], [0.0; 4]);
+    for &id in ids {
+        let v = y[id as usize];
+        for c in 0..4 {
+            let left = columns[c][id as usize] <= thresholds[c];
+            nl[c] += usize::from(left);
+            let (vl, vr) = if left { (v, 0.0) } else { (0.0, v) };
+            sl[c] += vl;
+            ssl[c] += vl * vl;
+            sr[c] += vr;
+            ssr[c] += vr * vr;
+        }
     }
-    let nr = vals.len() - nl;
-    if nl < min_leaf || nr < min_leaf {
-        return None;
-    }
-    // SSE = Σy² - (Σy)²/n for each side.
-    Some((ssl - sl * sl / nl as f64) + (ssr - sr * sr / nr as f64))
+    std::array::from_fn(|c| {
+        let nr = n - nl[c];
+        // SSE = Σy² - (Σy)²/n for each side.
+        (nl[c] >= min_leaf && nr >= min_leaf)
+            .then(|| (ssl[c] - sl[c] * sl[c] / nl[c] as f64) + (ssr[c] - sr[c] * sr[c] / nr as f64))
+    })
 }
 
 impl Surrogate for RegressionTree {

@@ -4,10 +4,11 @@
 //! `Vec<usize>` per node from `Iterator::partition`, a fresh `thresholds`
 //! Vec per feature, a branchy split scan and a point-major forest
 //! prediction. The production kernel (column-major copy, in-place stable
-//! partition, branch-free scan, tree-major batch prediction) must grow
-//! node-for-node the same trees and return bit-identical predictions for
-//! every tree family built on it: CART, Extra Trees, random forest and
-//! the gradient-boosting stages.
+//! partition, a branch-free scan scoring four cuts per pass, self-loop
+//! leaves walked in lockstep blocks) must grow node-for-node the same
+//! trees and return bit-identical predictions for every tree family built
+//! on it: CART, Extra Trees, random forest and the gradient-boosting
+//! stages, on batches of any length and at NaN and infinite coordinates.
 
 use e2c_optim::surrogate::{Forest, ForestParams, Gbrt, RegressionTree, Surrogate, TreeParams};
 use proptest::prelude::*;
@@ -373,7 +374,15 @@ fn data(n: usize, d: usize, shape: u32, seed: u64) -> Data {
             }
         })
         .collect();
-    let mut probes: Vec<Vec<f64>> = x.iter().take(16).cloned().collect();
+    // Probes with a NaN or infinite coordinate come first, so short
+    // batches walk them too; NaN compares false and goes right.
+    let mut probes: Vec<Vec<f64>> = Vec::new();
+    for special in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+        let mut p: Vec<f64> = (0..d).map(|_| rng.gen_range(-0.1..1.1)).collect();
+        p[rng.gen_range(0..d)] = special;
+        probes.push(p);
+    }
+    probes.extend(x.iter().take(16).cloned());
     for _ in 0..32 {
         probes.push((0..d).map(|_| rng.gen_range(-0.1..1.1)).collect());
     }
@@ -390,12 +399,17 @@ fn gbrt_stage() -> TreeParams {
 }
 
 fn tree_params(which: u32) -> TreeParams {
-    match which % 5 {
+    match which % 6 {
         0 => TreeParams::cart(),
         1 => TreeParams::extra(),
         2 => gbrt_stage(),
         3 => TreeParams {
             max_features: 0.5,
+            ..TreeParams::extra()
+        },
+        // Shallow enough that most trees stop at the depth limit.
+        4 => TreeParams {
+            max_depth: 2,
             ..TreeParams::extra()
         },
         _ => TreeParams {
@@ -407,12 +421,26 @@ fn tree_params(which: u32) -> TreeParams {
     }
 }
 
+/// Batch lengths around the 16-row prediction block (`usize::MAX`: every
+/// probe).
+const BATCHES: [usize; 6] = [0, 1, 15, 17, 33, usize::MAX];
+
 fn bits(p: (f64, f64)) -> (u64, u64) {
     (p.0.to_bits(), p.1.to_bits())
 }
 
+/// 96 cases per property, unless `PROPTEST_CASES` sets the count (CI
+/// runs 2000).
+fn config() -> ProptestConfig {
+    if std::env::var_os("PROPTEST_CASES").is_some() {
+        ProptestConfig::default()
+    } else {
+        ProptestConfig::with_cases(96)
+    }
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+    #![proptest_config(config())]
 
     /// A single tree, every parameter family: same node count, and the
     /// same `(mean, residual std)` bits at training rows and off-data
@@ -422,7 +450,7 @@ proptest! {
         n in 1usize..400,
         d in 1usize..6,
         shape in 0u32..16,
-        which in 0u32..5,
+        which in 0u32..6,
         seed in 0u64..1_000_000
     ) {
         let data = data(n, d, shape, seed);
@@ -444,14 +472,16 @@ proptest! {
     }
 
     /// Extra Trees and random forests: same total node count and
-    /// bit-identical `predict` and `predict_many`.
+    /// bit-identical `predict` and `predict_many`, on batches that fill
+    /// no block, part of one, or whole blocks plus a tail.
     #[test]
     fn forest_matches_the_reference_ensemble(
         n in 1usize..400,
         d in 1usize..6,
         shape in 0u32..16,
         bootstrap in any::<bool>(),
-        which in 0u32..5,
+        which in 0u32..6,
+        batch in 0usize..BATCHES.len(),
         seed in 0u64..1_000_000
     ) {
         let data = data(n, d, shape, seed);
@@ -465,10 +495,11 @@ proptest! {
         forest.fit(&data.x, &data.y);
         model.fit(&data.x, &data.y);
         prop_assert_eq!(forest.node_count(), model.node_count());
-        let want = model.predict_many(&data.probes);
-        let got = forest.predict_many(&data.probes);
+        let probes = &data.probes[..BATCHES[batch].min(data.probes.len())];
+        let want = model.predict_many(probes);
+        let got = forest.predict_many(probes);
         prop_assert_eq!(got.len(), want.len());
-        for ((g, w), p) in got.iter().zip(&want).zip(&data.probes) {
+        for ((g, w), p) in got.iter().zip(&want).zip(probes) {
             prop_assert_eq!(bits(*g), bits(*w), "at {:?}", p);
             prop_assert_eq!(bits(forest.predict(p)), bits(model.predict(p)));
         }
