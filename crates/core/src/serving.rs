@@ -36,6 +36,7 @@ use e2c_conf::schema::{
     VariableConf,
 };
 use e2c_des::SimTime;
+use e2c_journal::wire::{parse_f64, parse_u32, parse_u64};
 use e2c_journal::{write_atomic, Wal};
 use e2c_workload::seasonal::GrowthModel;
 use e2c_workload::{serving_schedule, RateSchedule};
@@ -151,9 +152,9 @@ pub const CSV_HEADER: &str = "epoch,label,rate_rps,http,download,simsearch,extra
                               response_mean,throughput";
 
 impl EpochRow {
-    /// Render as one CSV row (no newline). `f64` `Display` round-trips
-    /// exactly through `parse`, so a row parsed back from the WAL
-    /// re-renders to identical bytes.
+    /// Render as one CSV row (no newline). Every number is written in the
+    /// canonical wire form that [`EpochRow::from_csv`] requires, so a row
+    /// parsed back from the WAL re-renders to identical bytes.
     pub fn to_csv(&self) -> String {
         format!(
             "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
@@ -176,7 +177,9 @@ impl EpochRow {
         )
     }
 
-    /// Parse a row rendered by [`EpochRow::to_csv`].
+    /// Parse a row rendered by [`EpochRow::to_csv`]. Numbers must be in
+    /// their canonical wire form (`e2c_journal::wire`), so an accepted
+    /// row renders back to exactly the accepted text.
     pub fn from_csv(line: &str) -> Result<EpochRow, String> {
         let parts: Vec<&str> = line.split(',').collect();
         if parts.len() != 16 {
@@ -185,29 +188,30 @@ impl EpochRow {
                 parts.len()
             ));
         }
-        fn num<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String> {
-            s.parse()
-                .map_err(|_| format!("serving row: bad {what}: {s:?}"))
+        fn num<T>(parse: fn(&str) -> Result<T, String>, s: &str, what: &str) -> Result<T, String> {
+            parse(s).map_err(|e| format!("serving row: bad {what}: {e}"))
         }
+        let epoch = num(parse_u64, parts[0], "epoch")?;
         Ok(EpochRow {
-            epoch: num(parts[0], "epoch")?,
+            epoch: usize::try_from(epoch)
+                .map_err(|_| format!("serving row: bad epoch: {epoch} exceeds usize"))?,
             label: parts[1].to_string(),
-            rate: num(parts[2], "rate")?,
+            rate: num(parse_f64, parts[2], "rate")?,
             config: PoolConfig {
-                http: num(parts[3], "http")?,
-                download: num(parts[4], "download")?,
-                simsearch: num(parts[5], "simsearch")?,
-                extract: num(parts[6], "extract")?,
+                http: num(parse_u32, parts[3], "http")?,
+                download: num(parse_u32, parts[4], "download")?,
+                simsearch: num(parse_u32, parts[5], "simsearch")?,
+                extract: num(parse_u32, parts[6], "extract")?,
             },
-            cost: num(parts[7], "cost")?,
-            offered: num(parts[8], "offered")?,
-            admitted: num(parts[9], "admitted")?,
-            rejected: num(parts[10], "rejected")?,
-            shed: num(parts[11], "shed")?,
-            slo_violations: num(parts[12], "slo_violations")?,
-            completed: num(parts[13], "completed")?,
-            response_mean: num(parts[14], "response_mean")?,
-            throughput: num(parts[15], "throughput")?,
+            cost: num(parse_f64, parts[7], "cost")?,
+            offered: num(parse_u64, parts[8], "offered")?,
+            admitted: num(parse_u64, parts[9], "admitted")?,
+            rejected: num(parse_u64, parts[10], "rejected")?,
+            shed: num(parse_u64, parts[11], "shed")?,
+            slo_violations: num(parse_u64, parts[12], "slo_violations")?,
+            completed: num(parse_u64, parts[13], "completed")?,
+            response_mean: num(parse_f64, parts[14], "response_mean")?,
+            throughput: num(parse_f64, parts[15], "throughput")?,
         })
     }
 }
@@ -635,6 +639,34 @@ mod tests {
         let mut bad = row().to_csv();
         bad = bad.replacen("37.25", "not-a-number", 1);
         assert!(EpochRow::from_csv(&bad).is_err());
+    }
+
+    #[test]
+    fn epoch_row_rejects_non_canonical_numbers() {
+        let good = row().to_csv();
+        let with = |field: usize, spelling: &str| {
+            let mut parts: Vec<&str> = good.split(',').collect();
+            parts[field] = spelling;
+            parts.join(",")
+        };
+        // Integer fields: epoch, http, offered.
+        for field in [0, 3, 8] {
+            for spelling in ["07", "+5"] {
+                assert!(EpochRow::from_csv(&with(field, spelling)).is_err());
+            }
+        }
+        // Float fields: rate, cost, throughput.
+        for field in [2, 7, 15] {
+            for spelling in ["1e6", "nan", "infinity", "+5", "07"] {
+                assert!(EpochRow::from_csv(&with(field, spelling)).is_err());
+            }
+        }
+        // What the writer emits for non-finite costs is still accepted.
+        for spelling in ["NaN", "inf", "-inf"] {
+            let text = with(7, spelling);
+            let parsed = EpochRow::from_csv(&text).expect("canonical spelling");
+            assert_eq!(parsed.to_csv(), text);
+        }
     }
 
     #[test]

@@ -12,14 +12,13 @@ use crate::config::PoolConfig;
 use crate::model::EngineModel;
 use e2c_metrics::{OnlineStats, Summary};
 use e2c_workload::RateSchedule;
-use parking_lot::{Condvar, Mutex};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Counting semaphore (parking-lot mutex + condvar).
+/// Counting semaphore (std mutex + condvar).
 pub struct Semaphore {
     permits: Mutex<usize>,
     cv: Condvar,
@@ -36,23 +35,23 @@ impl Semaphore {
 
     /// Block until a permit is available, then take it.
     pub fn acquire(&self) {
-        let mut p = self.permits.lock();
+        let mut p = self.permits.lock().unwrap_or_else(PoisonError::into_inner);
         while *p == 0 {
-            self.cv.wait(&mut p);
+            p = self.cv.wait(p).unwrap_or_else(PoisonError::into_inner);
         }
         *p -= 1;
     }
 
     /// Return a permit and wake one waiter.
     pub fn release(&self) {
-        let mut p = self.permits.lock();
+        let mut p = self.permits.lock().unwrap_or_else(PoisonError::into_inner);
         *p += 1;
         self.cv.notify_one();
     }
 
     /// Take a permit only if one is free right now (never blocks).
     pub fn try_acquire(&self) -> bool {
-        let mut p = self.permits.lock();
+        let mut p = self.permits.lock().unwrap_or_else(PoisonError::into_inner);
         if *p == 0 {
             return false;
         }
@@ -62,7 +61,7 @@ impl Semaphore {
 
     /// Current free permits (racy; diagnostics only).
     pub fn available(&self) -> usize {
-        *self.permits.lock()
+        *self.permits.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -187,13 +186,16 @@ impl RtEngine {
                         http.release();
                         // Report response in *model* seconds (unscaled).
                         let resp = t0.elapsed().as_secs_f64() / engine.time_scale;
-                        stats.lock().push(resp);
+                        stats
+                            .lock()
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .push(resp);
                     }
                 });
             }
         });
 
-        let stats = stats.lock();
+        let stats = stats.lock().unwrap_or_else(PoisonError::into_inner);
         RtMetrics {
             response: Summary::from(&*stats),
             completed: stats.count(),
@@ -295,12 +297,15 @@ impl RtEngine {
                     if resp > slo {
                         slo_violations.fetch_add(1, Ordering::SeqCst);
                     }
-                    stats.lock().push(resp);
+                    stats
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .push(resp);
                 });
             }
         });
 
-        let stats = stats.lock();
+        let stats = stats.lock().unwrap_or_else(PoisonError::into_inner);
         RtServingMetrics {
             offered,
             admitted,

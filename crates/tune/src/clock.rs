@@ -2,8 +2,8 @@
 //!
 //! Reproducibility demands that wall-clock time never *decides* anything a
 //! replay would re-decide — but the tuner still needs real time for
-//! watchdog liveness, retry backoff pacing and wall-clock deadlines (the
-//! paper's `time_budget`). Those uses are operational, not result-bearing:
+//! retry backoff pacing and wall-clock deadlines (the paper's
+//! `time_budget`). Those uses are operational, not result-bearing:
 //! a replay with different timings produces the same trial sequence.
 //!
 //! Centralizing the read here keeps that boundary auditable. Everything

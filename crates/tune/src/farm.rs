@@ -33,10 +33,8 @@ use std::io::BufReader;
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, ChildStdout, Command, ExitStatus, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
-
-use parking_lot::{Condvar, Mutex};
 
 use crate::clock;
 use crate::fault::RetryPolicy;
@@ -193,7 +191,7 @@ impl FarmInner {
     /// process already owns the slot and the event is ignored.
     fn lose_worker(&self, worker: usize, generation: u64, reason: &str) {
         let now = self.now_ms();
-        let mut st = self.state.lock();
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         if st.sup.generation(worker) != Some(generation)
             || matches!(st.sup.state(worker), Some(SlotState::Dead { .. }))
         {
@@ -257,7 +255,7 @@ impl WorkerFarm {
         for worker in 0..workers {
             match spawn_process(&inner.spec) {
                 Ok((proc, stdout)) => {
-                    let mut st = inner.state.lock();
+                    let mut st = inner.state.lock().unwrap_or_else(PoisonError::into_inner);
                     st.procs[worker] = Some(proc);
                     let generation = st.sup.generation(worker).unwrap_or(0);
                     let handle = spawn_reader(Arc::clone(&inner), worker, generation, stdout);
@@ -265,7 +263,7 @@ impl WorkerFarm {
                     spawned += 1;
                 }
                 Err(e) => {
-                    let mut st = inner.state.lock();
+                    let mut st = inner.state.lock().unwrap_or_else(PoisonError::into_inner);
                     let now = inner.epoch.elapsed().as_millis() as u64;
                     st.sup.lost(worker, now);
                     eprintln!("e2clab: farm: worker {worker} failed to spawn: {e}");
@@ -312,12 +310,20 @@ impl WorkerFarm {
         loop {
             let ticket = self.dispatch(trial, attempt, config, tracer.is_some())?;
             let outcome = {
-                let mut st = self.inner.state.lock();
+                let mut st = self
+                    .inner
+                    .state
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner);
                 loop {
                     if let Some(o) = st.results.remove(&ticket) {
                         break o;
                     }
-                    self.inner.cv.wait(&mut st);
+                    st = self
+                        .inner
+                        .cv
+                        .wait(st)
+                        .unwrap_or_else(PoisonError::into_inner);
                 }
             };
             match outcome {
@@ -358,7 +364,7 @@ impl WorkerFarm {
         traced: bool,
     ) -> Result<u64, TrialError> {
         let inner = &self.inner;
-        let mut st = inner.state.lock();
+        let mut st = inner.state.lock().unwrap_or_else(PoisonError::into_inner);
         let (worker, ticket) = loop {
             if let Some(pair) = st.sup.try_assign(inner.now_ms()) {
                 break pair;
@@ -369,7 +375,7 @@ impl WorkerFarm {
                      (trial {trial} attempt {attempt})"
                 )));
             }
-            inner.cv.wait(&mut st);
+            st = inner.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
         };
         st.inflight.insert(ticket, (trial, attempt));
         let ask = WireMsg::Ask(WorkerAsk {
@@ -426,7 +432,7 @@ impl WorkerFarm {
         let inner = &self.inner;
         inner.down.store(true, Ordering::SeqCst);
         let mut children = Vec::new();
-        let mut st = inner.state.lock();
+        let mut st = inner.state.lock().unwrap_or_else(PoisonError::into_inner);
         for worker in 0..st.procs.len() {
             if let Some(mut p) = st.procs[worker].take() {
                 if let Some(mut stdin) = p.stdin.take() {
@@ -446,7 +452,11 @@ impl WorkerFarm {
             if now >= deadline || children.iter().all(|(id, _)| st.at_eof.contains(id)) {
                 break;
             }
-            inner.cv.wait_for(&mut st, deadline - now);
+            st = inner
+                .cv
+                .wait_timeout(st, deadline - now)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
         }
         let at_eof = std::mem::take(&mut st.at_eof);
         let readers = std::mem::take(&mut st.readers);
@@ -544,14 +554,14 @@ fn spawn_reader(
                         return;
                     }
                     let now = inner.now_ms();
-                    let mut st = inner.state.lock();
+                    let mut st = inner.state.lock().unwrap_or_else(PoisonError::into_inner);
                     if st.sup.generation(worker) == Some(generation) {
                         st.sup.heartbeat(worker, now);
                     }
                 }
                 Ok(Some(WireMsg::Heartbeat { .. })) => {
                     let now = inner.now_ms();
-                    let mut st = inner.state.lock();
+                    let mut st = inner.state.lock().unwrap_or_else(PoisonError::into_inner);
                     if st.sup.generation(worker) == Some(generation) {
                         st.sup.heartbeat(worker, now);
                     }
@@ -610,7 +620,12 @@ fn spawn_reader(
                 }
                 Ok(None) => {
                     // Shutdown waits for this mark before reaping.
-                    inner.state.lock().at_eof.insert((worker, generation));
+                    inner
+                        .state
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .at_eof
+                        .insert((worker, generation));
                     inner.cv.notify_all();
                     if !inner.down.load(Ordering::SeqCst) {
                         inner.lose_worker(worker, generation, "exited (EOF on its result stream)");
@@ -644,7 +659,7 @@ fn route_result(
     outcome: impl FnOnce() -> AskOutcome,
 ) -> bool {
     let now = inner.now_ms();
-    let mut st = inner.state.lock();
+    let mut st = inner.state.lock().unwrap_or_else(PoisonError::into_inner);
     if st.sup.generation(worker) != Some(generation) {
         return false; // stale incarnation; a newer process owns the slot
     }
@@ -679,7 +694,7 @@ fn route_result(
 fn monitor_loop(inner: &Arc<FarmInner>) {
     loop {
         let (stalled, due) = {
-            let mut st = inner.state.lock();
+            let mut st = inner.state.lock().unwrap_or_else(PoisonError::into_inner);
             loop {
                 if inner.down.load(Ordering::SeqCst) {
                     return;
@@ -689,18 +704,29 @@ fn monitor_loop(inner: &Arc<FarmInner>) {
                 if !stalled.is_empty() || !due.is_empty() {
                     break (stalled, due);
                 }
-                match st.sup.next_deadline(now) {
+                st = match st.sup.next_deadline(now) {
                     Some(at) => {
                         inner
                             .monitor_cv
-                            .wait_for(&mut st, Duration::from_millis(at - now));
+                            .wait_timeout(st, Duration::from_millis(at - now))
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .0
                     }
-                    None => inner.monitor_cv.wait(&mut st),
-                }
+                    None => inner
+                        .monitor_cv
+                        .wait(st)
+                        .unwrap_or_else(PoisonError::into_inner),
+                };
             }
         };
         for worker in stalled {
-            let generation = inner.state.lock().sup.generation(worker).unwrap_or(0);
+            let generation = inner
+                .state
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .sup
+                .generation(worker)
+                .unwrap_or(0);
             inner.lose_worker(worker, generation, "missed its heartbeat deadline");
         }
         for worker in due {
@@ -709,7 +735,7 @@ fn monitor_loop(inner: &Arc<FarmInner>) {
             }
             match spawn_process(&inner.spec) {
                 Ok((mut proc, stdout)) => {
-                    let mut st = inner.state.lock();
+                    let mut st = inner.state.lock().unwrap_or_else(PoisonError::into_inner);
                     if inner.down.load(Ordering::SeqCst)
                         || !matches!(st.sup.state(worker), Some(SlotState::Dead { .. }))
                     {
@@ -732,7 +758,7 @@ fn monitor_loop(inner: &Arc<FarmInner>) {
                 Err(e) => {
                     // Burn one respawn and fall back into Dead with the
                     // next backoff (or terminally, if the budget is out).
-                    let mut st = inner.state.lock();
+                    let mut st = inner.state.lock().unwrap_or_else(PoisonError::into_inner);
                     let now = inner.now_ms();
                     st.sup.respawned(worker, now);
                     st.sup.lost(worker, now);

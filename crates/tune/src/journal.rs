@@ -61,11 +61,10 @@ use crate::searcher::Searcher;
 use crate::trial::{Attempt, Trial, TrialError, TrialStatus};
 use crate::tuner::Mode;
 use e2c_optim::space::Point;
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Exit code of a `--crash-at` self-kill, distinct from ordinary failure
 /// exits so the chaos harness can tell a scripted crash from a bug.
@@ -419,7 +418,11 @@ impl RunJournal {
     pub fn append(&self, event: &RunEvent) {
         let line = event.to_line();
         {
-            let mut wal = self.inner.wal.lock();
+            let mut wal = self
+                .inner
+                .wal
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             // detlint: allow(LOCK001) the WAL mutex IS the append serialization point — every holder is doing exactly this fsync'd append, there is no faster work being starved
             if let Err(e) = wal.append(line.as_bytes()) {
                 eprintln!("journal: append to {} failed: {e}", wal.path().display());

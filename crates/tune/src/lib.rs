@@ -11,8 +11,8 @@
 //!   Bayesian [`searcher::SkOptSearch`], [`searcher::RandomSearch`], a
 //!   list-driven [`searcher::GridSearch`], and
 //!   [`searcher::ConcurrencyLimiter`];
-//! * [`scheduler`] — trial schedulers: [`scheduler::Fifo`], the ASHA
-//!   [`scheduler::AsyncHyperBand`], and [`scheduler::MedianStopping`];
+//! * [`scheduler`] — trial schedulers: [`scheduler::Fifo`] and the ASHA
+//!   [`scheduler::AsyncHyperBand`];
 //! * [`evolution`] — a generational GA behind the ask/tell interface,
 //!   for the paper's "short-time running applications" (§III-B2);
 //! * [`logger`] — append-only JSONL/CSV trial logs ("manages model
@@ -38,7 +38,7 @@
 //!   one journal turn at a time);
 //! * [`analysis`] — the result set: best trial, per-trial records;
 //! * [`clock`] — the single sanctioned wall-clock read (detlint DET002):
-//!   watchdog, backoff and deadline timing all route through it;
+//!   backoff and deadline timing route through it;
 //! * [`worker`] — the framed stdio protocol of the multi-process trial
 //!   farm, and [`worker::serve`], the worker-process main loop;
 //! * [`supervisor`] — the farm's crash-tolerance core as a pure,
@@ -69,7 +69,7 @@ pub use farm::{FarmOutcome, FarmSpec, WorkerExit, WorkerFarm};
 pub use fault::{FaultAction, FaultPlan, FaultSpec, RetryPolicy};
 pub use journal::{load_events, replay, ResumeState, RunEvent, RunJournal, CRASH_EXIT_CODE};
 pub use logger::TrialLogger;
-pub use scheduler::{AsyncHyperBand, Decision, Fifo, MedianStopping, Scheduler, TracingScheduler};
+pub use scheduler::{AsyncHyperBand, Decision, Fifo, Scheduler, TracingScheduler};
 pub use searcher::{ConcurrencyLimiter, GridSearch, RandomSearch, Searcher, SkOptSearch};
 pub use supervisor::{SlotState, StaleResult, Supervisor};
 pub use trial::{Attempt, Trial, TrialError, TrialStatus};

@@ -1,7 +1,7 @@
 //! Trial schedulers: FIFO and AsyncHyperBand (ASHA).
 
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
+use std::sync::{Mutex, PoisonError};
 
 /// Verdict for an intermediate report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,11 +75,14 @@ impl AsyncHyperBand {
 }
 
 impl Scheduler for AsyncHyperBand {
+    /// A NaN report is never recorded at a rung and always continues:
+    /// it ranks against nothing, and the tuner classifies the trial by
+    /// its final value.
     fn on_report(&self, _trial_id: u64, iteration: u64, value: f64) -> Decision {
-        if iteration > self.max_t || !self.rung_levels().contains(&iteration) {
+        if value.is_nan() || iteration > self.max_t || !self.rung_levels().contains(&iteration) {
             return Decision::Continue;
         }
-        let mut rungs = self.rungs.lock();
+        let mut rungs = self.rungs.lock().unwrap_or_else(PoisonError::into_inner);
         let rung = rungs.entry(iteration).or_default();
         rung.push(value);
         // Require enough evidence before cutting anything: with fewer than
@@ -91,7 +94,7 @@ impl Scheduler for AsyncHyperBand {
         // Keep if within the best ceil(len/rf) values seen at this rung
         // (smaller is better).
         let mut sorted = rung.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN metric"));
+        sorted.sort_by(f64::total_cmp);
         let keep = sorted.len().div_ceil(rf);
         let cutoff = sorted[keep - 1];
         if value <= cutoff {
@@ -99,60 +102,6 @@ impl Scheduler for AsyncHyperBand {
         } else {
             Decision::Stop
         }
-    }
-}
-
-/// Median-stopping rule (Google Vizier / Ray Tune's
-/// `MedianStoppingRule`): a trial is stopped at iteration `t` if its best
-/// value so far is worse than the median of the *running averages* of all
-/// completed-so-far trials at the same iteration.
-pub struct MedianStopping {
-    grace: u64,
-    min_samples: usize,
-    /// Per-iteration record of running averages: iteration → values.
-    records: Mutex<BTreeMap<u64, Vec<f64>>>,
-    /// trial → (sum, count) for its running average.
-    running: Mutex<BTreeMap<u64, (f64, u64)>>,
-}
-
-impl MedianStopping {
-    /// No stopping before `grace` iterations or before `min_samples`
-    /// other trials have reported at an iteration.
-    pub fn new(grace: u64, min_samples: usize) -> Self {
-        MedianStopping {
-            grace,
-            min_samples: min_samples.max(1),
-            records: Mutex::new(BTreeMap::new()),
-            running: Mutex::new(BTreeMap::new()),
-        }
-    }
-}
-
-impl Scheduler for MedianStopping {
-    fn on_report(&self, trial_id: u64, iteration: u64, value: f64) -> Decision {
-        let avg = {
-            let mut running = self.running.lock();
-            let entry = running.entry(trial_id).or_insert((0.0, 0));
-            entry.0 += value;
-            entry.1 += 1;
-            entry.0 / entry.1 as f64
-        };
-        let mut records = self.records.lock();
-        let at_iter = records.entry(iteration).or_default();
-        let decision = if iteration < self.grace || at_iter.len() < self.min_samples {
-            Decision::Continue
-        } else {
-            let mut sorted = at_iter.clone();
-            sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN metric"));
-            let median = sorted[sorted.len() / 2];
-            if avg > median {
-                Decision::Stop
-            } else {
-                Decision::Continue
-            }
-        };
-        at_iter.push(avg);
-        decision
     }
 }
 
@@ -246,45 +195,22 @@ mod tests {
     }
 
     #[test]
+    fn nan_reports_continue_and_never_join_a_rung() {
+        let s = AsyncHyperBand::new(1, 2, 8);
+        for id in 0..8 {
+            assert_eq!(s.on_report(id, 1, f64::NAN), Decision::Continue);
+        }
+        // The NaNs left no record: the rung is still below the 2·rf
+        // evidence threshold, so even a terrible value survives.
+        for id in 8..11 {
+            assert_eq!(s.on_report(id, 1, 1.0), Decision::Continue);
+        }
+        assert_eq!(s.on_report(11, 1, 9.0), Decision::Stop);
+    }
+
+    #[test]
     #[should_panic(expected = "reduction factor")]
     fn rf_one_rejected() {
         AsyncHyperBand::new(1, 1, 16);
-    }
-
-    #[test]
-    fn median_stopping_cuts_below_median_performers() {
-        let s = MedianStopping::new(1, 3);
-        // Three good trials seed iteration 1 (below min_samples: all pass).
-        assert_eq!(s.on_report(0, 1, 1.0), Decision::Continue);
-        assert_eq!(s.on_report(1, 1, 1.2), Decision::Continue);
-        assert_eq!(s.on_report(2, 1, 1.4), Decision::Continue);
-        // Median of running averages {1.0, 1.2, 1.4} is 1.2: a 9.0 stops.
-        assert_eq!(s.on_report(3, 1, 9.0), Decision::Stop);
-        // A strong trial passes.
-        assert_eq!(s.on_report(4, 1, 0.9), Decision::Continue);
-    }
-
-    #[test]
-    fn median_stopping_respects_grace() {
-        let s = MedianStopping::new(5, 1);
-        for trial in 0..4 {
-            assert_eq!(s.on_report(trial, 1, 1.0), Decision::Continue);
-        }
-        // Terrible value but iteration below grace.
-        assert_eq!(s.on_report(9, 2, 1e9), Decision::Continue);
-    }
-
-    #[test]
-    fn median_stopping_uses_running_average() {
-        let s = MedianStopping::new(1, 2);
-        // Seed iteration 2 with two averages around 1.0.
-        s.on_report(0, 1, 1.0);
-        s.on_report(0, 2, 1.0);
-        s.on_report(1, 1, 1.0);
-        s.on_report(1, 2, 1.0);
-        // Trial 2: bad first report but excellent second — its running
-        // average (0.6) beats the median, so it continues.
-        s.on_report(2, 1, 1.0);
-        assert_eq!(s.on_report(2, 2, 0.2), Decision::Continue);
     }
 }

@@ -9,8 +9,9 @@
 //! runner is fault tolerant: failed attempts are retried under a
 //! [`RetryPolicy`] (with seed-deterministic backoff jitter), every trial
 //! can carry a wall-clock `time_budget` enforced cooperatively through
-//! [`TrialContext`] plus a watchdog thread, and a [`FaultPlan`] injects
-//! deterministic failures so the robustness layer is itself testable.
+//! [`TrialContext`] and checked again when the attempt returns, and a
+//! [`FaultPlan`] injects deterministic failures so the robustness layer
+//! is itself testable.
 //!
 //! Runs stay deterministic through a *commit sequencer*
 //! ([`crate::sequencer`]): trials execute concurrently on the worker
@@ -32,15 +33,9 @@ use crate::sequencer::{AskOutcome, Dispatch, Sequencer};
 use crate::trial::{Attempt, Trial, TrialError, TrialStatus};
 use e2c_optim::space::Point;
 use e2c_trace::Fields;
-use parking_lot::{Condvar, Mutex};
-use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
-
-/// How often the watchdog sweeps running attempts for blown deadlines.
-const WATCHDOG_TICK: Duration = Duration::from_millis(2);
 
 /// Safety-net timeout for workers parked on the commit sequencer: they
 /// are woken whenever a journal turn ends, but re-check this often so a
@@ -71,7 +66,6 @@ pub struct TrialContext<'a> {
     tracer: Option<&'a e2c_trace::Tracer>,
     reports: Vec<(u64, f64)>,
     deadline: Option<Instant>,
-    expired: Arc<AtomicBool>,
     /// Set by [`TrialContext::fail_attempt`]: the attempt is settled with
     /// this typed error instead of whatever value the objective returned.
     abort: Option<TrialError>,
@@ -113,28 +107,13 @@ impl<'a> TrialContext<'a> {
         f64::NAN
     }
 
-    /// Whether this attempt's wall-clock budget is spent (flagged by the
-    /// watchdog, or observed directly). Cooperative objectives should
-    /// check this in long loops and return promptly when it turns true;
-    /// the attempt is then marked `Failed("deadline exceeded")`.
+    /// Whether this attempt's wall-clock budget is spent, read from the
+    /// monotonic clock. Cooperative objectives should check this in long
+    /// loops and return promptly when it turns true; the attempt is then
+    /// marked `Failed("deadline exceeded")`.
     pub fn deadline_exceeded(&self) -> bool {
-        if self.expired.load(Ordering::SeqCst) {
-            return true;
-        }
-        match self.deadline {
-            Some(d) if clock::now() >= d => {
-                self.expired.store(true, Ordering::SeqCst);
-                true
-            }
-            _ => false,
-        }
+        self.deadline.is_some_and(|d| clock::now() >= d)
     }
-}
-
-/// A running attempt the watchdog is timing.
-struct WatchEntry {
-    deadline: Instant,
-    expired: Arc<AtomicBool>,
 }
 
 /// The [`Sequencer`] behind the workers' one mutex, plus the condvar
@@ -148,19 +127,23 @@ struct SharedSeq {
 impl SharedSeq {
     /// Apply `f` under the lock, then wake every waiting worker.
     fn update<T>(&self, f: impl FnOnce(&mut Sequencer) -> T) -> T {
-        let out = f(&mut self.state.lock());
+        let out = f(&mut self.state.lock().unwrap_or_else(PoisonError::into_inner));
         self.cv.notify_all();
         out
     }
 
     /// Block until `f` returns `Some`, re-checking after each wake-up.
     fn until<T>(&self, mut f: impl FnMut(&mut Sequencer) -> Option<T>) -> T {
-        let mut st = self.state.lock();
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             if let Some(out) = f(&mut st) {
                 return out;
             }
-            self.cv.wait_for(&mut st, SUGGEST_WAIT);
+            st = self
+                .cv
+                .wait_timeout(st, SUGGEST_WAIT)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
         }
     }
 }
@@ -322,17 +305,11 @@ impl Tuner {
         let asks_at_mark = resume.asks_at_mark;
         let trials: Mutex<Vec<Trial>> = Mutex::new(resume.trials);
         let worst_seen = Mutex::new(resume.worst_seen);
-        let live_workers = AtomicUsize::new(self.workers);
-        // BTreeMap, not HashMap: the watchdog iterates this map, and even
-        // though expiry flags are commutative, keeping every iterated
-        // collection ordered is this workspace's determinism baseline.
-        let watch: Mutex<BTreeMap<u64, WatchEntry>> = Mutex::new(BTreeMap::new());
         let objective = &objective;
         let scheduler = &*scheduler;
         let tracer = self.tracer.as_ref();
         let journal = self.journal.as_ref();
         let (seq, searcher, trials, worst_seen) = (&seq, &searcher, &trials, &worst_seen);
-        let (live_workers, watch) = (&live_workers, &watch);
         let trace_ask = move |id: u64, config: &Point| {
             if let Some(tr) = tracer {
                 tr.point(
@@ -346,393 +323,360 @@ impl Tuner {
 
         let panic = std::thread::scope(|scope| {
             let mut handles = Vec::new();
-            // Deadline watchdog: sweeps running attempts and flags the
-            // overdue ones so cooperative objectives bail out promptly.
-            if self.time_budget.is_some() {
-                handles.push(scope.spawn(move || {
-                    while live_workers.load(Ordering::SeqCst) > 0 {
-                        let now = clock::now();
-                        for entry in watch.lock().values() {
-                            if now >= entry.deadline {
-                                entry.expired.store(true, Ordering::SeqCst);
-                            }
-                        }
-                        // detlint: allow(DET004) watchdog cadence: paces deadline sweeps only; no result or decision reads this timing
-                        std::thread::sleep(WATCHDOG_TICK);
-                    }
-                }));
-            }
             for _ in 0..self.workers {
-                handles.push(scope.spawn(move || {
-                    let work = || loop {
-                        // ---- dispatch: claim a trial, holding the
-                        // journal turn while its ask is journaled and
-                        // traced. Dangling trials of a resumed run come
-                        // first, then fresh asks while the window has room.
-                        let step = seq.until(|s| match s.dispatch() {
-                            Dispatch::Wait => None,
-                            step => Some(step),
-                        });
-                        let (id, config, resumed) = match step {
-                            Dispatch::Resume(id, config) => {
-                                // Re-emit the ask trace point only if the
-                                // original one was truncated away with the
-                                // pre-crash trace suffix: asks journaled
-                                // before the last committed tell (the
-                                // truncation mark) are still in the stream.
-                                if asks_at_mark.is_none_or(|a| id >= a) {
-                                    trace_ask(id, &config);
-                                }
-                                seq.update(|s| s.end_ask(AskOutcome::Suggested));
-                                (id, config, true)
+                handles.push(scope.spawn(move || loop {
+                    // ---- dispatch: claim a trial, holding the
+                    // journal turn while its ask is journaled and
+                    // traced. Dangling trials of a resumed run come
+                    // first, then fresh asks while the window has room.
+                    let step = seq.until(|s| match s.dispatch() {
+                        Dispatch::Wait => None,
+                        step => Some(step),
+                    });
+                    let (id, config, resumed) = match step {
+                        Dispatch::Resume(id, config) => {
+                            // Re-emit the ask trace point only if the
+                            // original one was truncated away with the
+                            // pre-crash trace suffix: asks journaled
+                            // before the last committed tell (the
+                            // truncation mark) are still in the stream.
+                            if asks_at_mark.is_none_or(|a| id >= a) {
+                                trace_ask(id, &config);
                             }
-                            Dispatch::Ask(id) => {
-                                let suggestion = {
-                                    let mut searcher = searcher.lock();
-                                    catch_unwind(AssertUnwindSafe(|| searcher.suggest(id)))
-                                };
-                                let outcome = match &suggestion {
-                                    Ok(Some(config)) => {
-                                        if let Some(j) = journal {
-                                            j.append(&RunEvent::Ask {
-                                                trial: id,
-                                                config: config.clone(),
-                                            });
-                                        }
-                                        trace_ask(id, config);
-                                        AskOutcome::Suggested
-                                    }
-                                    Ok(None) => AskOutcome::Refused,
-                                    // A panicking searcher cannot drive the
-                                    // run further; wind down instead of
-                                    // poisoning every worker.
-                                    Err(_) => AskOutcome::Panicked,
-                                };
-                                seq.update(|s| s.end_ask(outcome));
-                                match suggestion {
-                                    Ok(Some(config)) => (id, config, false),
-                                    _ => continue,
-                                }
-                            }
-                            Dispatch::Wait | Dispatch::Stop => return,
-                        };
-                        let mut trial = Trial::new(id, config.clone());
-                        trial.status = TrialStatus::Running;
-                        trials.lock().push(trial);
-                        // The trial's trace events are buffered locally and
-                        // spliced into the run trace — re-stamped onto the
-                        // shared virtual clock — at its commit.
-                        let buffer = tracer.map(|_| e2c_trace::Tracer::new());
-                        let tr_exec = buffer.as_ref();
-                        let exec_span =
-                            tr_exec.map(|tr| tr.begin("tuner", "execute", Some(id), Fields::new()));
-                        // Attempt loop: run, classify, retry while the
-                        // policy allows. Outcomes are only recorded here;
-                        // the trial settles at its commit.
-                        let mut exec: Vec<ExecAttempt> = Vec::new();
-                        let mut success: Option<f64> = None;
-                        loop {
-                            let attempt = exec.len() as u32;
-                            let expired = Arc::new(AtomicBool::new(false));
-                            let deadline = self.time_budget.map(|b| clock::now() + b);
-                            if let Some(d) = deadline {
-                                watch.lock().insert(
-                                    id,
-                                    WatchEntry {
-                                        deadline: d,
-                                        expired: expired.clone(),
-                                    },
-                                );
-                            }
-                            let mut ctx = TrialContext {
-                                trial_id: id,
-                                attempt,
-                                tracer: tr_exec,
-                                reports: Vec::new(),
-                                deadline,
-                                expired: expired.clone(),
-                                abort: None,
-                            };
-                            let started = clock::now();
-                            let fault = self.faults.lookup(id, attempt);
-                            if let Some(tr) = tr_exec {
-                                let mut f =
-                                    e2c_trace::fields([("attempt", u64::from(attempt).into())]);
-                                if let Some(action) = &fault {
-                                    let kind = match action {
-                                        FaultAction::Fail => "fail",
-                                        FaultAction::Nan => "nan",
-                                        FaultAction::Delay(_) => "delay",
-                                        FaultAction::WorkerCrash => "worker-crash",
-                                        FaultAction::WorkerStall => "worker-stall",
-                                    };
-                                    f.insert("fault".to_string(), kind.into());
-                                }
-                                tr.point("tuner", "attempt", Some(id), f);
-                            }
-                            // Whether the user objective actually runs for
-                            // this attempt (injected Fail/Nan short-circuit
-                            // it). The journaled `raw` value mirrors this:
-                            // it carries exactly the objective returns an
-                            // uninterrupted run would have produced.
-                            let invoked = matches!(fault, None | Some(FaultAction::Delay(_)));
-                            let outcome: Result<f64, TrialError> = match fault {
-                                Some(FaultAction::Fail) => Err(TrialError::Injected(format!(
-                                    "injected fault: fail (attempt {attempt})"
-                                ))),
-                                Some(FaultAction::Nan) => Ok(f64::NAN),
-                                // Worker faults short-circuit tuner-side so a
-                                // fault plan replays byte-identically whether
-                                // or not a process farm is attached.
-                                Some(FaultAction::WorkerCrash) => Err(TrialError::WorkerLost(
-                                    format!("injected worker-crash (attempt {attempt})"),
-                                )),
-                                Some(FaultAction::WorkerStall) => Err(TrialError::WorkerLost(
-                                    format!("injected worker-stall (attempt {attempt})"),
-                                )),
-                                Some(FaultAction::Delay(d)) => {
-                                    // detlint: allow(DET004) injected-fault delay: reproduces a configured, deterministic slowdown
-                                    std::thread::sleep(d);
-                                    run_objective(objective, &config, &mut ctx)
-                                }
-                                None => run_objective(objective, &config, &mut ctx),
-                            };
-                            if deadline.is_some() {
-                                watch.lock().remove(&id);
-                            }
-                            let secs = started.elapsed().as_secs_f64();
-                            let overran = expired.load(Ordering::SeqCst)
-                                || deadline.is_some_and(|d| clock::now() >= d);
-                            let abort = ctx.abort;
-                            let reports = ctx.reports;
-                            let raw = if invoked && abort.is_none() {
-                                outcome.as_ref().ok().copied()
-                            } else {
-                                None
-                            };
-                            let (error, value) = if overran {
-                                (Some(TrialError::DeadlineExceeded), None)
-                            } else if let Some(e) = abort {
-                                (Some(e), None)
-                            } else {
-                                match outcome {
-                                    Ok(v) if v.is_finite() => (None, Some(v)),
-                                    Ok(v) => (Some(TrialError::NonFinite(format!("{v}"))), None),
-                                    Err(e) => (Some(e), None),
-                                }
-                            };
-                            if let (Some(tr), Some(e)) = (tr_exec, &error) {
-                                tr.point(
-                                    "tuner",
-                                    "attempt_failed",
-                                    Some(id),
-                                    e2c_trace::fields([
-                                        ("attempt", u64::from(attempt).into()),
-                                        ("error", e.to_string().into()),
-                                    ]),
-                                );
-                            }
-                            exec.push(ExecAttempt {
-                                attempt: Attempt {
-                                    index: attempt,
-                                    error,
-                                    secs,
-                                    raw,
-                                },
-                                reports,
-                            });
-                            if value.is_some() {
-                                success = value;
-                                break;
-                            }
-                            if exec.len() as u32 >= self.retry.max_attempts() {
-                                break;
-                            }
-                            let delay = self.retry.backoff(self.seed, id, attempt);
-                            if let Some(tr) = tr_exec {
-                                tr.point(
-                                    "tuner",
-                                    "retry",
-                                    Some(id),
-                                    e2c_trace::fields([(
-                                        "delay_ms",
-                                        (delay.as_millis() as u64).into(),
-                                    )]),
-                                );
-                                // Account for the backoff in virtual time
-                                // (the delay itself is seed-deterministic).
-                                tr.advance(delay.as_millis() as u64);
-                            }
-                            if !delay.is_zero() {
-                                // detlint: allow(DET004) retry backoff: delay length is seed-deterministic and never feeds the metric
-                                std::thread::sleep(delay);
-                            }
+                            seq.update(|s| s.end_ask(AskOutcome::Suggested));
+                            (id, config, true)
                         }
-                        // ---- commit: wait for this trial's turn, then
-                        // apply its effects in canonical order.
-                        let asks = seq.until(|s| s.begin_commit(id));
-                        if resumed {
-                            if let Some(j) = journal {
-                                j.append(&RunEvent::Restart { trial: id });
-                            }
-                        }
-                        // Splice the buffered trace onto the shared clock;
-                        // the execute span's begin reference is remapped
-                        // into the run trace.
-                        let exec_begin = tracer.zip(buffer.as_ref()).and_then(|(tr, buf)| {
-                            let (events, end_clock) = buf.drain_for_splice();
-                            let seq_map = tr.splice(&events, end_clock);
-                            exec_span.and_then(|s| seq_map.get(s as usize).copied())
-                        });
-                        // Feed the buffered reports to the scheduler in
-                        // order, journaling each verdict; at the first
-                        // Stop the kept reports are truncated there and
-                        // the stopping report's value becomes the trial's.
-                        let mut stop_value: Option<f64> = None;
-                        let mut final_reports: Vec<(u64, f64)> = Vec::new();
-                        for ea in &exec {
-                            let mut kept: Vec<(u64, f64)> = Vec::new();
-                            if stop_value.is_none() {
-                                for &(iteration, user_value) in &ea.reports {
-                                    let normalized = match self.mode {
-                                        Mode::Min => user_value,
-                                        Mode::Max => -user_value,
-                                    };
-                                    let d = scheduler.on_report(id, iteration, normalized);
+                        Dispatch::Ask(id) => {
+                            let suggestion = {
+                                let mut searcher =
+                                    searcher.lock().unwrap_or_else(PoisonError::into_inner);
+                                catch_unwind(AssertUnwindSafe(|| searcher.suggest(id)))
+                            };
+                            let outcome = match &suggestion {
+                                Ok(Some(config)) => {
                                     if let Some(j) = journal {
-                                        j.append(&RunEvent::Report {
+                                        j.append(&RunEvent::Ask {
                                             trial: id,
-                                            iteration,
-                                            normalized,
-                                            stop: d == Decision::Stop,
+                                            config: config.clone(),
                                         });
                                     }
-                                    kept.push((iteration, user_value));
-                                    if d == Decision::Stop {
-                                        stop_value = Some(user_value);
-                                        break;
-                                    }
+                                    trace_ask(id, config);
+                                    AskOutcome::Suggested
                                 }
+                                Ok(None) => AskOutcome::Refused,
+                                // A panicking searcher cannot drive the
+                                // run further; wind down instead of
+                                // poisoning every worker.
+                                Err(_) => AskOutcome::Panicked,
+                            };
+                            seq.update(|s| s.end_ask(outcome));
+                            match suggestion {
+                                Ok(Some(config)) => (id, config, false),
+                                _ => continue,
                             }
-                            if let Some(j) = journal {
-                                let a = &ea.attempt;
-                                j.append(&RunEvent::Attempt {
-                                    trial: id,
-                                    index: a.index,
-                                    secs: a.secs,
-                                    raw: a.raw,
-                                    error: a.error.clone(),
-                                });
-                            }
-                            final_reports = kept;
                         }
-                        let (status, feedback) = match success {
-                            Some(v) => {
-                                let (value, status) = match stop_value {
-                                    Some(s) => (s, TrialStatus::StoppedEarly(s)),
-                                    None => (v, TrialStatus::Terminated(v)),
+                        Dispatch::Wait | Dispatch::Stop => return,
+                    };
+                    let mut trial = Trial::new(id, config.clone());
+                    trial.status = TrialStatus::Running;
+                    trials
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .push(trial);
+                    // The trial's trace events are buffered locally and
+                    // spliced into the run trace — re-stamped onto the
+                    // shared virtual clock — at its commit.
+                    let buffer = tracer.map(|_| e2c_trace::Tracer::new());
+                    let tr_exec = buffer.as_ref();
+                    let exec_span =
+                        tr_exec.map(|tr| tr.begin("tuner", "execute", Some(id), Fields::new()));
+                    // Attempt loop: run, classify, retry while the
+                    // policy allows. Outcomes are only recorded here;
+                    // the trial settles at its commit.
+                    let mut exec: Vec<ExecAttempt> = Vec::new();
+                    let mut success: Option<f64> = None;
+                    loop {
+                        let attempt = exec.len() as u32;
+                        let deadline = self.time_budget.map(|b| clock::now() + b);
+                        let mut ctx = TrialContext {
+                            trial_id: id,
+                            attempt,
+                            tracer: tr_exec,
+                            reports: Vec::new(),
+                            deadline,
+                            abort: None,
+                        };
+                        let started = clock::now();
+                        let fault = self.faults.lookup(id, attempt);
+                        if let Some(tr) = tr_exec {
+                            let mut f = e2c_trace::fields([("attempt", u64::from(attempt).into())]);
+                            if let Some(action) = &fault {
+                                let kind = match action {
+                                    FaultAction::Fail => "fail",
+                                    FaultAction::Nan => "nan",
+                                    FaultAction::Delay(_) => "delay",
+                                    FaultAction::WorkerCrash => "worker-crash",
+                                    FaultAction::WorkerStall => "worker-stall",
                                 };
-                                let normalized = match self.mode {
-                                    Mode::Min => value,
-                                    Mode::Max => -value,
-                                };
-                                {
-                                    let mut worst = worst_seen.lock();
-                                    *worst = worst.max(normalized);
-                                }
-                                (status, normalized)
+                                f.insert("fault".to_string(), kind.into());
                             }
-                            None => {
-                                let reason = exec
-                                    .last()
-                                    .and_then(|ea| ea.attempt.error.as_ref())
-                                    .map(|e| e.to_string())
-                                    .unwrap_or_default();
-                                (
-                                    TrialStatus::Failed(reason),
-                                    self.failure_penalty(worst_seen),
-                                )
+                            tr.point("tuner", "attempt", Some(id), f);
+                        }
+                        // Whether the user objective actually runs for
+                        // this attempt (injected Fail/Nan short-circuit
+                        // it). The journaled `raw` value mirrors this:
+                        // it carries exactly the objective returns an
+                        // uninterrupted run would have produced.
+                        let invoked = matches!(fault, None | Some(FaultAction::Delay(_)));
+                        let outcome: Result<f64, TrialError> = match fault {
+                            Some(FaultAction::Fail) => Err(TrialError::Injected(format!(
+                                "injected fault: fail (attempt {attempt})"
+                            ))),
+                            Some(FaultAction::Nan) => Ok(f64::NAN),
+                            // Worker faults short-circuit tuner-side so a
+                            // fault plan replays byte-identically whether
+                            // or not a process farm is attached.
+                            Some(FaultAction::WorkerCrash) => Err(TrialError::WorkerLost(format!(
+                                "injected worker-crash (attempt {attempt})"
+                            ))),
+                            Some(FaultAction::WorkerStall) => Err(TrialError::WorkerLost(format!(
+                                "injected worker-stall (attempt {attempt})"
+                            ))),
+                            Some(FaultAction::Delay(d)) => {
+                                // detlint: allow(DET004) injected-fault delay: reproduces a configured, deterministic slowdown
+                                std::thread::sleep(d);
+                                run_objective(objective, &config, &mut ctx)
+                            }
+                            None => run_objective(objective, &config, &mut ctx),
+                        };
+                        let secs = started.elapsed().as_secs_f64();
+                        let overran = ctx.deadline_exceeded();
+                        let abort = ctx.abort;
+                        let reports = ctx.reports;
+                        let raw = if invoked && abort.is_none() {
+                            outcome.as_ref().ok().copied()
+                        } else {
+                            None
+                        };
+                        let (error, value) = if overran {
+                            (Some(TrialError::DeadlineExceeded), None)
+                        } else if let Some(e) = abort {
+                            (Some(e), None)
+                        } else {
+                            match outcome {
+                                Ok(v) if v.is_finite() => (None, Some(v)),
+                                Ok(v) => (Some(TrialError::NonFinite(format!("{v}"))), None),
+                                Err(e) => (Some(e), None),
                             }
                         };
-                        if let (Some(tr), Some(span)) = (tracer, exec_begin) {
-                            tr.end(
+                        if let (Some(tr), Some(e)) = (tr_exec, &error) {
+                            tr.point(
                                 "tuner",
-                                "execute",
+                                "attempt_failed",
                                 Some(id),
-                                span,
                                 e2c_trace::fields([
-                                    ("attempts", exec.len().into()),
-                                    ("outcome", status.token().into()),
+                                    ("attempt", u64::from(attempt).into()),
+                                    ("error", e.to_string().into()),
                                 ]),
                             );
                         }
-                        // A panicking searcher must not poison the run: the
-                        // trial is marked failed and the run winds down
-                        // with every settled result intact.
-                        let observed = catch_unwind(AssertUnwindSafe(|| {
-                            searcher.lock().observe(id, feedback)
-                        }));
-                        let status = match observed {
-                            Ok(()) => {
-                                if let Some(tr) = tracer {
-                                    tr.point(
-                                        "searcher",
-                                        "tell",
-                                        Some(id),
-                                        e2c_trace::fields([("value", feedback.into())]),
-                                    );
-                                }
+                        exec.push(ExecAttempt {
+                            attempt: Attempt {
+                                index: attempt,
+                                error,
+                                secs,
+                                raw,
+                            },
+                            reports,
+                        });
+                        if value.is_some() {
+                            success = value;
+                            break;
+                        }
+                        if exec.len() as u32 >= self.retry.max_attempts() {
+                            break;
+                        }
+                        let delay = self.retry.backoff(self.seed, id, attempt);
+                        if let Some(tr) = tr_exec {
+                            tr.point(
+                                "tuner",
+                                "retry",
+                                Some(id),
+                                e2c_trace::fields([(
+                                    "delay_ms",
+                                    (delay.as_millis() as u64).into(),
+                                )]),
+                            );
+                            // Account for the backoff in virtual time
+                            // (the delay itself is seed-deterministic).
+                            tr.advance(delay.as_millis() as u64);
+                        }
+                        if !delay.is_zero() {
+                            // detlint: allow(DET004) retry backoff: delay length is seed-deterministic and never feeds the metric
+                            std::thread::sleep(delay);
+                        }
+                    }
+                    // ---- commit: wait for this trial's turn, then
+                    // apply its effects in canonical order.
+                    let asks = seq.until(|s| s.begin_commit(id));
+                    if resumed {
+                        if let Some(j) = journal {
+                            j.append(&RunEvent::Restart { trial: id });
+                        }
+                    }
+                    // Splice the buffered trace onto the shared clock;
+                    // the execute span's begin reference is remapped
+                    // into the run trace.
+                    let exec_begin = tracer.zip(buffer.as_ref()).and_then(|(tr, buf)| {
+                        let (events, end_clock) = buf.drain_for_splice();
+                        let seq_map = tr.splice(&events, end_clock);
+                        exec_span.and_then(|s| seq_map.get(s as usize).copied())
+                    });
+                    // Feed the buffered reports to the scheduler in
+                    // order, journaling each verdict; at the first
+                    // Stop the kept reports are truncated there and
+                    // the stopping report's value becomes the trial's.
+                    let mut stop_value: Option<f64> = None;
+                    let mut final_reports: Vec<(u64, f64)> = Vec::new();
+                    for ea in &exec {
+                        let mut kept: Vec<(u64, f64)> = Vec::new();
+                        if stop_value.is_none() {
+                            for &(iteration, user_value) in &ea.reports {
+                                let normalized = match self.mode {
+                                    Mode::Min => user_value,
+                                    Mode::Max => -user_value,
+                                };
+                                let d = scheduler.on_report(id, iteration, normalized);
                                 if let Some(j) = journal {
-                                    // The trace mark taken *after* the tell
-                                    // point: resume truncates the streamed
-                                    // trace here and restores the virtual
-                                    // clock, so re-executed trials land on
-                                    // the same (seq, vt) slots. The ask
-                                    // count records the run's ask/commit
-                                    // permutation for replay verification.
-                                    let trace_mark = tracer.map(|tr| (tr.len() as u64, tr.now()));
-                                    j.append(&RunEvent::Tell {
+                                    j.append(&RunEvent::Report {
                                         trial: id,
-                                        feedback,
-                                        status: status.token().to_string(),
-                                        value: status.value(),
-                                        trace_mark,
-                                        asks: Some(asks),
+                                        iteration,
+                                        normalized,
+                                        stop: d == Decision::Stop,
                                     });
                                 }
-                                status
-                            }
-                            Err(panic) => {
-                                seq.update(Sequencer::exhaust);
-                                TrialStatus::Failed(
-                                    TrialError::Panicked(format!(
-                                        "searcher observe panicked: {}",
-                                        panic_message(panic.as_ref(), "observe panicked")
-                                    ))
-                                    .to_string(),
-                                )
-                            }
-                        };
-                        seq.update(Sequencer::end_commit);
-                        {
-                            // Recorded when the ask was admitted; a missing
-                            // entry would mean the bookkeeping already lost
-                            // the trial, and panicking here could not get it
-                            // back.
-                            let mut t = trials.lock();
-                            if let Some(trial) = t.iter_mut().find(|tr| tr.id == id) {
-                                trial.reports = final_reports;
-                                trial.attempts = exec.into_iter().map(|ea| ea.attempt).collect();
-                                trial.status = status;
+                                kept.push((iteration, user_value));
+                                if d == Decision::Stop {
+                                    stop_value = Some(user_value);
+                                    break;
+                                }
                             }
                         }
+                        if let Some(j) = journal {
+                            let a = &ea.attempt;
+                            j.append(&RunEvent::Attempt {
+                                trial: id,
+                                index: a.index,
+                                secs: a.secs,
+                                raw: a.raw,
+                                error: a.error.clone(),
+                            });
+                        }
+                        final_reports = kept;
+                    }
+                    let (status, feedback) = match success {
+                        Some(v) => {
+                            let (value, status) = match stop_value {
+                                Some(s) => (s, TrialStatus::StoppedEarly(s)),
+                                None => (v, TrialStatus::Terminated(v)),
+                            };
+                            let normalized = match self.mode {
+                                Mode::Min => value,
+                                Mode::Max => -value,
+                            };
+                            {
+                                let mut worst =
+                                    worst_seen.lock().unwrap_or_else(PoisonError::into_inner);
+                                *worst = worst.max(normalized);
+                            }
+                            (status, normalized)
+                        }
+                        None => {
+                            let reason = exec
+                                .last()
+                                .and_then(|ea| ea.attempt.error.as_ref())
+                                .map(|e| e.to_string())
+                                .unwrap_or_default();
+                            (
+                                TrialStatus::Failed(reason),
+                                self.failure_penalty(worst_seen),
+                            )
+                        }
                     };
-                    // Counted out even when `work` unwinds, so the
-                    // watchdog still stops and the panic reaches the join.
-                    let worked = catch_unwind(AssertUnwindSafe(work));
-                    live_workers.fetch_sub(1, Ordering::SeqCst);
-                    if let Err(panic) = worked {
-                        std::panic::resume_unwind(panic);
+                    if let (Some(tr), Some(span)) = (tracer, exec_begin) {
+                        tr.end(
+                            "tuner",
+                            "execute",
+                            Some(id),
+                            span,
+                            e2c_trace::fields([
+                                ("attempts", exec.len().into()),
+                                ("outcome", status.token().into()),
+                            ]),
+                        );
+                    }
+                    // A panicking searcher must not poison the run: the
+                    // trial is marked failed and the run winds down
+                    // with every settled result intact.
+                    let observed = catch_unwind(AssertUnwindSafe(|| {
+                        searcher
+                            .lock()
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .observe(id, feedback)
+                    }));
+                    let status = match observed {
+                        Ok(()) => {
+                            if let Some(tr) = tracer {
+                                tr.point(
+                                    "searcher",
+                                    "tell",
+                                    Some(id),
+                                    e2c_trace::fields([("value", feedback.into())]),
+                                );
+                            }
+                            if let Some(j) = journal {
+                                // The trace mark taken *after* the tell
+                                // point: resume truncates the streamed
+                                // trace here and restores the virtual
+                                // clock, so re-executed trials land on
+                                // the same (seq, vt) slots. The ask
+                                // count records the run's ask/commit
+                                // permutation for replay verification.
+                                let trace_mark = tracer.map(|tr| (tr.len() as u64, tr.now()));
+                                j.append(&RunEvent::Tell {
+                                    trial: id,
+                                    feedback,
+                                    status: status.token().to_string(),
+                                    value: status.value(),
+                                    trace_mark,
+                                    asks: Some(asks),
+                                });
+                            }
+                            status
+                        }
+                        Err(panic) => {
+                            seq.update(Sequencer::exhaust);
+                            TrialStatus::Failed(
+                                TrialError::Panicked(format!(
+                                    "searcher observe panicked: {}",
+                                    panic_message(panic.as_ref(), "observe panicked")
+                                ))
+                                .to_string(),
+                            )
+                        }
+                    };
+                    seq.update(Sequencer::end_commit);
+                    {
+                        // Recorded when the ask was admitted; a missing
+                        // entry would mean the bookkeeping already lost
+                        // the trial, and panicking here could not get it
+                        // back.
+                        let mut t = trials.lock().unwrap_or_else(PoisonError::into_inner);
+                        if let Some(trial) = t.iter_mut().find(|tr| tr.id == id) {
+                            trial.reports = final_reports;
+                            trial.attempts = exec.into_iter().map(|ea| ea.attempt).collect();
+                            trial.status = status;
+                        }
                     }
                 }));
             }
@@ -753,7 +697,8 @@ impl Tuner {
             std::panic::resume_unwind(panic);
         }
 
-        let mut trials = std::mem::take(&mut *trials.lock());
+        let mut trials =
+            std::mem::take(&mut *trials.lock().unwrap_or_else(PoisonError::into_inner));
         trials.sort_by_key(|t| t.id);
         Analysis::new(self.name.clone(), self.metric.clone(), self.mode, trials)
     }
@@ -761,7 +706,7 @@ impl Tuner {
     /// Penalty fed to the searcher for failed trials: decisively worse
     /// than anything observed, but finite.
     fn failure_penalty(&self, worst_seen: &Mutex<f64>) -> f64 {
-        let worst = *worst_seen.lock();
+        let worst = *worst_seen.lock().unwrap_or_else(PoisonError::into_inner);
         if worst.is_finite() {
             worst + worst.abs().max(1.0)
         } else {
@@ -804,6 +749,7 @@ mod tests {
     use crate::searcher::{ConcurrencyLimiter, GridSearch, RandomSearch, SkOptSearch};
     use e2c_optim::bayes::BayesOpt;
     use e2c_optim::space::Space;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn space() -> Space {
         Space::new().int("x", 0, 20)
@@ -935,6 +881,52 @@ mod tests {
         for t in analysis.trials().iter().filter(|t| t.stopped_early()) {
             assert!(t.iterations() < max_full);
         }
+    }
+
+    /// A NaN intermediate report must not kill the commit that feeds it
+    /// to ASHA, or the other worker waits forever for that commit turn.
+    /// The run executes on its own thread so a hang fails the test.
+    #[test]
+    fn nan_reports_under_asha_finish_a_parallel_run() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let analysis = Tuner::new(8, 2, Mode::Min).run(
+                Box::new(GridSearch::from_points(
+                    space(),
+                    (1..=8).map(|x| vec![f64::from(x)]).collect(),
+                )),
+                Arc::new(AsyncHyperBand::new(1, 2, 8)),
+                |cfg, ctx| {
+                    let value = if cfg[0] % 2.0 == 1.0 {
+                        f64::NAN
+                    } else {
+                        cfg[0]
+                    };
+                    for _ in 0..8 {
+                        if ctx.report(value) == Decision::Stop {
+                            break;
+                        }
+                    }
+                    value
+                },
+            );
+            let _ = tx.send(analysis);
+        });
+        let analysis = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the run must finish");
+        let trials = analysis.trials();
+        assert_eq!(trials.len(), 8);
+        for t in trials.iter().step_by(2) {
+            assert!(matches!(t.status, TrialStatus::Failed(_)), "{:?}", t.status);
+            assert_eq!(t.iterations(), 8);
+        }
+        for x in [2, 4, 6] {
+            let t = &trials[x - 1];
+            assert_eq!(t.status, TrialStatus::Terminated(x as f64));
+        }
+        // Rung 1 holds only the finite reports [2, 4, 6, 8]: 8 is cut.
+        assert_eq!(trials[7].status, TrialStatus::StoppedEarly(8.0));
     }
 
     /// One worker is a commit window of one: the scheduler judges the
@@ -1335,8 +1327,8 @@ mod tests {
     #[test]
     fn deadline_marks_overrunning_trial_failed_without_stalling() {
         // Trial 0 cooperatively busy-waits far beyond the 25 ms budget;
-        // the watchdog flags it, the objective bails, the trial ends
-        // Failed("deadline exceeded") and the other trials still run.
+        // `deadline_exceeded` turns true, the objective bails, the trial
+        // ends Failed("deadline exceeded") and the other trials still run.
         let tuner = Tuner::new(3, 2, Mode::Min).time_budget(Duration::from_millis(25));
         let analysis = tuner.run(
             Box::new(GridSearch::from_points(
@@ -1348,7 +1340,7 @@ mod tests {
                 if ctx.trial_id == 0 {
                     let hard_stop = clock::now() + Duration::from_secs(5);
                     while !ctx.deadline_exceeded() && clock::now() < hard_stop {
-                        // detlint: allow(DET004) test objective: deliberate overrun to trip the watchdog
+                        // detlint: allow(DET004) test objective: deliberate overrun past the deadline
                         std::thread::sleep(Duration::from_millis(1));
                     }
                 }

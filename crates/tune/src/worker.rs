@@ -40,11 +40,10 @@
 
 use std::io::{Read, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex as StdMutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 use e2c_journal::wire::{escape, parse_f64, parse_u32, parse_u64, unescape};
-use parking_lot::Mutex;
 
 /// Bumped whenever the frame grammar changes; the farm refuses a worker
 /// whose `hello` does not match exactly.
@@ -351,7 +350,7 @@ where
 {
     let stdout = Arc::new(Mutex::new(std::io::stdout()));
     write_frame(
-        &mut *stdout.lock(),
+        &mut *stdout.lock().unwrap_or_else(PoisonError::into_inner),
         &WireMsg::Hello {
             version: PROTOCOL_VERSION,
         },
@@ -363,7 +362,11 @@ where
         // A failed write means the parent is gone; the main loop will see
         // EOF too.
         Heartbeat::start(HEARTBEAT_INTERVAL, move |seq| {
-            write_frame(&mut *stdout.lock(), &WireMsg::Heartbeat { seq }).is_ok()
+            write_frame(
+                &mut *stdout.lock().unwrap_or_else(PoisonError::into_inner),
+                &WireMsg::Heartbeat { seq },
+            )
+            .is_ok()
         })
     };
 
@@ -401,7 +404,10 @@ where
                         payload: panic_payload(panic.as_ref()),
                     },
                 };
-                if let Err(e) = write_frame(&mut *stdout.lock(), &reply) {
+                if let Err(e) = write_frame(
+                    &mut *stdout.lock().unwrap_or_else(PoisonError::into_inner),
+                    &reply,
+                ) {
                     break Err(format!("write result: {e}"));
                 }
             }
@@ -424,13 +430,13 @@ where
 /// [`Heartbeat::stop`] returns at once instead of after the rest of an
 /// interval.
 struct Heartbeat {
-    stopped: Arc<(StdMutex<bool>, Condvar)>,
+    stopped: Arc<(Mutex<bool>, Condvar)>,
     thread: std::thread::JoinHandle<()>,
 }
 
 impl Heartbeat {
     fn start(interval: Duration, mut beat: impl FnMut(u64) -> bool + Send + 'static) -> Self {
-        let stopped = Arc::new((StdMutex::new(false), Condvar::new()));
+        let stopped = Arc::new((Mutex::new(false), Condvar::new()));
         let thread = {
             let stopped = Arc::clone(&stopped);
             std::thread::spawn(move || {
