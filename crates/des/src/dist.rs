@@ -28,26 +28,30 @@ pub enum Dist {
 }
 
 impl Dist {
-    /// Draw one sample.
+    /// Draw one sample. Equivalent to `self.prepare().sample(rng)`; a
+    /// caller that draws many times should keep the [`Sampler`].
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+        self.prepare().sample(rng)
+    }
+
+    /// This distribution with its per-draw constants computed once.
+    pub fn prepare(&self) -> Sampler {
         match *self {
-            Dist::Constant(v) => v,
+            Dist::Constant(v) => Sampler::Constant(v),
             Dist::Uniform { lo, hi } => {
                 debug_assert!(hi >= lo);
-                lo + (hi - lo) * rng.gen::<f64>()
+                Sampler::Uniform { lo, width: hi - lo }
             }
-            Dist::Exp { mean } => {
-                // Inverse CDF; 1-U avoids ln(0).
-                let u: f64 = rng.gen();
-                -mean * (1.0 - u).ln()
-            }
-            Dist::Normal { mean, std } => (mean + std * standard_normal(rng)).max(0.0),
+            Dist::Exp { mean } => Sampler::Exp { mean },
+            Dist::Normal { mean, std } => Sampler::Normal { mean, std },
             Dist::LogNormal { mean, cv } => {
                 // For LogNormal(mu, sigma): mean = exp(mu + sigma^2/2),
                 // cv^2 = exp(sigma^2) - 1  =>  sigma^2 = ln(1 + cv^2).
                 let sigma2 = (1.0 + cv * cv).ln();
-                let mu = mean.ln() - sigma2 / 2.0;
-                (mu + sigma2.sqrt() * standard_normal(rng)).exp()
+                Sampler::LogNormal {
+                    mu: mean.ln() - sigma2 / 2.0,
+                    sigma: sigma2.sqrt(),
+                }
             }
         }
     }
@@ -63,28 +67,39 @@ impl Dist {
             Dist::LogNormal { mean, .. } => mean,
         }
     }
+}
 
-    /// Return a copy of this distribution with its mean scaled by `factor`,
-    /// preserving its relative shape. Used to derive per-configuration
-    /// service times from calibrated baselines.
-    pub fn scale(&self, factor: f64) -> Dist {
+/// A [`Dist`] prepared for repeated draws ([`Dist::prepare`]): the
+/// log-normal's `mu` and `sigma` are computed once instead of on every
+/// draw. [`Dist::sample`] prepares and draws once, so both take the same
+/// formula: the same bits from the same random words.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Sampler {
+    /// Always returns the same value.
+    Constant(f64),
+    /// Uniform on `[lo, lo + width)`.
+    Uniform { lo: f64, width: f64 },
+    /// Exponential with the given mean.
+    Exp { mean: f64 },
+    /// Normal truncated at zero.
+    Normal { mean: f64, std: f64 },
+    /// `exp(mu + sigma·z)` for a standard-normal `z`.
+    LogNormal { mu: f64, sigma: f64 },
+}
+
+impl Sampler {
+    /// Draw one sample.
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         match *self {
-            Dist::Constant(v) => Dist::Constant(v * factor),
-            Dist::Uniform { lo, hi } => Dist::Uniform {
-                lo: lo * factor,
-                hi: hi * factor,
-            },
-            Dist::Exp { mean } => Dist::Exp {
-                mean: mean * factor,
-            },
-            Dist::Normal { mean, std } => Dist::Normal {
-                mean: mean * factor,
-                std: std * factor,
-            },
-            Dist::LogNormal { mean, cv } => Dist::LogNormal {
-                mean: mean * factor,
-                cv,
-            },
+            Sampler::Constant(v) => v,
+            Sampler::Uniform { lo, width } => lo + width * rng.gen::<f64>(),
+            Sampler::Exp { mean } => {
+                // Inverse CDF; 1-U avoids ln(0).
+                let u: f64 = rng.gen();
+                -mean * (1.0 - u).ln()
+            }
+            Sampler::Normal { mean, std } => (mean + std * standard_normal(rng)).max(0.0),
+            Sampler::LogNormal { mu, sigma } => (mu + sigma * standard_normal(rng)).exp(),
         }
     }
 }
@@ -160,15 +175,6 @@ mod tests {
         let (m, s) = sample_mean(Dist::LogNormal { mean: 2.0, cv: 0.5 }, 200_000);
         assert!((m - 2.0).abs() < 0.03, "mean {m}");
         assert!((s / m - 0.5).abs() < 0.03, "cv {}", s / m);
-    }
-
-    #[test]
-    fn scale_preserves_shape() {
-        let d = Dist::LogNormal { mean: 2.0, cv: 0.5 };
-        let d2 = d.scale(3.0);
-        assert!((d2.mean() - 6.0).abs() < 1e-12);
-        let d3 = Dist::Uniform { lo: 1.0, hi: 3.0 }.scale(2.0);
-        assert_eq!(d3, Dist::Uniform { lo: 2.0, hi: 6.0 });
     }
 
     #[test]

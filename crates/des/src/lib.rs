@@ -48,7 +48,7 @@ pub mod resources;
 pub mod sim;
 pub mod time;
 
-pub use dist::Dist;
+pub use dist::{Dist, Sampler};
 pub use queue::{EventHandle, EventQueue};
 pub use sim::{Context, Model, Simulation};
 pub use time::SimTime;

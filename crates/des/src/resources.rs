@@ -29,8 +29,6 @@ pub struct Tokens {
     last_update: SimTime,
     /// Integral of `busy` over time, in thread-seconds.
     busy_integral: f64,
-    /// Integral of queue length over time, in waiter-seconds.
-    queue_integral: f64,
 }
 
 impl Tokens {
@@ -42,7 +40,6 @@ impl Tokens {
             waiters: VecDeque::new(),
             last_update: SimTime::ZERO,
             busy_integral: 0.0,
-            queue_integral: 0.0,
         }
     }
 
@@ -50,7 +47,6 @@ impl Tokens {
         debug_assert!(now >= self.last_update, "time went backwards");
         let dt = (now - self.last_update).as_secs_f64();
         self.busy_integral += self.busy as f64 * dt;
-        self.queue_integral += self.waiters.len() as f64 * dt;
         self.last_update = now;
     }
 
@@ -113,12 +109,6 @@ impl Tokens {
     pub fn busy_integral(&mut self, now: SimTime) -> f64 {
         self.advance(now);
         self.busy_integral
-    }
-
-    /// Cumulative waiter-seconds up to `now`.
-    pub fn queue_integral(&mut self, now: SimTime) -> f64 {
-        self.advance(now);
-        self.queue_integral
     }
 
     /// Mean fraction of the pool in use since time zero.
@@ -208,7 +198,7 @@ impl Discipline {
                 if n_jobs == 0 {
                     1.0
                 } else {
-                    let d = devices.max(1) as f64;
+                    let d = devices as f64;
                     let per_device = (n_jobs as f64 / d).ceil();
                     let eff = 1.0 / (1.0 + alpha * (per_device - 1.0));
                     eff.min(d * cap / n_jobs as f64).max(MIN_RATE)
@@ -218,14 +208,115 @@ impl Discipline {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Job {
+/// One class's active jobs as parallel arrays, sorted by id. Passes walk
+/// them in id order, so the float updates and the smaller-id tie-break
+/// never depend on insertion order or hash state (detlint DET001/DET005).
+/// Job ids mostly arrive in increasing order, so an insert lands at or
+/// near the end.
+#[derive(Debug, Clone, Default)]
+struct Lane {
+    ids: Vec<JobId>,
     /// Seconds of work left at full speed.
-    remaining: f64,
+    remaining: Vec<f64>,
     /// Cores-equivalent demand (1.0 = one core).
-    weight: f64,
-    /// Scheduling class.
-    class: JobClass,
+    weight: Vec<f64>,
+}
+
+impl Lane {
+    fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    fn insert(&mut self, pos: usize, id: JobId, demand: f64, weight: f64) {
+        self.ids.insert(pos, id);
+        self.remaining.insert(pos, demand);
+        self.weight.insert(pos, weight);
+    }
+
+    /// Remove job `id` if it is in this lane; returns its weight.
+    fn remove(&mut self, id: JobId) -> Option<f64> {
+        let pos = self.ids.binary_search(&id).ok()?;
+        self.ids.remove(pos);
+        self.remaining.remove(pos);
+        Some(self.weight.remove(pos))
+    }
+
+    /// Progress every job by `dt` seconds at `rate`: one
+    /// multiply-subtract-max per element, with no branch. Rust never
+    /// contracts `r - rate * dt` into an FMA, so the bits are those of the
+    /// per-job update.
+    fn advance(&mut self, rate: f64, dt: f64) {
+        for r in &mut self.remaining {
+            *r = (*r - rate * dt).max(0.0);
+        }
+    }
+
+    /// The lexicographic minimum of `(remaining / rate, id)` over the
+    /// lane, or `None` when it is empty.
+    ///
+    /// Division by a positive constant rounds monotonically, so the
+    /// smallest `remaining` gives the smallest finish: one division
+    /// instead of one per job. The minimum is taken in four running
+    /// minima (`if r < m { r } else { m }` is exactly a vector `min`); with
+    /// no NaN in the lane, the order of the comparisons can change at most
+    /// the sign of a zero minimum, which finishes at the same time. A job with a smaller id still wins the tie if
+    /// its own quotient rounds to the same `best`; its exact quotient lies
+    /// below `best.next_up()`, so its `remaining` is at most
+    /// `best.next_up() * rate` (rounding is monotone again), and only
+    /// those jobs are divided to confirm. Validated disciplines keep every
+    /// rate in `(0, 1]`; any other rate falls back to one division per
+    /// job.
+    fn earliest(&self, rate: f64) -> Option<(f64, JobId)> {
+        if !(rate > 0.0 && rate <= 1.0) {
+            return self.earliest_by_division(rate);
+        }
+        let first = *self.remaining.first()?;
+        let mut mins = [first; 4];
+        let chunks = self.remaining.chunks_exact(4);
+        let tail = chunks.remainder();
+        for chunk in chunks {
+            for (m, &r) in mins.iter_mut().zip(chunk) {
+                *m = if r < *m { r } else { *m };
+            }
+        }
+        let min = mins
+            .iter()
+            .chain(tail)
+            .fold(first, |m, &r| if r < m { r } else { m });
+        let best = min / rate;
+        let limit = best.next_up() * rate;
+        // The first job in id order whose quotient is `best`; the job
+        // holding the minimum always qualifies.
+        let i = self
+            .remaining
+            .iter()
+            .position(|&r| r <= limit && r / rate == best)
+            .expect("the job holding the minimum qualifies");
+        Some((best, self.ids[i]))
+    }
+
+    /// [`Lane::earliest`] by dividing every job's `remaining`.
+    fn earliest_by_division(&self, rate: f64) -> Option<(f64, JobId)> {
+        let mut best: Option<(f64, JobId)> = None;
+        for (&id, &r) in self.ids.iter().zip(&self.remaining) {
+            let finish = r / rate;
+            best = match best {
+                Some(b) => Some(earlier(b, (finish, id))),
+                None => Some((finish, id)),
+            };
+        }
+        best
+    }
+}
+
+/// The earlier of two `(finish, id)` candidates; ties go to the smaller
+/// id, and `a` wins anything the comparison cannot order.
+fn earlier(a: (f64, JobId), b: (f64, JobId)) -> (f64, JobId) {
+    if b.0 < a.0 || (b.0 == a.0 && b.1 < a.1) {
+        b
+    } else {
+        a
+    }
 }
 
 /// A shared server processing all active jobs concurrently.
@@ -239,12 +330,10 @@ struct Job {
 #[derive(Debug, Clone)]
 pub struct ProcShare {
     discipline: Discipline,
-    /// Active jobs, sorted by id. `advance()` and `next_completion` walk
-    /// them in id order, so the float updates and the smaller-id
-    /// tie-break never depend on insertion order or hash state (detlint
-    /// DET001/DET005). Job ids mostly arrive in increasing order, so an
-    /// insert lands at or near the end.
-    jobs: Vec<(JobId, Job)>,
+    /// Active jobs, one lane per [`JobClass`]: each class progresses at
+    /// one rate, so a pass over a lane needs no per-job class match.
+    normal: Lane,
+    reserved: Lane,
     total_weight: f64,
     reserved_weight: f64,
     last_update: SimTime,
@@ -257,10 +346,35 @@ pub struct ProcShare {
 
 impl ProcShare {
     /// New empty server with the given sharing discipline.
+    ///
+    /// Panics, naming the field, on a discipline it cannot serve: a
+    /// `capacity` that is not finite and positive, an `alpha` that is not
+    /// finite and non-negative, a `cap` that is NaN or not positive, or
+    /// zero `devices`. Valid parameters keep every progress rate in
+    /// `[MIN_RATE, 1]` for normal jobs and in `(0, 1]` for reserved ones.
     pub fn new(discipline: Discipline) -> Self {
+        match discipline {
+            Discipline::ProcessorSharing { capacity } => assert!(
+                capacity.is_finite() && capacity > 0.0,
+                "processor-sharing capacity must be finite and positive, got {capacity}"
+            ),
+            Discipline::Saturating {
+                alpha,
+                cap,
+                devices,
+            } => {
+                assert!(
+                    alpha.is_finite() && alpha >= 0.0,
+                    "saturating alpha must be finite and non-negative, got {alpha}"
+                );
+                assert!(cap > 0.0, "saturating cap must be positive, got {cap}");
+                assert!(devices > 0, "saturating devices must be at least 1");
+            }
+        }
         ProcShare {
             discipline,
-            jobs: Vec::new(),
+            normal: Lane::default(),
+            reserved: Lane::default(),
             total_weight: 0.0,
             reserved_weight: 0.0,
             last_update: SimTime::ZERO,
@@ -280,7 +394,7 @@ impl ProcShare {
             class,
             self.reserved_weight,
             self.total_weight - self.reserved_weight,
-            self.jobs.len(),
+            self.active(),
         )
     }
 
@@ -289,16 +403,11 @@ impl ProcShare {
         debug_assert!(now >= self.last_update, "time went backwards");
         let dt = (now - self.last_update).as_secs_f64();
         if dt > 0.0 {
-            if !self.jobs.is_empty() {
+            if self.active() > 0 {
                 let r_normal = self.rate_of(JobClass::Normal);
                 let r_reserved = self.rate_of(JobClass::Reserved);
-                for (_, job) in &mut self.jobs {
-                    let rate = match job.class {
-                        JobClass::Normal => r_normal,
-                        JobClass::Reserved => r_reserved,
-                    };
-                    job.remaining = (job.remaining - rate * dt).max(0.0);
-                }
+                self.normal.advance(r_normal, dt);
+                self.reserved.advance(r_reserved, dt);
                 self.busy_integral += dt;
             }
             self.demand_integral += self.total_weight * dt;
@@ -322,16 +431,15 @@ impl ProcShare {
     fn start_class(&mut self, now: SimTime, id: JobId, demand: f64, weight: f64, class: JobClass) {
         self.advance(now);
         assert!(demand >= 0.0 && weight > 0.0, "bad job parameters");
-        let pos = match self.jobs.binary_search_by_key(&id, |&(j, _)| j) {
-            Ok(_) => panic!("job {id} already running"),
-            Err(pos) => pos,
+        let (lane, other) = match class {
+            JobClass::Normal => (&mut self.normal, &self.reserved),
+            JobClass::Reserved => (&mut self.reserved, &self.normal),
         };
-        let job = Job {
-            remaining: demand,
-            weight,
-            class,
+        let pos = match lane.ids.binary_search(&id) {
+            Err(pos) if other.ids.binary_search(&id).is_err() => pos,
+            _ => panic!("job {id} already running"),
         };
-        self.jobs.insert(pos, (id, job));
+        lane.insert(pos, id, demand, weight);
         self.total_weight += weight;
         if class == JobClass::Reserved {
             self.reserved_weight += weight;
@@ -342,23 +450,23 @@ impl ProcShare {
     /// the job existed.
     pub fn remove(&mut self, now: SimTime, id: JobId) -> bool {
         self.advance(now);
-        if let Ok(pos) = self.jobs.binary_search_by_key(&id, |&(j, _)| j) {
-            let (_, job) = self.jobs.remove(pos);
-            self.total_weight -= job.weight;
-            if job.class == JobClass::Reserved {
-                self.reserved_weight -= job.weight;
-                if self.reserved_weight < 1e-12 {
-                    self.reserved_weight = 0.0;
-                }
+        let weight = if let Some(weight) = self.normal.remove(id) {
+            weight
+        } else if let Some(weight) = self.reserved.remove(id) {
+            self.reserved_weight -= weight;
+            if self.reserved_weight < 1e-12 {
+                self.reserved_weight = 0.0;
             }
-            if self.total_weight < 1e-12 {
-                self.total_weight = 0.0;
-            }
-            self.completed += 1;
-            true
+            weight
         } else {
-            false
+            return false;
+        };
+        self.total_weight -= weight;
+        if self.total_weight < 1e-12 {
+            self.total_weight = 0.0;
         }
+        self.completed += 1;
+        true
     }
 
     /// The earliest `(time, id)` at which some job finishes, given the
@@ -367,28 +475,12 @@ impl ProcShare {
     /// microsecond so the work is fully done when the event fires.
     pub fn next_completion(&mut self, now: SimTime) -> Option<(SimTime, JobId)> {
         self.advance(now);
-        if self.jobs.is_empty() {
-            return None;
-        }
-        let r_normal = self.rate_of(JobClass::Normal);
-        let r_reserved = self.rate_of(JobClass::Reserved);
-        let mut best: Option<(f64, JobId)> = None;
-        for &(id, job) in &self.jobs {
-            let rate = match job.class {
-                JobClass::Normal => r_normal,
-                JobClass::Reserved => r_reserved,
-            };
-            let finish = job.remaining / rate;
-            match best {
-                None => best = Some((finish, id)),
-                Some((bf, bid)) => {
-                    if finish < bf || (finish == bf && id < bid) {
-                        best = Some((finish, id));
-                    }
-                }
-            }
-        }
-        let (finish, id) = best.expect("non-empty job set");
+        let normal = self.normal.earliest(self.rate_of(JobClass::Normal));
+        let reserved = self.reserved.earliest(self.rate_of(JobClass::Reserved));
+        let (finish, id) = match (normal, reserved) {
+            (Some(n), Some(r)) => earlier(n, r),
+            (one, other) => one.or(other)?,
+        };
         // Guard against the starved-job horizon overflowing SimTime.
         let delta_us = (finish * 1e6).ceil().min(u64::MAX as f64 / 4.0) as u64;
         let at = SimTime(now.0.saturating_add(delta_us));
@@ -402,7 +494,7 @@ impl ProcShare {
 
     /// Number of active jobs.
     pub fn active(&self) -> usize {
-        self.jobs.len()
+        self.normal.len() + self.reserved.len()
     }
 
     /// Current total weight (cores-equivalents demanded).
@@ -425,32 +517,6 @@ impl ProcShare {
     pub fn busy_integral(&mut self, now: SimTime) -> f64 {
         self.advance(now);
         self.busy_integral
-    }
-
-    /// Instantaneous utilization of a processor-sharing server: demanded
-    /// cores over capacity, clamped to 1. For [`Discipline::Saturating`]
-    /// this returns the saturation level `n·rate / (1/alpha)`—close to 1
-    /// when concurrency no longer buys throughput.
-    pub fn utilization_now(&self) -> f64 {
-        match self.discipline {
-            Discipline::ProcessorSharing { capacity } => (self.total_weight / capacity).min(1.0),
-            Discipline::Saturating {
-                alpha,
-                cap,
-                devices,
-            } => {
-                if self.jobs.is_empty() {
-                    0.0
-                } else {
-                    let d = devices.max(1) as f64;
-                    let n = self.jobs.len() as f64;
-                    let per_device = (n / d).ceil();
-                    let throughput = (n / (1.0 + alpha * (per_device - 1.0))).min(d * cap);
-                    let ceiling = if cap.is_finite() { d * cap } else { d / alpha };
-                    (throughput / ceiling).min(1.0)
-                }
-            }
-        }
     }
 }
 
@@ -488,15 +554,6 @@ mod tests {
         assert!((p.busy_integral(t(5.0)) - 10.0).abs() < 1e-9);
         // utilization = 10 / (4 * 5) = 0.5
         assert!((p.utilization(t(5.0)) - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn tokens_queue_integral() {
-        let mut p = Tokens::new(1);
-        p.try_acquire(t(0.0), 1);
-        p.try_acquire(t(0.0), 2); // queued
-        let q = p.queue_integral(t(4.0));
-        assert!((q - 4.0).abs() < 1e-9);
     }
 
     #[test]
@@ -579,7 +636,6 @@ mod tests {
         ps.start(t(0.0), 1, 1.0, 8.0);
         let (at, _) = ps.next_completion(t(0.0)).unwrap();
         assert_eq!(at, t(2.0));
-        assert!((ps.utilization_now() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -589,7 +645,6 @@ mod tests {
         ps.start(t(0.0), 2, 100.0, 3.0);
         assert!((ps.demand_integral(t(4.0)) - 20.0).abs() < 1e-9);
         assert!((ps.busy_integral(t(4.0)) - 4.0).abs() < 1e-9);
-        assert!((ps.utilization_now() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -682,6 +737,111 @@ mod tests {
         // 4 jobs on total cap 2: each at rate 0.5 -> done at 2s.
         let (at, _) = capped.next_completion(t(0.0)).unwrap();
         assert!((at.as_secs_f64() - 2.0).abs() < 1e-5, "{at}");
+    }
+
+    // ---- ProcShare: discipline validation ----
+
+    /// The panic message `ProcShare::new` gives for `discipline`.
+    fn rejection(discipline: Discipline) -> String {
+        let err = std::panic::catch_unwind(|| ProcShare::new(discipline))
+            .expect_err("discipline accepted");
+        match err.downcast_ref::<&str>() {
+            Some(msg) => msg.to_string(),
+            None => err.downcast_ref::<String>().cloned().unwrap_or_default(),
+        }
+    }
+
+    fn gpu(alpha: f64, cap: f64, devices: u32) -> Discipline {
+        Discipline::Saturating {
+            alpha,
+            cap,
+            devices,
+        }
+    }
+
+    #[test]
+    fn rejects_a_capacity_that_is_not_finite_and_positive() {
+        for capacity in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let msg = rejection(Discipline::ProcessorSharing { capacity });
+            assert!(msg.contains("capacity"), "{capacity}: {msg}");
+        }
+    }
+
+    #[test]
+    fn rejects_an_alpha_that_is_negative_or_not_finite() {
+        for alpha in [-0.1, f64::NAN, f64::INFINITY] {
+            let msg = rejection(gpu(alpha, 2.0, 1));
+            assert!(msg.contains("alpha"), "{alpha}: {msg}");
+        }
+    }
+
+    #[test]
+    fn rejects_a_cap_that_is_nan_or_not_positive() {
+        for cap in [f64::NAN, 0.0, -2.0] {
+            let msg = rejection(gpu(0.3, cap, 1));
+            assert!(msg.contains("cap"), "{cap}: {msg}");
+        }
+    }
+
+    #[test]
+    fn rejects_zero_devices() {
+        assert!(rejection(gpu(0.3, f64::INFINITY, 0)).contains("devices"));
+    }
+
+    #[test]
+    fn accepts_the_boundary_parameters() {
+        ProcShare::new(gpu(0.0, f64::INFINITY, 1));
+        ProcShare::new(gpu(0.0, f64::MIN_POSITIVE, u32::MAX));
+        ProcShare::cores(f64::MIN_POSITIVE);
+    }
+
+    // ---- ProcShare: the division-free lane scan ----
+
+    /// Near-tied demands at rates a validated discipline produces and at
+    /// ones it never does: the lane scan always equals dividing every job.
+    #[test]
+    fn lane_scan_matches_per_job_division_at_any_rate() {
+        let x = 0.3_f64;
+        let demands = [
+            1.0,
+            x.next_up().next_up(),
+            x.next_up(),
+            x,
+            x.next_up(),
+            2.0_f64.next_down(),
+            2.0,
+            0.0,
+            f64::MIN_POSITIVE / 4.0,
+        ];
+        let rates = [
+            1.0,
+            1.0_f64.next_down(),
+            0.7,
+            1.0 / 3.0,
+            MIN_RATE,
+            1.5,
+            3.0_f64.next_up(),
+            1e300,
+            0.0,
+            f64::NAN,
+        ];
+        for len in 1..=demands.len() {
+            for skip in 0..len {
+                let mut lane = Lane::default();
+                for (i, &d) in demands[skip..len].iter().enumerate() {
+                    lane.insert(i, 10 * i as JobId, d, 1.0);
+                }
+                for &rate in &rates {
+                    let bits = |r: Option<(f64, JobId)>| r.map(|(f, id)| (f.to_bits(), id));
+                    assert_eq!(
+                        bits(lane.earliest(rate)),
+                        bits(lane.earliest_by_division(rate)),
+                        "rate {rate}, demands {:?}",
+                        &demands[skip..len]
+                    );
+                }
+            }
+        }
     }
 
     #[test]

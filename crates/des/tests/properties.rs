@@ -146,8 +146,9 @@ proptest! {
 // ProcShare against a reference model
 // ---------------------------------------------------------------------------
 
-/// The `BTreeMap`-backed `ProcShare` the sorted-`Vec` job table replaced,
-/// kept verbatim as a reference: the two must agree bit for bit on every
+/// The `BTreeMap`-backed `ProcShare` that the sorted job table and then
+/// the per-class lanes replaced, kept verbatim as a reference (one
+/// division per job per scan): the two must agree bit for bit on every
 /// completion time, tie-break and integral.
 mod reference {
     use e2c_des::resources::{Discipline, JobClass};
@@ -384,10 +385,30 @@ enum PsOp {
     BusyIntegral,
 }
 
+/// Demands with repeats and adjacent floats: a base value, often one of
+/// a few shared ones, nudged up by zero to two ulps (`x`, `x.next_up()`,
+/// `x.next_up().next_up()`). Jobs started at one instant then finish
+/// within rounding of each other, which is where the smaller-id
+/// tie-break decides.
+fn arb_demand() -> impl Strategy<Value = f64> {
+    let base = prop_oneof![
+        0.0f64..3.0,
+        0.0f64..3.0,
+        Just(0.3),
+        Just(1.0 / 3.0),
+        Just(0.7),
+        Just(1.0),
+        Just(0.0),
+        Just(1e9),
+    ];
+    (base, 0usize..3).prop_map(|(x, ulps)| (0..ulps).fold(x, |x, _| x.next_up()))
+}
+
 fn arb_start() -> impl Strategy<Value = PsOp> {
-    let demand = prop_oneof![0.0f64..3.0, 0.0f64..3.0, 0.0f64..3.0, Just(0.0), Just(1e9)];
-    let weight = prop_oneof![0.05f64..4.0, Just(1.0)];
-    (0u64..24, demand, weight, any::<bool>()).prop_map(|(id, demand, weight, reserved)| {
+    // Heavy weights oversubscribe the capacity; heavy reserved ones starve
+    // normal jobs down to the rate floor.
+    let weight = prop_oneof![0.05f64..4.0, Just(1.0), Just(1.0), 8.0f64..32.0];
+    (0u64..24, arb_demand(), weight, any::<bool>()).prop_map(|(id, demand, weight, reserved)| {
         PsOp::Start {
             id,
             demand,
@@ -414,20 +435,40 @@ fn arb_ps_op() -> impl Strategy<Value = PsOp> {
 }
 
 fn arb_discipline() -> impl Strategy<Value = Discipline> {
+    let saturating = |(alpha, cap, devices)| Discipline::Saturating {
+        alpha,
+        cap,
+        devices,
+    };
     prop_oneof![
         (0.5f64..8.0).prop_map(|capacity| Discipline::ProcessorSharing { capacity }),
         Just(Discipline::ProcessorSharing { capacity: 1.0 }),
+        // Oversubscribed: a fraction of one core, so every rate is below 1.
+        (0.05f64..1.0).prop_map(|capacity| Discipline::ProcessorSharing { capacity }),
         (
             0.0f64..1.0,
             prop_oneof![Just(f64::INFINITY), 1.0f64..4.0],
             1u32..4
         )
-            .prop_map(|(alpha, cap, devices)| Discipline::Saturating {
-                alpha,
-                cap,
-                devices
-            }),
+            .prop_map(saturating),
+        // Steep efficiency loss, or a ceiling so low that every rate sits
+        // on the `MIN_RATE` floor.
+        (
+            1.0f64..4.0,
+            prop_oneof![Just(f64::INFINITY), Just(1e-12)],
+            1u32..3
+        )
+            .prop_map(saturating),
     ]
+}
+
+/// 512 cases unless `PROPTEST_CASES` sets the count (CI runs 2000).
+fn reference_config() -> ProptestConfig {
+    if std::env::var_os("PROPTEST_CASES").is_some() {
+        ProptestConfig::default()
+    } else {
+        ProptestConfig::with_cases(512)
+    }
 }
 
 /// Apply a `PsOp::Start` to the implementation under test.
@@ -531,12 +572,14 @@ fn replay(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(512))]
+    #![proptest_config(reference_config())]
 
-    /// The sorted-`Vec` job table is observably identical to the
-    /// `BTreeMap` one under random interleavings at non-decreasing times,
-    /// for both disciplines: same completion `(time, id)` (ties included),
-    /// same removals, same integrals to the bit.
+    /// The per-class lanes and their division-free completion scan are
+    /// observably identical to the `BTreeMap` job table under random
+    /// interleavings at non-decreasing times, for both disciplines,
+    /// oversubscribed and starved ones included: same completion
+    /// `(time, id)` (near-ties and cross-class ties included), same
+    /// removals, same integrals to the bit.
     #[test]
     fn procshare_matches_the_reference_model(
         discipline in arb_discipline(),

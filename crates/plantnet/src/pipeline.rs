@@ -107,6 +107,14 @@ mod tests {
     use super::*;
 
     #[test]
+    fn order_is_declaration_order() {
+        // `plantnet::sim` indexes per-task statistics by `Task as usize`.
+        for (i, task) in Task::ORDER.iter().enumerate() {
+            assert_eq!(*task as usize, i, "{task:?}");
+        }
+    }
+
+    #[test]
     fn order_matches_table_i() {
         let labels: Vec<&str> = Task::ORDER.iter().map(|t| t.label()).collect();
         assert_eq!(

@@ -25,7 +25,7 @@ use crate::model::EngineModel;
 use crate::monitor::{names, EngineMetrics, OverloadTotals, RepeatedMetrics};
 use crate::pipeline::Task;
 use e2c_des::resources::{Discipline, ProcShare, Tokens};
-use e2c_des::{Context, Dist, EventHandle, Model, SimTime, Simulation};
+use e2c_des::{Context, Dist, EventHandle, Model, Sampler, SimTime, Simulation};
 use e2c_metrics::{Histogram, OnlineStats, Registry, Summary};
 use e2c_net::{LinkSpec, SharedLink};
 use e2c_workload::{ImageMix, RateSchedule};
@@ -274,6 +274,35 @@ impl ReqWindow {
     }
 }
 
+/// The spec's service-time and think-time distributions, prepared once
+/// per run (a run draws hundreds of thousands of them).
+struct ServiceTimes {
+    preprocess: Sampler,
+    download_net: Sampler,
+    download_cpu: Sampler,
+    extract_gpu: Sampler,
+    process: Sampler,
+    simsearch: Sampler,
+    postprocess: Sampler,
+    think: Sampler,
+}
+
+impl ServiceTimes {
+    fn new(spec: &ExperimentSpec) -> Self {
+        let m = &spec.model;
+        ServiceTimes {
+            preprocess: m.t_preprocess.prepare(),
+            download_net: m.t_download_net.prepare(),
+            download_cpu: m.t_download_cpu.prepare(),
+            extract_gpu: m.t_extract_gpu.prepare(),
+            process: m.t_process.prepare(),
+            simsearch: m.t_simsearch.prepare(),
+            postprocess: m.t_postprocess.prepare(),
+            think: spec.think.prepare(),
+        }
+    }
+}
+
 /// The engine model driven by the DES kernel.
 pub struct Experiment {
     spec: ExperimentSpec,
@@ -286,6 +315,7 @@ pub struct Experiment {
     gpu: ProcShare,
     link: SharedLink,
     images: ImageMix,
+    times: ServiceTimes,
     cpu_handle: Option<EventHandle>,
     gpu_handle: Option<EventHandle>,
     /// Set by a CPU/GPU membership change; the completion event is
@@ -295,7 +325,8 @@ pub struct Experiment {
     reqs: ReqWindow,
     next_req: u64,
     // Statistics.
-    task_stats: BTreeMap<&'static str, OnlineStats>,
+    /// Per-task durations, indexed by `Task as usize` (`Task::ORDER`).
+    task_stats: [OnlineStats; 9],
     registry: Registry,
     window_resp: OnlineStats,
     /// Per-request response distribution after warm-up (for tail
@@ -343,13 +374,14 @@ impl Experiment {
             }),
             link: SharedLink::new(spec.link),
             images: ImageMix::new(spec.model.image_bytes_mean, spec.model.image_bytes_cv),
+            times: ServiceTimes::new(&spec),
             cpu_handle: None,
             gpu_handle: None,
             cpu_dirty: false,
             gpu_dirty: false,
             reqs: ReqWindow::default(),
             next_req: 0,
-            task_stats: BTreeMap::new(),
+            task_stats: Default::default(),
             registry: Registry::new(),
             window_resp: OnlineStats::new(),
             responses: Histogram::new(0.0, 60.0, 1200),
@@ -473,10 +505,7 @@ impl Experiment {
     // ---- statistics helpers ----
 
     fn record_task(&mut self, task: Task, start: SimTime, now: SimTime) {
-        self.task_stats
-            .entry(task.label())
-            .or_default()
-            .push((now - start).as_secs_f64());
+        self.task_stats[task as usize].push((now - start).as_secs_f64());
     }
 
     /// Service-time multiplier at `now` (1.0 unless a slow-down fault
@@ -491,7 +520,7 @@ impl Experiment {
         }
     }
 
-    fn sample_dist(&self, d: Dist, now: SimTime, rng: &mut impl rand::Rng) -> f64 {
+    fn sample_dist(&self, d: Sampler, now: SimTime, rng: &mut impl rand::Rng) -> f64 {
         (d.sample(rng) * self.service_scale(now)).max(1e-6)
     }
 
@@ -525,10 +554,7 @@ impl Experiment {
     // ---- pipeline transitions ----
 
     fn start_preprocess(&mut self, ctx: &mut Context<'_, Ev>, req: u64) {
-        let t = {
-            let d = self.spec.model.t_preprocess;
-            self.sample_dist(d, ctx.now(), ctx.rng())
-        };
+        let t = self.sample_dist(self.times.preprocess, ctx.now(), ctx.rng());
         self.reqs.get_mut(req).expect("live request").phase_start = ctx.now();
         self.cpu.start(
             ctx.now(),
@@ -554,20 +580,14 @@ impl Experiment {
         let bytes = self.images.sample_bytes(ctx.rng());
         // The fetch is dominated by the user-side uplink; the testbed link
         // only matters if it is more congested than the uplink.
-        let uplink = {
-            let d = self.spec.model.t_download_net;
-            self.sample_dist(d, ctx.now(), ctx.rng())
-        };
+        let uplink = self.sample_dist(self.times.download_net, ctx.now(), ctx.rng());
         let secs = self.link.begin_flow(bytes).max(uplink);
         self.reqs.get_mut(req).expect("live request").phase_start = ctx.now();
         ctx.schedule_in(SimTime::from_secs_f64(secs), Ev::NetDone { req });
     }
 
     fn start_download_cpu(&mut self, ctx: &mut Context<'_, Ev>, req: u64) {
-        let t = {
-            let d = self.spec.model.t_download_cpu;
-            self.sample_dist(d, ctx.now(), ctx.rng())
-        };
+        let t = self.sample_dist(self.times.download_cpu, ctx.now(), ctx.rng());
         self.cpu.start(
             ctx.now(),
             jid(req, code::DOWNLOAD),
@@ -587,10 +607,7 @@ impl Experiment {
     }
 
     fn start_extract(&mut self, ctx: &mut Context<'_, Ev>, req: u64) {
-        let t = {
-            let d = self.spec.model.t_extract_gpu;
-            self.sample_dist(d, ctx.now(), ctx.rng())
-        };
+        let t = self.sample_dist(self.times.extract_gpu, ctx.now(), ctx.rng());
         let now = ctx.now();
         self.reqs.get_mut(req).expect("live request").phase_start = now;
         self.gpu.start(now, req, t, 1.0);
@@ -608,10 +625,7 @@ impl Experiment {
     }
 
     fn start_process(&mut self, ctx: &mut Context<'_, Ev>, req: u64) {
-        let t = {
-            let d = self.spec.model.t_process;
-            self.sample_dist(d, ctx.now(), ctx.rng())
-        };
+        let t = self.sample_dist(self.times.process, ctx.now(), ctx.rng());
         self.reqs.get_mut(req).expect("live request").phase_start = ctx.now();
         self.cpu.start(
             ctx.now(),
@@ -632,10 +646,7 @@ impl Experiment {
     }
 
     fn start_simsearch(&mut self, ctx: &mut Context<'_, Ev>, req: u64) {
-        let t = {
-            let d = self.spec.model.t_simsearch;
-            self.sample_dist(d, ctx.now(), ctx.rng())
-        };
+        let t = self.sample_dist(self.times.simsearch, ctx.now(), ctx.rng());
         self.reqs.get_mut(req).expect("live request").phase_start = ctx.now();
         self.cpu.start(
             ctx.now(),
@@ -647,10 +658,7 @@ impl Experiment {
     }
 
     fn start_postprocess(&mut self, ctx: &mut Context<'_, Ev>, req: u64) {
-        let t = {
-            let d = self.spec.model.t_postprocess;
-            self.sample_dist(d, ctx.now(), ctx.rng())
-        };
+        let t = self.sample_dist(self.times.postprocess, ctx.now(), ctx.rng());
         self.reqs.get_mut(req).expect("live request").phase_start = ctx.now();
         self.cpu.start(
             ctx.now(),
@@ -688,10 +696,7 @@ impl Experiment {
             self.start_preprocess(ctx, waiter);
         }
         // Closed loop: the client thinks, then submits again.
-        let think = {
-            let d = self.spec.think;
-            SimTime::from_secs_f64(d.sample(ctx.rng()))
-        };
+        let think = SimTime::from_secs_f64(self.times.think.sample(ctx.rng()));
         ctx.schedule_in(think, Ev::Arrive { client: r.client });
     }
 
@@ -877,10 +882,11 @@ impl Experiment {
             // is the sentinel the tuning layer maps to a failed trial.
             response.mean = f64::NAN;
         }
-        let task_times: BTreeMap<String, Summary> = self
-            .task_stats
+        let task_times: BTreeMap<String, Summary> = Task::ORDER
             .iter()
-            .map(|(label, stats)| (label.to_string(), Summary::from(stats)))
+            .zip(&self.task_stats)
+            .filter(|(_, stats)| stats.count() > 0)
+            .map(|(task, stats)| (task.label().to_string(), Summary::from(stats)))
             .collect();
         let measured = self.spec.duration.saturating_sub(self.spec.warmup);
         let throughput = if measured.as_secs_f64() > 0.0 {

@@ -6,13 +6,15 @@
 //! target — heavy-ish right tail, never negative, matching observed photo
 //! upload mixes.
 
-use e2c_des::Dist;
+use e2c_des::{Dist, Sampler};
 use rand::Rng;
 
 /// Distribution of uploaded image sizes in bytes.
 #[derive(Debug, Clone, Copy)]
 pub struct ImageMix {
-    dist: Dist,
+    mean_bytes: f64,
+    /// The log-normal, prepared once: a size is drawn per request.
+    sizes: Sampler,
 }
 
 impl Default for ImageMix {
@@ -29,22 +31,24 @@ impl ImageMix {
     pub fn new(mean_bytes: f64, cv: f64) -> Self {
         assert!(mean_bytes > 0.0, "mean must be positive");
         ImageMix {
-            dist: Dist::LogNormal {
+            mean_bytes,
+            sizes: Dist::LogNormal {
                 mean: mean_bytes,
                 cv,
-            },
+            }
+            .prepare(),
         }
     }
 
     /// Sample one image size in bytes (at least 1 KB — the app never sends
     /// empty uploads).
     pub fn sample_bytes<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        self.dist.sample(rng).max(1024.0) as u64
+        self.sizes.sample(rng).max(1024.0) as u64
     }
 
     /// Mean image size in bytes.
     pub fn mean_bytes(&self) -> f64 {
-        self.dist.mean()
+        self.mean_bytes
     }
 }
 
