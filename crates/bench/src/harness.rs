@@ -32,14 +32,13 @@ use e2c_journal::json::{Escaped, Json};
 use e2c_tune::clock;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Warmup/measurement iteration counts for one benchmark run.
 ///
 /// CI and quick local runs shrink the counts globally through the
 /// `E2C_BENCH_WARMUP` / `E2C_BENCH_ITERS` environment variables (applied
-/// by [`BenchPolicy::from_env`]), mirroring how the figure binaries honor
-/// `E2C_REPS` / `E2C_DURATION`.
+/// by [`BenchPolicy::from_env`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BenchPolicy {
     /// Untimed iterations run first (cache/branch-predictor warmup).
@@ -477,16 +476,6 @@ impl BenchRegistry {
         }
         Ok(reports)
     }
-}
-
-/// Write `reports` as `BENCH_<name>.json` files under `dir`.
-pub fn write_reports(dir: &Path, reports: &[BenchReport]) -> Result<(), BenchError> {
-    for report in reports {
-        let path = dir.join(report.file_name());
-        e2c_journal::write_atomic(&path, report.to_json().as_bytes())
-            .map_err(|source| BenchError::Io { path, source })?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]

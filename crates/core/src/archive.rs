@@ -355,6 +355,7 @@ optimization:
             best_point: Some(vec![40.0, 7.0]),
             best_value: Some(2.5),
             analysis,
+            journal_appended: 0,
         };
         write_summary(&summary, &dir).unwrap();
 

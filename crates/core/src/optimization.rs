@@ -168,6 +168,8 @@ pub struct OptimizationSummary {
     pub best_point: Option<Point>,
     /// Its metric value.
     pub best_value: Option<f64>,
+    /// Records this process appended to the run journal (0 without one).
+    pub journal_appended: u64,
 }
 
 impl OptimizationSummary {
@@ -249,7 +251,6 @@ pub struct OptimizationManager {
     conf: OptimizationConf,
     seed: u64,
     archive_root: Option<PathBuf>,
-    scheduler: Arc<dyn Scheduler>,
     faults: FaultPlan,
     tracer: Option<e2c_trace::Tracer>,
     journal: Option<JournalConfig>,
@@ -270,7 +271,6 @@ impl OptimizationManager {
             conf,
             seed: 0,
             archive_root: None,
-            scheduler: Arc::new(Fifo),
             faults: FaultPlan::new(),
             tracer: None,
             journal: None,
@@ -289,12 +289,6 @@ impl OptimizationManager {
     /// `root`.
     pub fn with_archive(mut self, root: PathBuf) -> Self {
         self.archive_root = Some(root);
-        self
-    }
-
-    /// Install a trial scheduler (e.g. AsyncHyperBand). Default: FIFO.
-    pub fn with_scheduler(mut self, scheduler: Arc<dyn Scheduler>) -> Self {
-        self.scheduler = scheduler;
         self
     }
 
@@ -459,8 +453,8 @@ impl OptimizationManager {
                         ))
                     }
                 }
-                resume_state = e2c_tune::replay(&events, searcher, &*self.scheduler, mode)
-                    .map_err(RunError::Resume)?;
+                resume_state =
+                    e2c_tune::replay(&events, searcher, &Fifo, mode).map_err(RunError::Resume)?;
             }
             journal
         } else {
@@ -558,12 +552,9 @@ impl OptimizationManager {
         let scheduler: Arc<dyn Scheduler> = match &self.tracer {
             Some(tr) => {
                 tuner = tuner.trace(tr.clone());
-                Arc::new(e2c_tune::TracingScheduler::new(
-                    self.scheduler.clone(),
-                    tr.clone(),
-                ))
+                Arc::new(e2c_tune::TracingScheduler::new(Arc::new(Fifo), tr.clone()))
             }
-            None => self.scheduler.clone(),
+            None => Arc::new(Fifo),
         };
         if let Some(tr) = &self.tracer {
             // On resume the restored trace already opens with this event;
@@ -687,6 +678,7 @@ impl OptimizationManager {
             best_point: best.as_ref().map(|(p, _)| p.clone()),
             best_value: best.and_then(|(_, v)| v),
             analysis,
+            journal_appended: run_journal.as_ref().map_or(0, |j| j.appended()),
         };
         if let Some(root) = &self.archive_root {
             summary

@@ -430,7 +430,13 @@ impl ProcShare {
 
     fn start_class(&mut self, now: SimTime, id: JobId, demand: f64, weight: f64, class: JobClass) {
         self.advance(now);
-        assert!(demand >= 0.0 && weight > 0.0, "bad job parameters");
+        assert!(demand >= 0.0, "bad job parameters: demand {demand}");
+        // An infinite weight would turn `total_weight` into NaN once the
+        // job is removed (inf - inf), poisoning every later rate.
+        assert!(
+            weight > 0.0 && weight.is_finite(),
+            "bad job parameters: weight {weight} must be finite and positive"
+        );
         let (lane, other) = match class {
             JobClass::Normal => (&mut self.normal, &self.reserved),
             JobClass::Reserved => (&mut self.reserved, &self.normal),
@@ -659,6 +665,13 @@ mod tests {
         let mut ps = ProcShare::cores(1.0);
         ps.start(t(0.0), 1, 1.0, 1.0);
         ps.start(t(0.0), 1, 1.0, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "must be finite and positive")]
+    fn ps_infinite_weight_panics() {
+        let mut ps = ProcShare::cores(1.0);
+        ps.start(t(0.0), 1, 1.0, f64::INFINITY);
     }
 
     // ---- ProcShare: saturating (GPU) ----

@@ -20,6 +20,9 @@ use crate::surrogate::SurrogateKind;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// Candidate pool size per ask (the acquisition optimization budget).
+const N_CANDIDATES: usize = 512;
+
 /// Configuration + state of one Bayesian optimization run (minimization).
 pub struct BayesOpt {
     space: Space,
@@ -27,7 +30,6 @@ pub struct BayesOpt {
     acq: Acquisition,
     design: InitialDesign,
     n_initial: usize,
-    n_candidates: usize,
     rng: StdRng,
     seed: u64,
     initial_queue: Vec<Point>,
@@ -49,7 +51,6 @@ impl BayesOpt {
             acq: Acquisition::GpHedge,
             design: InitialDesign::Lhs,
             n_initial: 10,
-            n_candidates: 512,
             rng: StdRng::seed_from_u64(seed),
             seed,
             initial_queue: Vec::new(),
@@ -82,12 +83,6 @@ impl BayesOpt {
     /// Initial design generator.
     pub fn initial_point_generator(mut self, design: InitialDesign) -> Self {
         self.design = design;
-        self
-    }
-
-    /// Candidate pool size per ask (acquisition optimization budget).
-    pub fn n_candidate_points(mut self, n: usize) -> Self {
-        self.n_candidates = n.max(8);
         self
     }
 
@@ -202,9 +197,9 @@ impl BayesOpt {
         }
 
         // Candidate pool: global uniform + local perturbations of the best.
-        let mut candidates: Vec<Point> = Vec::with_capacity(self.n_candidates);
-        let n_local = self.n_candidates / 4;
-        for _ in 0..(self.n_candidates - n_local) {
+        let mut candidates: Vec<Point> = Vec::with_capacity(N_CANDIDATES);
+        let n_local = N_CANDIDATES / 4;
+        for _ in 0..(N_CANDIDATES - n_local) {
             candidates.push(self.space.sample(&mut self.rng));
         }
         if let Some((best_x, _)) = self.best() {

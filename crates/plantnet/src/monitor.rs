@@ -9,7 +9,7 @@ use crate::config::PoolConfig;
 use e2c_metrics::{OnlineStats, Registry, Summary};
 use std::collections::BTreeMap;
 
-/// Metric names used in the registry (shared with the harness bins).
+/// Metric names used in the registry (shared with the exhibits).
 pub mod names {
     /// Mean user response time per window (seconds).
     pub const RESPONSE: &str = "user_resp_time";

@@ -3,7 +3,7 @@
 //! The figure shows new users per month from 2017 to 2021 with exponential
 //! year-over-year growth and sharp peaks every May–June (the Northern
 //! spring, when people photograph plants). We generate a deterministic
-//! trace with exactly those two components; the harness bin prints it as
+//! trace with exactly those two components; the `fig2_user_growth` exhibit prints it as
 //! the Fig. 2 series.
 
 /// One month of the trace.

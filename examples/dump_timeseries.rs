@@ -4,12 +4,11 @@
 //! a file and plot with anything.
 //!
 //! ```sh
-//! cargo run --release -p e2c-bench --bin dump_timeseries -- preliminary 80 > series.csv
+//! cargo run --release --example dump_timeseries -- preliminary 80 > series.csv
 //! ```
 
-use e2c_bench::spec;
-use plantnet::sim::Experiment;
-use plantnet::PoolConfig;
+use e2clab::plantnet::sim::{Experiment, ExperimentSpec};
+use e2clab::plantnet::PoolConfig;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -24,12 +23,12 @@ fn main() {
             std::process::exit(2);
         }
     };
+    let spec = ExperimentSpec::paper(config, clients);
     eprintln!(
         "dumping series: {config_name} ({config}) at {clients} simultaneous requests, {} s",
-        e2c_bench::duration_secs()
+        spec.duration.as_secs_f64()
     );
-    let metrics = Experiment::run(spec(config, clients), 42);
-    metrics
+    Experiment::run(spec, 42)
         .registry
         .write_csv(std::io::stdout().lock())
         .expect("write CSV to stdout");

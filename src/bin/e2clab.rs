@@ -887,6 +887,14 @@ fn optimize(flags: &Flags) -> Outcome {
     let summary = cycle
         .run(archive.clone(), trace.as_deref())
         .map_err(failed)?;
+    // The crash knob exits the process when it fires; a run that got here
+    // never reached it, and a chaos test relying on it would pass vacuously.
+    if let Some(n) = cycle.journal.as_ref().and_then(|jc| jc.crash_after) {
+        return Err(failed(format!(
+            "--crash-at {n} never fired: this process appended only {} journal records",
+            summary.journal_appended
+        )));
+    }
     print!("{}", summary.render());
     if let Some(dir) = archive {
         println!("archive written to {}", dir.display());

@@ -250,3 +250,29 @@ fn zero_repeat_and_zero_duration_are_rejected() {
     }
     let _ = std::fs::remove_file(conf);
 }
+
+#[test]
+fn a_crash_point_past_the_last_append_fails_the_run() {
+    // A four-trial run appends far fewer than 5000 records, so the chaos
+    // knob can never fire; the run must say so instead of exiting 0.
+    let conf = write_conf("crash-never.yaml", CONF);
+    let journal = std::env::temp_dir().join(format!("e2clab-cli-crash-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&journal);
+    let out = bin()
+        .args(["optimize", "--duration", "40", "--seed", "5", "--journal"])
+        .arg(&journal)
+        .args(["--crash-at", "5000"])
+        .arg(&conf)
+        .output()
+        .expect("spawn");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("--crash-at 5000 never fired"), "{stderr}");
+    let records = e2c_journal::read_records(&journal.join("run.wal")).expect("journal");
+    assert!(
+        stderr.contains(&format!("appended only {} journal records", records.len())),
+        "{stderr}"
+    );
+    let _ = std::fs::remove_file(conf);
+    let _ = std::fs::remove_dir_all(journal);
+}
