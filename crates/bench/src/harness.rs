@@ -36,9 +36,8 @@ use std::path::PathBuf;
 
 /// Warmup/measurement iteration counts for one benchmark run.
 ///
-/// CI and quick local runs shrink the counts globally through the
-/// `E2C_BENCH_WARMUP` / `E2C_BENCH_ITERS` environment variables (applied
-/// by [`BenchPolicy::from_env`]).
+/// CI and quick local runs shrink the counts globally with
+/// [`BenchRegistry::with_policy`] (`e2clab bench --iters/--warmup`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BenchPolicy {
     /// Untimed iterations run first (cache/branch-predictor warmup).
@@ -54,16 +53,6 @@ impl BenchPolicy {
             warmup_iters,
             measure_iters: measure_iters.max(1),
         }
-    }
-
-    /// Apply the `E2C_BENCH_WARMUP` / `E2C_BENCH_ITERS` environment
-    /// overrides on top of `self`.
-    pub fn from_env(self) -> Self {
-        let get = |key: &str| std::env::var(key).ok().and_then(|v| v.parse::<u32>().ok());
-        BenchPolicy::new(
-            get("E2C_BENCH_WARMUP").unwrap_or(self.warmup_iters),
-            get("E2C_BENCH_ITERS").unwrap_or(self.measure_iters),
-        )
     }
 }
 
@@ -430,7 +419,7 @@ impl BenchRegistry {
             if !Self::matches(filter.as_deref(), bench.as_ref()) {
                 continue;
             }
-            let policy = override_policy.unwrap_or_else(|| bench.policy()).from_env();
+            let policy = override_policy.unwrap_or_else(|| bench.policy());
             bench.setup(seed);
             let mut round = 0u64;
             for _ in 0..policy.warmup_iters {

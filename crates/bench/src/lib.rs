@@ -11,8 +11,8 @@
 //!    throughput, worker-farm dispatch overhead, serving epoch);
 //!    [`default_registry`] wires them up and `e2clab bench` runs them, so
 //!    every PR can regenerate the performance trajectory. The counts
-//!    shrink through `E2C_BENCH_WARMUP` / `E2C_BENCH_ITERS` (see
-//!    [`BenchPolicy::from_env`]).
+//!    shrink through [`BenchRegistry::with_policy`] (`e2clab bench
+//!    --iters/--warmup`).
 //! 2. **The exhibit registry** ([`exhibits`]): every table and figure of
 //!    the paper (see DESIGN.md §4 for the index) as a named function that
 //!    writes deterministic text, always at the paper's protocol of

@@ -431,7 +431,7 @@ fn journal_events(n: usize, seed: u64) -> Vec<RunEvent> {
             status: "terminated".to_string(),
             value: Some(840.0 + frac * 100.0),
             trace_mark: Some((t * 12, t * 1000)),
-            asks: Some(t + 1),
+            asks: t + 1,
         });
         trial += 1;
     }

@@ -474,8 +474,8 @@ mod tests {
         assert_eq!(pools.get("http").unwrap().as_int(), Some(40));
         assert_eq!(pools.get("extract").unwrap().as_int(), Some(7));
         assert_eq!(
-            doc.get("engine").unwrap().get("gpu").unwrap().as_bool(),
-            Some(true)
+            doc.get("engine").unwrap().get("gpu"),
+            Some(&Value::Bool(true))
         );
     }
 

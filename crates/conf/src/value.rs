@@ -67,26 +67,10 @@ impl Value {
         }
     }
 
-    /// Bool view.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Sequence view.
     pub fn as_seq(&self) -> Option<&[Value]> {
         match self {
             Value::Seq(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// Mapping view.
-    pub fn as_map(&self) -> Option<&[(String, Value)]> {
-        match self {
-            Value::Map(pairs) => Some(pairs),
             _ => None,
         }
     }

@@ -27,7 +27,7 @@ use e2c_tune::fault::{FaultPlan, RetryPolicy};
 use e2c_tune::journal::{ResumeState, RunEvent, RunJournal};
 use e2c_tune::searcher::{ConcurrencyLimiter, GridSearch, RandomSearch, SkOptSearch};
 use e2c_tune::tuner::{Mode, Tuner};
-use e2c_tune::{Analysis, Fifo, Scheduler, Searcher};
+use e2c_tune::{Analysis, Fifo, Searcher};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
@@ -300,11 +300,10 @@ impl OptimizationManager {
         self
     }
 
-    /// Attach a tracer: the tuner records the worker lifecycle, every
-    /// scheduler decision is logged through a
-    /// [`e2c_tune::TracingScheduler`] wrapper, and the cycle emits an
-    /// objective-value distribution event (raw values — non-finite
-    /// observations from crashed evaluations are counted, not fatal).
+    /// Attach a tracer: the tuner records the worker lifecycle, and the
+    /// cycle emits an objective-value distribution event (raw values —
+    /// non-finite observations from crashed evaluations are counted, not
+    /// fatal).
     pub fn with_trace(mut self, tracer: e2c_trace::Tracer) -> Self {
         self.tracer = Some(tracer);
         self
@@ -549,14 +548,8 @@ impl OptimizationManager {
                 tuner = tuner.time_budget(Duration::from_millis(ms));
             }
         }
-        let scheduler: Arc<dyn Scheduler> = match &self.tracer {
-            Some(tr) => {
-                tuner = tuner.trace(tr.clone());
-                Arc::new(e2c_tune::TracingScheduler::new(Arc::new(Fifo), tr.clone()))
-            }
-            None => Arc::new(Fifo),
-        };
         if let Some(tr) = &self.tracer {
+            tuner = tuner.trace(tr.clone());
             // On resume the restored trace already opens with this event;
             // re-emitting it would shift every sequence number.
             if tr.is_empty() {
@@ -588,7 +581,7 @@ impl OptimizationManager {
             None => None,
         };
         let aux_hook = self.aux_hook.clone();
-        let analysis = tuner.run(searcher, scheduler, move |point, tctx| {
+        let analysis = tuner.run(searcher, Arc::new(Fifo), move |point, tctx| {
             // prepare(): a dedicated directory per model evaluation.
             let eval_dir = archive_root.as_ref().map(|root| {
                 let dir = root.join("evals").join(format!("trial_{}", tctx.trial_id));

@@ -79,8 +79,8 @@ pub struct ServingConfig {
     pub journal_dir: Option<PathBuf>,
     /// Continue a killed run from its journal instead of starting fresh.
     pub resume: bool,
-    /// Chaos knob: exit (code 86) after the Nth journal append of the
-    /// current epoch's cycle — kills the run *mid-epoch*.
+    /// Chaos knob: exit (code 86) after the Nth cycle-journal append of
+    /// this process, counted across epochs — kills the run *mid-epoch*.
     pub crash_at: Option<u64>,
     /// Chaos knob: exit (code 86) right after epoch K's row commits —
     /// kills the run *at an epoch boundary*.
@@ -225,6 +225,8 @@ pub struct ServingReport {
     pub csv_path: PathBuf,
     /// Where `trace.jsonl` was written.
     pub trace_path: PathBuf,
+    /// Cycle-journal records this process appended, over all epochs.
+    pub journal_appended: u64,
 }
 
 impl ServingReport {
@@ -326,15 +328,18 @@ fn epoch_seed(seed: u64, epoch: usize) -> u64 {
     seed ^ (epoch as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// Run one epoch's optimization cycle + final evaluation.
+/// Run one epoch's optimization cycle + final evaluation. `crash_after`
+/// is what is left of the `--crash-at` budget for this epoch's journal;
+/// the row comes back with the number of journal records appended.
 fn run_epoch(
     cfg: &ServingConfig,
     epoch: usize,
     label: &str,
     rate: f64,
     resume_epoch: bool,
+    crash_after: Option<u64>,
     fp: &str,
-) -> Result<EpochRow, String> {
+) -> Result<(EpochRow, u64), String> {
     let eseed = epoch_seed(cfg.seed, epoch);
     let sched = RateSchedule::constant(rate, cfg.epoch_duration)
         .map_err(|e| format!("epoch {epoch}: {e}"))?;
@@ -358,7 +363,7 @@ fn run_epoch(
             JournalConfig::fresh(edir)
         };
         manager = manager.with_journal(
-            jc.crash_after(cfg.crash_at)
+            jc.crash_after(crash_after)
                 .extra_fingerprint(format!("{fp};epoch={epoch};rate={rate}")),
         );
     }
@@ -398,7 +403,7 @@ fn run_epoch(
     let spec = ExperimentSpec::serving(best, sched.horizon());
     let m = EngineRun::run_serving(spec, &sched, Some(policy), eseed ^ 0x5EED_CAFE);
     let o = m.overload.unwrap_or_default();
-    Ok(EpochRow {
+    let row = EpochRow {
         epoch,
         label: label.to_string(),
         rate,
@@ -412,7 +417,8 @@ fn run_epoch(
         completed: m.completed,
         response_mean: m.response.mean,
         throughput: m.throughput,
-    })
+    };
+    Ok((row, summary.journal_appended))
 }
 
 /// Rewrite `serving.csv` from the committed rows (atomic: a crash leaves
@@ -567,6 +573,7 @@ pub fn run_serving(cfg: &ServingConfig) -> Result<ServingReport, String> {
     }
 
     let done = rows.len();
+    let mut journal_appended = 0;
     for (i, epoch) in schedule.epochs().iter().enumerate() {
         if i < done {
             continue; // Committed before the crash; bytes already in `rows`.
@@ -579,7 +586,19 @@ pub fn run_serving(cfg: &ServingConfig) -> Result<ServingReport, String> {
                 .as_ref()
                 .map(|j| j.join(format!("epoch_{i:02}")).join("run.wal").is_file())
                 .unwrap_or(false);
-        let row = run_epoch(cfg, i, &epoch.label, epoch.rate, resume_epoch, &fp)?;
+        // Epoch journals count from zero, so each gets what is left of
+        // the process-wide budget (never 0: reaching N already exited).
+        let crash_after = cfg.crash_at.map(|n| n - journal_appended);
+        let (row, appended) = run_epoch(
+            cfg,
+            i,
+            &epoch.label,
+            epoch.rate,
+            resume_epoch,
+            crash_after,
+            &fp,
+        )?;
+        journal_appended += appended;
         if let Some(w) = &mut wal {
             w.append(format!("epoch\t{i}\t{}", row.to_csv()).as_bytes())
                 .map_err(|e| format!("serving.wal: {e}"))?;
@@ -599,6 +618,7 @@ pub fn run_serving(cfg: &ServingConfig) -> Result<ServingReport, String> {
         rows,
         csv_path,
         trace_path,
+        journal_appended,
     })
 }
 

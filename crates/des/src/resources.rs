@@ -95,11 +95,6 @@ impl Tokens {
         self.busy
     }
 
-    /// Pool size.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Current number of queued waiters.
     pub fn queue_len(&self) -> usize {
         self.waiters.len()

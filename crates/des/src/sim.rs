@@ -104,11 +104,6 @@ impl<M: Model> Simulation<M> {
         self.now
     }
 
-    /// Number of events processed so far.
-    pub fn events_processed(&self) -> u64 {
-        self.processed
-    }
-
     /// Immutable access to the model (e.g. to read results after a run).
     pub fn model(&self) -> &M {
         &self.model

@@ -93,8 +93,9 @@ impl Config {
     /// codes (`DET001 = warn`), `approve-clock` (adds a DET002-approved
     /// path suffix), `hot-path` (adds a DET004 prefix), `critical-path`
     /// (adds a PANIC/LOCK scope prefix), `artifact-path` (adds an IO
-    /// scope prefix), `skip-dir`.
-    /// Lines starting with `#` and blank lines are ignored.
+    /// scope prefix), `skip-dir`. A path key needs a value: an empty
+    /// pattern would match every file. Lines starting with `#` and blank
+    /// lines are ignored.
     pub fn apply_file(&mut self, text: &str) -> Result<(), String> {
         for (idx, raw) in text.lines().enumerate() {
             let line = raw.trim();
@@ -110,14 +111,19 @@ impl Config {
                     .ok_or_else(|| format!("line {}: unknown severity `{value}`", idx + 1))?;
                 self.set_severity(rule, severity);
             } else {
-                match key.to_ascii_lowercase().as_str() {
-                    "approve-clock" => self.approved_clock_files.push(value.to_string()),
-                    "hot-path" => self.hot_paths.push(value.to_string()),
-                    "critical-path" => self.critical_paths.push(value.to_string()),
-                    "artifact-path" => self.artifact_paths.push(value.to_string()),
-                    "skip-dir" => self.skip_dirs.push(value.to_string()),
+                let key = key.to_ascii_lowercase();
+                let paths = match key.as_str() {
+                    "approve-clock" => &mut self.approved_clock_files,
+                    "hot-path" => &mut self.hot_paths,
+                    "critical-path" => &mut self.critical_paths,
+                    "artifact-path" => &mut self.artifact_paths,
+                    "skip-dir" => &mut self.skip_dirs,
                     other => return Err(format!("line {}: unknown key `{other}`", idx + 1)),
+                };
+                if value.is_empty() {
+                    return Err(format!("line {}: `{key}` needs a path", idx + 1));
                 }
+                paths.push(value.to_string());
             }
         }
         Ok(())
@@ -153,5 +159,20 @@ mod tests {
         assert!(c.apply_file("DET001 = loud").is_err());
         assert!(c.apply_file("nonsense").is_err());
         assert!(c.apply_file("mystery = 3").is_err());
+    }
+
+    #[test]
+    fn empty_path_values_are_rejected_with_their_line() {
+        for key in [
+            "approve-clock",
+            "hot-path",
+            "critical-path",
+            "artifact-path",
+            "skip-dir",
+        ] {
+            let mut c = Config::default();
+            let err = c.apply_file(&format!("# scope\n{key} =  \n")).unwrap_err();
+            assert_eq!(err, format!("line 2: `{key}` needs a path"));
+        }
     }
 }

@@ -1,15 +1,16 @@
 //! # e2c-fuzz — deterministic fuzz + differential-test harness
 //!
-//! The repository hand-rolls eight codecs — the YAML-subset configuration
+//! The repository hand-rolls nine codecs — the YAML-subset configuration
 //! parser (`e2c-conf`), the tab-separated journal wire format
 //! (`e2c-tune`), the worker-farm stdio protocol (`e2c-tune`), the
 //! `--faults` plan grammar (`e2c-tune`), the JSON codec behind
 //! `trace.jsonl` and the benchmark reports (`e2c-journal::json`), the
-//! CRC-framed write-ahead log (`e2c-journal`), the `lint.baseline`
-//! file (`detlint`) and the `serving.wal` epoch rows (`e2c-core`). Each
-//! sits on a crash-recovery, reproducibility or gating path, where a
-//! panic on malformed bytes *is* data loss. This crate drives all eight with seeded byte mutation and checks three
-//! property classes:
+//! CRC-framed write-ahead log (`e2c-journal`), the `lint.baseline` and
+//! `lint --config` files (`detlint`) and the `serving.wal` epoch rows
+//! (`e2c-core`). Each sits on a crash-recovery, reproducibility or gating
+//! path, where a panic on malformed bytes *is* data loss. This crate
+//! drives all nine with seeded byte mutation and checks three property
+//! classes:
 //!
 //! 1. **No panics** — feeding arbitrary bytes to a parser must return
 //!    `Ok`/`Err`, never unwind ([`engine::guard`] converts an unwind into
@@ -21,7 +22,9 @@
 //!    first. Comparing bytes (not values) keeps NaN-carrying events
 //!    honest. For `lint.baseline`, whose render sorts entries, the
 //!    property is on the entry multiset: `parse(render(parse(x))) ==
-//!    parse(x)`.
+//!    parse(x)`. The lint config has no encoder; its property is
+//!    that no accepted file leaves an empty path pattern (which would
+//!    match every file).
 //! 3. **Differential oracles** — the YAML parser is compared against the
 //!    committed fixture corpus (`crates/conf/tests/corpus/*.tree`), and
 //!    torn-WAL recovery against a truncation oracle that predicts the
@@ -40,8 +43,8 @@ pub mod targets;
 
 pub use engine::{FailKind, SplitMix64};
 pub use targets::{
-    ConfYamlTarget, DetlintBaselineTarget, FaultPlanTarget, JournalWalTarget, JournalWireTarget,
-    ServingRowTarget, TraceJsonlTarget, WorkerWireTarget,
+    ConfYamlTarget, DetlintBaselineTarget, DetlintConfTarget, FaultPlanTarget, JournalWalTarget,
+    JournalWireTarget, ServingRowTarget, TraceJsonlTarget, WorkerWireTarget,
 };
 
 use std::path::PathBuf;
@@ -315,7 +318,7 @@ impl FuzzRegistry {
     }
 }
 
-/// The registry with all eight codec targets, in dependency order.
+/// The registry with all nine codec targets, in dependency order.
 pub fn default_registry() -> FuzzRegistry {
     FuzzRegistry::new()
         .register(ConfYamlTarget::new())
@@ -325,6 +328,7 @@ pub fn default_registry() -> FuzzRegistry {
         .register(TraceJsonlTarget::new())
         .register(JournalWalTarget::new())
         .register(DetlintBaselineTarget::new())
+        .register(DetlintConfTarget::new())
         .register(ServingRowTarget::new())
 }
 

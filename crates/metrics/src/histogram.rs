@@ -2,8 +2,9 @@
 //!
 //! Storing every observation works for one experiment; monitoring stacks
 //! keep histograms instead. This one uses uniform bins over a configured
-//! range with overflow/underflow buckets, supports merging (repetitions)
-//! and linear-interpolated quantiles — accuracy bounded by the bin width.
+//! range with an underflow bucket and linear-interpolated quantiles —
+//! accuracy bounded by the bin width. Observations at or above the range
+//! count toward the total and clamp quantiles to `hi`.
 
 /// Uniform-bin histogram over `[lo, hi)`.
 #[derive(Debug, Clone, PartialEq)]
@@ -12,7 +13,6 @@ pub struct Histogram {
     hi: f64,
     bins: Vec<u64>,
     underflow: u64,
-    overflow: u64,
     nonfinite: u64,
     count: u64,
     sum: f64,
@@ -28,7 +28,6 @@ impl Histogram {
             hi,
             bins: vec![0; bins],
             underflow: 0,
-            overflow: 0,
             nonfinite: 0,
             count: 0,
             sum: 0.0,
@@ -52,9 +51,7 @@ impl Histogram {
         self.sum += x;
         if x < self.lo {
             self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
+        } else if x < self.hi {
             let idx = (((x - self.lo) / self.width()) as usize).min(self.bins.len() - 1);
             self.bins[idx] += 1;
         }
@@ -77,11 +74,6 @@ impl Histogram {
         } else {
             self.sum / self.count as f64
         }
-    }
-
-    /// Observations outside the range, `(underflow, overflow)`.
-    pub fn outliers(&self) -> (u64, u64) {
-        (self.underflow, self.overflow)
     }
 
     /// Approximate `q`-quantile (`q` in `[0,1]`), linear within the bin.
@@ -109,22 +101,6 @@ impl Histogram {
         }
         Some(self.hi)
     }
-
-    /// Merge another histogram with identical binning.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert!(
-            self.lo == other.lo && self.hi == other.hi && self.bins.len() == other.bins.len(),
-            "histogram shapes differ"
-        );
-        for (a, b) in self.bins.iter_mut().zip(&other.bins) {
-            *a += b;
-        }
-        self.underflow += other.underflow;
-        self.overflow += other.overflow;
-        self.nonfinite += other.nonfinite;
-        self.count += other.count;
-        self.sum += other.sum;
-    }
 }
 
 #[cfg(test)]
@@ -138,7 +114,6 @@ mod tests {
             h.record(x);
         }
         assert_eq!(h.count(), 6);
-        assert_eq!(h.outliers(), (1, 1));
         assert!((h.mean() - (0.5 + 1.5 + 1.7 + 9.9 - 1.0 + 12.0) / 6.0).abs() < 1e-12);
     }
 
@@ -165,33 +140,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_union() {
-        let mut a = Histogram::new(0.0, 10.0, 20);
-        let mut b = Histogram::new(0.0, 10.0, 20);
-        let mut whole = Histogram::new(0.0, 10.0, 20);
-        for i in 0..50 {
-            let x = i as f64 / 5.0;
-            a.record(x);
-            whole.record(x);
-        }
-        for i in 0..30 {
-            let x = i as f64 / 3.0;
-            b.record(x);
-            whole.record(x);
-        }
-        a.merge(&b);
-        assert_eq!(a, whole);
-    }
-
-    #[test]
-    #[should_panic(expected = "shapes differ")]
-    fn merge_rejects_mismatched_bins() {
-        let mut a = Histogram::new(0.0, 10.0, 20);
-        let b = Histogram::new(0.0, 10.0, 10);
-        a.merge(&b);
-    }
-
-    #[test]
     fn nonfinite_observations_are_bucketed_not_fatal() {
         let mut h = Histogram::new(0.0, 1.0, 4);
         h.record(0.5);
@@ -203,20 +151,6 @@ mod tests {
         // Statistics see only the finite observation.
         assert_eq!(h.mean(), 0.5);
         assert!(h.quantile(0.5).unwrap().is_finite());
-        assert_eq!(h.outliers(), (0, 0));
-    }
-
-    #[test]
-    fn merge_propagates_nonfinite() {
-        let mut a = Histogram::new(0.0, 1.0, 4);
-        let mut b = Histogram::new(0.0, 1.0, 4);
-        a.record(f64::NAN);
-        b.record(f64::NAN);
-        b.record(0.25);
-        a.merge(&b);
-        assert_eq!(a.nonfinite(), 2);
-        assert_eq!(a.count(), 1);
-        assert!(a.mean().is_finite());
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //! monitoring manager needs:
 //!
 //! * [`OnlineStats`] — numerically stable single-pass mean/variance
-//!   (Welford), mergeable across repetitions;
+//!   (Welford);
 //! * [`TimeSeries`] — a sampled `(t, value)` series with summary helpers;
-//! * [`Summary`] — mean, std, min/max, confidence interval of a sample;
-//! * [`Histogram`] — fixed-bin histograms with mergeable approximate
+//! * [`Summary`] — mean, std, min/max of a sample;
+//! * [`Histogram`] — fixed-bin histograms with approximate
 //!   quantiles (for tail-latency monitoring);
 //! * [`Registry`] — a named collection of series, CSV-exportable;
 //! * [`table::Table`] — aligned text tables used by the experiment harness

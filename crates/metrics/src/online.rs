@@ -4,9 +4,7 @@
 ///
 /// Uses Welford's algorithm, so the variance stays accurate even when the
 /// mean is large relative to the spread (e.g. response times in
-/// microseconds). Two accumulators can be [merged](OnlineStats::merge),
-/// which is how per-repetition statistics combine into the 966-sample
-/// aggregates the paper reports.
+/// microseconds).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OnlineStats {
     count: u64,
@@ -43,26 +41,6 @@ impl OnlineStats {
         self.m2 += delta * delta2;
         self.min = self.min.min(x);
         self.max = self.max.max(x);
-    }
-
-    /// Fold another accumulator into this one (Chan et al. parallel merge).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// Number of observations.
@@ -102,15 +80,6 @@ impl OnlineStats {
     pub fn max(&self) -> f64 {
         self.max
     }
-
-    /// Standard error of the mean.
-    pub fn sem(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.std() / (self.count as f64).sqrt()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -138,7 +107,6 @@ mod tests {
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.variance(), 0.0);
         assert_eq!(s.std(), 0.0);
-        assert_eq!(s.sem(), 0.0);
     }
 
     #[test]
@@ -149,42 +117,6 @@ mod tests {
         assert_eq!(s.variance(), 0.0);
         assert_eq!(s.min(), 3.5);
         assert_eq!(s.max(), 3.5);
-    }
-
-    #[test]
-    fn merge_equals_concatenation() {
-        let a_data = [1.0, 2.0, 3.0];
-        let b_data = [10.0, 20.0, 30.0, 40.0];
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        let mut whole = OnlineStats::new();
-        for &x in &a_data {
-            a.push(x);
-            whole.push(x);
-        }
-        for &x in &b_data {
-            b.push(x);
-            whole.push(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-12);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = OnlineStats::new();
-        a.push(5.0);
-        a.push(7.0);
-        let before = a;
-        a.merge(&OnlineStats::new());
-        assert_eq!(a, before);
-        let mut e = OnlineStats::new();
-        e.merge(&before);
-        assert_eq!(e, before);
     }
 
     #[test]

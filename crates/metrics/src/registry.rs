@@ -67,17 +67,6 @@ impl Registry {
         }
     }
 
-    /// Write one metric as a two-column CSV (`time,value`).
-    pub fn write_series_csv<W: Write>(&self, name: &str, mut w: W) -> io::Result<()> {
-        writeln!(w, "time,{name}")?;
-        if let Some(series) = self.get(name) {
-            for (t, v) in series.iter() {
-                writeln!(w, "{t},{v}")?;
-            }
-        }
-        Ok(())
-    }
-
     /// Write all metrics as a long-format CSV (`metric,time,value`).
     pub fn write_csv<W: Write>(&self, mut w: W) -> io::Result<()> {
         writeln!(w, "metric,time,value")?;
@@ -165,15 +154,6 @@ mod tests {
         r.write_csv(&mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert_eq!(text, "metric,time,value\ncpu,10,0.5\ncpu,20,0.75\n");
-    }
-
-    #[test]
-    fn csv_single_series() {
-        let mut r = Registry::new();
-        r.record("resp", 10.0, 2.5);
-        let mut buf = Vec::new();
-        r.write_series_csv("resp", &mut buf).unwrap();
-        assert_eq!(String::from_utf8(buf).unwrap(), "time,resp\n10,2.5\n");
     }
 
     #[test]

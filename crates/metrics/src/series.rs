@@ -55,54 +55,9 @@ impl TimeSeries {
         Summary::of(&self.values)
     }
 
-    /// Summary over samples with `t >= from` (e.g. skipping warm-up).
-    pub fn summary_from(&self, from: f64) -> Summary {
-        let vals: Vec<f64> = self
-            .iter()
-            .filter(|&(t, _)| t >= from)
-            .map(|(_, v)| v)
-            .collect();
-        Summary::of(&vals)
-    }
-
     /// Last value, if any.
     pub fn last(&self) -> Option<f64> {
         self.values.last().copied()
-    }
-}
-
-/// Emits sampling ticks at a fixed interval; the monitoring manager asks it
-/// when the next sample is due.
-#[derive(Debug, Clone, Copy)]
-pub struct Sampler {
-    interval: f64,
-    next: f64,
-}
-
-impl Sampler {
-    /// A sampler firing at `interval` seconds, first at `interval` (not 0,
-    /// matching monitors that report *completed* windows).
-    pub fn new(interval: f64) -> Self {
-        assert!(interval > 0.0, "interval must be positive");
-        Sampler {
-            interval,
-            next: interval,
-        }
-    }
-
-    /// Time of the next due sample.
-    pub fn next_at(&self) -> f64 {
-        self.next
-    }
-
-    /// Advance past the sample at `self.next_at()`.
-    pub fn advance(&mut self) {
-        self.next += self.interval;
-    }
-
-    /// The sampling interval.
-    pub fn interval(&self) -> f64 {
-        self.interval
     }
 }
 
@@ -122,45 +77,11 @@ mod tests {
     }
 
     #[test]
-    fn summary_from_skips_warmup() {
-        let mut ts = TimeSeries::new();
-        ts.push(0.0, 100.0); // warm-up artifact
-        ts.push(10.0, 2.0);
-        ts.push(20.0, 4.0);
-        let s = ts.summary_from(10.0);
-        assert_eq!(s.n, 2);
-        assert!((s.mean - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
     #[should_panic(expected = "appended in order")]
     fn out_of_order_push_panics() {
         let mut ts = TimeSeries::new();
         ts.push(5.0, 1.0);
         ts.push(4.0, 1.0);
-    }
-
-    #[test]
-    fn sampler_ticks_at_interval() {
-        let mut s = Sampler::new(10.0);
-        assert_eq!(s.next_at(), 10.0);
-        s.advance();
-        assert_eq!(s.next_at(), 20.0);
-        s.advance();
-        assert_eq!(s.next_at(), 30.0);
-        assert_eq!(s.interval(), 10.0);
-    }
-
-    #[test]
-    fn paper_sampling_yields_138_windows() {
-        // 23 minutes at 10 s intervals = 138 samples (the paper's count).
-        let mut s = Sampler::new(10.0);
-        let mut n = 0;
-        while s.next_at() <= 1380.0 {
-            n += 1;
-            s.advance();
-        }
-        assert_eq!(n, 138);
     }
 
     #[test]

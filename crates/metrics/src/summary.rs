@@ -1,4 +1,4 @@
-//! Sample summaries: mean ± std, extrema, confidence intervals, percentiles.
+//! Sample summaries: mean ± std, extrema, percentiles.
 
 use crate::online::OnlineStats;
 use std::fmt;
@@ -28,25 +28,6 @@ impl Summary {
             s.push(x);
         }
         Summary::from(&s)
-    }
-
-    /// Half-width of the ~95% normal-approximation confidence interval for
-    /// the mean (`1.96 · std / sqrt(n)`).
-    pub fn ci95(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            1.96 * self.std / (self.n as f64).sqrt()
-        }
-    }
-
-    /// Relative difference of this mean versus a reference mean, in percent.
-    /// Positive means this summary is *larger* than the reference.
-    pub fn pct_vs(&self, reference: &Summary) -> f64 {
-        if reference.mean == 0.0 {
-            return 0.0;
-        }
-        (self.mean - reference.mean) / reference.mean * 100.0
     }
 }
 
@@ -109,7 +90,6 @@ mod tests {
         let s = Summary::of(&[]);
         assert_eq!(s.n, 0);
         assert_eq!(s.mean, 0.0);
-        assert_eq!(s.ci95(), 0.0);
     }
 
     #[test]
@@ -122,26 +102,6 @@ mod tests {
             max: 2.9,
         };
         assert_eq!(s.to_string(), "2.657 (±0.0914)");
-    }
-
-    #[test]
-    fn pct_vs_reference() {
-        let base = Summary::of(&[2.0, 2.0]);
-        let opt = Summary::of(&[1.8, 1.8]);
-        assert!((opt.pct_vs(&base) + 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn ci95_shrinks_with_n() {
-        let small = Summary {
-            n: 10,
-            mean: 0.0,
-            std: 1.0,
-            min: 0.0,
-            max: 0.0,
-        };
-        let large = Summary { n: 1000, ..small };
-        assert!(large.ci95() < small.ci95());
     }
 
     #[test]

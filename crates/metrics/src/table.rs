@@ -121,12 +121,6 @@ impl fmt::Display for Table {
     }
 }
 
-/// Format a float with the given number of decimals — a convenience for
-/// table cells.
-pub fn fnum(x: f64, decimals: usize) -> String {
-    format!("{x:.decimals$}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,12 +155,6 @@ mod tests {
             csv,
             "name,note\na,plain\nb,\"has,comma\"\nc,\"has\"\"quote\"\n"
         );
-    }
-
-    #[test]
-    fn fnum_formats() {
-        assert_eq!(fnum(2.65678, 3), "2.657");
-        assert_eq!(fnum(2.0, 0), "2");
     }
 
     #[test]

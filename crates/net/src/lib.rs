@@ -8,13 +8,10 @@
 //! * [`Topology`] — named groups with pairwise constraints and transfer-time
 //!   computation;
 //! * [`SharedLink`] — a link whose bandwidth is processor-shared among
-//!   concurrent flows (what a pool of simultaneous image downloads sees);
-//! * [`TokenBucket`] — a classic rate limiter used for shaped links.
+//!   concurrent flows (what a pool of simultaneous image downloads sees).
 
 pub mod link;
-pub mod shaping;
 pub mod topology;
 
 pub use link::{LinkSpec, SharedLink};
-pub use shaping::TokenBucket;
 pub use topology::Topology;

@@ -82,11 +82,6 @@ impl SharedLink {
         }
     }
 
-    /// The underlying constraint.
-    pub fn spec(&self) -> LinkSpec {
-        self.spec
-    }
-
     /// Register a new flow and return its estimated transfer time in
     /// seconds for `bytes`, given the congestion it joins.
     pub fn begin_flow(&mut self, bytes: u64) -> f64 {

@@ -4,7 +4,7 @@
 //! derived quantity — the property the deterministic deployment layer
 //! leans on when it replays an experiment.
 
-use e2c_net::{LinkSpec, SharedLink, TokenBucket, Topology};
+use e2c_net::{LinkSpec, SharedLink, Topology};
 
 /// The paper's three-layer continuum with asymmetric constraints.
 fn build_topology() -> Topology {
@@ -99,25 +99,6 @@ fn shared_link_flow_sequences_replay_identically() {
             }
         }
         (times, link.active(), link.total_started())
-    };
-    assert_eq!(run(), run());
-}
-
-#[test]
-fn token_bucket_decision_sequence_is_deterministic() {
-    let run = || {
-        let mut bucket = TokenBucket::new(100.0, 50.0);
-        let mut decisions = Vec::new();
-        let mut now = 0.0;
-        for step in 0..200 {
-            now += 0.013;
-            let n = 1.0 + (step % 7) as f64;
-            match bucket.try_consume(now, n) {
-                Ok(()) => decisions.push(None),
-                Err(wait) => decisions.push(Some(wait.to_bits())),
-            }
-        }
-        decisions
     };
     assert_eq!(run(), run());
 }

@@ -43,17 +43,6 @@ pub enum Acquisition {
 }
 
 impl Acquisition {
-    /// Parse a configuration name.
-    pub fn from_name(name: &str) -> Option<Acquisition> {
-        Some(match name {
-            "ei" | "EI" => Acquisition::Ei,
-            "pi" | "PI" => Acquisition::Pi,
-            "lcb" | "LCB" => Acquisition::Lcb { kappa: 1.96 },
-            "gp_hedge" => Acquisition::GpHedge,
-            _ => return None,
-        })
-    }
-
     /// Score a candidate with predictive `(mean, std)` against the best
     /// observed value `best`. Must not be called on `GpHedge` (the
     /// portfolio scores through its members).
@@ -154,11 +143,6 @@ impl Hedge {
     pub fn update(&mut self, i: usize, reward: f64) {
         self.gains[i] += reward;
     }
-
-    /// Current gains, for diagnostics.
-    pub fn gains(&self) -> &[f64] {
-        &self.gains
-    }
 }
 
 #[cfg(test)]
@@ -233,19 +217,5 @@ mod tests {
         assert_eq!(h.choose(0.0), 0);
         assert_eq!(h.choose(0.5), 1);
         assert_eq!(h.choose(0.99), 2);
-    }
-
-    #[test]
-    fn names_parse() {
-        assert_eq!(Acquisition::from_name("ei"), Some(Acquisition::Ei));
-        assert_eq!(
-            Acquisition::from_name("gp_hedge"),
-            Some(Acquisition::GpHedge)
-        );
-        assert!(matches!(
-            Acquisition::from_name("lcb"),
-            Some(Acquisition::Lcb { .. })
-        ));
-        assert_eq!(Acquisition::from_name("zzz"), None);
     }
 }

@@ -101,11 +101,6 @@ impl BayesOpt {
         self.pending.len()
     }
 
-    /// All observations so far, in tell order.
-    pub fn history(&self) -> impl Iterator<Item = (&Point, f64)> {
-        self.xs.iter().zip(self.ys.iter().copied())
-    }
-
     /// Best observation `(point, value)` so far.
     pub fn best(&self) -> Option<(Point, f64)> {
         let (mut bx, mut by): (Option<&Point>, f64) = (None, f64::INFINITY);

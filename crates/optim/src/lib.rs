@@ -4,8 +4,8 @@
 //! builds on (scikit-optimize-style Bayesian optimization plus the
 //! metaheuristics listed for short-running applications):
 //!
-//! * [`space`] — search-space definition (integer/real/categorical
-//!   dimensions, normalization, rounding);
+//! * [`space`] — search-space definition (integer/real dimensions,
+//!   normalization, rounding);
 //! * [`sampling`] — initial designs: random, Latin Hypercube, Halton,
 //!   Sobol, full grid;
 //! * [`surrogate`] — regression models with predictive uncertainty:

@@ -29,25 +29,6 @@ impl Matrix {
         Matrix { rows, cols, data }
     }
 
-    /// Identity matrix.
-    pub fn eye(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// View a row as a slice.
     pub fn row(&self, i: usize) -> &[f64] {
         &self.data[i * self.cols..(i + 1) * self.cols]
@@ -260,13 +241,6 @@ mod tests {
     fn matvec_works() {
         let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         assert_eq!(a.matvec(&[1.0, 1.0]), vec![3.0, 7.0]);
-    }
-
-    #[test]
-    fn eye_is_identity() {
-        let i = Matrix::eye(3);
-        let a = Matrix::from_vec(3, 3, (1..=9).map(|x| x as f64).collect());
-        assert_eq!(i.matmul(&a), a);
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! The paper states the general form: minimize/maximize `f_m(x)` subject to
 //! inequality constraints `g_j(x) ≤ 0`, equality constraints `h_k(x) = 0`
-//! and variable bounds. [`OptimizationProblem`] captures that structure and
-//! offers a penalized scalar evaluation so any minimizer in this crate can
-//! honor constraints.
+//! and variable bounds. [`OptimizationProblem`] captures objectives,
+//! inequality constraints and bounds (an equality is the pair `h ≤ 0`,
+//! `−h ≤ 0`) and offers a penalized scalar evaluation so any minimizer in
+//! this crate can honor constraints.
 
 use crate::space::Space;
 
@@ -19,36 +20,6 @@ pub enum Sense {
     Minimize,
     /// Larger is better.
     Maximize,
-}
-
-/// A constraint on the decision vector.
-pub enum Constraint {
-    /// `g(x) ≤ 0`.
-    Inequality(ScalarFn),
-    /// `h(x) = 0` within `tol`.
-    Equality {
-        /// The constraint function.
-        h: ScalarFn,
-        /// Feasibility tolerance.
-        tol: f64,
-    },
-}
-
-impl Constraint {
-    /// Violation magnitude (0 when satisfied).
-    pub fn violation(&self, x: &[f64]) -> f64 {
-        match self {
-            Constraint::Inequality(g) => g(x).max(0.0),
-            Constraint::Equality { h, tol } => {
-                let v = h(x).abs();
-                if v <= *tol {
-                    0.0
-                } else {
-                    v
-                }
-            }
-        }
-    }
 }
 
 /// One objective of a (possibly multi-objective) problem.
@@ -67,8 +38,8 @@ pub struct OptimizationProblem {
     pub space: Space,
     /// One or more objectives.
     pub objectives: Vec<Objective>,
-    /// Inequality and equality constraints.
-    pub constraints: Vec<Constraint>,
+    /// Inequality constraints `g(x) ≤ 0`.
+    pub constraints: Vec<ScalarFn>,
     /// Penalty coefficient for constraint violations in
     /// [`OptimizationProblem::penalized`].
     pub penalty: f64,
@@ -96,20 +67,7 @@ impl OptimizationProblem {
 
     /// Add an inequality constraint `g(x) ≤ 0`.
     pub fn subject_to(mut self, g: impl Fn(&[f64]) -> f64 + Send + Sync + 'static) -> Self {
-        self.constraints.push(Constraint::Inequality(Box::new(g)));
-        self
-    }
-
-    /// Add an equality constraint `h(x) = 0` within `tol`.
-    pub fn subject_to_eq(
-        mut self,
-        h: impl Fn(&[f64]) -> f64 + Send + Sync + 'static,
-        tol: f64,
-    ) -> Self {
-        self.constraints.push(Constraint::Equality {
-            h: Box::new(h),
-            tol,
-        });
+        self.constraints.push(Box::new(g));
         self
     }
 
@@ -128,14 +86,9 @@ impl OptimizationProblem {
         self
     }
 
-    /// Whether all constraints hold at `x`.
-    pub fn feasible(&self, x: &[f64]) -> bool {
-        self.constraints.iter().all(|c| c.violation(x) == 0.0)
-    }
-
     /// Total constraint violation at `x`.
     pub fn total_violation(&self, x: &[f64]) -> f64 {
-        self.constraints.iter().map(|c| c.violation(x)).sum()
+        self.constraints.iter().map(|g| g(x).max(0.0)).sum()
     }
 
     /// Raw objective values at `x`, in declaration order.
@@ -178,7 +131,7 @@ mod tests {
             |x| x[0] * x[0],
         );
         assert_eq!(p.evaluate(&[1.5]), vec![2.25]);
-        assert!(p.feasible(&[1.5]));
+        assert_eq!(p.total_violation(&[1.5]), 0.0);
         assert_eq!(p.penalized(&[1.5], None), 2.25);
     }
 
@@ -203,24 +156,10 @@ mod tests {
             |x| 10.0 - x[0], // cheaper with bigger x
         )
         .subject_to(|x| x[0] - 3.0); // x <= 3
-        assert!(p.feasible(&[2.0]));
-        assert!(!p.feasible(&[5.0]));
+        assert_eq!(p.total_violation(&[2.0]), 0.0);
         assert!((p.total_violation(&[5.0]) - 2.0).abs() < 1e-12);
         // The penalty must overwhelm the objective gain.
         assert!(p.penalized(&[5.0], None) > p.penalized(&[3.0], None));
-    }
-
-    #[test]
-    fn equality_constraints_use_tolerance() {
-        let p = OptimizationProblem::single(
-            Space::new().real("x", 0.0, 1.0),
-            "f",
-            Sense::Minimize,
-            |x| x[0],
-        )
-        .subject_to_eq(|x| x[0] - 0.5, 0.01);
-        assert!(p.feasible(&[0.505]));
-        assert!(!p.feasible(&[0.6]));
     }
 
     #[test]

@@ -26,18 +26,6 @@ pub enum InitialDesign {
 }
 
 impl InitialDesign {
-    /// Parse a generator name as used in configuration files.
-    pub fn from_name(name: &str) -> Option<InitialDesign> {
-        Some(match name {
-            "random" => InitialDesign::Random,
-            "lhs" => InitialDesign::Lhs,
-            "halton" => InitialDesign::Halton,
-            "sobol" => InitialDesign::Sobol,
-            "grid" => InitialDesign::Grid,
-            _ => return None,
-        })
-    }
-
     /// Generate `n` points in external units.
     pub fn generate<R: Rng + ?Sized>(&self, space: &Space, n: usize, rng: &mut R) -> Vec<Point> {
         let unit = self.generate_unit(space.len(), n, rng);
@@ -331,16 +319,6 @@ mod tests {
         let pts = InitialDesign::Lhs.generate(&space, 41, &mut rng);
         let distinct: std::collections::BTreeSet<i64> = pts.iter().map(|p| p[0] as i64).collect();
         assert_eq!(distinct.len(), 41, "LHS must hit every integer once");
-    }
-
-    #[test]
-    fn from_name_parses() {
-        assert_eq!(InitialDesign::from_name("lhs"), Some(InitialDesign::Lhs));
-        assert_eq!(
-            InitialDesign::from_name("sobol"),
-            Some(InitialDesign::Sobol)
-        );
-        assert_eq!(InitialDesign::from_name("bogus"), None);
     }
 
     #[test]

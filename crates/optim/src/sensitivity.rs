@@ -49,11 +49,6 @@ impl OatPlan {
         }
     }
 
-    /// The unmodified center point.
-    pub fn center(&self) -> &Point {
-        &self.center
-    }
-
     /// All configurations to evaluate: the center first, then each
     /// one-dimension variant.
     pub fn configurations(&self) -> Vec<Point> {

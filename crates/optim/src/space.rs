@@ -1,8 +1,8 @@
 //! Search-space definition.
 //!
 //! A [`Space`] is an ordered list of named [`Dimension`]s. Points are
-//! `Vec<f64>` in *external* units (integers appear as whole floats,
-//! categoricals as choice indices); [`Space::to_unit`]/[`Space::from_unit`]
+//! `Vec<f64>` in *external* units (integers appear as whole floats);
+//! [`Space::to_unit`]/[`Space::from_unit`]
 //! map to the normalized hypercube the samplers and surrogates work in.
 
 use rand::Rng;
@@ -28,23 +28,9 @@ pub enum Dimension {
         /// Upper bound.
         hi: f64,
     },
-    /// One of a list of labels, encoded as its index.
-    Categorical {
-        /// The available choices.
-        choices: Vec<String>,
-    },
 }
 
 impl Dimension {
-    /// Number of distinct values (`None` for a continuum).
-    pub fn cardinality(&self) -> Option<usize> {
-        match self {
-            Dimension::Int { lo, hi } => Some((hi - lo + 1) as usize),
-            Dimension::Real { .. } => None,
-            Dimension::Categorical { choices } => Some(choices.len()),
-        }
-    }
-
     /// Map a unit-interval coordinate to an external value.
     pub fn from_unit(&self, u: f64) -> f64 {
         let u = u.clamp(0.0, 1.0);
@@ -55,10 +41,6 @@ impl Dimension {
                 v.min(*hi as f64)
             }
             Dimension::Real { lo, hi } => lo + u * (hi - lo),
-            Dimension::Categorical { choices } => {
-                let span = choices.len() as f64;
-                (u * span).floor().min(span - 1.0)
-            }
         }
     }
 
@@ -81,10 +63,6 @@ impl Dimension {
                     ((v - lo) / (hi - lo)).clamp(0.0, 1.0)
                 }
             }
-            Dimension::Categorical { choices } => {
-                let span = choices.len() as f64;
-                (v + 0.5) / span
-            }
         }
     }
 
@@ -93,7 +71,6 @@ impl Dimension {
         match self {
             Dimension::Int { lo, hi } => (v.round()).clamp(*lo as f64, *hi as f64),
             Dimension::Real { lo, hi } => v.clamp(*lo, *hi),
-            Dimension::Categorical { choices } => v.round().clamp(0.0, (choices.len() - 1) as f64),
         }
     }
 
@@ -103,9 +80,6 @@ impl Dimension {
         match self {
             Dimension::Int { lo, hi } => v.fract() == 0.0 && v >= *lo as f64 && v <= *hi as f64,
             Dimension::Real { lo, hi } => v >= *lo && v <= *hi,
-            Dimension::Categorical { choices } => {
-                v.fract() == 0.0 && v >= 0.0 && v < choices.len() as f64
-            }
         }
     }
 }
@@ -137,18 +111,6 @@ impl Space {
         self
     }
 
-    /// Add a categorical dimension.
-    pub fn categorical(mut self, name: &str, choices: &[&str]) -> Self {
-        assert!(!choices.is_empty(), "{name}: empty choices");
-        self.push(
-            name,
-            Dimension::Categorical {
-                choices: choices.iter().map(|s| s.to_string()).collect(),
-            },
-        );
-        self
-    }
-
     fn push(&mut self, name: &str, dim: Dimension) {
         assert!(
             !self.names.iter().any(|n| n == name),
@@ -171,21 +133,6 @@ impl Space {
     /// Dimension names in order.
     pub fn names(&self) -> &[String] {
         &self.names
-    }
-
-    /// The dimensions in order.
-    pub fn dims(&self) -> &[Dimension] {
-        &self.dims
-    }
-
-    /// Index of a named dimension.
-    pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.names.iter().position(|n| n == name)
-    }
-
-    /// Value of a named dimension within a point.
-    pub fn value_of(&self, point: &[f64], name: &str) -> Option<f64> {
-        self.index_of(name).map(|i| point[i])
     }
 
     /// Uniform random point (external units).
@@ -252,9 +199,7 @@ mod tests {
     fn builder_and_lookup() {
         let s = Space::plantnet();
         assert_eq!(s.len(), 4);
-        assert_eq!(s.index_of("extract"), Some(3));
-        assert_eq!(s.index_of("nope"), None);
-        assert_eq!(s.value_of(&[40.0, 40.0, 40.0, 7.0], "extract"), Some(7.0));
+        assert_eq!(s.names()[3], "extract");
     }
 
     #[test]
@@ -296,19 +241,6 @@ mod tests {
     }
 
     #[test]
-    fn categorical_encoding() {
-        let d = Dimension::Categorical {
-            choices: vec!["a".into(), "b".into(), "c".into()],
-        };
-        assert_eq!(d.cardinality(), Some(3));
-        assert_eq!(d.from_unit(0.0), 0.0);
-        assert_eq!(d.from_unit(0.99), 2.0);
-        assert!(d.contains(1.0));
-        assert!(!d.contains(3.0));
-        assert!(!d.contains(0.5));
-    }
-
-    #[test]
     fn sanitize_rounds_and_clamps() {
         let s = Space::plantnet();
         let p = s.sanitize(&[19.2, 60.7, 40.4, 9.9]);
@@ -318,10 +250,7 @@ mod tests {
 
     #[test]
     fn samples_always_in_space() {
-        let s = Space::new()
-            .int("i", -5, 5)
-            .real("r", 0.0, 2.0)
-            .categorical("c", &["x", "y"]);
+        let s = Space::new().int("i", -5, 5).real("r", 0.0, 2.0);
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..1000 {
             let p = s.sample(&mut rng);

@@ -66,11 +66,6 @@ impl Forest {
         )
     }
 
-    /// Number of trees.
-    pub fn n_trees(&self) -> usize {
-        self.params.n_trees
-    }
-
     /// Total node count over all trees (for tests/diagnostics).
     pub fn node_count(&self) -> usize {
         self.trees.iter().map(RegressionTree::node_count).sum()

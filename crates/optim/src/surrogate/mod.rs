@@ -71,22 +71,6 @@ pub enum SurrogateKind {
 }
 
 impl SurrogateKind {
-    /// Parse a configuration name (`extra_trees`, `ET`, `random_forest`,
-    /// `RF`, `gbrt`, `gp`, `gp_matern`, `kernel_ridge`/`svr`, `poly`).
-    pub fn from_name(name: &str) -> Option<SurrogateKind> {
-        Some(match name {
-            "extra_trees" | "ET" | "et" => SurrogateKind::ExtraTrees,
-            "random_forest" | "RF" | "rf" => SurrogateKind::RandomForest,
-            "cart" | "tree" | "DT" => SurrogateKind::Cart,
-            "gbrt" | "GBRT" => SurrogateKind::Gbrt,
-            "gp" | "GP" | "kriging" => SurrogateKind::GpRbf,
-            "gp_matern" => SurrogateKind::GpMatern,
-            "kernel_ridge" | "svr" | "SVR" => SurrogateKind::KernelRidge,
-            "poly" | "polynomial" => SurrogateKind::Polynomial,
-            _ => return None,
-        })
-    }
-
     /// Instantiate the model with sensible defaults and a seed for any
     /// internal randomness.
     pub fn build(&self, seed: u64) -> Box<dyn Surrogate> {
@@ -116,7 +100,7 @@ impl SurrogateKind {
         ]
     }
 
-    /// Stable identifier (inverse of [`SurrogateKind::from_name`]).
+    /// Stable identifier.
     pub fn name(&self) -> &'static str {
         match self {
             SurrogateKind::ExtraTrees => "extra_trees",
@@ -167,18 +151,6 @@ mod tests {
             assert!(std_near >= 0.0, "{kind:?}: negative std");
             assert!(near.is_finite() && far.is_finite(), "{kind:?}");
         }
-    }
-
-    #[test]
-    fn names_roundtrip() {
-        for kind in SurrogateKind::all() {
-            assert_eq!(SurrogateKind::from_name(kind.name()), Some(kind));
-        }
-        assert_eq!(
-            SurrogateKind::from_name("ET"),
-            Some(SurrogateKind::ExtraTrees)
-        );
-        assert_eq!(SurrogateKind::from_name("unknown"), None);
     }
 
     #[test]

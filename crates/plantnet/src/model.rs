@@ -147,30 +147,6 @@ impl EngineModel {
             + self.sys_mem_per_extract_gb * extract_threads as f64
             + self.sys_mem_per_http_gb * http_threads as f64
     }
-
-    /// Ideal GPU throughput (inferences/s) at concurrency `c` — the
-    /// saturating curve `c / (t·(1+alpha(c−1)))`, clipped at the
-    /// parallelism ceiling `cap / t`.
-    pub fn gpu_throughput(&self, c: u32) -> f64 {
-        if c == 0 {
-            return 0.0;
-        }
-        let d = self.gpus.max(1) as f64;
-        let per_device = (c as f64 / d).ceil();
-        let t = self.t_extract_gpu.mean();
-        let curve = c as f64 / (t * (1.0 + self.gpu_alpha * (per_device - 1.0)));
-        curve.min(d * self.gpu_parallel_cap / t)
-    }
-
-    /// Maximum request rate the CPU sustains with `c` reserved feeding
-    /// slots: `(cores − c·w_feed − overhead) / t_simsearch` — the
-    /// capacity-split bound that caps throughput once feeding crowds the
-    /// node (back-of-envelope; the simulation realizes it dynamically).
-    pub fn cpu_capped_throughput(&self, c: u32) -> f64 {
-        let misc = 1.0; // downloads + HTTP bookkeeping cores
-        let left = self.cores - self.extract_cpu_weight * c as f64 - misc;
-        (left / (self.t_simsearch.mean() * self.simsearch_cpu_weight)).max(0.0)
-    }
 }
 
 #[cfg(test)]
@@ -193,83 +169,5 @@ mod tests {
         let m = EngineModel::default();
         assert!(m.sys_memory_gb(9, 54) > m.sys_memory_gb(5, 54));
         assert!(m.sys_memory_gb(7, 54) > m.sys_memory_gb(7, 40));
-    }
-
-    #[test]
-    fn gpu_throughput_saturates() {
-        let m = EngineModel::default();
-        let mut last = 0.0;
-        let mut gains = Vec::new();
-        for c in 1..=9 {
-            let x = m.gpu_throughput(c);
-            assert!(x >= last, "throughput must not fall with concurrency");
-            gains.push(x - last);
-            last = x;
-        }
-        // Diminishing returns: each extra thread buys less, and the
-        // parallelism ceiling flattens the curve entirely at the high end.
-        for w in gains.windows(2) {
-            assert!(w[1] < w[0] + 1e-9, "{gains:?}");
-        }
-        assert!(
-            m.gpu_throughput(9) <= m.gpu_throughput(8) + 1e-9,
-            "ceiling must bind by 9 threads"
-        );
-    }
-
-    #[test]
-    fn second_gpu_raises_throughput_but_cpu_still_caps() {
-        let two = EngineModel {
-            gpus: 2,
-            ..EngineModel::default()
-        };
-        let one = EngineModel::default();
-        // At matched concurrency the second device buys real throughput.
-        assert!(two.gpu_throughput(8) > one.gpu_throughput(8) * 1.3);
-        // But the CPU feeding budget is unchanged: past ~9 threads the
-        // node runs out of cores before the GPUs run out of parallelism.
-        for c in 10..=14 {
-            assert!(
-                two.cpu_capped_throughput(c) < two.gpu_throughput(c),
-                "extract={c}: CPU must be the wall with two GPUs"
-            );
-        }
-        // Second device also means a second copy of the weights.
-        assert!(two.gpu_memory_gb(8) > one.gpu_memory_gb(8));
-    }
-
-    #[test]
-    fn bottleneck_crosses_between_extract_7_and_8() {
-        // The central calibration property (Fig. 9): with 5–7 extract
-        // threads the GPU is the bottleneck (CPU bound above GPU curve);
-        // with 8–9 the reserved feeding cores squeeze Simsearch below the
-        // GPU's capability — the bottleneck flips to the CPU.
-        let m = EngineModel::default();
-        for c in 5..=6 {
-            assert!(
-                m.cpu_capped_throughput(c) >= m.gpu_throughput(c),
-                "extract={c}: CPU cap {} should not sit below GPU {}",
-                m.cpu_capped_throughput(c),
-                m.gpu_throughput(c)
-            );
-        }
-        // 7 is the knife edge: the two bounds within ~7% of each other.
-        let gap = (m.cpu_capped_throughput(7) - m.gpu_throughput(7)).abs() / m.gpu_throughput(7);
-        assert!(gap < 0.07, "extract=7 should be the crossover, gap {gap}");
-        for c in 8..=9 {
-            assert!(
-                m.cpu_capped_throughput(c) < m.gpu_throughput(c) * 0.95,
-                "extract={c}: CPU cap {} must bind below GPU {}",
-                m.cpu_capped_throughput(c),
-                m.gpu_throughput(c)
-            );
-        }
-        // The system peak sits at 6 threads (the refined optimum), with 7
-        // a close second; pushing to 9 loses real capacity.
-        let sys = |c: u32| m.gpu_throughput(c).min(m.cpu_capped_throughput(c));
-        assert!(sys(6) >= sys(7), "refined optimum must not lose to 7");
-        assert!((sys(6) - sys(7)) / sys(7) < 0.06, "6 and 7 near-tie");
-        assert!(sys(7) > sys(5), "7 must beat 5");
-        assert!(sys(7) > sys(9), "7 must beat 9");
     }
 }

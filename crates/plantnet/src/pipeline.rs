@@ -78,14 +78,6 @@ impl Task {
         }
     }
 
-    /// Whether this is a queueing (wait-*) step.
-    pub fn is_wait(&self) -> bool {
-        matches!(
-            self,
-            Task::WaitDownload | Task::WaitExtract | Task::WaitSimsearch
-        )
-    }
-
     /// Metric label, e.g. `wait-extract`, matching the paper's figures.
     pub fn label(&self) -> &'static str {
         match self {
@@ -155,10 +147,5 @@ mod tests {
         assert_eq!(Task::WaitSimsearch.pool(), Pool::Simsearch);
         assert_eq!(Task::Simsearch.pool(), Pool::Simsearch);
         assert_eq!(Task::PostProcess.pool(), Pool::Http);
-    }
-
-    #[test]
-    fn exactly_three_wait_steps() {
-        assert_eq!(Task::ORDER.iter().filter(|t| t.is_wait()).count(), 3);
     }
 }

@@ -11,10 +11,9 @@
 use crate::config::PoolConfig;
 use crate::model::EngineModel;
 use e2c_metrics::{OnlineStats, Summary};
-use e2c_workload::RateSchedule;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -47,16 +46,6 @@ impl Semaphore {
         let mut p = self.permits.lock().unwrap_or_else(PoisonError::into_inner);
         *p += 1;
         self.cv.notify_one();
-    }
-
-    /// Take a permit only if one is free right now (never blocks).
-    pub fn try_acquire(&self) -> bool {
-        let mut p = self.permits.lock().unwrap_or_else(PoisonError::into_inner);
-        if *p == 0 {
-            return false;
-        }
-        *p -= 1;
-        true
     }
 
     /// Current free permits (racy; diagnostics only).
@@ -204,137 +193,6 @@ impl RtEngine {
             elapsed: started.elapsed(),
         }
     }
-
-    /// Open-loop serving against real threads: replay `schedule`
-    /// (model seconds, compressed by `time_scale`) with a bounded
-    /// admission queue. An arrival that cannot take an HTTP permit
-    /// immediately queues unless `queue_bound` requests are already
-    /// waiting, in which case it is rejected on the spot. Responses
-    /// above `slo` (model seconds) count as violations.
-    ///
-    /// Unlike the DES backend this path is wall-clock by nature —
-    /// counts conserve exactly (`admitted + rejected == offered`,
-    /// every admitted request completes) but latencies and the
-    /// admit/reject split vary run to run. Deadline shedding is a
-    /// DES-only feature; a blocked real thread cannot be revoked
-    /// cheaply.
-    pub fn serve(
-        &self,
-        schedule: &RateSchedule,
-        queue_bound: usize,
-        slo: f64,
-        seed: u64,
-    ) -> RtServingMetrics {
-        self.config.validate().expect("invalid pool configuration");
-        assert!(slo.is_finite() && slo > 0.0, "SLO bound must be positive");
-        // Same derivation as the DES serving path: the arrival stream
-        // is a pure function of (schedule, seed).
-        let mut arr_rng = StdRng::seed_from_u64(seed ^ 0xA5A5_5A5A_0F0F_F0F0);
-        let arrivals = schedule.arrivals(&mut arr_rng);
-        let http = Arc::new(Semaphore::new(self.config.http as usize));
-        let download = Arc::new(Semaphore::new(self.config.download as usize));
-        let extract = Arc::new(Semaphore::new(self.config.extract as usize));
-        let simsearch = Arc::new(Semaphore::new(self.config.simsearch as usize));
-        let stats = Arc::new(Mutex::new(OnlineStats::new()));
-        let queued = Arc::new(AtomicUsize::new(0));
-        let slo_violations = Arc::new(AtomicU64::new(0));
-        let offered = arrivals.len() as u64;
-        let mut admitted = 0u64;
-        let mut rejected = 0u64;
-        // detlint: allow(DET002) real-time backend: this engine measures actual elapsed time by design (the DES backend is the reproducible path)
-        let started = Instant::now();
-
-        std::thread::scope(|scope| {
-            for (i, at) in arrivals.iter().enumerate() {
-                let due = Duration::from_secs_f64(at.as_secs_f64() * self.time_scale);
-                let since = started.elapsed();
-                if due > since {
-                    std::thread::sleep(due - since);
-                }
-                // Admission decision, made by the dispatcher alone.
-                let direct = http.try_acquire();
-                if !direct && queued.load(Ordering::SeqCst) >= queue_bound {
-                    rejected += 1;
-                    continue;
-                }
-                admitted += 1;
-                if !direct {
-                    queued.fetch_add(1, Ordering::SeqCst);
-                }
-                let http = http.clone();
-                let download = download.clone();
-                let extract = extract.clone();
-                let simsearch = simsearch.clone();
-                let stats = stats.clone();
-                let queued = queued.clone();
-                let slo_violations = slo_violations.clone();
-                let engine = *self;
-                scope.spawn(move || {
-                    use e2c_des::Dist;
-                    let mut rng = StdRng::seed_from_u64(seed ^ ((i as u64) << 20));
-                    let sample = |d: Dist, rng: &mut StdRng| -> f64 { d.sample(rng).max(1e-6) };
-                    // detlint: allow(DET002) real-time backend: per-request latency is genuinely wall-clock here
-                    let t0 = Instant::now();
-                    if !direct {
-                        http.acquire();
-                        queued.fetch_sub(1, Ordering::SeqCst);
-                    }
-                    engine.sleep_scaled(sample(engine.model.t_preprocess, &mut rng));
-                    download.acquire();
-                    engine.sleep_scaled(sample(engine.model.t_download_cpu, &mut rng));
-                    download.release();
-                    extract.acquire();
-                    engine.sleep_scaled(sample(engine.model.t_extract_gpu, &mut rng));
-                    extract.release();
-                    engine.sleep_scaled(sample(engine.model.t_process, &mut rng));
-                    simsearch.acquire();
-                    engine.sleep_scaled(sample(engine.model.t_simsearch, &mut rng));
-                    simsearch.release();
-                    engine.sleep_scaled(sample(engine.model.t_postprocess, &mut rng));
-                    http.release();
-                    // Report response in *model* seconds (unscaled).
-                    let resp = t0.elapsed().as_secs_f64() / engine.time_scale;
-                    if resp > slo {
-                        slo_violations.fetch_add(1, Ordering::SeqCst);
-                    }
-                    stats
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .push(resp);
-                });
-            }
-        });
-
-        let stats = stats.lock().unwrap_or_else(PoisonError::into_inner);
-        RtServingMetrics {
-            offered,
-            admitted,
-            rejected,
-            slo_violations: slo_violations.load(Ordering::SeqCst),
-            completed: stats.count(),
-            response: Summary::from(&*stats),
-            elapsed: started.elapsed(),
-        }
-    }
-}
-
-/// Results of a real-thread open-loop serving run.
-#[derive(Debug, Clone)]
-pub struct RtServingMetrics {
-    /// Arrivals generated from the schedule.
-    pub offered: u64,
-    /// Requests that entered the engine (directly or via the queue).
-    pub admitted: u64,
-    /// Arrivals bounced at the admission bound.
-    pub rejected: u64,
-    /// Completions above the SLO bound (model seconds).
-    pub slo_violations: u64,
-    /// Requests completed (every admitted request completes).
-    pub completed: u64,
-    /// Per-request response times in model seconds.
-    pub response: Summary,
-    /// Wall-clock duration of the run.
-    pub elapsed: Duration,
 }
 
 #[cfg(test)]
@@ -390,34 +248,6 @@ mod tests {
             m_small.response.mean,
             m_large.response.mean
         );
-    }
-
-    #[test]
-    fn open_loop_serve_conserves_counts() {
-        use e2c_des::SimTime;
-        // Generous bound: everything is admitted and completes.
-        let engine = RtEngine::new(PoolConfig::baseline(), 0.002);
-        let sched = RateSchedule::constant(10.0, SimTime::from_secs(3)).unwrap();
-        let m = engine.serve(&sched, 10_000, 4.0, 7);
-        assert!(m.offered > 0);
-        assert_eq!(m.admitted + m.rejected, m.offered);
-        assert_eq!(m.rejected, 0);
-        assert_eq!(m.completed, m.admitted);
-    }
-
-    #[test]
-    fn open_loop_serve_rejects_when_saturated() {
-        use e2c_des::SimTime;
-        // One-wide pools, a tiny queue bound, and a burst of arrivals:
-        // most of the burst must bounce, and counts still conserve.
-        let mut cfg = PoolConfig::baseline();
-        cfg.http = 1;
-        let engine = RtEngine::new(cfg, 0.002);
-        let sched = RateSchedule::constant(50.0, SimTime::from_secs(4)).unwrap();
-        let m = engine.serve(&sched, 2, 4.0, 11);
-        assert!(m.rejected > 0, "expected rejections: {m:?}");
-        assert_eq!(m.admitted + m.rejected, m.offered);
-        assert_eq!(m.completed, m.admitted);
     }
 
     #[test]

@@ -876,10 +876,20 @@ impl Experiment {
             s.totals.shed += s.waiting.len() as u64;
             s.waiting.clear();
         }
+        if self.registry.get(names::RESPONSE).is_none() && self.responses.count() > 0 {
+            // A run shorter than one sampling window after warm-up closes
+            // none: its one measurement is the partial window at the
+            // horizon, over every request completed after warm-up.
+            let t = self.spec.duration.as_secs_f64();
+            self.registry
+                .record(names::RESPONSE, t, self.responses.mean());
+        }
         let mut response = self.registry.summary(names::RESPONSE);
-        if self.crashed {
-            // A crashed engine produced no valid measurement; a NaN mean
-            // is the sentinel the tuning layer maps to a failed trial.
+        if self.crashed || response.n == 0 {
+            // A crashed engine, or a run in which no request completed
+            // after warm-up, produced no valid measurement; a NaN mean is
+            // the sentinel the tuning layer maps to a failed trial (an
+            // empty summary's mean of 0 would win every search).
             response.mean = f64::NAN;
         }
         let task_times: BTreeMap<String, Summary> = Task::ORDER
@@ -1244,6 +1254,29 @@ mod tests {
             m.registry.summary(names::HTTP_QUEUE).mean > 1.0,
             "expected admission queueing"
         );
+    }
+
+    #[test]
+    fn a_run_shorter_than_one_window_measures_its_partial_window() {
+        // 5 s closes no 10 s window: the one sample is the horizon's
+        // partial window, never an empty summary's 0.
+        let spec = ExperimentSpec {
+            duration: SimTime::from_secs(5),
+            warmup: SimTime::ZERO,
+            ..ExperimentSpec::paper(PoolConfig::baseline(), 80)
+        };
+        let m = Experiment::run(spec, 3);
+        let series = m.registry.get(names::RESPONSE).expect("one sample");
+        assert_eq!(series.times(), &[5.0]);
+        assert!(m.response.mean > 0.0, "{}", m.response.mean);
+        assert_eq!(series.values(), &[m.response.mean]);
+        // Nothing completes after a warm-up that spans the run: no
+        // measurement at all, which the tuner fails as non-finite.
+        let spec = ExperimentSpec {
+            warmup: SimTime::from_secs(5),
+            ..spec
+        };
+        assert!(Experiment::run(spec, 3).response.mean.is_nan());
     }
 
     #[test]

@@ -37,11 +37,6 @@ impl Deployment {
         self.roles.keys().map(|s| s.as_str()).collect()
     }
 
-    /// Total nodes across roles (nodes shared by roles count once per role).
-    pub fn total_assigned(&self) -> usize {
-        self.roles.values().map(|v| v.len()).sum()
-    }
-
     /// Render a human-readable deployment plan against a testbed, in role
     /// order — this is part of the reproducibility archive.
     pub fn describe(&self, testbed: &Testbed) -> String {
@@ -85,7 +80,6 @@ mod tests {
         assert_eq!(dep.nodes_of("clients").len(), 3);
         assert_eq!(dep.nodes_of("absent").len(), 0);
         assert_eq!(dep.roles(), vec!["clients", "engine"]);
-        assert_eq!(dep.total_assigned(), 4);
     }
 
     #[test]

@@ -128,8 +128,9 @@ mod tests {
     #[test]
     fn paper_testbed_has_42_nodes() {
         let tb = paper_testbed();
-        assert_eq!(tb.total_nodes(), 42);
         assert_eq!(tb.clusters().len(), 5);
+        let nodes: usize = tb.clusters().iter().map(|c| tb.free_in(c)).sum();
+        assert_eq!(nodes, 42);
     }
 
     #[test]

@@ -18,11 +18,6 @@ impl CpuSpec {
     pub fn total_cores(&self) -> u32 {
         self.sockets * self.cores_per_socket
     }
-
-    /// Hardware threads assuming 2-way SMT (how schedulers see the node).
-    pub fn hw_threads(&self) -> u32 {
-        self.total_cores() * 2
-    }
 }
 
 /// GPU configuration of a node.
@@ -96,7 +91,6 @@ mod tests {
     fn core_counts() {
         let n = v100_node();
         assert_eq!(n.cpu.total_cores(), 24);
-        assert_eq!(n.cpu.hw_threads(), 48);
     }
 
     #[test]

@@ -89,11 +89,6 @@ impl Testbed {
         }
     }
 
-    /// Total nodes in the inventory.
-    pub fn total_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Cluster names, sorted.
     pub fn clusters(&self) -> Vec<&str> {
         self.clusters.keys().map(|s| s.as_str()).collect()

@@ -30,8 +30,6 @@ pub struct TrialPath {
     pub tell_vt: Option<u64>,
     /// Objective value reported to the searcher, if any.
     pub value: Option<f64>,
-    /// Scheduler decision that stopped the trial early, if any.
-    pub stopped: bool,
 }
 
 impl TrialPath {
@@ -103,11 +101,6 @@ impl TraceSummary {
                     }
                 }
                 ("tuner", "retry", _) => path.retries += 1,
-                ("scheduler", "report", _)
-                    if e.fields.get("decision").and_then(|v| v.as_str()) == Some("stop") =>
-                {
-                    path.stopped = true;
-                }
                 _ => {}
             }
         }
@@ -165,14 +158,12 @@ impl TraceSummary {
                     fmt_vt(t.tell_vt),
                     fmt_vt(t.ask_tell_vt()),
                     value,
-                    if t.stopped { "stopped" } else { "" }.to_string(),
                 ]
             })
             .collect();
         out.push_str(&render_table(
             &[
-                "trial", "ask@vt", "execute", "att", "retry", "fault", "tell@vt", "lat-vt",
-                "value", "note",
+                "trial", "ask@vt", "execute", "att", "retry", "fault", "tell@vt", "lat-vt", "value",
             ],
             &rows,
         ));
@@ -261,12 +252,6 @@ mod tests {
             Some(0),
             fields([("value", 3.25.into())]),
         );
-        t.point(
-            "scheduler",
-            "report",
-            Some(0),
-            fields([("decision", "stop".into())]),
-        );
         t.point_at(
             1_000_000,
             "sim",
@@ -281,7 +266,7 @@ mod tests {
     fn computes_phase_and_trial_stats() {
         let t = sample_tracer();
         let s = TraceSummary::from_events(&t.snapshot());
-        assert_eq!(s.total_events, 10);
+        assert_eq!(s.total_events, 9);
         assert_eq!(s.phases["tuner"].spans, 1);
         assert!(s.phases["tuner"].span_vt > 0);
         assert_eq!(s.phases["sim"].events, 1);
@@ -290,7 +275,6 @@ mod tests {
         assert_eq!(path.retries, 1);
         assert_eq!(path.faults, 1);
         assert_eq!(path.value, Some(3.25));
-        assert!(path.stopped);
         assert!(path.ask_tell_vt().unwrap() > 0);
         // Sim-side microsecond timestamps must not distort the tuner vt line.
         assert!(s.vt_end < 1_000_000);
@@ -305,7 +289,6 @@ mod tests {
         assert!(text.contains("per-trial critical path"), "{text}");
         assert!(text.contains("tuner"), "{text}");
         assert!(text.contains("3.2500"), "{text}");
-        assert!(text.contains("stopped"), "{text}");
     }
 
     #[test]

@@ -34,11 +34,6 @@ impl Analysis {
         &self.metric
     }
 
-    /// Metric direction.
-    pub fn mode(&self) -> Mode {
-        self.mode
-    }
-
     /// All trials in id order.
     pub fn trials(&self) -> &[Trial] {
         &self.trials
@@ -68,28 +63,6 @@ impl Analysis {
     /// Number of trials the scheduler stopped early.
     pub fn stopped_early_count(&self) -> usize {
         self.trials.iter().filter(|t| t.stopped_early()).count()
-    }
-
-    /// Cumulative best value after each finished trial (in id order) —
-    /// the convergence curve of the optimization.
-    pub fn convergence(&self) -> Vec<f64> {
-        let mut best = match self.mode {
-            Mode::Min => f64::INFINITY,
-            Mode::Max => f64::NEG_INFINITY,
-        };
-        let mut curve = Vec::new();
-        for t in &self.trials {
-            if let Some(v) = t.value() {
-                best = match self.mode {
-                    Mode::Min => best.min(v),
-                    Mode::Max => best.max(v),
-                };
-            }
-            if best.is_finite() {
-                curve.push(best);
-            }
-        }
-        curve
     }
 }
 
@@ -132,17 +105,5 @@ mod tests {
     fn all_failed_yields_none() {
         let a = Analysis::new("e".into(), "m".into(), Mode::Min, vec![trial(0, None)]);
         assert!(a.best_trial().is_none());
-    }
-
-    #[test]
-    fn convergence_is_monotone() {
-        let trials = vec![
-            trial(0, Some(5.0)),
-            trial(1, Some(7.0)),
-            trial(2, Some(2.0)),
-            trial(3, Some(4.0)),
-        ];
-        let a = Analysis::new("e".into(), "m".into(), Mode::Min, trials);
-        assert_eq!(a.convergence(), vec![5.0, 5.0, 2.0, 2.0]);
     }
 }

@@ -14,17 +14,18 @@
 //! The wire format is versioned ([`WIRE_VERSION`], carried by the meta
 //! record). Version 2 added the tell record's ask count — the ask/commit
 //! permutation — letting replay verify that the interleaving it
-//! reconstructs matches the one the live run journaled. Version 1
-//! records (no meta version, 7-field tells) still parse.
+//! reconstructs matches the one the live run journaled. A version-1
+//! journal (2-field meta, 7-field tells) is refused with an error that
+//! names its version.
 //!
-//! Field parsing is *strict and version-uniform*: integers must be
-//! canonical decimals (no sign, no leading zeros, and the attempt index
-//! must fit `u32`), floats must be the exact shortest-round-trip
-//! `Display` spelling the encoder writes (`NaN`/`inf`/`-inf` round-trip;
-//! `nan`, `+inf`, `infinity`, `1e6`, `007` are rejected), and escapes are
-//! limited to the four the escaper emits. Consequently every *accepted*
-//! record — v1 or v2 — re-encodes byte-identically, which is the
-//! roundtrip property `e2clab fuzz --codec journal_wire` checks.
+//! Field parsing is *strict*: integers must be canonical decimals (no
+//! sign, no leading zeros, and the attempt index must fit `u32`), floats
+//! must be the exact shortest-round-trip `Display` spelling the encoder
+//! writes (`NaN`/`inf`/`-inf` round-trip; `nan`, `+inf`, `infinity`,
+//! `1e6`, `007` are rejected), and escapes are limited to the four the
+//! escaper emits. Consequently every *accepted* record re-encodes
+//! byte-identically, which is the roundtrip property `e2clab fuzz
+//! --codec journal_wire` checks.
 //!
 //! * [`RunEvent::Meta`] — the wire version and a configuration
 //!   fingerprint, written first; resume refuses a journal whose
@@ -72,8 +73,8 @@ pub const CRASH_EXIT_CODE: i32 = 86;
 
 /// Current journal wire version, carried by [`RunEvent::Meta`]. Version 2
 /// added the meta version field itself and the tell record's ask count
-/// (the ask/commit permutation). Replay accepts any version up to this
-/// one and hard-errors on journals from a newer build.
+/// (the ask/commit permutation). Parsing refuses older versions and
+/// replay hard-errors on journals from a newer build.
 pub const WIRE_VERSION: u64 = 2;
 
 /// One journaled state transition. See the module docs for the protocol.
@@ -81,7 +82,7 @@ pub const WIRE_VERSION: u64 = 2;
 pub enum RunEvent {
     /// Wire version and configuration fingerprint (always the first
     /// record). Build with [`RunEvent::meta`]; `version` only differs
-    /// from [`WIRE_VERSION`] when parsed back from an older journal.
+    /// from [`WIRE_VERSION`] when parsed back from a newer journal.
     Meta { version: u64, fingerprint: String },
     /// The searcher proposed `config` for `trial`.
     Ask { trial: u64, config: Point },
@@ -111,15 +112,14 @@ pub enum RunEvent {
     /// tracer's `(event count, virtual time)` right after the tell event.
     /// `asks` is the number of `Ask` records journaled before this tell —
     /// the run's ask/commit permutation, one point per commit — which
-    /// replay verifies against its own running count (`None` only in
-    /// version-1 journals, which were strictly sequential).
+    /// replay verifies against its own running count.
     Tell {
         trial: u64,
         feedback: f64,
         status: String,
         value: Option<f64>,
         trace_mark: Option<(u64, u64)>,
-        asks: Option<u64>,
+        asks: u64,
     },
     /// The sample budget is spent; artifacts may be (re)written.
     Complete,
@@ -127,8 +127,7 @@ pub enum RunEvent {
 
 // The field spelling — escaping, canonical integers and floats — is the
 // shared `e2c_journal::wire` dialect, factored out so the worker-farm
-// protocol (`crate::worker`) cannot drift from the journal's. The rules
-// are the same for version-1 and version-2 records.
+// protocol (`crate::worker`) cannot drift from the journal's.
 use e2c_journal::wire::{escape, parse_f64, parse_opt_f64, parse_u32, parse_u64, unescape};
 
 impl RunEvent {
@@ -153,14 +152,6 @@ impl RunEvent {
         // inside the commit sequence of every journaled transition —
         // carries no panic sites.
         match self {
-            // Version-1 metas re-serialize in their original 2-field
-            // form, so appending to an old journal never rewrites it.
-            RunEvent::Meta {
-                version: 1,
-                fingerprint,
-            } => {
-                let _ = write!(line, "meta\t{}", escape(fingerprint));
-            }
             RunEvent::Meta {
                 version,
                 fingerprint,
@@ -233,11 +224,7 @@ impl RunEvent {
                     }
                     None => line.push_str("\t-\t-"),
                 }
-                // The ask count is the 8th field, appended only when
-                // present — a version-1 tell stays 7 fields.
-                if let Some(a) = asks {
-                    let _ = write!(line, "\t{a}");
-                }
+                let _ = write!(line, "\t{asks}");
             }
             RunEvent::Complete => line.push_str("complete"),
         }
@@ -253,28 +240,18 @@ impl RunEvent {
         let fields: Vec<&str> = line.split('\t').collect();
         let int = parse_u64;
         match fields.as_slice() {
-            // 2 fields: legacy version-1 form; 3 fields: versioned.
-            ["meta", fingerprint] => Ok(RunEvent::Meta {
-                version: 1,
-                fingerprint: unescape(fingerprint)?,
-            }),
+            // The unversioned 2-field meta is the version-1 form.
+            ["meta", _] => Err(retired_version(1)),
             ["meta", version, fingerprint] => {
                 let version = int(version)?;
-                // A version-1 meta is *defined* as the 2-field form; a
-                // 3-field `meta\t1\t...` would re-encode as 2 fields and
-                // lose byte identity.
-                if version == 1 {
-                    return Err("3-field meta claims version 1 (the 2-field form)".to_string());
+                if version < WIRE_VERSION {
+                    return Err(retired_version(version));
                 }
                 Ok(RunEvent::Meta {
                     version,
                     fingerprint: unescape(fingerprint)?,
                 })
             }
-            ["meta", ..] => Err(format!(
-                "journal record `meta...`: expected 2 or 3 fields, got {}",
-                fields.len()
-            )),
             ["ask", trial, config] => {
                 let config = if config.is_empty() {
                     Vec::new()
@@ -322,28 +299,26 @@ impl RunEvent {
                     error,
                 })
             }
-            // 7 fields: version-1 form (no ask count); 8: versioned.
-            ["tell", trial, feedback, status, value, mark_events, mark_vt] => {
-                Self::parse_tell(trial, feedback, status, value, mark_events, mark_vt, None)
-            }
             ["tell", trial, feedback, status, value, mark_events, mark_vt, asks] => {
-                Self::parse_tell(
-                    trial,
-                    feedback,
-                    status,
-                    value,
-                    mark_events,
-                    mark_vt,
-                    Some(int(asks)?),
-                )
+                let trace_mark = match (*mark_events, *mark_vt) {
+                    ("-", "-") => None,
+                    (e, v) => Some((int(e)?, int(v)?)),
+                };
+                Ok(RunEvent::Tell {
+                    trial: int(trial)?,
+                    feedback: parse_f64(feedback)?,
+                    status: status.to_string(),
+                    value: parse_opt_f64(value)?,
+                    trace_mark,
+                    asks: int(asks)?,
+                })
             }
-            ["tell", ..] => Err(format!(
-                "journal record `tell...`: expected 7 or 8 fields, got {}",
-                fields.len()
-            )),
             ["complete"] => Ok(RunEvent::Complete),
             [kind, ..]
-                if matches!(*kind, "ask" | "restart" | "report" | "attempt" | "complete") =>
+                if matches!(
+                    *kind,
+                    "meta" | "ask" | "restart" | "report" | "attempt" | "tell" | "complete"
+                ) =>
             {
                 Err(format!(
                     "journal record `{kind}...`: wrong field count ({})",
@@ -354,31 +329,14 @@ impl RunEvent {
             [] => Err("empty journal record".to_string()),
         }
     }
+}
 
-    /// Shared body of the two tell arities.
-    #[allow(clippy::too_many_arguments)]
-    fn parse_tell(
-        trial: &str,
-        feedback: &str,
-        status: &str,
-        value: &str,
-        mark_events: &str,
-        mark_vt: &str,
-        asks: Option<u64>,
-    ) -> Result<RunEvent, String> {
-        let trace_mark = match (mark_events, mark_vt) {
-            ("-", "-") => None,
-            (e, v) => Some((parse_u64(e)?, parse_u64(v)?)),
-        };
-        Ok(RunEvent::Tell {
-            trial: parse_u64(trial)?,
-            feedback: parse_f64(feedback)?,
-            status: status.to_string(),
-            value: parse_opt_f64(value)?,
-            trace_mark,
-            asks,
-        })
-    }
+/// The refusal of a journal written in a retired wire version.
+fn retired_version(version: u64) -> String {
+    format!(
+        "journal wire version {version} is not supported (this build reads version \
+         {WIRE_VERSION}); finish the run with the build that wrote it, or start afresh"
+    )
 }
 
 struct JournalInner {
@@ -464,8 +422,7 @@ pub struct ResumeState {
     /// came from: asks with an index at or past this were journaled
     /// *after* the mark, so their trace points are truncated away with
     /// the pre-crash suffix and must be re-emitted when the dangling
-    /// trial re-dispatches. `None` (version-1 journal, or no marked tell
-    /// yet) means re-emit, matching strictly sequential behaviour.
+    /// trial re-dispatches. `None` (no marked tell yet) means re-emit.
     pub asks_at_mark: Option<u64>,
 }
 
@@ -529,7 +486,7 @@ pub fn replay(
                 if let Some(m) = mark {
                     if trace_mark.is_none_or(|t| m.0 > t.0) {
                         trace_mark = Some(*m);
-                        asks_at_mark = *asks;
+                        asks_at_mark = Some(*asks);
                     }
                 }
             }
@@ -645,15 +602,13 @@ pub fn replay(
                 asks,
                 ..
             } => {
-                if let Some(a) = asks {
-                    if *a != asks_seen {
-                        return Err(format!(
-                            "ask/commit permutation diverges at trial {trial}: the \
-                             journal committed it after {a} asks but replay has \
-                             re-driven {asks_seen} — the journal was recorded with \
-                             a different concurrency or is corrupt"
-                        ));
-                    }
+                if *asks != asks_seen {
+                    return Err(format!(
+                        "ask/commit permutation diverges at trial {trial}: the \
+                         journal committed it after {asks} asks but replay has \
+                         re-driven {asks_seen} — the journal was recorded with \
+                         a different concurrency or is corrupt"
+                    ));
                 }
                 searcher.observe(*trial, *feedback);
                 let attempts = cur_attempts.remove(trial).unwrap_or_default();
@@ -717,10 +672,6 @@ mod tests {
     fn events_round_trip_through_the_wire_format() {
         let events = vec![
             RunEvent::meta("name: x\nseed: 7\ttabbed"),
-            RunEvent::Meta {
-                version: 1,
-                fingerprint: "legacy".into(),
-            },
             RunEvent::Ask {
                 trial: 0,
                 config: vec![4.0, -0.5],
@@ -752,7 +703,7 @@ mod tests {
                 status: "terminated".into(),
                 value: Some(2.5),
                 trace_mark: Some((17, 42)),
-                asks: Some(3),
+                asks: 3,
             },
             RunEvent::Tell {
                 trial: 2,
@@ -760,7 +711,7 @@ mod tests {
                 status: "failed".into(),
                 value: None,
                 trace_mark: None,
-                asks: None,
+                asks: 0,
             },
             RunEvent::Complete,
         ];
@@ -782,8 +733,7 @@ mod tests {
         assert!(RunEvent::parse("tell\t0\t1\tterminated\t1\t-\t-\t3\textra").is_err());
     }
 
-    /// The explicit field rejection rules (uniform across wire versions):
-    /// canonical decimals, canonical `Display` floats, known escapes only.
+    /// The explicit field rejection rules: canonical decimals, canonical `Display` floats, known escapes only.
     /// Every spelling here was *accepted* before this was pinned — the
     /// integer ones silently misparsing (`+5` → 5, index 2³² → 0).
     #[test]
@@ -831,8 +781,6 @@ mod tests {
         // one would silently vanish on re-encode.
         assert!(RunEvent::parse("attempt\t1\t0\t0.5\t-\t-\tstray").is_err());
         assert!(RunEvent::parse("attempt\t1\t0\t0.5\t-\t-\t").is_ok());
-        // A 3-field meta claiming version 1 re-encodes as 2 fields.
-        assert!(RunEvent::parse("meta\t1\tfp").is_err());
         assert!(RunEvent::parse("meta\t2\tfp").is_ok());
     }
 
@@ -841,14 +789,13 @@ mod tests {
     #[test]
     fn accepted_lines_reencode_byte_identically() {
         for line in [
-            "meta\tfp",
             "meta\t2\tfp\\n2",
             "ask\t3\t",
             "ask\t3\t1,2.5,NaN,-inf",
             "restart\t7",
             "report\t1\t2\t0.25\tstop",
             "attempt\t1\t0\t0.5\tNaN\tnonfinite\tNaN",
-            "tell\t0\t1.5\tterminated\t1.5\t-\t-",
+            "tell\t0\t1.5\tterminated\t1.5\t-\t-\t0",
             "tell\t0\t1.5\tterminated\t1.5\t17\t42\t3",
             "complete",
         ] {
@@ -857,28 +804,17 @@ mod tests {
         }
     }
 
-    /// Version-1 journals (unversioned meta, 7-field tells) still parse,
-    /// as the legacy variants.
+    /// Version-1 records (unversioned meta, 7-field tells) are refused,
+    /// and the meta refusal names the version.
     #[test]
-    fn legacy_version_1_records_still_parse() {
-        assert_eq!(
-            RunEvent::parse("meta\tfp").unwrap(),
-            RunEvent::Meta {
-                version: 1,
-                fingerprint: "fp".into()
-            }
-        );
-        assert_eq!(
-            RunEvent::parse("tell\t0\t1.5\tterminated\t1.5\t-\t-").unwrap(),
-            RunEvent::Tell {
-                trial: 0,
-                feedback: 1.5,
-                status: "terminated".into(),
-                value: Some(1.5),
-                trace_mark: None,
-                asks: None,
-            }
-        );
+    fn version_1_records_are_refused() {
+        for meta in ["meta\tfp", "meta\t1\tfp"] {
+            let err = RunEvent::parse(meta).unwrap_err();
+            assert!(err.contains("version 1 is not supported"), "{err}");
+        }
+        let err = RunEvent::parse("meta\t0\tfp").unwrap_err();
+        assert!(err.contains("version 0 is not supported"), "{err}");
+        assert!(RunEvent::parse("tell\t0\t1.5\tterminated\t1.5\t-\t-").is_err());
     }
 
     #[test]
@@ -923,7 +859,7 @@ mod tests {
                 // The live run claims trial 0 committed after a single
                 // ask, but the journal holds two — a corrupted or
                 // misordered permutation record.
-                asks: Some(1),
+                asks: 1,
             },
         ];
         let mut fresh = RandomSearch::new(space(), 5);
@@ -961,7 +897,7 @@ mod tests {
                     status: "terminated".into(),
                     value: Some(p[0]),
                     trace_mark: None,
-                    asks: Some(id + 1),
+                    asks: id + 1,
                 });
             }
         }
@@ -1027,7 +963,7 @@ mod tests {
                 status: "terminated".into(),
                 value: Some(2.0),
                 trace_mark: None,
-                asks: Some(1),
+                asks: 1,
             },
         ];
         let mut fresh = RandomSearch::new(space(), 9);
@@ -1096,7 +1032,7 @@ mod tests {
                 status: "terminated".into(),
                 value: Some(1.0),
                 trace_mark: None,
-                asks: Some(1),
+                asks: 1,
             },
         ];
         let mut fresh = RandomSearch::new(space(), 5);

@@ -69,7 +69,7 @@ pub use farm::{FarmOutcome, FarmSpec, WorkerExit, WorkerFarm};
 pub use fault::{FaultAction, FaultPlan, FaultSpec, RetryPolicy};
 pub use journal::{load_events, replay, ResumeState, RunEvent, RunJournal, CRASH_EXIT_CODE};
 pub use logger::TrialLogger;
-pub use scheduler::{AsyncHyperBand, Decision, Fifo, Scheduler, TracingScheduler};
+pub use scheduler::{AsyncHyperBand, Decision, Fifo, Scheduler};
 pub use searcher::{ConcurrencyLimiter, GridSearch, RandomSearch, Searcher, SkOptSearch};
 pub use supervisor::{SlotState, StaleResult, Supervisor};
 pub use trial::{Attempt, Trial, TrialError, TrialStatus};

@@ -1,20 +1,20 @@
 //! Trial logging (Ray Tune "manages model checkpoints and logging").
 //!
-//! A [`TrialLogger`] appends one JSON-lines record per finished trial to
+//! A [`TrialLogger`] writes one JSON-lines record per finished trial to
 //! `trials.jsonl` in the experiment directory, and the intermediate
 //! reports of each trial to `trial_<id>/progress.csv`. Everything is
 //! plain-text and deterministic — the logging half of the Phase III
-//! reproducibility story. Crash-safe runs use [`TrialLogger::write_all`],
-//! which atomically rewrites the whole log from the settled trial set so
-//! a resumed run converges on the same bytes as an uninterrupted one.
+//! reproducibility story. [`TrialLogger::write_all`] atomically rewrites
+//! the whole log from the settled trial set, so a resumed run converges
+//! on the same bytes as an uninterrupted one.
 
 use crate::trial::Trial;
 use e2c_journal::json::{Escaped, Json};
 use std::fmt::Write as _;
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 
-/// Append-only on-disk trial log.
+/// On-disk trial log.
 pub struct TrialLogger {
     root: PathBuf,
 }
@@ -26,32 +26,6 @@ impl TrialLogger {
         Ok(TrialLogger {
             root: root.to_path_buf(),
         })
-    }
-
-    /// The log directory.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
-    /// Record a finished trial: one JSONL line plus its progress file.
-    pub fn log(&self, trial: &Trial) -> io::Result<()> {
-        let mut jsonl = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.root.join("trials.jsonl"))?;
-        writeln!(jsonl, "{}", Self::to_json(trial))?;
-
-        if !trial.reports.is_empty() {
-            // Same atomic write-rename path as `write_all`: progress.csv
-            // is small, and a torn half-file would poison a resume diff.
-            let dir = self.root.join(format!("trial_{}", trial.id));
-            let mut csv = String::from("iteration,value\n");
-            for (iter, value) in &trial.reports {
-                let _ = writeln!(csv, "{iter},{value}");
-            }
-            e2c_journal::write_atomic(&dir.join("progress.csv"), csv.as_bytes())?;
-        }
-        Ok(())
     }
 
     /// Atomically (re)write the whole log from a finished trial set:
@@ -159,8 +133,7 @@ mod tests {
         t0.reports = vec![(1, 3.0), (2, 2.5)];
         let mut t1 = Trial::new(1, vec![20.0, 3.0]);
         t1.status = TrialStatus::Failed("boom".into());
-        logger.log(&t0).unwrap();
-        logger.log(&t1).unwrap();
+        logger.write_all(&[t0, t1]).unwrap();
 
         let index = logger.load_index().unwrap();
         assert_eq!(index.len(), 2);
@@ -216,33 +189,29 @@ mod tests {
     }
 
     #[test]
-    fn write_all_replaces_stale_lines_and_matches_append_logging() {
-        let append_dir = tmp("writeall-append");
-        let rewrite_dir = tmp("writeall-rewrite");
-        let _ = std::fs::remove_dir_all(&append_dir);
-        let _ = std::fs::remove_dir_all(&rewrite_dir);
+    fn write_all_replaces_stale_lines() {
+        let dir = tmp("writeall");
+        let _ = std::fs::remove_dir_all(&dir);
         let mut t0 = Trial::new(0, vec![1.0]);
         t0.status = TrialStatus::Terminated(1.0);
         t0.reports = vec![(1, 1.0)];
         let mut t1 = Trial::new(1, vec![2.0]);
         t1.status = TrialStatus::Failed("broke".into());
 
-        let appender = TrialLogger::new(&append_dir).unwrap();
-        appender.log(&t0).unwrap();
-        appender.log(&t1).unwrap();
+        // A stale pre-crash snapshot must be overwritten, not appended to.
+        let logger = TrialLogger::new(&dir).unwrap();
+        logger.write_all(std::slice::from_ref(&t0)).unwrap();
+        logger.write_all(&[t0.clone(), t1.clone()]).unwrap();
 
-        // A stale pre-crash line must be overwritten, not appended to.
-        let rewriter = TrialLogger::new(&rewrite_dir).unwrap();
-        rewriter.log(&t0).unwrap();
-        rewriter.write_all(&[t0, t1]).unwrap();
-
-        let a = std::fs::read_to_string(append_dir.join("trials.jsonl")).unwrap();
-        let b = std::fs::read_to_string(rewrite_dir.join("trials.jsonl")).unwrap();
-        assert_eq!(a, b);
-        let a = std::fs::read_to_string(append_dir.join("trial_0/progress.csv")).unwrap();
-        let b = std::fs::read_to_string(rewrite_dir.join("trial_0/progress.csv")).unwrap();
-        assert_eq!(a, b);
-        std::fs::remove_dir_all(&append_dir).unwrap();
-        std::fs::remove_dir_all(&rewrite_dir).unwrap();
+        let jsonl = std::fs::read_to_string(dir.join("trials.jsonl")).unwrap();
+        let expected = format!(
+            "{}\n{}\n",
+            TrialLogger::to_json(&t0),
+            TrialLogger::to_json(&t1)
+        );
+        assert_eq!(jsonl, expected);
+        let progress = std::fs::read_to_string(dir.join("trial_0/progress.csv")).unwrap();
+        assert_eq!(progress, "iteration,value\n1,1\n");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

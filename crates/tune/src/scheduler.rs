@@ -105,45 +105,6 @@ impl Scheduler for AsyncHyperBand {
     }
 }
 
-/// Decorator that records every rung decision into a trace.  Wraps any
-/// scheduler; each `on_report` emits a `scheduler/report` event carrying
-/// the iteration, the (sign-normalized) value and the verdict, keyed by
-/// the tracer's virtual clock.
-pub struct TracingScheduler {
-    inner: std::sync::Arc<dyn Scheduler>,
-    tracer: e2c_trace::Tracer,
-}
-
-impl TracingScheduler {
-    pub fn new(inner: std::sync::Arc<dyn Scheduler>, tracer: e2c_trace::Tracer) -> Self {
-        TracingScheduler { inner, tracer }
-    }
-}
-
-impl Scheduler for TracingScheduler {
-    fn on_report(&self, trial_id: u64, iteration: u64, value: f64) -> Decision {
-        let decision = self.inner.on_report(trial_id, iteration, value);
-        self.tracer.point(
-            "scheduler",
-            "report",
-            Some(trial_id),
-            e2c_trace::fields([
-                ("iteration", iteration.into()),
-                ("value", value.into()),
-                (
-                    "decision",
-                    match decision {
-                        Decision::Continue => "continue",
-                        Decision::Stop => "stop",
-                    }
-                    .into(),
-                ),
-            ]),
-        );
-        decision
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -649,7 +649,7 @@ impl Tuner {
                                     status: status.token().to_string(),
                                     value: status.value(),
                                     trace_mark,
-                                    asks: Some(asks),
+                                    asks,
                                 });
                             }
                             status

@@ -3,12 +3,9 @@
 //! The journal is the crash-safety story's single source of truth, so its
 //! encoding must round-trip *exactly* — including payloads carrying tabs,
 //! newlines, backslashes and multi-byte unicode — and its decoder must
-//! reject truncated records rather than misread them.  Two deliberate
-//! compatibility holes are pinned as such: a version-2 `meta` with its
-//! version field dropped *is* a valid version-1 meta, and a `tell` with
-//! its ask-count dropped *is* a valid version-1 tell (that is how old
-//! journals stay readable); both decode to the legacy variant, never to
-//! the record that was truncated.
+//! reject truncated records rather than misread them.  Every record kind
+//! has exactly one arity, so a record missing its last field is always
+//! an error.
 
 use e2c_tune::journal::{RunEvent, WIRE_VERSION};
 use e2c_tune::TrialError;
@@ -35,12 +32,6 @@ fn arb_error() -> impl Strategy<Value = Option<TrialError>> {
 
 fn arb_event() -> impl Strategy<Value = RunEvent> {
     let meta = PAYLOAD.prop_map(RunEvent::meta).boxed();
-    let legacy_meta = PAYLOAD
-        .prop_map(|fingerprint| RunEvent::Meta {
-            version: 1,
-            fingerprint,
-        })
-        .boxed();
     let ask = (0u64..1000, arb_config())
         .prop_map(|(trial, config)| RunEvent::Ask { trial, config })
         .boxed();
@@ -66,7 +57,7 @@ fn arb_event() -> impl Strategy<Value = RunEvent> {
         .boxed();
     let tell = (
         (0u64..1000, -1e6f64..1e6, "[a-z_]{1,12}"),
-        (arb_raw(), arb_mark(), arb_asks()),
+        (arb_raw(), arb_mark(), 0u64..10_000),
     )
         .prop_map(
             |((trial, feedback, status), (value, trace_mark, asks))| RunEvent::Tell {
@@ -80,16 +71,7 @@ fn arb_event() -> impl Strategy<Value = RunEvent> {
         )
         .boxed();
     let complete = Just(RunEvent::Complete).boxed();
-    Union::new(vec![
-        meta,
-        legacy_meta,
-        ask,
-        restart,
-        report,
-        attempt,
-        tell,
-        complete,
-    ])
+    Union::new(vec![meta, ask, restart, report, attempt, tell, complete])
 }
 
 fn arb_raw() -> impl Strategy<Value = Option<f64>> {
@@ -98,10 +80,6 @@ fn arb_raw() -> impl Strategy<Value = Option<f64>> {
 
 fn arb_mark() -> impl Strategy<Value = Option<(u64, u64)>> {
     (any::<bool>(), 0u64..10_000, 0u64..10_000).prop_map(|(some, e, v)| some.then_some((e, v)))
-}
-
-fn arb_asks() -> impl Strategy<Value = Option<u64>> {
-    (any::<bool>(), 0u64..10_000).prop_map(|(some, a)| some.then_some(a))
 }
 
 proptest! {
@@ -120,70 +98,24 @@ proptest! {
         prop_assert_eq!(back.to_line(), line);
     }
 
-    /// Dropping the last field of a fixed-arity record is a decode error,
-    /// never a silent misread.  `meta`/`tell` are the two variable-arity
-    /// kinds: their truncated forms decode as the *legacy* (version-1)
-    /// variant by design, and never compare equal to the original.
+    /// Dropping the last field of any record is a decode error, never a
+    /// silent misread.
     #[test]
-    fn truncated_records_never_decode_to_the_original(event in arb_event()) {
+    fn every_truncated_record_is_an_error(event in arb_event()) {
         let line = event.to_line();
-        let Some((truncated, _)) = line.rsplit_once('\t') else {
-            // `complete` (and nothing else) is a single field; dropping it
-            // leaves an empty line, which must not parse.
-            prop_assert!(matches!(event, RunEvent::Complete));
-            prop_assert!(RunEvent::parse("").is_err());
-            return Ok(());
-        };
-        match &event {
-            RunEvent::Meta { version: 1, .. } => {
-                // A 1-field `meta` is malformed outright.
-                prop_assert!(RunEvent::parse(truncated).is_err(), "{truncated:?}");
-            }
-            RunEvent::Meta { .. } => {
-                // Versioned meta minus its tail is a valid *version-1*
-                // meta (the compat path) — but never the original record.
-                let got = RunEvent::parse(truncated)
-                    .map_err(|e| TestCaseError::fail(e.to_string()))?;
-                prop_assert!(
-                    matches!(got, RunEvent::Meta { version: 1, .. }),
-                    "{got:?}"
-                );
-                prop_assert_ne!(got, event.clone());
-            }
-            RunEvent::Tell { asks: Some(_), .. } => {
-                // Versioned tell minus its ask count is the version-1
-                // tell: same payload, `asks: None`.
-                let got = RunEvent::parse(truncated)
-                    .map_err(|e| TestCaseError::fail(e.to_string()))?;
-                prop_assert!(
-                    matches!(&got, RunEvent::Tell { asks: None, .. }),
-                    "{got:?}"
-                );
-                prop_assert_ne!(got, event.clone());
-            }
-            _ => {
-                prop_assert!(
-                    RunEvent::parse(truncated).is_err(),
-                    "truncated {} still parsed: {truncated:?}",
-                    line
-                );
-            }
-        }
+        // `complete` is a single field; dropping it leaves an empty line.
+        let truncated = line.rsplit_once('\t').map_or("", |(head, _)| head);
+        prop_assert!(
+            RunEvent::parse(truncated).is_err(),
+            "truncated {} still parsed: {truncated:?}",
+            line
+        );
     }
 
-    /// Appending a junk field to any record is a decode error (the two
-    /// variable-arity kinds cap at their versioned width).
+    /// Appending a junk field to any record is a decode error.
     #[test]
     fn overlong_records_are_rejected(event in arb_event()) {
         let mut line = event.to_line();
-        if matches!(
-            &event,
-            RunEvent::Meta { version: 1, .. } | RunEvent::Tell { asks: None, .. }
-        ) {
-            // Legacy forms are one field short of the versioned width, so
-            // pad twice to overshoot it.
-            line.push_str("\t0");
-        }
         line.push_str("\t0");
         prop_assert!(RunEvent::parse(&line).is_err(), "{line:?}");
     }

@@ -1,4 +1,4 @@
-//! Closed-loop and open-loop request generation.
+//! Open-loop request generation.
 
 use e2c_des::{Dist, SimTime};
 use rand::Rng;
@@ -27,51 +27,6 @@ impl fmt::Display for RateError {
 }
 
 impl std::error::Error for RateError {}
-
-/// A closed-loop workload: `clients` users, each submitting its next
-/// request `think` seconds after receiving the previous response.
-///
-/// With `think = Dist::Constant(0.0)` this is exactly the paper's "N
-/// simultaneous requests ... during the whole experiment execution": the
-/// number of outstanding requests is pinned at `clients`.
-#[derive(Debug, Clone, Copy)]
-pub struct ClosedLoop {
-    /// Number of concurrent clients.
-    pub clients: usize,
-    /// Think time between response and next request.
-    pub think: Dist,
-}
-
-impl ClosedLoop {
-    /// `clients` users with zero think time (saturating closed loop).
-    pub fn saturating(clients: usize) -> Self {
-        ClosedLoop {
-            clients,
-            think: Dist::Constant(0.0),
-        }
-    }
-
-    /// Same workload with a think-time distribution.
-    pub fn with_think(mut self, think: Dist) -> Self {
-        self.think = think;
-        self
-    }
-
-    /// Sample the delay before a client's next request.
-    pub fn next_think<R: Rng + ?Sized>(&self, rng: &mut R) -> SimTime {
-        SimTime::from_secs_f64(self.think.sample(rng))
-    }
-
-    /// Initial request times: clients do not stampede in the same
-    /// microsecond but ramp up over `ramp` (deterministic spacing keeps
-    /// runs comparable across configurations).
-    pub fn initial_arrivals(&self, ramp: SimTime) -> Vec<SimTime> {
-        let n = self.clients.max(1) as u64;
-        (0..self.clients as u64)
-            .map(|i| SimTime(ramp.0 * i / n))
-            .collect()
-    }
-}
 
 /// An open-loop (Poisson) workload with a fixed arrival rate.
 #[derive(Debug, Clone, Copy)]
@@ -127,33 +82,6 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn saturating_closed_loop_has_zero_think() {
-        let w = ClosedLoop::saturating(80);
-        let mut rng = StdRng::seed_from_u64(1);
-        assert_eq!(w.clients, 80);
-        assert_eq!(w.next_think(&mut rng), SimTime::ZERO);
-    }
-
-    #[test]
-    fn initial_arrivals_ramp_monotonically() {
-        let w = ClosedLoop::saturating(10);
-        let arr = w.initial_arrivals(SimTime::from_secs(1));
-        assert_eq!(arr.len(), 10);
-        assert_eq!(arr[0], SimTime::ZERO);
-        for pair in arr.windows(2) {
-            assert!(pair[1] > pair[0]);
-        }
-        assert!(*arr.last().unwrap() < SimTime::from_secs(1));
-    }
-
-    #[test]
-    fn think_time_distribution_respected() {
-        let w = ClosedLoop::saturating(5).with_think(Dist::Constant(2.0));
-        let mut rng = StdRng::seed_from_u64(1);
-        assert_eq!(w.next_think(&mut rng), SimTime::from_secs(2));
-    }
 
     #[test]
     fn poisson_rate_approximately_holds() {

@@ -23,8 +23,8 @@
 //!     `--faults "fail:2@0;delay:4:500;nan:5"` (fail trial 2's first
 //!     attempt, delay trial 4 by 500 ms, make trial 5 return NaN).
 //!     `--trace DIR` records the deterministic structured event log
-//!     (worker lifecycle, scheduler rung decisions, searcher ask/tell,
-//!     DES batches, engine queue depths) to `DIR/trace.jsonl`, plus
+//!     (worker lifecycle, searcher ask/tell, DES batches, engine queue
+//!     depths) to `DIR/trace.jsonl`, plus
 //!     Prometheus text snapshots: `DIR/metrics.prom` for the cycle and
 //!     `DIR/cycles/cycle_<trial>.prom` per evaluated trial.
 //!     `--replay-check` runs the same seeded cycle twice (at the
@@ -74,9 +74,10 @@
 //!     `DIR/epochs/epoch_NN/`. `--journal` makes the run crash-safe
 //!     (per-epoch journals plus a serving-level WAL of rendered CSV
 //!     rows); `--resume` continues a killed run to byte-identical
-//!     artifacts; `--crash-at N` kills mid-epoch after the Nth journal
-//!     append, `--crash-at-epoch K` kills at the epoch-K boundary (both
-//!     exit 86). `--replay-check` runs the whole serving loop twice and
+//!     artifacts; `--crash-at N` kills mid-epoch after the Nth
+//!     cycle-journal append of the process, counted across epochs, and
+//!     `--crash-at-epoch K` kills at the epoch-K boundary (both exit 86;
+//!     a run that never reaches its knob exits 1). `--replay-check` runs the whole serving loop twice and
 //!     byte-diffs serving.csv, trace.jsonl and every epoch archive.
 //! e2clab report <archive-dir>
 //!     Re-print the summary of a previously written archive.
@@ -109,15 +110,15 @@
 //!     `BENCH_<name>.json` report per benchmark to `--out` (default:
 //!     current directory). `--filter` selects by name substring or exact
 //!     tag (`smoke` matches every registered benchmark);
-//!     `--iters`/`--warmup` override each benchmark's measurement policy
-//!     (as do the `E2C_BENCH_ITERS` / `E2C_BENCH_WARMUP` environment
-//!     variables); `--list` prints the selected names without running
+//!     `--iters`/`--warmup` override each benchmark's measurement
+//!     policy; `--list` prints the selected names without running
 //!     anything.
 //! e2clab fuzz [--codec NAME] [--iters N] [--seed S] [--out DIR] [--list]
 //!     Fuzz the hand-rolled codecs (YAML conf, journal wire, worker
 //!     frames, `--faults` plans, trace JSON, WAL, `lint.baseline`,
-//!     `serving.wal` rows) with seeded byte mutation, checking no-panic,
-//!     roundtrip and differential properties. `--codec` selects by name
+//!     `lint --config` files (`detlint_conf`), `serving.wal` rows) with
+//!     seeded byte mutation, checking no-panic, roundtrip and
+//!     differential properties. `--codec` selects by name
 //!     substring or exact tag; a failure prints a reproduce command and
 //!     writes the minimized input to `DIR/FUZZ_<name>.crash`.
 //! ```
@@ -938,6 +939,19 @@ fn serve(flags: &Flags) -> Outcome {
         return run_serve_replay_check(&cfg);
     }
     let report = e2c_core::serving::run_serving(&cfg).map_err(failed)?;
+    // As in `optimize`: a crash knob that never fired would let a chaos
+    // test pass vacuously.
+    if let Some(n) = cfg.crash_at {
+        return Err(failed(format!(
+            "--crash-at {n} never fired: this process appended only {} journal records",
+            report.journal_appended
+        )));
+    }
+    if let Some(k) = cfg.crash_at_epoch {
+        return Err(failed(format!(
+            "--crash-at-epoch {k} never fired: this process committed no epoch {k}"
+        )));
+    }
     print!("{}", report.render());
     println!("serving artifacts written to {}", cfg.out_dir.display());
     Ok(ExitCode::SUCCESS)

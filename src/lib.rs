@@ -20,9 +20,9 @@
 //! | [`conf`] | `e2c-conf` | YAML-subset parser + experiment schema |
 //! | [`des`] | `e2c-des` | discrete-event simulation kernel |
 //! | [`testbed`] | `e2c-testbed` | Grid'5000 model: clusters, reservations, deployments |
-//! | [`net`] | `e2c-net` | network emulation (links, topology, shaping) |
+//! | [`net`] | `e2c-net` | network emulation (links, topology) |
 //! | [`metrics`] | `e2c-metrics` | time series, online stats, summaries, tables |
-//! | [`workload`] | `e2c-workload` | closed/open-loop generators, seasonal traces |
+//! | [`workload`] | `e2c-workload` | open-loop generators, seasonal traces, image sizes |
 //! | [`optim`] | `e2c-optim` | spaces, samplers, surrogates, BO, metaheuristics, sensitivity |
 //! | [`tune`] | `e2c-tune` | async parallel trial runner (searchers, ASHA) |
 //! | [`trace`] | `e2c-trace` | deterministic structured event log + virtual clock |

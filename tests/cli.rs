@@ -252,6 +252,32 @@ fn zero_repeat_and_zero_duration_are_rejected() {
 }
 
 #[test]
+fn a_duration_shorter_than_one_sample_window_still_measures() {
+    // The objective is the mean of 10 s window samples; a 5 s run closes
+    // none and is measured over its partial window, never scored 0.
+    let conf = write_conf("short.yaml", CONF);
+    let out = bin()
+        .args(["optimize", "--duration", "5", "--seed", "5"])
+        .arg(&conf)
+        .output()
+        .expect("spawn");
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("evaluations: 4 (0 stopped early, 0 failed"),
+        "{stdout}"
+    );
+    let best: f64 = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("best user_resp_time = "))
+        .expect("a best value")
+        .parse()
+        .unwrap();
+    assert!(best > 0.5, "{stdout}");
+    let _ = std::fs::remove_file(conf);
+}
+
+#[test]
 fn a_crash_point_past_the_last_append_fails_the_run() {
     // A four-trial run appends far fewer than 5000 records, so the chaos
     // knob can never fire; the run must say so instead of exiting 0.

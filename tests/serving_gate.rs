@@ -202,9 +202,11 @@ fn replay_check_passes() {
     std::fs::remove_dir_all(&fx.root).unwrap();
 }
 
-/// Kill mid-epoch (after the 5th journal append of epoch 0's cycle) and
-/// at the epoch-0 boundary; both resumes must converge on the bytes of
-/// an uninterrupted journaled run, which must itself match a plain run.
+/// Kill mid-epoch (after the 5th journal append, inside epoch 0's cycle;
+/// after the 10th, counted across epochs, inside epoch 1's) and at the
+/// epoch-0 boundary; every resume must converge on the bytes of an
+/// uninterrupted journaled run, which must itself match a plain run. A
+/// crash point past the run's last append fails the run instead.
 #[test]
 fn kill_and_resume_converges_on_uninterrupted_bytes() {
     let fx = Fixture::new("kill", 3, 2_500_000.0);
@@ -259,6 +261,61 @@ fn kill_and_resume_converges_on_uninterrupted_bytes() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert_same_artifacts(&baseline, &fx.artifacts("mid"), "mid-epoch kill");
+
+    // `--crash-at` counts this process's appends across epochs: epoch 0
+    // appends fewer than 10 records, so the 10th lands inside epoch 1,
+    // after epoch 0's row committed.
+    let jlate = fx.root.join("late-journal");
+    let out = fx.serve(
+        "late",
+        &["--journal", jlate.to_str().unwrap(), "--crash-at", "10"],
+    );
+    assert_eq!(
+        out.status.code(),
+        Some(e2c_tune::CRASH_EXIT_CODE),
+        "expected the crash exit code, got {:?}\n{}",
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let partial = std::fs::read(fx.root.join("late").join("serving.csv")).unwrap();
+    assert_eq!(csv_counters(&partial).len(), 1, "killed inside epoch 1");
+    let out = fx.serve("late", &["--resume", jlate.to_str().unwrap()]);
+    assert!(
+        out.status.success(),
+        "epoch-1 resume: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_same_artifacts(&baseline, &fx.artifacts("late"), "epoch-1 kill");
+
+    // A crash point no append reaches would let a chaos test pass
+    // vacuously: the run fails and says so.
+    let jnever = fx.root.join("never-journal");
+    let out = fx.serve(
+        "never",
+        &["--journal", jnever.to_str().unwrap(), "--crash-at", "1000"],
+    );
+    assert_eq!(out.status.code(), Some(1), "{:?}", out.status);
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("--crash-at 1000 never fired"),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let jpast = fx.root.join("past-journal");
+    let out = fx.serve(
+        "past",
+        &[
+            "--journal",
+            jpast.to_str().unwrap(),
+            "--crash-at-epoch",
+            "5",
+        ],
+    );
+    assert_eq!(out.status.code(), Some(1), "{:?}", out.status);
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("--crash-at-epoch 5 never fired"),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     // Epoch-boundary kill: the run dies right after epoch 0's row
     // commits (WAL + CSV written, trace not yet rebuilt).
