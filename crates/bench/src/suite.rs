@@ -424,6 +424,7 @@ fn journal_events(n: usize, seed: u64) -> Vec<RunEvent> {
             } else {
                 None
             },
+            notes: Vec::new(),
         });
         events.push(RunEvent::Tell {
             trial: t,

@@ -327,12 +327,14 @@ optimization:
                 error: Some(TrialError::Panicked("panic: broken, pipe".into())),
                 secs: 0.1,
                 raw: None,
+                notes: Vec::new(),
             },
             Attempt {
                 index: 1,
                 error: None,
                 secs: 0.1,
                 raw: Some(2.5),
+                notes: Vec::new(),
             },
         ];
         let mut doomed = Trial::new(1, vec![20.0, 3.0]);
@@ -342,13 +344,9 @@ optimization:
             error: Some(TrialError::DeadlineExceeded),
             secs: 0.2,
             raw: None,
+            notes: Vec::new(),
         }];
-        let analysis = Analysis::new(
-            "plantnet_engine".into(),
-            "user_resp_time".into(),
-            Mode::Min,
-            vec![flaky, doomed],
-        );
+        let analysis = Analysis::new(Mode::Min, vec![flaky, doomed]);
         let summary = OptimizationSummary {
             conf: conf(),
             seed: 1,

@@ -24,12 +24,12 @@ use e2c_optim::sampling::InitialDesign;
 use e2c_optim::space::{Point, Space};
 use e2c_optim::surrogate::SurrogateKind;
 use e2c_tune::fault::{FaultPlan, RetryPolicy};
-use e2c_tune::journal::{ResumeState, RunEvent, RunJournal};
+use e2c_tune::journal::{OpenError, ResumeState, RunEvent, RunJournal};
 use e2c_tune::searcher::{ConcurrencyLimiter, GridSearch, RandomSearch, SkOptSearch};
 use e2c_tune::tuner::{Mode, Tuner};
 use e2c_tune::{Analysis, Fifo, Searcher};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 /// Crash-safety configuration for a journaled run (`--journal` /
@@ -141,6 +141,22 @@ pub struct EvalContext {
     /// MUST use this handle (never a captured tracer) or their events
     /// land interleaved by wall clock instead of by trial.
     pub tracer: Option<e2c_trace::Tracer>,
+    /// Values noted through [`EvalContext::note`], handed to the attempt
+    /// record when the evaluation returns.
+    notes: Arc<Mutex<Vec<(String, f64)>>>,
+}
+
+impl EvalContext {
+    /// Attach a named value to this evaluation's attempt record. Notes
+    /// ride in the run journal (so a resumed run still has them for the
+    /// trials it does not re-run) and come back on
+    /// `summary.analysis.trials()`; they never reach the archive.
+    pub fn note(&self, name: &str, value: f64) {
+        self.notes
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push((name.to_string(), value));
+    }
 }
 
 impl std::fmt::Debug for EvalContext {
@@ -414,62 +430,26 @@ impl OptimizationManager {
         let Some(jc) = &self.journal else {
             return Ok((None, ResumeState::empty()));
         };
-        let fingerprint = self.fingerprint(jc);
         let wal_path = jc.dir.join("run.wal");
-        let mut resume_state = ResumeState::empty();
-        let journal = if jc.resume {
-            let (wal, records) = e2c_journal::Wal::open(&wal_path).map_err(|e| {
-                RunError::Resume(format!("--resume: open {}: {e}", wal_path.display()))
-            })?;
-            let events: Vec<RunEvent> = records
-                .iter()
-                .enumerate()
-                .map(|(i, r)| {
-                    let line = std::str::from_utf8(r)
-                        .map_err(|e| format!("journal record {i}: not UTF-8: {e}"))?;
-                    RunEvent::parse(line).map_err(|e| format!("journal record {i}: {e}"))
-                })
-                .collect::<Result<_, _>>()
-                .map_err(RunError::Resume)?;
-            let journal = RunJournal::new(wal, jc.crash_after);
-            if events.is_empty() {
-                // The crash hit before the meta record landed: nothing to
-                // replay, start over on the same (now truncated) log.
-                journal.append(&RunEvent::meta(fingerprint));
-            } else {
-                match &events[0] {
-                    RunEvent::Meta { fingerprint: f, .. } if *f == fingerprint => {}
-                    RunEvent::Meta { .. } => {
-                        return Err(RunError::Resume(
-                            "--resume: the journal was recorded with a different \
-                             configuration or seed — refusing to continue it"
-                                .to_string(),
-                        ))
-                    }
-                    _ => {
-                        return Err(RunError::Resume(
-                            "--resume: journal does not start with a meta record".to_string(),
-                        ))
-                    }
-                }
-                resume_state =
-                    e2c_tune::replay(&events, searcher, &Fifo, mode).map_err(RunError::Resume)?;
-            }
-            journal
+        let (flag, refused): (_, fn(String) -> RunError) = if jc.resume {
+            ("--resume", RunError::Resume)
         } else {
-            if wal_path.exists() {
-                return Err(RunError::Journal(format!(
-                    "--journal: {} already holds a run journal — use --resume to continue it",
-                    wal_path.display()
-                )));
-            }
-            let wal = e2c_journal::Wal::create(&wal_path).map_err(|e| {
-                RunError::Journal(format!("--journal: create {}: {e}", wal_path.display()))
-            })?;
-            let journal = RunJournal::new(wal, jc.crash_after);
-            journal.append(&RunEvent::meta(fingerprint));
-            journal
+            ("--journal", RunError::Journal)
         };
+        let (journal, events) =
+            RunJournal::open(&wal_path, &self.fingerprint(jc), jc.resume, jc.crash_after).map_err(
+                |e| match e {
+                    OpenError::Mismatch => refused(format!(
+                        "{flag}: the journal was recorded with a different configuration \
+                         or seed — refusing to continue it"
+                    )),
+                    OpenError::Refused(why) => refused(format!("{flag}: {why}")),
+                },
+            )?;
+        // A fresh journal hands back no records, and replaying none is
+        // the empty state.
+        let resume_state =
+            e2c_tune::replay(&events, searcher, &Fifo, mode).map_err(RunError::Resume)?;
         if let Some(tr) = &self.tracer {
             let stream_path = jc.dir.join("trace.stream.jsonl");
             if jc.resume {
@@ -532,8 +512,6 @@ impl OptimizationManager {
         let (run_journal, resume_state) = self.prepare_journal(searcher.as_mut(), mode)?;
         let already_complete = resume_state.complete;
         let mut tuner = Tuner::new(self.conf.num_samples, self.conf.max_concurrent, mode)
-            .metric(&self.conf.metric)
-            .name(&self.conf.name)
             .seed(self.seed)
             .faults(self.faults.clone());
         if let Some(ft) = &self.conf.fault_tolerance {
@@ -594,6 +572,7 @@ impl OptimizationManager {
                 point: point.clone(),
                 eval_dir: eval_dir.clone(),
                 tracer: tctx.tracer().cloned(),
+                notes: Arc::default(),
             };
             // launch(): deploy + execute the user workload — in process,
             // or shipped to a farm worker. Either way the tuner sees
@@ -622,6 +601,11 @@ impl OptimizationManager {
                 }
                 None => objective(&ctx),
             };
+            let notes =
+                std::mem::take(&mut *ctx.notes.lock().unwrap_or_else(PoisonError::into_inner));
+            for (name, v) in notes {
+                tctx.note(name, v);
+            }
             // finalize(): record this evaluation's computations.
             if let Some(dir) = eval_dir {
                 let _ = archive::write_evaluation(&dir, tctx.trial_id, point, value);
@@ -1118,15 +1102,6 @@ optimization:
         assert_eq!(read(&dir.join("trials").join("trials.jsonl")), want_trials);
         assert_eq!(tracer.to_jsonl(), want_trace);
 
-        // A fresh journal refuses to overwrite an existing one.
-        let err = OptimizationManager::new(journaled_conf())
-            .with_seed(13)
-            .with_journal(JournalConfig::fresh(dir.join("journal")))
-            .run(objective)
-            .unwrap_err();
-        assert!(matches!(err, RunError::Journal(_)), "{err:?}");
-        assert!(err.to_string().contains("--resume"), "{err}");
-
         // Resuming a completed run re-executes nothing and converges on
         // the same bytes.
         let tracer = e2c_trace::Tracer::new();
@@ -1202,36 +1177,6 @@ optimization:
         }
 
         std::fs::remove_dir_all(&base).unwrap();
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn resume_under_a_different_seed_or_conf_is_refused() {
-        let dir = tmp("journal-mismatch", line!());
-        OptimizationManager::new(journaled_conf())
-            .with_seed(13)
-            .with_journal(JournalConfig::fresh(dir.join("journal")))
-            .run(objective)
-            .unwrap();
-
-        let err = OptimizationManager::new(journaled_conf())
-            .with_seed(14)
-            .with_journal(JournalConfig::resume(dir.join("journal")))
-            .run(objective)
-            .unwrap_err();
-        assert!(matches!(err, RunError::Resume(_)), "{err:?}");
-        assert!(err.to_string().contains("different configuration"), "{err}");
-
-        let mut conf = journaled_conf();
-        conf.num_samples = 9;
-        let err = OptimizationManager::new(conf)
-            .with_seed(13)
-            .with_journal(JournalConfig::resume(dir.join("journal")))
-            .run(objective)
-            .unwrap_err();
-        assert!(matches!(err, RunError::Resume(_)), "{err:?}");
-        assert!(err.to_string().contains("different configuration"), "{err}");
-
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -16,10 +16,13 @@
 //!   seeded, archivable, journalable — so per-epoch artifacts
 //!   (`evaluations.csv`, `best.yaml`, `trials/trials.jsonl`) are
 //!   byte-identical across reruns and resumes;
-//! * the serving run itself keeps a side WAL (`serving.wal`) holding the
-//!   *rendered* `serving.csv` rows: a resume replays completed epochs
-//!   from their recorded bytes (never re-rendering floats), so the final
-//!   CSV is byte-identical whether or not the run was interrupted;
+//! * the serving run itself journals into `run.wal` at the journal root:
+//!   a meta record with the serve fingerprint, then one
+//!   [`RunEvent::Epoch`] per committed epoch holding its *rendered*
+//!   `serving.csv` row. A resume replays completed epochs from those
+//!   bytes (never re-rendering floats), so the final CSV is
+//!   byte-identical whether or not the run was interrupted. Each epoch's
+//!   cycle journals into `epoch_NN/run.wal` beside it;
 //! * `serving.csv` is rewritten atomically after every epoch and
 //!   `trace.jsonl` is rebuilt from the rows at the end, so a crash at
 //!   any point leaves only complete artifacts.
@@ -37,7 +40,8 @@ use e2c_conf::schema::{
 };
 use e2c_des::SimTime;
 use e2c_journal::wire::{parse_f64, parse_u32, parse_u64};
-use e2c_journal::{write_atomic, Wal};
+use e2c_journal::write_atomic;
+use e2c_tune::journal::{OpenError, RunEvent, RunJournal};
 use e2c_workload::seasonal::GrowthModel;
 use e2c_workload::{serving_schedule, RateSchedule};
 use plantnet::sim::ExperimentSpec;
@@ -74,8 +78,8 @@ pub struct ServingConfig {
     pub first_year: u32,
     /// Output root: `serving.csv`, `trace.jsonl`, `epochs/epoch_NN/`.
     pub out_dir: PathBuf,
-    /// Journal root (`serving.wal` + per-epoch journals). `None`: the
-    /// run is not crash-safe (but still deterministic).
+    /// Journal root (`run.wal` + per-epoch `epoch_NN/run.wal`). `None`:
+    /// the run is not crash-safe (but still deterministic).
     pub journal_dir: Option<PathBuf>,
     /// Continue a killed run from its journal instead of starting fresh.
     pub resume: bool,
@@ -113,8 +117,8 @@ impl ServingConfig {
 
 /// One committed epoch of a serving run: the tuned configuration and the
 /// overload accounting of its final evaluation. Serialized as one
-/// `serving.csv` row; the WAL stores the *rendered* row so resumes never
-/// re-render (bytes are the source of truth).
+/// `serving.csv` row; the journal's epoch record stores the *rendered*
+/// row so resumes never re-render (bytes are the source of truth).
 #[derive(Debug, Clone, PartialEq)]
 pub struct EpochRow {
     /// Epoch index (0-based).
@@ -154,7 +158,7 @@ pub const CSV_HEADER: &str = "epoch,label,rate_rps,http,download,simsearch,extra
 impl EpochRow {
     /// Render as one CSV row (no newline). Every number is written in the
     /// canonical wire form that [`EpochRow::from_csv`] requires, so a row
-    /// parsed back from the WAL re-renders to identical bytes.
+    /// parsed back from the journal re-renders to identical bytes.
     pub fn to_csv(&self) -> String {
         format!(
             "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
@@ -303,7 +307,7 @@ fn epoch_conf(cfg: &ServingConfig, epoch: usize, label: &str) -> OptimizationCon
 }
 
 /// Everything that shapes the serving artifacts, folded into both the
-/// `serving.wal` meta record and every epoch journal's fingerprint.
+/// serve journal's meta record and every epoch journal's fingerprint.
 fn fingerprint(cfg: &ServingConfig) -> String {
     format!(
         "serve-v1;scale={};epochs={};epoch_duration={};samples={};max_concurrent={};\
@@ -486,16 +490,10 @@ fn write_trace(
         .map_err(|e| format!("{}: {e}", path.display()))
 }
 
-/// Serving WAL records: `meta\n<fingerprint>` once, then one
-/// `epoch\t<i>\t<csv row>` per committed epoch.
-fn meta_record(fp: &str) -> Vec<u8> {
-    format!("meta\n{fp}").into_bytes()
-}
-
 /// Run the full serving loop. See the module docs for the protocol; the
-/// short version: for each epoch not already committed to `serving.wal`,
-/// tune, evaluate, append the rendered row, rewrite `serving.csv`; at
-/// the end rebuild `trace.jsonl` from the rows.
+/// short version: for each epoch not already committed to the serve
+/// journal, tune, evaluate, journal the rendered row, rewrite
+/// `serving.csv`; at the end rebuild `trace.jsonl` from the rows.
 pub fn run_serving(cfg: &ServingConfig) -> Result<ServingReport, String> {
     if cfg.epochs == 0 {
         return Err("serve: need at least one epoch".to_string());
@@ -521,55 +519,34 @@ pub fn run_serving(cfg: &ServingConfig) -> Result<ServingReport, String> {
     std::fs::create_dir_all(&cfg.out_dir)
         .map_err(|e| format!("serve: create {}: {e}", cfg.out_dir.display()))?;
 
-    // Open (or create) the serving WAL and replay committed rows.
+    // Open (or create) the serve journal and replay committed rows.
     let mut rows: Vec<EpochRow> = Vec::new();
-    let mut wal: Option<Wal> = None;
+    let mut journal: Option<RunJournal> = None;
     if let Some(jdir) = &cfg.journal_dir {
-        std::fs::create_dir_all(jdir)
-            .map_err(|e| format!("serve: create {}: {e}", jdir.display()))?;
-        let wal_path = jdir.join("serving.wal");
-        if cfg.resume {
-            let (mut w, records) = Wal::open(&wal_path)
-                .map_err(|e| format!("--resume: open {}: {e}", wal_path.display()))?;
-            if records.is_empty() {
-                // Killed before the meta record landed: a fresh start.
-                w.append(&meta_record(&fp))
-                    .map_err(|e| format!("serving.wal: {e}"))?;
-            } else {
-                if records[0] != meta_record(&fp) {
-                    return Err(format!(
-                        "--resume: {} belongs to a different serving run \
-                         (parameters changed?) — refusing to continue",
-                        wal_path.display()
-                    ));
+        let path = jdir.join("run.wal");
+        // Like an epoch journal, a serve journal that was never created
+        // starts fresh on resume. Appends to it do not count toward
+        // `--crash-at`, which counts cycle-journal appends.
+        let resume = cfg.resume && path.is_file();
+        let flag = if resume { "--resume" } else { "--journal" };
+        let (j, events) = RunJournal::open(&path, &fp, resume, None).map_err(|e| match e {
+            OpenError::Mismatch => format!(
+                "--resume: {} belongs to a different serving run \
+                 (parameters changed?) — refusing to continue",
+                path.display()
+            ),
+            OpenError::Refused(why) => format!("{flag}: {why}"),
+        })?;
+        for (i, event) in events.iter().enumerate().skip(1) {
+            let row = match event {
+                RunEvent::Epoch { epoch, row } if *epoch == rows.len() as u64 => {
+                    EpochRow::from_csv(row)
                 }
-                for (i, rec) in records[1..].iter().enumerate() {
-                    let line = std::str::from_utf8(rec)
-                        .map_err(|e| format!("serving.wal record {i}: not UTF-8: {e}"))?;
-                    let row_csv = line
-                        .strip_prefix(&format!("epoch\t{i}\t"))
-                        .ok_or_else(|| format!("serving.wal record {i}: malformed: {line:?}"))?;
-                    let row = EpochRow::from_csv(row_csv)
-                        .map_err(|e| format!("serving.wal record {i}: {e}"))?;
-                    rows.push(row);
-                }
-            }
-            wal = Some(w);
-        } else {
-            let mut w = Wal::create(&wal_path).map_err(|e| {
-                if e.kind() == std::io::ErrorKind::AlreadyExists {
-                    format!(
-                        "--journal: {} already exists — use --resume to continue it",
-                        wal_path.display()
-                    )
-                } else {
-                    format!("--journal: create {}: {e}", wal_path.display())
-                }
-            })?;
-            w.append(&meta_record(&fp))
-                .map_err(|e| format!("serving.wal: {e}"))?;
-            wal = Some(w);
+                _ => Err(format!("not the row of epoch {}", rows.len())),
+            };
+            rows.push(row.map_err(|e| format!("{}: record {i}: {e}", path.display()))?);
         }
+        journal = Some(j);
     }
 
     let done = rows.len();
@@ -599,14 +576,16 @@ pub fn run_serving(cfg: &ServingConfig) -> Result<ServingReport, String> {
             &fp,
         )?;
         journal_appended += appended;
-        if let Some(w) = &mut wal {
-            w.append(format!("epoch\t{i}\t{}", row.to_csv()).as_bytes())
-                .map_err(|e| format!("serving.wal: {e}"))?;
+        if let Some(j) = &journal {
+            j.append(&RunEvent::Epoch {
+                epoch: i as u64,
+                row: row.to_csv(),
+            });
         }
         rows.push(row);
         write_csv(&csv_path, &rows)?;
         if cfg.crash_at_epoch == Some(i) {
-            // Epoch-boundary chaos knob: the row is committed (WAL +
+            // Epoch-boundary chaos knob: the row is committed (journal +
             // CSV), the trace is not — exactly what a kill between
             // epochs looks like.
             std::process::exit(e2c_tune::CRASH_EXIT_CODE);
@@ -649,7 +628,7 @@ mod tests {
         let r = row();
         let parsed = EpochRow::from_csv(&r.to_csv()).expect("round trip");
         assert_eq!(parsed, r);
-        // Bytes, not just values: the WAL stores rendered rows.
+        // Bytes, not just values: the journal stores rendered rows.
         assert_eq!(parsed.to_csv(), r.to_csv());
     }
 

@@ -25,7 +25,6 @@ pub struct Context<'a, E> {
     now: SimTime,
     queue: &'a mut EventQueue<E>,
     rng: &'a mut StdRng,
-    stop: &'a mut bool,
 }
 
 impl<'a, E> Context<'a, E> {
@@ -60,11 +59,6 @@ impl<'a, E> Context<'a, E> {
     /// Seeded random number generator for this simulation run.
     pub fn rng(&mut self) -> &mut StdRng {
         self.rng
-    }
-
-    /// Request the event loop to stop after this event completes.
-    pub fn stop(&mut self) {
-        *self.stop = true;
     }
 }
 
@@ -125,19 +119,16 @@ impl<M: Model> Simulation<M> {
         self.queue.schedule(at, event)
     }
 
-    /// Run until the queue drains or the model calls [`Context::stop`].
-    /// Returns the number of events processed by this call.
+    /// Run until the queue drains. Returns the number of events processed by this call.
     pub fn run(&mut self) -> u64 {
         self.run_until(SimTime::MAX)
     }
 
-    /// Run until the queue drains, the model stops the loop, or the next
-    /// event would fire strictly after `horizon`. The clock is advanced to
+    /// Run until the queue drains or the next event would fire strictly after `horizon`. The clock is advanced to
     /// `horizon` if the run was cut by the horizon (so utilization integrals
     /// can be closed at the boundary by the caller).
     pub fn run_until(&mut self, horizon: SimTime) -> u64 {
         let before = self.processed;
-        let mut stop = false;
         while let Some(next) = self.queue.peek_time() {
             if next > horizon {
                 self.now = horizon;
@@ -150,13 +141,9 @@ impl<M: Model> Simulation<M> {
                 now: self.now,
                 queue: &mut self.queue,
                 rng: &mut self.rng,
-                stop: &mut stop,
             };
             self.model.handle(&mut ctx, event);
             self.processed += 1;
-            if stop {
-                break;
-            }
         }
         let done = self.processed - before;
         if let Some((tracer, label)) = &self.trace {
@@ -180,46 +167,25 @@ impl<M: Model> Simulation<M> {
 mod tests {
     use super::*;
 
-    enum Ev {
-        Tick,
-        Boom,
-    }
-
     struct Counter {
         ticks: u32,
-        booms: u32,
         limit: u32,
     }
 
     impl Model for Counter {
-        type Event = Ev;
-        fn handle(&mut self, ctx: &mut Context<'_, Ev>, ev: Ev) {
-            match ev {
-                Ev::Tick => {
-                    self.ticks += 1;
-                    if self.ticks < self.limit {
-                        ctx.schedule_in(SimTime::from_secs(1), Ev::Tick);
-                    }
-                }
-                Ev::Boom => {
-                    self.booms += 1;
-                    ctx.stop();
-                }
+        type Event = ();
+        fn handle(&mut self, ctx: &mut Context<'_, ()>, _: ()) {
+            self.ticks += 1;
+            if self.ticks < self.limit {
+                ctx.schedule_in(SimTime::from_secs(1), ());
             }
         }
     }
 
     #[test]
     fn runs_to_completion() {
-        let mut sim = Simulation::new(
-            Counter {
-                ticks: 0,
-                booms: 0,
-                limit: 5,
-            },
-            1,
-        );
-        sim.schedule(SimTime::ZERO, Ev::Tick);
+        let mut sim = Simulation::new(Counter { ticks: 0, limit: 5 }, 1);
+        sim.schedule(SimTime::ZERO, ());
         let n = sim.run();
         assert_eq!(n, 5);
         assert_eq!(sim.model().ticks, 5);
@@ -231,12 +197,11 @@ mod tests {
         let mut sim = Simulation::new(
             Counter {
                 ticks: 0,
-                booms: 0,
                 limit: 100,
             },
             1,
         );
-        sim.schedule(SimTime::ZERO, Ev::Tick);
+        sim.schedule(SimTime::ZERO, ());
         sim.run_until(SimTime::from_millis(2_500));
         // ticks at 0s, 1s, 2s fire; the 3s tick is beyond the horizon.
         assert_eq!(sim.model().ticks, 3);
@@ -244,24 +209,6 @@ mod tests {
         // Continuing past the horizon resumes where we left off.
         sim.run_until(SimTime::from_secs(3));
         assert_eq!(sim.model().ticks, 4);
-    }
-
-    #[test]
-    fn stop_halts_loop_immediately() {
-        let mut sim = Simulation::new(
-            Counter {
-                ticks: 0,
-                booms: 0,
-                limit: 100,
-            },
-            1,
-        );
-        sim.schedule(SimTime::from_secs(1), Ev::Tick);
-        sim.schedule(SimTime::from_millis(500), Ev::Boom);
-        sim.run();
-        assert_eq!(sim.model().booms, 1);
-        assert_eq!(sim.model().ticks, 0);
-        assert_eq!(sim.now(), SimTime::from_millis(500));
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! `--faults` plan grammar (`e2c-tune`), the JSON codec behind
 //! `trace.jsonl` and the benchmark reports (`e2c-journal::json`), the
 //! CRC-framed write-ahead log (`e2c-journal`), the `lint.baseline` and
-//! `lint --config` files (`detlint`) and the `serving.wal` epoch rows
-//! (`e2c-core`). Each sits on a crash-recovery, reproducibility or gating
+//! `lint --config` files (`detlint`) and the serving rows of the serve
+//! journal's `epoch` records (`e2c-core`). Each sits on a crash-recovery, reproducibility or gating
 //! path, where a panic on malformed bytes *is* data loss. This crate
 //! drives all nine with seeded byte mutation and checks three property
 //! classes:

@@ -167,7 +167,7 @@ fn random_run_event(rng: &mut SplitMix64) -> RunEvent {
     // shortest-roundtrip form, so generated lines are accepted by the
     // strict parser.
     let f = |rng: &mut SplitMix64| f64::from_bits(rng.next_u64());
-    match rng.below(7) {
+    match rng.below(8) {
         0 => RunEvent::meta(random_name(rng)),
         1 => RunEvent::Ask {
             trial: rng.below(1000),
@@ -190,6 +190,9 @@ fn random_run_event(rng: &mut SplitMix64) -> RunEvent {
             error: rng
                 .chance(1, 2)
                 .then(|| e2c_tune::TrialError::Panicked(random_name(rng))),
+            notes: (0..rng.index(3))
+                .map(|_| (random_name(rng), f(rng)))
+                .collect(),
         },
         5 => RunEvent::Tell {
             trial: rng.below(1000),
@@ -198,6 +201,10 @@ fn random_run_event(rng: &mut SplitMix64) -> RunEvent {
             value: rng.chance(1, 2).then(|| f(rng)),
             trace_mark: rng.chance(1, 2).then(|| (rng.below(100), rng.below(100))),
             asks: rng.below(100),
+        },
+        6 => RunEvent::Epoch {
+            epoch: rng.below(64),
+            row: random_epoch_row(rng).to_csv(),
         },
         _ => RunEvent::Complete,
     }
@@ -937,7 +944,8 @@ impl FuzzTarget for DetlintConfTarget {
 }
 
 // ---------------------------------------------------------------------
-// serving_row — one `serving.wal` record (a rendered `serving.csv` row).
+// serving_row — the row of a serve journal's `epoch` record (a rendered
+// `serving.csv` row).
 // ---------------------------------------------------------------------
 
 /// A random float for a serving row: ordinary magnitudes plus NaN
@@ -987,8 +995,9 @@ fn random_epoch_row(rng: &mut SplitMix64) -> EpochRow {
 }
 
 /// Fuzzes [`EpochRow::from_csv`], the decoder `serve --resume` runs on
-/// every `serving.wal` record. No panics on arbitrary text, and every
-/// accepted row renders back to exactly the accepted text:
+/// the row of every [`RunEvent::Epoch`] record of the serve journal. No
+/// panics on arbitrary text, and every accepted row renders back to
+/// exactly the accepted text:
 /// `to_csv(from_csv(x)) == x`. Bytes are compared, not rows, because
 /// `cost` may be NaN.
 pub struct ServingRowTarget;

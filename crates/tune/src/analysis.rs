@@ -7,31 +7,14 @@ use crate::tuner::Mode;
 /// plus helpers to find the best one and render a report.
 #[derive(Debug, Clone)]
 pub struct Analysis {
-    name: String,
-    metric: String,
     mode: Mode,
     trials: Vec<Trial>,
 }
 
 impl Analysis {
     /// Package finished trials.
-    pub fn new(name: String, metric: String, mode: Mode, trials: Vec<Trial>) -> Self {
-        Analysis {
-            name,
-            metric,
-            mode,
-            trials,
-        }
-    }
-
-    /// Experiment name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Metric name.
-    pub fn metric(&self) -> &str {
-        &self.metric
+    pub fn new(mode: Mode, trials: Vec<Trial>) -> Self {
+        Analysis { mode, trials }
     }
 
     /// All trials in id order.
@@ -87,23 +70,23 @@ mod tests {
             trial(1, Some(2.0)),
             trial(2, Some(8.0)),
         ];
-        let a = Analysis::new("e".into(), "m".into(), Mode::Min, trials.clone());
+        let a = Analysis::new(Mode::Min, trials.clone());
         assert_eq!(a.best_trial().unwrap().id, 1);
-        let a = Analysis::new("e".into(), "m".into(), Mode::Max, trials);
+        let a = Analysis::new(Mode::Max, trials);
         assert_eq!(a.best_trial().unwrap().id, 2);
     }
 
     #[test]
     fn failed_trials_excluded_from_best() {
         let trials = vec![trial(0, None), trial(1, Some(3.0))];
-        let a = Analysis::new("e".into(), "m".into(), Mode::Min, trials);
+        let a = Analysis::new(Mode::Min, trials);
         assert_eq!(a.best_trial().unwrap().id, 1);
         assert_eq!(a.best_config(), Some(&[1.0][..]));
     }
 
     #[test]
     fn all_failed_yields_none() {
-        let a = Analysis::new("e".into(), "m".into(), Mode::Min, vec![trial(0, None)]);
+        let a = Analysis::new(Mode::Min, vec![trial(0, None)]);
         assert!(a.best_trial().is_none());
     }
 }

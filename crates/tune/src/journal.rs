@@ -14,9 +14,15 @@
 //! The wire format is versioned ([`WIRE_VERSION`], carried by the meta
 //! record). Version 2 added the tell record's ask count — the ask/commit
 //! permutation — letting replay verify that the interleaving it
-//! reconstructs matches the one the live run journaled. A version-1
-//! journal (2-field meta, 7-field tells) is refused with an error that
-//! names its version.
+//! reconstructs matches the one the live run journaled. Version 3 added
+//! the attempt record's notes and the serve journal's epoch record. A
+//! journal of an older version is refused with an error that names its
+//! version.
+//!
+//! Every journal — an optimization cycle's and a serve run's — is opened
+//! through [`RunJournal::open`]: it refuses to overwrite an existing file,
+//! and on resume checks the meta record's fingerprint before handing the
+//! decoded records back.
 //!
 //! Field parsing is *strict*: integers must be canonical decimals (no
 //! sign, no leading zeros, and the attempt index must fit `u32`), floats
@@ -39,11 +45,15 @@
 //! * [`RunEvent::Report`] — an intermediate metric report and the
 //!   scheduler's rung decision for it.
 //! * [`RunEvent::Attempt`] — one execution attempt's outcome (typed
-//!   error, raw objective return when the objective actually ran).
+//!   error, raw objective return when the objective actually ran, and the
+//!   named values the objective noted).
 //! * [`RunEvent::Tell`] — the searcher was fed the trial's final
 //!   feedback; carries the trial's settled status and, when tracing, the
 //!   `(events, virtual-time)` mark the trace can be truncated back to.
 //! * [`RunEvent::Complete`] — the sample budget is spent.
+//! * [`RunEvent::Epoch`] — a serve run committed one epoch's rendered
+//!   `serving.csv` row. Only a serve journal holds these; cycle replay
+//!   refuses them.
 //!
 //! [`replay`] rebuilds state *by re-execution*: every journaled `Ask` is
 //! re-asked against a freshly seeded searcher and the suggestion is
@@ -73,9 +83,10 @@ pub const CRASH_EXIT_CODE: i32 = 86;
 
 /// Current journal wire version, carried by [`RunEvent::Meta`]. Version 2
 /// added the meta version field itself and the tell record's ask count
-/// (the ask/commit permutation). Parsing refuses older versions and
-/// replay hard-errors on journals from a newer build.
-pub const WIRE_VERSION: u64 = 2;
+/// (the ask/commit permutation); version 3 the attempt notes and the epoch
+/// record. Parsing refuses older versions and replay hard-errors on
+/// journals from a newer build.
+pub const WIRE_VERSION: u64 = 3;
 
 /// One journaled state transition. See the module docs for the protocol.
 #[derive(Debug, Clone, PartialEq)]
@@ -99,13 +110,15 @@ pub enum RunEvent {
     /// One execution attempt finished. `raw` is the objective's return
     /// value when it was actually invoked and returned (even if the
     /// attempt was then classified as failed), `None` when the objective
-    /// never ran or panicked.
+    /// never ran or panicked. `notes` are the named values the objective
+    /// attached to the attempt, in the order it noted them.
     Attempt {
         trial: u64,
         index: u32,
         secs: f64,
         raw: Option<f64>,
         error: Option<TrialError>,
+        notes: Vec<(String, f64)>,
     },
     /// The searcher was fed `feedback` for the settled `trial`.
     /// `status`/`value` settle the trial record; `trace_mark` is the
@@ -123,6 +136,9 @@ pub enum RunEvent {
     },
     /// The sample budget is spent; artifacts may be (re)written.
     Complete,
+    /// A serve run committed `epoch`; `row` is its rendered `serving.csv`
+    /// row, kept as bytes so a resume never re-renders a float.
+    Epoch { epoch: u64, row: String },
 }
 
 // The field spelling — escaping, canonical integers and floats — is the
@@ -188,6 +204,7 @@ impl RunEvent {
                 secs,
                 raw,
                 error,
+                notes,
             } => {
                 let _ = write!(line, "attempt\t{trial}\t{index}\t{secs}\t");
                 match raw {
@@ -201,6 +218,9 @@ impl RunEvent {
                         let _ = write!(line, "\t{}\t{}", e.kind(), escape(e.payload()));
                     }
                     None => line.push_str("\t-\t"),
+                }
+                for (name, value) in notes {
+                    let _ = write!(line, "\t{}\t{value}", escape(name));
                 }
             }
             RunEvent::Tell {
@@ -227,6 +247,9 @@ impl RunEvent {
                 let _ = write!(line, "\t{asks}");
             }
             RunEvent::Complete => line.push_str("complete"),
+            RunEvent::Epoch { epoch, row } => {
+                let _ = write!(line, "epoch\t{epoch}\t{}", escape(row));
+            }
         }
         line
     }
@@ -277,7 +300,7 @@ impl RunEvent {
                     stop,
                 })
             }
-            ["attempt", trial, index, secs, raw, kind, payload] => {
+            ["attempt", trial, index, secs, raw, kind, payload, notes @ ..] => {
                 let error = if *kind == "-" {
                     // The no-error form writes an empty payload field;
                     // accepting a non-empty one here would drop it on
@@ -297,6 +320,13 @@ impl RunEvent {
                     secs: parse_f64(secs)?,
                     raw: parse_opt_f64(raw)?,
                     error,
+                    notes: notes
+                        .chunks(2)
+                        .map(|note| match note {
+                            [name, value] => Ok((unescape(name)?, parse_f64(value)?)),
+                            _ => Err(format!("attempt note `{}` has no value", note.concat())),
+                        })
+                        .collect::<Result<_, String>>()?,
                 })
             }
             ["tell", trial, feedback, status, value, mark_events, mark_vt, asks] => {
@@ -314,22 +344,24 @@ impl RunEvent {
                 })
             }
             ["complete"] => Ok(RunEvent::Complete),
-            [kind, ..]
-                if matches!(
-                    *kind,
-                    "meta" | "ask" | "restart" | "report" | "attempt" | "tell" | "complete"
-                ) =>
-            {
-                Err(format!(
-                    "journal record `{kind}...`: wrong field count ({})",
-                    fields.len()
-                ))
-            }
+            ["epoch", epoch, row] => Ok(RunEvent::Epoch {
+                epoch: int(epoch)?,
+                row: unescape(row)?,
+            }),
+            [kind, ..] if KINDS.contains(kind) => Err(format!(
+                "journal record `{kind}...`: wrong field count ({})",
+                fields.len()
+            )),
             [other, ..] => Err(format!("unknown journal record `{other}`")),
             [] => Err("empty journal record".to_string()),
         }
     }
 }
+
+/// Every record kind's leading field.
+const KINDS: [&str; 8] = [
+    "meta", "ask", "restart", "report", "attempt", "tell", "complete", "epoch",
+];
 
 /// The refusal of a journal written in a retired wire version.
 fn retired_version(version: u64) -> String {
@@ -398,6 +430,58 @@ impl RunJournal {
     pub fn appended(&self) -> u64 {
         self.inner.appended.load(Ordering::SeqCst)
     }
+
+    /// Open the journal at `path` for the run `fingerprint` names — the
+    /// one opener of every journal, an optimization cycle's or a serve
+    /// run's. A fresh open (`resume` false) refuses an existing file and
+    /// writes the meta record. A resume decodes every intact record (a
+    /// torn tail is cut off); a log the crash left empty gets the meta
+    /// record as if fresh, and otherwise the first record must be a meta
+    /// record with this fingerprint. Returns the journal, positioned for
+    /// appends, and the records it already held. `crash_after` is the
+    /// chaos knob of [`RunJournal::new`]; the meta append counts.
+    pub fn open(
+        path: &Path,
+        fingerprint: &str,
+        resume: bool,
+        crash_after: Option<u64>,
+    ) -> Result<(RunJournal, Vec<RunEvent>), OpenError> {
+        let refused = |why: String| OpenError::Refused(format!("{}: {why}", path.display()));
+        let (wal, events) = if resume {
+            let (wal, records) =
+                e2c_journal::Wal::open(path).map_err(|e| refused(e.to_string()))?;
+            (wal, decode(&records).map_err(refused)?)
+        } else if path.exists() {
+            return Err(refused("already holds a run journal — use --resume".into()));
+        } else {
+            let wal = e2c_journal::Wal::create(path).map_err(|e| refused(e.to_string()))?;
+            (wal, Vec::new())
+        };
+        match events.first() {
+            Some(RunEvent::Meta { fingerprint: f, .. }) if f != fingerprint => {
+                return Err(OpenError::Mismatch)
+            }
+            Some(RunEvent::Meta { .. }) | None => {}
+            Some(_) => return Err(refused("does not start with a meta record".into())),
+        }
+        let journal = RunJournal::new(wal, crash_after);
+        if events.is_empty() {
+            journal.append(&RunEvent::meta(fingerprint));
+        }
+        Ok((journal, events))
+    }
+}
+
+/// Why [`RunJournal::open`] refused a journal.
+#[derive(Debug, PartialEq)]
+pub enum OpenError {
+    /// The meta record carries another run's fingerprint; each caller
+    /// words this refusal for its own run.
+    Mismatch,
+    /// Anything else, rendered: a fresh open onto an existing file, an
+    /// I/O error, a record that does not decode, or a first record that
+    /// is not meta.
+    Refused(String),
 }
 
 /// Everything [`replay`] recovered from the journal: the tuner continues
@@ -440,6 +524,11 @@ impl ResumeState {
 pub fn load_events(path: &Path) -> Result<Vec<RunEvent>, String> {
     let records =
         e2c_journal::read_records(path).map_err(|e| format!("read {}: {e}", path.display()))?;
+    decode(&records)
+}
+
+/// Parse WAL records as events; an error names the record's index.
+fn decode(records: &[Vec<u8>]) -> Result<Vec<RunEvent>, String> {
     records
         .iter()
         .enumerate()
@@ -582,6 +671,7 @@ pub fn replay(
                 secs,
                 raw,
                 error,
+                notes,
             } => {
                 if !(settled.contains_key(trial) && canonical(*trial, i)) {
                     continue;
@@ -591,6 +681,7 @@ pub fn replay(
                     error: error.clone(),
                     secs: *secs,
                     raw: *raw,
+                    notes: notes.clone(),
                 });
                 last_reports.insert(*trial, cur_reports.remove(trial).unwrap_or_default());
             }
@@ -647,6 +738,12 @@ pub fn replay(
                 });
             }
             RunEvent::Complete => {}
+            RunEvent::Epoch { epoch, .. } => {
+                return Err(format!(
+                    "journal record {i}: epoch {epoch} is a serve journal record, \
+                     not part of an optimization cycle"
+                ));
+            }
         }
     }
     state.pending = asked
@@ -689,6 +786,7 @@ mod tests {
                 secs: 0.25,
                 raw: Some(f64::NAN),
                 error: Some(TrialError::NonFinite("NaN".into())),
+                notes: Vec::new(),
             },
             RunEvent::Attempt {
                 trial: 1,
@@ -696,6 +794,7 @@ mod tests {
                 secs: 0.5,
                 raw: None,
                 error: Some(TrialError::Panicked("boom\nnewline \\ tab\t".into())),
+                notes: vec![("completed".into(), 4242.0), ("tab\tname".into(), f64::NAN)],
             },
             RunEvent::Tell {
                 trial: 1,
@@ -714,6 +813,10 @@ mod tests {
                 asks: 0,
             },
             RunEvent::Complete,
+            RunEvent::Epoch {
+                epoch: 4,
+                row: "4,2017-05,37.25,NaN\ttabbed".into(),
+            },
         ];
         for ev in events {
             let line = ev.to_line();
@@ -729,7 +832,7 @@ mod tests {
         assert!(RunEvent::parse("ask\t1").is_err());
         assert!(RunEvent::parse("report\t1\t2\tx\tcontinue").is_err());
         assert!(RunEvent::parse("attempt\t1\t0\t0.1\t-\tweird\t").is_err());
-        assert!(RunEvent::parse("meta\t2\tfp\textra").is_err());
+        assert!(RunEvent::parse("meta\t3\tfp\textra").is_err());
         assert!(RunEvent::parse("tell\t0\t1\tterminated\t1\t-\t-\t3\textra").is_err());
     }
 
@@ -763,25 +866,34 @@ mod tests {
         }
         // Escapes: only the four the escaper writes; `\q` used to decode
         // as `q`, making decode → encode lossy.
-        assert!(RunEvent::parse("meta\t2\ta\\qb").is_err());
-        assert!(RunEvent::parse("meta\t2\ttrailing\\").is_err());
+        assert!(RunEvent::parse("meta\t3\ta\\qb").is_err());
+        assert!(RunEvent::parse("meta\t3\ttrailing\\").is_err());
         assert_eq!(
-            RunEvent::parse("meta\t2\ta\\tb").unwrap(),
+            RunEvent::parse("meta\t3\ta\\tb").unwrap(),
             RunEvent::Meta {
-                version: 2,
+                version: 3,
                 fingerprint: "a\tb".into()
             }
         );
         // Raw control characters in an escaped field can never re-encode
         // to the same bytes (the escaper writes `\n`), so they are
         // corruption, not content.
-        assert!(RunEvent::parse("meta\t2\ttwo\nlines").is_err());
-        assert!(RunEvent::parse("meta\t2\tcr\rhere").is_err());
+        assert!(RunEvent::parse("meta\t3\ttwo\nlines").is_err());
+        assert!(RunEvent::parse("meta\t3\tcr\rhere").is_err());
         // A no-error attempt writes an empty payload field; a non-empty
         // one would silently vanish on re-encode.
         assert!(RunEvent::parse("attempt\t1\t0\t0.5\t-\t-\tstray").is_err());
         assert!(RunEvent::parse("attempt\t1\t0\t0.5\t-\t-\t").is_ok());
-        assert!(RunEvent::parse("meta\t2\tfp").is_ok());
+        assert!(RunEvent::parse("meta\t3\tfp").is_ok());
+        // Attempt notes are name/value pairs with canonical values, and an
+        // epoch record's index is a canonical decimal.
+        for bad in ["completed\t1e3", "completed", "completed\t1\tx"] {
+            let line = format!("attempt\t1\t0\t0.5\t2\t-\t\t{bad}");
+            assert!(RunEvent::parse(&line).is_err(), "{bad:?}");
+        }
+        assert!(RunEvent::parse("attempt\t1\t0\t0.5\t2\t-\t\tcompleted\t1000").is_ok());
+        assert!(RunEvent::parse("epoch\t07\t7,2017-08").is_err());
+        assert!(RunEvent::parse("epoch\t7\t7,2017\\q08").is_err());
     }
 
     /// Decode → encode is the identity on every accepted line (parse is
@@ -789,15 +901,17 @@ mod tests {
     #[test]
     fn accepted_lines_reencode_byte_identically() {
         for line in [
-            "meta\t2\tfp\\n2",
+            "meta\t3\tfp\\n2",
             "ask\t3\t",
             "ask\t3\t1,2.5,NaN,-inf",
             "restart\t7",
             "report\t1\t2\t0.25\tstop",
             "attempt\t1\t0\t0.5\tNaN\tnonfinite\tNaN",
+            "attempt\t1\t1\t0.5\t2.5\t-\t\tcompleted\t4242\ta\\tb\t-inf",
             "tell\t0\t1.5\tterminated\t1.5\t-\t-\t0",
             "tell\t0\t1.5\tterminated\t1.5\t17\t42\t3",
             "complete",
+            "epoch\t0\t0,2017-01,1.5,NaN",
         ] {
             let ev = RunEvent::parse(line).unwrap();
             assert_eq!(ev.to_line(), line);
@@ -805,27 +919,43 @@ mod tests {
     }
 
     /// Version-1 records (unversioned meta, 7-field tells) are refused,
-    /// and the meta refusal names the version.
+    /// and so is a version-2 meta; the meta refusal names the version.
     #[test]
     fn version_1_records_are_refused() {
         for meta in ["meta\tfp", "meta\t1\tfp"] {
             let err = RunEvent::parse(meta).unwrap_err();
             assert!(err.contains("version 1 is not supported"), "{err}");
         }
+        let err = RunEvent::parse("meta\t2\tfp").unwrap_err();
+        assert!(err.contains("version 2 is not supported"), "{err}");
         let err = RunEvent::parse("meta\t0\tfp").unwrap_err();
         assert!(err.contains("version 0 is not supported"), "{err}");
         assert!(RunEvent::parse("tell\t0\t1.5\tterminated\t1.5\t-\t-").is_err());
     }
 
+    /// Replay refuses a journal from a newer build, and a serve journal's
+    /// epoch record in a cycle journal.
     #[test]
-    fn replay_refuses_a_newer_wire_version() {
-        let events = vec![RunEvent::Meta {
+    fn replay_refuses_a_newer_wire_version_and_serve_records() {
+        let newer = RunEvent::Meta {
             version: WIRE_VERSION + 1,
             fingerprint: "f".into(),
-        }];
-        let mut fresh = RandomSearch::new(space(), 5);
-        let err = replay(&events, &mut fresh, &Fifo, Mode::Min).unwrap_err();
-        assert!(err.contains("newer than this build"), "{err}");
+        };
+        let epoch = RunEvent::Epoch {
+            epoch: 0,
+            row: "0,2017-01".into(),
+        };
+        for (events, want) in [
+            (vec![newer], "newer than this build"),
+            (
+                vec![RunEvent::meta("f"), epoch],
+                "epoch 0 is a serve journal record",
+            ),
+        ] {
+            let mut fresh = RandomSearch::new(space(), 5);
+            let err = replay(&events, &mut fresh, &Fifo, Mode::Min).unwrap_err();
+            assert!(err.contains(want), "{err}");
+        }
     }
 
     #[test]
@@ -849,6 +979,7 @@ mod tests {
                 secs: 0.1,
                 raw: Some(p0[0]),
                 error: None,
+                notes: Vec::new(),
             },
             RunEvent::Tell {
                 trial: 0,
@@ -889,6 +1020,7 @@ mod tests {
                     secs: 0.1,
                     raw: Some(p[0]),
                     error: None,
+                    notes: Vec::new(),
                 });
                 live.observe(id, p[0]);
                 events.push(RunEvent::Tell {
@@ -941,6 +1073,7 @@ mod tests {
                 secs: 0.1,
                 raw: Some(1.0),
                 error: Some(TrialError::Panicked("pre-crash".into())),
+                notes: Vec::new(),
             },
             RunEvent::Restart { trial: 0 },
             RunEvent::Attempt {
@@ -949,6 +1082,7 @@ mod tests {
                 secs: 0.1,
                 raw: Some(1.0),
                 error: Some(TrialError::Panicked("canonical".into())),
+                notes: Vec::new(),
             },
             RunEvent::Attempt {
                 trial: 0,
@@ -956,6 +1090,7 @@ mod tests {
                 secs: 0.1,
                 raw: Some(2.0),
                 error: None,
+                notes: Vec::new(),
             },
             RunEvent::Tell {
                 trial: 0,
@@ -1025,6 +1160,7 @@ mod tests {
                 secs: 0.1,
                 raw: Some(1.0),
                 error: None,
+                notes: Vec::new(),
             },
             RunEvent::Tell {
                 trial: 0,
@@ -1040,24 +1176,41 @@ mod tests {
         assert!(err.contains("scheduler decision"), "{err}");
     }
 
+    /// The opener's branches: fresh creates and writes meta but refuses
+    /// an existing file; resume hands back the records in append order,
+    /// gives an empty log its meta record, and refuses a foreign or
+    /// missing meta record.
     #[test]
-    fn journal_appends_are_recovered_in_order() {
+    fn open_creates_resumes_and_refuses() {
         let dir = std::env::temp_dir().join(format!("e2c-runjournal-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let path = dir.join("run.wal");
-        let wal = e2c_journal::Wal::create(&path).unwrap();
-        let j = RunJournal::new(wal, None);
-        j.append(&RunEvent::meta("fp"));
-        j.append(&RunEvent::Ask {
-            trial: 0,
-            config: vec![3.0],
-        });
+        let open = |fp: &str, resume: bool| RunJournal::open(&path, fp, resume, None);
+        let refusal = |fp: &str, resume: bool| match open(fp, resume) {
+            Err(OpenError::Refused(why)) => why,
+            other => panic!("{:?}", other.err()),
+        };
+        let (j, events) = open("fp", false).unwrap();
+        assert!(events.is_empty());
         j.append(&RunEvent::Complete);
-        assert_eq!(j.appended(), 3);
-        let events = load_events(&path).unwrap();
-        assert_eq!(events.len(), 3);
-        assert_eq!(events[0], RunEvent::meta("fp"));
-        assert_eq!(events[2], RunEvent::Complete);
+        assert_eq!(j.appended(), 2);
+        drop(j);
+        assert!(refusal("fp", false).contains("--resume"));
+        let (_, events) = open("fp", true).unwrap();
+        assert_eq!(events, [RunEvent::meta("fp"), RunEvent::Complete]);
+        assert_eq!(load_events(&path).unwrap(), events);
+        assert_eq!(open("other", true).err(), Some(OpenError::Mismatch));
+        // A log the crash left empty resumes as a fresh start.
+        std::fs::remove_file(&path).unwrap();
+        drop(e2c_journal::Wal::create(&path).unwrap());
+        assert_eq!(open("fp", true).unwrap().0.appended(), 1);
+        assert_eq!(load_events(&path).unwrap(), [RunEvent::meta("fp")]);
+        // A log that opens with any other record is refused.
+        std::fs::remove_file(&path).unwrap();
+        let mut wal = e2c_journal::Wal::create(&path).unwrap();
+        wal.append(b"complete").unwrap();
+        drop(wal);
+        assert!(refusal("fp", true).contains("does not start with a meta record"));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -173,12 +173,14 @@ mod tests {
                 error: Some(TrialError::Panicked("boom \"quoted\"\nline".into())),
                 secs: 0.1,
                 raw: None,
+                notes: Vec::new(),
             },
             Attempt {
                 index: 1,
                 error: None,
                 secs: 0.2,
                 raw: Some(1.0),
+                notes: Vec::new(),
             },
         ];
         let line = TrialLogger::to_json(&t);

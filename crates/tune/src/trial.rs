@@ -146,6 +146,11 @@ pub struct Attempt {
     /// panicked. Feeds the observation histogram in canonical commit
     /// order — and survives crash-resume, because the journal carries it.
     pub raw: Option<f64>,
+    /// Named values the objective attached to this attempt
+    /// ([`TrialContext::note`](crate::tuner::TrialContext::note)), in the
+    /// order it noted them. The journal carries them too; the archive and
+    /// the trial log do not.
+    pub notes: Vec<(String, f64)>,
 }
 
 impl Attempt {
@@ -248,12 +253,14 @@ mod tests {
             error: Some(TrialError::Panicked("boom".into())),
             secs: 0.1,
             raw: None,
+            notes: Vec::new(),
         });
         t.attempts.push(Attempt {
             index: 1,
             error: None,
             secs: 0.2,
             raw: Some(3.0),
+            notes: Vec::new(),
         });
         t.status = TrialStatus::Terminated(3.0);
         assert_eq!(t.attempt_count(), 2);

@@ -65,6 +65,7 @@ pub struct TrialContext<'a> {
     pub attempt: u32,
     tracer: Option<&'a e2c_trace::Tracer>,
     reports: Vec<(u64, f64)>,
+    notes: Vec<(String, f64)>,
     deadline: Option<Instant>,
     /// Set by [`TrialContext::fail_attempt`]: the attempt is settled with
     /// this typed error instead of whatever value the objective returned.
@@ -94,6 +95,13 @@ impl<'a> TrialContext<'a> {
     /// canonical order.
     pub fn tracer(&self) -> Option<&e2c_trace::Tracer> {
         self.tracer
+    }
+
+    /// Attach a named value to this attempt's record (see
+    /// [`Attempt::notes`]): a by-product of the evaluation that must
+    /// outlive it, such as a traced run's completed-request count.
+    pub fn note(&mut self, name: impl Into<String>, value: f64) {
+        self.notes.push((name.into(), value));
     }
 
     /// Fail this attempt with a typed infrastructure error (e.g. a worker
@@ -167,10 +175,6 @@ pub struct Tuner {
     pub workers: usize,
     /// Metric direction.
     pub mode: Mode,
-    /// Metric name (for the analysis/report).
-    pub metric: String,
-    /// Experiment name (for the analysis/report).
-    pub name: String,
     /// Retry policy for failed attempts (default: none — a failed attempt
     /// fails the trial).
     pub retry: RetryPolicy,
@@ -202,8 +206,6 @@ impl Tuner {
             num_samples,
             workers,
             mode,
-            metric: "objective".to_string(),
-            name: "experiment".to_string(),
             retry: RetryPolicy::none(),
             time_budget: None,
             faults: FaultPlan::new(),
@@ -212,18 +214,6 @@ impl Tuner {
             journal: None,
             resume: None,
         }
-    }
-
-    /// Set the metric name.
-    pub fn metric(mut self, metric: &str) -> Self {
-        self.metric = metric.to_string();
-        self
-    }
-
-    /// Set the experiment name.
-    pub fn name(mut self, name: &str) -> Self {
-        self.name = name.to_string();
-        self
     }
 
     /// Set the retry policy for failed attempts.
@@ -403,6 +393,7 @@ impl Tuner {
                             attempt,
                             tracer: tr_exec,
                             reports: Vec::new(),
+                            notes: Vec::new(),
                             deadline,
                             abort: None,
                         };
@@ -453,6 +444,7 @@ impl Tuner {
                         let overran = ctx.deadline_exceeded();
                         let abort = ctx.abort;
                         let reports = ctx.reports;
+                        let notes = ctx.notes;
                         let raw = if invoked && abort.is_none() {
                             outcome.as_ref().ok().copied()
                         } else {
@@ -486,6 +478,7 @@ impl Tuner {
                                 error,
                                 secs,
                                 raw,
+                                notes,
                             },
                             reports,
                         });
@@ -570,6 +563,7 @@ impl Tuner {
                                 secs: a.secs,
                                 raw: a.raw,
                                 error: a.error.clone(),
+                                notes: a.notes.clone(),
                             });
                         }
                         final_reports = kept;
@@ -700,7 +694,7 @@ impl Tuner {
         let mut trials =
             std::mem::take(&mut *trials.lock().unwrap_or_else(PoisonError::into_inner));
         trials.sort_by_key(|t| t.id);
-        Analysis::new(self.name.clone(), self.metric.clone(), self.mode, trials)
+        Analysis::new(self.mode, trials)
     }
 
     /// Penalty fed to the searcher for failed trials: decisively worse
@@ -782,7 +776,7 @@ mod tests {
     #[test]
     fn finds_minimum_with_bayes_search() {
         let searcher = SkOptSearch::new(BayesOpt::new(space(), 11).n_initial_points(6));
-        let tuner = Tuner::new(25, 3, Mode::Min).metric("sq");
+        let tuner = Tuner::new(25, 3, Mode::Min);
         let analysis = tuner.run(
             Box::new(ConcurrencyLimiter::new(searcher, 3)),
             Arc::new(Fifo),

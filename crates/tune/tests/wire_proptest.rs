@@ -4,8 +4,9 @@
 //! encoding must round-trip *exactly* — including payloads carrying tabs,
 //! newlines, backslashes and multi-byte unicode — and its decoder must
 //! reject truncated records rather than misread them.  Every record kind
-//! has exactly one arity, so a record missing its last field is always
-//! an error.
+//! has exactly one arity, except that an attempt record ends in
+//! name/value pairs of notes, so a record missing its last field is
+//! always an error.
 
 use e2c_tune::journal::{RunEvent, WIRE_VERSION};
 use e2c_tune::TrialError;
@@ -46,14 +47,18 @@ fn arb_event() -> impl Strategy<Value = RunEvent> {
             stop,
         })
         .boxed();
-    let attempt = (0u64..1000, 0u64..10, 0.0f64..100.0, arb_raw(), arb_error())
-        .prop_map(|(trial, index, secs, raw, error)| RunEvent::Attempt {
-            trial,
-            index: index as u32,
-            secs,
-            raw,
-            error,
-        })
+    let tail = (arb_raw(), arb_error(), arb_notes());
+    let attempt = (0u64..1000, 0u64..10, 0.0f64..100.0, tail)
+        .prop_map(
+            |(trial, index, secs, (raw, error, notes))| RunEvent::Attempt {
+                trial,
+                index: index as u32,
+                secs,
+                raw,
+                error,
+                notes,
+            },
+        )
         .boxed();
     let tell = (
         (0u64..1000, -1e6f64..1e6, "[a-z_]{1,12}"),
@@ -71,7 +76,16 @@ fn arb_event() -> impl Strategy<Value = RunEvent> {
         )
         .boxed();
     let complete = Just(RunEvent::Complete).boxed();
-    Union::new(vec![meta, ask, restart, report, attempt, tell, complete])
+    let epoch = (0u64..100, PAYLOAD)
+        .prop_map(|(epoch, row)| RunEvent::Epoch { epoch, row })
+        .boxed();
+    Union::new(vec![
+        meta, ask, restart, report, attempt, tell, complete, epoch,
+    ])
+}
+
+fn arb_notes() -> impl Strategy<Value = Vec<(String, f64)>> {
+    prop::collection::vec((PAYLOAD, -1e6f64..1e6), 0..3)
 }
 
 fn arb_raw() -> impl Strategy<Value = Option<f64>> {

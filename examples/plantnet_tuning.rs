@@ -29,10 +29,9 @@ fn main() {
     // Listing 1, line 13: AsyncHyperBandScheduler().
     let scheduler = Arc::new(AsyncHyperBand::new(2, 2, 8));
 
-    // Listing 1, lines 14-26: tune.run(...).
-    let tuner = Tuner::new(24, 2, Mode::Min)
-        .metric("user_resp_time")
-        .name("plantnet_engine");
+    // Listing 1, lines 14-26: tune.run(...), with metric="user_resp_time"
+    // and name="plantnet_engine" (the example prints neither).
+    let tuner = Tuner::new(24, 2, Mode::Min);
     let analysis = tuner.run(Box::new(algo), scheduler, |point, ctx| {
         // Listing 1, lines 28-36: run_objective — deploy the configuration
         // and report the metric. We report once per 30 simulated seconds

@@ -35,7 +35,7 @@
 //!     run is actually replayable.
 //!     `--journal DIR` makes the run crash-safe: every searcher ask/tell,
 //!     scheduler decision and attempt outcome is appended (fsync'd) to a
-//!     write-ahead log in `DIR` before taking effect; `--resume DIR`
+//!     write-ahead log, `DIR/run.wal`, before taking effect; `--resume DIR`
 //!     continues a killed run from its journal (replaying the decision
 //!     sequence deterministically) and converges on byte-identical
 //!     artifacts; `--crash-at N` is the chaos knob — the process exits
@@ -71,13 +71,14 @@
 //!     bound). Writes `DIR/serving.csv` (one row per epoch: offered /
 //!     admitted / rejected / shed / SLO violations plus the tuned pool
 //!     config), `DIR/trace.jsonl` and a full per-epoch archive under
-//!     `DIR/epochs/epoch_NN/`. `--journal` makes the run crash-safe
-//!     (per-epoch journals plus a serving-level WAL of rendered CSV
-//!     rows); `--resume` continues a killed run to byte-identical
-//!     artifacts; `--crash-at N` kills mid-epoch after the Nth
-//!     cycle-journal append of the process, counted across epochs, and
-//!     `--crash-at-epoch K` kills at the epoch-K boundary (both exit 86;
-//!     a run that never reaches its knob exits 1). `--replay-check` runs the whole serving loop twice and
+//!     `DIR/epochs/epoch_NN/`. `--journal J` makes the run crash-safe
+//!     (`J/run.wal` journals each committed epoch's rendered CSV row,
+//!     `J/epoch_NN/run.wal` each epoch's cycle); `--resume` continues a
+//!     killed run to byte-identical artifacts; `--crash-at N` kills
+//!     mid-epoch after the Nth cycle-journal append of the process,
+//!     counted across epochs, and `--crash-at-epoch K` kills at the
+//!     epoch-K boundary (both exit 86; a run that never reaches its knob
+//!     exits 1). `--replay-check` runs the whole serving loop twice and
 //!     byte-diffs serving.csv, trace.jsonl and every epoch archive.
 //! e2clab report <archive-dir>
 //!     Re-print the summary of a previously written archive.
@@ -116,7 +117,7 @@
 //! e2clab fuzz [--codec NAME] [--iters N] [--seed S] [--out DIR] [--list]
 //!     Fuzz the hand-rolled codecs (YAML conf, journal wire, worker
 //!     frames, `--faults` plans, trace JSON, WAL, `lint.baseline`,
-//!     `lint --config` files (`detlint_conf`), `serving.wal` rows) with
+//!     `lint --config` files (`detlint_conf`), `serve` journal rows) with
 //!     seeded byte mutation, checking no-panic, roundtrip and
 //!     differential properties. `--codec` selects by name
 //!     substring or exact tag; a failure prints a reproduce command and
@@ -131,15 +132,14 @@ use e2c_core::optimization::{
 use e2c_core::ServingConfig;
 use e2c_des::SimTime;
 use e2c_testbed::grid5000;
-use e2c_tune::{FarmSpec, FaultPlan};
+use e2c_tune::{FarmSpec, FaultPlan, Trial};
 use plantnet::sim::{Experiment as EngineRun, ExperimentSpec};
 use plantnet::PoolConfig;
-use std::collections::BTreeMap;
 use std::fmt::Display;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::str::FromStr;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -207,10 +207,6 @@ fn exit_code(outcome: Outcome) -> ExitCode {
             ExitCode::FAILURE
         }
     }
-}
-
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 // ---------------------------------------------------------------------------
@@ -422,101 +418,54 @@ impl Evaluation {
     }
 }
 
-/// Where a traced cycle lands each trial's side artifacts: the
-/// `cycles/cycle_NNNN.prom` snapshot, the sample behind `metrics.prom`
-/// and, for journaled runs, its `samples.wal` record. The in-process
+/// Where a traced cycle lands each trial's side artifacts. Each
+/// evaluation writes its `cycles/cycle_NNNN.prom` snapshot and notes its
+/// completed-request count on its attempt record; after the run,
+/// `metrics.prom` is rendered from the trials themselves (the response
+/// mean is the attempt's raw value), so a resumed run covers the trials
+/// it did not re-run from their journaled attempts. The in-process
 /// objective and the farm's aux hook both land here, so a farmed run's
 /// artifacts are byte-identical to an in-process one.
 struct TrialSink {
     dir: PathBuf,
-    /// `(response mean, completed requests)` keyed by trial id. A map
-    /// rather than a Registry because concurrent workers finish trials
-    /// out of order, while a TimeSeries only accepts in-order appends —
-    /// the registry is built from the sorted map after the run, which
-    /// also keeps `metrics.prom` deterministic under concurrency.
-    samples: Mutex<BTreeMap<u64, (f64, f64)>>,
-    /// Journaled runs persist the samples in a side WAL: completed trials
-    /// are not re-evaluated on resume, yet `metrics.prom` must still
-    /// cover them. Records are `trial\tmean\tcompleted`.
-    wal: Option<Mutex<e2c_journal::Wal>>,
 }
 
 impl TrialSink {
-    fn open(dir: &Path, journal: Option<&JournalConfig>) -> Result<TrialSink, String> {
+    fn open(dir: &Path) -> Result<TrialSink, String> {
         std::fs::create_dir_all(dir.join("cycles"))
             .map_err(|e| format!("--trace {}: {e}", dir.display()))?;
-        let mut samples = BTreeMap::new();
-        let wal = match journal {
-            None => None,
-            Some(jc) if jc.resume && jc.dir.join("samples.wal").is_file() => {
-                let path = jc.dir.join("samples.wal");
-                let (wal, records) = e2c_journal::Wal::open(&path)
-                    .map_err(|e| format!("--resume: open {}: {e}", path.display()))?;
-                for (i, rec) in records.iter().enumerate() {
-                    let line = std::str::from_utf8(rec)
-                        .map_err(|e| format!("samples.wal record {i}: not UTF-8: {e}"))?;
-                    let mut parts = line.split('\t');
-                    let sample = (|| {
-                        let trial = parts.next()?.parse::<u64>().ok()?;
-                        Some((
-                            trial,
-                            (parts.next()?.parse().ok()?, parts.next()?.parse().ok()?),
-                        ))
-                    })();
-                    let (trial, sample) = sample
-                        .ok_or_else(|| format!("samples.wal record {i}: malformed: {line:?}"))?;
-                    samples.insert(trial, sample);
-                }
-                Some(Mutex::new(wal))
-            }
-            Some(jc) => {
-                let path = jc.dir.join("samples.wal");
-                let wal = e2c_journal::Wal::create(&path).map_err(|e| {
-                    if e.kind() == std::io::ErrorKind::AlreadyExists {
-                        format!(
-                            "--journal: {} already exists — use --resume to continue it",
-                            path.display()
-                        )
-                    } else {
-                        format!("--journal: create {}: {e}", path.display())
-                    }
-                })?;
-                Some(Mutex::new(wal))
-            }
-        };
         Ok(TrialSink {
             dir: dir.to_path_buf(),
-            samples: Mutex::new(samples),
-            wal,
         })
     }
 
-    fn land(&self, trial: u64, ev: &Evaluation) {
+    fn land(&self, ctx: &EvalContext, ev: &Evaluation) {
         if let Some(prom) = &ev.prom {
             let path = self
                 .dir
                 .join("cycles")
-                .join(format!("cycle_{trial:04}.prom"));
+                .join(format!("cycle_{:04}.prom", ctx.trial_id));
             if let Err(e) = e2c_journal::write_atomic(&path, prom.as_bytes()) {
                 eprintln!("trace: {}: {e}", path.display());
             }
         }
-        lock(&self.samples).insert(trial, (ev.mean, ev.completed));
-        if let Some(wal) = &self.wal {
-            let line = format!("{trial}\t{}\t{}", ev.mean, ev.completed);
-            if let Err(e) = lock(wal).append(line.as_bytes()) {
-                eprintln!("samples.wal: {e}");
-            }
-        }
+        ctx.note("completed", ev.completed);
     }
 
-    /// Render the cycle-level `metrics.prom` from the landed samples.
-    fn write_metrics(&self) -> Result<(), String> {
+    /// Render the cycle-level `metrics.prom`: per trial, the last attempt
+    /// whose objective returned, with its noted completed-request count.
+    fn write_metrics(&self, trials: &[Trial]) -> Result<(), String> {
         let mut registry = e2c_metrics::Registry::new();
-        for (&trial, &(mean, completed)) in lock(&self.samples).iter() {
-            let t = trial as f64;
-            registry.record("objective_response_mean", t, mean);
-            registry.record("trial_completed_requests", t, completed);
+        for t in trials {
+            let Some((mean, completed)) = t.attempts.iter().rev().find_map(|a| {
+                let completed = a.notes.iter().find(|(k, _)| k == "completed")?.1;
+                Some((a.raw?, completed))
+            }) else {
+                continue;
+            };
+            let id = t.id as f64;
+            registry.record("objective_response_mean", id, mean);
+            registry.record("trial_completed_requests", id, completed);
         }
         let mut buf = Vec::new();
         let _ = registry.write_prometheus(&mut buf);
@@ -546,16 +495,13 @@ impl Cycle {
         archive: Option<PathBuf>,
         trace_dir: Option<&Path>,
     ) -> Result<OptimizationSummary, String> {
-        let sink = trace_dir
-            .map(|dir| TrialSink::open(dir, self.journal.as_ref()))
-            .transpose()?
-            .map(Arc::new);
+        let sink = trace_dir.map(TrialSink::open).transpose()?.map(Arc::new);
         let spec = self.spec;
         let obj_sink = sink.clone();
         let objective = move |ctx: &EvalContext| {
             let ev = spec.evaluate(&ctx.point, ctx.trial_id, ctx.tracer.clone());
             if let Some(sink) = &obj_sink {
-                sink.land(ctx.trial_id, &ev);
+                sink.land(ctx, &ev);
             }
             ev.mean
         };
@@ -580,7 +526,7 @@ impl Cycle {
             manager = manager.with_farm(farm.clone()).with_aux_hook(Arc::new(
                 move |ctx: &EvalContext, aux: &[(String, String)]| {
                     if let (Some(sink), Some(ev)) = (&sink, Evaluation::from_aux(aux)) {
-                        sink.land(ctx.trial_id, &ev);
+                        sink.land(ctx, &ev);
                     }
                 },
             ));
@@ -589,7 +535,7 @@ impl Cycle {
         if let (Some(tr), Some(sink)) = (&tracer, &sink) {
             tr.save(&sink.dir.join("trace.jsonl"))
                 .map_err(|e| format!("trace: {}: {e}", sink.dir.display()))?;
-            sink.write_metrics()?;
+            sink.write_metrics(summary.analysis.trials())?;
         }
         Ok(summary)
     }

@@ -8,7 +8,8 @@
 //! * `--replay-check` agrees (the driver's own self-check);
 //! * a run killed mid-epoch (`--crash-at`) or at an epoch boundary
 //!   (`--crash-at-epoch`), then `--resume`d, converges on the same bytes
-//!   as an uninterrupted journaled run;
+//!   as an uninterrupted journaled run, and a journal of an older wire
+//!   version is refused by name;
 //! * a saturating cell actually exercises the overload counters
 //!   (rejections/sheds/SLO violations), and conservation
 //!   `admitted + rejected + shed == offered` holds in every row.
@@ -389,5 +390,20 @@ fn resume_refuses_changed_parameters_and_flags_are_validated() {
         let out = fx.serve("run", extra);
         assert_eq!(out.status.code(), Some(2), "{extra:?}: {:?}", out.status);
     }
+
+    // A journal root in the layout of wire version 2 (a `serving.wal`
+    // beside version-2 epoch journals) is refused, naming the version.
+    let old = fx.root.join("v2-journal");
+    for (rel, record) in [
+        ("serving.wal", "meta\nfp"),
+        ("epoch_00/run.wal", "meta\t2\tfp"),
+    ] {
+        let mut wal = e2c_journal::Wal::create(&old.join(rel)).unwrap();
+        wal.append(record.as_bytes()).unwrap();
+    }
+    let out = fx.serve("old", &["--resume", old.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("version 2 is not supported"), "{stderr}");
     std::fs::remove_dir_all(&fx.root).unwrap();
 }
