@@ -394,7 +394,7 @@ impl Benchmark for SurrogateFitBench {
 // ---------------------------------------------------------------------------
 
 /// A realistic mix of run-journal events (asks with 4-dim configs,
-/// scheduler reports, attempt outcomes, tells with trace marks).
+/// scheduler reports, attempt outcomes, tells of an untraced run).
 fn journal_events(n: usize, seed: u64) -> Vec<RunEvent> {
     let mut events = Vec::with_capacity(n + 1);
     events.push(RunEvent::meta(format!(
@@ -431,8 +431,8 @@ fn journal_events(n: usize, seed: u64) -> Vec<RunEvent> {
             feedback: 840.0 + frac * 100.0,
             status: "terminated".to_string(),
             value: Some(840.0 + frac * 100.0),
-            trace_mark: Some((t * 12, t * 1000)),
             asks: t + 1,
+            trace: String::new(),
         });
         trial += 1;
     }
@@ -493,6 +493,50 @@ impl Benchmark for JournalWalBench {
     }
 }
 
+/// The trace block a tell of a traced Pl@ntNet cycle carries: the next
+/// ask, the trial's spliced execute span with its simulator points (one
+/// queue sample per 10 s of a 100 s run), and the tell point.
+fn trace_block(trial: u64) -> String {
+    use e2c_trace::{fields, Fields};
+    let t = e2c_trace::Tracer::new();
+    let config = format!("{},24,{},9", 20 + trial % 40, 11 + trial % 9);
+    t.point(
+        "searcher",
+        "ask",
+        Some(trial + 1),
+        fields([("config", config.into())]),
+    );
+    let span = t.begin("tuner", "execute", Some(trial), Fields::new());
+    t.point(
+        "tuner",
+        "attempt",
+        Some(trial),
+        fields([("attempt", 0u64.into())]),
+    );
+    for tick in 1..=10u64 {
+        let queues = fields([
+            ("download", (tick % 3).into()),
+            ("http", (30 + tick).into()),
+        ]);
+        t.point_at(tick * 10_000_000, "sim", "queues", None, queues);
+    }
+    let run = fields([
+        ("events", (30_000 + trial).into()),
+        ("label", "plantnet".into()),
+    ]);
+    t.point_at(100_000_000, "des", "run", None, run);
+    let outcome = fields([("outcome", "terminated".into())]);
+    t.end("tuner", "execute", Some(trial), span, outcome);
+    let value = 840.0 + (trial % 100) as f64 / 7.0;
+    t.point(
+        "searcher",
+        "tell",
+        Some(trial),
+        fields([("value", value.into())]),
+    );
+    t.to_jsonl()
+}
+
 /// Wire-codec throughput (`crates/tune/src/journal.rs`): encode + parse
 /// round-trips of the escaped-TSV format, no filesystem.
 pub struct JournalWireBench {
@@ -523,6 +567,12 @@ impl Benchmark for JournalWireBench {
     }
     fn setup(&mut self, seed: u64) {
         self.events = journal_events(2000, seed);
+        // A traced run's tells carry their trial's trace block.
+        for event in &mut self.events {
+            if let RunEvent::Tell { trial, trace, .. } = event {
+                *trace = trace_block(*trial);
+            }
+        }
     }
     fn iter(&mut self, _round: u64) -> u64 {
         let mut bytes = 0usize;

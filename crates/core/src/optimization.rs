@@ -36,7 +36,8 @@ use std::time::Duration;
 /// `--resume` / `--crash-at`).
 #[derive(Debug, Clone)]
 pub struct JournalConfig {
-    /// Directory holding `run.wal` (and `trace.stream.jsonl` when traced).
+    /// Directory holding `run.wal`, the run's only durable state: a traced
+    /// run's trace rides in its tell records.
     pub dir: PathBuf,
     /// Resume an existing journal instead of starting a fresh one.
     pub resume: bool,
@@ -93,11 +94,9 @@ pub enum RunError {
     /// The journal WAL could not be created, or a fresh journal would
     /// clobber an existing one.
     Journal(String),
-    /// A resume was refused or failed: fingerprint mismatch, corrupt or
-    /// divergent journal, or a trace stream that does not belong to it.
+    /// A resume was refused or failed: fingerprint mismatch, or a corrupt
+    /// or divergent journal.
     Resume(String),
-    /// The trace stream could not be written.
-    Trace(String),
     /// The reproducibility archive or trial log could not be written.
     Archive(String),
     /// The multi-process worker farm could not be launched (no worker
@@ -111,7 +110,6 @@ impl std::fmt::Display for RunError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let (RunError::Journal(msg)
         | RunError::Resume(msg)
-        | RunError::Trace(msg)
         | RunError::Archive(msg)
         | RunError::Farm(msg)) = self;
         f.write_str(msg)
@@ -420,8 +418,8 @@ impl OptimizationManager {
 
     /// Prepare the journal (fresh or resumed) and, when resuming, replay
     /// it: the searcher and scheduler are re-driven through every
-    /// journaled decision, and the trace stream is truncated back to the
-    /// last settled trial's mark.
+    /// journaled decision, and the tracer is restored to the trace blocks
+    /// of the settled trials, its clock at the last tell point.
     fn prepare_journal(
         &self,
         searcher: &mut dyn Searcher,
@@ -450,43 +448,8 @@ impl OptimizationManager {
         // the empty state.
         let resume_state =
             e2c_tune::replay(&events, searcher, &Fifo, mode).map_err(RunError::Resume)?;
-        if let Some(tr) = &self.tracer {
-            let stream_path = jc.dir.join("trace.stream.jsonl");
-            if jc.resume {
-                let (events, _torn) = if stream_path.is_file() {
-                    e2c_trace::load_jsonl_tolerant(&stream_path).map_err(RunError::Resume)?
-                } else {
-                    (Vec::new(), false)
-                };
-                let (keep, vt) = match resume_state.trace_mark {
-                    Some((n, vt)) => {
-                        if (events.len() as u64) < n {
-                            return Err(RunError::Resume(format!(
-                                "--resume: trace stream {} holds {} events but the journal \
-                                 marks {n} — the stream does not belong to this journal",
-                                stream_path.display(),
-                                events.len()
-                            )));
-                        }
-                        (events[..n as usize].to_vec(), vt)
-                    }
-                    None => (Vec::new(), 0),
-                };
-                // Rewrite the stream to exactly the kept prefix: events
-                // after the last settled trial are regenerated live.
-                let mut text = String::with_capacity(keep.len() * 96);
-                for e in &keep {
-                    text.push_str(&e.to_json());
-                    text.push('\n');
-                }
-                e2c_journal::write_atomic(&stream_path, text.as_bytes()).map_err(|e| {
-                    RunError::Resume(format!("--resume: rewrite {}: {e}", stream_path.display()))
-                })?;
-                tr.restore(keep, vt);
-            }
-            tr.stream_to(&stream_path).map_err(|e| {
-                RunError::Trace(format!("stream trace to {}: {e}", stream_path.display()))
-            })?;
+        if let (Some(tr), Some(last)) = (&self.tracer, resume_state.trace.last()) {
+            tr.restore(resume_state.trace.clone(), last.vt);
         }
         Ok((Some(journal), resume_state))
     }
@@ -495,9 +458,8 @@ impl OptimizationManager {
     /// (up to `max_concurrent` at once); each completed evaluation
     /// retrains the model asynchronously and reconfigures the next
     /// deployment. Returns the Phase III summary (and writes the archive
-    /// if a root was configured). Journal, resume, trace-stream and
-    /// archive failures surface as a typed [`RunError`] instead of a
-    /// panic.
+    /// if a root was configured). Journal, resume and archive failures
+    /// surface as a typed [`RunError`] instead of a panic.
     pub fn run<F>(&self, objective: F) -> Result<OptimizationSummary, RunError>
     where
         F: Fn(&EvalContext) -> f64 + Send + Sync,
@@ -1116,10 +1078,12 @@ optimization:
         assert_eq!(read(&dir.join("evaluations.csv")), want_evals);
         assert_eq!(read(&dir.join("trials").join("trials.jsonl")), want_trials);
         assert_eq!(tracer.to_jsonl(), want_trace);
-        assert_eq!(
-            read(&dir.join("journal").join("trace.stream.jsonl")),
-            want_trace
-        );
+        // The journal is the run's only durable state.
+        let listed: Vec<_> = std::fs::read_dir(dir.join("journal"))
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(listed, ["run.wal"]);
 
         std::fs::remove_dir_all(&base).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1143,7 +1107,6 @@ optimization:
             .run(objective)
             .unwrap();
         let full_wal = e2c_journal::read_records(&dir.join("journal").join("run.wal")).unwrap();
-        let full_stream = read(&dir.join("journal").join("trace.stream.jsonl"));
         assert!(full_wal.len() > 10, "{} records", full_wal.len());
 
         for cut in 0..full_wal.len() {
@@ -1154,9 +1117,7 @@ optimization:
                 wal.append(rec).unwrap();
             }
             drop(wal);
-            // The trace stream at crash time held at least the journaled
-            // mark; handing resume the full stream exercises truncation.
-            std::fs::write(jdir.join("trace.stream.jsonl"), &full_stream).unwrap();
+            // The journal prefix alone carries the trace.
             let tracer = e2c_trace::Tracer::new();
             OptimizationManager::new(journaled_conf())
                 .with_seed(13)

@@ -199,8 +199,8 @@ fn random_run_event(rng: &mut SplitMix64) -> RunEvent {
             feedback: f(rng),
             status: "terminated".to_string(),
             value: rng.chance(1, 2).then(|| f(rng)),
-            trace_mark: rng.chance(1, 2).then(|| (rng.below(100), rng.below(100))),
             asks: rng.below(100),
+            trace: random_trace_block(rng),
         },
         6 => RunEvent::Epoch {
             epoch: rng.below(64),
@@ -208,6 +208,18 @@ fn random_run_event(rng: &mut SplitMix64) -> RunEvent {
         },
         _ => RunEvent::Complete,
     }
+}
+
+/// A tell's trace block: a few rendered events whose string fields make
+/// the JSON carry `\"`, `\\` and `\t` escapes, which the wire escaper
+/// then nests.
+fn random_trace_block(rng: &mut SplitMix64) -> String {
+    let tracer = e2c_trace::Tracer::new();
+    for _ in 0..rng.index(3) {
+        let fields = [("note", random_name(rng).into()), ("esc", "\"\\\t".into())];
+        tracer.point("searcher", "tell", None, e2c_trace::fields(fields));
+    }
+    tracer.to_jsonl()
 }
 
 /// Fuzzes [`RunEvent::parse`]: no panics, and — because field parsing is

@@ -17,4 +17,4 @@ pub mod tracer;
 
 pub use event::{EventKind, TraceEvent, Value};
 pub use summary::{PhaseStats, TraceSummary, TrialPath};
-pub use tracer::{fields, load_jsonl, load_jsonl_tolerant, Fields, Tracer, VirtualClock};
+pub use tracer::{fields, load_jsonl, Fields, Tracer, VirtualClock};

@@ -10,10 +10,14 @@
 //! The event buffer lives behind a single `std::sync::Mutex`; `seq` and
 //! `vt` are assigned under that lock so the (seq, vt) ordering is total
 //! even when several worker threads trace concurrently.
+//!
+//! A tracer holds nothing durable. A journaled run persists its trace
+//! through the run journal instead: each `tell` record carries the lines
+//! [`Tracer::to_jsonl_from`] renders since the previous tell, and a
+//! resume hands the concatenated prefix back to [`Tracer::restore`].
 
 use crate::event::{EventKind, TraceEvent, Value};
 use std::collections::BTreeMap;
-use std::io::Write as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -47,8 +51,8 @@ impl VirtualClock {
     }
 
     /// Set the clock to an absolute tick — crash-resume restores the
-    /// virtual time recorded at the journal's last settled trial so
-    /// re-executed events land on the same timestamps.
+    /// virtual time of the journal's last tell point so re-executed
+    /// events land on the same timestamps.
     pub fn restore(&self, ticks: u64) {
         self.ticks.store(ticks, Ordering::SeqCst);
     }
@@ -75,13 +79,6 @@ struct Buf {
 struct Inner {
     events: Mutex<Buf>,
     clock: VirtualClock,
-    /// Incremental sink for crash-safe runs: every pushed event is also
-    /// written (and flushed) to this file while the events lock is held,
-    /// so the stream order equals the buffer order. Flushing without
-    /// fsync survives a process kill (the kernel owns the bytes); a
-    /// whole-machine crash may lose the tail, which resume absorbs by
-    /// truncating to the journal's last trace mark.
-    stream: Mutex<Option<std::fs::File>>,
 }
 
 /// Handle onto a shared, append-only trace.  Clone freely; all clones
@@ -103,25 +100,8 @@ impl Tracer {
             inner: Arc::new(Inner {
                 events: Mutex::new(Buf::default()),
                 clock: VirtualClock::new(),
-                stream: Mutex::new(None),
             }),
         }
-    }
-
-    /// Mirror every subsequent event to `path` (append + create), one
-    /// JSONL line per event, flushed per line. Crash-safe runs stream so
-    /// the trace survives a kill; [`Tracer::save`] still writes the
-    /// canonical snapshot at the end.
-    pub fn stream_to(&self, path: &Path) -> std::io::Result<()> {
-        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            std::fs::create_dir_all(parent)?;
-        }
-        let file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)?;
-        *self.inner.stream.lock().unwrap() = Some(file);
-        Ok(())
     }
 
     /// Preload a recovered event prefix and restore the virtual clock —
@@ -178,24 +158,9 @@ impl Tracer {
             span,
             fields,
         };
-        self.write_stream(&event);
         buf.events.push(event);
         buf.ticked.push(ticked);
         seq
-    }
-
-    /// Mirror one event to the stream sink, if any. Must be called with
-    /// the events lock held so stream order equals buffer order.
-    fn write_stream(&self, event: &TraceEvent) {
-        if let Some(stream) = self.inner.stream.lock().unwrap().as_mut() {
-            // A run that cannot persist its trace stream has lost its
-            // crash-safety story; abort rather than resume from a lie.
-            let write = writeln!(stream, "{}", event.to_json()).and_then(|()| stream.flush());
-            if let Err(e) = write {
-                eprintln!("trace: streaming event failed: {e}");
-                std::process::exit(1);
-            }
-        }
     }
 
     /// Drain a detached (per-trial) tracer for relocation onto the main
@@ -241,7 +206,6 @@ impl Tracer {
             event.seq = seq;
             event.vt = vt;
             event.span = span;
-            self.write_stream(&event);
             seq_map.push(seq);
             buf.events.push(event);
             buf.ticked.push(*ticked);
@@ -297,10 +261,17 @@ impl Tracer {
 
     /// Serialize the log as JSONL (one event per line, trailing newline).
     pub fn to_jsonl(&self) -> String {
+        self.to_jsonl_from(0)
+    }
+
+    /// Serialize the events from sequence number `seq` on, in the form of
+    /// [`Tracer::to_jsonl`] — a journaled tell renders only the lines
+    /// recorded since the previous one. Empty when `seq` is past the end.
+    pub fn to_jsonl_from(&self, seq: usize) -> String {
         let buf = self.inner.events.lock().unwrap();
-        let events = &buf.events;
+        let events = buf.events.get(seq..).unwrap_or_default();
         let mut out = String::with_capacity(events.len() * 96);
-        for e in events.iter() {
+        for e in events {
             out.push_str(&e.to_json());
             out.push('\n');
         }
@@ -327,25 +298,6 @@ pub fn load_jsonl(path: &Path) -> Result<Vec<TraceEvent>, String> {
         events.push(ev);
     }
     Ok(events)
-}
-
-/// Load a streamed trace, tolerating a torn *final* line (a crash can
-/// interrupt the unsynced tail mid-write). Returns the parsed events and
-/// whether a torn tail was dropped; a parse error anywhere but the last
-/// line is still a hard error.
-pub fn load_jsonl_tolerant(path: &Path) -> Result<(Vec<TraceEvent>, bool), String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-    let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
-    let mut events = Vec::with_capacity(lines.len());
-    for (i, line) in lines.iter().enumerate() {
-        match TraceEvent::from_json(line) {
-            Ok(ev) => events.push(ev),
-            Err(_) if i + 1 == lines.len() => return Ok((events, true)),
-            Err(e) => return Err(format!("{}:{}: {e}", path.display(), i + 1)),
-        }
-    }
-    Ok((events, false))
 }
 
 #[cfg(test)]
@@ -411,82 +363,6 @@ mod tests {
     }
 
     #[test]
-    fn streamed_trace_matches_the_snapshot_and_survives_restore() {
-        let dir = std::env::temp_dir().join(format!("e2c-trace-stream-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let path = dir.join("trace.stream.jsonl");
-        let t = Tracer::new();
-        t.stream_to(&path).unwrap();
-        t.point("a", "one", None, Fields::new());
-        t.point("a", "two", Some(3), fields([("v", 1.5.into())]));
-        // The stream mirrors the buffer line for line.
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), t.to_jsonl());
-
-        // Restore the prefix into a fresh tracer and continue: seq and vt
-        // carry on exactly where the original left off.
-        let (events, torn) = load_jsonl_tolerant(&path).unwrap();
-        assert!(!torn);
-        let resumed = Tracer::new();
-        resumed.restore(events, t.now());
-        resumed.point("a", "three", None, Fields::new());
-        t.point("a", "three", None, Fields::new());
-        assert_eq!(resumed.to_jsonl(), t.to_jsonl());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn tolerant_load_drops_only_a_torn_tail() {
-        let dir = std::env::temp_dir().join(format!("e2c-trace-torn-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let t = Tracer::new();
-        t.point("a", "x", None, Fields::new());
-        t.point("a", "y", None, Fields::new());
-        let mut text = t.to_jsonl();
-        // Chop the final line mid-object: only the tail may be dropped.
-        text.truncate(text.len() - 10);
-        let path = dir.join("torn.jsonl");
-        std::fs::write(&path, &text).unwrap();
-        let (events, torn) = load_jsonl_tolerant(&path).unwrap();
-        assert!(torn);
-        assert_eq!(events.len(), 1);
-        // Corruption *before* the tail stays a hard error.
-        let bad = format!("not json\n{}", t.to_jsonl());
-        std::fs::write(&path, &bad).unwrap();
-        assert!(load_jsonl_tolerant(&path).is_err());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn tolerant_load_survives_truncation_at_every_byte() {
-        // A crash can cut the unsynced tail anywhere — including inside a
-        // string, an escape sequence, or a `\u` hex run. Every cut must
-        // recover exactly the complete-line prefix, never error or panic.
-        let dir = std::env::temp_dir().join(format!("e2c-trace-cut-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let t = Tracer::new();
-        let mut fields = Fields::new();
-        fields.insert("note".into(), Value::Str("esc \"\\\t\u{1}\" end".into()));
-        t.point("a", "x", None, fields);
-        t.point("a", "y", None, Fields::new());
-        let full = t.snapshot();
-        let text = t.to_jsonl();
-        // A line's event is recoverable once all its content bytes are on
-        // disk — the trailing newline itself is not required.
-        let line_ends: Vec<usize> = text.match_indices('\n').map(|(i, _)| i).collect();
-        let path = dir.join("cut.jsonl");
-        for cut in 0..=text.len() {
-            std::fs::write(&path, &text.as_bytes()[..cut]).unwrap();
-            let (events, _) = load_jsonl_tolerant(&path)
-                .unwrap_or_else(|e| panic!("cut at {cut} was a hard error: {e}"));
-            let expect = line_ends.iter().filter(|&&e| e <= cut).count();
-            assert_eq!(events, full[..expect], "cut at {cut}");
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn splice_relocates_a_detached_buffer() {
         // Main trace already has one event (clock at 1).
         let main = Tracer::new();
@@ -524,22 +400,41 @@ mod tests {
     }
 
     #[test]
-    fn spliced_events_reach_the_stream_in_order() {
-        let dir = std::env::temp_dir().join(format!("e2c-trace-splice-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let main = Tracer::new();
-        main.stream_to(&dir.join("s.jsonl")).unwrap();
-        main.point("a", "before", None, Fields::new());
+    fn suffixes_concatenate_to_the_log_and_a_restored_prefix_continues_it() {
+        let t = Tracer::new();
+        t.point(
+            "a",
+            "one",
+            None,
+            fields([("note", "esc \"\\\t\u{1}\" end".into())]),
+        );
+        let cut = t.len();
+        // A spliced block renders in the suffix like any other event.
         let buf = Tracer::new();
         buf.point("b", "inside", Some(2), Fields::new());
         let (events, end_clock) = buf.drain_for_splice();
-        main.splice(&events, end_clock);
-        main.point("a", "after", None, Fields::new());
-        assert_eq!(
-            std::fs::read_to_string(dir.join("s.jsonl")).unwrap(),
-            main.to_jsonl()
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
+        t.splice(&events, end_clock);
+        t.point("a", "two", Some(3), fields([("v", 1.5.into())]));
+        let whole = t.to_jsonl();
+        let tail = t.to_jsonl_from(cut);
+        assert_eq!(t.to_jsonl_from(0), whole);
+        assert_eq!(whole.lines().count(), 3);
+        assert_eq!(tail.lines().count(), 2);
+        assert!(whole.ends_with(&tail));
+        assert_eq!(t.to_jsonl_from(t.len()), "");
+        assert_eq!(t.to_jsonl_from(t.len() + 1), "");
+
+        // Restore the parsed log into a fresh tracer and continue: seq and
+        // vt carry on exactly where the original left off.
+        let events = whole
+            .lines()
+            .map(|l| TraceEvent::from_json(l).unwrap())
+            .collect();
+        let resumed = Tracer::new();
+        resumed.restore(events, t.now());
+        resumed.point("a", "three", None, Fields::new());
+        t.point("a", "three", None, Fields::new());
+        assert_eq!(resumed.to_jsonl(), t.to_jsonl());
     }
 
     #[test]

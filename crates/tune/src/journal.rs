@@ -15,9 +15,10 @@
 //! record). Version 2 added the tell record's ask count — the ask/commit
 //! permutation — letting replay verify that the interleaving it
 //! reconstructs matches the one the live run journaled. Version 3 added
-//! the attempt record's notes and the serve journal's epoch record. A
-//! journal of an older version is refused with an error that names its
-//! version.
+//! the attempt record's notes and the serve journal's epoch record.
+//! Version 4 replaced the tell record's trace mark with its trace block,
+//! so a traced run's journal is its only durable state. A journal of an
+//! older version is refused with an error that names its version.
 //!
 //! Every journal — an optimization cycle's and a serve run's — is opened
 //! through [`RunJournal::open`]: it refuses to overwrite an existing file,
@@ -49,7 +50,10 @@
 //!   named values the objective noted).
 //! * [`RunEvent::Tell`] — the searcher was fed the trial's final
 //!   feedback; carries the trial's settled status and, when tracing, the
-//!   `(events, virtual-time)` mark the trace can be truncated back to.
+//!   trace block: the JSONL lines the run recorded since the previous
+//!   tell, through this trial's tell point. Commits are the only journal
+//!   turns that splice trace events; ask points land in the next tell's
+//!   block.
 //! * [`RunEvent::Complete`] — the sample budget is spent.
 //! * [`RunEvent::Epoch`] — a serve run committed one epoch's rendered
 //!   `serving.csv` row. Only a serve journal holds these; cycle replay
@@ -66,12 +70,15 @@
 //! pending work: the resumed run re-executes them from attempt 0 with the
 //! journaled configuration, regenerating their scheduler reports, trace
 //! events and archive rows exactly as an uninterrupted run would have.
+//! The tells' trace blocks, concatenated, are the trace prefix the
+//! resumed run continues from.
 
 use crate::scheduler::{Decision, Scheduler};
 use crate::searcher::Searcher;
 use crate::trial::{Attempt, Trial, TrialError, TrialStatus};
 use crate::tuner::Mode;
 use e2c_optim::space::Point;
+use e2c_trace::TraceEvent;
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -84,9 +91,10 @@ pub const CRASH_EXIT_CODE: i32 = 86;
 /// Current journal wire version, carried by [`RunEvent::Meta`]. Version 2
 /// added the meta version field itself and the tell record's ask count
 /// (the ask/commit permutation); version 3 the attempt notes and the epoch
-/// record. Parsing refuses older versions and replay hard-errors on
+/// record; version 4 the tell record's trace block in place of its trace
+/// mark. Parsing refuses older versions and replay hard-errors on
 /// journals from a newer build.
-pub const WIRE_VERSION: u64 = 3;
+pub const WIRE_VERSION: u64 = 4;
 
 /// One journaled state transition. See the module docs for the protocol.
 #[derive(Debug, Clone, PartialEq)]
@@ -121,18 +129,19 @@ pub enum RunEvent {
         notes: Vec<(String, f64)>,
     },
     /// The searcher was fed `feedback` for the settled `trial`.
-    /// `status`/`value` settle the trial record; `trace_mark` is the
-    /// tracer's `(event count, virtual time)` right after the tell event.
-    /// `asks` is the number of `Ask` records journaled before this tell —
-    /// the run's ask/commit permutation, one point per commit — which
-    /// replay verifies against its own running count.
+    /// `status`/`value` settle the trial record. `asks` is the number of
+    /// `Ask` records journaled before this tell — the run's ask/commit
+    /// permutation, one point per commit — which replay verifies against
+    /// its own running count. `trace` is the trace block: the JSONL lines
+    /// the run recorded since the previous tell, ending with this trial's
+    /// tell point (empty when untraced).
     Tell {
         trial: u64,
         feedback: f64,
         status: String,
         value: Option<f64>,
-        trace_mark: Option<(u64, u64)>,
         asks: u64,
+        trace: String,
     },
     /// The sample budget is spent; artifacts may be (re)written.
     Complete,
@@ -228,8 +237,8 @@ impl RunEvent {
                 feedback,
                 status,
                 value,
-                trace_mark,
                 asks,
+                trace,
             } => {
                 let _ = write!(line, "tell\t{trial}\t{feedback}\t{status}\t");
                 match value {
@@ -238,13 +247,7 @@ impl RunEvent {
                     }
                     None => line.push('-'),
                 }
-                match trace_mark {
-                    Some((e, v)) => {
-                        let _ = write!(line, "\t{e}\t{v}");
-                    }
-                    None => line.push_str("\t-\t-"),
-                }
-                let _ = write!(line, "\t{asks}");
+                let _ = write!(line, "\t{asks}\t{}", escape(trace));
             }
             RunEvent::Complete => line.push_str("complete"),
             RunEvent::Epoch { epoch, row } => {
@@ -329,20 +332,14 @@ impl RunEvent {
                         .collect::<Result<_, String>>()?,
                 })
             }
-            ["tell", trial, feedback, status, value, mark_events, mark_vt, asks] => {
-                let trace_mark = match (*mark_events, *mark_vt) {
-                    ("-", "-") => None,
-                    (e, v) => Some((int(e)?, int(v)?)),
-                };
-                Ok(RunEvent::Tell {
-                    trial: int(trial)?,
-                    feedback: parse_f64(feedback)?,
-                    status: status.to_string(),
-                    value: parse_opt_f64(value)?,
-                    trace_mark,
-                    asks: int(asks)?,
-                })
-            }
+            ["tell", trial, feedback, status, value, asks, trace] => Ok(RunEvent::Tell {
+                trial: int(trial)?,
+                feedback: parse_f64(feedback)?,
+                status: status.to_string(),
+                value: parse_opt_f64(value)?,
+                asks: int(asks)?,
+                trace: unescape(trace)?,
+            }),
             ["complete"] => Ok(RunEvent::Complete),
             ["epoch", epoch, row] => Ok(RunEvent::Epoch {
                 epoch: int(epoch)?,
@@ -499,14 +496,14 @@ pub struct ResumeState {
     pub worst_seen: f64,
     /// Whether the journal already holds a [`RunEvent::Complete`].
     pub complete: bool,
-    /// Latest trace mark among tells: truncate the streamed trace to
-    /// this many events and restore the virtual clock to this tick.
-    pub trace_mark: Option<(u64, u64)>,
-    /// Ask count recorded by the tell that [`ResumeState::trace_mark`]
-    /// came from: asks with an index at or past this were journaled
-    /// *after* the mark, so their trace points are truncated away with
-    /// the pre-crash suffix and must be re-emitted when the dangling
-    /// trial re-dispatches. `None` (no marked tell yet) means re-emit.
+    /// The trace prefix of the settled trials: every tell's trace block,
+    /// in journal order. A traced resume restores its tracer to these
+    /// events, at the virtual time of the last one (the last tell point).
+    pub trace: Vec<TraceEvent>,
+    /// Ask count recorded by the last tell: asks with an index at or past
+    /// this were traced after its block, so their trace points are lost
+    /// with the unjournaled suffix and must be re-emitted when the
+    /// dangling trial re-dispatches. `None` (no tell yet) means re-emit.
     pub asks_at_mark: Option<u64>,
 }
 
@@ -552,11 +549,11 @@ pub fn replay(
     mode: Mode,
 ) -> Result<ResumeState, String> {
     // Pass 1: which trials settled, where each trial's canonical timeline
-    // starts (after its last restart), and the latest trace mark.
+    // starts (after its last restart), and the settled trace prefix.
     let mut last_restart: BTreeMap<u64, usize> = BTreeMap::new();
     let mut settled: BTreeMap<u64, usize> = BTreeMap::new();
     let mut complete = false;
-    let mut trace_mark: Option<(u64, u64)> = None;
+    let mut trace: Vec<TraceEvent> = Vec::new();
     let mut asks_at_mark: Option<u64> = None;
     for (i, ev) in events.iter().enumerate() {
         match ev {
@@ -565,19 +562,28 @@ pub fn replay(
             }
             RunEvent::Tell {
                 trial,
-                trace_mark: mark,
                 asks,
+                trace: block,
                 ..
             } => {
                 if settled.insert(*trial, i).is_some() {
                     return Err(format!("journal tells trial {trial} twice"));
                 }
-                if let Some(m) = mark {
-                    if trace_mark.is_none_or(|t| m.0 > t.0) {
-                        trace_mark = Some(*m);
-                        asks_at_mark = Some(*asks);
+                for line in block.lines() {
+                    let event = TraceEvent::from_json(line)
+                        .map_err(|e| format!("journal record {i}: trace line: {e}"))?;
+                    // The blocks tile the trace: each picks up at the
+                    // sequence number where the previous one stopped.
+                    if event.seq != trace.len() as u64 {
+                        return Err(format!(
+                            "journal record {i}: trace line has seq {} where {} was due",
+                            event.seq,
+                            trace.len()
+                        ));
                     }
+                    trace.push(event);
                 }
+                asks_at_mark = Some(*asks);
             }
             RunEvent::Complete => complete = true,
             _ => {}
@@ -595,7 +601,7 @@ pub fn replay(
     let mut last_reports: BTreeMap<u64, Vec<(u64, f64)>> = BTreeMap::new();
     let mut state = ResumeState::empty();
     state.complete = complete;
-    state.trace_mark = trace_mark;
+    state.trace = trace;
     state.asks_at_mark = asks_at_mark;
     let mut asks_seen: u64 = 0;
     for (i, ev) in events.iter().enumerate() {
@@ -801,16 +807,22 @@ mod tests {
                 feedback: 2.5,
                 status: "terminated".into(),
                 value: Some(2.5),
-                trace_mark: Some((17, 42)),
                 asks: 3,
+                trace: concat!(
+                    r#"{"seq":0,"vt":1,"phase":"a","name":"x","kind":"point","fields":{"s":"q\"b\\t\t"}}"#,
+                    "\n",
+                    r#"{"seq":1,"vt":2,"phase":"searcher","name":"tell","kind":"point","trial":1}"#,
+                    "\n",
+                )
+                .into(),
             },
             RunEvent::Tell {
                 trial: 2,
                 feedback: 1e6,
                 status: "failed".into(),
                 value: None,
-                trace_mark: None,
                 asks: 0,
+                trace: String::new(),
             },
             RunEvent::Complete,
             RunEvent::Epoch {
@@ -832,8 +844,11 @@ mod tests {
         assert!(RunEvent::parse("ask\t1").is_err());
         assert!(RunEvent::parse("report\t1\t2\tx\tcontinue").is_err());
         assert!(RunEvent::parse("attempt\t1\t0\t0.1\t-\tweird\t").is_err());
-        assert!(RunEvent::parse("meta\t3\tfp\textra").is_err());
-        assert!(RunEvent::parse("tell\t0\t1\tterminated\t1\t-\t-\t3\textra").is_err());
+        assert!(RunEvent::parse("meta\t4\tfp\textra").is_err());
+        assert!(RunEvent::parse("tell\t0\t1\tterminated\t1\t3\t\textra").is_err());
+        // A tell's trace block is one escaped field: a raw newline in it
+        // is corruption.
+        assert!(RunEvent::parse("tell\t0\t1\tterminated\t1\t3\t{}\n{}").is_err());
     }
 
     /// The explicit field rejection rules: canonical decimals, canonical `Display` floats, known escapes only.
@@ -866,25 +881,25 @@ mod tests {
         }
         // Escapes: only the four the escaper writes; `\q` used to decode
         // as `q`, making decode → encode lossy.
-        assert!(RunEvent::parse("meta\t3\ta\\qb").is_err());
-        assert!(RunEvent::parse("meta\t3\ttrailing\\").is_err());
+        assert!(RunEvent::parse("meta\t4\ta\\qb").is_err());
+        assert!(RunEvent::parse("meta\t4\ttrailing\\").is_err());
         assert_eq!(
-            RunEvent::parse("meta\t3\ta\\tb").unwrap(),
+            RunEvent::parse("meta\t4\ta\\tb").unwrap(),
             RunEvent::Meta {
-                version: 3,
+                version: 4,
                 fingerprint: "a\tb".into()
             }
         );
         // Raw control characters in an escaped field can never re-encode
         // to the same bytes (the escaper writes `\n`), so they are
         // corruption, not content.
-        assert!(RunEvent::parse("meta\t3\ttwo\nlines").is_err());
-        assert!(RunEvent::parse("meta\t3\tcr\rhere").is_err());
+        assert!(RunEvent::parse("meta\t4\ttwo\nlines").is_err());
+        assert!(RunEvent::parse("meta\t4\tcr\rhere").is_err());
         // A no-error attempt writes an empty payload field; a non-empty
         // one would silently vanish on re-encode.
         assert!(RunEvent::parse("attempt\t1\t0\t0.5\t-\t-\tstray").is_err());
         assert!(RunEvent::parse("attempt\t1\t0\t0.5\t-\t-\t").is_ok());
-        assert!(RunEvent::parse("meta\t3\tfp").is_ok());
+        assert!(RunEvent::parse("meta\t4\tfp").is_ok());
         // Attempt notes are name/value pairs with canonical values, and an
         // epoch record's index is a canonical decimal.
         for bad in ["completed\t1e3", "completed", "completed\t1\tx"] {
@@ -901,15 +916,18 @@ mod tests {
     #[test]
     fn accepted_lines_reencode_byte_identically() {
         for line in [
-            "meta\t3\tfp\\n2",
+            "meta\t4\tfp\\n2",
             "ask\t3\t",
             "ask\t3\t1,2.5,NaN,-inf",
             "restart\t7",
             "report\t1\t2\t0.25\tstop",
             "attempt\t1\t0\t0.5\tNaN\tnonfinite\tNaN",
             "attempt\t1\t1\t0.5\t2.5\t-\t\tcompleted\t4242\ta\\tb\t-inf",
-            "tell\t0\t1.5\tterminated\t1.5\t-\t-\t0",
-            "tell\t0\t1.5\tterminated\t1.5\t17\t42\t3",
+            "tell\t0\t1.5\tterminated\t1.5\t0\t",
+            concat!(
+                "tell\t0\t1.5\tterminated\t1.5\t3\t",
+                r#"{"seq":0,"fields":{"s":"q\\"b\\\\\\t"}}\n"#
+            ),
             "complete",
             "epoch\t0\t0,2017-01,1.5,NaN",
         ] {
@@ -919,18 +937,23 @@ mod tests {
     }
 
     /// Version-1 records (unversioned meta, 7-field tells) are refused,
-    /// and so is a version-2 meta; the meta refusal names the version.
+    /// and so are version-2 and version-3 metas and a version-3 tell with
+    /// its trace mark; the meta refusal names the version.
     #[test]
     fn version_1_records_are_refused() {
         for meta in ["meta\tfp", "meta\t1\tfp"] {
             let err = RunEvent::parse(meta).unwrap_err();
             assert!(err.contains("version 1 is not supported"), "{err}");
         }
-        let err = RunEvent::parse("meta\t2\tfp").unwrap_err();
-        assert!(err.contains("version 2 is not supported"), "{err}");
-        let err = RunEvent::parse("meta\t0\tfp").unwrap_err();
-        assert!(err.contains("version 0 is not supported"), "{err}");
+        for version in [0, 2, 3] {
+            let err = RunEvent::parse(&format!("meta\t{version}\tfp")).unwrap_err();
+            assert!(
+                err.contains(&format!("version {version} is not supported")),
+                "{err}"
+            );
+        }
         assert!(RunEvent::parse("tell\t0\t1.5\tterminated\t1.5\t-\t-").is_err());
+        assert!(RunEvent::parse("tell\t0\t1.5\tterminated\t1.5\t17\t42\t3").is_err());
     }
 
     /// Replay refuses a journal from a newer build, and a serve journal's
@@ -986,11 +1009,11 @@ mod tests {
                 feedback: p0[0],
                 status: "terminated".into(),
                 value: Some(p0[0]),
-                trace_mark: None,
                 // The live run claims trial 0 committed after a single
                 // ask, but the journal holds two — a corrupted or
                 // misordered permutation record.
                 asks: 1,
+                trace: String::new(),
             },
         ];
         let mut fresh = RandomSearch::new(space(), 5);
@@ -998,17 +1021,20 @@ mod tests {
         assert!(err.contains("ask/commit permutation diverges"), "{err}");
     }
 
-    /// Drive a seeded searcher, journal its decisions by hand, then
-    /// replay a prefix against a fresh instance and check the rebuilt
-    /// state.
+    /// Drive a seeded, traced searcher, journal its decisions by hand,
+    /// then replay a prefix against a fresh instance and check the rebuilt
+    /// state, trace prefix included.
     #[test]
     fn replay_rebuilds_searcher_state_and_pending_work() {
         let mut live = ConcurrencyLimiter::new(RandomSearch::new(space(), 5), 1);
+        let tracer = e2c_trace::Tracer::new();
         let mut events = vec![RunEvent::meta("f")];
         let mut asked = Vec::new();
+        let mut journaled = 0;
         for id in 0..3u64 {
             let p = live.suggest(id).unwrap();
             asked.push(p.clone());
+            tracer.point("searcher", "ask", Some(id), e2c_trace::Fields::new());
             events.push(RunEvent::Ask {
                 trial: id,
                 config: p.clone(),
@@ -1023,14 +1049,16 @@ mod tests {
                     notes: Vec::new(),
                 });
                 live.observe(id, p[0]);
+                tracer.point("searcher", "tell", Some(id), e2c_trace::Fields::new());
                 events.push(RunEvent::Tell {
                     trial: id,
                     feedback: p[0],
                     status: "terminated".into(),
                     value: Some(p[0]),
-                    trace_mark: None,
                     asks: id + 1,
+                    trace: tracer.to_jsonl_from(journaled),
                 });
+                journaled = tracer.len();
             }
         }
         // Trial 2 dangles (asked, attempted nothing journaled, no tell).
@@ -1053,6 +1081,25 @@ mod tests {
         let next_live = live.suggest(3).unwrap();
         let next_fresh = fresh.suggest(3).unwrap();
         assert_eq!(next_live, next_fresh);
+        // The tells' blocks tile the trace up to the last tell point; the
+        // dangling ask was traced after it, as the ask count says.
+        assert_eq!(state.trace, tracer.snapshot()[..journaled]);
+        assert_eq!(state.asks_at_mark, Some(2));
+        // A block that does not pick up where the previous one stopped,
+        // or does not parse, is refused.
+        let last_tell = events.len() - 2;
+        for (block, want) in [
+            (tracer.to_jsonl_from(3), "seq 3 where 2 was due"),
+            ("not json\n".to_string(), "trace line"),
+        ] {
+            let mut events = events.clone();
+            if let RunEvent::Tell { trace, .. } = &mut events[last_tell] {
+                *trace = block;
+            }
+            let mut fresh = RandomSearch::new(space(), 5);
+            let err = replay(&events, &mut fresh, &Fifo, Mode::Min).unwrap_err();
+            assert!(err.contains(want), "{err}");
+        }
     }
 
     #[test]
@@ -1097,8 +1144,8 @@ mod tests {
                 feedback: 2.0,
                 status: "terminated".into(),
                 value: Some(2.0),
-                trace_mark: None,
                 asks: 1,
+                trace: String::new(),
             },
         ];
         let mut fresh = RandomSearch::new(space(), 9);
@@ -1167,8 +1214,8 @@ mod tests {
                 feedback: 1.0,
                 status: "terminated".into(),
                 value: Some(1.0),
-                trace_mark: None,
                 asks: 1,
+                trace: String::new(),
             },
         ];
         let mut fresh = RandomSearch::new(space(), 5);

@@ -34,6 +34,7 @@ use crate::trial::{Attempt, Trial, TrialError, TrialStatus};
 use e2c_optim::space::Point;
 use e2c_trace::Fields;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -293,6 +294,10 @@ impl Tuner {
         // suggest order, journal order and RNG draw order coincide.
         let searcher = Mutex::new(searcher);
         let asks_at_mark = resume.asks_at_mark;
+        // Trace events already carried by journaled tells: a resumed run
+        // starts past its restored prefix. Only the journal-turn holder
+        // reads or moves it.
+        let trace_journaled = AtomicUsize::new(resume.trace.len());
         let trials: Mutex<Vec<Trial>> = Mutex::new(resume.trials);
         let worst_seen = Mutex::new(resume.worst_seen);
         let objective = &objective;
@@ -300,6 +305,7 @@ impl Tuner {
         let tracer = self.tracer.as_ref();
         let journal = self.journal.as_ref();
         let (seq, searcher, trials, worst_seen) = (&seq, &searcher, &trials, &worst_seen);
+        let trace_journaled = &trace_journaled;
         let trace_ask = move |id: u64, config: &Point| {
             if let Some(tr) = tracer {
                 tr.point(
@@ -326,10 +332,11 @@ impl Tuner {
                     let (id, config, resumed) = match step {
                         Dispatch::Resume(id, config) => {
                             // Re-emit the ask trace point only if the
-                            // original one was truncated away with the
-                            // pre-crash trace suffix: asks journaled
-                            // before the last committed tell (the
-                            // truncation mark) are still in the stream.
+                            // original one was lost with the unjournaled
+                            // trace suffix: asks journaled before the
+                            // last tell rode in its trace block or an
+                            // earlier one, so the restored prefix holds
+                            // them.
                             if asks_at_mark.is_none_or(|a| id >= a) {
                                 trace_ask(id, &config);
                             }
@@ -629,21 +636,25 @@ impl Tuner {
                                 );
                             }
                             if let Some(j) = journal {
-                                // The trace mark taken *after* the tell
-                                // point: resume truncates the streamed
-                                // trace here and restores the virtual
-                                // clock, so re-executed trials land on
-                                // the same (seq, vt) slots. The ask
-                                // count records the run's ask/commit
-                                // permutation for replay verification.
-                                let trace_mark = tracer.map(|tr| (tr.len() as u64, tr.now()));
+                                // The trace block: every event since the
+                                // previous tell, through the tell point.
+                                // Resume restores the blocks' concatenation
+                                // and the clock of its last event, so
+                                // re-executed trials land on the same
+                                // (seq, vt) slots. The ask count records
+                                // the run's ask/commit permutation for
+                                // replay verification.
+                                let trace = tracer.map_or_else(String::new, |tr| {
+                                    let from = trace_journaled.swap(tr.len(), Ordering::SeqCst);
+                                    tr.to_jsonl_from(from)
+                                });
                                 j.append(&RunEvent::Tell {
                                     trial: id,
                                     feedback,
                                     status: status.token().to_string(),
                                     value: status.value(),
-                                    trace_mark,
                                     asks,
+                                    trace,
                                 });
                             }
                             status

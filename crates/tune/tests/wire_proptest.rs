@@ -62,16 +62,16 @@ fn arb_event() -> impl Strategy<Value = RunEvent> {
         .boxed();
     let tell = (
         (0u64..1000, -1e6f64..1e6, "[a-z_]{1,12}"),
-        (arb_raw(), arb_mark(), 0u64..10_000),
+        (arb_raw(), 0u64..10_000, arb_trace()),
     )
         .prop_map(
-            |((trial, feedback, status), (value, trace_mark, asks))| RunEvent::Tell {
+            |((trial, feedback, status), (value, asks, trace))| RunEvent::Tell {
                 trial,
                 feedback,
                 status,
                 value,
-                trace_mark,
                 asks,
+                trace,
             },
         )
         .boxed();
@@ -92,8 +92,18 @@ fn arb_raw() -> impl Strategy<Value = Option<f64>> {
     (any::<bool>(), -1e6f64..1e6).prop_map(|(some, v)| some.then_some(v))
 }
 
-fn arb_mark() -> impl Strategy<Value = Option<(u64, u64)>> {
-    (any::<bool>(), 0u64..10_000, 0u64..10_000).prop_map(|(some, e, v)| some.then_some((e, v)))
+/// A tell's trace block: the JSONL a tracer renders for a few events
+/// whose string fields carry payload characters, so the JSON holds `\"`,
+/// `\\` and `\t` escapes for the wire escaper to nest.
+fn arb_trace() -> impl Strategy<Value = String> {
+    prop::collection::vec(PAYLOAD, 0..3).prop_map(|notes| {
+        let tracer = e2c_trace::Tracer::new();
+        for note in notes {
+            let fields = [("note", note.into()), ("esc", "\"\\\t".into())];
+            tracer.point("searcher", "tell", Some(1), e2c_trace::fields(fields));
+        }
+        tracer.to_jsonl()
+    })
 }
 
 proptest! {

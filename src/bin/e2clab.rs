@@ -395,26 +395,28 @@ impl CycleSpec {
 
 impl Evaluation {
     /// The aux pairs a worker ships back to the parent, which owns the
-    /// trace directory; empty when untraced. f64 `Display` round-trips
-    /// exactly through `parse`, so the parent re-renders identical bytes.
+    /// trace directory; empty when untraced. The mean travels as the
+    /// objective's value, so only the side artifacts ride here. f64
+    /// `Display` round-trips exactly through `parse`, so the parent
+    /// re-renders identical bytes.
     fn into_aux(self) -> Vec<(String, String)> {
         let Some(prom) = self.prom else {
             return Vec::new();
         };
         vec![
-            ("mean".to_string(), self.mean.to_string()),
             ("completed".to_string(), self.completed.to_string()),
             ("prom".to_string(), prom),
         ]
     }
 
-    fn from_aux(aux: &[(String, String)]) -> Option<Evaluation> {
+    /// The side artifacts [`Evaluation::into_aux`] shipped: the
+    /// completed-request count and the Prometheus text.
+    fn from_aux(aux: &[(String, String)]) -> Option<(f64, Option<String>)> {
         let field = |name: &str| aux.iter().find(|(k, _)| k == name).map(|(_, v)| v.as_str());
-        Some(Evaluation {
-            mean: field("mean")?.parse().ok()?,
-            completed: field("completed")?.parse().ok()?,
-            prom: field("prom").map(str::to_owned),
-        })
+        Some((
+            field("completed")?.parse().ok()?,
+            field("prom").map(str::to_owned),
+        ))
     }
 }
 
@@ -439,8 +441,8 @@ impl TrialSink {
         })
     }
 
-    fn land(&self, ctx: &EvalContext, ev: &Evaluation) {
-        if let Some(prom) = &ev.prom {
+    fn land(&self, ctx: &EvalContext, completed: f64, prom: Option<&str>) {
+        if let Some(prom) = prom {
             let path = self
                 .dir
                 .join("cycles")
@@ -449,7 +451,7 @@ impl TrialSink {
                 eprintln!("trace: {}: {e}", path.display());
             }
         }
-        ctx.note("completed", ev.completed);
+        ctx.note("completed", completed);
     }
 
     /// Render the cycle-level `metrics.prom`: per trial, the last attempt
@@ -501,7 +503,7 @@ impl Cycle {
         let objective = move |ctx: &EvalContext| {
             let ev = spec.evaluate(&ctx.point, ctx.trial_id, ctx.tracer.clone());
             if let Some(sink) = &obj_sink {
-                sink.land(ctx, &ev);
+                sink.land(ctx, ev.completed, ev.prom.as_deref());
             }
             ev.mean
         };
@@ -525,8 +527,10 @@ impl Cycle {
             let sink = sink.clone();
             manager = manager.with_farm(farm.clone()).with_aux_hook(Arc::new(
                 move |ctx: &EvalContext, aux: &[(String, String)]| {
-                    if let (Some(sink), Some(ev)) = (&sink, Evaluation::from_aux(aux)) {
-                        sink.land(ctx, &ev);
+                    if let (Some(sink), Some((completed, prom))) =
+                        (&sink, Evaluation::from_aux(aux))
+                    {
+                        sink.land(ctx, completed, prom.as_deref());
                     }
                 },
             ));
@@ -1242,13 +1246,8 @@ mod tests {
         }
         .into_aux();
         let keys: Vec<&str> = aux.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(keys, ["mean", "completed", "prom"]);
-        let back = Evaluation::from_aux(&aux).unwrap();
-        assert_eq!(
-            (back.mean.to_bits(), back.completed),
-            (mean.to_bits(), completed)
-        );
-        assert_eq!(back.prom, prom);
+        assert_eq!(keys, ["completed", "prom"]);
+        assert_eq!(Evaluation::from_aux(&aux), Some((completed, prom)));
         // An untraced evaluation ships nothing, and nothing lands.
         let untraced = Evaluation {
             mean,

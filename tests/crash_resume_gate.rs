@@ -3,9 +3,11 @@
 //! knob), resume each kill with `--resume`, and byte-diff every
 //! reproducibility artifact — `evaluations.csv`, `trials/trials.jsonl`,
 //! `trace.jsonl`, `metrics.prom`, `cycles/*.prom` — against an
-//! uninterrupted baseline run of the same seed.  This is the paper's
-//! repeatability claim under process failure: a crashed optimization,
-//! resumed, is indistinguishable from one that never crashed.
+//! uninterrupted baseline run of the same seed.  The journal directory
+//! holds only `run.wal`: a traced run's trace rides in its tell records.
+//! This is the paper's repeatability claim under process failure: a
+//! crashed optimization, resumed, is indistinguishable from one that
+//! never crashed.
 //!
 //! The sweep runs per `max_concurrent` ∈ {1, 2, 4}: the commit sequencer
 //! promises byte-identity at any concurrency, and each cell is compared
@@ -98,6 +100,13 @@ impl Fixture {
         cmd.output().expect("run e2clab optimize")
     }
 
+    /// [`Fixture::optimize`] that must succeed; `ctx` labels a failure.
+    fn optimize_ok(&self, name: &str, extra: &[&str], ctx: &str) {
+        let out = self.optimize(name, extra);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{ctx}: {stderr}");
+    }
+
     /// The artifacts whose bytes must survive any kill+resume.
     fn artifacts(&self, name: &str) -> Vec<(String, Vec<u8>)> {
         let trace = self.root.join(format!("{name}-trace"));
@@ -162,22 +171,12 @@ fn kill_sweep_cell(workers: u32, seed: u64) {
     let ctx = format!("w{workers}/s{seed}");
 
     // Uninterrupted, unjournaled baseline for this cell.
-    let out = fx.optimize("base", &[]);
-    assert!(
-        out.status.success(),
-        "{ctx}: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    fx.optimize_ok("base", &[], &ctx);
     let baseline = fx.artifacts("base");
 
     // Full journaled run: same bytes as the plain run, plus a journal.
     let jdir = fx.root.join("full-journal");
-    let out = fx.optimize("full", &["--journal", jdir.to_str().unwrap()]);
-    assert!(
-        out.status.success(),
-        "{ctx}: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    fx.optimize_ok("full", &["--journal", jdir.to_str().unwrap()], &ctx);
     assert_same_artifacts(
         &baseline,
         &fx.artifacts("full"),
@@ -191,12 +190,7 @@ fn kill_sweep_cell(workers: u32, seed: u64) {
 
     // Resuming a completed journal re-executes nothing and rewrites the
     // same bytes.
-    let out = fx.optimize("full", &["--resume", jdir.to_str().unwrap()]);
-    assert!(
-        out.status.success(),
-        "{ctx}: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    fx.optimize_ok("full", &["--resume", jdir.to_str().unwrap()], &ctx);
     assert_same_artifacts(
         &baseline,
         &fx.artifacts("full"),
@@ -223,11 +217,10 @@ fn kill_sweep_cell(workers: u32, seed: u64) {
             out.status.code(),
             String::from_utf8_lossy(&out.stderr)
         );
-        let out = fx.optimize(&name, &["--resume", jdir.to_str().unwrap()]);
-        assert!(
-            out.status.success(),
-            "{ctx}: cut {cut}: resume failed\n{}",
-            String::from_utf8_lossy(&out.stderr)
+        fx.optimize_ok(
+            &name,
+            &["--resume", jdir.to_str().unwrap()],
+            &format!("{ctx}: cut {cut}: resume"),
         );
         assert_same_artifacts(
             &baseline,
@@ -263,12 +256,7 @@ fn mid_run_kill_resumes_across_the_seed_concurrency_matrix() {
         for workers in [2u32, 4] {
             let fx = Fixture::new(&format!("matrix-w{workers}-s{seed}"), workers, seed);
             let ctx = format!("w{workers}/s{seed}");
-            let out = fx.optimize("base", &[]);
-            assert!(
-                out.status.success(),
-                "{ctx}: {}",
-                String::from_utf8_lossy(&out.stderr)
-            );
+            fx.optimize_ok("base", &[], &ctx);
             let baseline = fx.artifacts("base");
             let jdir = fx.root.join("journal");
             let j = jdir.to_str().unwrap().to_string();
@@ -280,16 +268,35 @@ fn mid_run_kill_resumes_across_the_seed_concurrency_matrix() {
                 out.status.code(),
                 String::from_utf8_lossy(&out.stderr)
             );
-            let out = fx.optimize("run", &["--resume", &j]);
-            assert!(
-                out.status.success(),
-                "{ctx}: resume failed\n{}",
-                String::from_utf8_lossy(&out.stderr)
-            );
+            fx.optimize_ok("run", &["--resume", &j], &format!("{ctx}: resume"));
             assert_same_artifacts(&baseline, &fx.artifacts("run"), &ctx);
             std::fs::remove_dir_all(&fx.root).unwrap();
         }
     }
+}
+
+/// A killed traced run keeps its whole durable state in `run.wal`: the
+/// journal directory lists nothing else, and resuming from that file
+/// alone converges on the baseline bytes, trace included.
+#[test]
+fn a_killed_traced_run_resumes_from_run_wal_alone() {
+    let fx = Fixture::new("wal-only", 2, 5);
+    fx.optimize_ok("base", &[], "baseline");
+    let baseline = fx.artifacts("base");
+
+    let jdir = fx.root.join("journal");
+    let j = jdir.to_str().unwrap().to_string();
+    let out = fx.optimize("run", &["--journal", &j, "--crash-at", "8"]);
+    assert_eq!(out.status.code(), Some(86), "{:?}", out.status);
+    let listed: Vec<String> = std::fs::read_dir(&jdir)
+        .unwrap()
+        .flatten()
+        .filter_map(|e| e.file_name().into_string().ok())
+        .collect();
+    assert_eq!(listed, ["run.wal"], "journal directory after the kill");
+    fx.optimize_ok("run", &["--resume", &j], "resume");
+    assert_same_artifacts(&baseline, &fx.artifacts("run"), "resume from run.wal");
+    std::fs::remove_dir_all(&fx.root).unwrap();
 }
 
 #[test]
@@ -297,12 +304,7 @@ fn a_crash_during_resume_is_itself_resumable() {
     // Two workers: each crash can leave two trials in the commit window,
     // so the resumes re-dispatch more than one dangling trial.
     let fx = Fixture::new("double", 2, 3);
-    let out = fx.optimize("base", &[]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    fx.optimize_ok("base", &[], "baseline");
     let baseline = fx.artifacts("base");
 
     let jdir = fx.root.join("journal");
@@ -311,12 +313,7 @@ fn a_crash_during_resume_is_itself_resumable() {
     assert_eq!(out.status.code(), Some(86), "{:?}", out.status);
     let out = fx.optimize("run", &["--resume", &j, "--crash-at", "3"]);
     assert_eq!(out.status.code(), Some(86), "{:?}", out.status);
-    let out = fx.optimize("run", &["--resume", &j]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    fx.optimize_ok("run", &["--resume", &j], "resume");
     assert_same_artifacts(&baseline, &fx.artifacts("run"), "double crash");
     std::fs::remove_dir_all(&fx.root).unwrap();
 }
