@@ -3,14 +3,21 @@
 //! Events at equal timestamps pop in insertion (FIFO) order, which makes
 //! simulations reproducible regardless of heap internals. Cancellation is
 //! lazy: a cancelled entry stays in the heap and is skipped on pop, which
-//! keeps `cancel` O(1) — important for processor-sharing resources that
-//! reschedule their next-completion event on every membership change.
+//! keeps `cancel` O(1).
 //!
 //! Storage is a generational slab: heap entries carry only `(time, seq,
 //! slot)` and the event payloads live in a slot vector with a LIFO free
 //! list. Cancellation clears the slot in place — no hash lookups anywhere
 //! on the hot path, and iteration order can never depend on hasher state
 //! (detlint DET001 stays structurally impossible, not just suppressed).
+//!
+//! Besides the heap, the queue holds keyed *timers*: at most one pending
+//! event per key, re-armed in place. A processor-sharing resource moves
+//! its next completion on nearly every event; as a timer, each move costs
+//! a store instead of a heap push, a lazy cancel and a later stale pop.
+//! Arming a timer takes its sequence number from the same counter as
+//! [`EventQueue::schedule`], so a timer set where a model used to cancel
+//! and reschedule pops at exactly the same place in the event order.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -76,14 +83,26 @@ struct Slot<E> {
     event: Option<E>,
 }
 
-/// A priority queue of `(SimTime, E)` pairs supporting O(1) cancellation.
+/// An armed timer: its ordering key and the event it fires.
+struct Timer<E> {
+    at: SimTime,
+    seq: u64,
+    event: E,
+}
+
+/// A priority queue of `(SimTime, E)` pairs supporting O(1) cancellation
+/// and O(1) re-arming of keyed timers.
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry>,
     slots: Vec<Slot<E>>,
     /// Recycled slot indices (LIFO — keeps the slab dense and cache-warm).
     free: Vec<u32>,
+    /// Timers by key; `None` while disarmed. Models use a handful of
+    /// keys, so a scan for the earliest is a few compares.
+    timers: Vec<Option<Timer<E>>>,
     next_seq: u64,
-    /// Scheduled-and-not-yet-fired-or-cancelled count.
+    /// Scheduled-and-not-yet-fired-or-cancelled count, armed timers
+    /// included.
     live: usize,
 }
 
@@ -106,15 +125,21 @@ impl<E> EventQueue<E> {
             heap: BinaryHeap::with_capacity(cap),
             slots: Vec::with_capacity(cap),
             free: Vec::new(),
+            timers: Vec::new(),
             next_seq: 0,
             live: 0,
         }
     }
 
-    /// Schedule `event` to fire at absolute time `at`.
-    pub fn schedule(&mut self, at: SimTime, event: E) -> EventHandle {
+    fn take_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
+        seq
+    }
+
+    /// Schedule `event` to fire at absolute time `at`.
+    pub fn schedule(&mut self, at: SimTime, event: E) -> EventHandle {
+        let seq = self.take_seq();
         let slot = match self.free.pop() {
             Some(slot) => {
                 let s = &mut self.slots[slot as usize];
@@ -155,8 +180,65 @@ impl<E> EventQueue<E> {
         slot.event.take()
     }
 
-    /// Remove and return the earliest live event, skipping cancelled ones.
+    /// Arm timer `key` to fire `event` at `at`, replacing whatever it
+    /// held. The timer takes the next sequence number, exactly as
+    /// cancelling its previous event and scheduling this one would, so
+    /// ties with heap events break the same way.
+    pub fn set_timer(&mut self, key: usize, at: SimTime, event: E) {
+        let seq = self.take_seq();
+        if key >= self.timers.len() {
+            self.timers.resize_with(key + 1, || None);
+        }
+        if self.timers[key].replace(Timer { at, seq, event }).is_none() {
+            self.live += 1;
+        }
+    }
+
+    /// Disarm timer `key`. No-op if it is not armed (or already fired).
+    pub fn clear_timer(&mut self, key: usize) {
+        if let Some(timer) = self.timers.get_mut(key) {
+            if timer.take().is_some() {
+                self.live -= 1;
+            }
+        }
+    }
+
+    /// The key and `(time, seq)` of the earliest armed timer.
+    fn earliest_timer(&self) -> Option<(usize, (SimTime, u64))> {
+        let mut best: Option<(usize, (SimTime, u64))> = None;
+        for (key, timer) in self.timers.iter().enumerate() {
+            if let Some(t) = timer {
+                if best.is_none_or(|(_, order)| (t.at, t.seq) < order) {
+                    best = Some((key, (t.at, t.seq)));
+                }
+            }
+        }
+        best
+    }
+
+    /// `(time, seq)` of the earliest live heap entry, after dropping
+    /// cancelled heads.
+    fn heap_head(&mut self) -> Option<(SimTime, u64)> {
+        while let Some(entry) = self.heap.peek() {
+            if self.slots[entry.slot as usize].event.is_some() {
+                return Some((entry.at, entry.seq));
+            }
+            let entry = self.heap.pop().expect("peeked entry must pop");
+            self.release(&entry);
+        }
+        None
+    }
+
+    /// Remove and return the earliest live event, heap entry or armed
+    /// timer, skipping cancelled ones.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        if let Some((key, order)) = self.earliest_timer() {
+            if self.heap_head().is_none_or(|head| order < head) {
+                let timer = self.timers[key].take().expect("earliest timer is armed");
+                self.live -= 1;
+                return Some((timer.at, timer.event));
+            }
+        }
         while let Some(entry) = self.heap.pop() {
             let at = entry.at;
             if let Some(event) = self.release(&entry) {
@@ -169,20 +251,17 @@ impl<E> EventQueue<E> {
 
     /// Timestamp of the earliest live event, if any, without removing it.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        // Drop cancelled heads so the peek reflects a live event.
-        while let Some(entry) = self.heap.peek() {
-            if self.slots[entry.slot as usize].event.is_some() {
-                return Some(entry.at);
-            }
-            let entry = self.heap.pop().expect("peeked entry must pop");
-            self.release(&entry);
+        let head = self.heap_head().map(|(at, _)| at);
+        match self.earliest_timer() {
+            Some((_, (at, _))) => Some(head.map_or(at, |head| head.min(at))),
+            None => head,
         }
-        None
     }
 
-    /// Number of live events: scheduled and not yet fired or cancelled.
-    /// Lazily cancelled heap entries are not counted, so the figure does
-    /// not depend on how often the model cancels and reschedules.
+    /// Number of live events: scheduled and not yet fired or cancelled,
+    /// each armed timer counted once. Lazily cancelled heap entries are
+    /// not counted, so the figure does not depend on how often the model
+    /// cancels and reschedules, nor on whether it uses timers to do so.
     pub fn len(&self) -> usize {
         self.live
     }
@@ -308,6 +387,58 @@ mod tests {
             .filter(|f| matches!(f.rule, detlint::Rule::UnorderedIteration))
             .collect();
         assert!(det001.is_empty(), "{det001:?}");
+    }
+
+    #[test]
+    fn timers_interleave_with_heap_events_by_time_then_seq() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_secs(1);
+        q.schedule(t, "heap-first");
+        q.set_timer(1, t, "timer");
+        q.schedule(t, "heap-last");
+        q.set_timer(0, SimTime::from_secs(2), "late timer");
+        assert_eq!(q.len(), 4);
+        assert_eq!(q.peek_time(), Some(t));
+        assert_eq!(q.pop(), Some((t, "heap-first")));
+        assert_eq!(q.pop(), Some((t, "timer")));
+        assert_eq!(q.pop(), Some((t, "heap-last")));
+        assert_eq!(q.peek_time(), Some(SimTime::from_secs(2)));
+        assert_eq!(q.pop(), Some((SimTime::from_secs(2), "late timer")));
+        assert_eq!(q.pop(), None);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn rearming_a_timer_replaces_it_and_takes_a_fresh_seq() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_secs(1);
+        q.set_timer(0, t, "stale");
+        q.schedule(t, "heap");
+        // Re-armed after the heap event was scheduled: it now ties behind it.
+        q.set_timer(0, t, "rearmed");
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.pop(), Some((t, "heap")));
+        assert_eq!(q.pop(), Some((t, "rearmed")));
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn clearing_a_timer_is_idempotent_and_live_count_tracks() {
+        let mut q = EventQueue::new();
+        q.clear_timer(3); // never armed
+        q.set_timer(3, SimTime::from_secs(1), "a");
+        q.schedule(SimTime::from_secs(2), "b");
+        assert_eq!(q.len(), 2);
+        q.clear_timer(3);
+        q.clear_timer(3);
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop(), Some((SimTime::from_secs(2), "b")));
+        // A fired timer is disarmed; clearing it afterwards is a no-op.
+        q.set_timer(3, SimTime::from_secs(3), "c");
+        assert_eq!(q.pop(), Some((SimTime::from_secs(3), "c")));
+        q.clear_timer(3);
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
     }
 
     #[test]

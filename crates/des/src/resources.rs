@@ -203,11 +203,16 @@ impl Discipline {
     }
 }
 
-/// One class's active jobs as parallel arrays, sorted by id. Passes walk
-/// them in id order, so the float updates and the smaller-id tie-break
-/// never depend on insertion order or hash state (detlint DET001/DET005).
-/// Job ids mostly arrive in increasing order, so an insert lands at or
-/// near the end.
+/// One class's active jobs as parallel arrays, in descending order of
+/// `remaining`, so the next completion sits at the tail. Every job of a
+/// lane progresses by the same `fl(rate·dt)`, and `max(fl(r − c), 0)` is
+/// monotone in `r`, so [`Lane::advance`] keeps the order (equal values
+/// may appear, never an inversion). A new job lands after the jobs with
+/// at least as much work; a completing one is found from the tail. Which
+/// of two tied jobs finishes first is decided by id in
+/// [`Lane::earliest`], never by position, so the float updates and the
+/// smaller-id tie-break do not depend on insertion order or hash state
+/// (detlint DET001/DET005).
 #[derive(Debug, Clone, Default)]
 struct Lane {
     ids: Vec<JobId>,
@@ -222,15 +227,25 @@ impl Lane {
         self.ids.len()
     }
 
-    fn insert(&mut self, pos: usize, id: JobId, demand: f64, weight: f64) {
+    /// Whether job `id` is in this lane. A start never finds its id, so
+    /// the scan always runs to the end: one branch-free pass that
+    /// compiles to vector compares.
+    fn contains(&self, id: JobId) -> bool {
+        self.ids.iter().fold(false, |found, &x| found | (x == id))
+    }
+
+    /// Add a job at its place in the descending `remaining` order.
+    fn insert(&mut self, id: JobId, demand: f64, weight: f64) {
+        let pos = self.remaining.partition_point(|&r| r >= demand);
         self.ids.insert(pos, id);
         self.remaining.insert(pos, demand);
         self.weight.insert(pos, weight);
     }
 
     /// Remove job `id` if it is in this lane; returns its weight.
+    /// Completions come off the tail, so the search starts there.
     fn remove(&mut self, id: JobId) -> Option<f64> {
-        let pos = self.ids.binary_search(&id).ok()?;
+        let pos = self.ids.iter().rposition(|&x| x == id)?;
         self.ids.remove(pos);
         self.remaining.remove(pos);
         Some(self.weight.remove(pos))
@@ -250,44 +265,34 @@ impl Lane {
     /// lane, or `None` when it is empty.
     ///
     /// Division by a positive constant rounds monotonically, so the
-    /// smallest `remaining` gives the smallest finish: one division
-    /// instead of one per job. The minimum is taken in four running
-    /// minima (`if r < m { r } else { m }` is exactly a vector `min`); with
-    /// no NaN in the lane, the order of the comparisons can change at most
-    /// the sign of a zero minimum, which finishes at the same time. A job with a smaller id still wins the tie if
-    /// its own quotient rounds to the same `best`; its exact quotient lies
-    /// below `best.next_up()`, so its `remaining` is at most
-    /// `best.next_up() * rate` (rounding is monotone again), and only
-    /// those jobs are divided to confirm. Validated disciplines keep every
-    /// rate in `(0, 1]`; any other rate falls back to one division per
-    /// job.
+    /// smallest `remaining`, the tail's, gives the smallest finish `best`:
+    /// one division instead of one per job. A job with a smaller id still
+    /// wins the tie if its own quotient rounds to `best`; its exact
+    /// quotient lies below `best.next_up()`, so its `remaining` is at most
+    /// `best.next_up() * rate` (rounding is monotone again). Those jobs
+    /// form the tail run walked back from the end, and only they are
+    /// divided to confirm. A zero of either sign finishes at the same
+    /// time; the sign returned is the winner's. Validated disciplines
+    /// keep every rate in `(0, 1]`; any other rate falls back to one
+    /// division per job.
     fn earliest(&self, rate: f64) -> Option<(f64, JobId)> {
         if !(rate > 0.0 && rate <= 1.0) {
             return self.earliest_by_division(rate);
         }
-        let first = *self.remaining.first()?;
-        let mut mins = [first; 4];
-        let chunks = self.remaining.chunks_exact(4);
-        let tail = chunks.remainder();
-        for chunk in chunks {
-            for (m, &r) in mins.iter_mut().zip(chunk) {
-                *m = if r < *m { r } else { *m };
+        let mut best = *self.remaining.last()? / rate;
+        let limit = best.next_up() * rate;
+        let mut id = *self.ids.last()?;
+        for (&r, &other) in self.remaining.iter().zip(&self.ids).rev().skip(1) {
+            if r > limit {
+                break;
+            }
+            let finish = r / rate;
+            if other < id && finish == best {
+                // Equal, but a zero's sign is the winner's own.
+                (best, id) = (finish, other);
             }
         }
-        let min = mins
-            .iter()
-            .chain(tail)
-            .fold(first, |m, &r| if r < m { r } else { m });
-        let best = min / rate;
-        let limit = best.next_up() * rate;
-        // The first job in id order whose quotient is `best`; the job
-        // holding the minimum always qualifies.
-        let i = self
-            .remaining
-            .iter()
-            .position(|&r| r <= limit && r / rate == best)
-            .expect("the job holding the minimum qualifies");
-        Some((best, self.ids[i]))
+        Some((best, id))
     }
 
     /// [`Lane::earliest`] by dividing every job's `remaining`.
@@ -318,10 +323,16 @@ fn earlier(a: (f64, JobId), b: (f64, JobId)) -> (f64, JobId) {
 ///
 /// The owning model is responsible for scheduling the completion event:
 /// once per handled event, after that event's last membership change,
-/// call [`ProcShare::next_completion`], cancel the previously scheduled
-/// completion and schedule the new one. Every call is an O(n) scan, and
-/// a completion computed before a later change in the same event would
-/// only be cancelled again.
+/// call [`ProcShare::next_completion`] and re-arm a queue timer with it
+/// ([`crate::Context::set_timer`]), or clear the timer when it returns
+/// `None`. A completion computed before a later change in the same event
+/// would only be re-armed again.
+///
+/// Costs per call, with `n` active jobs: `next_completion` reads each
+/// lane's tail (plus the run of jobs tied with it), `remove` of the
+/// completing job is O(1) from the tail, and `start` is a binary search
+/// plus an O(n) duplicate check and shift. Progressing the jobs to `now`
+/// is one O(n) vector pass whenever the clock moved.
 #[derive(Debug, Clone)]
 pub struct ProcShare {
     discipline: Discipline,
@@ -436,11 +447,10 @@ impl ProcShare {
             JobClass::Normal => (&mut self.normal, &self.reserved),
             JobClass::Reserved => (&mut self.reserved, &self.normal),
         };
-        let pos = match lane.ids.binary_search(&id) {
-            Err(pos) if other.ids.binary_search(&id).is_err() => pos,
-            _ => panic!("job {id} already running"),
-        };
-        lane.insert(pos, id, demand, weight);
+        if lane.contains(id) || other.contains(id) {
+            panic!("job {id} already running");
+        }
+        lane.insert(id, demand, weight);
         self.total_weight += weight;
         if class == JobClass::Reserved {
             self.reserved_weight += weight;
@@ -807,6 +817,9 @@ mod tests {
 
     /// Near-tied demands at rates a validated discipline produces and at
     /// ones it never does: the lane scan always equals dividing every job.
+    /// Ids arrive ascending, descending and interleaved, so a tied tail
+    /// run is walked in every id order; `advance` between inserts clamps
+    /// the smaller demands at zero, which ties them exactly.
     #[test]
     fn lane_scan_matches_per_job_division_at_any_rate() {
         let x = 0.3_f64;
@@ -819,6 +832,7 @@ mod tests {
             2.0_f64.next_down(),
             2.0,
             0.0,
+            -0.0,
             f64::MIN_POSITIVE / 4.0,
         ];
         let rates = [
@@ -833,20 +847,38 @@ mod tests {
             0.0,
             f64::NAN,
         ];
-        for len in 1..=demands.len() {
-            for skip in 0..len {
-                let mut lane = Lane::default();
-                for (i, &d) in demands[skip..len].iter().enumerate() {
-                    lane.insert(i, 10 * i as JobId, d, 1.0);
-                }
-                for &rate in &rates {
-                    let bits = |r: Option<(f64, JobId)>| r.map(|(f, id)| (f.to_bits(), id));
-                    assert_eq!(
-                        bits(lane.earliest(rate)),
-                        bits(lane.earliest_by_division(rate)),
-                        "rate {rate}, demands {:?}",
-                        &demands[skip..len]
-                    );
+        let n = demands.len() as JobId;
+        for order in ["ascending", "descending", "interleaved"] {
+            let id_of = |i: JobId| match order {
+                "ascending" => 10 * i,
+                "descending" => 10 * (n - i),
+                _ if i.is_multiple_of(2) => i,
+                _ => 2 * n - i,
+            };
+            for step in [None, Some(0.1), Some(x)] {
+                for len in 1..=demands.len() {
+                    for skip in 0..len {
+                        let mut lane = Lane::default();
+                        for (i, &d) in demands[skip..len].iter().enumerate() {
+                            if let Some(dt) = step.filter(|_| i % 3 == 2) {
+                                lane.advance(1.0, dt);
+                            }
+                            lane.insert(id_of(i as JobId), d, 1.0);
+                        }
+                        assert!(
+                            lane.remaining.windows(2).all(|w| w[0] >= w[1]),
+                            "{order}: {:?}",
+                            lane.remaining
+                        );
+                        for &rate in &rates {
+                            let bits = |r: Option<(f64, JobId)>| r.map(|(f, id)| (f.to_bits(), id));
+                            assert_eq!(
+                                bits(lane.earliest(rate)),
+                                bits(lane.earliest_by_division(rate)),
+                                "{order}, step {step:?}, rate {rate}, lane {lane:?}",
+                            );
+                        }
+                    }
                 }
             }
         }

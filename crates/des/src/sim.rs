@@ -46,9 +46,32 @@ impl<'a, E> Context<'a, E> {
         self.queue.schedule(at, event)
     }
 
-    /// Schedule `event` to fire `delay` after the current time.
+    /// Schedule `event` to fire `delay` after the current time. A delay
+    /// past the end of time saturates at [`SimTime::MAX`] instead of
+    /// wrapping into the past.
     pub fn schedule_in(&mut self, delay: SimTime, event: E) -> EventHandle {
-        self.queue.schedule(self.now + delay, event)
+        let at = self.now.checked_add(delay).unwrap_or(SimTime::MAX);
+        self.queue.schedule(at, event)
+    }
+
+    /// Arm timer `key` to fire `event` at the absolute time `at`,
+    /// replacing the event it held (see [`EventQueue::set_timer`]): the
+    /// cheap way to keep one moving event per key, such as a resource's
+    /// next completion. Arming in the past panics, as in
+    /// [`Context::schedule`].
+    pub fn set_timer(&mut self, key: usize, at: SimTime, event: E) {
+        assert!(
+            at >= self.now,
+            "cannot schedule into the past: now={} at={}",
+            self.now,
+            at
+        );
+        self.queue.set_timer(key, at, event);
+    }
+
+    /// Disarm timer `key` (no-op if it is not armed).
+    pub fn clear_timer(&mut self, key: usize) {
+        self.queue.clear_timer(key);
     }
 
     /// Cancel a previously scheduled event (no-op if it already fired).
@@ -225,6 +248,61 @@ mod tests {
         let mut sim = Simulation::new(Bad, 0);
         sim.schedule(SimTime::from_secs(5), ());
         sim.run();
+    }
+
+    #[test]
+    fn an_infinite_delay_never_fires_instead_of_wrapping_into_the_past() {
+        struct Forever {
+            fired: Vec<SimTime>,
+        }
+        impl Model for Forever {
+            type Event = bool;
+            fn handle(&mut self, ctx: &mut Context<'_, bool>, arm: bool) {
+                self.fired.push(ctx.now());
+                if arm {
+                    ctx.schedule_in(SimTime::from_secs_f64(f64::INFINITY), false);
+                }
+            }
+        }
+        let mut sim = Simulation::new(Forever { fired: vec![] }, 0);
+        sim.schedule(SimTime::from_secs(5), true);
+        let horizon = SimTime::from_secs(60);
+        assert_eq!(sim.run_until(horizon), 1);
+        assert_eq!(sim.model().fired, [SimTime::from_secs(5)]);
+        assert_eq!(sim.now(), horizon);
+        assert_eq!(sim.queue.peek_time(), Some(SimTime::MAX));
+    }
+
+    #[test]
+    fn timers_fire_and_rearm_through_the_context() {
+        // A ticking timer re-armed from its own handler, racing a plain
+        // event scheduled for the same instant as one of its ticks.
+        struct Tick {
+            log: Vec<(SimTime, &'static str)>,
+        }
+        impl Model for Tick {
+            type Event = &'static str;
+            fn handle(&mut self, ctx: &mut Context<'_, &'static str>, ev: &'static str) {
+                self.log.push((ctx.now(), ev));
+                if ev == "tick" && ctx.now() < SimTime::from_secs(3) {
+                    ctx.set_timer(0, ctx.now() + SimTime::from_secs(1), "tick");
+                }
+                if ev == "stop" {
+                    ctx.clear_timer(0);
+                }
+            }
+        }
+        let mut sim = Simulation::new(Tick { log: vec![] }, 0);
+        sim.schedule(SimTime::from_secs(2), "stop");
+        sim.queue.set_timer(0, SimTime::from_secs(1), "tick");
+        sim.run();
+        let s = SimTime::from_secs;
+        assert_eq!(
+            sim.model().log,
+            [(s(1), "tick"), (s(2), "stop")],
+            "the plain event was scheduled first, so it wins the 2 s tie"
+        );
+        assert!(sim.queue.is_empty());
     }
 
     #[test]

@@ -647,3 +647,118 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 }
+
+// ---------------------------------------------------------------------------
+// Queue timers against cancel + schedule
+// ---------------------------------------------------------------------------
+
+/// One step of an event-queue interleaving. Delays are small so that
+/// events, heap and timer alike, often share an instant.
+#[derive(Debug, Clone)]
+enum QueueOp {
+    /// Schedule a heap event `delay` µs after the clock.
+    Schedule(u64),
+    /// Cancel the n-th heap event scheduled so far (modulo the count),
+    /// whether or not it is still pending.
+    Cancel(usize),
+    /// Arm timer `key` `delay` µs after the clock.
+    SetTimer {
+        key: usize,
+        delay: u64,
+    },
+    ClearTimer(usize),
+    /// Pop the earliest event and move the clock to it.
+    Pop,
+}
+
+fn arb_delay() -> impl Strategy<Value = u64> {
+    prop_oneof![Just(0u64), 0u64..4, 0u64..40]
+}
+
+fn arb_queue_op() -> impl Strategy<Value = QueueOp> {
+    let set_timer =
+        || (0usize..3, arb_delay()).prop_map(|(key, delay)| QueueOp::SetTimer { key, delay });
+    prop_oneof![
+        arb_delay().prop_map(QueueOp::Schedule),
+        arb_delay().prop_map(QueueOp::Schedule),
+        (0usize..64).prop_map(QueueOp::Cancel),
+        set_timer(),
+        set_timer(),
+        (0usize..3).prop_map(QueueOp::ClearTimer),
+        Just(QueueOp::Pop),
+        Just(QueueOp::Pop),
+        Just(QueueOp::Pop),
+    ]
+}
+
+proptest! {
+    #![proptest_config(reference_config())]
+
+    /// Keyed timers are observably the cancel-and-reschedule pattern they
+    /// replace: against a shadow queue where `set_timer` cancels the key's
+    /// previous handle and schedules afresh (and `clear_timer` only
+    /// cancels), random interleavings at non-decreasing times pop the
+    /// same `(time, payload)` sequence, same-instant ties between timers
+    /// and heap events included, with the same `len()` and `peek_time()`
+    /// after every step.
+    #[test]
+    fn queue_timers_match_cancel_and_reschedule(
+        ops in prop::collection::vec(arb_queue_op(), 1..160)
+    ) {
+        let mut q = EventQueue::new();
+        let mut shadow = EventQueue::new();
+        let mut handles = Vec::new();
+        let mut shadow_timers = [None; 3];
+        let mut now = SimTime::ZERO;
+        for (step, op) in ops.iter().enumerate() {
+            let payload = step as u64;
+            match *op {
+                QueueOp::Schedule(delay) => {
+                    let at = now + SimTime::from_micros(delay);
+                    handles.push((q.schedule(at, payload), shadow.schedule(at, payload)));
+                }
+                QueueOp::Cancel(n) => {
+                    if !handles.is_empty() {
+                        let (h, s) = handles[n % handles.len()];
+                        q.cancel(h);
+                        shadow.cancel(s);
+                    }
+                }
+                QueueOp::SetTimer { key, delay } => {
+                    let at = now + SimTime::from_micros(delay);
+                    q.set_timer(key, at, payload);
+                    if let Some(h) = shadow_timers[key].take() {
+                        shadow.cancel(h);
+                    }
+                    shadow_timers[key] = Some(shadow.schedule(at, payload));
+                }
+                QueueOp::ClearTimer(key) => {
+                    q.clear_timer(key);
+                    if let Some(h) = shadow_timers[key].take() {
+                        shadow.cancel(h);
+                    }
+                }
+                QueueOp::Pop => {
+                    let got = q.pop();
+                    prop_assert_eq!(got, shadow.pop(), "step {}", step);
+                    if let Some((at, _)) = got {
+                        prop_assert!(at >= now, "step {}: time ran backwards", step);
+                        now = at;
+                    }
+                }
+            }
+            prop_assert_eq!(q.len(), shadow.len(), "step {}", step);
+            prop_assert_eq!(q.is_empty(), shadow.is_empty(), "step {}", step);
+            prop_assert_eq!(q.peek_time(), shadow.peek_time(), "step {}", step);
+        }
+        // Drain: the rest of the order agrees too.
+        loop {
+            let got = q.pop();
+            prop_assert_eq!(got, shadow.pop());
+            prop_assert_eq!(q.len(), shadow.len());
+            if got.is_none() {
+                break;
+            }
+        }
+    }
+}

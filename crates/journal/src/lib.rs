@@ -87,15 +87,27 @@ pub struct Wal {
 impl Wal {
     /// Create a fresh, empty log. Fails if `path` already exists — an
     /// existing journal must be opened (resumed), never clobbered.
+    ///
+    /// The new file's directory entry is made durable before this
+    /// returns: the containing directory is fsync'd, and so is its own
+    /// parent when this call created the directory. Otherwise a machine
+    /// crash soon after a fresh start could lose the log together with
+    /// every fsync'd append in it.
     pub fn create(path: &Path) -> io::Result<Wal> {
-        if let Some(parent) = parent_dir(path) {
-            std::fs::create_dir_all(parent)?;
+        let dir = parent_dir(path).unwrap_or(Path::new("."));
+        let made_dir = !dir.is_dir();
+        if made_dir {
+            std::fs::create_dir_all(dir)?;
         }
         let file = OpenOptions::new()
             .read(true)
             .write(true)
             .create_new(true)
             .open(path)?;
+        sync_dir(dir);
+        if made_dir {
+            sync_dir(parent_dir(dir).unwrap_or(Path::new(".")));
+        }
         Ok(Wal {
             file,
             path: path.to_path_buf(),
@@ -254,6 +266,15 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     Ok(())
 }
 
+/// Fsync a directory so the entries created or renamed in it survive a
+/// machine crash. Best effort: a filesystem that cannot sync directories
+/// is left as it is.
+fn sync_dir(dir: &Path) {
+    if let Ok(d) = File::open(dir) {
+        let _ = d.sync_all();
+    }
+}
+
 /// `path.parent()`, treating the empty path (bare file name) as "no
 /// parent" so `create_dir_all("")` is never attempted.
 fn parent_dir(path: &Path) -> Option<&Path> {
@@ -300,6 +321,20 @@ mod tests {
         std::fs::write(&path, b"x").unwrap();
         assert!(Wal::create(&path).is_err());
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn create_makes_missing_directories() {
+        let root = tmp("nested");
+        let _ = std::fs::remove_dir_all(&root);
+        let path = root.join("a").join("run.wal");
+        let mut wal = Wal::create(&path).unwrap();
+        wal.append(b"x").unwrap();
+        drop(wal);
+        assert_eq!(read_records(&path).unwrap(), vec![b"x".to_vec()]);
+        // The directory exists now; a second log beside the first reuses it.
+        Wal::create(&root.join("a").join("other.wal")).unwrap();
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     /// Build one valid frame for `payload`.

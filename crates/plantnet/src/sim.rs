@@ -25,7 +25,7 @@ use crate::model::EngineModel;
 use crate::monitor::{names, EngineMetrics, OverloadTotals, RepeatedMetrics};
 use crate::pipeline::Task;
 use e2c_des::resources::{Discipline, ProcShare, Tokens};
-use e2c_des::{Context, Dist, EventHandle, Model, Sampler, SimTime, Simulation};
+use e2c_des::{Context, Dist, Model, Sampler, SimTime, Simulation};
 use e2c_metrics::{Histogram, OnlineStats, Registry, Summary};
 use e2c_net::{LinkSpec, SharedLink};
 use e2c_workload::{ImageMix, RateSchedule};
@@ -211,6 +211,11 @@ pub enum Ev {
     Sample,
 }
 
+/// Queue timer keys: each resource's next completion is one re-armed
+/// timer rather than a cancelled and rescheduled heap event.
+const GPU_TIMER: usize = 0;
+const CPU_TIMER: usize = 1;
+
 /// CPU job-id codes (job id = `req_id * 8 + code`).
 mod code {
     pub const PRE: u64 = 0;
@@ -316,10 +321,8 @@ pub struct Experiment {
     link: SharedLink,
     images: ImageMix,
     times: ServiceTimes,
-    cpu_handle: Option<EventHandle>,
-    gpu_handle: Option<EventHandle>,
-    /// Set by a CPU/GPU membership change; the completion event is
-    /// rescheduled once, at the end of the handled event.
+    /// Set by a CPU/GPU membership change; the completion timer is
+    /// re-armed once, at the end of the handled event.
     cpu_dirty: bool,
     gpu_dirty: bool,
     reqs: ReqWindow,
@@ -375,8 +378,6 @@ impl Experiment {
             link: SharedLink::new(spec.link),
             images: ImageMix::new(spec.model.image_bytes_mean, spec.model.image_bytes_cv),
             times: ServiceTimes::new(&spec),
-            cpu_handle: None,
-            gpu_handle: None,
             cpu_dirty: false,
             gpu_dirty: false,
             reqs: ReqWindow::default(),
@@ -526,7 +527,7 @@ impl Experiment {
 
     // ---- resource completion rescheduling ----
 
-    /// Reschedule the completion event of every resource whose membership
+    /// Re-arm the completion timer of every resource whose membership
     /// changed during the handled event: GPU first, then CPU. All of an
     /// event's changes happen at one instant, so the next completion
     /// depends only on the final membership; and GPU-then-CPU is the
@@ -534,19 +535,15 @@ impl Experiment {
     /// events, so same-time tie order is unchanged too.
     fn flush_completions(&mut self, ctx: &mut Context<'_, Ev>) {
         if std::mem::take(&mut self.gpu_dirty) {
-            if let Some(h) = self.gpu_handle.take() {
-                ctx.cancel(h);
-            }
-            if let Some((at, req)) = self.gpu.next_completion(ctx.now()) {
-                self.gpu_handle = Some(ctx.schedule(at, Ev::GpuDone { req }));
+            match self.gpu.next_completion(ctx.now()) {
+                Some((at, req)) => ctx.set_timer(GPU_TIMER, at, Ev::GpuDone { req }),
+                None => ctx.clear_timer(GPU_TIMER),
             }
         }
         if std::mem::take(&mut self.cpu_dirty) {
-            if let Some(h) = self.cpu_handle.take() {
-                ctx.cancel(h);
-            }
-            if let Some((at, job)) = self.cpu.next_completion(ctx.now()) {
-                self.cpu_handle = Some(ctx.schedule(at, Ev::CpuDone { job }));
+            match self.cpu.next_completion(ctx.now()) {
+                Some((at, job)) => ctx.set_timer(CPU_TIMER, at, Ev::CpuDone { job }),
+                None => ctx.clear_timer(CPU_TIMER),
             }
         }
     }
