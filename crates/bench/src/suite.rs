@@ -1,9 +1,9 @@
 //! The default benchmark suite: one [`Benchmark`] per load-bearing path
 //! named by the roadmap.
 //!
-//! * [`DesMm1Bench`] — the DES event loop: queue push/pop/cancel under an
-//!   M/M/1 workload with per-job timeouts (most timeouts are cancelled,
-//!   so the cancellation path is exercised as hard as scheduling).
+//! * [`DesMm1Bench`] — the DES event loop: queue push/pop under an M/M/1
+//!   workload with per-job reneging timeouts (every timeout pops; a
+//!   served job's is stale and ignored).
 //! * [`ProcShareChurnBench`] — the engine's processor-sharing CPU model:
 //!   64 jobs started and drained completion by completion on a 40-core
 //!   [`ProcShare`].
@@ -64,21 +64,40 @@ pub fn default_registry() -> BenchRegistry {
 // DES event loop
 // ---------------------------------------------------------------------------
 
-/// M/M/1 queue with a per-job timeout event that is cancelled when the job
-/// completes in time — the common DES pattern that stresses all three
-/// event-queue operations (schedule, pop, cancel).
+/// M/M/1 queue with reneging: every job schedules a timeout on arrival,
+/// and a job still waiting when it fires abandons. Nothing is cancelled,
+/// so every timeout pops — the event loop runs schedule and pop only.
 struct Mm1 {
     interarrival: Dist,
     service: Dist,
     timeout: SimTime,
     horizon: SimTime,
-    /// Jobs waiting for the server: `(job id, timeout handle)`.
-    waiting: VecDeque<(u64, e2c_des::EventHandle)>,
-    /// The job in service, with its timeout handle.
-    in_service: Option<(u64, e2c_des::EventHandle)>,
+    /// Ids of the jobs waiting for the server, in arrival order.
+    waiting: VecDeque<u64>,
+    /// A job is in service.
+    busy: bool,
     next_job: u64,
     served: u64,
     timed_out: u64,
+}
+
+impl Mm1 {
+    /// The bench's workload: ρ = 0.8 and a timeout deep enough that most
+    /// jobs are served before theirs fires, over 120 000 simulated
+    /// seconds of arrivals.
+    fn bench() -> Self {
+        Mm1 {
+            interarrival: Dist::Exp { mean: 1.0 },
+            service: Dist::Exp { mean: 0.8 },
+            timeout: SimTime::from_secs(25),
+            horizon: SimTime::from_secs(120_000),
+            waiting: VecDeque::new(),
+            busy: false,
+            next_job: 0,
+            served: 0,
+            timed_out: 0,
+        }
+    }
 }
 
 enum Mm1Ev {
@@ -95,13 +114,13 @@ impl Model for Mm1 {
             Mm1Ev::Arrive => {
                 let job = self.next_job;
                 self.next_job += 1;
-                let timeout = ctx.schedule_in(self.timeout, Mm1Ev::Timeout(job));
-                if self.in_service.is_none() {
+                ctx.schedule_in(self.timeout, Mm1Ev::Timeout(job));
+                if self.busy {
+                    self.waiting.push_back(job);
+                } else {
                     let s = SimTime::from_secs_f64(self.service.sample(ctx.rng()));
                     ctx.schedule_in(s, Mm1Ev::Depart);
-                    self.in_service = Some((job, timeout));
-                } else {
-                    self.waiting.push_back((job, timeout));
+                    self.busy = true;
                 }
                 if ctx.now() < self.horizon {
                     let a = SimTime::from_secs_f64(self.interarrival.sample(ctx.rng()));
@@ -109,21 +128,21 @@ impl Model for Mm1 {
                 }
             }
             Mm1Ev::Depart => {
-                if let Some((_, timeout)) = self.in_service.take() {
-                    ctx.cancel(timeout);
-                    self.served += 1;
-                }
-                if let Some((job, timeout)) = self.waiting.pop_front() {
+                self.served += 1;
+                self.busy = self.waiting.pop_front().is_some();
+                if self.busy {
                     let s = SimTime::from_secs_f64(self.service.sample(ctx.rng()));
                     ctx.schedule_in(s, Mm1Ev::Depart);
-                    self.in_service = Some((job, timeout));
                 }
             }
             Mm1Ev::Timeout(job) => {
-                // Fires only for jobs still waiting (in-service and
-                // completed jobs cancelled theirs): the job abandons.
-                if let Some(i) = self.waiting.iter().position(|&(j, _)| j == job) {
-                    self.waiting.remove(i);
+                // The timeout is the same for every job and the queue is
+                // FIFO, so every job that arrived earlier has already left
+                // the queue (served, or its own earlier timeout fired). A
+                // job still waiting is therefore at the front; otherwise
+                // it is in service or done, and the timeout is stale.
+                if self.waiting.front() == Some(&job) {
+                    self.waiting.pop_front();
                     self.timed_out += 1;
                 }
             }
@@ -132,7 +151,8 @@ impl Model for Mm1 {
 }
 
 /// DES event-loop benchmark (`crates/des`): ~120 k arrivals per iteration
-/// through [`Simulation::run`], heavy on cancellations.
+/// through [`Simulation::run`], three events each (arrival, departure and
+/// timeout).
 pub struct DesMm1Bench {
     seed: u64,
 }
@@ -163,21 +183,7 @@ impl Benchmark for DesMm1Bench {
         self.seed = seed;
     }
     fn iter(&mut self, round: u64) -> u64 {
-        // ρ = 0.8 with a timeout deep enough that most jobs finish first:
-        // the cancel path dominates over the timeout-fires path.
-        let horizon = SimTime::from_secs(120_000);
-        let model = Mm1 {
-            interarrival: Dist::Exp { mean: 1.0 },
-            service: Dist::Exp { mean: 0.8 },
-            timeout: SimTime::from_secs(25),
-            horizon,
-            waiting: VecDeque::new(),
-            in_service: None,
-            next_job: 0,
-            served: 0,
-            timed_out: 0,
-        };
-        let mut sim = Simulation::new(model, self.seed ^ round.wrapping_mul(0x9E37));
+        let mut sim = Simulation::new(Mm1::bench(), self.seed ^ round.wrapping_mul(0x9E37));
         sim.schedule(SimTime::ZERO, Mm1Ev::Arrive);
         // Drain fully (the arrival chain stops at the horizon).
         sim.run()
@@ -938,6 +944,23 @@ mod tests {
         // workload instance (still the same size class).
         assert_eq!(a.iter(0), b.iter(0));
         assert!(a.iter(1) > 100_000);
+    }
+
+    #[test]
+    fn mm1_model_serves_and_abandons_pinned_counts() {
+        // Pinned from the model as it was when served jobs cancelled their
+        // timeouts: the FIFO-front staleness check must agree with it.
+        for (seed, want) in [
+            (0, (120_040, 120_002, 38)),
+            (1, (119_755, 119_672, 83)),
+            (7, (119_961, 119_933, 28)),
+        ] {
+            let mut sim = Simulation::new(Mm1::bench(), seed);
+            sim.schedule(SimTime::ZERO, Mm1Ev::Arrive);
+            sim.run();
+            let m = sim.model();
+            assert_eq!((m.next_job, m.served, m.timed_out), want, "seed {seed}");
+        }
     }
 
     #[test]

@@ -130,9 +130,6 @@ pub struct EvalContext {
     pub attempt: u32,
     /// The configuration to evaluate (external units, Eq. 2 order).
     pub point: Point,
-    /// Directory created by `prepare()` for this evaluation's artifacts
-    /// (absent when the manager runs without an archive root).
-    pub eval_dir: Option<PathBuf>,
     /// Trace handle for this evaluation. Under concurrent execution this
     /// is a per-trial buffer that the commit sequencer splices into the
     /// run trace in canonical order — objectives that emit trace events
@@ -163,7 +160,6 @@ impl std::fmt::Debug for EvalContext {
             .field("trial_id", &self.trial_id)
             .field("attempt", &self.attempt)
             .field("point", &self.point)
-            .field("eval_dir", &self.eval_dir)
             .field("traced", &self.tracer.is_some())
             .finish()
     }
@@ -532,7 +528,6 @@ impl OptimizationManager {
                 trial_id: tctx.trial_id,
                 attempt: tctx.attempt,
                 point: point.clone(),
-                eval_dir: eval_dir.clone(),
                 tracer: tctx.tracer().cloned(),
                 notes: Arc::default(),
             };

@@ -6,8 +6,9 @@
 //!
 //! * [`SimTime`] — integer microsecond simulation time (total order, no
 //!   floating-point drift);
-//! * [`EventQueue`] — a cancellable priority queue of timestamped events with
-//!   deterministic FIFO tie-breaking;
+//! * [`EventQueue`] — a priority queue of timestamped events with
+//!   deterministic FIFO tie-breaking, plus re-armable keyed timers (its
+//!   only way to retract an event);
 //! * [`Simulation`] — the event loop driving a user [`Model`];
 //! * resources — [`resources::Tokens`] (counting semaphore with FIFO waiters,
 //!   e.g. a thread pool) and [`resources::ProcShare`] (processor-sharing
@@ -49,6 +50,6 @@ pub mod sim;
 pub mod time;
 
 pub use dist::{Dist, Sampler};
-pub use queue::{EventHandle, EventQueue};
+pub use queue::EventQueue;
 pub use sim::{Context, Model, Simulation};
 pub use time::SimTime;

@@ -6,7 +6,7 @@
 //! of `Rc<RefCell<...>>` webs: the model is plain owned state, mutated one
 //! event at a time.
 
-use crate::queue::{EventHandle, EventQueue};
+use crate::queue::EventQueue;
 use crate::time::SimTime;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -36,22 +36,22 @@ impl<'a, E> Context<'a, E> {
 
     /// Schedule `event` at the absolute time `at`. Scheduling in the past
     /// panics: it would silently reorder causality.
-    pub fn schedule(&mut self, at: SimTime, event: E) -> EventHandle {
+    pub fn schedule(&mut self, at: SimTime, event: E) {
         assert!(
             at >= self.now,
             "cannot schedule into the past: now={} at={}",
             self.now,
             at
         );
-        self.queue.schedule(at, event)
+        self.queue.schedule(at, event);
     }
 
     /// Schedule `event` to fire `delay` after the current time. A delay
     /// past the end of time saturates at [`SimTime::MAX`] instead of
     /// wrapping into the past.
-    pub fn schedule_in(&mut self, delay: SimTime, event: E) -> EventHandle {
+    pub fn schedule_in(&mut self, delay: SimTime, event: E) {
         let at = self.now.checked_add(delay).unwrap_or(SimTime::MAX);
-        self.queue.schedule(at, event)
+        self.queue.schedule(at, event);
     }
 
     /// Arm timer `key` to fire `event` at the absolute time `at`,
@@ -72,11 +72,6 @@ impl<'a, E> Context<'a, E> {
     /// Disarm timer `key` (no-op if it is not armed).
     pub fn clear_timer(&mut self, key: usize) {
         self.queue.clear_timer(key);
-    }
-
-    /// Cancel a previously scheduled event (no-op if it already fired).
-    pub fn cancel(&mut self, handle: EventHandle) {
-        self.queue.cancel(handle);
     }
 
     /// Seeded random number generator for this simulation run.
@@ -109,7 +104,7 @@ impl<M: Model> Simulation<M> {
     }
 
     /// Attach a tracer: each `run_until` segment emits one `des/run` event
-    /// carrying `label`, the segment's event count and the number of live
+    /// carrying `label`, the segment's event count and the number of
     /// events still queued (`queued`), stamped with the sim clock
     /// (microseconds) as its virtual time.
     pub fn set_trace(&mut self, tracer: e2c_trace::Tracer, label: &str) {
@@ -137,9 +132,9 @@ impl<M: Model> Simulation<M> {
     }
 
     /// Schedule an event from outside the event loop (setup phase).
-    pub fn schedule(&mut self, at: SimTime, event: M::Event) -> EventHandle {
+    pub fn schedule(&mut self, at: SimTime, event: M::Event) {
         assert!(at >= self.now, "cannot schedule into the past");
-        self.queue.schedule(at, event)
+        self.queue.schedule(at, event);
     }
 
     /// Run until the queue drains. Returns the number of events processed by this call.

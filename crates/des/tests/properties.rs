@@ -24,34 +24,6 @@ proptest! {
         prop_assert_eq!(count, times.len());
     }
 
-    /// Cancelling an arbitrary subset removes exactly those events.
-    #[test]
-    fn queue_cancellation_exact(
-        times in prop::collection::vec(0u64..1_000, 1..100),
-        cancel_mask in prop::collection::vec(any::<bool>(), 100)
-    ) {
-        let mut q = EventQueue::new();
-        let mut handles = Vec::new();
-        for (i, &t) in times.iter().enumerate() {
-            handles.push((q.schedule(SimTime::from_micros(t), i), i));
-        }
-        let mut kept = Vec::new();
-        for (h, i) in &handles {
-            if cancel_mask[*i % cancel_mask.len()] {
-                q.cancel(*h);
-            } else {
-                kept.push(*i);
-            }
-        }
-        let mut popped = Vec::new();
-        while let Some((_, i)) = q.pop() {
-            popped.push(i);
-        }
-        popped.sort_unstable();
-        kept.sort_unstable();
-        prop_assert_eq!(popped, kept);
-    }
-
     /// Token pool conservation: grants never exceed capacity, and everybody
     /// who queued is eventually served in FIFO order.
     #[test]
@@ -649,7 +621,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Queue timers against cancel + schedule
+// Event queue against a reference model
 // ---------------------------------------------------------------------------
 
 /// One step of an event-queue interleaving. Delays are small so that
@@ -658,9 +630,6 @@ proptest! {
 enum QueueOp {
     /// Schedule a heap event `delay` µs after the clock.
     Schedule(u64),
-    /// Cancel the n-th heap event scheduled so far (modulo the count),
-    /// whether or not it is still pending.
-    Cancel(usize),
     /// Arm timer `key` `delay` µs after the clock.
     SetTimer {
         key: usize,
@@ -681,7 +650,6 @@ fn arb_queue_op() -> impl Strategy<Value = QueueOp> {
     prop_oneof![
         arb_delay().prop_map(QueueOp::Schedule),
         arb_delay().prop_map(QueueOp::Schedule),
-        (0usize..64).prop_map(QueueOp::Cancel),
         set_timer(),
         set_timer(),
         (0usize..3).prop_map(QueueOp::ClearTimer),
@@ -691,71 +659,110 @@ fn arb_queue_op() -> impl Strategy<Value = QueueOp> {
     ]
 }
 
+/// The event queue written as plainly as possible: a flat list of
+/// pending `(at, seq, payload)` entries, scanned for the minimum
+/// `(at, seq)` on every pop. A timer is one keyed entry, removed when
+/// re-armed or cleared; heap events and timers draw `seq` from one
+/// counter.
+#[derive(Default)]
+struct RefQueue {
+    pending: Vec<(SimTime, u64, u64)>,
+    timers: [Option<u64>; 3],
+    next_seq: u64,
+}
+
+impl RefQueue {
+    fn push(&mut self, at: SimTime, payload: u64) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.pending.push((at, seq, payload));
+        seq
+    }
+
+    fn schedule(&mut self, at: SimTime, payload: u64) {
+        self.push(at, payload);
+    }
+
+    fn set_timer(&mut self, key: usize, at: SimTime, payload: u64) {
+        self.clear_timer(key);
+        self.timers[key] = Some(self.push(at, payload));
+    }
+
+    fn clear_timer(&mut self, key: usize) {
+        if let Some(seq) = self.timers[key].take() {
+            self.pending.retain(|&(_, s, _)| s != seq);
+        }
+    }
+
+    fn earliest(&self) -> Option<usize> {
+        (0..self.pending.len()).min_by_key(|&i| (self.pending[i].0, self.pending[i].1))
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, u64)> {
+        let (at, seq, payload) = self.pending.swap_remove(self.earliest()?);
+        for timer in &mut self.timers {
+            if *timer == Some(seq) {
+                *timer = None;
+            }
+        }
+        Some((at, payload))
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.earliest().map(|i| self.pending[i].0)
+    }
+}
+
 proptest! {
     #![proptest_config(reference_config())]
 
-    /// Keyed timers are observably the cancel-and-reschedule pattern they
-    /// replace: against a shadow queue where `set_timer` cancels the key's
-    /// previous handle and schedules afresh (and `clear_timer` only
-    /// cancels), random interleavings at non-decreasing times pop the
-    /// same `(time, payload)` sequence, same-instant ties between timers
-    /// and heap events included, with the same `len()` and `peek_time()`
-    /// after every step.
+    /// The queue is observably the reference model: random interleavings
+    /// of schedules, timer arms and clears, and pops at non-decreasing
+    /// times pop the same `(time, payload)` sequence, same-instant ties
+    /// between timers and heap events included, with the same `len()`
+    /// and `peek_time()` after every step.
     #[test]
-    fn queue_timers_match_cancel_and_reschedule(
+    fn queue_matches_the_reference_model(
         ops in prop::collection::vec(arb_queue_op(), 1..160)
     ) {
         let mut q = EventQueue::new();
-        let mut shadow = EventQueue::new();
-        let mut handles = Vec::new();
-        let mut shadow_timers = [None; 3];
+        let mut model = RefQueue::default();
         let mut now = SimTime::ZERO;
         for (step, op) in ops.iter().enumerate() {
             let payload = step as u64;
             match *op {
                 QueueOp::Schedule(delay) => {
                     let at = now + SimTime::from_micros(delay);
-                    handles.push((q.schedule(at, payload), shadow.schedule(at, payload)));
-                }
-                QueueOp::Cancel(n) => {
-                    if !handles.is_empty() {
-                        let (h, s) = handles[n % handles.len()];
-                        q.cancel(h);
-                        shadow.cancel(s);
-                    }
+                    q.schedule(at, payload);
+                    model.schedule(at, payload);
                 }
                 QueueOp::SetTimer { key, delay } => {
                     let at = now + SimTime::from_micros(delay);
                     q.set_timer(key, at, payload);
-                    if let Some(h) = shadow_timers[key].take() {
-                        shadow.cancel(h);
-                    }
-                    shadow_timers[key] = Some(shadow.schedule(at, payload));
+                    model.set_timer(key, at, payload);
                 }
                 QueueOp::ClearTimer(key) => {
                     q.clear_timer(key);
-                    if let Some(h) = shadow_timers[key].take() {
-                        shadow.cancel(h);
-                    }
+                    model.clear_timer(key);
                 }
                 QueueOp::Pop => {
                     let got = q.pop();
-                    prop_assert_eq!(got, shadow.pop(), "step {}", step);
+                    prop_assert_eq!(got, model.pop(), "step {}", step);
                     if let Some((at, _)) = got {
                         prop_assert!(at >= now, "step {}: time ran backwards", step);
                         now = at;
                     }
                 }
             }
-            prop_assert_eq!(q.len(), shadow.len(), "step {}", step);
-            prop_assert_eq!(q.is_empty(), shadow.is_empty(), "step {}", step);
-            prop_assert_eq!(q.peek_time(), shadow.peek_time(), "step {}", step);
+            prop_assert_eq!(q.len(), model.pending.len(), "step {}", step);
+            prop_assert_eq!(q.is_empty(), model.pending.is_empty(), "step {}", step);
+            prop_assert_eq!(q.peek_time(), model.peek_time(), "step {}", step);
         }
         // Drain: the rest of the order agrees too.
         loop {
             let got = q.pop();
-            prop_assert_eq!(got, shadow.pop());
-            prop_assert_eq!(q.len(), shadow.len());
+            prop_assert_eq!(got, model.pop());
+            prop_assert_eq!(q.len(), model.pending.len());
             if got.is_none() {
                 break;
             }
