@@ -334,8 +334,9 @@ impl Benchmark for BayesCycleBench {
 
 /// Surrogate fit + ranking (`crates/optim/src/surrogate`): a 50-tree
 /// Extra-Trees fit on 320 observations of a 4-integer space in unit
-/// coordinates, then one 512-candidate `predict_many` — the work of one
-/// suggestion late in a 320-trial run. Units are suggestions.
+/// coordinates, fused with one 512-candidate prediction through
+/// `fit_predict_many` — the work of one suggestion late in a 320-trial
+/// run, on the path `BayesOpt::suggest` takes. Units are suggestions.
 pub struct SurrogateFitBench {
     seed: u64,
     x: Vec<Vec<f64>>,
@@ -389,8 +390,7 @@ impl Benchmark for SurrogateFitBench {
     }
     fn iter(&mut self, round: u64) -> u64 {
         let mut model = SurrogateKind::ExtraTrees.build(self.seed.wrapping_add(round));
-        model.fit(&self.x, &self.y);
-        std::hint::black_box(model.predict_many(&self.candidates));
+        std::hint::black_box(model.fit_predict_many(&self.x, &self.y, &self.candidates));
         1
     }
 }

@@ -13,15 +13,20 @@
 //!   evals/trial_<id>/  # per-evaluation directories (prepare())
 //!     result.csv       # finalize(): the point and value of this trial
 //! ```
+//!
+//! The files at the root are Phase III snapshots, written atomically and
+//! fsync'd. Each `result.csv` is a view of the trial's journaled attempts
+//! instead: written without fsync, and rendered again by a resumed run.
 
 use crate::optimization::OptimizationSummary;
 use e2c_conf::schema::{OptimizationConf, VarKind};
 use e2c_conf::Value;
 use e2c_optim::space::Point;
+use e2c_tune::Trial;
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Serialize a problem definition to a configuration document.
 pub fn problem_to_value(conf: &OptimizationConf) -> Value {
@@ -158,8 +163,15 @@ pub fn write_summary(summary: &OptimizationSummary, dir: &Path) -> io::Result<()
     Ok(())
 }
 
-/// finalize() for one evaluation: record its point and value (atomically —
-/// a retried or crash-resumed evaluation overwrites, never tears).
+/// The per-evaluation directory of `trial` under the archive `root`.
+pub fn eval_dir(root: &Path, trial: u64) -> PathBuf {
+    root.join("evals").join(format!("trial_{trial}"))
+}
+
+/// finalize() for one evaluation: record its point and value. The file
+/// is a view of the attempt the run journal holds: it is swapped in whole
+/// (a retried or crash-resumed evaluation overwrites, never tears) but
+/// not fsync'd, and [`write_evaluations`] renders it again on resume.
 pub fn write_evaluation(dir: &Path, trial: u64, point: &Point, value: f64) -> io::Result<()> {
     fs::create_dir_all(dir)?;
     let point_str = point
@@ -168,7 +180,20 @@ pub fn write_evaluation(dir: &Path, trial: u64, point: &Point, value: f64) -> io
         .collect::<Vec<_>>()
         .join(";");
     let text = format!("trial,point,value\n{trial},{point_str},{value}\n");
-    e2c_journal::write_atomic(&dir.join("result.csv"), text.as_bytes())
+    e2c_journal::write_view(&dir.join("result.csv"), text.as_bytes())
+}
+
+/// Render every trial's `result.csv` under the archive `root` from its
+/// attempts: the last attempt whose objective returned holds the value
+/// [`write_evaluation`] recorded. Trials whose objective never returned
+/// have no file.
+pub fn write_evaluations(root: &Path, trials: &[Trial]) -> io::Result<()> {
+    for t in trials {
+        if let Some(raw) = t.attempts.iter().rev().find_map(|a| a.raw) {
+            write_evaluation(&eval_dir(root, t.id), t.id, &t.config, raw)?;
+        }
+    }
+    Ok(())
 }
 
 /// Strip CSV-hostile characters from a free-text field (failure reasons

@@ -520,7 +520,7 @@ impl OptimizationManager {
         let analysis = tuner.run(searcher, Arc::new(Fifo), move |point, tctx| {
             // prepare(): a dedicated directory per model evaluation.
             let eval_dir = archive_root.as_ref().map(|root| {
-                let dir = root.join("evals").join(format!("trial_{}", tctx.trial_id));
+                let dir = archive::eval_dir(root, tctx.trial_id);
                 std::fs::create_dir_all(&dir).expect("create evaluation directory");
                 dir
             });
@@ -615,6 +615,13 @@ impl OptimizationManager {
             journal_appended: run_journal.as_ref().map_or(0, |j| j.appended()),
         };
         if let Some(root) = &self.archive_root {
+            // The per-trial results are views of the journal: a resumed
+            // run renders them again, in case a machine crash lost or
+            // tore one that an earlier process wrote.
+            if self.journal.as_ref().is_some_and(|jc| jc.resume) {
+                archive::write_evaluations(root, summary.analysis.trials())
+                    .map_err(|e| RunError::Archive(format!("write evaluation results: {e}")))?;
+            }
             summary
                 .write_archive(root)
                 .map_err(|e| RunError::Archive(format!("write optimization archive: {e}")))?;

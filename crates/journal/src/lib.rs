@@ -13,6 +13,11 @@
 //! * [`write_atomic`] — full-file snapshot writes via a tmp sibling +
 //!   `rename`, with the file and its directory fsync'd, so readers only
 //!   ever observe the old bytes or the new bytes, never a truncated mix.
+//! * [`write_view`] — the same tmp + `rename` with no fsync, for files
+//!   that are views of durable state: whoever owns the state re-renders
+//!   them after a machine crash.
+//! * [`sync_counts`] — how many file and directory syncs this process
+//!   has made through the crate, for tests that bound the syncs of a run.
 //! * [`wire`] — the shared tab-separated text spelling (escaping and
 //!   canonical numeric forms) that both record protocols layered on this
 //!   crate — the run journal and the worker-farm frames — encode with.
@@ -32,6 +37,7 @@ pub mod wire;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Frame header size: 4-byte length + 4-byte CRC32, both little-endian.
 /// Public so differential tests (the fuzz harness's torn-WAL oracle) can
@@ -126,7 +132,7 @@ impl Wal {
         let (records, valid_len) = scan(&bytes);
         if valid_len as u64 != bytes.len() as u64 {
             file.set_len(valid_len as u64)?;
-            file.sync_all()?;
+            sync_file(&file)?;
         }
         file.seek(SeekFrom::Start(valid_len as u64))?;
         let n = records.len() as u64;
@@ -155,6 +161,7 @@ impl Wal {
         self.frame.extend_from_slice(&crc32(payload).to_le_bytes());
         self.frame.extend_from_slice(payload);
         self.file.write_all(&self.frame)?;
+        FILE_SYNCS.fetch_add(1, Ordering::Relaxed);
         self.file.sync_data()?;
         self.records += 1;
         Ok(())
@@ -247,23 +254,75 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     if let Some(dir) = parent {
         std::fs::create_dir_all(dir)?;
     }
-    let mut tmp = path.as_os_str().to_os_string();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
+    let tmp = tmp_sibling(path);
     {
         // detlint: allow(IO001) this IS the write_atomic implementation — the raw create targets the tmp sibling, and the rename + dir fsync below provide the atomicity
         let mut f = File::create(&tmp)?;
         f.write_all(bytes)?;
-        f.sync_all()?;
+        sync_file(&f)?;
     }
     std::fs::rename(&tmp, path)?;
     if let Some(dir) = parent {
         // Persist the rename itself: fsync the containing directory.
         if let Ok(d) = File::open(dir) {
+            DIR_SYNCS.fetch_add(1, Ordering::Relaxed);
             let _ = d.sync_all();
         }
     }
     Ok(())
+}
+
+/// Write `bytes` to `path` as a *view* of durable state: a file its owner
+/// can render again from what is durable (a run's per-trial artifacts,
+/// rebuilt from `run.wal` on resume). The bytes go to a tmp sibling that
+/// is renamed over the target, so a reader, or a process killed at any
+/// instruction, sees the old bytes or the new ones and never a torn mix.
+/// Nothing is fsync'd: only a machine crash can lose or truncate a view,
+/// and the owner re-renders it then. The parent directory must exist.
+pub fn write_view(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let tmp = tmp_sibling(path);
+    // detlint: allow(IO001) this IS the write_view implementation — the raw write targets the tmp sibling, and the rename below makes the swap atomic for readers
+    std::fs::write(&tmp, bytes)?;
+    // detlint: allow(IO002) a view is re-rendered from the journal after a machine crash, so its rename needs no directory fsync
+    std::fs::rename(&tmp, path)
+}
+
+/// The tmp sibling a full-file write goes through: `path` + `.tmp`.
+fn tmp_sibling(path: &Path) -> PathBuf {
+    let mut tmp = path.as_os_str().to_os_string();
+    tmp.push(".tmp");
+    PathBuf::from(tmp)
+}
+
+/// File syncs (`fsync`/`fdatasync`) made through this crate.
+static FILE_SYNCS: AtomicU64 = AtomicU64::new(0);
+/// Directory syncs made through this crate.
+static DIR_SYNCS: AtomicU64 = AtomicU64::new(0);
+
+/// The syncs this process has made through this crate so far: every WAL
+/// append, recovery truncation and [`write_atomic`] syncs a file, and WAL
+/// creation and [`write_atomic`] sync directories. Plain counters for
+/// tests that bound a run's syncs; they feed no artifact.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SyncCounts {
+    /// File syncs.
+    pub files: u64,
+    /// Directory syncs.
+    pub dirs: u64,
+}
+
+/// The process-wide [`SyncCounts`].
+pub fn sync_counts() -> SyncCounts {
+    SyncCounts {
+        files: FILE_SYNCS.load(Ordering::Relaxed),
+        dirs: DIR_SYNCS.load(Ordering::Relaxed),
+    }
+}
+
+/// Fsync a file's data and metadata, counted.
+fn sync_file(file: &File) -> io::Result<()> {
+    FILE_SYNCS.fetch_add(1, Ordering::Relaxed);
+    file.sync_all()
 }
 
 /// Fsync a directory so the entries created or renamed in it survive a
@@ -271,6 +330,7 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
 /// is left as it is.
 fn sync_dir(dir: &Path) {
     if let Ok(d) = File::open(dir) {
+        DIR_SYNCS.fetch_add(1, Ordering::Relaxed);
         let _ = d.sync_all();
     }
 }
@@ -424,6 +484,19 @@ mod tests {
         assert_eq!(valid, 0);
         let (_, opened) = Wal::open(&path).unwrap();
         assert_eq!(opened, records);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_view_replaces_content() {
+        let path = tmp("view.txt");
+        let _ = std::fs::remove_file(&path);
+        write_view(&path, b"first, longer content").unwrap();
+        write_view(&path, b"second").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"second");
+        assert!(!path.with_extension("txt.tmp").exists());
+        // No parent directory is made: a view's owner lays out its tree.
+        assert!(write_view(&tmp("no-such-dir").join("v.txt"), b"x").is_err());
         std::fs::remove_file(&path).unwrap();
     }
 

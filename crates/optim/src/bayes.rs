@@ -161,9 +161,9 @@ impl BayesOpt {
         self.ys.push(value);
     }
 
-    /// Fit the configured surrogate on the observations plus constant-liar
+    /// The surrogate's training set: the observations plus constant-liar
     /// pending points, in unit coordinates.
-    fn fit_model(&mut self) -> Box<dyn crate::surrogate::Surrogate> {
+    fn training_set(&self) -> (Vec<Vec<f64>>, Vec<f64>) {
         let liar = self.ys.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         let mut x_unit: Vec<Vec<f64>> = self.xs.iter().map(|p| self.space.to_unit(p)).collect();
         let mut y: Vec<f64> = self.ys.clone();
@@ -171,27 +171,13 @@ impl BayesOpt {
             x_unit.push(self.space.to_unit(p));
             y.push(liar);
         }
-        let mut model = self.kind.build(self.seed ^ self.xs.len() as u64);
-        model.fit(&x_unit, &y);
-        model
+        (x_unit, y)
     }
 
     fn suggest(&mut self) -> Point {
-        let model = self.fit_model();
-        let best_y = self.ys.iter().cloned().fold(f64::INFINITY, f64::min);
-
-        // Update hedge gains from the previous round's member proposals,
-        // using the refreshed model (probability matching on estimated
-        // outcome, as in scikit-optimize).
-        if self.acq == Acquisition::GpHedge {
-            let proposals = std::mem::take(&mut self.hedge_proposals);
-            for (member, p) in proposals {
-                let (mean, _) = model.predict(&self.space.to_unit(&p));
-                self.hedge.update(member, -mean);
-            }
-        }
-
-        // Candidate pool: global uniform + local perturbations of the best.
+        // Candidate pool: global uniform + local perturbations of the
+        // best. It is drawn before the fit, which draws only from the
+        // model's own seeded RNGs, so `self.rng` sees the same sequence.
         let mut candidates: Vec<Point> = Vec::with_capacity(N_CANDIDATES);
         let n_local = N_CANDIDATES / 4;
         for _ in 0..(N_CANDIDATES - n_local) {
@@ -213,15 +199,30 @@ impl BayesOpt {
         // Drop duplicates of evaluated/pending points (integer spaces
         // collide often); keep at least one candidate.
         drop_known(&mut candidates, &self.xs, &self.pending);
+
+        // Fit and predict the whole pool in one pass: every acquisition
+        // member ranks the same (mean, std) table, so under gp_hedge the
+        // surrogate runs one batch prediction instead of one full pass
+        // per member.
+        let units: Vec<Vec<f64>> = candidates.iter().map(|c| self.space.to_unit(c)).collect();
+        let (x_unit, y) = self.training_set();
+        let mut model = self.kind.build(self.seed ^ self.xs.len() as u64);
+        let preds = model.fit_predict_many(&x_unit, &y, &units);
+        let best_y = self.ys.iter().cloned().fold(f64::INFINITY, f64::min);
+
+        // Update hedge gains from the previous round's member proposals,
+        // using the refreshed model (probability matching on estimated
+        // outcome, as in scikit-optimize).
+        if self.acq == Acquisition::GpHedge {
+            let proposals = std::mem::take(&mut self.hedge_proposals);
+            for (member, p) in proposals {
+                let (mean, _) = model.predict(&self.space.to_unit(&p));
+                self.hedge.update(member, -mean);
+            }
+        }
         if candidates.is_empty() {
             return self.space.sample(&mut self.rng);
         }
-
-        // Predict the whole pool once: every acquisition member ranks the
-        // same (mean, std) table, so under gp_hedge the surrogate runs one
-        // batch prediction instead of one full pass per member.
-        let units: Vec<Vec<f64>> = candidates.iter().map(|c| self.space.to_unit(c)).collect();
-        let preds = model.predict_many(&units);
 
         let pick_best = |acq: &Acquisition| -> Point {
             let mut best_score = f64::NEG_INFINITY;

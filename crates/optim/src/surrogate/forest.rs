@@ -10,6 +10,9 @@ use super::tree::{Columns, RegressionTree, TreeParams};
 use super::Surrogate;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Ensemble configuration.
 #[derive(Debug, Clone, Copy)]
@@ -78,31 +81,122 @@ impl Forest {
         let var = preds.iter().map(|p| (p - mean).powi(2)).sum::<f64>() / n;
         (mean, var.sqrt())
     }
+
+    /// The moments of the first `n` points of a `[tree][point]` table.
+    /// Each point's predictions are read in tree order, exactly as
+    /// `predict` reads them, so both paths return bit-identical values.
+    fn moments_of(table: &[Vec<f64>], n: usize) -> Vec<(f64, f64)> {
+        let mut preds = vec![0.0f64; table.len()];
+        (0..n)
+            .map(|i| {
+                for (p, column) in preds.iter_mut().zip(table) {
+                    *p = column[i];
+                }
+                Self::moments(&preds)
+            })
+            .collect()
+    }
+
+    /// Replace the ensemble with trees grown on `x`, `y` and, when a
+    /// `batch` is given, return its `[tree][point]` prediction table.
+    ///
+    /// Growing tree `t` and walking the batch through it is one work
+    /// item; the calling thread and one helper pull items from a shared
+    /// counter ([`steal_each`]). Every tree draws from its own seeded RNG
+    /// and the bootstrap samples are drawn up front from the forest's
+    /// RNG in tree order, so which thread grows a tree changes nothing.
+    fn grow(&mut self, x: &[Vec<f64>], y: &[f64], batch: Option<&Columns>) -> Vec<Vec<f64>> {
+        assert_eq!(x.len(), y.len(), "x/y length mismatch");
+        assert!(!x.is_empty(), "cannot fit on empty data");
+        let cols = Columns::from_rows(x);
+        let n = x.len();
+        let (params, seed) = (self.params, self.seed);
+        let draws: Vec<usize> = if params.bootstrap {
+            let mut rng = StdRng::seed_from_u64(seed);
+            (0..n * params.n_trees)
+                .map(|_| rng.gen_range(0..n))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        // The trees and their prediction columns are allocated here, at
+        // their final sizes (every split leaves rows on both sides, so a
+        // tree of n rows has at most 2n − 1 nodes): buffers the helper
+        // allocated would keep their pages in a malloc arena of its own.
+        let mut trees: Vec<RegressionTree> = (0..params.n_trees)
+            .map(|t| {
+                let tree_seed = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ t as u64;
+                RegressionTree::with_node_capacity(params.tree, tree_seed, 2 * n - 1)
+            })
+            .collect();
+        let rows = batch.map_or(0, Columns::n_rows);
+        let mut table: Vec<Vec<f64>> = (0..params.n_trees).map(|_| vec![0.0; rows]).collect();
+        let slots: Vec<Mutex<(&mut RegressionTree, &mut Vec<f64>)>> =
+            trees.iter_mut().zip(&mut table).map(Mutex::new).collect();
+        steal_each(params.n_trees, |t| {
+            let mut slot = slots[t].lock().unwrap_or_else(PoisonError::into_inner);
+            let (tree, column) = &mut *slot;
+            if params.bootstrap {
+                let draws = &draws[t * n..(t + 1) * n];
+                let by: Vec<f64> = draws.iter().map(|&i| y[i]).collect();
+                tree.grow(&cols.select(draws), &by);
+            } else {
+                tree.grow(&cols, y);
+            }
+            if let Some(batch) = batch {
+                tree.predict_blocks(batch, column);
+            }
+        });
+        drop(slots);
+        self.trees = trees;
+        table
+    }
+}
+
+/// `work(i)` for every `i` in `0..n`. The calling thread and one scoped
+/// helper pull indices from a shared counter, so a thread slowed by other
+/// work on the machine simply takes fewer items; on a single-CPU host
+/// everything runs inline. A helper's panic is re-raised with its
+/// original payload.
+fn steal_each(n: usize, work: impl Fn(usize) + Sync) {
+    if n < 2 || parallelism() < 2 {
+        return (0..n).for_each(work);
+    }
+    let next = AtomicUsize::new(0);
+    let drain = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            return;
+        }
+        work(i);
+    };
+    std::thread::scope(|s| {
+        let helper = s.spawn(drain);
+        drain();
+        helper.join()
+    })
+    .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+}
+
+/// The CPUs this process may run on, read once.
+fn parallelism() -> usize {
+    static CPUS: OnceLock<usize> = OnceLock::new();
+    *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
 }
 
 impl Surrogate for Forest {
     fn fit(&mut self, x: &[Vec<f64>], y: &[f64]) {
-        assert_eq!(x.len(), y.len(), "x/y length mismatch");
-        assert!(!x.is_empty(), "cannot fit on empty data");
-        self.trees.clear();
-        let cols = Columns::from_rows(x);
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let (mut draws, mut by) = (Vec::new(), Vec::new());
-        for t in 0..self.params.n_trees {
-            let tree_seed = self.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ t as u64;
-            let mut tree = RegressionTree::new(self.params.tree, tree_seed);
-            if self.params.bootstrap {
-                let n = x.len();
-                draws.clear();
-                draws.extend((0..n).map(|_| rng.gen_range(0..n)));
-                by.clear();
-                by.extend(draws.iter().map(|&i| y[i]));
-                tree.grow(&cols.select(&draws), &by);
-            } else {
-                tree.grow(&cols, y);
-            }
-            self.trees.push(tree);
+        self.grow(x, y, None);
+    }
+
+    fn fit_predict_many(&mut self, x: &[Vec<f64>], y: &[f64], xs: &[Vec<f64>]) -> Vec<(f64, f64)> {
+        if xs.is_empty() {
+            self.fit(x, y);
+            return Vec::new();
         }
+        let batch = Columns::blocks(xs);
+        let table = self.grow(x, y, Some(&batch));
+        Self::moments_of(&table, xs.len())
     }
 
     fn predict(&self, x: &[f64]) -> (f64, f64) {
@@ -117,25 +211,18 @@ impl Surrogate for Forest {
             return Vec::new();
         }
         // Tree-major: the batch is transposed once, and each tree walks
-        // all of it in blocks while its nodes are hot in cache, filling a
-        // [tree][point] table. The moments then read each point's
-        // predictions in tree order, exactly as `predict` does, so both
-        // paths return bit-identical values.
+        // all of it in blocks while its nodes are hot in cache.
         let batch = Columns::blocks(xs);
-        let n = batch.n_rows();
-        let mut table = vec![0.0f64; n * self.trees.len()];
-        for (tree, out) in self.trees.iter().zip(table.chunks_exact_mut(n)) {
-            tree.predict_blocks(&batch, out);
-        }
-        let mut preds = vec![0.0f64; self.trees.len()];
-        (0..xs.len())
-            .map(|i| {
-                for (p, column) in preds.iter_mut().zip(table.chunks_exact(n)) {
-                    *p = column[i];
-                }
-                Self::moments(&preds)
+        let table: Vec<Vec<f64>> = self
+            .trees
+            .iter()
+            .map(|tree| {
+                let mut column = vec![0.0f64; batch.n_rows()];
+                tree.predict_blocks(&batch, &mut column);
+                column
             })
-            .collect()
+            .collect();
+        Self::moments_of(&table, xs.len())
     }
 
     fn is_fitted(&self) -> bool {
@@ -223,6 +310,32 @@ mod tests {
         a.fit(&x, &y);
         b.fit(&x, &y);
         assert_ne!(a.predict(&[0.3]), b.predict(&[0.3]));
+    }
+
+    #[test]
+    fn every_item_is_worked_exactly_once() {
+        let counts: Vec<AtomicUsize> = (0..200).map(|_| AtomicUsize::new(0)).collect();
+        steal_each(200, |i| {
+            counts[i].fetch_add(1, Ordering::Relaxed);
+        });
+        assert!(counts.iter().all(|c| c.load(Ordering::Relaxed) == 1));
+        steal_each(0, |_| unreachable!("no items"));
+    }
+
+    #[test]
+    fn a_panicking_work_item_re_raises_its_own_payload() {
+        #[derive(Debug, PartialEq)]
+        struct Payload(usize);
+        // Whichever thread takes item 5, the caller sees its payload.
+        let caught = std::panic::catch_unwind(|| {
+            steal_each(16, |i| {
+                if i == 5 {
+                    std::panic::panic_any(Payload(i));
+                }
+            })
+        })
+        .unwrap_err();
+        assert_eq!(caught.downcast_ref::<Payload>(), Some(&Payload(5)));
     }
 
     #[test]

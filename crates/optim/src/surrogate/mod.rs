@@ -44,6 +44,16 @@ pub trait Surrogate: Send {
         xs.iter().map(|x| self.predict(x)).collect()
     }
 
+    /// Fit on `x`, `y`, then predict every row of `xs`: what
+    /// [`Surrogate::fit`] followed by [`Surrogate::predict_many`] returns,
+    /// bit for bit. The model stays fitted for later `predict` calls.
+    /// The forest overrides it to grow each tree and walk the batch
+    /// through it as one work item.
+    fn fit_predict_many(&mut self, x: &[Vec<f64>], y: &[f64], xs: &[Vec<f64>]) -> Vec<(f64, f64)> {
+        self.fit(x, y);
+        self.predict_many(xs)
+    }
+
     /// Whether `fit` has been called with at least one sample.
     fn is_fitted(&self) -> bool;
 }

@@ -159,6 +159,14 @@ impl RegressionTree {
         }
     }
 
+    /// New unfitted tree whose node list holds `nodes` without growing.
+    pub(crate) fn with_node_capacity(params: TreeParams, seed: u64, nodes: usize) -> Self {
+        RegressionTree {
+            nodes: Vec::with_capacity(nodes),
+            ..RegressionTree::new(params, seed)
+        }
+    }
+
     /// Grow the tree on `cols` with targets `y`. Skips the residual-std
     /// pass: ensemble members never report it.
     pub(crate) fn grow(&mut self, cols: &Columns, y: &[f64]) {

@@ -9,6 +9,8 @@
 //! trees and return bit-identical predictions for every tree family built
 //! on it: CART, Extra Trees, random forest and the gradient-boosting
 //! stages, on batches of any length and at NaN and infinite coordinates.
+//! The forest's fused `fit_predict_many`, whose trees two threads grow,
+//! must return exactly what `fit` followed by `predict_many` returns.
 
 use e2c_optim::surrogate::{Forest, ForestParams, Gbrt, RegressionTree, Surrogate, TreeParams};
 use proptest::prelude::*;
@@ -522,6 +524,60 @@ proptest! {
         model.fit(&data.x, &data.y);
         for p in &data.probes {
             prop_assert_eq!(bits(gbrt.predict(p)), bits(model.predict(p)), "at {:?}", p);
+        }
+    }
+}
+
+/// Batch lengths for the fused fit: none, one row, either side of the
+/// 16-row prediction block, and the optimizer's 512-candidate pool.
+const FUSED_BATCHES: [usize; 5] = [0, 1, 15, 17, 512];
+
+/// `len` probes of `d` coordinates: the data's probes first (the NaN and
+/// infinite ones lead), then uniform points around the unit cube.
+fn probe_batch(data: &Data, d: usize, len: usize, seed: u64) -> Vec<Vec<f64>> {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xba7c);
+    let mut probes: Vec<Vec<f64>> = data.probes.iter().take(len).cloned().collect();
+    while probes.len() < len {
+        probes.push((0..d).map(|_| rng.gen_range(-0.1..1.1)).collect());
+    }
+    probes
+}
+
+proptest! {
+    #![proptest_config(config())]
+
+    /// The fused fit the optimizer's ask takes: `fit_predict_many`
+    /// returns exactly what `fit` followed by `predict_many` returns, each
+    /// row equals `predict` bit for bit, and the fused model is left
+    /// fitted with the same trees, whichever thread grew them.
+    #[test]
+    fn fused_fit_matches_fit_then_predict(
+        n in 1usize..400,
+        d in 1usize..6,
+        shape in 0u32..16,
+        bootstrap in any::<bool>(),
+        batch in 0usize..FUSED_BATCHES.len(),
+        seed in 0u64..1_000_000
+    ) {
+        let data = data(n, d, shape, seed);
+        let probes = probe_batch(&data, d, FUSED_BATCHES[batch], seed);
+        let n_trees = 1 + (seed % 12) as usize;
+        let build = || if bootstrap {
+            Forest::random_forest(n_trees, seed)
+        } else {
+            Forest::extra_trees(n_trees, seed)
+        };
+        let mut fused = build();
+        let got = fused.fit_predict_many(&data.x, &data.y, &probes);
+        let mut plain = build();
+        plain.fit(&data.x, &data.y);
+        let want = plain.predict_many(&probes);
+        prop_assert_eq!(fused.node_count(), plain.node_count());
+        prop_assert_eq!(got.len(), want.len());
+        for ((g, w), p) in got.iter().zip(&want).zip(&probes) {
+            prop_assert_eq!(bits(*g), bits(*w), "at {:?}", p);
+            prop_assert_eq!(bits(*g), bits(plain.predict(p)), "at {:?}", p);
+            prop_assert_eq!(bits(fused.predict(p)), bits(plain.predict(p)), "at {:?}", p);
         }
     }
 }

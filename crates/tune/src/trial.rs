@@ -158,6 +158,11 @@ impl Attempt {
     pub fn succeeded(&self) -> bool {
         self.error.is_none()
     }
+
+    /// The value of the first note named `name`.
+    pub fn note(&self, name: &str) -> Option<f64> {
+        self.notes.iter().find(|(k, _)| k == name).map(|&(_, v)| v)
+    }
 }
 
 /// One trial: a configuration and everything that happened to it.

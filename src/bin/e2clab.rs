@@ -124,22 +124,18 @@
 //!     writes the minimized input to `DIR/FUZZ_<name>.crash`.
 //! ```
 
-use e2c_conf::schema::{ExperimentConf, OptimizationConf};
+use e2c_conf::schema::ExperimentConf;
 use e2c_core::experiment::Experiment;
-use e2c_core::optimization::{
-    EvalContext, JournalConfig, OptimizationManager, OptimizationSummary,
-};
+use e2c_core::optimization::JournalConfig;
 use e2c_core::ServingConfig;
 use e2c_des::SimTime;
 use e2c_testbed::grid5000;
-use e2c_tune::{FarmSpec, FaultPlan, Trial};
-use plantnet::sim::{Experiment as EngineRun, ExperimentSpec};
-use plantnet::PoolConfig;
+use e2c_tune::{FarmSpec, FaultPlan};
+use e2clab::cycle::{Cycle, CycleSpec};
 use std::fmt::Display;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::str::FromStr;
-use std::sync::Arc;
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -339,210 +335,6 @@ fn journal_conf(flags: &Flags) -> Result<Option<JournalConfig>, String> {
         return Err("--replay-check cannot be combined with --journal/--resume".into());
     }
     Ok(Some(journal.crash_after(flags.opt("--crash-at")?)))
-}
-
-// ---------------------------------------------------------------------------
-// The engine objective
-// ---------------------------------------------------------------------------
-
-/// Workload knobs shared by every evaluation of a cycle (the engine run
-/// behind the objective).
-#[derive(Clone, Copy)]
-struct CycleSpec {
-    repeat: usize,
-    duration: u64,
-    clients: usize,
-}
-
-/// What one engine evaluation yields: the objective value, the trial's
-/// completed-request count and, when traced, its per-trial Prometheus
-/// snapshot.
-struct Evaluation {
-    mean: f64,
-    completed: f64,
-    prom: Option<String>,
-}
-
-impl CycleSpec {
-    /// Run the Pl@ntNet engine on `point` for `trial` — the one engine
-    /// evaluation, shared by the in-process objective and `e2clab worker`.
-    /// Engine events go through `tracer`: under concurrent execution it is
-    /// a per-trial buffer the commit sequencer splices into the run trace
-    /// in canonical order. A traced evaluation also renders its
-    /// repetitions, concatenated on one time axis, as Prometheus text.
-    fn evaluate(&self, point: &[f64], trial: u64, tracer: Option<e2c_trace::Tracer>) -> Evaluation {
-        let traced = tracer.is_some();
-        let mut espec = ExperimentSpec::paper(PoolConfig::from_point(point), self.clients);
-        espec.duration = SimTime::from_secs(self.duration);
-        espec.warmup = SimTime::from_secs((self.duration / 10).min(60));
-        let metrics = EngineRun::run_repeated_traced(espec, self.repeat, 1000 + trial, tracer);
-        let prom = traced.then(|| {
-            let mut merged = e2c_metrics::Registry::new();
-            for (rep, run) in metrics.runs.iter().enumerate() {
-                merged.append_shifted(&run.registry, (rep as u64 * self.duration) as f64);
-            }
-            let mut buf = Vec::new();
-            let _ = merged.write_prometheus(&mut buf);
-            String::from_utf8_lossy(&buf).into_owned()
-        });
-        Evaluation {
-            mean: metrics.response.mean,
-            completed: metrics.runs.iter().map(|r| r.completed).sum::<u64>() as f64,
-            prom,
-        }
-    }
-}
-
-impl Evaluation {
-    /// The aux pairs a worker ships back to the parent, which owns the
-    /// trace directory; empty when untraced. The mean travels as the
-    /// objective's value, so only the side artifacts ride here. f64
-    /// `Display` round-trips exactly through `parse`, so the parent
-    /// re-renders identical bytes.
-    fn into_aux(self) -> Vec<(String, String)> {
-        let Some(prom) = self.prom else {
-            return Vec::new();
-        };
-        vec![
-            ("completed".to_string(), self.completed.to_string()),
-            ("prom".to_string(), prom),
-        ]
-    }
-
-    /// The side artifacts [`Evaluation::into_aux`] shipped: the
-    /// completed-request count and the Prometheus text.
-    fn from_aux(aux: &[(String, String)]) -> Option<(f64, Option<String>)> {
-        let field = |name: &str| aux.iter().find(|(k, _)| k == name).map(|(_, v)| v.as_str());
-        Some((
-            field("completed")?.parse().ok()?,
-            field("prom").map(str::to_owned),
-        ))
-    }
-}
-
-/// Where a traced cycle lands each trial's side artifacts. Each
-/// evaluation writes its `cycles/cycle_NNNN.prom` snapshot and notes its
-/// completed-request count on its attempt record; after the run,
-/// `metrics.prom` is rendered from the trials themselves (the response
-/// mean is the attempt's raw value), so a resumed run covers the trials
-/// it did not re-run from their journaled attempts. The in-process
-/// objective and the farm's aux hook both land here, so a farmed run's
-/// artifacts are byte-identical to an in-process one.
-struct TrialSink {
-    dir: PathBuf,
-}
-
-impl TrialSink {
-    fn open(dir: &Path) -> Result<TrialSink, String> {
-        std::fs::create_dir_all(dir.join("cycles"))
-            .map_err(|e| format!("--trace {}: {e}", dir.display()))?;
-        Ok(TrialSink {
-            dir: dir.to_path_buf(),
-        })
-    }
-
-    fn land(&self, ctx: &EvalContext, completed: f64, prom: Option<&str>) {
-        if let Some(prom) = prom {
-            let path = self
-                .dir
-                .join("cycles")
-                .join(format!("cycle_{:04}.prom", ctx.trial_id));
-            if let Err(e) = e2c_journal::write_atomic(&path, prom.as_bytes()) {
-                eprintln!("trace: {}: {e}", path.display());
-            }
-        }
-        ctx.note("completed", completed);
-    }
-
-    /// Render the cycle-level `metrics.prom`: per trial, the last attempt
-    /// whose objective returned, with its noted completed-request count.
-    fn write_metrics(&self, trials: &[Trial]) -> Result<(), String> {
-        let mut registry = e2c_metrics::Registry::new();
-        for t in trials {
-            let Some((mean, completed)) = t.attempts.iter().rev().find_map(|a| {
-                let completed = a.notes.iter().find(|(k, _)| k == "completed")?.1;
-                Some((a.raw?, completed))
-            }) else {
-                continue;
-            };
-            let id = t.id as f64;
-            registry.record("objective_response_mean", id, mean);
-            registry.record("trial_completed_requests", id, completed);
-        }
-        let mut buf = Vec::new();
-        let _ = registry.write_prometheus(&mut buf);
-        e2c_journal::write_atomic(&self.dir.join("metrics.prom"), &buf)
-            .map_err(|e| format!("trace: {}: {e}", self.dir.display()))
-    }
-}
-
-/// Everything one optimization cycle needs besides where its archive and
-/// trace go.
-struct Cycle {
-    opt_conf: OptimizationConf,
-    seed: u64,
-    faults: FaultPlan,
-    spec: CycleSpec,
-    journal: Option<JournalConfig>,
-    farm: Option<FarmSpec>,
-}
-
-impl Cycle {
-    /// Run the cycle. With a trace directory this wires a fresh
-    /// [`e2c_trace::Tracer`] through the manager, tuner, scheduler and
-    /// the Pl@ntNet engine, then exports `trace.jsonl`, a cycle-level
-    /// `metrics.prom` and one `cycles/cycle_<trial>.prom` per trial.
-    fn run(
-        &self,
-        archive: Option<PathBuf>,
-        trace_dir: Option<&Path>,
-    ) -> Result<OptimizationSummary, String> {
-        let sink = trace_dir.map(TrialSink::open).transpose()?.map(Arc::new);
-        let spec = self.spec;
-        let obj_sink = sink.clone();
-        let objective = move |ctx: &EvalContext| {
-            let ev = spec.evaluate(&ctx.point, ctx.trial_id, ctx.tracer.clone());
-            if let Some(sink) = &obj_sink {
-                sink.land(ctx, ev.completed, ev.prom.as_deref());
-            }
-            ev.mean
-        };
-        let tracer = sink.as_ref().map(|_| e2c_trace::Tracer::new());
-        let mut manager = OptimizationManager::new(self.opt_conf.clone())
-            .with_seed(self.seed)
-            .with_faults(self.faults.clone());
-        if let Some(dir) = archive {
-            manager = manager.with_archive(dir);
-        }
-        if let Some(tr) = &tracer {
-            manager = manager.with_trace(tr.clone());
-        }
-        if let Some(jc) = &self.journal {
-            manager = manager.with_journal(jc.clone());
-        }
-        if let Some(farm) = &self.farm {
-            // Multi-process execution: the engine runs in `e2clab worker`
-            // children, and this hook lands each result's side artifacts
-            // through the same sink as the in-process objective.
-            let sink = sink.clone();
-            manager = manager.with_farm(farm.clone()).with_aux_hook(Arc::new(
-                move |ctx: &EvalContext, aux: &[(String, String)]| {
-                    if let (Some(sink), Some((completed, prom))) =
-                        (&sink, Evaluation::from_aux(aux))
-                    {
-                        sink.land(ctx, completed, prom.as_deref());
-                    }
-                },
-            ));
-        }
-        let summary = manager.run(objective).map_err(|e| e.to_string())?;
-        if let (Some(tr), Some(sink)) = (&tracer, &sink) {
-            tr.save(&sink.dir.join("trace.jsonl"))
-                .map_err(|e| format!("trace: {}: {e}", sink.dir.display()))?;
-            sink.write_metrics(summary.analysis.trials())?;
-        }
-        Ok(summary)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -942,7 +734,7 @@ fn worker(flags: &Flags) -> Outcome {
         // artifacts travel back as aux pairs, since the parent owns the
         // archive and trace directories.
         None => e2c_tune::worker::serve(move |ask, tracer| {
-            let ev = spec.evaluate(&ask.config, ask.trial, tracer.cloned());
+            let ev = spec.evaluate(&ask.config, ask.trial, tracer.cloned(), tracer.is_some());
             (ev.mean, ev.into_aux())
         }),
     };
@@ -1175,6 +967,7 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use e2clab::cycle::Evaluation;
 
     /// Parse a space-separated command line by `spec`.
     fn parse(spec: &FlagSpec, line: &str) -> Result<Flags, String> {

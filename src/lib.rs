@@ -10,7 +10,9 @@
 //!
 //! This crate is a facade: it re-exports the workspace crates under one
 //! dependency so downstream users (and the `examples/`) can write
-//! `use e2clab::optim::BayesOpt` etc.
+//! `use e2clab::optim::BayesOpt` etc. Its one module of its own,
+//! [`cycle`], is the engine-backed optimization cycle that `e2clab
+//! optimize` and its `e2clab worker` children run.
 //!
 //! ## Crate map
 //!
@@ -49,6 +51,8 @@
 //! }
 //! assert!(opt.best().is_some());
 //! ```
+
+pub mod cycle;
 
 pub use detlint;
 pub use e2c_bench as bench;

@@ -2,9 +2,13 @@
 //! every write-ahead-log append boundary (via the `--crash-at` chaos
 //! knob), resume each kill with `--resume`, and byte-diff every
 //! reproducibility artifact — `evaluations.csv`, `trials/trials.jsonl`,
-//! `trace.jsonl`, `metrics.prom`, `cycles/*.prom` — against an
-//! uninterrupted baseline run of the same seed.  The journal directory
-//! holds only `run.wal`: a traced run's trace rides in its tell records.
+//! the `evals/` listing and every `evals/*/result.csv`, `trace.jsonl`,
+//! `metrics.prom`, `cycles/*.prom` — against an uninterrupted baseline
+//! run of the same seed.  The journal directory holds only `run.wal`: a
+//! traced run's trace rides in its tell records.  The per-trial files
+//! (`result.csv`, `cycles/*.prom`) are views written without fsync, so
+//! the gate also deletes, truncates or corrupts them, as a machine crash
+//! could, and checks that `--resume` renders them again.
 //! This is the paper's repeatability claim under process failure: a
 //! crashed optimization, resumed, is indistinguishable from one that
 //! never crashed.
@@ -122,24 +126,77 @@ impl Fixture {
             ("trace.jsonl".into(), trace.join("trace.jsonl")),
             ("metrics.prom".into(), trace.join("metrics.prom")),
         ];
-        let mut cycles: Vec<String> = std::fs::read_dir(trace.join("cycles"))
-            .unwrap()
-            .flatten()
-            .filter_map(|e| e.file_name().into_string().ok())
-            .collect();
-        cycles.sort();
         rels.extend(
-            cycles
+            listing(&trace.join("cycles"))
                 .into_iter()
                 .map(|n| (format!("cycles/{n}"), trace.join("cycles").join(n))),
         );
-        rels.into_iter()
+        let evals = self.root.join(name).join("evals");
+        let trials = listing(&evals);
+        rels.extend(trials.iter().filter_map(|t| {
+            let path = evals.join(t).join("result.csv");
+            path.exists()
+                .then(|| (format!("evals/{t}/result.csv"), path))
+        }));
+        let mut set: Vec<(String, Vec<u8>)> = rels
+            .into_iter()
             .map(|(label, path)| {
                 let bytes = std::fs::read(&path)
                     .unwrap_or_else(|e| panic!("{name}: read {}: {e}", path.display()));
                 (label, bytes)
             })
-            .collect()
+            .collect();
+        set.push(("evals/".into(), trials.join("\n").into_bytes()));
+        set
+    }
+
+    /// The first `cycles/*.prom` and the last `evals/*/result.csv` of
+    /// the run `name`: two per-trial views of different trials.
+    fn views(&self, name: &str) -> [PathBuf; 2] {
+        let cycles = self.root.join(format!("{name}-trace")).join("cycles");
+        let prom = cycles.join(&listing(&cycles)[0]);
+        let evals = self.root.join(name).join("evals");
+        let result = listing(&evals)
+            .iter()
+            .rev()
+            .map(|t| evals.join(t).join("result.csv"))
+            .find(|p| p.exists())
+            .expect("a trial with a result");
+        [prom, result]
+    }
+}
+
+/// The sorted entry names of `dir`.
+fn listing(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap_or_else(|e| panic!("list {}: {e}", dir.display()))
+        .flatten()
+        .filter_map(|e| e.file_name().into_string().ok())
+        .collect();
+    names.sort();
+    names
+}
+
+/// What a machine crash can leave of a file written without fsync.
+#[derive(Clone, Copy, Debug)]
+enum Damage {
+    Delete,
+    Truncate,
+    Corrupt,
+}
+
+impl Damage {
+    fn apply(self, path: &Path) {
+        let mut bytes = std::fs::read(path).unwrap();
+        match self {
+            Damage::Delete => return std::fs::remove_file(path).unwrap(),
+            Damage::Truncate => bytes.truncate(bytes.len() / 2),
+            Damage::Corrupt => {
+                let mid = bytes.len() / 2;
+                bytes[mid] ^= 0x01;
+            }
+        }
+        std::fs::write(path, bytes).unwrap();
     }
 }
 
@@ -315,6 +372,46 @@ fn a_crash_during_resume_is_itself_resumable() {
     assert_eq!(out.status.code(), Some(86), "{:?}", out.status);
     fx.optimize_ok("run", &["--resume", &j], "resume");
     assert_same_artifacts(&baseline, &fx.artifacts("run"), "double crash");
+    std::fs::remove_dir_all(&fx.root).unwrap();
+}
+
+/// The per-trial views are written without fsync, so a machine crash may
+/// lose or tear them. Damage one `cycles/*.prom` and one `result.csv`,
+/// once between a kill and `--resume` and once after a completed run:
+/// the resume renders both again, to the uninterrupted run's bytes.
+#[test]
+fn resume_renders_lost_or_torn_views_again() {
+    let fx = Fixture::new("views", 2, 3);
+    fx.optimize_ok("base", &[], "baseline");
+    let baseline = fx.artifacts("base");
+    let jdir = fx.root.join("full-journal");
+    let j = jdir.to_str().unwrap().to_string();
+    fx.optimize_ok("full", &["--journal", &j], "journaled run");
+    // Killed right before the completion record: every trial settled.
+    let last_cut = wal_records(&jdir.join("run.wal")) - 1;
+    for damage in [Damage::Delete, Damage::Truncate, Damage::Corrupt] {
+        let ctx = format!("{damage:?} after a completed run");
+        for view in fx.views("full") {
+            damage.apply(&view);
+        }
+        fx.optimize_ok("full", &["--resume", &j], &ctx);
+        assert_same_artifacts(&baseline, &fx.artifacts("full"), &ctx);
+
+        let ctx = format!("{damage:?} between a kill and --resume");
+        let name = format!("killed-{damage:?}");
+        let kdir = fx.root.join(format!("{name}-journal"));
+        let k = kdir.to_str().unwrap().to_string();
+        let out = fx.optimize(
+            &name,
+            &["--journal", &k, "--crash-at", &last_cut.to_string()],
+        );
+        assert_eq!(out.status.code(), Some(86), "{ctx}: {:?}", out.status);
+        for view in fx.views(&name) {
+            damage.apply(&view);
+        }
+        fx.optimize_ok(&name, &["--resume", &k], &ctx);
+        assert_same_artifacts(&baseline, &fx.artifacts(&name), &ctx);
+    }
     std::fs::remove_dir_all(&fx.root).unwrap();
 }
 
