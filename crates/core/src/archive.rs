@@ -168,12 +168,12 @@ pub fn eval_dir(root: &Path, trial: u64) -> PathBuf {
     root.join("evals").join(format!("trial_{trial}"))
 }
 
-/// finalize() for one evaluation: record its point and value. The file
-/// is a view of the attempt the run journal holds: it is swapped in whole
-/// (a retried or crash-resumed evaluation overwrites, never tears) but
-/// not fsync'd, and [`write_evaluations`] renders it again on resume.
+/// finalize() for one evaluation: record its point and value in `dir`,
+/// which the prepare step made. The file is a view of the attempt the
+/// run journal holds: it is swapped in whole (a retried or crash-resumed
+/// evaluation overwrites, never tears) but not fsync'd, and
+/// [`write_evaluations`] renders it again on resume.
 pub fn write_evaluation(dir: &Path, trial: u64, point: &Point, value: f64) -> io::Result<()> {
-    fs::create_dir_all(dir)?;
     let point_str = point
         .iter()
         .map(|x| x.to_string())
@@ -186,11 +186,14 @@ pub fn write_evaluation(dir: &Path, trial: u64, point: &Point, value: f64) -> io
 /// Render every trial's `result.csv` under the archive `root` from its
 /// attempts: the last attempt whose objective returned holds the value
 /// [`write_evaluation`] recorded. Trials whose objective never returned
-/// have no file.
+/// have no file. A machine crash may have lost a whole trial directory,
+/// so each is made again if missing.
 pub fn write_evaluations(root: &Path, trials: &[Trial]) -> io::Result<()> {
     for t in trials {
         if let Some(raw) = t.attempts.iter().rev().find_map(|a| a.raw) {
-            write_evaluation(&eval_dir(root, t.id), t.id, &t.config, raw)?;
+            let dir = eval_dir(root, t.id);
+            fs::create_dir_all(&dir)?;
+            write_evaluation(&dir, t.id, &t.config, raw)?;
         }
     }
     Ok(())
@@ -442,6 +445,7 @@ optimization:
             line!()
         ));
         let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
         write_evaluation(&dir, 3, &vec![40.0, 7.0], 2.5).unwrap();
         let text = fs::read_to_string(dir.join("result.csv")).unwrap();
         assert!(text.contains("3,40;7,2.5"));

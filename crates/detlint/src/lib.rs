@@ -14,10 +14,11 @@
 //! | DET004 | `thread::sleep` / spin loops inside search or observe paths |
 //! | DET005 | floating-point accumulation over an unordered collection |
 //!
-//! Findings are suppressed per line with
+//! Every rule is an error. Findings are suppressed per line with
 //! `// detlint: allow(DET00x) <justification>` — the justification text is
 //! mandatory; an allow without one is itself reported. The comment goes at
-//! the end of the offending line or alone on the line above it.
+//! the end of the offending line or alone on the line above it. There is
+//! no other override: no file of accepted findings, no per-rule level.
 //!
 //! The scanner is deliberately token-level, not a full parser: it strips
 //! comments and string/char literals, tracks which local identifiers were
@@ -27,7 +28,6 @@
 //! heuristic — which is why per-line suppressions carry justifications
 //! instead of the tool trying to be clever.
 
-mod baseline;
 mod config;
 mod lexer;
 mod rules;
@@ -35,8 +35,7 @@ mod sarif;
 mod scanner;
 mod walk;
 
-pub use baseline::{fingerprint, Baseline};
-pub use config::{Config, Severity};
+pub use config::Config;
 pub use lexer::{tokenize, Token, TokenKind};
 pub use rules::{lint_source, Finding, Rule};
 pub use sarif::{to_json, to_sarif};
@@ -48,19 +47,11 @@ use std::path::Path;
 /// Outcome of linting a set of files.
 #[derive(Debug, Default)]
 pub struct Report {
-    /// Error-severity findings without a valid suppression. Any entry here
-    /// should fail the build.
+    /// Findings without a valid suppression. Any entry here fails the
+    /// build.
     pub errors: Vec<Finding>,
-    /// Warn-severity findings without a valid suppression.
-    pub warnings: Vec<Finding>,
-    /// Error findings accepted by the committed `lint.baseline` — known
-    /// debt being burned down, not a gate failure.
-    pub baselined: Vec<Finding>,
     /// Findings silenced by a justified `detlint: allow(...)` comment.
     pub suppressed: Vec<Finding>,
-    /// Baseline entries that matched no finding — the flagged code was
-    /// fixed or moved; regenerate the baseline to shrink the file.
-    pub stale_baseline: usize,
     /// Files scanned.
     pub files_scanned: usize,
 }
@@ -75,54 +66,25 @@ impl Report {
     /// path + line order, so the lint output is itself deterministic).
     pub fn render(&self) -> String {
         let mut out = String::new();
-        for (list, severity) in [(&self.errors, "error"), (&self.warnings, "warning")] {
-            for f in list {
-                let _ = writeln!(
-                    out,
-                    "{} [{severity}] {}:{}: {}",
-                    f.rule.code(),
-                    f.file,
-                    f.line,
-                    f.message
-                );
-                let _ = writeln!(out, "    | {}", f.snippet.trim_end());
-            }
-        }
-        if self.stale_baseline > 0 {
+        for f in &self.errors {
             let _ = writeln!(
                 out,
-                "note: {} stale baseline entr{} — run `e2clab lint --update-baseline` to shrink lint.baseline",
-                self.stale_baseline,
-                if self.stale_baseline == 1 { "y" } else { "ies" }
+                "{} [error] {}:{}: {}",
+                f.rule.code(),
+                f.file,
+                f.line,
+                f.message
             );
+            let _ = writeln!(out, "    | {}", f.snippet.trim_end());
         }
         let _ = writeln!(
             out,
-            "detlint: {} file(s), {} error(s), {} warning(s), {} baselined, {} suppressed",
+            "detlint: {} file(s), {} error(s), {} suppressed",
             self.files_scanned,
             self.errors.len(),
-            self.warnings.len(),
-            self.baselined.len(),
             self.suppressed.len()
         );
         out
-    }
-
-    /// Move errors covered by `baseline` into the `baselined` bucket and
-    /// record how many baseline entries went unmatched. Gating then keys
-    /// off `errors` alone: only findings *new* since the baseline fail.
-    pub fn apply_baseline(&mut self, baseline: &Baseline) {
-        let mut remaining = baseline.clone();
-        let mut kept = Vec::with_capacity(self.errors.len());
-        for finding in self.errors.drain(..) {
-            if remaining.consume(&finding) {
-                self.baselined.push(finding);
-            } else {
-                kept.push(finding);
-            }
-        }
-        self.errors = kept;
-        self.stale_baseline = remaining.stale();
     }
 }
 
@@ -144,22 +106,14 @@ pub fn lint_workspace(root: &Path, dir: &Path, config: &Config) -> std::io::Resu
             .to_string_lossy()
             .replace('\\', "/");
         for finding in lint_source(&label, &text, config) {
-            match (
-                finding.suppressed_with_justification(),
-                config.severity(finding.rule),
-            ) {
-                (_, Severity::Off) => {}
-                (true, _) => report.suppressed.push(finding),
-                (false, Severity::Error) => report.errors.push(finding),
-                (false, Severity::Warn) => report.warnings.push(finding),
+            if finding.suppressed_with_justification() {
+                report.suppressed.push(finding);
+            } else {
+                report.errors.push(finding);
             }
         }
     }
-    for list in [
-        &mut report.errors,
-        &mut report.warnings,
-        &mut report.suppressed,
-    ] {
+    for list in [&mut report.errors, &mut report.suppressed] {
         list.sort_by(|a, b| {
             (&a.file, a.line, a.rule.code()).cmp(&(&b.file, b.line, b.rule.code()))
         });

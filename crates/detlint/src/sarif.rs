@@ -7,20 +7,38 @@
 //! output, which is what lets CI diff the artifact and the tests commit a
 //! golden fixture. The SARIF subset carries exactly what code-scanning
 //! UIs need: the rule table, per-result level/message/location, and a
-//! `partialFingerprints` entry matching the baseline fingerprint so
-//! external tools dedupe the same way the baseline gate does.
+//! `partialFingerprints` entry (the snippet with whitespace collapsed) so
+//! external tools can follow a finding across line-number churn.
 
-use crate::baseline::fingerprint;
 use crate::rules::{Finding, Rule};
 use crate::Report;
 use e2c_journal::json::Escaped;
 use std::fmt::Write as _;
 
-fn sarif_result(out: &mut String, f: &Finding, level: &str, baselined: bool, indent: &str) {
+/// Whitespace-collapsed snippet text: identifies a finding independent of
+/// its line number and indentation.
+fn fingerprint(snippet: &str) -> String {
+    let mut out = String::with_capacity(snippet.len());
+    let mut pending_space = false;
+    for ch in snippet.trim().chars() {
+        if ch.is_whitespace() {
+            pending_space = !out.is_empty();
+        } else {
+            if pending_space {
+                out.push(' ');
+                pending_space = false;
+            }
+            out.push(ch);
+        }
+    }
+    out
+}
+
+fn sarif_result(out: &mut String, f: &Finding, indent: &str) {
     let _ = writeln!(out, "{indent}{{");
     let _ = writeln!(out, "{indent}  \"ruleId\": \"{}\",", f.rule.code());
     let _ = writeln!(out, "{indent}  \"ruleIndex\": {},", f.rule.index());
-    let _ = writeln!(out, "{indent}  \"level\": \"{level}\",");
+    let _ = writeln!(out, "{indent}  \"level\": \"error\",");
     let _ = writeln!(
         out,
         "{indent}  \"message\": {{ \"text\": \"{}\" }},",
@@ -43,26 +61,16 @@ fn sarif_result(out: &mut String, f: &Finding, level: &str, baselined: bool, ind
     let _ = writeln!(out, "{indent}      }}");
     let _ = writeln!(out, "{indent}    }}");
     let _ = writeln!(out, "{indent}  ],");
-    let _ = write!(
+    let _ = writeln!(
         out,
         "{indent}  \"partialFingerprints\": {{ \"detlint/v1\": \"{}\" }}",
         Escaped(&fingerprint(&f.snippet))
     );
-    if baselined {
-        let _ = writeln!(out, ",");
-        let _ = writeln!(
-            out,
-            "{indent}  \"suppressions\": [ {{ \"kind\": \"external\", \"justification\": \"accepted in lint.baseline\" }} ]"
-        );
-    } else {
-        let _ = writeln!(out);
-    }
     let _ = write!(out, "{indent}}}");
 }
 
-/// Render the report as a SARIF 2.1.0 subset. Errors map to level
-/// `error`, warnings to `warning`; baselined findings are included with an
-/// external-suppression marker so scanners show them as accepted, not new.
+/// Render the report as a SARIF 2.1.0 subset: one `error`-level result
+/// per unsuppressed finding.
 pub fn to_sarif(report: &Report) -> String {
     let mut out = String::new();
     out.push_str("{\n");
@@ -92,19 +100,13 @@ pub fn to_sarif(report: &Report) -> String {
     out.push_str("        }\n");
     out.push_str("      },\n");
     out.push_str("      \"results\": [\n");
-    let groups: [(&[Finding], &str, bool); 3] = [
-        (&report.errors, "error", false),
-        (&report.warnings, "warning", false),
-        (&report.baselined, "error", true),
-    ];
-    let total: usize = groups.iter().map(|(list, _, _)| list.len()).sum();
-    let mut emitted = 0usize;
-    for (list, level, baselined) in groups {
-        for f in list {
-            sarif_result(&mut out, f, level, baselined, "        ");
-            emitted += 1;
-            out.push_str(if emitted < total { ",\n" } else { "\n" });
-        }
+    for (i, f) in report.errors.iter().enumerate() {
+        sarif_result(&mut out, f, "        ");
+        out.push_str(if i + 1 < report.errors.len() {
+            ",\n"
+        } else {
+            "\n"
+        });
     }
     out.push_str("      ]\n");
     out.push_str("    }\n");
@@ -126,19 +128,16 @@ fn json_finding(out: &mut String, f: &Finding, indent: &str) {
     );
 }
 
-/// Render the report as compact custom JSON: one object with bucketed
-/// finding arrays plus scan counters. Fixed key order, byte-stable.
+/// Render the report as compact custom JSON: one object with the error
+/// and suppressed finding arrays plus the scan counter. Fixed key order, byte-stable.
 pub fn to_json(report: &Report) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"tool\": \"detlint\",\n");
     let _ = writeln!(out, "  \"version\": \"{}\",", env!("CARGO_PKG_VERSION"));
     let _ = writeln!(out, "  \"files_scanned\": {},", report.files_scanned);
-    let _ = writeln!(out, "  \"stale_baseline\": {},", report.stale_baseline);
-    let buckets: [(&str, &[Finding]); 4] = [
+    let buckets: [(&str, &[Finding]); 2] = [
         ("errors", &report.errors),
-        ("warnings", &report.warnings),
-        ("baselined", &report.baselined),
         ("suppressed", &report.suppressed),
     ];
     for (bi, (name, list)) in buckets.iter().enumerate() {
@@ -172,12 +171,19 @@ mod tests {
             ..Report::default()
         };
         r.errors.push(f.clone());
-        r.baselined.push(Finding {
+        r.suppressed.push(Finding {
             rule: Rule::UnwrapInCritical,
             line: 2,
             ..f
         });
         r
+    }
+
+    #[test]
+    fn fingerprint_collapses_whitespace() {
+        assert_eq!(fingerprint("  let x =\t1;  "), "let x = 1;");
+        assert_eq!(fingerprint("a\n b"), "a b");
+        assert_eq!(fingerprint(""), "");
     }
 
     #[test]
@@ -188,7 +194,8 @@ mod tests {
         assert_eq!(a, b);
         assert!(a.contains("\\\"quoted\\\""));
         assert!(a.contains("\"version\": \"2.1.0\""));
-        assert!(a.contains("\"kind\": \"external\""));
+        // Suppressed findings stay out of the SARIF results.
+        assert_eq!(a.matches("\"ruleId\"").count(), 1);
         // Every rule appears in the driver rule table.
         for rule in Rule::ALL {
             assert!(a.contains(&format!("\"id\": \"{}\"", rule.code())));

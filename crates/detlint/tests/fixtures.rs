@@ -205,22 +205,6 @@ fn det005_clean_sorted_accumulation() {
     assert!(run("src/a.rs", src).is_empty());
 }
 
-// ------------------------------------------------------------- severity
-
-#[test]
-fn severity_off_and_warn_change_report_buckets() {
-    use detlint::Severity;
-    let mut config = Config::default();
-    config.set_severity(Rule::WallClock, Severity::Off);
-    let src = "fn f() { let t = std::time::Instant::now(); drop(t); }\n";
-    let findings = detlint::lint_source("src/a.rs", src, &config);
-    // lint_source still reports; severity buckets are applied by
-    // lint_workspace, so here we just confirm the finding exists and the
-    // config carries the override.
-    assert_eq!(findings.len(), 1);
-    assert_eq!(config.severity(Rule::WallClock), Severity::Off);
-}
-
 #[test]
 fn literals_and_comments_never_trigger() {
     let src = "fn f() {\n\

@@ -146,18 +146,18 @@ fn doc_comment_mentions_of_the_allow_syntax_are_not_directives() {
 }
 
 /// The report the machine-readable renderers are tested against: the IO
-/// positives as errors, the SUP positives rebucketed as baselined, one
-/// suppressed PANIC finding.
+/// and SUP positives as errors, the suppressed PANIC findings.
 fn fixture_report() -> Report {
     let mut report = Report {
         files_scanned: 3,
         ..Report::default()
     };
-    for f in lint("io_positive.rs", include_str!("fixtures/io_positive.rs")) {
-        report.errors.push(f);
-    }
+    report.errors.extend(lint(
+        "io_positive.rs",
+        include_str!("fixtures/io_positive.rs"),
+    ));
     report
-        .baselined
+        .errors
         .extend(lint("sup_stale.rs", include_str!("fixtures/sup_stale.rs")));
     for f in lint(
         "panic_suppressed.rs",
@@ -192,33 +192,4 @@ fn sarif_matches_the_committed_golden() {
          change is intentional, regenerate with \
          `E2C_UPDATE_GOLDEN=1 cargo test -p detlint`"
     );
-}
-
-#[test]
-fn baseline_gates_only_new_findings() {
-    let mut report = Report::default();
-    for f in lint("io_positive.rs", include_str!("fixtures/io_positive.rs")) {
-        report.errors.push(f);
-    }
-    // Baseline everything, then re-lint: clean.
-    let baseline = detlint::Baseline::from_findings(report.errors.iter());
-    report.apply_baseline(&baseline);
-    assert!(report.is_clean());
-    assert_eq!(report.baselined.len(), 4);
-    assert_eq!(report.stale_baseline, 0);
-
-    // A baseline missing one entry gates exactly the uncovered finding.
-    let mut report = Report::default();
-    for f in lint("io_positive.rs", include_str!("fixtures/io_positive.rs")) {
-        report.errors.push(f);
-    }
-    let partial = detlint::Baseline::from_findings(report.errors.iter().skip(1));
-    report.apply_baseline(&partial);
-    assert_eq!(report.errors.len(), 1);
-    assert_eq!(report.baselined.len(), 3);
-
-    // Round-trip through the committed file format.
-    let text = partial.render();
-    let reparsed = detlint::Baseline::parse(&text).expect("baseline round-trip");
-    assert_eq!(reparsed.render(), text);
 }

@@ -1,16 +1,18 @@
 //! # e2c-fuzz — deterministic fuzz + differential-test harness
 //!
-//! The repository hand-rolls nine codecs — the YAML-subset configuration
-//! parser (`e2c-conf`), the tab-separated journal wire format
-//! (`e2c-tune`), the worker-farm stdio protocol (`e2c-tune`), the
+//! The library crates hand-roll seven codecs — the YAML-subset
+//! configuration parser (`e2c-conf`), the tab-separated journal wire
+//! format (`e2c-tune`), the worker-farm stdio protocol (`e2c-tune`), the
 //! `--faults` plan grammar (`e2c-tune`), the JSON codec behind
 //! `trace.jsonl` and the benchmark reports (`e2c-journal::json`), the
-//! CRC-framed write-ahead log (`e2c-journal`), the `lint.baseline` and
-//! `lint --config` files (`detlint`) and the serving rows of the serve
-//! journal's `epoch` records (`e2c-core`). Each sits on a crash-recovery, reproducibility or gating
-//! path, where a panic on malformed bytes *is* data loss. This crate
-//! drives all nine with seeded byte mutation and checks three property
-//! classes:
+//! CRC-framed write-ahead log (`e2c-journal`) and the serving rows of the
+//! serve journal's `epoch` records (`e2c-core`). Each sits on a
+//! crash-recovery, reproducibility or gating path, where a panic on
+//! malformed bytes *is* data loss. `e2clab fuzz` registers an eighth
+//! target beside its own flag tables (`cli_flags`, the command-line
+//! parser), so this crate needs no dependency on the CLI. The harness
+//! drives every target with seeded byte mutation and checks three
+//! property classes:
 //!
 //! 1. **No panics** — feeding arbitrary bytes to a parser must return
 //!    `Ok`/`Err`, never unwind ([`engine::guard`] converts an unwind into
@@ -20,11 +22,7 @@
 //!    `parse(line).to_line() == line`; for YAML, JSONL, `--faults`
 //!    plans and serving rows, the second encode of `encode(decode(encode(v)))` equals the
 //!    first. Comparing bytes (not values) keeps NaN-carrying events
-//!    honest. For `lint.baseline`, whose render sorts entries, the
-//!    property is on the entry multiset: `parse(render(parse(x))) ==
-//!    parse(x)`. The lint config has no encoder; its property is
-//!    that no accepted file leaves an empty path pattern (which would
-//!    match every file).
+//!    honest.
 //! 3. **Differential oracles** — the YAML parser is compared against the
 //!    committed fixture corpus (`crates/conf/tests/corpus/*.tree`), and
 //!    torn-WAL recovery against a truncation oracle that predicts the
@@ -43,8 +41,8 @@ pub mod targets;
 
 pub use engine::{FailKind, SplitMix64};
 pub use targets::{
-    ConfYamlTarget, DetlintBaselineTarget, DetlintConfTarget, FaultPlanTarget, JournalWalTarget,
-    JournalWireTarget, ServingRowTarget, TraceJsonlTarget, WorkerWireTarget,
+    ConfYamlTarget, FaultPlanTarget, JournalWalTarget, JournalWireTarget, ServingRowTarget,
+    TraceJsonlTarget, WorkerWireTarget,
 };
 
 use std::path::PathBuf;
@@ -318,7 +316,8 @@ impl FuzzRegistry {
     }
 }
 
-/// The registry with all nine codec targets, in dependency order.
+/// The registry with the seven codec targets of the library crates, in
+/// dependency order (`e2clab fuzz` registers `cli_flags` after them).
 pub fn default_registry() -> FuzzRegistry {
     FuzzRegistry::new()
         .register(ConfYamlTarget::new())
@@ -327,8 +326,6 @@ pub fn default_registry() -> FuzzRegistry {
         .register(FaultPlanTarget::new())
         .register(TraceJsonlTarget::new())
         .register(JournalWalTarget::new())
-        .register(DetlintBaselineTarget::new())
-        .register(DetlintConfTarget::new())
         .register(ServingRowTarget::new())
 }
 

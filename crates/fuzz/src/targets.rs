@@ -1,4 +1,4 @@
-//! The nine codec targets. Each pairs a deterministic input generator
+//! The seven codec targets of the library crates. Each pairs a deterministic input generator
 //! (seed corpus + byte mutation) with the property checks its codec
 //! promises; see the crate docs for the three property classes.
 
@@ -757,205 +757,6 @@ impl FuzzTarget for JournalWalTarget {
 }
 
 // ---------------------------------------------------------------------
-// detlint_baseline — the committed `lint.baseline` accepted-findings file.
-// ---------------------------------------------------------------------
-
-/// One random baseline line: mostly well-formed `CODE<TAB>path<TAB>fp`
-/// entries (real rule codes, fingerprints with inner tabs and padding),
-/// with comments, blanks and stray whitespace mixed in.
-fn random_baseline_line(rng: &mut SplitMix64) -> String {
-    let pad = |rng: &mut SplitMix64| [" ", "\t", "\r", ""][rng.index(4)];
-    match rng.below(8) {
-        0 => format!("{}# {}", pad(rng), random_name(rng)),
-        1 => pad(rng).to_string(),
-        _ => {
-            let code = if rng.chance(3, 4) {
-                detlint::Rule::ALL[rng.index(detlint::Rule::COUNT)]
-                    .code()
-                    .to_string()
-            } else {
-                random_name(rng)
-            };
-            format!(
-                "{code}\t{}\t{}{}{}",
-                random_name(rng),
-                pad(rng),
-                random_name(rng),
-                pad(rng)
-            )
-        }
-    }
-}
-
-/// Fuzzes `detlint::Baseline::parse`: it must never panic, and every
-/// accepted file must survive its own rendering — `parse(render(b))`
-/// equals `b` as a multiset of entries, so `--update-baseline` never
-/// rewrites the gate's meaning.
-pub struct DetlintBaselineTarget;
-
-impl DetlintBaselineTarget {
-    pub fn new() -> Self {
-        DetlintBaselineTarget
-    }
-}
-
-impl Default for DetlintBaselineTarget {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl FuzzTarget for DetlintBaselineTarget {
-    fn name(&self) -> &'static str {
-        "detlint_baseline"
-    }
-
-    fn tags(&self) -> &'static [&'static str] {
-        &["text", "smoke"]
-    }
-
-    fn generate(&mut self, rng: &mut SplitMix64) -> Vec<u8> {
-        let mut text = String::new();
-        for _ in 0..rng.index(6) {
-            text.push_str(&random_baseline_line(rng));
-            text.push_str(["\n", "\r\n"][rng.index(2)]);
-        }
-        let mut data = text.into_bytes();
-        match rng.below(4) {
-            0 | 1 => {}
-            2 => mutate(rng, &mut data),
-            _ => data = random_text_soup(rng, 96),
-        }
-        data
-    }
-
-    fn check(&self, input: &[u8]) -> Result<(), String> {
-        let text = String::from_utf8_lossy(input);
-        let Ok(baseline) = detlint::Baseline::parse(&text) else {
-            return Ok(());
-        };
-        let rendered = baseline.render();
-        let reparsed = detlint::Baseline::parse(&rendered)
-            .map_err(|e| format!("accepted baseline renders unparseably: {e}\n{rendered}"))?;
-        if reparsed != baseline {
-            return Err(format!(
-                "render/parse changed the entry set:\nrendered:\n{rendered}\nre-rendered:\n{}",
-                reparsed.render()
-            ));
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------
-// detlint_conf — the `key = value` lint configuration (`lint --config`).
-// ---------------------------------------------------------------------
-
-/// The path-scope keys of a detlint config; each adds one pattern.
-const DETLINT_PATH_KEYS: [&str; 5] = [
-    "approve-clock",
-    "hot-path",
-    "critical-path",
-    "artifact-path",
-    "skip-dir",
-];
-
-/// One random config line: mostly `key = value` pairs over real rule
-/// codes and path keys, with empty and whitespace-only values, unknown
-/// keys and severities, comments and blanks mixed in.
-fn random_conf_line(rng: &mut SplitMix64) -> String {
-    let pad = |rng: &mut SplitMix64| [" ", "\t", "\r", ""][rng.index(4)];
-    let key = match rng.below(8) {
-        0 => return format!("{}# {}", pad(rng), random_name(rng)),
-        1 => return pad(rng).to_string(),
-        2 => random_name(rng),
-        3 | 4 => detlint::Rule::ALL[rng.index(detlint::Rule::COUNT)]
-            .code()
-            .to_string(),
-        _ => DETLINT_PATH_KEYS[rng.index(DETLINT_PATH_KEYS.len())].to_string(),
-    };
-    let value = match rng.below(5) {
-        0 => String::new(),
-        1 => pad(rng).to_string(),
-        2 => ["error", "warn", "off", "loud"][rng.index(4)].to_string(),
-        _ => random_name(rng),
-    };
-    format!(
-        "{}{key}{}={}{value}{}",
-        pad(rng),
-        pad(rng),
-        pad(rng),
-        pad(rng)
-    )
-}
-
-/// Fuzzes `detlint::Config::apply_file`: it must never panic, and no
-/// accepted file may leave an empty path pattern behind — `ends_with("")`
-/// and `starts_with("")` hold for every file, so one would widen its
-/// scope to the whole tree.
-pub struct DetlintConfTarget;
-
-impl DetlintConfTarget {
-    pub fn new() -> Self {
-        DetlintConfTarget
-    }
-}
-
-impl Default for DetlintConfTarget {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl FuzzTarget for DetlintConfTarget {
-    fn name(&self) -> &'static str {
-        "detlint_conf"
-    }
-
-    fn tags(&self) -> &'static [&'static str] {
-        &["text", "smoke"]
-    }
-
-    fn generate(&mut self, rng: &mut SplitMix64) -> Vec<u8> {
-        let mut text = String::new();
-        for _ in 0..rng.index(6) {
-            text.push_str(&random_conf_line(rng));
-            text.push_str(["\n", "\r\n"][rng.index(2)]);
-        }
-        let mut data = text.into_bytes();
-        match rng.below(4) {
-            0 | 1 => {}
-            2 => mutate(rng, &mut data),
-            _ => data = random_text_soup(rng, 96),
-        }
-        data
-    }
-
-    fn check(&self, input: &[u8]) -> Result<(), String> {
-        let text = String::from_utf8_lossy(input);
-        let mut config = detlint::Config::default();
-        if config.apply_file(&text).is_err() {
-            return Ok(());
-        }
-        let scopes = [
-            &config.approved_clock_files,
-            &config.hot_paths,
-            &config.critical_paths,
-            &config.artifact_paths,
-            &config.skip_dirs,
-        ];
-        for (key, patterns) in DETLINT_PATH_KEYS.iter().zip(scopes) {
-            if patterns.iter().any(String::is_empty) {
-                return Err(format!(
-                    "accepted config leaves an empty `{key}` pattern:\n{text}"
-                ));
-            }
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------
 // serving_row — the row of a serve journal's `epoch` record (a rendered
 // `serving.csv` row).
 // ---------------------------------------------------------------------
@@ -1146,36 +947,6 @@ mod tests {
                 "generator never emitted {family}"
             );
         }
-    }
-
-    #[test]
-    fn detlint_baseline_smoke() {
-        exercise(&mut DetlintBaselineTarget::new(), 300);
-    }
-
-    #[test]
-    fn detlint_conf_smoke() {
-        exercise(&mut DetlintConfTarget::new(), 300);
-    }
-
-    #[test]
-    fn conf_generator_reaches_every_path_key_with_an_empty_value() {
-        // The property only bites if empty path values are generated;
-        // each must be refused.
-        let mut rng = SplitMix64::new(5);
-        let mut refused = std::collections::BTreeSet::new();
-        for _ in 0..2000 {
-            let line = random_conf_line(&mut rng);
-            let Some((key, value)) = line.split_once('=') else {
-                continue;
-            };
-            let key = key.trim();
-            if DETLINT_PATH_KEYS.contains(&key) && value.trim().is_empty() {
-                assert!(detlint::Config::default().apply_file(&line).is_err());
-                refused.insert(key.to_string());
-            }
-        }
-        assert_eq!(refused.len(), DETLINT_PATH_KEYS.len(), "{refused:?}");
     }
 
     #[test]

@@ -85,22 +85,17 @@
 //! e2clab trace summarize <dir|trace.jsonl>
 //!     Render a recorded trace as per-phase breakdowns and per-trial
 //!     critical paths (ask -> execute -> tell, in virtual-time units).
-//! e2clab lint [--config FILE] [--format text|json|sarif] [--out FILE]
-//!             [--baseline FILE] [--update-baseline] [--no-baseline] [root]
+//! e2clab lint [--format text|json|sarif] [--out FILE] [root]
 //!     Run the detlint static-analysis pass — determinism (DET001–005),
 //!     crash-safety panics (PANIC001–003), non-atomic artifact I/O
 //!     (IO001–002), blocking-under-lock (LOCK001) and stale suppressions
 //!     (SUP001) — over every `.rs` file under `root` (default: this
-//!     workspace). Findings recorded in the committed baseline
-//!     (`<root>/lint.baseline`, override with `--baseline`) are reported
-//!     as accepted debt; only *new* findings fail the run.
-//!     `--update-baseline` regenerates the baseline from the current
-//!     findings and exits clean; `--no-baseline` gates on the raw finding
-//!     set. `--format json|sarif` emits machine-readable output (byte-
+//!     workspace). Every rule is an error: any finding without a
+//!     justified `// detlint: allow(CODE) <why>` fails the run.
+//!     `--format json|sarif` emits machine-readable output (byte-
 //!     stable, fixed key order); `--out FILE` writes it atomically via
 //!     the journal crate's write-rename path while the text summary still
-//!     goes to stdout. `--config` may be given more than once; the files
-//!     apply in order.
+//!     goes to stdout.
 //! e2clab bench [--filter PAT] [--out DIR] [--iters N] [--warmup N]
 //!              [--seed S] [--list]
 //!     Run the registered benchmark suite (DES event loop, processor-
@@ -116,8 +111,8 @@
 //!     anything.
 //! e2clab fuzz [--codec NAME] [--iters N] [--seed S] [--out DIR] [--list]
 //!     Fuzz the hand-rolled codecs (YAML conf, journal wire, worker
-//!     frames, `--faults` plans, trace JSON, WAL, `lint.baseline`,
-//!     `lint --config` files (`detlint_conf`), `serve` journal rows) with
+//!     frames, `--faults` plans, trace JSON, WAL, `serve` journal rows,
+//!     and this command line's flag tables: `cli_flags`) with
 //!     seeded byte mutation, checking no-panic, roundtrip and
 //!     differential properties. `--codec` selects by name
 //!     substring or exact tag; a failure prints a reproduce command and
@@ -150,8 +145,7 @@ fn usage() -> ExitCode {
          [--crash-at N] [--crash-at-epoch K]\n  \
          e2clab report <archive-dir>\n  \
          e2clab trace summarize <dir|trace.jsonl>\n  \
-         e2clab lint [--config FILE] [--format text|json|sarif] [--out FILE] \
-         [--baseline FILE] [--update-baseline] [--no-baseline] [root]\n  \
+         e2clab lint [--format text|json|sarif] [--out FILE] [root]\n  \
          e2clab bench [--filter PAT] [--out DIR] [--iters N] [--warmup N] [--seed S] [--list]\n  \
          e2clab fuzz [--codec NAME] [--iters N] [--seed S] [--out DIR] [--list]"
     );
@@ -222,7 +216,7 @@ struct FlagSpec {
 /// A command line split by its [`FlagSpec`]. Values keep their order; a
 /// flag given twice reads as its last value, and so does a repeated
 /// positional.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 struct Flags {
     values: Vec<(&'static str, String)>,
     switches: Vec<&'static str>,
@@ -253,16 +247,13 @@ impl FlagSpec {
 }
 
 impl Flags {
-    /// Every value given for `flag`, in command-line order.
-    fn all(&self, flag: &'static str) -> impl Iterator<Item = &str> {
+    /// The last value given for `flag`.
+    fn raw(&self, flag: &'static str) -> Option<&str> {
         self.values
             .iter()
-            .filter(move |(f, _)| *f == flag)
+            .rev()
+            .find(|(f, _)| *f == flag)
             .map(|(_, v)| v.as_str())
-    }
-
-    fn raw(&self, flag: &'static str) -> Option<&str> {
-        self.all(flag).last()
     }
 
     fn switch(&self, flag: &'static str) -> bool {
@@ -311,6 +302,125 @@ impl Flags {
 /// Parse `args` by `spec` and run `cmd` on the flags.
 fn with_flags(spec: &FlagSpec, args: &[String], cmd: fn(&Flags) -> Outcome) -> ExitCode {
     exit_code(spec.parse(args).map_err(Exit::Usage).and_then(|f| cmd(&f)))
+}
+
+// ---------------------------------------------------------------------------
+// Fuzzing the flag tables
+// ---------------------------------------------------------------------------
+
+/// Every subcommand's flag table.
+const TABLES: [&FlagSpec; 6] = [&OPTIMIZE, &SERVE, &WORKER, &LINT, &BENCH, &FUZZ];
+
+impl Flags {
+    /// The command line these flags read back from: the values in order,
+    /// then the switches, then the positional.
+    fn to_args(&self) -> Vec<String> {
+        let values = self
+            .values
+            .iter()
+            .flat_map(|(f, v)| [f.to_string(), v.clone()]);
+        let switches = self.switches.iter().map(|s| s.to_string());
+        values
+            .chain(switches)
+            .chain(self.positional.clone())
+            .collect()
+    }
+}
+
+/// The `cli_flags` fuzz target: [`FlagSpec::parse`] reads every command
+/// line. The input is a NUL-separated argv, parsed by each subcommand's
+/// table. Parsing must never panic, and on an accepted argv: every flag
+/// read is one of the table's, a positional is read only where the table
+/// takes one, every value is the argument that followed its flag, and
+/// the flags rendered back to an argv parse to equal flags.
+struct CliFlagsTarget;
+
+/// A short argument: empty, a number, or a few printable characters.
+fn random_arg(rng: &mut e2c_fuzz::SplitMix64) -> String {
+    match rng.below(4) {
+        0 => String::new(),
+        1 => rng.below(1000).to_string(),
+        _ => (0..1 + rng.index(6)).map(|_| rng.ascii() as char).collect(),
+    }
+}
+
+impl e2c_fuzz::FuzzTarget for CliFlagsTarget {
+    fn name(&self) -> &'static str {
+        "cli_flags"
+    }
+
+    fn tags(&self) -> &'static [&'static str] {
+        &["text", "smoke"]
+    }
+
+    fn generate(&mut self, rng: &mut e2c_fuzz::SplitMix64) -> Vec<u8> {
+        // Mostly one table's own flags, so each table accepts its share.
+        let names = |t: &FlagSpec| -> Vec<&str> {
+            t.values
+                .split_whitespace()
+                .chain(t.switches.split_whitespace())
+                .collect()
+        };
+        let own = names(TABLES[rng.index(TABLES.len())]);
+        let any: Vec<&str> = TABLES.iter().flat_map(|t| names(t)).collect();
+        let args: Vec<String> = (0..rng.index(7))
+            .map(|_| match rng.below(8) {
+                0..=3 => own[rng.index(own.len())].to_string(),
+                4 => any[rng.index(any.len())].to_string(),
+                5 => format!("--{}", random_arg(rng)),
+                _ => random_arg(rng),
+            })
+            .collect();
+        let mut bytes = args.join("\0").into_bytes();
+        if rng.chance(1, 4) {
+            e2c_fuzz::engine::mutate(rng, &mut bytes);
+        }
+        bytes
+    }
+
+    fn check(&self, input: &[u8]) -> Result<(), String> {
+        let text = String::from_utf8_lossy(input);
+        let args: Vec<String> = if text.is_empty() {
+            Vec::new()
+        } else {
+            text.split('\0').map(String::from).collect()
+        };
+        for spec in TABLES {
+            if let Ok(flags) = spec.parse(&args) {
+                check_accepted(spec, &args, &flags).map_err(|e| format!("{args:?}: {e}"))?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The properties of `flags`, which `spec` read from `args`.
+fn check_accepted(spec: &FlagSpec, args: &[String], flags: &Flags) -> Result<(), String> {
+    let listed = |table: &str, flag: &str| table.split_whitespace().any(|f| f == flag);
+    if let Some((flag, _)) = flags.values.iter().find(|(f, _)| !listed(spec.values, f)) {
+        return Err(format!("{flag} read as a value flag of a table without it"));
+    }
+    if let Some(flag) = flags.switches.iter().find(|f| !listed(spec.switches, f)) {
+        return Err(format!("{flag} read as a switch of a table without it"));
+    }
+    if let Some(arg) = &flags.positional {
+        if !spec.positional || arg.starts_with("--") || !args.contains(arg) {
+            return Err(format!("positional {arg:?} read where none may be"));
+        }
+    }
+    let mut rest = args;
+    for (flag, value) in &flags.values {
+        let at = rest
+            .windows(2)
+            .position(|w| w[0] == *flag && w[1] == *value)
+            .ok_or_else(|| format!("{flag} {value:?} does not follow in the argv"))?;
+        rest = &rest[at + 2..];
+    }
+    match spec.parse(&flags.to_args()) {
+        Ok(again) if again == *flags => Ok(()),
+        Ok(again) => Err(format!("{flags:?} renders and re-parses as {again:?}")),
+        Err(e) => Err(format!("{flags:?} renders to an argv it refuses: {e}")),
+    }
 }
 
 /// The crash-safety flags `optimize` and `serve` share, checked once:
@@ -758,8 +868,8 @@ fn workspace_root() -> PathBuf {
 }
 
 const LINT: FlagSpec = FlagSpec {
-    values: "--config --format --out --baseline",
-    switches: "--update-baseline --no-baseline",
+    values: "--format --out",
+    switches: "",
     positional: true,
 };
 
@@ -768,49 +878,19 @@ fn lint(flags: &Flags) -> Outcome {
     if !matches!(format, "text" | "json" | "sarif") {
         return Err("--format must be text, json or sarif".into());
     }
-    let mut config = detlint::Config::default();
-    for path in flags.all("--config") {
-        std::fs::read_to_string(path)
-            .map_err(|e| e.to_string())
-            .and_then(|text| config.apply_file(&text).map_err(|e| e.to_string()))
-            .map_err(|e| failed(format!("{path}: {e}")))?;
-    }
     let root = flags
         .positional
         .as_ref()
         .map_or_else(workspace_root, PathBuf::from);
-    let baseline_file = flags
-        .path("--baseline")
-        .unwrap_or_else(|| root.join("lint.baseline"));
     // A directory inside this workspace keeps workspace-relative labels,
     // so the path-scoped rules apply to it as they do to the whole tree.
     let workspace = workspace_root();
     let (label_root, dir) = match root.canonicalize() {
         Ok(dir) if dir.starts_with(&workspace) => (workspace, dir),
-        _ => (root.clone(), root.clone()),
+        _ => (root.clone(), root),
     };
-    let mut report = detlint::lint_workspace(&label_root, &dir, &config)
+    let report = detlint::lint_workspace(&label_root, &dir, &detlint::Config::default())
         .map_err(|e| failed(format!("lint failed: {e}")))?;
-    if flags.switch("--update-baseline") {
-        // Record the current raw finding set as accepted debt, then gate
-        // this run against it (always clean).
-        let baseline = detlint::Baseline::from_findings(report.errors.iter());
-        e2c_journal::write_atomic(&baseline_file, baseline.render().as_bytes())
-            .map_err(|e| failed_at(&baseline_file, e))?;
-        eprintln!(
-            "wrote {} ({} entr{})",
-            baseline_file.display(),
-            baseline.len(),
-            if baseline.len() == 1 { "y" } else { "ies" }
-        );
-        report.apply_baseline(&baseline);
-    } else if !flags.switch("--no-baseline") && baseline_file.is_file() {
-        let baseline = std::fs::read_to_string(&baseline_file)
-            .map_err(|e| e.to_string())
-            .and_then(|text| detlint::Baseline::parse(&text).map_err(|e| e.to_string()))
-            .map_err(|e| failed_at(&baseline_file, e))?;
-        report.apply_baseline(&baseline);
-    }
     let text = report.render();
     let machine = match format {
         "json" => Some(detlint::to_json(&report)),
@@ -897,6 +977,7 @@ const FUZZ: FlagSpec = FlagSpec {
 
 fn fuzz(flags: &Flags) -> Outcome {
     let mut registry = e2c_fuzz::default_registry()
+        .register(CliFlagsTarget)
         .with_seed(flags.get("--seed", 1)?)
         .with_iters(flags.get("--iters", 10_000)?);
     if let Some(pat) = flags.raw("--codec") {
@@ -990,9 +1071,9 @@ mod tests {
         // A value flag takes the next argument verbatim.
         let flags = parse(&OPTIMIZE, "--archive --trace").unwrap();
         assert_eq!(flags.path("--archive"), Some(PathBuf::from("--trace")));
-        // Repeated `lint --config` files apply in order.
-        let flags = parse(&LINT, "--config a --config b").unwrap();
-        assert_eq!(flags.all("--config").collect::<Vec<_>>(), ["a", "b"]);
+        // A repeated `lint --format` reads as its last value.
+        let flags = parse(&LINT, "--format json --format sarif").unwrap();
+        assert_eq!(flags.raw("--format"), Some("sarif"));
     }
 
     #[test]
@@ -1010,6 +1091,32 @@ mod tests {
         let repeat = flags.positive("--repeat", 1usize);
         assert_eq!(repeat.unwrap_err(), "--repeat must be at least 1");
         assert_eq!(flags.positive("--duration", 1380u64), Ok(1380));
+    }
+
+    #[test]
+    fn cli_flags_target_holds_on_accepted_argvs_of_every_table() {
+        use e2c_fuzz::FuzzTarget;
+        let mut target = CliFlagsTarget;
+        let mut rng = e2c_fuzz::SplitMix64::new(0xE2C);
+        let mut accepted = [0usize; TABLES.len()];
+        for i in 0..3000 {
+            let input = target.generate(&mut rng);
+            let outcome = e2c_fuzz::engine::guard(|| target.check(&input));
+            assert_eq!(outcome, Ok(()), "iteration {i}");
+            let args: Vec<String> = String::from_utf8_lossy(&input)
+                .split('\0')
+                .map(String::from)
+                .collect();
+            for (n, spec) in accepted.iter_mut().zip(TABLES) {
+                *n += usize::from(spec.parse(&args).is_ok_and(|f| !f.values.is_empty()));
+            }
+        }
+        // The properties only bite on argvs a table accepts with values.
+        assert!(accepted.iter().all(|&n| n > 50), "{accepted:?}");
+        // An argv that ends in a value flag holds too: every table
+        // refuses it, or reads the flag's value from it.
+        assert_eq!(CliFlagsTarget.check(b"--seed"), Ok(()));
+        assert_eq!(CliFlagsTarget.check(b"extra\0--out"), Ok(()));
     }
 
     #[test]

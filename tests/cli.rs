@@ -207,6 +207,18 @@ fn malformed_flags_are_usage_errors() {
     let stderr = usage_error(&["optimize", "--bogus", conf]);
     assert!(stderr.contains("unknown flag --bogus"), "{stderr}");
     usage_error(&["lint", "--format", "xml"]);
+    for args in [
+        &["lint", "--config", "F"][..],
+        &["lint", "--baseline", "F"][..],
+        &["lint", "--update-baseline"][..],
+        &["lint", "--no-baseline"][..],
+    ] {
+        let stderr = usage_error(args);
+        assert!(
+            stderr.contains(&format!("unknown flag {}", args[1])),
+            "{stderr}"
+        );
+    }
     let _ = std::fs::remove_file(conf);
 }
 

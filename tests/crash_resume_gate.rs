@@ -183,6 +183,8 @@ enum Damage {
     Delete,
     Truncate,
     Corrupt,
+    /// The file's whole directory is gone.
+    LoseDir,
 }
 
 impl Damage {
@@ -190,6 +192,7 @@ impl Damage {
         let mut bytes = std::fs::read(path).unwrap();
         match self {
             Damage::Delete => return std::fs::remove_file(path).unwrap(),
+            Damage::LoseDir => return std::fs::remove_dir_all(path.parent().unwrap()).unwrap(),
             Damage::Truncate => bytes.truncate(bytes.len() / 2),
             Damage::Corrupt => {
                 let mid = bytes.len() / 2;
@@ -376,9 +379,11 @@ fn a_crash_during_resume_is_itself_resumable() {
 }
 
 /// The per-trial views are written without fsync, so a machine crash may
-/// lose or tear them. Damage one `cycles/*.prom` and one `result.csv`,
-/// once between a kill and `--resume` and once after a completed run:
-/// the resume renders both again, to the uninterrupted run's bytes.
+/// lose or tear them, or lose their directory. Damage one `cycles/*.prom`
+/// and one `result.csv`, once between a kill and `--resume` and once after
+/// a completed run: the resume renders both again, to the uninterrupted
+/// run's bytes. Losing the directory takes all of `cycles/` with the
+/// prom, and the whole `evals/trial_N/` with the result.
 #[test]
 fn resume_renders_lost_or_torn_views_again() {
     let fx = Fixture::new("views", 2, 3);
@@ -389,7 +394,12 @@ fn resume_renders_lost_or_torn_views_again() {
     fx.optimize_ok("full", &["--journal", &j], "journaled run");
     // Killed right before the completion record: every trial settled.
     let last_cut = wal_records(&jdir.join("run.wal")) - 1;
-    for damage in [Damage::Delete, Damage::Truncate, Damage::Corrupt] {
+    for damage in [
+        Damage::Delete,
+        Damage::Truncate,
+        Damage::Corrupt,
+        Damage::LoseDir,
+    ] {
         let ctx = format!("{damage:?} after a completed run");
         for view in fx.views("full") {
             damage.apply(&view);

