@@ -27,7 +27,7 @@ use e2c_tune::fault::{FaultPlan, RetryPolicy};
 use e2c_tune::journal::{OpenError, ResumeState, RunEvent, RunJournal};
 use e2c_tune::searcher::{ConcurrencyLimiter, GridSearch, RandomSearch, SkOptSearch};
 use e2c_tune::tuner::{Mode, Tuner};
-use e2c_tune::{Analysis, Fifo, Searcher};
+use e2c_tune::{Analysis, Fifo, Searcher, TrialError};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
@@ -99,19 +99,11 @@ pub enum RunError {
     Resume(String),
     /// The reproducibility archive or trial log could not be written.
     Archive(String),
-    /// The multi-process worker farm could not be launched (no worker
-    /// spawned at all). Losses *during* the run are not this error —
-    /// they surface per-attempt as `TrialError::WorkerLost` through the
-    /// ordinary retry machinery.
-    Farm(String),
 }
 
 impl std::fmt::Display for RunError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (RunError::Journal(msg)
-        | RunError::Resume(msg)
-        | RunError::Archive(msg)
-        | RunError::Farm(msg)) = self;
+        let (RunError::Journal(msg) | RunError::Resume(msg) | RunError::Archive(msg)) = self;
         f.write_str(msg)
     }
 }
@@ -136,9 +128,17 @@ pub struct EvalContext {
     /// MUST use this handle (never a captured tracer) or their events
     /// land interleaved by wall clock instead of by trial.
     pub tracer: Option<e2c_trace::Tracer>,
-    /// Values noted through [`EvalContext::note`], handed to the attempt
-    /// record when the evaluation returns.
-    notes: Arc<Mutex<Vec<(String, f64)>>>,
+    /// What the evaluation hands the attempt record besides its value,
+    /// shared by every clone of this context.
+    settled: Arc<Mutex<Settled>>,
+}
+
+/// The notes an evaluation attached, or the typed error it failed its
+/// attempt with.
+#[derive(Default)]
+struct Settled {
+    notes: Vec<(String, f64)>,
+    failure: Option<TrialError>,
 }
 
 impl EvalContext {
@@ -147,10 +147,21 @@ impl EvalContext {
     /// trials it does not re-run) and come back on
     /// `summary.analysis.trials()`; they never reach the archive.
     pub fn note(&self, name: &str, value: f64) {
-        self.notes
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push((name.to_string(), value));
+        self.settle().notes.push((name.to_string(), value));
+    }
+
+    /// Fail this attempt with a typed infrastructure error, such as a
+    /// worker farm's [`TrialError::WorkerLost`]; the retry layer treats it
+    /// like an error raised inside the tuner. The objective returns the
+    /// placeholder this gives back, and the attempt records no raw value,
+    /// no notes and no evaluation result.
+    pub fn fail_attempt(&self, error: TrialError) -> f64 {
+        self.settle().failure = Some(error);
+        f64::NAN
+    }
+
+    fn settle(&self) -> std::sync::MutexGuard<'_, Settled> {
+        self.settled.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -264,14 +275,7 @@ pub struct OptimizationManager {
     faults: FaultPlan,
     tracer: Option<e2c_trace::Tracer>,
     journal: Option<JournalConfig>,
-    farm: Option<e2c_tune::FarmSpec>,
-    aux_hook: Option<AuxHook>,
 }
-
-/// Artifact hook for farmed runs: receives the auxiliary key/value pairs
-/// a worker shipped with its result, in place of the side effects the
-/// in-process objective would have performed itself.
-pub type AuxHook = Arc<dyn Fn(&EvalContext, &[(String, String)]) + Send + Sync>;
 
 impl OptimizationManager {
     /// Manager for a problem definition (seed 0, FIFO scheduling, no
@@ -284,8 +288,6 @@ impl OptimizationManager {
             faults: FaultPlan::new(),
             tracer: None,
             journal: None,
-            farm: None,
-            aux_hook: None,
         }
     }
 
@@ -328,28 +330,6 @@ impl OptimizationManager {
     /// concurrency.
     pub fn with_journal(mut self, journal: JournalConfig) -> Self {
         self.journal = Some(journal);
-        self
-    }
-
-    /// Execute evaluations in a farm of worker processes instead of in
-    /// process: the manager spawns `spec.workers` copies of the worker
-    /// command, streams asks to them, and supervises crashes, hangs and
-    /// protocol garbage (respawn with seeded backoff; transparent ask
-    /// re-dispatch; typed `WorkerLost` failures once the budget is
-    /// spent). Every decision stays in this process, so artifacts are
-    /// byte-identical to an in-process run at any worker count — which
-    /// is also why the process count is *not* part of the journal
-    /// fingerprint.
-    pub fn with_farm(mut self, spec: e2c_tune::FarmSpec) -> Self {
-        self.farm = Some(spec);
-        self
-    }
-
-    /// Install the artifact hook farmed runs call with each successful
-    /// evaluation's auxiliary pairs (see [`AuxHook`]). Ignored without
-    /// [`OptimizationManager::with_farm`].
-    pub fn with_aux_hook(mut self, hook: AuxHook) -> Self {
-        self.aux_hook = Some(hook);
         self
     }
 
@@ -507,16 +487,6 @@ impl OptimizationManager {
         }
         tuner = tuner.resume(resume_state);
         let archive_root = self.archive_root.clone();
-        // Farmed execution: spawn the worker processes up front; a farm
-        // that cannot start at all is a run error, not a trial failure.
-        let farm = match &self.farm {
-            Some(spec) => Some(Arc::new(
-                e2c_tune::WorkerFarm::launch(spec.clone())
-                    .map_err(|e| RunError::Farm(format!("--workers: {e}")))?,
-            )),
-            None => None,
-        };
-        let aux_hook = self.aux_hook.clone();
         let analysis = tuner.run(searcher, Arc::new(Fifo), move |point, tctx| {
             // prepare(): a dedicated directory per model evaluation.
             let eval_dir = archive_root.as_ref().map(|root| {
@@ -529,38 +499,17 @@ impl OptimizationManager {
                 attempt: tctx.attempt,
                 point: point.clone(),
                 tracer: tctx.tracer().cloned(),
-                notes: Arc::default(),
+                settled: Arc::default(),
             };
-            // launch(): deploy + execute the user workload — in process,
-            // or shipped to a farm worker. Either way the tuner sees
-            // exactly what an in-process run would: returns classify
-            // identically, worker panics re-raise with their original
-            // payload, and only infrastructure failures (a lost worker
-            // past the re-dispatch budget) take the typed abort path.
-            let value = match &farm {
-                Some(farm) => {
-                    match farm.execute(tctx.trial_id, tctx.attempt, point, tctx.tracer()) {
-                        Ok(e2c_tune::FarmOutcome::Value { value, aux }) => {
-                            if let Some(hook) = &aux_hook {
-                                hook(&ctx, &aux);
-                            }
-                            value
-                        }
-                        Ok(e2c_tune::FarmOutcome::Panicked { payload }) => {
-                            std::panic::panic_any(payload)
-                        }
-                        Err(error) => {
-                            // No evaluation record: the objective never
-                            // produced a value to archive.
-                            return tctx.fail_attempt(error);
-                        }
-                    }
-                }
-                None => objective(&ctx),
-            };
-            let notes =
-                std::mem::take(&mut *ctx.notes.lock().unwrap_or_else(PoisonError::into_inner));
-            for (name, v) in notes {
+            // launch(): deploy + execute the user workload.
+            let value = objective(&ctx);
+            let settled = std::mem::take(&mut *ctx.settle());
+            if let Some(error) = settled.failure {
+                // No evaluation record: the objective produced no value
+                // to archive.
+                return tctx.fail_attempt(error);
+            }
+            for (name, v) in settled.notes {
                 tctx.note(name, v);
             }
             // finalize(): record this evaluation's computations.
@@ -885,6 +834,53 @@ optimization:
             "{report}"
         );
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// An objective that notes a value, then fails attempt 0 of trial 1
+    /// as a lost farm worker would.
+    fn losing_objective(ctx: &EvalContext) -> f64 {
+        ctx.note("completed", 1.0);
+        if ctx.trial_id == 1 && ctx.attempt == 0 {
+            return ctx.fail_attempt(TrialError::WorkerLost("worker 0 lost".into()));
+        }
+        objective(ctx)
+    }
+
+    #[test]
+    fn a_failed_attempt_records_its_error_and_nothing_else() {
+        let dir = tmp("fail-attempt", line!());
+        let summary = OptimizationManager::new(ft_conf("random", 3, 1))
+            .with_seed(4)
+            .with_archive(dir.clone())
+            .run(losing_objective)
+            .unwrap();
+        let lost = &summary.analysis.trials()[1];
+        let (first, retry) = (&lost.attempts[0], &lost.attempts[1]);
+        assert_eq!(
+            first.error,
+            Some(TrialError::WorkerLost("worker 0 lost".into()))
+        );
+        assert_eq!((first.raw, first.notes.len()), (None, 0));
+        let value = objective_value(&lost.config);
+        assert_eq!((retry.error.as_ref(), retry.raw), (None, Some(value)));
+        assert_eq!(retry.notes, [("completed".to_string(), 1.0)]);
+        assert_eq!(lost.value(), Some(value));
+        // The retry's value is the trial's evaluation record.
+        let result = read(&archive::eval_dir(&dir, 1).join("result.csv"));
+        assert!(result.ends_with(&format!(",{value}\n")), "{result}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_attempt_without_retries_fails_the_trial() {
+        let summary = OptimizationManager::new(ft_conf("random", 3, 0))
+            .with_seed(4)
+            .run(losing_objective)
+            .unwrap();
+        let lost = &summary.analysis.trials()[1];
+        assert_eq!(lost.status.failure(), Some("worker 0 lost"));
+        assert_eq!(lost.attempt_count(), 1);
+        assert!(summary.analysis.trials()[0].value().is_some());
     }
 
     #[test]

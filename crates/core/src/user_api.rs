@@ -45,7 +45,7 @@ pub trait UserOptimization: Send + Sync {
     /// One model evaluation (Listing 1 lines 28–36): deploy the
     /// configuration, run the workload, return the metric value. The
     /// context carries the trial id, the attempt number (> 0 on a
-    /// retry), the point and the `prepare()`d artifact directory.
+    /// retry), the point and the attempt's trace handle.
     fn run_objective(&self, ctx: &EvalContext) -> f64;
 
     /// Experiment seed (override for multi-seed studies).

@@ -4,7 +4,7 @@
 //! "a few sample points ... respecting the upper and lower limits of each
 //! optimization variable", naming Latin Hypercube and low-discrepancy
 //! sampling. All designs generate in the unit hypercube and map through the
-//! [`Space`](crate::space::Space) so integer dimensions round correctly.
+//! [`Space`] so integer dimensions round correctly.
 
 use crate::space::{Point, Space};
 use rand::Rng;

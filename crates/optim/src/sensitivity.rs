@@ -5,7 +5,7 @@
 //! the `extract` pool ±2 and the `simsearch` pool ±3 around the optimum
 //! and re-running the experiment for each variant. [`OatPlan`] generates
 //! exactly those configurations; [`morris`] implements the screening
-//! method the OAT literature (Hamby, ref. [43]) positions it against.
+//! method the OAT literature (Hamby, ref. \[43\]) positions it against.
 
 use crate::space::{Point, Space};
 use rand::rngs::StdRng;

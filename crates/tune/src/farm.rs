@@ -4,8 +4,9 @@
 //! A [`WorkerFarm`] spawns `workers` copies of a worker command (in
 //! production, `e2clab worker …`), speaks the framed stdio protocol of
 //! [`crate::worker`] to them, and exposes one blocking call —
-//! [`WorkerFarm::execute`] — that the optimization manager's objective
-//! wrapper uses in place of running the objective in process. Everything
+//! [`WorkerFarm::execute`] — that a caller's objective (in production,
+//! the `e2clab` cycle's) uses in place of running the evaluation in
+//! process; the optimization manager never sees the farm. Everything
 //! decision-bearing stays in the parent: the farm moves only the
 //! *execution* of an attempt out of process, so `evaluations.csv`,
 //! `trials.jsonl` and `trace.jsonl` are byte-identical to an in-process
@@ -108,7 +109,8 @@ pub enum FarmOutcome {
     Value {
         /// The objective's raw return.
         value: f64,
-        /// Auxiliary pairs for the caller's artifact hook.
+        /// Auxiliary pairs carrying the evaluation's side artifacts back
+        /// to the calling objective.
         aux: Vec<(String, String)>,
     },
     /// The objective panicked in the worker. The caller re-raises the
@@ -417,6 +419,16 @@ impl WorkerFarm {
                 Ok(ticket)
             }
         }
+    }
+
+    /// Whether the chaos kill of [`FarmSpec::kill_after`] has fired.
+    pub fn kill_fired(&self) -> bool {
+        let st = self
+            .inner
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        st.kill_fired
     }
 
     /// Drain the workers and report how each ended: a `shutdown` frame

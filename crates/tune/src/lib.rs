@@ -1,6 +1,6 @@
 //! # e2c-tune — asynchronous parallel trial execution
 //!
-//! The paper's Optimization Manager "takes advantage of Ray [37] to run
+//! The paper's Optimization Manager "takes advantage of Ray \[37\] to run
 //! parallel application workflows" with Ray Tune providing search
 //! algorithms, concurrency limiting and scheduling (Listing 1 uses
 //! `SkOptSearch`, `ConcurrencyLimiter(max_concurrent=2)` and

@@ -170,8 +170,8 @@ pub struct Tuner {
     pub num_samples: usize,
     /// Worker threads executing objectives concurrently, and the commit
     /// sequencer's in-flight window. Note the *searcher-side* concurrency
-    /// cap is the [`ConcurrencyLimiter`]'s job
-    /// (`crate::searcher::ConcurrencyLimiter`); workers beyond the cap
+    /// cap is the [`ConcurrencyLimiter`](crate::searcher::ConcurrencyLimiter)'s
+    /// job; workers beyond the cap
     /// simply wait.
     pub workers: usize,
     /// Metric direction.

@@ -70,7 +70,8 @@ pub struct WorkerAsk {
 
 /// A successful attempt's payload: the metric plus everything the
 /// in-process path would have produced as side effects — auxiliary
-/// key/value pairs (engine statistics the CLI's artifact hook persists)
+/// key/value pairs (engine statistics the CLI's objective lands as
+/// artifacts)
 /// and the attempt's trace buffer (JSON line + tick bit per event, plus
 /// the buffer clock's final value, exactly the shape
 /// [`e2c_trace::Tracer::splice`] consumes).
@@ -79,7 +80,7 @@ pub struct WorkerReply {
     /// The objective's raw return value (may be non-finite; the parent
     /// classifies it exactly as it would an in-process return).
     pub value: f64,
-    /// Ordered auxiliary pairs for the parent's artifact hook.
+    /// Ordered auxiliary pairs for the parent's objective.
     pub aux: Vec<(String, String)>,
     /// Drained trace events as `(to_json line, ticked)` pairs.
     pub events: Vec<(String, bool)>,
@@ -343,7 +344,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<WireMsg>, String> {
 /// The objective receives the ask and — when the ask is traced — a fresh
 /// per-attempt [`e2c_trace::Tracer`] whose drained buffer is shipped back
 /// with the result; it returns the metric value plus auxiliary pairs for
-/// the parent's artifact hook.
+/// the parent's objective, which lands the side artifacts.
 pub fn serve<F>(objective: F) -> Result<(), String>
 where
     F: Fn(&WorkerAsk, Option<&e2c_trace::Tracer>) -> (f64, Vec<(String, String)>),

@@ -49,7 +49,8 @@
 //!     run — even when workers are killed mid-trial (the supervisor
 //!     detects the loss, respawns with seeded backoff and re-dispatches
 //!     the ask transparently). `--kill-worker W@N` is the matching chaos
-//!     knob: SIGKILL worker W after its Nth dispatched ask.
+//!     knob: SIGKILL worker W (0-based) after its Nth (1-based) dispatched
+//!     ask; a run that never fires it exits 1.
 //! e2clab worker [--repeat N] [--duration SECS] [--clients N]
 //!               [--builtin quad]
 //!     Farm child process (spawned by `optimize --workers`): speaks the
@@ -671,15 +672,16 @@ fn optimize(flags: &Flags) -> Outcome {
     let replay_check = flags.switch("--replay-check");
     let journal = journal_conf(flags)?;
     let workers = flags.get("--workers", 0)?;
-    // Chaos knob for the crash gate: SIGKILL worker W after its Nth
-    // dispatched ask. `W@N`, e.g. `--kill-worker 1@2`.
+    // Chaos knob for the crash gate: SIGKILL worker W (0-based) after its
+    // Nth (1-based) dispatched ask. `W@N`, e.g. `--kill-worker 1@2`.
     let kill_worker = flags.parsed("--kill-worker", |v| {
         v.split_once('@')
             .and_then(|(w, n)| Some((w.parse().ok()?, n.parse().ok()?)))
             .ok_or_else(|| format!("expected W@N, got `{v}`"))
     })?;
-    if kill_worker.is_some() && workers == 0 {
-        return Err("--kill-worker needs --workers".into());
+    // A worker the farm does not have, or a zeroth ask, could never fire.
+    if let Some((w, n)) = kill_worker.filter(|&(w, n)| w >= workers || n == 0) {
+        return Err(format!("--kill-worker {w}@{n} needs --workers above {w}, and N >= 1").into());
     }
     if workers > 0 && replay_check {
         return Err("--workers cannot be combined with --replay-check".into());
@@ -1147,14 +1149,19 @@ mod tests {
         .into_aux();
         let keys: Vec<&str> = aux.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(keys, ["completed", "prom"]);
-        assert_eq!(Evaluation::from_aux(&aux), Some((completed, prom)));
-        // An untraced evaluation ships nothing, and nothing lands.
+        let back = Evaluation::from_aux(mean, &aux);
+        assert_eq!(
+            (back.mean, back.completed, back.prom),
+            (mean, completed, prom)
+        );
+        // An untraced evaluation ships nothing, and reads back no count.
         let untraced = Evaluation {
             mean,
             completed,
             prom: None,
         };
         assert!(untraced.into_aux().is_empty());
-        assert!(Evaluation::from_aux(&[]).is_none());
+        let back = Evaluation::from_aux(mean, &[]);
+        assert!(back.completed.is_nan() && back.prom.is_none());
     }
 }

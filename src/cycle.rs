@@ -1,9 +1,10 @@
 //! The engine-backed optimization cycle behind `e2clab optimize`.
 //!
-//! [`CycleSpec::evaluate`] is the one Pl@ntNet engine evaluation, shared
-//! by the in-process objective and the `e2clab worker` farm children;
-//! [`Cycle::run`] drives the Optimization Manager over it and lands each
-//! traced trial's side artifacts.
+//! [`CycleSpec::evaluate`] is the one Pl@ntNet engine evaluation, run in
+//! process or in the `e2clab worker` farm children; [`Cycle::run`]
+//! launches the farm, drives the Optimization Manager over one objective
+//! that runs the evaluation in either place, and lands each traced
+//! trial's side artifacts.
 //!
 //! The per-trial artifacts (`cycles/cycle_NNNN.prom` here and the
 //! archive's `evals/trial_N/result.csv`) are *views* of `run.wal`: they
@@ -16,7 +17,7 @@ use e2c_core::optimization::{
     EvalContext, JournalConfig, OptimizationManager, OptimizationSummary,
 };
 use e2c_des::SimTime;
-use e2c_tune::{FarmSpec, FaultPlan, Trial};
+use e2c_tune::{FarmOutcome, FarmSpec, FaultPlan, Trial, WorkerFarm};
 use plantnet::sim::{Experiment as EngineRun, ExperimentSpec};
 use plantnet::PoolConfig;
 use std::path::{Path, PathBuf};
@@ -105,14 +106,18 @@ impl Evaluation {
         ]
     }
 
-    /// The side artifacts [`Evaluation::into_aux`] shipped: the
-    /// completed-request count and the Prometheus text.
-    pub fn from_aux(aux: &[(String, String)]) -> Option<(f64, Option<String>)> {
+    /// The evaluation a worker returned as `mean` and the aux pairs of
+    /// [`Evaluation::into_aux`]. An untraced ask ships no pairs, and its
+    /// completed-request count reads NaN.
+    pub fn from_aux(mean: f64, aux: &[(String, String)]) -> Evaluation {
         let field = |name: &str| aux.iter().find(|(k, _)| k == name).map(|(_, v)| v.as_str());
-        Some((
-            field("completed")?.parse().ok()?,
-            field("prom").map(str::to_owned),
-        ))
+        Evaluation {
+            mean,
+            completed: field("completed")
+                .and_then(|v| v.parse().ok())
+                .unwrap_or(f64::NAN),
+            prom: field("prom").map(str::to_owned),
+        }
     }
 }
 
@@ -133,9 +138,9 @@ fn prom_digest(bytes: &[u8]) -> f64 {
 /// attempt record; after the run, `metrics.prom` is rendered from the
 /// trials themselves (the response mean is the attempt's raw value), so
 /// a resumed run covers the trials it did not re-run from their
-/// journaled attempts. The in-process objective and the farm's aux hook
-/// both land here, so a farmed run's artifacts are byte-identical to an
-/// in-process one.
+/// journaled attempts. The cycle's one objective lands every evaluation
+/// here, whether it ran in process or in a farm worker, so a farmed
+/// run's artifacts are byte-identical to an in-process one.
 struct TrialSink {
     dir: PathBuf,
 }
@@ -247,12 +252,35 @@ impl Cycle {
         archive: Option<PathBuf>,
         trace_dir: Option<&Path>,
     ) -> Result<OptimizationSummary, String> {
+        // Spawn the worker processes before the journal opens: a farm
+        // that cannot start at all is a run error that leaves no journal
+        // behind.
+        let farm = self
+            .farm
+            .clone()
+            .map(WorkerFarm::launch)
+            .transpose()
+            .map_err(|e| format!("--workers: {e}"))?
+            .map(Arc::new);
         let sink = trace_dir.map(TrialSink::open).transpose()?.map(Arc::new);
         let spec = self.spec;
-        let obj_sink = sink.clone();
+        let (obj_farm, obj_sink) = (farm.clone(), sink.clone());
         let objective = move |ctx: &EvalContext| {
             let traced = obj_sink.is_some();
-            let ev = spec.evaluate(&ctx.point, ctx.trial_id, ctx.tracer.clone(), traced);
+            let ev = match &obj_farm {
+                None => spec.evaluate(&ctx.point, ctx.trial_id, ctx.tracer.clone(), traced),
+                // The engine runs in an `e2clab worker` child. Its panics
+                // re-raise with their original payload, so they classify
+                // as an in-process panic would; only a worker lost past
+                // the re-dispatch budget fails the attempt.
+                Some(farm) => {
+                    match farm.execute(ctx.trial_id, ctx.attempt, &ctx.point, ctx.tracer.as_ref()) {
+                        Ok(FarmOutcome::Value { value, aux }) => Evaluation::from_aux(value, &aux),
+                        Ok(FarmOutcome::Panicked { payload }) => std::panic::panic_any(payload),
+                        Err(error) => return ctx.fail_attempt(error),
+                    }
+                }
+            };
             if let Some(sink) = &obj_sink {
                 sink.land(ctx, ev.completed, ev.prom.as_deref());
             }
@@ -271,22 +299,10 @@ impl Cycle {
         if let Some(jc) = &self.journal {
             manager = manager.with_journal(jc.clone());
         }
-        if let Some(farm) = &self.farm {
-            // Multi-process execution: the engine runs in `e2clab worker`
-            // children, and this hook lands each result's side artifacts
-            // through the same sink as the in-process objective.
-            let sink = sink.clone();
-            manager = manager.with_farm(farm.clone()).with_aux_hook(Arc::new(
-                move |ctx: &EvalContext, aux: &[(String, String)]| {
-                    if let (Some(sink), Some((completed, prom))) =
-                        (&sink, Evaluation::from_aux(aux))
-                    {
-                        sink.land(ctx, completed, prom.as_deref());
-                    }
-                },
-            ));
-        }
         let summary = manager.run(objective).map_err(|e| e.to_string())?;
+        // The objective held the only other handle, so this drains the
+        // workers before the exports.
+        let kill_fired = farm.map(|farm| farm.kill_fired());
         if let (Some(tr), Some(sink)) = (&tracer, &sink) {
             if self.journal.as_ref().is_some_and(|jc| jc.resume) {
                 sink.restore(&spec, summary.analysis.trials())?;
@@ -294,6 +310,15 @@ impl Cycle {
             tr.save(&sink.dir.join("trace.jsonl"))
                 .map_err(|e| format!("trace: {}: {e}", sink.dir.display()))?;
             sink.write_metrics(summary.analysis.trials())?;
+        }
+        // The chaos knob fires inside the farm; a run that never fired it
+        // would let a chaos test pass without testing anything.
+        if let (Some(false), Some((worker, nth))) =
+            (kill_fired, self.farm.as_ref().and_then(|f| f.kill_after))
+        {
+            return Err(format!(
+                "--kill-worker {worker}@{nth} never fired: worker {worker} received fewer than {nth} asks"
+            ));
         }
         Ok(summary)
     }

@@ -29,7 +29,7 @@
 //! | [`tune`] | `e2c-tune` | async parallel trial runner (searchers, ASHA) |
 //! | [`trace`] | `e2c-trace` | deterministic structured event log + virtual clock |
 //! | [`journal`] | `e2c-journal` | write-ahead log + atomic snapshot writes |
-//! | [`bench`] | `e2c-bench` | benchmark API (`Benchmark`, `BenchRegistry`, `BENCH_*.json`) + the paper's exhibit registry |
+//! | [`bench`](mod@bench) | `e2c-bench` | benchmark API (`Benchmark`, `BenchRegistry`, `BENCH_*.json`) + the paper's exhibit registry |
 //! | [`detlint`] | `detlint` | determinism lint (DET001–DET005) |
 //! | [`plantnet`] | `plantnet` | the Pl@ntNet engine model (DES + real threads) |
 //!

@@ -238,10 +238,13 @@ fn subcommands_without_a_positional_reject_one() {
 fn farm_flags_are_validated() {
     let conf = write_conf("farm-flags.yaml", CONF);
     let conf = conf.to_str().unwrap();
-    // Malformed `W@N`, a kill knob without a farm, and a farmed replay
-    // check are all usage errors.
+    // Malformed `W@N`, a kill knob without a farm, a worker the farm does
+    // not have (W is 0-based), a zeroth ask (N is 1-based) and a farmed
+    // replay check are all usage errors.
     usage_error(&["optimize", "--workers", "2", "--kill-worker", "1-2", conf]);
     usage_error(&["optimize", "--kill-worker", "1@1", conf]);
+    usage_error(&["optimize", "--workers", "2", "--kill-worker", "2@1", conf]);
+    usage_error(&["optimize", "--workers", "2", "--kill-worker", "1@0", conf]);
     usage_error(&["optimize", "--workers", "2", "--replay-check", conf]);
     let _ = std::fs::remove_file(conf);
 }

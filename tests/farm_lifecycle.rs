@@ -11,8 +11,14 @@
 //!   mid-ask; the monitor kills and respawns them until the budget is
 //!   spent, and `execute` then fails with `TrialError::WorkerLost`
 //!   instead of waiting forever.
+//! * `a_farm_that_cannot_start_leaves_no_journal` — a cycle whose workers
+//!   cannot spawn fails before its journal opens, so the same
+//!   `--journal` run can simply be started again.
 
-use e2c_tune::{FarmOutcome, FarmSpec, TrialError, WorkerExit, WorkerFarm};
+use e2c_conf::schema::ExperimentConf;
+use e2c_core::optimization::JournalConfig;
+use e2c_tune::{FarmOutcome, FarmSpec, FaultPlan, TrialError, WorkerExit, WorkerFarm};
+use e2clab::cycle::{Cycle, CycleSpec};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -81,4 +87,53 @@ fn stalled_workers_exhaust_the_respawn_budget_into_worker_lost() {
         other => panic!("expected WorkerLost, got {other:?}"),
     }
     assert!(farm.shutdown().is_empty(), "no worker left to reap");
+}
+
+#[test]
+fn a_farm_that_cannot_start_leaves_no_journal() {
+    const CONF: &str = r#"
+name: no-farm
+optimization:
+  metric: response_time
+  mode: min
+  name: no-farm
+  num_samples: 2
+  max_concurrent: 2
+  search:
+    algo: random
+  config:
+    - name: http
+      type: randint
+      bounds: [20, 60]
+"#;
+    let journal = std::env::temp_dir().join(format!("e2clab-no-farm-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&journal);
+    let cycle = Cycle {
+        opt_conf: ExperimentConf::from_value(&e2c_conf::parse(CONF).unwrap())
+            .unwrap()
+            .optimization
+            .unwrap(),
+        seed: 1,
+        faults: FaultPlan::new(),
+        spec: CycleSpec {
+            repeat: 1,
+            duration: 10,
+            clients: 80,
+        },
+        journal: Some(JournalConfig::fresh(journal.clone())),
+        farm: Some(FarmSpec::new(
+            PathBuf::from("/nonexistent/e2clab"),
+            vec!["worker".to_string()],
+            2,
+            1,
+        )),
+    };
+    // Twice: a failed launch must not leave a journal that refuses the
+    // same command.
+    for _ in 0..2 {
+        let err = cycle.run(None, None).expect_err("no worker can spawn");
+        assert_eq!(err, "--workers: no worker could be spawned (2 requested)");
+        assert!(!journal.join("run.wal").exists(), "a journal was opened");
+    }
+    let _ = std::fs::remove_dir_all(&journal);
 }
