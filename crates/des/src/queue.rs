@@ -12,6 +12,11 @@
 //! the same counter as [`EventQueue::schedule`], so a re-armed timer pops
 //! exactly where a freshly scheduled event would.
 //!
+//! The event loop pops with [`EventQueue::pop_until`]: the earliest
+//! event if it fires by a horizon, else nothing. It looks at the timers
+//! and the heap head once per event, where a `peek_time` before each
+//! `pop` would look twice.
+//!
 //! No hash map is involved anywhere, so iteration order can never depend
 //! on hasher state (detlint DET001 stays structurally impossible, not
 //! just suppressed).
@@ -122,12 +127,24 @@ impl<E> EventQueue<E> {
 
     /// Remove and return the earliest event, heap entry or armed timer.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.pop_until(SimTime::MAX)
+    }
+
+    /// Remove and return the earliest event if it fires at or before
+    /// `horizon`; otherwise leave the queue as it is and return `None`.
+    pub fn pop_until(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
+        let head = self.heap.peek().map(|entry| (entry.at, entry.seq));
         if let Some((key, order)) = self.earliest_timer() {
-            let head = self.heap.peek().map(|entry| (entry.at, entry.seq));
             if head.is_none_or(|head| order < head) {
+                if order.0 > horizon {
+                    return None;
+                }
                 let timer = self.timers[key].take().expect("earliest timer is armed");
                 return Some((timer.at, timer.event));
             }
+        }
+        if head?.0 > horizon {
+            return None;
         }
         self.heap.pop().map(|entry| (entry.at, entry.event))
     }
@@ -229,6 +246,24 @@ mod tests {
         assert_eq!(q.pop(), Some((t, "heap")));
         assert_eq!(q.pop(), Some((t, "rearmed")));
         assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn pop_until_stops_at_the_horizon_and_leaves_the_rest() {
+        let mut q = EventQueue::new();
+        let s = SimTime::from_secs;
+        q.schedule(s(1), "heap");
+        q.set_timer(0, s(1), "timer");
+        q.schedule(s(3), "late");
+        assert_eq!(q.pop_until(s(0)), None);
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.pop_until(s(1)), Some((s(1), "heap")));
+        assert_eq!(q.pop_until(s(1)), Some((s(1), "timer")));
+        assert_eq!(q.pop_until(s(2)), None);
+        assert_eq!(q.peek_time(), Some(s(3)));
+        assert_eq!(q.pop_until(s(3)), Some((s(3), "late")));
+        assert_eq!(q.pop_until(SimTime::MAX), None);
+        assert!(q.is_empty());
     }
 
     #[test]

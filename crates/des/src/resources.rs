@@ -15,7 +15,8 @@
 //! utilization over windows without instrumenting every state change.
 
 use crate::time::SimTime;
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Opaque identifier chosen by the caller (e.g. a request id).
 pub type JobId = u64;
@@ -212,7 +213,9 @@ impl Discipline {
 /// of two tied jobs finishes first is decided by id in
 /// [`Lane::earliest`], never by position, so the float updates and the
 /// smaller-id tie-break do not depend on insertion order or hash state
-/// (detlint DET001/DET005).
+/// (detlint DET001/DET005). A lane trusts its caller not to insert an id
+/// twice: [`ProcShare`] checks ids against one membership set over both
+/// lanes.
 #[derive(Debug, Clone, Default)]
 struct Lane {
     ids: Vec<JobId>,
@@ -225,13 +228,6 @@ struct Lane {
 impl Lane {
     fn len(&self) -> usize {
         self.ids.len()
-    }
-
-    /// Whether job `id` is in this lane. A start never finds its id, so
-    /// the scan always runs to the end: one branch-free pass that
-    /// compiles to vector compares.
-    fn contains(&self, id: JobId) -> bool {
-        self.ids.iter().fold(false, |found, &x| found | (x == id))
     }
 
     /// Add a job at its place in the descending `remaining` order.
@@ -319,6 +315,38 @@ fn earlier(a: (f64, JobId), b: (f64, JobId)) -> (f64, JobId) {
     }
 }
 
+/// Hashes a [`JobId`] with one multiply by a fixed odd constant (the
+/// 64-bit golden ratio). It has no seed, so the set's layout is the same
+/// in every run; the set is only probed, never iterated, so no order
+/// reaches the results either way.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
+/// The ids of a [`ProcShare`]'s active jobs, both classes.
+type Members = HashSet<JobId, BuildHasherDefault<IdHasher>>;
+
+/// Jobs a new [`ProcShare`]'s membership set holds before it first
+/// grows. Filling an empty set to a few dozen jobs would rehash it on
+/// every doubling, which costs a short-lived server more than its
+/// duplicate checks.
+const MEMBERS_CAPACITY: usize = 64;
+
 /// A shared server processing all active jobs concurrently.
 ///
 /// The owning model is responsible for scheduling the completion event:
@@ -330,9 +358,12 @@ fn earlier(a: (f64, JobId), b: (f64, JobId)) -> (f64, JobId) {
 ///
 /// Costs per call, with `n` active jobs: `next_completion` reads each
 /// lane's tail (plus the run of jobs tied with it), `remove` of the
-/// completing job is O(1) from the tail, and `start` is a binary search
-/// plus an O(n) duplicate check and shift. Progressing the jobs to `now`
-/// is one O(n) vector pass whenever the clock moved.
+/// completing job is O(1) from the tail, and `start` is an O(1)
+/// duplicate check in the membership set plus a binary search and an
+/// O(n) shift. Progressing the jobs to `now` is one O(n) vector pass
+/// whenever the clock moved. Each class's progress rate depends only on
+/// the population, so it is computed once per `start` or `remove` and
+/// read from a cache by every other call.
 #[derive(Debug, Clone)]
 pub struct ProcShare {
     discipline: Discipline,
@@ -340,6 +371,10 @@ pub struct ProcShare {
     /// one rate, so a pass over a lane needs no per-job class match.
     normal: Lane,
     reserved: Lane,
+    /// Ids of the jobs in both lanes, for the duplicate check.
+    members: Members,
+    /// `[normal, reserved]` progress rates of the current population.
+    rates: [f64; 2],
     total_weight: f64,
     reserved_weight: f64,
     last_update: SimTime,
@@ -377,17 +412,21 @@ impl ProcShare {
                 assert!(devices > 0, "saturating devices must be at least 1");
             }
         }
-        ProcShare {
+        let mut ps = ProcShare {
             discipline,
             normal: Lane::default(),
             reserved: Lane::default(),
+            members: Members::with_capacity_and_hasher(MEMBERS_CAPACITY, Default::default()),
+            rates: [1.0; 2],
             total_weight: 0.0,
             reserved_weight: 0.0,
             last_update: SimTime::ZERO,
             demand_integral: 0.0,
             busy_integral: 0.0,
             completed: 0,
-        }
+        };
+        ps.refresh_rates();
+        ps
     }
 
     /// Convenience: a processor-sharing server with `cores` capacity.
@@ -404,14 +443,21 @@ impl ProcShare {
         )
     }
 
+    /// Recompute the cached rates after a membership change.
+    fn refresh_rates(&mut self) {
+        self.rates = [
+            self.rate_of(JobClass::Normal),
+            self.rate_of(JobClass::Reserved),
+        ];
+    }
+
     /// Progress all jobs to `now`.
     fn advance(&mut self, now: SimTime) {
         debug_assert!(now >= self.last_update, "time went backwards");
         let dt = (now - self.last_update).as_secs_f64();
         if dt > 0.0 {
             if self.active() > 0 {
-                let r_normal = self.rate_of(JobClass::Normal);
-                let r_reserved = self.rate_of(JobClass::Reserved);
+                let [r_normal, r_reserved] = self.rates;
                 self.normal.advance(r_normal, dt);
                 self.reserved.advance(r_reserved, dt);
                 self.busy_integral += dt;
@@ -443,24 +489,27 @@ impl ProcShare {
             weight > 0.0 && weight.is_finite(),
             "bad job parameters: weight {weight} must be finite and positive"
         );
-        let (lane, other) = match class {
-            JobClass::Normal => (&mut self.normal, &self.reserved),
-            JobClass::Reserved => (&mut self.reserved, &self.normal),
-        };
-        if lane.contains(id) || other.contains(id) {
+        if !self.members.insert(id) {
             panic!("job {id} already running");
         }
-        lane.insert(id, demand, weight);
-        self.total_weight += weight;
-        if class == JobClass::Reserved {
-            self.reserved_weight += weight;
+        match class {
+            JobClass::Normal => self.normal.insert(id, demand, weight),
+            JobClass::Reserved => {
+                self.reserved.insert(id, demand, weight);
+                self.reserved_weight += weight;
+            }
         }
+        self.total_weight += weight;
+        self.refresh_rates();
     }
 
     /// Remove a job (normally on its completion event). Returns `true` if
     /// the job existed.
     pub fn remove(&mut self, now: SimTime, id: JobId) -> bool {
         self.advance(now);
+        if !self.members.remove(&id) {
+            return false;
+        }
         let weight = if let Some(weight) = self.normal.remove(id) {
             weight
         } else if let Some(weight) = self.reserved.remove(id) {
@@ -470,13 +519,14 @@ impl ProcShare {
             }
             weight
         } else {
-            return false;
+            unreachable!("member {id} is in neither lane");
         };
         self.total_weight -= weight;
         if self.total_weight < 1e-12 {
             self.total_weight = 0.0;
         }
         self.completed += 1;
+        self.refresh_rates();
         true
     }
 
@@ -486,8 +536,9 @@ impl ProcShare {
     /// microsecond so the work is fully done when the event fires.
     pub fn next_completion(&mut self, now: SimTime) -> Option<(SimTime, JobId)> {
         self.advance(now);
-        let normal = self.normal.earliest(self.rate_of(JobClass::Normal));
-        let reserved = self.reserved.earliest(self.rate_of(JobClass::Reserved));
+        let [r_normal, r_reserved] = self.rates;
+        let normal = self.normal.earliest(r_normal);
+        let reserved = self.reserved.earliest(r_reserved);
         let (finish, id) = match (normal, reserved) {
             (Some(n), Some(r)) => earlier(n, r),
             (one, other) => one.or(other)?,
@@ -670,6 +721,36 @@ mod tests {
         let mut ps = ProcShare::cores(1.0);
         ps.start(t(0.0), 1, 1.0, 1.0);
         ps.start(t(0.0), 1, 1.0, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "job 1 already running")]
+    fn ps_normal_id_started_as_reserved_panics() {
+        let mut ps = ProcShare::cores(1.0);
+        ps.start(t(0.0), 1, 1.0, 1.0);
+        ps.start_reserved(t(0.0), 1, 1.0, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "job 1 already running")]
+    fn ps_reserved_id_started_as_normal_panics() {
+        let mut ps = ProcShare::cores(1.0);
+        ps.start_reserved(t(0.0), 1, 1.0, 1.0);
+        ps.start(t(0.0), 1, 1.0, 1.0);
+    }
+
+    #[test]
+    fn ps_removed_id_can_start_again_in_either_class() {
+        let mut ps = ProcShare::cores(1.0);
+        ps.start(t(0.0), 1, 1.0, 1.0);
+        assert!(ps.remove(t(1.0), 1));
+        assert!(!ps.remove(t(1.0), 1));
+        ps.start_reserved(t(1.0), 1, 2.0, 1.0);
+        assert_eq!(ps.reserved_demand(), 1.0);
+        assert!(ps.remove(t(2.0), 1));
+        ps.start(t(2.0), 1, 0.5, 1.0);
+        assert_eq!(ps.next_completion(t(2.0)), Some((t(2.5), 1)));
+        assert_eq!((ps.active(), ps.completed()), (1, 2));
     }
 
     #[test]

@@ -147,12 +147,7 @@ impl<M: Model> Simulation<M> {
     /// can be closed at the boundary by the caller).
     pub fn run_until(&mut self, horizon: SimTime) -> u64 {
         let before = self.processed;
-        while let Some(next) = self.queue.peek_time() {
-            if next > horizon {
-                self.now = horizon;
-                break;
-            }
-            let (at, event) = self.queue.pop().expect("peeked event must pop");
+        while let Some((at, event)) = self.queue.pop_until(horizon) {
             debug_assert!(at >= self.now, "event queue went backwards");
             self.now = at;
             let mut ctx = Context {
@@ -162,6 +157,10 @@ impl<M: Model> Simulation<M> {
             };
             self.model.handle(&mut ctx, event);
             self.processed += 1;
+        }
+        // Whatever is left fires after the horizon: the run was cut.
+        if !self.queue.is_empty() {
+            self.now = horizon;
         }
         let done = self.processed - before;
         if let Some((tracer, label)) = &self.trace {

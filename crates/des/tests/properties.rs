@@ -581,7 +581,7 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(reference_config())]
 
     /// Starting an id that is already active panics in both
     /// implementations, with the same message.
@@ -638,6 +638,9 @@ enum QueueOp {
     ClearTimer(usize),
     /// Pop the earliest event and move the clock to it.
     Pop,
+    /// `pop_until` a horizon `delay` µs after the clock: the earliest
+    /// event and the clock move only if it fires by then.
+    PopUntil(u64),
 }
 
 fn arb_delay() -> impl Strategy<Value = u64> {
@@ -656,6 +659,8 @@ fn arb_queue_op() -> impl Strategy<Value = QueueOp> {
         Just(QueueOp::Pop),
         Just(QueueOp::Pop),
         Just(QueueOp::Pop),
+        arb_delay().prop_map(QueueOp::PopUntil),
+        arb_delay().prop_map(QueueOp::PopUntil),
     ]
 }
 
@@ -711,16 +716,27 @@ impl RefQueue {
     fn peek_time(&self) -> Option<SimTime> {
         self.earliest().map(|i| self.pending[i].0)
     }
+
+    fn pop_until(&mut self, horizon: SimTime) -> Option<(SimTime, u64)> {
+        if self.peek_time()? <= horizon {
+            self.pop()
+        } else {
+            None
+        }
+    }
 }
 
 proptest! {
     #![proptest_config(reference_config())]
 
     /// The queue is observably the reference model: random interleavings
-    /// of schedules, timer arms and clears, and pops at non-decreasing
-    /// times pop the same `(time, payload)` sequence, same-instant ties
-    /// between timers and heap events included, with the same `len()`
-    /// and `peek_time()` after every step.
+    /// of schedules, timer arms and clears, pops and horizon-bounded pops
+    /// at non-decreasing times pop the same `(time, payload)` sequence,
+    /// same-instant ties between timers and heap events included, with
+    /// the same `len()` and `peek_time()` after every step. Horizons are
+    /// as small as the delays, so a horizon often lands on an instant
+    /// that holds both a timer and a heap event, and the seq order
+    /// decides which of them a bounded pop takes first.
     #[test]
     fn queue_matches_the_reference_model(
         ops in prop::collection::vec(arb_queue_op(), 1..160)
@@ -750,6 +766,15 @@ proptest! {
                     prop_assert_eq!(got, model.pop(), "step {}", step);
                     if let Some((at, _)) = got {
                         prop_assert!(at >= now, "step {}: time ran backwards", step);
+                        now = at;
+                    }
+                }
+                QueueOp::PopUntil(delay) => {
+                    let horizon = now + SimTime::from_micros(delay);
+                    let got = q.pop_until(horizon);
+                    prop_assert_eq!(got, model.pop_until(horizon), "step {}", step);
+                    if let Some((at, _)) = got {
+                        prop_assert!(at >= now && at <= horizon, "step {}: {:?}", step, at);
                         now = at;
                     }
                 }

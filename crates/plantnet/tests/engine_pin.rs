@@ -118,3 +118,23 @@ fn saturating_serving_cell_is_bit_identical_to_the_pinned_digest() {
         "engine results moved: {got:#018x}"
     );
 }
+
+/// The engine's work, not just its results: the `plantnet_600s` bench
+/// spec (seed 0, round 0) handles a pinned number of events. A change
+/// that runs more or fewer events to reach the same results fails here
+/// by name, where the digests above would stay green.
+#[test]
+fn plantnet_600s_handles_the_pinned_number_of_events() {
+    let mut spec = ExperimentSpec::paper(PoolConfig::baseline(), 80);
+    spec.duration = SimTime::from_secs(600);
+    spec.warmup = SimTime::from_secs(60);
+    let tracer = e2c_trace::Tracer::new();
+    let m = Experiment::run_traced(spec, 0, Some(tracer.clone()));
+    let runs: Vec<u64> = tracer
+        .snapshot()
+        .iter()
+        .filter(|e| e.phase == "des" && e.name == "run")
+        .map(|e| e.fields["events"].as_u64().expect("events is a count"))
+        .collect();
+    assert_eq!((runs, m.completed), (vec![146_025], 18_216));
+}
