@@ -400,7 +400,7 @@ impl Benchmark for SurrogateFitBench {
 // ---------------------------------------------------------------------------
 
 /// A realistic mix of run-journal events (asks with 4-dim configs,
-/// scheduler reports, attempt outcomes, tells of an untraced run).
+/// attempt outcomes, tells of an untraced run).
 fn journal_events(n: usize, seed: u64) -> Vec<RunEvent> {
     let mut events = Vec::with_capacity(n + 1);
     events.push(RunEvent::meta(format!(
@@ -413,12 +413,6 @@ fn journal_events(n: usize, seed: u64) -> Vec<RunEvent> {
         events.push(RunEvent::Ask {
             trial: t,
             config: vec![2.0 + frac * 58.0, 24.0, 11.0 + frac, 9.0],
-        });
-        events.push(RunEvent::Report {
-            trial: t,
-            iteration: 1,
-            normalized: 0.25 + frac,
-            stop: t.is_multiple_of(7),
         });
         events.push(RunEvent::Attempt {
             trial: t,
@@ -711,16 +705,12 @@ impl Benchmark for DetlintWorkspaceBench {
 
 /// Locate a binary that speaks the `e2clab worker` protocol.
 ///
-/// * `E2C_WORKER_BIN` overrides everything (CI and local experiments);
 /// * when the running process *is* `e2clab` (the `e2clab bench` path),
 ///   it serves as its own worker;
 /// * under `cargo test` the current executable is a test harness, so the
 ///   workspace's `e2clab` binary is searched for next to it
 ///   (`target/<profile>/e2clab`, one directory above `deps/`).
 fn worker_binary() -> Option<std::path::PathBuf> {
-    if let Some(path) = std::env::var_os("E2C_WORKER_BIN") {
-        return Some(std::path::PathBuf::from(path));
-    }
     let exe = std::env::current_exe().ok()?;
     if exe.file_stem().is_some_and(|s| s == "e2clab") {
         return Some(exe);
@@ -779,7 +769,7 @@ impl Benchmark for WorkerFarmOverheadBench {
     fn setup(&mut self, seed: u64) {
         let bin = worker_binary().expect(
             "no `e2clab` binary found for the farm bench: build the workspace \
-             (cargo build) or point E2C_WORKER_BIN at one",
+             (cargo build)",
         );
         let spec = e2c_tune::FarmSpec::new(
             bin,
@@ -972,7 +962,6 @@ mod tests {
             kinds.insert(match e {
                 RunEvent::Meta { .. } => "meta",
                 RunEvent::Ask { .. } => "ask",
-                RunEvent::Report { .. } => "report",
                 RunEvent::Attempt { .. } => "attempt",
                 RunEvent::Tell { .. } => "tell",
                 _ => "other",

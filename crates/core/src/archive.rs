@@ -125,7 +125,6 @@ pub fn write_summary(summary: &OptimizationSummary, dir: &Path) -> io::Result<()
     for t in summary.analysis.trials() {
         let status = match &t.status {
             e2c_tune::TrialStatus::Terminated(_) => "terminated",
-            e2c_tune::TrialStatus::StoppedEarly(_) => "stopped_early",
             e2c_tune::TrialStatus::Failed(_) => "failed",
             _ => "incomplete",
         };
@@ -212,7 +211,7 @@ fn sanitize_csv(text: &str) -> String {
 }
 
 /// Read back `evaluations.csv` as `(trial, point, value)` rows (failed
-/// trials come back with `None`). Used by tests and by `--repeat` replays.
+/// trials come back with `None`): how tests check an archive's values.
 ///
 /// Layout: `trial,status,attempts,<variables...>,<metric>,failure`.
 pub fn load_evaluations(dir: &Path) -> io::Result<Vec<(u64, Point, Option<f64>)>> {
@@ -227,7 +226,7 @@ pub fn load_evaluations(dir: &Path) -> io::Result<Vec<(u64, Point, Option<f64>)>
 pub struct EvaluationRecord {
     /// Trial id.
     pub trial: u64,
-    /// Final status token (`terminated`, `stopped_early`, `failed`, ...).
+    /// Final status token (`terminated`, `failed`, ...).
     pub status: String,
     /// How many times the trial was executed.
     pub attempts: u32,

@@ -242,9 +242,8 @@ impl OptimizationSummary {
             .count();
         let retries: u32 = self.analysis.trials().iter().map(|t| t.retries()).sum();
         out.push_str(&format!(
-            "evaluations: {} ({} stopped early, {} failed, {} retries)\n",
+            "evaluations: {} ({} failed, {} retries)\n",
             self.analysis.trials().len(),
-            self.analysis.stopped_early_count(),
             failed,
             retries
         ));
@@ -321,8 +320,8 @@ impl OptimizationManager {
         self
     }
 
-    /// Enable the crash-safety journal: every searcher/scheduler decision
-    /// and attempt outcome is write-ahead logged under
+    /// Enable the crash-safety journal: every searcher decision and
+    /// attempt outcome is write-ahead logged under
     /// [`JournalConfig::dir`] in canonical commit order (trials execute on
     /// up to `max_concurrent` workers, but their effects commit by
     /// ask-index), and `resume` continues an interrupted run to the
@@ -393,9 +392,9 @@ impl OptimizationManager {
     }
 
     /// Prepare the journal (fresh or resumed) and, when resuming, replay
-    /// it: the searcher and scheduler are re-driven through every
-    /// journaled decision, and the tracer is restored to the trace blocks
-    /// of the settled trials, its clock at the last tell point.
+    /// it: the searcher is re-driven through every journaled decision,
+    /// and the tracer is restored to the trace blocks of the settled
+    /// trials, its clock at the last tell point.
     fn prepare_journal(
         &self,
         searcher: &mut dyn Searcher,
@@ -487,7 +486,7 @@ impl OptimizationManager {
         }
         tuner = tuner.resume(resume_state);
         let archive_root = self.archive_root.clone();
-        let analysis = tuner.run(searcher, Arc::new(Fifo), move |point, tctx| {
+        let analysis = tuner.run(searcher, move |point, tctx| {
             // prepare(): a dedicated directory per model evaluation.
             let eval_dir = archive_root.as_ref().map(|root| {
                 let dir = archive::eval_dir(root, tctx.trial_id);

@@ -167,7 +167,7 @@ fn random_run_event(rng: &mut SplitMix64) -> RunEvent {
     // shortest-roundtrip form, so generated lines are accepted by the
     // strict parser.
     let f = |rng: &mut SplitMix64| f64::from_bits(rng.next_u64());
-    match rng.below(8) {
+    match rng.below(7) {
         0 => RunEvent::meta(random_name(rng)),
         1 => RunEvent::Ask {
             trial: rng.below(1000),
@@ -176,13 +176,7 @@ fn random_run_event(rng: &mut SplitMix64) -> RunEvent {
         2 => RunEvent::Restart {
             trial: rng.below(1000),
         },
-        3 => RunEvent::Report {
-            trial: rng.below(1000),
-            iteration: rng.below(100),
-            normalized: f(rng),
-            stop: rng.chance(1, 2),
-        },
-        4 => RunEvent::Attempt {
+        3 => RunEvent::Attempt {
             trial: rng.below(1000),
             index: rng.below(4) as u32,
             secs: f(rng),
@@ -194,7 +188,7 @@ fn random_run_event(rng: &mut SplitMix64) -> RunEvent {
                 .map(|_| (random_name(rng), f(rng)))
                 .collect(),
         },
-        5 => RunEvent::Tell {
+        4 => RunEvent::Tell {
             trial: rng.below(1000),
             feedback: f(rng),
             status: "terminated".to_string(),
@@ -202,7 +196,7 @@ fn random_run_event(rng: &mut SplitMix64) -> RunEvent {
             asks: rng.below(100),
             trace: random_trace_block(rng),
         },
-        6 => RunEvent::Epoch {
+        5 => RunEvent::Epoch {
             epoch: rng.below(64),
             row: random_epoch_row(rng).to_csv(),
         },
@@ -980,7 +974,7 @@ mod tests {
             families.insert(line.split('\t').next().unwrap().to_string());
         }
         for family in [
-            "meta", "ask", "restart", "report", "attempt", "tell", "complete",
+            "meta", "ask", "restart", "attempt", "tell", "complete", "epoch",
         ] {
             assert!(
                 families.contains(family),

@@ -162,10 +162,10 @@ pub struct TraceEvent {
     pub seq: u64,
     /// Virtual time (event ticks or sim microseconds — see module docs).
     pub vt: u64,
-    /// Subsystem the event belongs to (`tuner`, `searcher`, `scheduler`,
-    /// `des`, `sim`, `cycle`, ...).
+    /// Subsystem the event belongs to (`tuner`, `searcher`, `des`, `sim`,
+    /// `cycle`, ...).
     pub phase: String,
-    /// Event name within the phase (`ask`, `execute`, `report`, ...).
+    /// Event name within the phase (`ask`, `execute`, `tell`, ...).
     pub name: String,
     pub kind: EventKind,
     /// Trial the event belongs to, when applicable.

@@ -42,11 +42,6 @@ impl Analysis {
     pub fn best_config(&self) -> Option<&[f64]> {
         self.best_trial().map(|t| t.config.as_slice())
     }
-
-    /// Number of trials the scheduler stopped early.
-    pub fn stopped_early_count(&self) -> usize {
-        self.trials.iter().filter(|t| t.stopped_early()).count()
-    }
 }
 
 #[cfg(test)]

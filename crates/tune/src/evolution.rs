@@ -4,8 +4,7 @@
 //! other optimization techniques such as evolutionary algorithms". Batch
 //! metaheuristics (e2c-optim's DE) need the objective inline; this
 //! adapter re-expresses a generational GA as a [`Searcher`] so the same
-//! parallel trial runner (and its concurrency limiter / scheduler stack)
-//! drives it.
+//! parallel trial runner (and its concurrency limiter) drives it.
 //!
 //! Protocol: asks serve individuals of the current generation; once every
 //! individual of a generation has been observed, the next generation is
@@ -229,15 +228,11 @@ mod tests {
 
     #[test]
     fn works_under_the_tuner() {
-        use crate::scheduler::Fifo;
         use crate::tuner::{Mode, Tuner};
-        use std::sync::Arc;
         let tuner = Tuner::new(60, 3, Mode::Min);
-        let analysis = tuner.run(
-            Box::new(EvolutionSearch::new(space(), 10, 5)),
-            Arc::new(Fifo),
-            |cfg, _| objective(cfg),
-        );
+        let analysis = tuner.run(Box::new(EvolutionSearch::new(space(), 10, 5)), |cfg, _| {
+            objective(cfg)
+        });
         assert_eq!(analysis.trials().len(), 60);
         assert!(analysis.best_trial().unwrap().value().unwrap() < 10.0);
     }

@@ -69,10 +69,13 @@ pub struct FarmSpec {
     pub seed: u64,
     /// Backoff shape for respawns (delay before restarting a dead slot).
     pub respawn_backoff: RetryPolicy,
-    /// Chaos hook for the crash gates: `(worker, n)` SIGKILLs worker
-    /// `worker` immediately after the `n`-th ask (1-based) is dispatched
-    /// to it — i.e. mid-trial, the worst possible moment.
-    pub kill_after: Option<(usize, u64)>,
+    /// Chaos hook for the crash gates: `n` SIGKILLs whichever worker
+    /// receives the farm's `n`-th dispatched ask (1-based, re-dispatches
+    /// included) immediately after the dispatch — i.e. mid-trial, the
+    /// worst possible moment. Counting across the farm makes the kill
+    /// fire in every run that dispatches at least `n` asks, whichever
+    /// evaluation ends first.
+    pub kill_after: Option<u64>,
 }
 
 impl FarmSpec {
@@ -162,8 +165,8 @@ struct FarmState {
     inflight: HashMap<u64, (u64, u32)>,
     /// ticket → resolution, drained by the waiting `execute` call.
     results: HashMap<u64, AskOutcome>,
-    /// Per-slot count of asks dispatched (drives `kill_after`).
-    dispatched: Vec<u64>,
+    /// Asks dispatched across the farm (drives `kill_after`).
+    dispatched: u64,
     kill_fired: bool,
     readers: Vec<std::thread::JoinHandle<()>>,
     /// `(worker, generation)` of every incarnation whose result stream
@@ -243,7 +246,7 @@ impl WorkerFarm {
                 procs: (0..workers).map(|_| None).collect(),
                 inflight: HashMap::new(),
                 results: HashMap::new(),
-                dispatched: vec![0; workers],
+                dispatched: 0,
                 kill_fired: false,
                 readers: Vec::new(),
                 at_eof: BTreeSet::new(),
@@ -393,12 +396,12 @@ impl WorkerFarm {
             Some(stdin) => write_frame(stdin, &ask).map_err(|e| e.to_string()),
             None => Err("its stdin is already closed".to_string()),
         };
-        st.dispatched[worker] += 1;
+        st.dispatched += 1;
         let generation = st.sup.generation(worker).unwrap_or(0);
         match wrote {
             Ok(()) => {
-                if let Some((target, nth)) = inner.spec.kill_after {
-                    if !st.kill_fired && target == worker && st.dispatched[worker] >= nth {
+                if let Some(nth) = inner.spec.kill_after {
+                    if !st.kill_fired && st.dispatched >= nth {
                         st.kill_fired = true;
                         if let Some(proc) = st.procs[worker].as_mut() {
                             eprintln!(

@@ -1,15 +1,14 @@
 //! The run journal: a typed write-ahead log of everything the tuner
-//! decides, and the replay that rebuilds searcher/scheduler state after a
-//! crash.
+//! decides, and the replay that rebuilds searcher state after a crash.
 //!
 //! Every state transition of a journaled run is appended (and fsync'd) to
 //! an [`e2c_journal::Wal`] *after* it takes effect in memory. Appends
 //! happen in the run's *canonical commit order*: asks are journaled in
 //! id order as the sequencer admits them, and each trial's effects
-//! (reports, attempts, tell) are journaled as one block when the trial
-//! commits — so the journal's record order *is* the searcher/scheduler
-//! op order, under any worker interleaving, and replay re-drives both to
-//! the same state by simply walking the records.
+//! (attempts, tell) are journaled as one block when the trial commits —
+//! so the journal's record order *is* the searcher's op order, under any
+//! worker interleaving, and replay re-drives it to the same state by
+//! simply walking the records.
 //!
 //! The wire format is versioned ([`WIRE_VERSION`], carried by the meta
 //! record). Version 2 added the tell record's ask count — the ask/commit
@@ -18,7 +17,10 @@
 //! the attempt record's notes and the serve journal's epoch record.
 //! Version 4 replaced the tell record's trace mark with its trace block,
 //! so a traced run's journal is its only durable state. A journal of an
-//! older version is refused with an error that names its version.
+//! older version is refused with an error that names its version. The
+//! early-stopping `report` record is retired without a version bump: no
+//! `optimize` or `serve` run ever wrote one, so a `report` line is
+//! refused by name and every journal those runs wrote still resumes.
 //!
 //! Every journal — an optimization cycle's and a serve run's — is opened
 //! through [`RunJournal::open`]: it refuses to overwrite an existing file,
@@ -43,8 +45,6 @@
 //! * [`RunEvent::Restart`] — a resumed run is re-executing a trial that
 //!   was mid-flight at the crash; all earlier partial records of that
 //!   trial are discarded by subsequent replays.
-//! * [`RunEvent::Report`] — an intermediate metric report and the
-//!   scheduler's rung decision for it.
 //! * [`RunEvent::Attempt`] — one execution attempt's outcome (typed
 //!   error, raw objective return when the objective actually ran, and the
 //!   named values the objective noted).
@@ -64,16 +64,14 @@
 //! compared byte-for-byte against the journal — this restores the RNG
 //! stream position implicitly and turns a mismatched seed, space or
 //! search configuration into a hard error instead of silent divergence.
-//! Scheduler decisions are re-derived and verified the same way.
 //!
 //! Trials that were asked but never told ("dangling") are returned as
 //! pending work: the resumed run re-executes them from attempt 0 with the
-//! journaled configuration, regenerating their scheduler reports, trace
-//! events and archive rows exactly as an uninterrupted run would have.
+//! journaled configuration, regenerating their trace events and archive
+//! rows exactly as an uninterrupted run would have.
 //! The tells' trace blocks, concatenated, are the trace prefix the
 //! resumed run continues from.
 
-use crate::scheduler::{Decision, Scheduler};
 use crate::searcher::Searcher;
 use crate::trial::{Attempt, Trial, TrialError, TrialStatus};
 use crate::tuner::Mode;
@@ -107,14 +105,6 @@ pub enum RunEvent {
     Ask { trial: u64, config: Point },
     /// A resumed run is re-executing the dangling `trial` from scratch.
     Restart { trial: u64 },
-    /// Intermediate report: the scheduler saw `normalized` at
-    /// `iteration` and answered `stop`.
-    Report {
-        trial: u64,
-        iteration: u64,
-        normalized: f64,
-        stop: bool,
-    },
     /// One execution attempt finished. `raw` is the objective's return
     /// value when it was actually invoked and returned (even if the
     /// attempt was then classified as failed), `None` when the objective
@@ -194,18 +184,6 @@ impl RunEvent {
             }
             RunEvent::Restart { trial } => {
                 let _ = write!(line, "restart\t{trial}");
-            }
-            RunEvent::Report {
-                trial,
-                iteration,
-                normalized,
-                stop,
-            } => {
-                let _ = write!(
-                    line,
-                    "report\t{trial}\t{iteration}\t{normalized}\t{}",
-                    if *stop { "stop" } else { "continue" }
-                );
             }
             RunEvent::Attempt {
                 trial,
@@ -290,19 +268,6 @@ impl RunEvent {
                 })
             }
             ["restart", trial] => Ok(RunEvent::Restart { trial: int(trial)? }),
-            ["report", trial, iteration, normalized, decision] => {
-                let stop = match *decision {
-                    "stop" => true,
-                    "continue" => false,
-                    other => return Err(format!("bad decision `{other}`")),
-                };
-                Ok(RunEvent::Report {
-                    trial: int(trial)?,
-                    iteration: int(iteration)?,
-                    normalized: parse_f64(normalized)?,
-                    stop,
-                })
-            }
             ["attempt", trial, index, secs, raw, kind, payload, notes @ ..] => {
                 let error = if *kind == "-" {
                     // The no-error form writes an empty payload field;
@@ -345,6 +310,9 @@ impl RunEvent {
                 epoch: int(epoch)?,
                 row: unescape(row)?,
             }),
+            ["report", ..] => Err("journal record `report` is retired: early-stopping \
+                 reports are no longer journaled, and no optimize or serve run wrote one"
+                .to_string()),
             [kind, ..] if KINDS.contains(kind) => Err(format!(
                 "journal record `{kind}...`: wrong field count ({})",
                 fields.len()
@@ -356,8 +324,8 @@ impl RunEvent {
 }
 
 /// Every record kind's leading field.
-const KINDS: [&str; 8] = [
-    "meta", "ask", "restart", "report", "attempt", "tell", "complete", "epoch",
+const KINDS: [&str; 7] = [
+    "meta", "ask", "restart", "attempt", "tell", "complete", "epoch",
 ];
 
 /// The refusal of a journal written in a retired wire version.
@@ -537,16 +505,22 @@ fn decode(records: &[Vec<u8>]) -> Result<Vec<RunEvent>, String> {
         .collect()
 }
 
-/// Rebuild run state by re-executing the journal against freshly seeded
-/// components. `searcher` and `scheduler` must be constructed exactly as
-/// for the original run; every re-derived suggestion and scheduler
-/// decision is verified against the journal and a divergence (different
-/// seed, space, search or scheduler configuration) is a hard error.
+/// The tuner's trial scheduling: first in, first out, every trial run to
+/// completion (Ray Tune's `FIFOScheduler`). It is the only scheduling
+/// there is, so [`replay`] takes it, and the run's [`Mode`], without
+/// reading either.
+pub struct Fifo;
+
+/// Rebuild run state by re-executing the journal against a freshly seeded
+/// searcher. `searcher` must be constructed exactly as for the original
+/// run; every re-derived suggestion is verified against the journal and a
+/// divergence (different seed, space or search configuration) is a hard
+/// error.
 pub fn replay(
     events: &[RunEvent],
     searcher: &mut dyn Searcher,
-    scheduler: &dyn Scheduler,
-    mode: Mode,
+    _: &Fifo,
+    _: Mode,
 ) -> Result<ResumeState, String> {
     // Pass 1: which trials settled, where each trial's canonical timeline
     // starts (after its last restart), and the settled trace prefix.
@@ -597,8 +571,6 @@ pub fn replay(
     let mut asked: Vec<(u64, Point)> = Vec::new();
     let mut configs: BTreeMap<u64, Point> = BTreeMap::new();
     let mut cur_attempts: BTreeMap<u64, Vec<Attempt>> = BTreeMap::new();
-    let mut cur_reports: BTreeMap<u64, Vec<(u64, f64)>> = BTreeMap::new();
-    let mut last_reports: BTreeMap<u64, Vec<(u64, f64)>> = BTreeMap::new();
     let mut state = ResumeState::empty();
     state.complete = complete;
     state.trace = trace;
@@ -637,39 +609,6 @@ pub fn replay(
                 // Discard the pre-crash partial state of the trial; the
                 // records that follow are its canonical timeline.
                 cur_attempts.remove(trial);
-                cur_reports.remove(trial);
-                last_reports.remove(trial);
-            }
-            RunEvent::Report {
-                trial,
-                iteration,
-                normalized,
-                stop,
-            } => {
-                if !(settled.contains_key(trial) && canonical(*trial, i)) {
-                    continue; // the re-run will regenerate this report
-                }
-                let decision = scheduler.on_report(*trial, *iteration, *normalized);
-                let expect = if *stop {
-                    Decision::Stop
-                } else {
-                    Decision::Continue
-                };
-                if decision != expect {
-                    return Err(format!(
-                        "replayed scheduler decision for trial {trial} iteration {iteration} \
-                         diverges from the journal — the journal was recorded with a \
-                         different scheduler configuration"
-                    ));
-                }
-                let value = match mode {
-                    Mode::Min => *normalized,
-                    Mode::Max => -*normalized,
-                };
-                cur_reports
-                    .entry(*trial)
-                    .or_default()
-                    .push((*iteration, value));
             }
             RunEvent::Attempt {
                 trial,
@@ -689,7 +628,6 @@ pub fn replay(
                     raw: *raw,
                     notes: notes.clone(),
                 });
-                last_reports.insert(*trial, cur_reports.remove(trial).unwrap_or_default());
             }
             RunEvent::Tell {
                 trial,
@@ -709,7 +647,6 @@ pub fn replay(
                 }
                 searcher.observe(*trial, *feedback);
                 let attempts = cur_attempts.remove(trial).unwrap_or_default();
-                let reports = last_reports.remove(trial).unwrap_or_default();
                 let config = configs
                     .get(trial)
                     .cloned()
@@ -721,7 +658,6 @@ pub fn replay(
                 };
                 let status = match status.as_str() {
                     "terminated" => TrialStatus::Terminated(need_value()?),
-                    "stopped_early" => TrialStatus::StoppedEarly(need_value()?),
                     "failed" => {
                         let reason = attempts
                             .last()
@@ -739,7 +675,6 @@ pub fn replay(
                     id: *trial,
                     config,
                     status,
-                    reports,
                     attempts,
                 });
             }
@@ -763,7 +698,6 @@ pub fn replay(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::Fifo;
     use crate::searcher::{ConcurrencyLimiter, RandomSearch};
     use e2c_optim::space::Space;
 
@@ -780,12 +714,6 @@ mod tests {
                 config: vec![4.0, -0.5],
             },
             RunEvent::Restart { trial: 3 },
-            RunEvent::Report {
-                trial: 1,
-                iteration: 2,
-                normalized: 0.1,
-                stop: true,
-            },
             RunEvent::Attempt {
                 trial: 1,
                 index: 0,
@@ -842,7 +770,6 @@ mod tests {
     fn parse_rejects_malformed_records() {
         assert!(RunEvent::parse("bogus\t1").is_err());
         assert!(RunEvent::parse("ask\t1").is_err());
-        assert!(RunEvent::parse("report\t1\t2\tx\tcontinue").is_err());
         assert!(RunEvent::parse("attempt\t1\t0\t0.1\t-\tweird\t").is_err());
         assert!(RunEvent::parse("meta\t4\tfp\textra").is_err());
         assert!(RunEvent::parse("tell\t0\t1\tterminated\t1\t3\t\textra").is_err());
@@ -870,11 +797,11 @@ mod tests {
         for bad in [
             "nan", "+inf", "infinity", "Infinity", "1e6", "00.5", "1.50", "+1",
         ] {
-            let line = format!("report\t1\t2\t{bad}\tcontinue");
+            let line = format!("attempt\t1\t0\t{bad}\t-\t-\t");
             assert!(RunEvent::parse(&line).is_err(), "{bad:?}");
         }
         for good in ["NaN", "inf", "-inf", "-0", "0.1", "1000000"] {
-            let line = format!("report\t1\t2\t{good}\tcontinue");
+            let line = format!("attempt\t1\t0\t{good}\t-\t-\t");
             let ev = RunEvent::parse(&line).unwrap();
             // Accepted fields re-encode byte-identically.
             assert_eq!(ev.to_line(), line, "{good:?}");
@@ -920,7 +847,6 @@ mod tests {
             "ask\t3\t",
             "ask\t3\t1,2.5,NaN,-inf",
             "restart\t7",
-            "report\t1\t2\t0.25\tstop",
             "attempt\t1\t0\t0.5\tNaN\tnonfinite\tNaN",
             "attempt\t1\t1\t0.5\t2.5\t-\t\tcompleted\t4242\ta\\tb\t-inf",
             "tell\t0\t1.5\tterminated\t1.5\t0\t",
@@ -1178,49 +1104,18 @@ mod tests {
         assert!(err.contains("diverges"), "{err}");
     }
 
+    /// The early-stopping `report` record is retired: a line of it, in
+    /// the shape earlier builds wrote or any other, is refused by name.
     #[test]
-    fn replay_hard_errors_on_divergent_scheduler() {
-        use crate::scheduler::Scheduler;
-        struct AlwaysStop;
-        impl Scheduler for AlwaysStop {
-            fn on_report(&self, _: u64, _: u64, _: f64) -> Decision {
-                Decision::Stop
-            }
+    fn report_records_are_refused_by_name() {
+        for line in [
+            "report\t1\t2\t0.25\tstop",
+            "report\t0\t1\t1\tcontinue",
+            "report",
+        ] {
+            let err = RunEvent::parse(line).unwrap_err();
+            assert!(err.contains("`report` is retired"), "{err}");
         }
-        let mut live = RandomSearch::new(space(), 5);
-        let p = live.suggest(0).unwrap();
-        let events = vec![
-            RunEvent::meta("f"),
-            RunEvent::Ask {
-                trial: 0,
-                config: p.clone(),
-            },
-            RunEvent::Report {
-                trial: 0,
-                iteration: 1,
-                normalized: 1.0,
-                stop: false, // journaled Continue, scheduler says Stop
-            },
-            RunEvent::Attempt {
-                trial: 0,
-                index: 0,
-                secs: 0.1,
-                raw: Some(1.0),
-                error: None,
-                notes: Vec::new(),
-            },
-            RunEvent::Tell {
-                trial: 0,
-                feedback: 1.0,
-                status: "terminated".into(),
-                value: Some(1.0),
-                asks: 1,
-                trace: String::new(),
-            },
-        ];
-        let mut fresh = RandomSearch::new(space(), 5);
-        let err = replay(&events, &mut fresh, &AlwaysStop, Mode::Min).unwrap_err();
-        assert!(err.contains("scheduler decision"), "{err}");
     }
 
     /// The opener's branches: fresh creates and writes meta but refuses

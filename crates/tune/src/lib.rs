@@ -3,20 +3,22 @@
 //! The paper's Optimization Manager "takes advantage of Ray \[37\] to run
 //! parallel application workflows" with Ray Tune providing search
 //! algorithms, concurrency limiting and scheduling (Listing 1 uses
-//! `SkOptSearch`, `ConcurrencyLimiter(max_concurrent=2)` and
-//! `AsyncHyperBandScheduler`). This crate reimplements that trio on OS
-//! threads:
+//! `SkOptSearch`, `ConcurrencyLimiter(max_concurrent=2)` and the
+//! asynchronous HyperBand scheduler, ASHA). This crate reimplements the
+//! search and the concurrency limiting on OS threads, and runs every
+//! trial to completion in ask order ([`Fifo`]). The scheduler is left
+//! out: ASHA stops a trial at a rung of its intermediate reports, and the
+//! paper's objective returns one value per evaluation, so it would stop
+//! nothing.
 //!
 //! * [`searcher`] — the ask/tell [`searcher::Searcher`] abstraction, the
 //!   Bayesian [`searcher::SkOptSearch`], [`searcher::RandomSearch`], a
 //!   list-driven [`searcher::GridSearch`], and
 //!   [`searcher::ConcurrencyLimiter`];
-//! * [`scheduler`] — trial schedulers: [`scheduler::Fifo`] and the ASHA
-//!   [`scheduler::AsyncHyperBand`];
 //! * [`evolution`] — a generational GA behind the ask/tell interface,
 //!   for the paper's "short-time running applications" (§III-B2);
-//! * [`logger`] — append-only JSONL/CSV trial logs ("manages model
-//!   checkpoints and logging");
+//! * [`logger`] — the JSONL trial log ("manages model checkpoints and
+//!   logging");
 //! * [`fault`] — fault tolerance: [`fault::RetryPolicy`] (exponential
 //!   backoff with seed-deterministic jitter) and the deterministic
 //!   failure-injection [`fault::FaultPlan`] — edge testbeds fail
@@ -27,8 +29,8 @@
 //!   [`trial::TrialError`];
 //! * [`journal`] — crash safety: the typed run journal
 //!   ([`journal::RunJournal`]) appended to an `e2c-journal` WAL, and the
-//!   deterministic [`journal::replay`] that rebuilds searcher/scheduler
-//!   state on `--resume`;
+//!   deterministic [`journal::replay`] that rebuilds searcher state on
+//!   `--resume`;
 //! * [`tuner`] — [`tuner::Tuner`], which fans trials out over worker
 //!   threads, feeding observations back to the searcher *asynchronously*
 //!   (workers do not wait for a generation barrier — the paper's
@@ -55,7 +57,6 @@ pub mod farm;
 pub mod fault;
 pub mod journal;
 pub mod logger;
-pub mod scheduler;
 pub mod searcher;
 pub mod sequencer;
 pub mod supervisor;
@@ -67,9 +68,8 @@ pub use analysis::Analysis;
 pub use evolution::EvolutionSearch;
 pub use farm::{FarmOutcome, FarmSpec, WorkerExit, WorkerFarm};
 pub use fault::{FaultAction, FaultPlan, FaultSpec, RetryPolicy};
-pub use journal::{load_events, replay, ResumeState, RunEvent, RunJournal, CRASH_EXIT_CODE};
+pub use journal::{load_events, replay, Fifo, ResumeState, RunEvent, RunJournal, CRASH_EXIT_CODE};
 pub use logger::TrialLogger;
-pub use scheduler::{AsyncHyperBand, Decision, Fifo, Scheduler};
 pub use searcher::{ConcurrencyLimiter, GridSearch, RandomSearch, Searcher, SkOptSearch};
 pub use supervisor::{SlotState, StaleResult, Supervisor};
 pub use trial::{Attempt, Trial, TrialError, TrialStatus};

@@ -1,16 +1,14 @@
 //! Trial logging (Ray Tune "manages model checkpoints and logging").
 //!
 //! A [`TrialLogger`] writes one JSON-lines record per finished trial to
-//! `trials.jsonl` in the experiment directory, and the intermediate
-//! reports of each trial to `trial_<id>/progress.csv`. Everything is
-//! plain-text and deterministic — the logging half of the Phase III
+//! `trials.jsonl` in the experiment directory. It is plain text and
+//! deterministic — the logging half of the Phase III
 //! reproducibility story. [`TrialLogger::write_all`] atomically rewrites
 //! the whole log from the settled trial set, so a resumed run converges
 //! on the same bytes as an uninterrupted one.
 
 use crate::trial::Trial;
 use e2c_journal::json::{Escaped, Json};
-use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -29,8 +27,7 @@ impl TrialLogger {
     }
 
     /// Atomically (re)write the whole log from a finished trial set:
-    /// `trials.jsonl` and every per-trial progress file are replaced via
-    /// tmp+rename, so a crash mid-write leaves the previous snapshot
+    /// `trials.jsonl` is replaced via tmp+rename, so a crash mid-write leaves the previous snapshot
     /// intact and a resumed run overwrites stale pre-crash lines instead
     /// of appending duplicates.
     pub fn write_all(&self, trials: &[Trial]) -> io::Result<()> {
@@ -39,19 +36,7 @@ impl TrialLogger {
             jsonl.push_str(&Self::to_json(trial));
             jsonl.push('\n');
         }
-        e2c_journal::write_atomic(&self.root.join("trials.jsonl"), jsonl.as_bytes())?;
-        for trial in trials {
-            if trial.reports.is_empty() {
-                continue;
-            }
-            let mut csv = String::from("iteration,value\n");
-            for (iter, value) in &trial.reports {
-                let _ = writeln!(csv, "{iter},{value}");
-            }
-            let dir = self.root.join(format!("trial_{}", trial.id));
-            e2c_journal::write_atomic(&dir.join("progress.csv"), csv.as_bytes())?;
-        }
-        Ok(())
+        e2c_journal::write_atomic(&self.root.join("trials.jsonl"), jsonl.as_bytes())
     }
 
     /// Serialize a trial as one JSON object (hand-rolled: flat structure,
@@ -77,12 +62,11 @@ impl TrialLogger {
             .collect::<Vec<_>>()
             .join(",");
         format!(
-            "{{\"id\":{},\"status\":\"{}\",\"config\":[{}],\"value\":{},\"iterations\":{},\"attempts\":{},\"failures\":[{}]}}",
+            "{{\"id\":{},\"status\":\"{}\",\"config\":[{}],\"value\":{},\"attempts\":{},\"failures\":[{}]}}",
             trial.id,
             status,
             config,
             value_json,
-            trial.iterations(),
             trial.attempt_count(),
             failures
         )
@@ -130,7 +114,6 @@ mod tests {
         let logger = TrialLogger::new(&dir).unwrap();
         let mut t0 = Trial::new(0, vec![40.0, 7.0]);
         t0.status = TrialStatus::Terminated(2.5);
-        t0.reports = vec![(1, 3.0), (2, 2.5)];
         let mut t1 = Trial::new(1, vec![20.0, 3.0]);
         t1.status = TrialStatus::Failed("boom".into());
         logger.write_all(&[t0, t1]).unwrap();
@@ -139,13 +122,8 @@ mod tests {
         assert_eq!(index.len(), 2);
         assert_eq!(index[0], (0, "terminated".to_string(), Some(2.5)));
         assert_eq!(index[1], (1, "failed".to_string(), None));
-
-        let progress = std::fs::read_to_string(dir.join("trial_0").join("progress.csv")).unwrap();
-        assert_eq!(progress, "iteration,value\n1,3\n2,2.5\n");
-        assert!(
-            !dir.join("trial_1").exists(),
-            "no reports, no progress file"
-        );
+        // The log is one file.
+        assert!(!dir.join("trial_0").exists());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -154,11 +132,11 @@ mod tests {
         // Config values and statuses are numeric/fixed tokens; failure
         // reasons are escaped. Spot-check a full line.
         let mut t = Trial::new(7, vec![1.5, -2.0]);
-        t.status = TrialStatus::StoppedEarly(0.25);
+        t.status = TrialStatus::Terminated(0.25);
         let line = TrialLogger::to_json(&t);
         assert_eq!(
             line,
-            "{\"id\":7,\"status\":\"stopped_early\",\"config\":[1.5,-2],\"value\":0.25,\"iterations\":0,\"attempts\":1,\"failures\":[]}"
+            "{\"id\":7,\"status\":\"terminated\",\"config\":[1.5,-2],\"value\":0.25,\"attempts\":1,\"failures\":[]}"
         );
     }
 
@@ -186,7 +164,7 @@ mod tests {
         let line = TrialLogger::to_json(&t);
         assert_eq!(
             line,
-            "{\"id\":2,\"status\":\"terminated\",\"config\":[3],\"value\":1,\"iterations\":0,\"attempts\":2,\"failures\":[\"boom \\\"quoted\\\"\\nline\"]}"
+            "{\"id\":2,\"status\":\"terminated\",\"config\":[3],\"value\":1,\"attempts\":2,\"failures\":[\"boom \\\"quoted\\\"\\nline\"]}"
         );
     }
 
@@ -196,7 +174,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let mut t0 = Trial::new(0, vec![1.0]);
         t0.status = TrialStatus::Terminated(1.0);
-        t0.reports = vec![(1, 1.0)];
         let mut t1 = Trial::new(1, vec![2.0]);
         t1.status = TrialStatus::Failed("broke".into());
 
@@ -212,8 +189,6 @@ mod tests {
             TrialLogger::to_json(&t1)
         );
         assert_eq!(jsonl, expected);
-        let progress = std::fs::read_to_string(dir.join("trial_0/progress.csv")).unwrap();
-        assert_eq!(progress, "iteration,value\n1,1\n");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

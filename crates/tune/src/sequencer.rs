@@ -2,7 +2,7 @@
 //!
 //! Trials execute concurrently, in any real-time order, but every effect
 //! with observable order — searcher asks/tells, journal appends, trace
-//! events, scheduler feeds — is applied in ask-index order, so a run is
+//! events — is applied in ask-index order, so a run is
 //! byte-identical under any thread interleaving. [`Sequencer`] holds the
 //! rules; it owns no locks, threads or clocks. The tuner keeps it behind
 //! one mutex and performs the I/O itself. The rules:

@@ -88,8 +88,6 @@ pub enum TrialStatus {
     Running,
     /// Finished normally with a final metric value.
     Terminated(f64),
-    /// Stopped early by the scheduler; the last reported value is kept.
-    StoppedEarly(f64),
     /// Every attempt panicked, returned a non-finite value, or overran
     /// its deadline; the string is the last failure reason.
     Failed(String),
@@ -99,7 +97,7 @@ impl TrialStatus {
     /// Final metric value, if the trial produced one.
     pub fn value(&self) -> Option<f64> {
         match self {
-            TrialStatus::Terminated(v) | TrialStatus::StoppedEarly(v) => Some(*v),
+            TrialStatus::Terminated(v) => Some(*v),
             _ => None,
         }
     }
@@ -111,7 +109,6 @@ impl TrialStatus {
             TrialStatus::Pending => "pending",
             TrialStatus::Running => "running",
             TrialStatus::Terminated(_) => "terminated",
-            TrialStatus::StoppedEarly(_) => "stopped_early",
             TrialStatus::Failed(_) => "failed",
         }
     }
@@ -174,9 +171,6 @@ pub struct Trial {
     pub config: Point,
     /// Lifecycle state.
     pub status: TrialStatus,
-    /// Intermediate `(iteration, value)` reports of the last attempt, in
-    /// order.
-    pub reports: Vec<(u64, f64)>,
     /// Every execution attempt, in order (empty only before the trial
     /// first runs).
     pub attempts: Vec<Attempt>,
@@ -189,7 +183,6 @@ impl Trial {
             id,
             config,
             status: TrialStatus::Pending,
-            reports: Vec::new(),
             attempts: Vec::new(),
         }
     }
@@ -197,16 +190,6 @@ impl Trial {
     /// Final value if finished successfully.
     pub fn value(&self) -> Option<f64> {
         self.status.value()
-    }
-
-    /// Number of intermediate reports.
-    pub fn iterations(&self) -> usize {
-        self.reports.len()
-    }
-
-    /// Whether the scheduler cut this trial short.
-    pub fn stopped_early(&self) -> bool {
-        matches!(self.status, TrialStatus::StoppedEarly(_))
     }
 
     /// How many times the trial was executed (at least 1 once finished).
@@ -227,7 +210,6 @@ mod tests {
     #[test]
     fn status_values() {
         assert_eq!(TrialStatus::Terminated(2.5).value(), Some(2.5));
-        assert_eq!(TrialStatus::StoppedEarly(3.0).value(), Some(3.0));
         assert_eq!(TrialStatus::Pending.value(), None);
         assert_eq!(TrialStatus::Failed("x".into()).value(), None);
         assert!(TrialStatus::Terminated(0.0).is_finished());
@@ -240,12 +222,9 @@ mod tests {
         let mut t = Trial::new(3, vec![1.0, 2.0]);
         assert_eq!(t.id, 3);
         assert_eq!(t.value(), None);
-        t.reports.push((1, 5.0));
-        t.reports.push((2, 4.0));
-        t.status = TrialStatus::StoppedEarly(4.0);
-        assert_eq!(t.iterations(), 2);
-        assert!(t.stopped_early());
+        t.status = TrialStatus::Terminated(4.0);
         assert_eq!(t.value(), Some(4.0));
+        assert_eq!(t.status.token(), "terminated");
     }
 
     #[test]

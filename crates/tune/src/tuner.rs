@@ -2,8 +2,9 @@
 //!
 //! [`Tuner::run`] is the analogue of the paper's `tune.run(...)` call
 //! (Listing 1): it pulls configurations from a [`Searcher`], executes the
-//! user objective on a pool of worker threads, feeds results back
-//! asynchronously, and lets a [`Scheduler`] stop hopeless trials early.
+//! user objective on a pool of worker threads, and feeds results back
+//! asynchronously. Every trial runs to completion (see the crate docs for
+//! why Listing 1's early-stopping scheduler is left out).
 //!
 //! On real edge-to-cloud testbeds trial failures are routine, so the
 //! runner is fault tolerant: failed attempts are retried under a
@@ -16,7 +17,7 @@
 //! Runs stay deterministic through a *commit sequencer*
 //! ([`crate::sequencer`]): trials execute concurrently on the worker
 //! pool, but each trial's effects with observable order — searcher
-//! tells, scheduler feeds, journal appends, trace events — are buffered
+//! tells, journal appends, trace events — are buffered
 //! and applied at its *commit*, in ask-index order. One worker is simply
 //! a commit window of one. The journal, trace and artifacts of a run are
 //! therefore a pure function of (configuration, seed, worker count),
@@ -27,7 +28,6 @@ use crate::analysis::Analysis;
 use crate::clock;
 use crate::fault::{FaultAction, FaultPlan, RetryPolicy};
 use crate::journal::{ResumeState, RunEvent, RunJournal};
-use crate::scheduler::{Decision, Scheduler};
 use crate::searcher::Searcher;
 use crate::sequencer::{AskOutcome, Dispatch, Sequencer};
 use crate::trial::{Attempt, Trial, TrialError, TrialStatus};
@@ -35,7 +35,7 @@ use e2c_optim::space::Point;
 use e2c_trace::Fields;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Safety-net timeout for workers parked on the commit sequencer: they
@@ -52,12 +52,8 @@ pub enum Mode {
     Max,
 }
 
-/// Handle given to the objective for intermediate reporting.
-///
-/// Call [`TrialContext::report`] once per training iteration / evaluation
-/// window. The scheduler judges the reports at the trial's commit: the
-/// first report it stops becomes the trial's final value and the later
-/// ones are dropped.
+/// Handle given to the objective for one attempt: its identity, trace
+/// sink, notes, deadline and typed failure.
 pub struct TrialContext<'a> {
     /// This trial's id.
     pub trial_id: u64,
@@ -65,7 +61,6 @@ pub struct TrialContext<'a> {
     /// failed trial).
     pub attempt: u32,
     tracer: Option<&'a e2c_trace::Tracer>,
-    reports: Vec<(u64, f64)>,
     notes: Vec<(String, f64)>,
     deadline: Option<Instant>,
     /// Set by [`TrialContext::fail_attempt`]: the attempt is settled with
@@ -74,21 +69,6 @@ pub struct TrialContext<'a> {
 }
 
 impl<'a> TrialContext<'a> {
-    /// Report an intermediate metric value (user orientation). Returns
-    /// [`Decision::Stop`] once the trial's deadline has passed, else
-    /// [`Decision::Continue`]: the scheduler is consulted at the trial's
-    /// commit, not live, so the early stop (with its truncated report
-    /// list) is settled in canonical order for every worker count and
-    /// interleaving.
-    pub fn report(&mut self, value: f64) -> Decision {
-        if self.deadline_exceeded() {
-            return Decision::Stop;
-        }
-        let iteration = self.reports.len() as u64 + 1;
-        self.reports.push((iteration, value));
-        Decision::Continue
-    }
-
     /// The trace sink for this attempt's engine-side events: a per-trial
     /// buffer whose events are spliced into the run trace at the trial's
     /// commit. Objectives that trace must use this handle, never a
@@ -157,13 +137,6 @@ impl SharedSeq {
     }
 }
 
-/// One executed attempt plus the intermediate reports it buffered (fed
-/// to the scheduler at commit).
-struct ExecAttempt {
-    attempt: Attempt,
-    reports: Vec<(u64, f64)>,
-}
-
 /// Runs trials in parallel until the sample budget is spent.
 pub struct Tuner {
     /// Total number of trials (`num_samples`).
@@ -188,7 +161,7 @@ pub struct Tuner {
     /// Optional trace sink for the worker lifecycle (ask → execute →
     /// retry/fault → tell), keyed by the tracer's virtual clock.
     pub tracer: Option<e2c_trace::Tracer>,
-    /// Optional write-ahead run journal: every ask/report/attempt/tell is
+    /// Optional write-ahead run journal: every ask/attempt/tell is
     /// appended (fsync'd) before the run proceeds, making the run
     /// crash-resumable.
     pub journal: Option<RunJournal>,
@@ -266,12 +239,7 @@ impl Tuner {
     /// attempt fails is the trial marked failed and the searcher fed a
     /// large penalty so Bayesian search avoids the region while its
     /// in-flight bookkeeping stays consistent.
-    pub fn run<F>(
-        &self,
-        searcher: Box<dyn Searcher>,
-        scheduler: Arc<dyn Scheduler>,
-        objective: F,
-    ) -> Analysis
+    pub fn run<F>(&self, searcher: Box<dyn Searcher>, objective: F) -> Analysis
     where
         F: Fn(&Point, &mut TrialContext<'_>) -> f64 + Send + Sync,
     {
@@ -301,7 +269,6 @@ impl Tuner {
         let trials: Mutex<Vec<Trial>> = Mutex::new(resume.trials);
         let worst_seen = Mutex::new(resume.worst_seen);
         let objective = &objective;
-        let scheduler = &*scheduler;
         let tracer = self.tracer.as_ref();
         let journal = self.journal.as_ref();
         let (seq, searcher, trials, worst_seen) = (&seq, &searcher, &trials, &worst_seen);
@@ -390,7 +357,7 @@ impl Tuner {
                     // Attempt loop: run, classify, retry while the
                     // policy allows. Outcomes are only recorded here;
                     // the trial settles at its commit.
-                    let mut exec: Vec<ExecAttempt> = Vec::new();
+                    let mut exec: Vec<Attempt> = Vec::new();
                     let mut success: Option<f64> = None;
                     loop {
                         let attempt = exec.len() as u32;
@@ -399,7 +366,6 @@ impl Tuner {
                             trial_id: id,
                             attempt,
                             tracer: tr_exec,
-                            reports: Vec::new(),
                             notes: Vec::new(),
                             deadline,
                             abort: None,
@@ -450,7 +416,6 @@ impl Tuner {
                         let secs = started.elapsed().as_secs_f64();
                         let overran = ctx.deadline_exceeded();
                         let abort = ctx.abort;
-                        let reports = ctx.reports;
                         let notes = ctx.notes;
                         let raw = if invoked && abort.is_none() {
                             outcome.as_ref().ok().copied()
@@ -479,15 +444,12 @@ impl Tuner {
                                 ]),
                             );
                         }
-                        exec.push(ExecAttempt {
-                            attempt: Attempt {
-                                index: attempt,
-                                error,
-                                secs,
-                                raw,
-                                notes,
-                            },
-                            reports,
+                        exec.push(Attempt {
+                            index: attempt,
+                            error,
+                            secs,
+                            raw,
+                            notes,
                         });
                         if value.is_some() {
                             success = value;
@@ -532,38 +494,8 @@ impl Tuner {
                         let seq_map = tr.splice(&events, end_clock);
                         exec_span.and_then(|s| seq_map.get(s as usize).copied())
                     });
-                    // Feed the buffered reports to the scheduler in
-                    // order, journaling each verdict; at the first
-                    // Stop the kept reports are truncated there and
-                    // the stopping report's value becomes the trial's.
-                    let mut stop_value: Option<f64> = None;
-                    let mut final_reports: Vec<(u64, f64)> = Vec::new();
-                    for ea in &exec {
-                        let mut kept: Vec<(u64, f64)> = Vec::new();
-                        if stop_value.is_none() {
-                            for &(iteration, user_value) in &ea.reports {
-                                let normalized = match self.mode {
-                                    Mode::Min => user_value,
-                                    Mode::Max => -user_value,
-                                };
-                                let d = scheduler.on_report(id, iteration, normalized);
-                                if let Some(j) = journal {
-                                    j.append(&RunEvent::Report {
-                                        trial: id,
-                                        iteration,
-                                        normalized,
-                                        stop: d == Decision::Stop,
-                                    });
-                                }
-                                kept.push((iteration, user_value));
-                                if d == Decision::Stop {
-                                    stop_value = Some(user_value);
-                                    break;
-                                }
-                            }
-                        }
-                        if let Some(j) = journal {
-                            let a = &ea.attempt;
+                    if let Some(j) = journal {
+                        for a in &exec {
                             j.append(&RunEvent::Attempt {
                                 trial: id,
                                 index: a.index,
@@ -573,29 +505,24 @@ impl Tuner {
                                 notes: a.notes.clone(),
                             });
                         }
-                        final_reports = kept;
                     }
                     let (status, feedback) = match success {
                         Some(v) => {
-                            let (value, status) = match stop_value {
-                                Some(s) => (s, TrialStatus::StoppedEarly(s)),
-                                None => (v, TrialStatus::Terminated(v)),
-                            };
                             let normalized = match self.mode {
-                                Mode::Min => value,
-                                Mode::Max => -value,
+                                Mode::Min => v,
+                                Mode::Max => -v,
                             };
                             {
                                 let mut worst =
                                     worst_seen.lock().unwrap_or_else(PoisonError::into_inner);
                                 *worst = worst.max(normalized);
                             }
-                            (status, normalized)
+                            (TrialStatus::Terminated(v), normalized)
                         }
                         None => {
                             let reason = exec
                                 .last()
-                                .and_then(|ea| ea.attempt.error.as_ref())
+                                .and_then(|a| a.error.as_ref())
                                 .map(|e| e.to_string())
                                 .unwrap_or_default();
                             (
@@ -678,8 +605,7 @@ impl Tuner {
                         // back.
                         let mut t = trials.lock().unwrap_or_else(PoisonError::into_inner);
                         if let Some(trial) = t.iter_mut().find(|tr| tr.id == id) {
-                            trial.reports = final_reports;
-                            trial.attempts = exec.into_iter().map(|ea| ea.attempt).collect();
+                            trial.attempts = exec;
                             trial.status = status;
                         }
                     }
@@ -750,11 +676,12 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::{AsyncHyperBand, Fifo};
+    use crate::journal::Fifo;
     use crate::searcher::{ConcurrencyLimiter, GridSearch, RandomSearch, SkOptSearch};
     use e2c_optim::bayes::BayesOpt;
     use e2c_optim::space::Space;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn space() -> Space {
         Space::new().int("x", 0, 20)
@@ -770,11 +697,9 @@ mod tests {
     #[test]
     fn runs_exact_sample_budget() {
         let tuner = Tuner::new(12, 4, Mode::Min);
-        let analysis = tuner.run(
-            Box::new(RandomSearch::new(space(), 3)),
-            Arc::new(Fifo),
-            |cfg, _ctx| (cfg[0] - 7.0).powi(2),
-        );
+        let analysis = tuner.run(Box::new(RandomSearch::new(space(), 3)), |cfg, _ctx| {
+            (cfg[0] - 7.0).powi(2)
+        });
         assert_eq!(analysis.trials().len(), 12);
         assert!(analysis.trials().iter().all(|t| t.status.is_finished()));
         // Exactly one successful attempt per trial.
@@ -788,11 +713,9 @@ mod tests {
     fn finds_minimum_with_bayes_search() {
         let searcher = SkOptSearch::new(BayesOpt::new(space(), 11).n_initial_points(6));
         let tuner = Tuner::new(25, 3, Mode::Min);
-        let analysis = tuner.run(
-            Box::new(ConcurrencyLimiter::new(searcher, 3)),
-            Arc::new(Fifo),
-            |cfg, _| (cfg[0] - 13.0).powi(2),
-        );
+        let analysis = tuner.run(Box::new(ConcurrencyLimiter::new(searcher, 3)), |cfg, _| {
+            (cfg[0] - 13.0).powi(2)
+        });
         let best = analysis.best_trial().unwrap();
         assert!(
             best.value().unwrap() <= 1.0,
@@ -805,11 +728,9 @@ mod tests {
     #[test]
     fn max_mode_maximizes() {
         let tuner = Tuner::new(20, 2, Mode::Max);
-        let analysis = tuner.run(
-            Box::new(RandomSearch::new(space(), 5)),
-            Arc::new(Fifo),
-            |cfg, _| -((cfg[0] - 4.0).powi(2)),
-        );
+        let analysis = tuner.run(Box::new(RandomSearch::new(space(), 5)), |cfg, _| {
+            -((cfg[0] - 4.0).powi(2))
+        });
         let best = analysis.best_trial().unwrap();
         // Maximum of -(x-4)^2 is 0 at x=4.
         assert!(best.value().unwrap() >= -4.0, "{best:?}");
@@ -821,7 +742,6 @@ mod tests {
         let tuner = Tuner::new(10, 4, Mode::Min); // budget exceeds the grid
         let analysis = tuner.run(
             Box::new(GridSearch::from_points(space(), points)),
-            Arc::new(Fifo),
             |cfg, _| cfg[0],
         );
         assert_eq!(analysis.trials().len(), 3);
@@ -835,7 +755,7 @@ mod tests {
         let searcher = ConcurrencyLimiter::new(RandomSearch::new(space(), 9), 2);
         let tuner = Tuner::new(10, 6, Mode::Min); // more workers than cap
         let (running2, peak2) = (running.clone(), peak.clone());
-        tuner.run(Box::new(searcher), Arc::new(Fifo), move |cfg, _| {
+        tuner.run(Box::new(searcher), move |cfg, _| {
             let now = running2.fetch_add(1, Ordering::SeqCst) + 1;
             peak2.fetch_max(now, Ordering::SeqCst);
             // detlint: allow(DET004) test objective: holds a worker busy so the limiter's peak is observable
@@ -851,132 +771,16 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_stops_bad_trials() {
-        // Trials report their (constant) value 8 times; ASHA with rf=2 must
-        // stop a decent share of the bad half early.
-        let tuner = Tuner::new(24, 4, Mode::Min);
-        let scheduler = Arc::new(AsyncHyperBand::new(1, 2, 8));
-        let analysis = tuner.run(
-            Box::new(RandomSearch::new(space(), 17)),
-            scheduler,
-            |cfg, ctx| {
-                let value = cfg[0];
-                for _ in 0..8 {
-                    if ctx.report(value) == Decision::Stop {
-                        break;
-                    }
-                }
-                value
-            },
-        );
-        let stopped = analysis
-            .trials()
-            .iter()
-            .filter(|t| t.stopped_early())
-            .count();
-        assert!(stopped > 0, "ASHA never stopped anything");
-        // Early-stopped trials must have fewer reports than survivors' max.
-        let max_full = analysis
-            .trials()
-            .iter()
-            .filter(|t| !t.stopped_early())
-            .map(|t| t.iterations())
-            .max()
-            .unwrap();
-        for t in analysis.trials().iter().filter(|t| t.stopped_early()) {
-            assert!(t.iterations() < max_full);
-        }
-    }
-
-    /// A NaN intermediate report must not kill the commit that feeds it
-    /// to ASHA, or the other worker waits forever for that commit turn.
-    /// The run executes on its own thread so a hang fails the test.
-    #[test]
-    fn nan_reports_under_asha_finish_a_parallel_run() {
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
-            let analysis = Tuner::new(8, 2, Mode::Min).run(
-                Box::new(GridSearch::from_points(
-                    space(),
-                    (1..=8).map(|x| vec![f64::from(x)]).collect(),
-                )),
-                Arc::new(AsyncHyperBand::new(1, 2, 8)),
-                |cfg, ctx| {
-                    let value = if cfg[0] % 2.0 == 1.0 {
-                        f64::NAN
-                    } else {
-                        cfg[0]
-                    };
-                    for _ in 0..8 {
-                        if ctx.report(value) == Decision::Stop {
-                            break;
-                        }
-                    }
-                    value
-                },
-            );
-            let _ = tx.send(analysis);
-        });
-        let analysis = rx
-            .recv_timeout(Duration::from_secs(30))
-            .expect("the run must finish");
-        let trials = analysis.trials();
-        assert_eq!(trials.len(), 8);
-        for t in trials.iter().step_by(2) {
-            assert!(matches!(t.status, TrialStatus::Failed(_)), "{:?}", t.status);
-            assert_eq!(t.iterations(), 8);
-        }
-        for x in [2, 4, 6] {
-            let t = &trials[x - 1];
-            assert_eq!(t.status, TrialStatus::Terminated(x as f64));
-        }
-        // Rung 1 holds only the finite reports [2, 4, 6, 8]: 8 is cut.
-        assert_eq!(trials[7].status, TrialStatus::StoppedEarly(8.0));
-    }
-
-    /// One worker is a commit window of one: the scheduler judges the
-    /// reports at commit, so an objective that ignores the verdict and
-    /// returns something else still settles at the stopping report.
-    #[test]
-    fn single_worker_early_stop_settles_at_the_stopping_report() {
-        let tuner = Tuner::new(4, 1, Mode::Min);
-        let analysis = tuner.run(
-            Box::new(GridSearch::from_points(
-                space(),
-                vec![vec![1.0], vec![2.0], vec![3.0], vec![9.0]],
-            )),
-            Arc::new(AsyncHyperBand::new(1, 2, 8)),
-            |cfg, ctx| {
-                for i in 0..8 {
-                    ctx.report(cfg[0] + f64::from(i) / 10.0);
-                }
-                cfg[0] + 100.0
-            },
-        );
-        let trials = analysis.trials();
-        assert_eq!(trials[0].status, TrialStatus::Terminated(101.0));
-        assert_eq!(trials[0].iterations(), 8);
-        // Rung 1 holds [1, 2, 3, 9] when trial 3 reports: ASHA cuts it
-        // at its first report.
-        assert_eq!(trials[3].status, TrialStatus::StoppedEarly(9.0));
-        assert_eq!(trials[3].reports, vec![(1, 9.0)]);
-    }
-
-    #[test]
     fn panicking_objective_marks_failed_and_continues() {
         // Seed chosen so the stream draws points on both sides of the
         // panic threshold (5 of 10 below, 5 at or above).
         let tuner = Tuner::new(10, 2, Mode::Min);
-        let analysis = tuner.run(
-            Box::new(RandomSearch::new(space(), 13)),
-            Arc::new(Fifo),
-            |cfg, _| {
-                if cfg[0] < 5.0 {
-                    panic!("boom at {}", cfg[0]);
-                }
-                cfg[0]
-            },
-        );
+        let analysis = tuner.run(Box::new(RandomSearch::new(space(), 13)), |cfg, _| {
+            if cfg[0] < 5.0 {
+                panic!("boom at {}", cfg[0]);
+            }
+            cfg[0]
+        });
         assert_eq!(analysis.trials().len(), 10);
         let failed = analysis
             .trials()
@@ -996,7 +800,6 @@ mod tests {
                 space(),
                 vec![vec![1.0], vec![2.0], vec![3.0], vec![4.0]],
             )),
-            Arc::new(Fifo),
             |cfg, _| if cfg[0] == 2.0 { f64::NAN } else { cfg[0] },
         );
         let failed: Vec<u64> = analysis
@@ -1022,7 +825,6 @@ mod tests {
                 space(),
                 vec![vec![4.0], vec![2.0], vec![6.0]],
             )),
-            Arc::new(Fifo),
             |cfg, _| cfg[0],
         );
         let flaky = &analysis.trials()[1];
@@ -1048,7 +850,6 @@ mod tests {
             .faults(FaultPlan::new().fail_always(0));
         let analysis = tuner.run(
             Box::new(GridSearch::from_points(space(), vec![vec![1.0], vec![2.0]])),
-            Arc::new(Fifo),
             |cfg, _| cfg[0],
         );
         let doomed = &analysis.trials()[0];
@@ -1065,7 +866,6 @@ mod tests {
             .faults(FaultPlan::new().nan(0, 0));
         let analysis = tuner.run(
             Box::new(GridSearch::from_points(space(), vec![vec![7.0]])),
-            Arc::new(Fifo),
             |cfg, _| cfg[0],
         );
         let t = &analysis.trials()[0];
@@ -1101,7 +901,6 @@ mod tests {
                     vec![vec![1.0], vec![2.0], vec![3.0], vec![4.0]],
                 ),
             }),
-            Arc::new(Fifo),
             |cfg, _| cfg[0],
         );
         // The run returns normally; the stricken trial is typed-failed.
@@ -1132,9 +931,7 @@ mod tests {
         let full_wal = dir.join("full.wal");
         let journal = RunJournal::new(e2c_journal::Wal::create(&full_wal).unwrap(), None);
         journal.append(&RunEvent::meta("t"));
-        let baseline = build()
-            .journal(journal)
-            .run(make_searcher(), Arc::new(Fifo), objective);
+        let baseline = build().journal(journal).run(make_searcher(), objective);
         let events = load_events(&full_wal).unwrap();
         assert!(events.len() > 6, "expected a meaty journal");
 
@@ -1156,7 +953,7 @@ mod tests {
             let resumed = build()
                 .journal(RunJournal::new(wal, None))
                 .resume(state)
-                .run(searcher, Arc::new(Fifo), objective);
+                .run(searcher, objective);
             assert_eq!(
                 resumed.trials().len(),
                 baseline.trials().len(),
@@ -1166,7 +963,6 @@ mod tests {
                 assert_eq!(a.id, b.id, "cut at {cut}");
                 assert_eq!(a.config, b.config, "cut at {cut}");
                 assert_eq!(a.status, b.status, "cut at {cut}");
-                assert_eq!(a.reports, b.reports, "cut at {cut}");
                 assert_eq!(
                     a.attempts
                         .iter()
@@ -1195,19 +991,9 @@ mod tests {
                 .faults(FaultPlan::new().fail(3, 0))
                 .seed(7)
                 .trace(tracer.clone());
-            let analysis = tuner.run(
-                Box::new(RandomSearch::new(space(), 23)),
-                Arc::new(AsyncHyperBand::new(1, 2, 4)),
-                |cfg, ctx| {
-                    let value = (cfg[0] - 6.0).powi(2);
-                    for _ in 0..4 {
-                        if ctx.report(value) == Decision::Stop {
-                            break;
-                        }
-                    }
-                    value
-                },
-            );
+            let analysis = tuner.run(Box::new(RandomSearch::new(space(), 23)), |cfg, _| {
+                (cfg[0] - 6.0).powi(2)
+            });
             (analysis, tracer.to_jsonl())
         };
         let (a, trace_a) = run();
@@ -1217,7 +1003,6 @@ mod tests {
             assert_eq!(x.id, y.id);
             assert_eq!(x.config, y.config);
             assert_eq!(x.status, y.status);
-            assert_eq!(x.reports, y.reports);
             assert_eq!(
                 x.attempts
                     .iter()
@@ -1253,9 +1038,7 @@ mod tests {
         let full_wal = dir.join("full.wal");
         let journal = RunJournal::new(e2c_journal::Wal::create(&full_wal).unwrap(), None);
         journal.append(&RunEvent::meta("t"));
-        let baseline = build()
-            .journal(journal)
-            .run(make_searcher(), Arc::new(Fifo), objective);
+        let baseline = build().journal(journal).run(make_searcher(), objective);
         let events = load_events(&full_wal).unwrap();
         assert!(events.len() > 8, "expected a meaty journal");
 
@@ -1276,7 +1059,7 @@ mod tests {
             let resumed = build()
                 .journal(RunJournal::new(wal, None))
                 .resume(state)
-                .run(searcher, Arc::new(Fifo), objective);
+                .run(searcher, objective);
             assert_eq!(
                 resumed.trials().len(),
                 baseline.trials().len(),
@@ -1286,7 +1069,6 @@ mod tests {
                 assert_eq!(a.id, b.id, "cut at {cut}");
                 assert_eq!(a.config, b.config, "cut at {cut}");
                 assert_eq!(a.status, b.status, "cut at {cut}");
-                assert_eq!(a.reports, b.reports, "cut at {cut}");
                 assert_eq!(
                     a.attempts
                         .iter()
@@ -1312,7 +1094,6 @@ mod tests {
             .trace(tracer.clone());
         tuner.run(
             Box::new(GridSearch::from_points(space(), vec![vec![4.0], vec![2.0]])),
-            Arc::new(Fifo),
             |cfg, _| cfg[0],
         );
         let summary = e2c_trace::TraceSummary::from_events(&tracer.snapshot());
@@ -1340,7 +1121,6 @@ mod tests {
                 space(),
                 vec![vec![9.0], vec![1.0], vec![3.0]],
             )),
-            Arc::new(Fifo),
             |cfg, ctx| {
                 if ctx.trial_id == 0 {
                     let hard_stop = clock::now() + Duration::from_secs(5);
@@ -1371,7 +1151,6 @@ mod tests {
             .faults(FaultPlan::new().delay(0, 0, Duration::from_millis(40)));
         let analysis = tuner.run(
             Box::new(GridSearch::from_points(space(), vec![vec![5.0], vec![6.0]])),
-            Arc::new(Fifo),
             |cfg, _| cfg[0],
         );
         assert_eq!(

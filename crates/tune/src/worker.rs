@@ -5,9 +5,9 @@
 //! moved out of process: the parent ([`crate::farm::WorkerFarm`]) spawns
 //! `e2clab worker` children and streams asks to them over stdin,
 //! collecting results (and heartbeats) over stdout. Everything
-//! decision-bearing — searcher draws, commit order, scheduler verdicts,
-//! journal appends — stays in the parent, which is why artifacts are
-//! byte-identical to an in-process run at any worker count.
+//! decision-bearing — searcher draws, commit order, journal appends —
+//! stays in the parent, which is why artifacts are byte-identical to an
+//! in-process run at any worker count.
 //!
 //! ## Frames
 //!

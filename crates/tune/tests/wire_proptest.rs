@@ -39,14 +39,6 @@ fn arb_event() -> impl Strategy<Value = RunEvent> {
     let restart = (0u64..1000)
         .prop_map(|trial| RunEvent::Restart { trial })
         .boxed();
-    let report = (0u64..1000, 0u64..100, -1e6f64..1e6, any::<bool>())
-        .prop_map(|(trial, iteration, normalized, stop)| RunEvent::Report {
-            trial,
-            iteration,
-            normalized,
-            stop,
-        })
-        .boxed();
     let tail = (arb_raw(), arb_error(), arb_notes());
     let attempt = (0u64..1000, 0u64..10, 0.0f64..100.0, tail)
         .prop_map(
@@ -79,9 +71,7 @@ fn arb_event() -> impl Strategy<Value = RunEvent> {
     let epoch = (0u64..100, PAYLOAD)
         .prop_map(|(epoch, row)| RunEvent::Epoch { epoch, row })
         .boxed();
-    Union::new(vec![
-        meta, ask, restart, report, attempt, tell, complete, epoch,
-    ])
+    Union::new(vec![meta, ask, restart, attempt, tell, complete, epoch])
 }
 
 fn arb_notes() -> impl Strategy<Value = Vec<(String, f64)>> {

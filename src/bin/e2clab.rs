@@ -13,7 +13,7 @@
 //! e2clab optimize [--repeat N] [--duration SECS] [--seed S]
 //!                 [--archive DIR] [--faults SPEC] [--trace DIR]
 //!                 [--replay-check] [--journal DIR | --resume DIR]
-//!                 [--crash-at N] [--workers N] [--kill-worker W@N]
+//!                 [--crash-at N] [--workers N] [--kill-worker N]
 //!                 <conf.yaml>
 //!     Run the optimization cycle of the configuration's `optimization`
 //!     section against the Pl@ntNet engine model and print the Phase III
@@ -33,9 +33,8 @@
 //!     `evaluations.csv` and `trials/trials.jsonl` — and, with `--trace`,
 //!     every trace artifact — between the two runs: a self-check that the
 //!     run is actually replayable.
-//!     `--journal DIR` makes the run crash-safe: every searcher ask/tell,
-//!     scheduler decision and attempt outcome is appended (fsync'd) to a
-//!     write-ahead log, `DIR/run.wal`, before taking effect; `--resume DIR`
+//!     `--journal DIR` makes the run crash-safe: every searcher ask/tell
+//!     and attempt outcome is appended (fsync'd) to a write-ahead log, `DIR/run.wal`, before taking effect; `--resume DIR`
 //!     continues a killed run from its journal (replaying the decision
 //!     sequence deterministically) and converges on byte-identical
 //!     artifacts; `--crash-at N` is the chaos knob — the process exits
@@ -48,9 +47,9 @@
 //!     unchanged, so every artifact is byte-identical to an in-process
 //!     run — even when workers are killed mid-trial (the supervisor
 //!     detects the loss, respawns with seeded backoff and re-dispatches
-//!     the ask transparently). `--kill-worker W@N` is the matching chaos
-//!     knob: SIGKILL worker W (0-based) after its Nth (1-based) dispatched
-//!     ask; a run that never fires it exits 1.
+//!     the ask transparently). `--kill-worker N` is the matching chaos
+//!     knob: SIGKILL whichever worker receives the run's Nth (1-based)
+//!     dispatched ask; a run that never fires it exits 1.
 //! e2clab worker [--repeat N] [--duration SECS] [--clients N]
 //!               [--builtin quad]
 //!     Farm child process (spawned by `optimize --workers`): speaks the
@@ -138,7 +137,7 @@ fn usage() -> ExitCode {
         "usage:\n  e2clab validate <conf.yaml>\n  e2clab deploy <conf.yaml>\n  \
          e2clab optimize [--repeat N] [--duration SECS] [--seed S] [--archive DIR] \
          [--faults SPEC] [--trace DIR] [--replay-check] [--journal DIR | --resume DIR] \
-         [--crash-at N] [--workers N] [--kill-worker W@N] <conf.yaml>\n  \
+         [--crash-at N] [--workers N] [--kill-worker N] <conf.yaml>\n  \
          e2clab worker [--repeat N] [--duration SECS] [--clients N] [--builtin quad]\n  \
          e2clab serve --out DIR [--scale USERS_PER_DAY] [--epochs N] [--epoch-duration SECS] \
          [--samples N] [--concurrent N] [--slo SECS] [--queue-bound N] [--shed-after SECS] \
@@ -672,16 +671,12 @@ fn optimize(flags: &Flags) -> Outcome {
     let replay_check = flags.switch("--replay-check");
     let journal = journal_conf(flags)?;
     let workers = flags.get("--workers", 0)?;
-    // Chaos knob for the crash gate: SIGKILL worker W (0-based) after its
-    // Nth (1-based) dispatched ask. `W@N`, e.g. `--kill-worker 1@2`.
-    let kill_worker = flags.parsed("--kill-worker", |v| {
-        v.split_once('@')
-            .and_then(|(w, n)| Some((w.parse().ok()?, n.parse().ok()?)))
-            .ok_or_else(|| format!("expected W@N, got `{v}`"))
-    })?;
-    // A worker the farm does not have, or a zeroth ask, could never fire.
-    if let Some((w, n)) = kill_worker.filter(|&(w, n)| w >= workers || n == 0) {
-        return Err(format!("--kill-worker {w}@{n} needs --workers above {w}, and N >= 1").into());
+    // Chaos knob for the crash gate: SIGKILL whichever worker receives
+    // the run's Nth (1-based) dispatched ask, e.g. `--kill-worker 2`.
+    let kill_worker: Option<u64> = flags.opt("--kill-worker")?;
+    // Without a farm, or at a zeroth ask, the kill could never fire.
+    if let Some(n) = kill_worker.filter(|&n| workers == 0 || n == 0) {
+        return Err(format!("--kill-worker {n} needs --workers, and N >= 1").into());
     }
     if workers > 0 && replay_check {
         return Err("--workers cannot be combined with --replay-check".into());

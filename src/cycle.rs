@@ -242,8 +242,8 @@ pub struct Cycle {
 
 impl Cycle {
     /// Run the cycle. With a trace directory this wires a fresh
-    /// [`e2c_trace::Tracer`] through the manager, tuner, scheduler and
-    /// the Pl@ntNet engine, then exports `trace.jsonl`, a cycle-level
+    /// [`e2c_trace::Tracer`] through the manager, tuner and the Pl@ntNet
+    /// engine, then exports `trace.jsonl`, a cycle-level
     /// `metrics.prom` and one `cycles/cycle_<trial>.prom` per trial. A
     /// resumed traced run first renders again any snapshot its journal
     /// vouches for that is missing or differs.
@@ -313,11 +313,11 @@ impl Cycle {
         }
         // The chaos knob fires inside the farm; a run that never fired it
         // would let a chaos test pass without testing anything.
-        if let (Some(false), Some((worker, nth))) =
+        if let (Some(false), Some(nth)) =
             (kill_fired, self.farm.as_ref().and_then(|f| f.kill_after))
         {
             return Err(format!(
-                "--kill-worker {worker}@{nth} never fired: worker {worker} received fewer than {nth} asks"
+                "--kill-worker {nth} never fired: the farm dispatched fewer than {nth} asks"
             ));
         }
         Ok(summary)

@@ -238,13 +238,13 @@ fn subcommands_without_a_positional_reject_one() {
 fn farm_flags_are_validated() {
     let conf = write_conf("farm-flags.yaml", CONF);
     let conf = conf.to_str().unwrap();
-    // Malformed `W@N`, a kill knob without a farm, a worker the farm does
-    // not have (W is 0-based), a zeroth ask (N is 1-based) and a farmed
-    // replay check are all usage errors.
-    usage_error(&["optimize", "--workers", "2", "--kill-worker", "1-2", conf]);
-    usage_error(&["optimize", "--kill-worker", "1@1", conf]);
-    usage_error(&["optimize", "--workers", "2", "--kill-worker", "2@1", conf]);
-    usage_error(&["optimize", "--workers", "2", "--kill-worker", "1@0", conf]);
+    // A malformed count (including the retired `W@N` form), a kill knob
+    // without a farm, a zeroth ask (N is 1-based) and a farmed replay
+    // check are all usage errors.
+    usage_error(&["optimize", "--workers", "2", "--kill-worker", "x", conf]);
+    usage_error(&["optimize", "--workers", "2", "--kill-worker", "1@2", conf]);
+    usage_error(&["optimize", "--kill-worker", "1", conf]);
+    usage_error(&["optimize", "--workers", "2", "--kill-worker", "0", conf]);
     usage_error(&["optimize", "--workers", "2", "--replay-check", conf]);
     let _ = std::fs::remove_file(conf);
 }
@@ -279,7 +279,7 @@ fn a_duration_shorter_than_one_sample_window_still_measures() {
     assert!(out.status.success(), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
-        stdout.contains("evaluations: 4 (0 stopped early, 0 failed"),
+        stdout.contains("evaluations: 4 (0 failed, 0 retries)"),
         "{stdout}"
     );
     let best: f64 = stdout

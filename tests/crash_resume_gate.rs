@@ -359,6 +359,38 @@ fn a_killed_traced_run_resumes_from_run_wal_alone() {
     std::fs::remove_dir_all(&fx.root).unwrap();
 }
 
+/// A journal written before the early-stopping `report` record was
+/// retired still resumes: no `optimize` run wrote that record, so the
+/// wire version stayed 4. The fixture was written by the build of commit
+/// 579ca50, `e2clab optimize --duration 20 --seed 4 --faults fail:1@0
+/// --archive A --trace T --journal J --crash-at 6` on this gate's conf at
+/// `max_concurrent: 1`: trial 0 settled, trial 1 dangling after its
+/// injected failure. Resumed by this build, it converges on the bytes of
+/// an uninterrupted run.
+#[test]
+fn a_journal_from_the_previous_build_resumes_byte_identically() {
+    let fx = Fixture::new("wire4", 1, 4);
+    fx.optimize_ok("base", &[], "baseline");
+    let baseline = fx.artifacts("base");
+
+    let jdir = fx.root.join("journal");
+    std::fs::create_dir_all(&jdir).unwrap();
+    std::fs::write(
+        jdir.join("run.wal"),
+        include_bytes!("data/wire4_seed4_killed_at_6.wal"),
+    )
+    .unwrap();
+    assert_eq!(wal_records(&jdir.join("run.wal")), 6);
+    let j = jdir.to_str().unwrap().to_string();
+    fx.optimize_ok(
+        "run",
+        &["--resume", &j],
+        "resume a previous build's journal",
+    );
+    assert_same_artifacts(&baseline, &fx.artifacts("run"), "previous build's journal");
+    std::fs::remove_dir_all(&fx.root).unwrap();
+}
+
 #[test]
 fn a_crash_during_resume_is_itself_resumable() {
     // Two workers: each crash can leave two trials in the commit window,

@@ -6,8 +6,8 @@
 //!   trace artifact: the worker count shapes wall-clock only, never
 //!   results;
 //! * `killed_workers_leave_artifacts_byte_identical` — the kill matrix:
-//!   a journaled, traced `--workers` run with a worker SIGKILLed at a
-//!   seeded dispatch point (`--kill-worker W@N`) still matches an
+//!   a journaled, traced `--workers` run whose worker is SIGKILLed at
+//!   the farm's Nth dispatched ask (`--kill-worker N`) still matches an
 //!   unharmed single-worker run byte for byte — the supervisor respawns
 //!   the worker and re-dispatches the orphaned ask transparently;
 //! * `injected_worker_faults_replay_identically` — `--faults
@@ -192,13 +192,13 @@ fn killed_workers_leave_artifacts_byte_identical() {
             scratch.root.join("ref-journal").to_str().unwrap(),
         ],
     );
-    // Kill matrix: worker × dispatch point, across farm sizes. Every
-    // victim is SIGKILLed mid-run (a kill that never fires fails the
-    // run); the supervisor must absorb it. Asks go to the lowest idle
-    // slot and the conf runs at most two at once, so only workers 0 and
-    // 1 ever get one, even under `--workers 4`.
-    for (workers, kill) in [("2", "0@1"), ("2", "1@2"), ("4", "1@1"), ("4", "0@2")] {
-        let name = format!("kill-w{workers}-{}", kill.replace('@', "-at-"));
+    // Kill matrix: dispatch point across farm sizes. The farm counts
+    // asks across all its workers, and the conf's six trials dispatch at
+    // least six, so every cell fires by construction (a kill that never
+    // fires fails the run); the supervisor must absorb it. The first
+    // and last asks are covered, and points in between.
+    for (workers, kill) in [("2", "1"), ("2", "3"), ("4", "2"), ("4", "6")] {
+        let name = format!("kill-w{workers}-at-{kill}");
         let journal = scratch.root.join(format!("{name}-journal"));
         let harmed = scratch.optimize(
             &name,
