@@ -5,8 +5,8 @@
 //!   workload with per-job reneging timeouts (every timeout pops; a
 //!   served job's is stale and ignored).
 //! * [`ProcShareChurnBench`] — the engine's processor-sharing CPU model:
-//!   64 jobs started and drained completion by completion on a 40-core
-//!   [`ProcShare`].
+//!   64 jobs started and drained completion by completion, 1 000 times
+//!   over, on one 40-core [`ProcShare`].
 //! * [`PlantnetRunBench`] — a full 600 s simulated Pl@ntNet engine run at
 //!   the paper's 80-client workload.
 //! * [`BayesCycleBench`] — a 50-trial Bayesian optimization cycle
@@ -197,8 +197,9 @@ impl Benchmark for DesMm1Bench {
 /// Processor-sharing benchmark (`crates/des` resources): 64 jobs start
 /// 100 µs apart on a 40-core [`ProcShare`], then drain completion by
 /// completion — the start / next-completion / remove cycle the Pl@ntNet
-/// engine runs per request. One iteration repeats the churn 1 000 times;
-/// the workload is fixed, so the seed is unused.
+/// engine runs per request. One iteration repeats the churn 1 000 times
+/// on one server, as the engine keeps one per pool, so no per-server
+/// setup is timed; the workload is fixed, so the seed is unused.
 pub struct ProcShareChurnBench;
 
 impl Benchmark for ProcShareChurnBench {
@@ -213,9 +214,9 @@ impl Benchmark for ProcShareChurnBench {
     }
     fn iter(&mut self, _round: u64) -> u64 {
         let mut completed = 0;
+        let mut cpu = ProcShare::cores(40.0);
+        let mut now = SimTime::ZERO;
         for _ in 0..1_000 {
-            let mut cpu = ProcShare::cores(40.0);
-            let mut now = SimTime::ZERO;
             for id in 0..64u64 {
                 cpu.start(now, id, 0.5, 1.0);
                 now += SimTime::from_micros(100);

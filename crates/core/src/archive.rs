@@ -352,14 +352,12 @@ optimization:
             Attempt {
                 index: 0,
                 error: Some(TrialError::Panicked("panic: broken, pipe".into())),
-                secs: 0.1,
                 raw: None,
                 notes: Vec::new(),
             },
             Attempt {
                 index: 1,
                 error: None,
-                secs: 0.1,
                 raw: Some(2.5),
                 notes: Vec::new(),
             },
@@ -369,7 +367,6 @@ optimization:
         doomed.attempts = vec![Attempt {
             index: 0,
             error: Some(TrialError::DeadlineExceeded),
-            secs: 0.2,
             raw: None,
             notes: Vec::new(),
         }];

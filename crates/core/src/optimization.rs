@@ -446,6 +446,11 @@ impl OptimizationManager {
         } else {
             Mode::Max
         };
+        // Fail before the journal opens, not in every trial's prepare step.
+        if let Some(root) = &self.archive_root {
+            std::fs::create_dir_all(root.join("evals"))
+                .map_err(|e| RunError::Archive(format!("--archive {}: {e}", root.display())))?;
+        }
         let (run_journal, resume_state) = self.prepare_journal(searcher.as_mut(), mode)?;
         let already_complete = resume_state.complete;
         let mut tuner = Tuner::new(self.conf.num_samples, self.conf.max_concurrent, mode)

@@ -16,6 +16,9 @@
 //! * [`write_view`] — the same tmp + `rename` with no fsync, for files
 //!   that are views of durable state: whoever owns the state re-renders
 //!   them after a machine crash.
+//!   [`remove_view_tmp`] clears what a killed view write leaves behind.
+//! * [`compare_tree`] — the one artifact comparison every replay check
+//!   and gate runs: a fresh run root, byte for byte, against another.
 //! * [`sync_counts`] — how many file and directory syncs this process
 //!   has made through the crate, for tests that bound the syncs of a run.
 //! * [`wire`] — the shared tab-separated text spelling (escaping and
@@ -287,6 +290,65 @@ pub fn write_view(path: &Path, bytes: &[u8]) -> io::Result<()> {
     std::fs::rename(&tmp, path)
 }
 
+/// Remove the tmp sibling a [`write_view`] of `path` leaves behind when
+/// it is killed between its write and its rename. A view's owner calls
+/// this on resume for each view it keeps rather than renders again; a
+/// view that is written again consumes its tmp sibling anyway.
+pub fn remove_view_tmp(path: &Path) -> io::Result<()> {
+    match std::fs::remove_file(tmp_sibling(path)) {
+        Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e),
+        _ => Ok(()),
+    }
+}
+
+/// How a file, or a directory missing elsewhere, of a run root compares
+/// with the same relative path under another root ([`compare_tree`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Sameness {
+    /// A file with the same bytes under both roots; its length.
+    Identical(usize),
+    /// A file whose bytes differ; its length under each root.
+    Differs(usize, usize),
+    /// Nothing of the same kind under the other root.
+    Missing,
+}
+
+/// Compare every file and directory under `fresh`, a run root written
+/// from scratch, with the same relative path under `other`: each file,
+/// and each directory `other` lacks, depth first and each directory's
+/// entries in name order, labelled with its `/`-joined path relative to
+/// `fresh`. Only `fresh` is listed, so `other` may hold more (files an
+/// earlier run left there); where both roots were written from scratch,
+/// compare them both ways.
+pub fn compare_tree(fresh: &Path, other: &Path) -> io::Result<Vec<(String, Sameness)>> {
+    let mut names = std::fs::read_dir(fresh)?
+        .map(|e| e.map(|e| e.file_name()))
+        .collect::<io::Result<Vec<_>>>()?;
+    names.sort();
+    let mut entries = Vec::new();
+    for name in names {
+        let rel = name.to_string_lossy().into_owned();
+        let (ours, theirs) = (fresh.join(&name), other.join(&name));
+        if ours.is_dir() {
+            if !theirs.is_dir() {
+                entries.push((rel.clone(), Sameness::Missing));
+            }
+            for (sub, same) in compare_tree(&ours, &theirs)? {
+                entries.push((format!("{rel}/{sub}"), same));
+            }
+            continue;
+        }
+        let bytes = std::fs::read(&ours)?;
+        let same = match std::fs::read(&theirs) {
+            Ok(b) if b == bytes => Sameness::Identical(bytes.len()),
+            Ok(b) => Sameness::Differs(bytes.len(), b.len()),
+            Err(_) => Sameness::Missing,
+        };
+        entries.push((rel, same));
+    }
+    Ok(entries)
+}
+
 /// The tmp sibling a full-file write goes through: `path` + `.tmp`.
 fn tmp_sibling(path: &Path) -> PathBuf {
     let mut tmp = path.as_os_str().to_os_string();
@@ -498,6 +560,49 @@ mod tests {
         // No parent directory is made: a view's owner lays out its tree.
         assert!(write_view(&tmp("no-such-dir").join("v.txt"), b"x").is_err());
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_tree_comparison_lists_every_entry_of_the_fresh_root() {
+        let (fresh, other) = (tmp("tree-fresh"), tmp("tree-other"));
+        for root in [&fresh, &other] {
+            let _ = std::fs::remove_dir_all(root);
+            std::fs::create_dir_all(root.join("d").join("e")).unwrap();
+            std::fs::write(root.join("same.txt"), b"abc").unwrap();
+        }
+        std::fs::write(fresh.join("d").join("e").join("f.txt"), b"new").unwrap();
+        std::fs::write(other.join("d").join("e").join("f.txt"), b"old!").unwrap();
+        std::fs::write(fresh.join("only.txt"), b"x").unwrap();
+        std::fs::create_dir_all(fresh.join("gone").join("sub")).unwrap();
+        std::fs::write(fresh.join("gone").join("sub").join("g.txt"), b"g").unwrap();
+        std::fs::write(other.join("stale.txt"), b"left by an earlier run").unwrap();
+        let entries = compare_tree(&fresh, &other).unwrap();
+        let want = [
+            ("d/e/f.txt", Sameness::Differs(3, 4)),
+            ("gone", Sameness::Missing),
+            ("gone/sub", Sameness::Missing),
+            ("gone/sub/g.txt", Sameness::Missing),
+            ("only.txt", Sameness::Missing),
+            ("same.txt", Sameness::Identical(3)),
+        ];
+        let got: Vec<(&str, Sameness)> = entries.iter().map(|(r, s)| (r.as_str(), *s)).collect();
+        assert_eq!(got, want);
+        // The other way round, the stale file is what is missing.
+        let back = compare_tree(&other, &fresh).unwrap();
+        assert!(back.contains(&("stale.txt".to_string(), Sameness::Missing)));
+        assert!(compare_tree(&tmp("tree-none"), &other).is_err());
+        for root in [&fresh, &other] {
+            std::fs::remove_dir_all(root).unwrap();
+        }
+    }
+
+    #[test]
+    fn removing_a_view_tmp_tolerates_its_absence() {
+        let path = tmp("torn-view.txt");
+        std::fs::write(tmp_sibling(&path), b"half").unwrap();
+        remove_view_tmp(&path).unwrap();
+        assert!(!tmp_sibling(&path).exists());
+        remove_view_tmp(&path).unwrap();
     }
 
     #[test]

@@ -21,6 +21,10 @@
 //! early-stopping `report` record is retired without a version bump: no
 //! `optimize` or `serve` run ever wrote one, so a `report` line is
 //! refused by name and every journal those runs wrote still resumes.
+//! The attempt record's `secs` field stays for the same reason: earlier
+//! builds journaled the attempt's wall-clock duration there, and this
+//! build writes `0` and drops the field on replay, so a journal holds no
+//! wall-clock reading and two runs of one seed journal the same bytes.
 //!
 //! Every journal — an optimization cycle's and a serve run's — is opened
 //! through [`RunJournal::open`]: it refuses to overwrite an existing file,
@@ -113,6 +117,7 @@ pub enum RunEvent {
     Attempt {
         trial: u64,
         index: u32,
+        /// Written as `0` and dropped by replay (see the module docs).
         secs: f64,
         raw: Option<f64>,
         error: Option<TrialError>,
@@ -613,10 +618,10 @@ pub fn replay(
             RunEvent::Attempt {
                 trial,
                 index,
-                secs,
                 raw,
                 error,
                 notes,
+                ..
             } => {
                 if !(settled.contains_key(trial) && canonical(*trial, i)) {
                     continue;
@@ -624,7 +629,6 @@ pub fn replay(
                 cur_attempts.entry(*trial).or_default().push(Attempt {
                     index: *index,
                     error: error.clone(),
-                    secs: *secs,
                     raw: *raw,
                     notes: notes.clone(),
                 });

@@ -149,14 +149,12 @@ mod tests {
             Attempt {
                 index: 0,
                 error: Some(TrialError::Panicked("boom \"quoted\"\nline".into())),
-                secs: 0.1,
                 raw: None,
                 notes: Vec::new(),
             },
             Attempt {
                 index: 1,
                 error: None,
-                secs: 0.2,
                 raw: Some(1.0),
                 notes: Vec::new(),
             },

@@ -135,8 +135,6 @@ pub struct Attempt {
     pub index: u32,
     /// `None` on success; the typed failure otherwise.
     pub error: Option<TrialError>,
-    /// Wall-clock duration of the attempt, in seconds.
-    pub secs: f64,
     /// The objective's raw return value when it was actually invoked and
     /// returned (even if the attempt was then classified as failed, e.g.
     /// a non-finite metric); `None` when the objective never ran or
@@ -235,14 +233,12 @@ mod tests {
         t.attempts.push(Attempt {
             index: 0,
             error: Some(TrialError::Panicked("boom".into())),
-            secs: 0.1,
             raw: None,
             notes: Vec::new(),
         });
         t.attempts.push(Attempt {
             index: 1,
             error: None,
-            secs: 0.2,
             raw: Some(3.0),
             notes: Vec::new(),
         });

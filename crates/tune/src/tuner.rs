@@ -370,7 +370,6 @@ impl Tuner {
                             deadline,
                             abort: None,
                         };
-                        let started = clock::now();
                         let fault = self.faults.lookup(id, attempt);
                         if let Some(tr) = tr_exec {
                             let mut f = e2c_trace::fields([("attempt", u64::from(attempt).into())]);
@@ -413,7 +412,6 @@ impl Tuner {
                             }
                             None => run_objective(objective, &config, &mut ctx),
                         };
-                        let secs = started.elapsed().as_secs_f64();
                         let overran = ctx.deadline_exceeded();
                         let abort = ctx.abort;
                         let notes = ctx.notes;
@@ -447,7 +445,6 @@ impl Tuner {
                         exec.push(Attempt {
                             index: attempt,
                             error,
-                            secs,
                             raw,
                             notes,
                         });
@@ -499,7 +496,7 @@ impl Tuner {
                             j.append(&RunEvent::Attempt {
                                 trial: id,
                                 index: a.index,
-                                secs: a.secs,
+                                secs: 0.0,
                                 raw: a.raw,
                                 error: a.error.clone(),
                                 notes: a.notes.clone(),

@@ -29,10 +29,10 @@
 //!     `DIR/cycles/cycle_<trial>.prom` per evaluated trial.
 //!     `--replay-check` runs the same seeded cycle twice (at the
 //!     configured `max_concurrent` — the commit sequencer makes even
-//!     concurrent cycles replay bit-exactly) and byte-diffs
-//!     `evaluations.csv` and `trials/trials.jsonl` — and, with `--trace`,
-//!     every trace artifact — between the two runs: a self-check that the
-//!     run is actually replayable.
+//!     concurrent cycles replay bit-exactly), the second into fresh
+//!     scratch directories, and checks every file of the second run's
+//!     archive (and, with `--trace`, its trace) against the first, byte
+//!     for byte: a self-check that the run is actually replayable.
 //!     `--journal DIR` makes the run crash-safe: every searcher ask/tell
 //!     and attempt outcome is appended (fsync'd) to a write-ahead log, `DIR/run.wal`, before taking effect; `--resume DIR`
 //!     continues a killed run from its journal (replaying the decision
@@ -79,7 +79,8 @@
 //!     counted across epochs, and `--crash-at-epoch K` kills at the
 //!     epoch-K boundary (both exit 86; a run that never reaches its knob
 //!     exits 1). `--replay-check` runs the whole serving loop twice and
-//!     byte-diffs serving.csv, trace.jsonl and every epoch archive.
+//!     checks every file of the second run (serving.csv, trace.jsonl and
+//!     every epoch archive) against the first, byte for byte.
 //! e2clab report <archive-dir>
 //!     Re-print the summary of a previously written archive.
 //! e2clab trace summarize <dir|trace.jsonl>
@@ -124,6 +125,7 @@ use e2c_core::experiment::Experiment;
 use e2c_core::optimization::JournalConfig;
 use e2c_core::ServingConfig;
 use e2c_des::SimTime;
+use e2c_journal::Sameness;
 use e2c_testbed::grid5000;
 use e2c_tune::{FarmSpec, FaultPlan};
 use e2clab::cycle::{Cycle, CycleSpec};
@@ -451,141 +453,49 @@ fn journal_conf(flags: &Flags) -> Result<Option<JournalConfig>, String> {
 // Replay checks
 // ---------------------------------------------------------------------------
 
-/// Run the same seeded optimization twice at the configured concurrency
-/// (the commit sequencer orders effects canonically, so bit-exact replay
-/// holds under concurrent suggestion too) and byte-diff the
-/// reproducibility artifacts of the two runs. With `--trace`, the trace
-/// artifacts (`trace.jsonl`, `metrics.prom`, `cycles/*.prom`) are diffed
-/// too.
-fn run_replay_check(cycle: &Cycle, archive: Option<PathBuf>, trace: Option<PathBuf>) -> Outcome {
-    let scratch = |what: &str| {
-        std::env::temp_dir().join(format!("e2clab-replay-{what}-{}", std::process::id()))
-    };
-    let dir_a = archive.clone().unwrap_or_else(|| scratch("a"));
-    let dir_b = scratch("b");
-    let trace_b = trace.as_ref().map(|_| scratch("trace-b"));
-    let remove_b = || {
-        for dir in std::iter::once(&dir_b).chain(&trace_b) {
-            let _ = std::fs::remove_dir_all(dir);
-        }
-    };
-    remove_b();
-    let summary = cycle
-        .run(Some(dir_a.clone()), trace.as_deref())
-        .map_err(failed)?;
-    print!("{}", summary.render());
-    cycle
-        .run(Some(dir_b.clone()), trace_b.as_deref())
-        .map_err(failed)?;
-    let mut ok = compare_artifacts(
-        "",
-        &dir_a,
-        &dir_b,
-        &["evaluations.csv", "trials/trials.jsonl"],
-    );
-    if let (Some(ta), Some(tb)) = (&trace, &trace_b) {
-        let mut rels = vec!["trace.jsonl".to_string(), "metrics.prom".to_string()];
-        rels.extend(
-            sorted_names(&ta.join("cycles"))
-                .into_iter()
-                .map(|n| format!("cycles/{n}")),
-        );
-        ok &= compare_artifacts("trace/", ta, tb, &rels);
-    }
-    remove_b();
-    if archive.is_none() {
-        let _ = std::fs::remove_dir_all(&dir_a);
-    } else {
-        println!("archive written to {}", dir_a.display());
-    }
-    if let Some(dir) = &trace {
-        println!("trace written to {}", dir.display());
-    }
-    Ok(replay_verdict(ok, "seeded run"))
+/// Where `--replay-check` runs its second run, under `b/`, and the first
+/// when it has no `--archive`, under `a/`. Removed after the check.
+fn replay_scratch() -> PathBuf {
+    std::env::temp_dir().join(format!("e2clab-replay-{}", std::process::id()))
 }
 
-/// Run the serving loop twice — the second time into scratch dirs — and
-/// byte-diff every serving artifact: `serving.csv`, `trace.jsonl` and
-/// the per-epoch archives. The serving driver layers epoch cycles over
-/// the same commit sequencer as `optimize`, so the whole multi-epoch run
-/// must replay bit-exactly.
-fn run_serve_replay_check(cfg: &ServingConfig) -> Outcome {
-    let pid = std::process::id();
-    let dir_b = std::env::temp_dir().join(format!("e2clab-serve-replay-b-{pid}"));
+/// `--replay-check`: run the seeded `what` a second time with `again`,
+/// into a fresh scratch directory, and check every file that run wrote
+/// ([`e2c_journal::compare_tree`]). Each `(prefix, sub, first)` compares
+/// `<scratch>/<sub>` with the first run's `first`, printing `identical`
+/// per file and each mismatch, labelled `{prefix}{rel}`. The commit
+/// sequencer orders effects canonically, so a seeded cycle, and a serve
+/// run of such cycles, replays bit-exactly at any concurrency.
+fn replay(
+    what: &str,
+    again: impl FnOnce(&Path) -> Result<(), String>,
+    trees: &[(&str, &str, &Path)],
+) -> Outcome {
+    let dir_b = replay_scratch().join("b");
     let _ = std::fs::remove_dir_all(&dir_b);
-    let cfg_b = ServingConfig {
-        out_dir: dir_b.clone(),
-        ..cfg.clone()
-    };
-    let report = e2c_core::serving::run_serving(cfg).map_err(failed)?;
-    print!("{}", report.render());
-    e2c_core::serving::run_serving(&cfg_b).map_err(failed)?;
-    let mut rels = vec!["serving.csv".to_string(), "trace.jsonl".to_string()];
-    for name in sorted_names(&cfg.out_dir.join("epochs")) {
-        for file in ["evaluations.csv", "best.yaml", "trials/trials.jsonl"] {
-            rels.push(format!("epochs/{name}/{file}"));
+    let ok = again(&dir_b).map_err(failed).and_then(|()| {
+        let mut ok = true;
+        for (prefix, sub, first) in trees {
+            let fresh = dir_b.join(sub);
+            let entries =
+                e2c_journal::compare_tree(&fresh, first).map_err(|e| failed_at(&fresh, e))?;
+            for (rel, same) in entries {
+                if let Sameness::Identical(len) = same {
+                    println!("replay-check: {prefix}{rel} identical ({len} bytes)");
+                } else {
+                    eprintln!("replay-check: {prefix}{rel} {same:?} — run is not replayable");
+                    ok = false;
+                }
+            }
         }
-    }
-    let ok = compare_artifacts("", &cfg.out_dir, &dir_b, &rels);
-    let _ = std::fs::remove_dir_all(&dir_b);
-    Ok(replay_verdict(ok, "serving run"))
-}
-
-fn replay_verdict(ok: bool, what: &str) -> ExitCode {
-    if !ok {
-        return ExitCode::FAILURE;
+        Ok(ok)
+    });
+    let _ = std::fs::remove_dir_all(replay_scratch());
+    if !ok? {
+        return Ok(ExitCode::FAILURE);
     }
     println!("replay-check: PASS — {what} replays byte-identically");
-    ExitCode::SUCCESS
-}
-
-/// File names directly under `dir`, sorted; empty when `dir` is missing.
-fn sorted_names(dir: &Path) -> Vec<String> {
-    let mut names: Vec<String> = std::fs::read_dir(dir)
-        .map(|read| {
-            read.flatten()
-                .filter_map(|e| e.file_name().into_string().ok())
-                .collect()
-        })
-        .unwrap_or_default();
-    names.sort();
-    names
-}
-
-/// The replay-check comparison: byte-compare each relative path under the
-/// two run roots, printing `identical` or `DIFFERS` per file (labelled
-/// `{prefix}{rel}`). True when every file exists in both runs and matches.
-fn compare_artifacts<S: AsRef<str>>(
-    prefix: &str,
-    root_a: &Path,
-    root_b: &Path,
-    rels: &[S],
-) -> bool {
-    let mut ok = true;
-    for rel in rels.iter().map(AsRef::as_ref) {
-        let label = format!("{prefix}{rel}");
-        match (
-            std::fs::read(root_a.join(rel)),
-            std::fs::read(root_b.join(rel)),
-        ) {
-            (Ok(a), Ok(b)) if a == b => {
-                println!("replay-check: {label} identical ({} bytes)", a.len());
-            }
-            (Ok(a), Ok(b)) => {
-                eprintln!(
-                    "replay-check: {label} DIFFERS ({} vs {} bytes) — run is not replayable",
-                    a.len(),
-                    b.len()
-                );
-                ok = false;
-            }
-            (a, b) => {
-                eprintln!("replay-check: {label}: {:?} vs {:?}", a.err(), b.err());
-                ok = false;
-            }
-        }
-    }
-    ok
+    Ok(ExitCode::SUCCESS)
 }
 
 // ---------------------------------------------------------------------------
@@ -731,12 +641,12 @@ fn optimize(flags: &Flags) -> Outcome {
         journal,
         farm,
     };
-    if replay_check {
-        return run_replay_check(&cycle, archive, trace);
-    }
-    let summary = cycle
-        .run(archive.clone(), trace.as_deref())
-        .map_err(failed)?;
+    // `--replay-check` compares a second run with this one, which
+    // archives into scratch when `--archive` is not given.
+    let dir_a = archive
+        .clone()
+        .or_else(|| replay_check.then(|| replay_scratch().join("a")));
+    let summary = cycle.run(dir_a.clone(), trace.as_deref()).map_err(failed)?;
     // The crash knob exits the process when it fires; a run that got here
     // never reached it, and a chaos test relying on it would pass vacuously.
     if let Some(n) = cycle.journal.as_ref().and_then(|jc| jc.crash_after) {
@@ -746,13 +656,24 @@ fn optimize(flags: &Flags) -> Outcome {
         )));
     }
     print!("{}", summary.render());
-    if let Some(dir) = archive {
+    if let Some(dir) = &archive {
         println!("archive written to {}", dir.display());
     }
-    if let Some(dir) = trace {
+    if let Some(dir) = &trace {
         println!("trace written to {}", dir.display());
     }
-    Ok(ExitCode::SUCCESS)
+    let Some(dir_a) = dir_a.as_deref().filter(|_| replay_check) else {
+        return Ok(ExitCode::SUCCESS);
+    };
+    let mut trees = vec![("", "archive", dir_a)];
+    trees.extend(trace.as_deref().map(|t| ("trace/", "trace", t)));
+    let again = |b: &Path| {
+        let trace_b = trace.as_ref().map(|_| b.join("trace"));
+        cycle
+            .run(Some(b.join("archive")), trace_b.as_deref())
+            .map(drop)
+    };
+    replay("seeded run", again, &trees)
 }
 
 const SERVE: FlagSpec = FlagSpec {
@@ -784,9 +705,6 @@ fn serve(flags: &Flags) -> Outcome {
         cfg.crash_at = jc.crash_after;
     }
     cfg.crash_at_epoch = flags.opt("--crash-at-epoch")?;
-    if flags.switch("--replay-check") {
-        return run_serve_replay_check(&cfg);
-    }
     let report = e2c_core::serving::run_serving(&cfg).map_err(failed)?;
     // As in `optimize`: a crash knob that never fired would let a chaos
     // test pass vacuously.
@@ -803,6 +721,14 @@ fn serve(flags: &Flags) -> Outcome {
     }
     print!("{}", report.render());
     println!("serving artifacts written to {}", cfg.out_dir.display());
+    if flags.switch("--replay-check") {
+        let mut cfg_b = cfg.clone();
+        let again = move |b: &Path| {
+            cfg_b.out_dir = b.to_path_buf();
+            e2c_core::serving::run_serving(&cfg_b).map(drop)
+        };
+        return replay("serving run", again, &[("", "", &cfg.out_dir)]);
+    }
     Ok(ExitCode::SUCCESS)
 }
 

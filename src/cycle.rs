@@ -173,13 +173,16 @@ impl TrialSink {
 
     /// Render again every snapshot the journal vouches for that the disk
     /// does not hold: missing, or not the bytes whose digest its landing
-    /// attempt noted. The trial's evaluation re-runs in process.
+    /// attempt noted. The trial's evaluation re-runs in process. The tmp
+    /// file of a snapshot write that a kill cut short goes.
     fn restore(&self, spec: &CycleSpec, trials: &[Trial]) -> Result<(), String> {
         for t in trials {
+            let path = self.prom_path(t.id);
+            e2c_journal::remove_view_tmp(&path)
+                .map_err(|e| format!("trace: {}: {e}", path.display()))?;
             let Some(digest) = t.attempts.iter().rev().find_map(|a| a.note(PROM_DIGEST)) else {
                 continue;
             };
-            let path = self.prom_path(t.id);
             if std::fs::read(&path).is_ok_and(|bytes| prom_digest(&bytes) == digest) {
                 continue;
             }

@@ -28,7 +28,7 @@
 //! | [`optim`] | `e2c-optim` | spaces, samplers, surrogates, BO, metaheuristics, sensitivity |
 //! | [`tune`] | `e2c-tune` | async parallel trial runner (searchers, ASHA) |
 //! | [`trace`] | `e2c-trace` | deterministic structured event log + virtual clock |
-//! | [`journal`] | `e2c-journal` | write-ahead log + atomic snapshot writes |
+//! | [`journal`] | `e2c-journal` | write-ahead log + atomic snapshot writes + artifact tree comparison |
 //! | [`bench`](mod@bench) | `e2c-bench` | benchmark API (`Benchmark`, `BenchRegistry`, `BENCH_*.json`) + the paper's exhibit registry |
 //! | [`detlint`] | `detlint` | determinism lint (DET001–DET005) |
 //! | [`plantnet`] | `plantnet` | the Pl@ntNet engine model (DES + real threads) |

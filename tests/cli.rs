@@ -317,3 +317,30 @@ fn a_crash_point_past_the_last_append_fails_the_run() {
     let _ = std::fs::remove_file(conf);
     let _ = std::fs::remove_dir_all(journal);
 }
+
+#[test]
+fn an_archive_root_that_cannot_be_made_fails_before_any_trial() {
+    let conf = write_conf("bad-archive.yaml", CONF);
+    let base = std::env::temp_dir().join(format!("e2clab-cli-bad-archive-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    std::fs::create_dir_all(&base).unwrap();
+    let file = base.join("a-file");
+    std::fs::write(&file, b"not a directory").unwrap();
+    let archive = file.join("x");
+    let journal = base.join("journal");
+    let out = bin()
+        .args(["optimize", "--duration", "40", "--seed", "5", "--archive"])
+        .arg(&archive)
+        .arg("--journal")
+        .arg(&journal)
+        .arg(&conf)
+        .output()
+        .expect("spawn");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains(&archive.display().to_string()), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!journal.join("run.wal").exists(), "a journal was opened");
+    let _ = std::fs::remove_file(conf);
+    let _ = std::fs::remove_dir_all(base);
+}

@@ -1,14 +1,16 @@
 //! End-to-end crash/resume gate: kill `e2clab optimize --journal` at
 //! every write-ahead-log append boundary (via the `--crash-at` chaos
-//! knob), resume each kill with `--resume`, and byte-diff every
-//! reproducibility artifact — `evaluations.csv`, `trials/trials.jsonl`,
-//! the `evals/` listing and every `evals/*/result.csv`, `trace.jsonl`,
-//! `metrics.prom`, `cycles/*.prom` — against an uninterrupted baseline
-//! run of the same seed.  The journal directory holds only `run.wal`: a
-//! traced run's trace rides in its tell records.  The per-trial files
-//! (`result.csv`, `cycles/*.prom`) are views written without fsync, so
-//! the gate also deletes, truncates or corrupts them, as a machine crash
-//! could, and checks that `--resume` renders them again.
+//! knob), resume each kill with `--resume`, and compare the run's whole
+//! archive and trace trees with an uninterrupted baseline run of the
+//! same seed: every file and directory, byte for byte, both ways round
+//! (`e2c_journal::compare_tree`).  The journal directory holds only
+//! `run.wal`: a traced run's trace rides in its tell records.  It is not
+//! compared, because a resumed journal holds `restart` records.  The
+//! per-trial files (`result.csv`, `cycles/*.prom`) are views written
+//! without fsync, so the gate also deletes, truncates or corrupts them,
+//! as a machine crash could, or leaves the tmp file of a cut-short
+//! rewrite beside them, and checks that `--resume` leaves the baseline's
+//! tree again.
 //! This is the paper's repeatability claim under process failure: a
 //! crashed optimization, resumed, is indistinguishable from one that
 //! never crashed.
@@ -20,6 +22,7 @@
 //! design).  Scratch directories root at `E2C_GATE_DIR` when set so CI
 //! can upload the differing artifacts on failure.
 
+use e2c_journal::Sameness;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -111,43 +114,13 @@ impl Fixture {
         assert!(out.status.success(), "{ctx}: {stderr}");
     }
 
-    /// The artifacts whose bytes must survive any kill+resume.
-    fn artifacts(&self, name: &str) -> Vec<(String, Vec<u8>)> {
-        let trace = self.root.join(format!("{name}-trace"));
-        let mut rels: Vec<(String, PathBuf)> = vec![
-            (
-                "evaluations.csv".into(),
-                self.root.join(name).join("evaluations.csv"),
-            ),
-            (
-                "trials/trials.jsonl".into(),
-                self.root.join(name).join("trials").join("trials.jsonl"),
-            ),
-            ("trace.jsonl".into(), trace.join("trace.jsonl")),
-            ("metrics.prom".into(), trace.join("metrics.prom")),
-        ];
-        rels.extend(
-            listing(&trace.join("cycles"))
-                .into_iter()
-                .map(|n| (format!("cycles/{n}"), trace.join("cycles").join(n))),
-        );
-        let evals = self.root.join(name).join("evals");
-        let trials = listing(&evals);
-        rels.extend(trials.iter().filter_map(|t| {
-            let path = evals.join(t).join("result.csv");
-            path.exists()
-                .then(|| (format!("evals/{t}/result.csv"), path))
-        }));
-        let mut set: Vec<(String, Vec<u8>)> = rels
-            .into_iter()
-            .map(|(label, path)| {
-                let bytes = std::fs::read(&path)
-                    .unwrap_or_else(|e| panic!("{name}: read {}: {e}", path.display()));
-                (label, bytes)
-            })
-            .collect();
-        set.push(("evals/".into(), trials.join("\n").into_bytes()));
-        set
+    /// The trees whose bytes must survive any kill+resume: the run's
+    /// archive and trace directories.
+    fn artifacts(&self, name: &str) -> [PathBuf; 2] {
+        [
+            self.root.join(name),
+            self.root.join(format!("{name}-trace")),
+        ]
     }
 
     /// The first `cycles/*.prom` and the last `evals/*/result.csv` of
@@ -185,6 +158,9 @@ enum Damage {
     Corrupt,
     /// The file's whole directory is gone.
     LoseDir,
+    /// A kill cut short a rewrite of the file: the tmp file of its write
+    /// is left beside it.
+    StrayTmp,
 }
 
 impl Damage {
@@ -193,6 +169,10 @@ impl Damage {
         match self {
             Damage::Delete => return std::fs::remove_file(path).unwrap(),
             Damage::LoseDir => return std::fs::remove_dir_all(path.parent().unwrap()).unwrap(),
+            Damage::StrayTmp => {
+                bytes.truncate(bytes.len() / 2);
+                return std::fs::write(format!("{}.tmp", path.display()), bytes).unwrap();
+            }
             Damage::Truncate => bytes.truncate(bytes.len() / 2),
             Damage::Corrupt => {
                 let mid = bytes.len() / 2;
@@ -203,17 +183,26 @@ impl Damage {
     }
 }
 
-fn assert_same_artifacts(want: &[(String, Vec<u8>)], got: &[(String, Vec<u8>)], ctx: &str) {
-    let labels =
-        |set: &[(String, Vec<u8>)]| -> Vec<String> { set.iter().map(|(l, _)| l.clone()).collect() };
-    assert_eq!(labels(want), labels(got), "{ctx}: artifact sets differ");
-    for ((label, a), (_, b)) in want.iter().zip(got) {
-        assert!(
-            a == b,
-            "{ctx}: {label} differs ({} vs {} bytes) — resumed run is not byte-identical",
-            a.len(),
-            b.len()
-        );
+/// Assert that each tree of `want` and the same tree of `got` hold the
+/// same files and directories with the same bytes, both ways round: a
+/// resume that leaves a stray file fails too.
+fn assert_same_artifacts(want: &[PathBuf; 2], got: &[PathBuf; 2], ctx: &str) {
+    for (a, b) in want.iter().zip(got) {
+        for (fresh, other) in [(a, b), (b, a)] {
+            let entries = e2c_journal::compare_tree(fresh, other)
+                .unwrap_or_else(|e| panic!("{ctx}: list {}: {e}", fresh.display()));
+            assert!(!entries.is_empty(), "{ctx}: {} is empty", fresh.display());
+            let bad: Vec<_> = entries
+                .iter()
+                .filter(|(_, same)| matches!(same, Sameness::Differs(..) | Sameness::Missing))
+                .collect();
+            assert!(
+                bad.is_empty(),
+                "{ctx}: {} against {}: {bad:?} — resumed run is not byte-identical",
+                fresh.display(),
+                other.display()
+            );
+        }
     }
 }
 
@@ -411,11 +400,13 @@ fn a_crash_during_resume_is_itself_resumable() {
 }
 
 /// The per-trial views are written without fsync, so a machine crash may
-/// lose or tear them, or lose their directory. Damage one `cycles/*.prom`
-/// and one `result.csv`, once between a kill and `--resume` and once after
-/// a completed run: the resume renders both again, to the uninterrupted
-/// run's bytes. Losing the directory takes all of `cycles/` with the
-/// prom, and the whole `evals/trial_N/` with the result.
+/// lose or tear them, or lose their directory, and a kill may cut a
+/// rewrite short and leave its tmp file. Damage one `cycles/*.prom` and
+/// one `result.csv`, once between a kill and `--resume` and once after a
+/// completed run: the resume renders both again, to the uninterrupted
+/// run's bytes, and removes any tmp file. Losing the directory takes all
+/// of `cycles/` with the prom, and the whole `evals/trial_N/` with the
+/// result.
 #[test]
 fn resume_renders_lost_or_torn_views_again() {
     let fx = Fixture::new("views", 2, 3);
@@ -431,6 +422,7 @@ fn resume_renders_lost_or_torn_views_again() {
         Damage::Truncate,
         Damage::Corrupt,
         Damage::LoseDir,
+        Damage::StrayTmp,
     ] {
         let ctx = format!("{damage:?} after a completed run");
         for view in fx.views("full") {

@@ -3,17 +3,18 @@
 //! * `workspace_lint_is_clean` — the detlint pass over this repository
 //!   exits clean (every remaining hazard carries a justified allow);
 //! * `replay_check_*` — `e2clab optimize --replay-check` runs the same
-//!   seeded cycle twice and proves `evaluations.csv` and
-//!   `trials/trials.jsonl` come out byte-identical, across a
-//!   seed × `max_concurrent` ∈ {1, 2, 4} matrix (the commit sequencer
-//!   makes concurrent cycles replay bit-exactly too);
-//! * `traced_runs_*` — two separate seeded `--trace` runs emit
-//!   byte-identical `trace.jsonl` / `metrics.prom` / `cycles/*.prom`, and
-//!   `e2clab trace summarize` renders them.
+//!   seeded cycle twice and proves every file of the second run's archive
+//!   and trace comes out byte-identical, across a seed ×
+//!   `max_concurrent` ∈ {1, 2, 4} matrix (the commit sequencer makes
+//!   concurrent cycles replay bit-exactly too);
+//! * `traced_runs_*` — two separate seeded runs, archived, traced and
+//!   journaled, leave byte-identical trees, `run.wal` included, and
+//!   `e2clab trace summarize` renders the trace.
 //!
 //! Scratch directories root at `E2C_GATE_DIR` when set so CI can upload
 //! the differing artifacts on failure.
 
+use e2c_journal::Sameness;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -141,6 +142,8 @@ fn replay_check_proves_byte_identical_artifacts_across_the_matrix() {
                     "--archive",
                 ])
                 .arg(&archive)
+                .arg("--trace")
+                .arg(cell.join("trace"))
                 .arg(&conf)
                 .output()
                 .expect("run e2clab optimize --replay-check");
@@ -150,8 +153,23 @@ fn replay_check_proves_byte_identical_artifacts_across_the_matrix() {
                 "replay check failed (seed {seed}, workers {workers}):\n{stdout}{}",
                 String::from_utf8_lossy(&out.stderr)
             );
-            assert!(stdout.contains("evaluations.csv identical"), "{stdout}");
-            assert!(stdout.contains("trials/trials.jsonl identical"), "{stdout}");
+            let trials = (0..6).map(|t| format!("evals/trial_{t}/result.csv"));
+            for rel in [
+                "best.yaml",
+                "evaluations.csv",
+                "problem.yaml",
+                "summary.txt",
+                "trials/trials.jsonl",
+                "trace/trace.jsonl",
+                "trace/metrics.prom",
+            ]
+            .map(String::from)
+            .into_iter()
+            .chain(trials)
+            {
+                let line = format!("replay-check: {rel} identical (");
+                assert!(stdout.contains(&line), "{line}\n{stdout}");
+            }
             assert!(stdout.contains("replay-check: PASS"), "{stdout}");
             // The requested archive survives the check.
             assert!(archive.join("evaluations.csv").is_file());
@@ -162,8 +180,9 @@ fn replay_check_proves_byte_identical_artifacts_across_the_matrix() {
 }
 
 /// Two *independent* seeded processes — not the in-process double run of
-/// `--replay-check` — must still produce byte-identical trace artifacts,
-/// and the recorded trace must summarize.
+/// `--replay-check` — must still leave byte-identical archive, trace and
+/// journal trees, `run.wal` included, and the recorded trace must
+/// summarize.
 #[test]
 fn traced_runs_are_byte_identical_and_summarizable() {
     let base = gate_root().join(format!("e2clab-tracegate-{}", std::process::id()));
@@ -176,9 +195,12 @@ fn traced_runs_are_byte_identical_and_summarizable() {
     std::fs::write(&conf, TINY_CONF).unwrap();
 
     for run in ["a", "b"] {
-        let out = Command::new(env!("CARGO_BIN_EXE_e2clab"))
-            .args(["optimize", "--seed", "11", "--duration", "30", "--trace"])
-            .arg(base.join(run))
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_e2clab"));
+        cmd.args(["optimize", "--seed", "11", "--duration", "30"]);
+        for dir in ["archive", "trace", "journal"] {
+            cmd.arg(format!("--{dir}")).arg(base.join(run).join(dir));
+        }
+        let out = cmd
             .arg(&conf)
             .output()
             .expect("run e2clab optimize --trace");
@@ -188,29 +210,32 @@ fn traced_runs_are_byte_identical_and_summarizable() {
             String::from_utf8_lossy(&out.stderr)
         );
     }
-    let rel_of = |d: &Path| {
-        let mut rels = vec![PathBuf::from("trace.jsonl"), PathBuf::from("metrics.prom")];
-        let mut cycles: Vec<_> = std::fs::read_dir(d.join("cycles"))
-            .unwrap()
-            .flatten()
-            .map(|e| PathBuf::from("cycles").join(e.file_name()))
+    let (a, b) = (base.join("a"), base.join("b"));
+    for (fresh, other) in [(&a, &b), (&b, &a)] {
+        let entries = e2c_journal::compare_tree(fresh, other).unwrap();
+        assert!(
+            entries.iter().any(|(rel, _)| rel == "journal/run.wal"),
+            "{entries:?}"
+        );
+        assert!(
+            entries
+                .iter()
+                .any(|(rel, _)| rel.starts_with("trace/cycles/")),
+            "expected per-trial cycle exports: {entries:?}"
+        );
+        let bad: Vec<_> = entries
+            .iter()
+            .filter(|(_, same)| !matches!(same, Sameness::Identical(1..)))
             .collect();
-        cycles.sort();
-        rels.extend(cycles);
-        rels
-    };
-    let rels = rel_of(&base.join("a"));
-    assert!(rels.len() > 2, "expected per-trial cycle exports: {rels:?}");
-    for rel in &rels {
-        let a = std::fs::read(base.join("a").join(rel)).unwrap();
-        let b = std::fs::read(base.join("b").join(rel)).unwrap();
-        assert_eq!(a, b, "{} differs between seeded runs", rel.display());
-        assert!(!a.is_empty(), "{} is empty", rel.display());
+        assert!(
+            bad.is_empty(),
+            "empty or differs between seeded runs: {bad:?}"
+        );
     }
 
     let out = Command::new(env!("CARGO_BIN_EXE_e2clab"))
         .args(["trace", "summarize"])
-        .arg(base.join("a"))
+        .arg(a.join("trace"))
         .output()
         .expect("run e2clab trace summarize");
     let stdout = String::from_utf8_lossy(&out.stdout);

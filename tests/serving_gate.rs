@@ -3,8 +3,10 @@
 //! mode (seasonal trace → per-epoch re-optimization under overload
 //! semantics) and checks the reproducibility contract:
 //!
-//! * reruns at the same `(seed, scale)` produce byte-identical
-//!   `serving.csv`, `trace.jsonl` and per-epoch archives;
+//! * reruns at the same `(seed, scale)` leave byte-identical output
+//!   trees (`serving.csv`, `trace.jsonl` and every file of the per-epoch
+//!   archives), compared both ways round through
+//!   `e2c_journal::compare_tree`;
 //! * `--replay-check` agrees (the driver's own self-check);
 //! * a run killed mid-epoch (`--crash-at`) or at an epoch boundary
 //!   (`--crash-at-epoch`), then `--resume`d, converges on the same bytes
@@ -17,7 +19,8 @@
 //! Scratch directories root at `E2C_GATE_DIR` when set so CI can upload
 //! the differing artifacts on failure.
 
-use std::path::PathBuf;
+use e2c_journal::Sameness;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 /// Root for gate scratch directories: `E2C_GATE_DIR` when set (CI points
@@ -65,43 +68,30 @@ impl Fixture {
         cmd.output().expect("run e2clab serve")
     }
 
-    /// The artifacts whose bytes must survive any rerun or kill+resume:
-    /// the serving CSV, the serving trace and every per-epoch archive.
-    fn artifacts(&self, name: &str) -> Vec<(String, Vec<u8>)> {
-        let out = self.root.join(name);
-        let mut rels = vec!["serving.csv".to_string(), "trace.jsonl".to_string()];
-        let mut epochs: Vec<String> = std::fs::read_dir(out.join("epochs"))
-            .unwrap_or_else(|e| panic!("{name}: read epochs dir: {e}"))
-            .flatten()
-            .filter_map(|e| e.file_name().into_string().ok())
-            .collect();
-        epochs.sort();
-        for epoch in epochs {
-            for file in ["evaluations.csv", "best.yaml", "trials/trials.jsonl"] {
-                rels.push(format!("epochs/{epoch}/{file}"));
-            }
-        }
-        rels.into_iter()
-            .map(|rel| {
-                let path = out.join(&rel);
-                let bytes = std::fs::read(&path)
-                    .unwrap_or_else(|e| panic!("{name}: read {}: {e}", path.display()));
-                (rel, bytes)
-            })
-            .collect()
+    /// The tree whose bytes must survive any rerun or kill+resume: the
+    /// run's `--out` directory, with the serving CSV, the serving trace
+    /// and every per-epoch archive.
+    fn artifacts(&self, name: &str) -> PathBuf {
+        self.root.join(name)
     }
 }
 
-fn assert_same_artifacts(want: &[(String, Vec<u8>)], got: &[(String, Vec<u8>)], ctx: &str) {
-    let labels =
-        |set: &[(String, Vec<u8>)]| -> Vec<String> { set.iter().map(|(l, _)| l.clone()).collect() };
-    assert_eq!(labels(want), labels(got), "{ctx}: artifact sets differ");
-    for ((label, a), (_, b)) in want.iter().zip(got) {
+/// Assert that `want` and `got` hold the same files and directories with
+/// the same bytes, both ways round.
+fn assert_same_artifacts(want: &Path, got: &Path, ctx: &str) {
+    for (fresh, other) in [(want, got), (got, want)] {
+        let entries = e2c_journal::compare_tree(fresh, other)
+            .unwrap_or_else(|e| panic!("{ctx}: list {}: {e}", fresh.display()));
+        assert!(!entries.is_empty(), "{ctx}: {} is empty", fresh.display());
+        let bad: Vec<_> = entries
+            .iter()
+            .filter(|(_, same)| matches!(same, Sameness::Differs(..) | Sameness::Missing))
+            .collect();
         assert!(
-            a == b,
-            "{ctx}: {label} differs ({} vs {} bytes) — serving run is not byte-identical",
-            a.len(),
-            b.len()
+            bad.is_empty(),
+            "{ctx}: {} against {}: {bad:?} — serving run is not byte-identical",
+            fresh.display(),
+            other.display()
         );
     }
 }
@@ -144,8 +134,7 @@ fn serving_matrix_reruns_are_byte_identical() {
             }
             let a = fx.artifacts("a");
             assert_same_artifacts(&a, &fx.artifacts("b"), &ctx);
-            let csv = &a.iter().find(|(l, _)| l == "serving.csv").unwrap().1;
-            let rows = csv_counters(csv);
+            let rows = csv_counters(&std::fs::read(a.join("serving.csv")).unwrap());
             assert_eq!(rows.len(), 2, "{ctx}: one row per epoch");
             for (offered, admitted, rejected, shed, _) in rows {
                 assert!(offered > 0, "{ctx}: epochs offer load");

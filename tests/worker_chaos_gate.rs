@@ -1,12 +1,11 @@
 //! End-to-end gates for the multi-process trial farm:
 //!
 //! * `farmed_runs_match_in_process_artifacts` — the same seeded cycle
-//!   run in-process and farmed over `--workers` ∈ {1, 2, 4} produces
-//!   byte-identical `evaluations.csv`, `trials/trials.jsonl` and every
-//!   trace artifact: the worker count shapes wall-clock only, never
-//!   results;
+//!   run in-process and farmed over `--workers` ∈ {1, 2, 4} leaves
+//!   byte-identical archive, trace and journal trees, `run.wal`
+//!   included: the worker count shapes wall-clock only, never results;
 //! * `killed_workers_leave_artifacts_byte_identical` — the kill matrix:
-//!   a journaled, traced `--workers` run whose worker is SIGKILLed at
+//!   a `--workers` run whose worker is SIGKILLed at
 //!   the farm's Nth dispatched ask (`--kill-worker N`) still matches an
 //!   unharmed single-worker run byte for byte — the supervisor respawns
 //!   the worker and re-dispatches the orphaned ask transparently;
@@ -14,9 +13,12 @@
 //!   worker-crash/worker-stall` plans short-circuit tuner-side, so the
 //!   same plan yields identical artifacts with and without a farm.
 //!
+//! Every run is archived, traced and journaled, and two runs compare as
+//! whole trees through `e2c_journal::compare_tree`, both ways round.
 //! Scratch directories root at `E2C_GATE_DIR` when set so CI can upload
 //! the differing artifacts on failure.
 
+use e2c_journal::Sameness;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -72,32 +74,32 @@ impl Scratch {
         Scratch { root, conf }
     }
 
-    /// `e2clab optimize --seed <seed> --duration 30 --archive <dir>
-    /// --trace <dir>-trace <extra...> conf.yaml`, asserting success.
-    /// Returns the `(archive, trace)` directory pair.
-    fn optimize(&self, name: &str, seed: u64, extra: &[&str]) -> (PathBuf, PathBuf) {
-        let archive = self.root.join(name);
-        let trace = self.root.join(format!("{name}-trace"));
+    /// `e2clab optimize --seed <seed> --duration 30 --archive <run>/archive
+    /// --trace <run>/trace --journal <run>/journal <extra...> conf.yaml`,
+    /// asserting success. Returns the run's root, `<root>/<name>`.
+    fn optimize(&self, name: &str, seed: u64, extra: &[&str]) -> PathBuf {
+        let run = self.root.join(name);
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_e2clab"));
         cmd.arg("optimize")
             .arg("--seed")
             .arg(seed.to_string())
             .arg("--duration")
-            .arg("30")
-            .arg("--archive")
-            .arg(&archive)
-            .arg("--trace")
-            .arg(&trace)
+            .arg("30");
+        for dir in ["archive", "trace", "journal"] {
+            cmd.arg(format!("--{dir}")).arg(run.join(dir));
+        }
+        let out = cmd
             .args(extra)
-            .arg(&self.conf);
-        let out = cmd.output().expect("run e2clab optimize");
+            .arg(&self.conf)
+            .output()
+            .expect("run e2clab optimize");
         assert!(
             out.status.success(),
             "optimize {name} (seed {seed}, extra {extra:?}) failed:\n{}{}",
             String::from_utf8_lossy(&out.stdout),
             String::from_utf8_lossy(&out.stderr),
         );
-        (archive, trace)
+        run
     }
 
     fn cleanup(self) {
@@ -105,53 +107,29 @@ impl Scratch {
     }
 }
 
-/// Byte-compare every artifact the cycle writes: the archive's
-/// `evaluations.csv` + `trials/trials.jsonl` and the trace directory's
-/// `trace.jsonl`, `metrics.prom` and each `cycles/*.prom` snapshot.
-fn assert_artifacts_identical(
-    label: &str,
-    (archive_a, trace_a): &(PathBuf, PathBuf),
-    (archive_b, trace_b): &(PathBuf, PathBuf),
-) {
-    let mut pairs: Vec<(String, PathBuf, PathBuf)> = ["evaluations.csv", "trials/trials.jsonl"]
-        .into_iter()
-        .map(|rel| (rel.to_string(), archive_a.join(rel), archive_b.join(rel)))
-        .collect();
-    let mut rels = vec!["trace.jsonl".to_string(), "metrics.prom".to_string()];
-    let cycles = std::fs::read_dir(trace_a.join("cycles")).expect("trace cycles dir");
-    let mut names: Vec<String> = cycles
-        .flatten()
-        .filter_map(|e| e.file_name().into_string().ok())
-        .collect();
-    names.sort();
-    assert!(!names.is_empty(), "{label}: no per-trial prom snapshots");
-    rels.extend(names.into_iter().map(|n| format!("cycles/{n}")));
-    for rel in rels {
-        pairs.push((
-            format!("trace/{rel}"),
-            trace_a.join(&rel),
-            trace_b.join(&rel),
-        ));
-    }
-    for (rel, path_a, path_b) in pairs {
-        let a = std::fs::read(&path_a)
-            .unwrap_or_else(|e| panic!("{label}: read {}: {e}", path_a.display()));
-        let b = std::fs::read(&path_b)
-            .unwrap_or_else(|e| panic!("{label}: read {}: {e}", path_b.display()));
+/// Compare two runs' whole trees both ways round: every file and
+/// directory of the archive, the trace and the journal, `run.wal`
+/// included, must be under the other run with the same bytes.
+fn assert_artifacts_identical(label: &str, a: &Path, b: &Path) {
+    let cycles = std::fs::read_dir(a.join("trace").join("cycles"));
+    assert!(
+        cycles.is_ok_and(|mut c| c.next().is_some()),
+        "{label}: no per-trial prom snapshots"
+    );
+    for (fresh, other) in [(a, b), (b, a)] {
+        let entries = e2c_journal::compare_tree(fresh, other)
+            .unwrap_or_else(|e| panic!("{label}: list {}: {e}", fresh.display()));
+        assert!(!entries.is_empty(), "{label}: {} is empty", fresh.display());
+        let bad: Vec<_> = entries
+            .iter()
+            .filter(|(_, same)| matches!(same, Sameness::Differs(..) | Sameness::Missing))
+            .collect();
         assert!(
-            a == b,
-            "{label}: {rel} differs ({} vs {} bytes) — artifacts are \
-             kept under {} for inspection",
-            a.len(),
-            b.len(),
-            path_a.parent().unwrap().display(),
+            bad.is_empty(),
+            "{label}: {} against {}: {bad:?} — artifacts are kept for inspection",
+            fresh.display(),
+            other.display()
         );
-    }
-}
-
-fn delete_on_success(paths: &[&Path]) {
-    for p in paths {
-        let _ = std::fs::remove_dir_all(p);
     }
 }
 
@@ -171,7 +149,7 @@ fn farmed_runs_match_in_process_artifacts() {
                 &baseline,
                 &farmed,
             );
-            delete_on_success(&[&farmed.0, &farmed.1]);
+            let _ = std::fs::remove_dir_all(&farmed);
         }
     }
     scratch.cleanup();
@@ -181,17 +159,8 @@ fn farmed_runs_match_in_process_artifacts() {
 fn killed_workers_leave_artifacts_byte_identical() {
     let scratch = Scratch::new("kill");
     let seed = 11u64;
-    // Unharmed single-worker journaled run is the reference.
-    let reference = scratch.optimize(
-        "reference",
-        seed,
-        &[
-            "--workers",
-            "1",
-            "--journal",
-            scratch.root.join("ref-journal").to_str().unwrap(),
-        ],
-    );
+    // Unharmed single-worker run is the reference.
+    let reference = scratch.optimize("reference", seed, &["--workers", "1"]);
     // Kill matrix: dispatch point across farm sizes. The farm counts
     // asks across all its workers, and the conf's six trials dispatch at
     // least six, so every cell fires by construction (a kill that never
@@ -199,25 +168,13 @@ fn killed_workers_leave_artifacts_byte_identical() {
     // and last asks are covered, and points in between.
     for (workers, kill) in [("2", "1"), ("2", "3"), ("4", "2"), ("4", "6")] {
         let name = format!("kill-w{workers}-at-{kill}");
-        let journal = scratch.root.join(format!("{name}-journal"));
-        let harmed = scratch.optimize(
-            &name,
-            seed,
-            &[
-                "--workers",
-                workers,
-                "--kill-worker",
-                kill,
-                "--journal",
-                journal.to_str().unwrap(),
-            ],
-        );
+        let harmed = scratch.optimize(&name, seed, &["--workers", workers, "--kill-worker", kill]);
         assert_artifacts_identical(
             &format!("--workers {workers} --kill-worker {kill} vs unharmed single worker"),
             &reference,
             &harmed,
         );
-        delete_on_success(&[&harmed.0, &harmed.1, &journal]);
+        let _ = std::fs::remove_dir_all(&harmed);
     }
     scratch.cleanup();
 }
