@@ -10,13 +10,16 @@
 //!   summary.txt        # Phase III report (sampler, algo, best config)
 //!   evaluations.csv    # every evaluated point with its metric value
 //!   best.yaml          # the best configuration found
-//!   evals/trial_<id>/  # per-evaluation directories (prepare())
+//!   evals/trial_<id>/  # per-trial directories (prepare(), Phase III)
 //!     result.csv       # finalize(): the point and value of this trial
 //! ```
 //!
-//! The files at the root are Phase III snapshots, written atomically and
-//! fsync'd. Each `result.csv` is a view of the trial's journaled attempts
-//! instead: written without fsync, and rendered again by a resumed run.
+//! The files at the root are Phase III snapshots, rewritten whole at the
+//! end of every run. Each `result.csv` is a view of the trial's journaled
+//! attempts: written without fsync, and rendered again by a resumed run.
+//! A journaled run writes the snapshots as views of its journal too, so
+//! it fsyncs `run.wal` alone; a run without a journal fsyncs each
+//! snapshot ([`e2c_journal::snapshot_writer`]).
 
 use crate::optimization::OptimizationSummary;
 use e2c_conf::schema::{OptimizationConf, VarKind};
@@ -103,17 +106,22 @@ pub fn problem_to_value(conf: &OptimizationConf) -> Value {
     doc
 }
 
-/// Write the full Phase III archive. Every file goes through an atomic
-/// tmp+rename, so a crash mid-write can never leave a truncated archive —
-/// readers (and crash-resumed runs) see either the previous snapshot or
-/// the new one.
-pub fn write_summary(summary: &OptimizationSummary, dir: &Path) -> io::Result<()> {
+/// Write the full Phase III archive, each file through `write`: either
+/// way a tmp sibling renamed over the target, so a kill mid-write can
+/// never leave a truncated file. [`e2c_journal::write_atomic`] also
+/// fsyncs it; [`e2c_journal::write_view`] leaves a machine crash's loss
+/// to the journal's resume.
+pub fn write_summary(
+    summary: &OptimizationSummary,
+    dir: &Path,
+    write: fn(&Path, &[u8]) -> io::Result<()>,
+) -> io::Result<()> {
     fs::create_dir_all(dir)?;
-    e2c_journal::write_atomic(
+    write(
         &dir.join("problem.yaml"),
         problem_to_value(&summary.conf).to_yaml().as_bytes(),
     )?;
-    e2c_journal::write_atomic(&dir.join("summary.txt"), summary.render().as_bytes())?;
+    write(&dir.join("summary.txt"), summary.render().as_bytes())?;
 
     // evaluations.csv — trial id, status, attempt count, variables...,
     // value, last failure reason (empty for successes).
@@ -141,7 +149,7 @@ pub fn write_summary(summary: &OptimizationSummary, dir: &Path) -> io::Result<()
         let failure = t.status.failure().map(sanitize_csv).unwrap_or_default();
         let _ = writeln!(csv, ",{failure}");
     }
-    e2c_journal::write_atomic(&dir.join("evaluations.csv"), csv.as_bytes())?;
+    write(&dir.join("evaluations.csv"), csv.as_bytes())?;
 
     // best.yaml
     let best = match (&summary.best_point, summary.best_value) {
@@ -158,7 +166,7 @@ pub fn write_summary(summary: &OptimizationSummary, dir: &Path) -> io::Result<()
         }
         _ => Value::Null,
     };
-    e2c_journal::write_atomic(&dir.join("best.yaml"), best.to_yaml().as_bytes())?;
+    write(&dir.join("best.yaml"), best.to_yaml().as_bytes())?;
     Ok(())
 }
 
@@ -182,16 +190,22 @@ pub fn write_evaluation(dir: &Path, trial: u64, point: &Point, value: f64) -> io
     e2c_journal::write_view(&dir.join("result.csv"), text.as_bytes())
 }
 
-/// Render every trial's `result.csv` under the archive `root` from its
-/// attempts: the last attempt whose objective returned holds the value
-/// [`write_evaluation`] recorded. Trials whose objective never returned
-/// have no file. A machine crash may have lost a whole trial directory,
-/// so each is made again if missing.
-pub fn write_evaluations(root: &Path, trials: &[Trial]) -> io::Result<()> {
+/// Phase III of every archived run: make each trial's `evals/trial_N/`
+/// under the archive `root`, so every trial has one, even a trial whose
+/// injected faults kept its objective, and so its prepare step, from
+/// ever running. With `render` (a resumed run), also render each
+/// `result.csv` again from the trial's attempts: the last attempt whose
+/// objective returned holds the value [`write_evaluation`] recorded, and
+/// a trial whose objective never returned has no file. A machine crash
+/// may have lost the file, its directory or the whole archive.
+pub fn write_evaluations(root: &Path, trials: &[Trial], render: bool) -> io::Result<()> {
     for t in trials {
+        let dir = eval_dir(root, t.id);
+        fs::create_dir_all(&dir)?;
+        if !render {
+            continue;
+        }
         if let Some(raw) = t.attempts.iter().rev().find_map(|a| a.raw) {
-            let dir = eval_dir(root, t.id);
-            fs::create_dir_all(&dir)?;
             write_evaluation(&dir, t.id, &t.config, raw)?;
         }
     }
@@ -379,7 +393,7 @@ optimization:
             analysis,
             journal_appended: 0,
         };
-        write_summary(&summary, &dir).unwrap();
+        write_summary(&summary, &dir, e2c_journal::write_atomic).unwrap();
 
         let text = fs::read_to_string(dir.join("evaluations.csv")).unwrap();
         assert!(text.starts_with("trial,status,attempts,http,extract,user_resp_time,failure\n"));

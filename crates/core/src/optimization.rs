@@ -260,9 +260,13 @@ impl OptimizationSummary {
         out
     }
 
-    /// Write the full reproducibility archive into `dir`.
+    /// Write the full reproducibility archive into `dir`, each file
+    /// fsync'd. Kept only for the `perfbench/tracer` probes, which time
+    /// it; no program path calls it, and it goes when they move. New
+    /// callers use [`archive::write_summary`] with the writer
+    /// [`e2c_journal::snapshot_writer`] picks.
     pub fn write_archive(&self, dir: &Path) -> std::io::Result<()> {
-        archive::write_summary(self, dir)
+        archive::write_summary(self, dir, e2c_journal::write_atomic)
     }
 }
 
@@ -568,24 +572,24 @@ impl OptimizationManager {
             journal_appended: run_journal.as_ref().map_or(0, |j| j.appended()),
         };
         if let Some(root) = &self.archive_root {
-            // The per-trial results are views of the journal: a resumed
-            // run renders them again, in case a machine crash lost or
-            // tore one that an earlier process wrote.
-            if self.journal.as_ref().is_some_and(|jc| jc.resume) {
-                archive::write_evaluations(root, summary.analysis.trials())
-                    .map_err(|e| RunError::Archive(format!("write evaluation results: {e}")))?;
-            }
-            summary
-                .write_archive(root)
+            // Every trial gets its directory. The per-trial results are
+            // views of the journal: a resumed run renders them again, in
+            // case a machine crash lost or tore one that an earlier
+            // process wrote.
+            let resumed = self.journal.as_ref().is_some_and(|jc| jc.resume);
+            archive::write_evaluations(root, summary.analysis.trials(), resumed)
+                .map_err(|e| RunError::Archive(format!("write evaluation results: {e}")))?;
+            // The snapshots are views of the journal too, when there is
+            // one: every run, resumed or not, rewrites them whole.
+            let write = e2c_journal::snapshot_writer(self.journal.is_some());
+            archive::write_summary(&summary, root, write)
                 .map_err(|e| RunError::Archive(format!("write optimization archive: {e}")))?;
             // Trial log (JSONL + per-trial progress): the "checkpoints and
-            // logging" half of the Phase III story.  Rewritten whole (and
-            // atomically) so a resumed run converges on the same bytes as
-            // an uninterrupted one.
+            // logging" half of the Phase III story.
             let logger = e2c_tune::TrialLogger::new(&root.join("trials"))
                 .map_err(|e| RunError::Archive(format!("create trial log directory: {e}")))?;
-            logger
-                .write_all(summary.analysis.trials())
+            let log = e2c_tune::TrialLogger::to_jsonl(summary.analysis.trials());
+            write(&logger.path(), log.as_bytes())
                 .map_err(|e| RunError::Archive(format!("write trial log: {e}")))?;
         }
         Ok(summary)

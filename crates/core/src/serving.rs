@@ -22,10 +22,15 @@
 //!   `serving.csv` row. A resume replays completed epochs from those
 //!   bytes (never re-rendering floats), so the final CSV is
 //!   byte-identical whether or not the run was interrupted. Each epoch's
-//!   cycle journals into `epoch_NN/run.wal` beside it;
-//! * `serving.csv` is rewritten atomically after every epoch and
-//!   `trace.jsonl` is rebuilt from the rows at the end, so a crash at
-//!   any point leaves only complete artifacts.
+//!   cycle journals into `epoch_NN/run.wal` beside it, and a resume
+//!   resumes a committed epoch's complete journal too, which re-runs
+//!   nothing but renders the epoch's archive again;
+//! * `serving.csv` is rewritten after every epoch and `trace.jsonl` is
+//!   rebuilt from the rows at the end, each through a tmp file renamed
+//!   over the target, so a kill at any point leaves only complete
+//!   artifacts. A journaled run writes every artifact as a view of its
+//!   journals, without fsync ([`e2c_journal::snapshot_writer`]): after a
+//!   machine crash, `--resume` renders them all again.
 //!
 //! The per-trial objective is an SLO-aware cost (not the closed-loop
 //! response mean): `mean_response + slo · (4·(rejected+shed) +
@@ -33,20 +38,19 @@
 //! worst-case SLO misses — a config that bounces users is worse than one
 //! that serves them slowly.
 
-use crate::optimization::{EvalContext, JournalConfig, OptimizationManager};
+use crate::optimization::{EvalContext, JournalConfig, OptimizationManager, OptimizationSummary};
 use e2c_conf::schema::{
     AcqFunc, InitialPointGenerator, OptimizationConf, SearchAlgo, SurrogateName, VarKind,
     VariableConf,
 };
 use e2c_des::SimTime;
 use e2c_journal::wire::{parse_f64, parse_u32, parse_u64};
-use e2c_journal::write_atomic;
 use e2c_tune::journal::{OpenError, RunEvent, RunJournal};
 use e2c_workload::seasonal::GrowthModel;
-use e2c_workload::{serving_schedule, RateSchedule};
+use e2c_workload::{serving_schedule, RateEpoch, RateSchedule};
 use plantnet::sim::ExperimentSpec;
 use plantnet::{Experiment as EngineRun, OverloadPolicy, PoolConfig};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Everything that shapes a serving run. All knobs fold into the journal
 /// fingerprint (except the output paths), so a resume under different
@@ -332,27 +336,33 @@ fn epoch_seed(seed: u64, epoch: usize) -> u64 {
     seed ^ (epoch as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// Run one epoch's optimization cycle + final evaluation. `crash_after`
-/// is what is left of the `--crash-at` budget for this epoch's journal;
-/// the row comes back with the number of journal records appended.
-fn run_epoch(
-    cfg: &ServingConfig,
-    epoch: usize,
-    label: &str,
-    rate: f64,
-    resume_epoch: bool,
-    crash_after: Option<u64>,
-    fp: &str,
-) -> Result<(EpochRow, u64), String> {
-    let eseed = epoch_seed(cfg.seed, epoch);
-    let sched = RateSchedule::constant(rate, cfg.epoch_duration)
-        .map_err(|e| format!("epoch {epoch}: {e}"))?;
-    let policy = OverloadPolicy {
+/// The overload semantics every evaluation of a serving run uses.
+fn overload_policy(cfg: &ServingConfig) -> OverloadPolicy {
+    OverloadPolicy {
         queue_bound: cfg.queue_bound,
         shed_after: cfg.shed_after,
         slo: cfg.slo,
-    };
-    let conf = epoch_conf(cfg, epoch, label);
+    }
+}
+
+/// Run the optimization cycle of epoch number `epoch` of the trace,
+/// `load`, against its schedule `sched`, archived under
+/// `epochs/epoch_NN/` and, when the run journals, journaled in
+/// `epoch_NN/run.wal` beside the serve journal: resumed with
+/// `resume_epoch`, else fresh. `crash_after` is what is left of the
+/// `--crash-at` budget for this epoch's journal.
+fn tune_epoch(
+    cfg: &ServingConfig,
+    epoch: usize,
+    load: &RateEpoch,
+    sched: &RateSchedule,
+    resume_epoch: bool,
+    crash_after: Option<u64>,
+    fp: &str,
+) -> Result<OptimizationSummary, String> {
+    let eseed = epoch_seed(cfg.seed, epoch);
+    let policy = overload_policy(cfg);
+    let conf = epoch_conf(cfg, epoch, &load.label);
     let archive = cfg.out_dir.join("epochs").join(format!("epoch_{epoch:02}"));
     let mut manager = OptimizationManager::new(conf)
         .with_seed(eseed)
@@ -368,7 +378,7 @@ fn run_epoch(
         };
         manager = manager.with_journal(
             jc.crash_after(crash_after)
-                .extra_fingerprint(format!("{fp};epoch={epoch};rate={rate}")),
+                .extra_fingerprint(format!("{fp};epoch={epoch};rate={}", load.rate)),
         );
     }
     let obj_sched = sched.clone();
@@ -392,9 +402,20 @@ fn run_epoch(
             o.slo_violations,
         )
     };
-    let summary = manager
+    manager
         .run(objective)
-        .map_err(|e| format!("epoch {epoch}: {e}"))?;
+        .map_err(|e| format!("epoch {epoch}: {e}"))
+}
+
+/// The row of a tuned epoch: the final evaluation of the best
+/// configuration of its cycle `summary` on its schedule `sched`.
+fn epoch_row(
+    cfg: &ServingConfig,
+    epoch: usize,
+    load: &RateEpoch,
+    sched: &RateSchedule,
+    summary: &OptimizationSummary,
+) -> EpochRow {
     // Every trial failed (e.g. a zero-demand epoch where no request ever
     // completes): keep the paper baseline and mark the cost undefined.
     let (best, cost) = match (&summary.best_point, summary.best_value) {
@@ -405,12 +426,13 @@ fn run_epoch(
     // a seed disjoint from every trial seed — the row reports held-out
     // serving behaviour, not the winning trial's own draw.
     let spec = ExperimentSpec::serving(best, sched.horizon());
-    let m = EngineRun::run_serving(spec, &sched, Some(policy), eseed ^ 0x5EED_CAFE);
+    let seed = epoch_seed(cfg.seed, epoch) ^ 0x5EED_CAFE;
+    let m = EngineRun::run_serving(spec, sched, Some(overload_policy(cfg)), seed);
     let o = m.overload.unwrap_or_default();
-    let row = EpochRow {
+    EpochRow {
         epoch,
-        label: label.to_string(),
-        rate,
+        label: load.label.clone(),
+        rate: load.rate,
         config: best,
         cost,
         offered: o.offered,
@@ -421,29 +443,33 @@ fn run_epoch(
         completed: m.completed,
         response_mean: m.response.mean,
         throughput: m.throughput,
-    };
-    Ok((row, summary.journal_appended))
+    }
 }
 
-/// Rewrite `serving.csv` from the committed rows (atomic: a crash leaves
-/// the previous complete file, never a torn one).
-fn write_csv(path: &std::path::Path, rows: &[EpochRow]) -> Result<(), String> {
+/// Rewrite `serving.csv` from the committed rows through `write` (tmp +
+/// rename: a kill leaves the previous complete file, never a torn one).
+fn write_csv(
+    path: &Path,
+    rows: &[EpochRow],
+    write: fn(&Path, &[u8]) -> std::io::Result<()>,
+) -> Result<(), String> {
     let mut text = String::from(CSV_HEADER);
     text.push('\n');
     for r in rows {
         text.push_str(&r.to_csv());
         text.push('\n');
     }
-    write_atomic(path, text.as_bytes()).map_err(|e| format!("{}: {e}", path.display()))
+    write(path, text.as_bytes()).map_err(|e| format!("{}: {e}", path.display()))
 }
 
 /// Rebuild `trace.jsonl` from the committed rows. Virtual time is the
 /// epoch's end offset in the serving timeline, so the trace is a pure
 /// function of the rows — identical across reruns *and* resumes.
 fn write_trace(
-    path: &std::path::Path,
+    path: &Path,
     cfg: &ServingConfig,
     rows: &[EpochRow],
+    write: fn(&Path, &[u8]) -> std::io::Result<()>,
 ) -> Result<(), String> {
     let tracer = e2c_trace::Tracer::new();
     tracer.point_at(
@@ -485,9 +511,7 @@ fn write_trace(
             ]),
         );
     }
-    tracer
-        .save(path)
-        .map_err(|e| format!("{}: {e}", path.display()))
+    write(path, tracer.to_jsonl().as_bytes()).map_err(|e| format!("{}: {e}", path.display()))
 }
 
 /// Run the full serving loop. See the module docs for the protocol; the
@@ -549,33 +573,34 @@ pub fn run_serving(cfg: &ServingConfig) -> Result<ServingReport, String> {
         journal = Some(j);
     }
 
+    // A journaled run's serving artifacts are views of its journals.
+    let write = e2c_journal::snapshot_writer(journal.is_some());
     let done = rows.len();
     let mut journal_appended = 0;
     for (i, epoch) in schedule.epochs().iter().enumerate() {
-        if i < done {
-            continue; // Committed before the crash; bytes already in `rows`.
-        }
-        // An epoch journal left behind by a mid-epoch kill is resumed;
-        // epochs never started (no journal dir yet) run fresh.
-        let resume_epoch = cfg.resume
-            && cfg
-                .journal_dir
-                .as_ref()
-                .map(|j| j.join(format!("epoch_{i:02}")).join("run.wal").is_file())
-                .unwrap_or(false);
+        let sched = RateSchedule::constant(epoch.rate, cfg.epoch_duration)
+            .map_err(|e| format!("epoch {i}: {e}"))?;
+        // A committed epoch's journal holds `complete`, and one left
+        // behind by a mid-epoch kill is resumed; epochs never started (no
+        // journal yet) run fresh.
+        let resume_epoch = i < done
+            || (cfg.resume
+                && cfg
+                    .journal_dir
+                    .as_ref()
+                    .is_some_and(|j| j.join(format!("epoch_{i:02}")).join("run.wal").is_file()));
         // Epoch journals count from zero, so each gets what is left of
         // the process-wide budget (never 0: reaching N already exited).
         let crash_after = cfg.crash_at.map(|n| n - journal_appended);
-        let (row, appended) = run_epoch(
-            cfg,
-            i,
-            &epoch.label,
-            epoch.rate,
-            resume_epoch,
-            crash_after,
-            &fp,
-        )?;
-        journal_appended += appended;
+        let summary = tune_epoch(cfg, i, epoch, &sched, resume_epoch, crash_after, &fp)?;
+        journal_appended += summary.journal_appended;
+        if i < done {
+            // Committed before the crash: the row's bytes are in `rows`,
+            // and resuming the complete epoch journal re-ran nothing but
+            // rendered the epoch's archive again.
+            continue;
+        }
+        let row = epoch_row(cfg, i, epoch, &sched, &summary);
         if let Some(j) = &journal {
             j.append(&RunEvent::Epoch {
                 epoch: i as u64,
@@ -583,7 +608,7 @@ pub fn run_serving(cfg: &ServingConfig) -> Result<ServingReport, String> {
             });
         }
         rows.push(row);
-        write_csv(&csv_path, &rows)?;
+        write_csv(&csv_path, &rows, write)?;
         if cfg.crash_at_epoch == Some(i) {
             // Epoch-boundary chaos knob: the row is committed (journal +
             // CSV), the trace is not — exactly what a kill between
@@ -591,8 +616,8 @@ pub fn run_serving(cfg: &ServingConfig) -> Result<ServingReport, String> {
             std::process::exit(e2c_tune::CRASH_EXIT_CODE);
         }
     }
-    write_csv(&csv_path, &rows)?;
-    write_trace(&trace_path, cfg, &rows)?;
+    write_csv(&csv_path, &rows, write)?;
+    write_trace(&trace_path, cfg, &rows, write)?;
     Ok(ServingReport {
         rows,
         csv_path,

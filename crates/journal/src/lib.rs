@@ -15,8 +15,11 @@
 //!   ever observe the old bytes or the new bytes, never a truncated mix.
 //! * [`write_view`] — the same tmp + `rename` with no fsync, for files
 //!   that are views of durable state: whoever owns the state re-renders
-//!   them after a machine crash.
-//!   [`remove_view_tmp`] clears what a killed view write leaves behind.
+//!   them after a machine crash. A journaled run writes every artifact
+//!   as a view, so it fsyncs its journal alone; [`snapshot_writer`]
+//!   picks the writer of a run's snapshots once, from whether it
+//!   journals. [`remove_view_tmp`] clears what a killed view write
+//!   leaves behind.
 //! * [`compare_tree`] — the one artifact comparison every replay check
 //!   and gate runs: a fresh run root, byte for byte, against another.
 //! * [`sync_counts`] — how many file and directory syncs this process
@@ -288,6 +291,20 @@ pub fn write_view(path: &Path, bytes: &[u8]) -> io::Result<()> {
     std::fs::write(&tmp, bytes)?;
     // detlint: allow(IO002) a view is re-rendered from the journal after a machine crash, so its rename needs no directory fsync
     std::fs::rename(&tmp, path)
+}
+
+/// How a run writes its snapshots, chosen once per run: a run with a
+/// journal writes them as views ([`write_view`]), because its journal
+/// is its durable state and a resume renders them again; a run without
+/// one has nothing to render them from, so it writes them durably
+/// ([`write_atomic`]). Callers make the snapshot's directory first:
+/// [`write_view`] does not.
+pub fn snapshot_writer(journaled: bool) -> fn(&Path, &[u8]) -> io::Result<()> {
+    if journaled {
+        write_view
+    } else {
+        write_atomic
+    }
 }
 
 /// Remove the tmp sibling a [`write_view`] of `path` leaves behind when

@@ -278,7 +278,13 @@ impl Tracer {
         out
     }
 
-    /// Write the log to `path` as JSONL (atomically, via tmp + rename).
+    /// Write the log to `path` as JSONL, durably: through
+    /// [`e2c_journal::write_atomic`] (tmp + fsync + rename + directory
+    /// fsync). Kept only for the `perfbench/tracer` probes, which time
+    /// it; no program path calls it, and it goes when they move. A run
+    /// writes [`Tracer::to_jsonl`] through the writer
+    /// [`e2c_journal::snapshot_writer`] picks: a view of its journal when
+    /// it has one. New callers do the same.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
         e2c_journal::write_atomic(path, self.to_jsonl().as_bytes())
     }

@@ -3,9 +3,9 @@
 //! A [`TrialLogger`] writes one JSON-lines record per finished trial to
 //! `trials.jsonl` in the experiment directory. It is plain text and
 //! deterministic — the logging half of the Phase III
-//! reproducibility story. [`TrialLogger::write_all`] atomically rewrites
-//! the whole log from the settled trial set, so a resumed run converges
-//! on the same bytes as an uninterrupted one.
+//! reproducibility story. The whole log is rewritten from the settled
+//! trial set ([`TrialLogger::to_jsonl`]), so a resumed run converges on
+//! the same bytes as an uninterrupted one.
 
 use crate::trial::Trial;
 use e2c_journal::json::{Escaped, Json};
@@ -26,17 +26,33 @@ impl TrialLogger {
         })
     }
 
-    /// Atomically (re)write the whole log from a finished trial set:
-    /// `trials.jsonl` is replaced via tmp+rename, so a crash mid-write leaves the previous snapshot
-    /// intact and a resumed run overwrites stale pre-crash lines instead
-    /// of appending duplicates.
+    /// The log's file, `trials.jsonl` under the log's root.
+    pub fn path(&self) -> PathBuf {
+        self.root.join("trials.jsonl")
+    }
+
+    /// Durably (re)write the whole log from a finished trial set:
+    /// [`TrialLogger::path`] is replaced via [`e2c_journal::write_atomic`],
+    /// so a crash mid-write leaves the previous snapshot intact, and a
+    /// rerun overwrites stale lines instead of appending duplicates.
+    /// Kept only for the `perfbench/tracer` probes, which time it; no
+    /// program path calls it, and it goes when they move. A run writes
+    /// [`TrialLogger::to_jsonl`] through the writer
+    /// [`e2c_journal::snapshot_writer`] picks: a view of its journal when
+    /// it has one, which its resume renders again. New callers do the
+    /// same.
     pub fn write_all(&self, trials: &[Trial]) -> io::Result<()> {
+        e2c_journal::write_atomic(&self.path(), Self::to_jsonl(trials).as_bytes())
+    }
+
+    /// The whole log of a trial set: one JSON line per trial, in order.
+    pub fn to_jsonl(trials: &[Trial]) -> String {
         let mut jsonl = String::new();
         for trial in trials {
             jsonl.push_str(&Self::to_json(trial));
             jsonl.push('\n');
         }
-        e2c_journal::write_atomic(&self.root.join("trials.jsonl"), jsonl.as_bytes())
+        jsonl
     }
 
     /// Serialize a trial as one JSON object (hand-rolled: flat structure,
@@ -77,7 +93,7 @@ impl TrialLogger {
     /// line that is not a JSON object with an integer `id` is
     /// `InvalidData`; a `null` value reads as `None`.
     pub fn load_index(&self) -> io::Result<Vec<(u64, String, Option<f64>)>> {
-        let text = std::fs::read_to_string(self.root.join("trials.jsonl"))?;
+        let text = std::fs::read_to_string(self.path())?;
         let mut out = Vec::new();
         for line in text.lines() {
             let bad = |what: String| io::Error::new(io::ErrorKind::InvalidData, what);

@@ -11,6 +11,10 @@
 //! are written with [`e2c_journal::write_view`], without fsync, and a
 //! `--resume` renders any that a machine crash lost or tore again. A
 //! prom's landing attempt notes a digest of its bytes for that check.
+//! A journaled run writes its run-level snapshots (`trace.jsonl` and
+//! `metrics.prom` here, the archive's files in `e2c_core`) as views too,
+//! rewritten whole by every run, resumed or not; so it fsyncs `run.wal`
+//! alone. A run without a journal fsyncs each snapshot.
 
 use e2c_conf::schema::OptimizationConf;
 use e2c_core::optimization::{
@@ -202,9 +206,14 @@ impl TrialSink {
         Ok(())
     }
 
-    /// Render the cycle-level `metrics.prom`: per trial, the last attempt
-    /// whose objective returned, with its noted completed-request count.
-    fn write_metrics(&self, trials: &[Trial]) -> Result<(), String> {
+    /// Render the cycle-level `metrics.prom` through `write`: per trial,
+    /// the last attempt whose objective returned, with its noted
+    /// completed-request count.
+    fn write_metrics(
+        &self,
+        trials: &[Trial],
+        write: fn(&Path, &[u8]) -> std::io::Result<()>,
+    ) -> Result<(), String> {
         let mut registry = e2c_metrics::Registry::new();
         for t in trials {
             let Some((mean, completed)) = t
@@ -221,7 +230,7 @@ impl TrialSink {
         }
         let mut buf = Vec::new();
         let _ = registry.write_prometheus(&mut buf);
-        e2c_journal::write_atomic(&self.dir.join("metrics.prom"), &buf)
+        write(&self.dir.join("metrics.prom"), &buf)
             .map_err(|e| format!("trace: {}: {e}", self.dir.display()))
     }
 }
@@ -248,8 +257,8 @@ impl Cycle {
     /// [`e2c_trace::Tracer`] through the manager, tuner and the Pl@ntNet
     /// engine, then exports `trace.jsonl`, a cycle-level
     /// `metrics.prom` and one `cycles/cycle_<trial>.prom` per trial. A
-    /// resumed traced run first renders again any snapshot its journal
-    /// vouches for that is missing or differs.
+    /// resumed traced run first renders again any per-trial snapshot its
+    /// journal vouches for that is missing or differs.
     pub fn run(
         &self,
         archive: Option<PathBuf>,
@@ -310,9 +319,10 @@ impl Cycle {
             if self.journal.as_ref().is_some_and(|jc| jc.resume) {
                 sink.restore(&spec, summary.analysis.trials())?;
             }
-            tr.save(&sink.dir.join("trace.jsonl"))
+            let write = e2c_journal::snapshot_writer(self.journal.is_some());
+            write(&sink.dir.join("trace.jsonl"), tr.to_jsonl().as_bytes())
                 .map_err(|e| format!("trace: {}: {e}", sink.dir.display()))?;
-            sink.write_metrics(summary.analysis.trials())?;
+            sink.write_metrics(summary.analysis.trials(), write)?;
         }
         // The chaos knob fires inside the farm; a run that never fired it
         // would let a chaos test pass without testing anything.

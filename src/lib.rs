@@ -26,11 +26,11 @@
 //! | [`metrics`] | `e2c-metrics` | time series, online stats, summaries, tables |
 //! | [`workload`] | `e2c-workload` | open-loop generators, seasonal traces, image sizes |
 //! | [`optim`] | `e2c-optim` | spaces, samplers, surrogates, BO, metaheuristics, sensitivity |
-//! | [`tune`] | `e2c-tune` | async parallel trial runner (searchers, ASHA) |
+//! | [`tune`] | `e2c-tune` | async parallel trial runner (searchers, retries, run journal, worker farm) |
 //! | [`trace`] | `e2c-trace` | deterministic structured event log + virtual clock |
-//! | [`journal`] | `e2c-journal` | write-ahead log + atomic snapshot writes + artifact tree comparison |
+//! | [`journal`] | `e2c-journal` | write-ahead log + atomic and view snapshot writes + artifact tree comparison |
 //! | [`bench`](mod@bench) | `e2c-bench` | benchmark API (`Benchmark`, `BenchRegistry`, `BENCH_*.json`) + the paper's exhibit registry |
-//! | [`detlint`] | `detlint` | determinism lint (DET001–DET005) |
+//! | [`detlint`] | `detlint` | workspace lint: determinism (DET), panics (PANIC), I/O durability (IO), fsync under a lock (LOCK), unused allows (SUP) |
 //! | [`plantnet`] | `plantnet` | the Pl@ntNet engine model (DES + real threads) |
 //!
 //! ## Quickstart

@@ -6,11 +6,12 @@
 //! (`e2c_journal::compare_tree`).  The journal directory holds only
 //! `run.wal`: a traced run's trace rides in its tell records.  It is not
 //! compared, because a resumed journal holds `restart` records.  The
-//! per-trial files (`result.csv`, `cycles/*.prom`) are views written
-//! without fsync, so the gate also deletes, truncates or corrupts them,
-//! as a machine crash could, or leaves the tmp file of a cut-short
-//! rewrite beside them, and checks that `--resume` leaves the baseline's
-//! tree again.
+//! per-trial files (`result.csv`, `cycles/*.prom`) and the Phase III
+//! snapshots (`evaluations.csv`, `trials/trials.jsonl`, `trace.jsonl`,
+//! `metrics.prom`, ...) are views written without fsync, so the gate
+//! also deletes, truncates or corrupts them, as a machine crash could,
+//! or leaves the tmp file of a cut-short rewrite beside them, and checks
+//! that `--resume` leaves the baseline's tree again.
 //! This is the paper's repeatability claim under process failure: a
 //! crashed optimization, resumed, is indistinguishable from one that
 //! never crashed.
@@ -22,7 +23,9 @@
 //! design).  Scratch directories root at `E2C_GATE_DIR` when set so CI
 //! can upload the differing artifacts on failure.
 
-use e2c_journal::Sameness;
+mod common;
+
+use common::{assert_same_tree, gate_root};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -58,19 +61,11 @@ optimization:
       bounds: [2, 20]
 "#;
 
-/// Root for gate scratch directories: `E2C_GATE_DIR` when set (CI points
-/// this at a workspace path and uploads it when the gate fails), the
-/// system temp directory otherwise.
-fn gate_root() -> PathBuf {
-    std::env::var_os("E2C_GATE_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(std::env::temp_dir)
-}
-
 struct Fixture {
     root: PathBuf,
     conf: PathBuf,
     seed: u64,
+    faults: &'static str,
 }
 
 impl Fixture {
@@ -87,17 +82,23 @@ impl Fixture {
             ),
         )
         .unwrap();
-        Fixture { root, conf, seed }
+        Fixture {
+            root,
+            conf,
+            seed,
+            faults: "fail:1@0",
+        }
     }
 
-    /// `e2clab optimize --duration 20 --seed <seed> --faults fail:1@0 ...`
-    /// plus the given extra flags; archive/trace under `root/<name>`.
+    /// `e2clab optimize --duration 20 --seed <seed> --faults <faults> ...`
+    /// (`fail:1@0` unless set otherwise) plus the given extra flags;
+    /// archive/trace under `root/<name>`.
     fn optimize(&self, name: &str, extra: &[&str]) -> std::process::Output {
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_e2clab"));
         cmd.arg("optimize")
             .args(["--duration", "20"])
             .args(["--seed", &self.seed.to_string()])
-            .args(["--faults", "fail:1@0"])
+            .args(["--faults", self.faults])
             .args(["--archive"])
             .arg(self.root.join(name))
             .args(["--trace"])
@@ -123,19 +124,33 @@ impl Fixture {
         ]
     }
 
-    /// The first `cycles/*.prom` and the last `evals/*/result.csv` of
-    /// the run `name`: two per-trial views of different trials.
-    fn views(&self, name: &str) -> [PathBuf; 2] {
-        let cycles = self.root.join(format!("{name}-trace")).join("cycles");
+    /// The views of the run `name` that a journaled run writes without
+    /// fsync: the first `cycles/*.prom` and the last `evals/*/result.csv`
+    /// (per-trial views of different trials), then the Phase III
+    /// snapshots `trials/trials.jsonl`, `evaluations.csv`, `trace.jsonl`
+    /// and `metrics.prom`.
+    fn views(&self, name: &str) -> [PathBuf; 6] {
+        let (archive, trace) = (
+            self.root.join(name),
+            self.root.join(format!("{name}-trace")),
+        );
+        let cycles = trace.join("cycles");
         let prom = cycles.join(&listing(&cycles)[0]);
-        let evals = self.root.join(name).join("evals");
+        let evals = archive.join("evals");
         let result = listing(&evals)
             .iter()
             .rev()
             .map(|t| evals.join(t).join("result.csv"))
             .find(|p| p.exists())
             .expect("a trial with a result");
-        [prom, result]
+        [
+            prom,
+            result,
+            archive.join("trials").join("trials.jsonl"),
+            archive.join("evaluations.csv"),
+            trace.join("trace.jsonl"),
+            trace.join("metrics.prom"),
+        ]
     }
 }
 
@@ -156,7 +171,8 @@ enum Damage {
     Delete,
     Truncate,
     Corrupt,
-    /// The file's whole directory is gone.
+    /// The file's whole directory is gone (for a snapshot at the root of
+    /// the archive or the trace, that whole tree).
     LoseDir,
     /// A kill cut short a rewrite of the file: the tmp file of its write
     /// is left beside it.
@@ -164,11 +180,20 @@ enum Damage {
 }
 
 impl Damage {
+    /// Damage `path`. A directory an earlier `LoseDir` took is gone
+    /// already.
     fn apply(self, path: &Path) {
+        let dir = path.parent().unwrap();
+        if let Damage::LoseDir = self {
+            if dir.exists() {
+                std::fs::remove_dir_all(dir).unwrap();
+            }
+            return;
+        }
         let mut bytes = std::fs::read(path).unwrap();
         match self {
             Damage::Delete => return std::fs::remove_file(path).unwrap(),
-            Damage::LoseDir => return std::fs::remove_dir_all(path.parent().unwrap()).unwrap(),
+            Damage::LoseDir => unreachable!("handled above"),
             Damage::StrayTmp => {
                 bytes.truncate(bytes.len() / 2);
                 return std::fs::write(format!("{}.tmp", path.display()), bytes).unwrap();
@@ -188,21 +213,7 @@ impl Damage {
 /// resume that leaves a stray file fails too.
 fn assert_same_artifacts(want: &[PathBuf; 2], got: &[PathBuf; 2], ctx: &str) {
     for (a, b) in want.iter().zip(got) {
-        for (fresh, other) in [(a, b), (b, a)] {
-            let entries = e2c_journal::compare_tree(fresh, other)
-                .unwrap_or_else(|e| panic!("{ctx}: list {}: {e}", fresh.display()));
-            assert!(!entries.is_empty(), "{ctx}: {} is empty", fresh.display());
-            let bad: Vec<_> = entries
-                .iter()
-                .filter(|(_, same)| matches!(same, Sameness::Differs(..) | Sameness::Missing))
-                .collect();
-            assert!(
-                bad.is_empty(),
-                "{ctx}: {} against {}: {bad:?} — resumed run is not byte-identical",
-                fresh.display(),
-                other.display()
-            );
-        }
+        assert_same_tree(a, b, &format!("{ctx}: resumed run"));
     }
 }
 
@@ -399,14 +410,20 @@ fn a_crash_during_resume_is_itself_resumable() {
     std::fs::remove_dir_all(&fx.root).unwrap();
 }
 
-/// The per-trial views are written without fsync, so a machine crash may
-/// lose or tear them, or lose their directory, and a kill may cut a
-/// rewrite short and leave its tmp file. Damage one `cycles/*.prom` and
-/// one `result.csv`, once between a kill and `--resume` and once after a
-/// completed run: the resume renders both again, to the uninterrupted
-/// run's bytes, and removes any tmp file. Losing the directory takes all
-/// of `cycles/` with the prom, and the whole `evals/trial_N/` with the
-/// result.
+/// A journaled run writes its per-trial files and its Phase III
+/// snapshots as views, without fsync, so a machine crash may lose or tear
+/// them, or lose their directory, and a kill may cut a rewrite short and
+/// leave its tmp file. Damage one `cycles/*.prom`, one `result.csv` and
+/// the snapshots `trials/trials.jsonl`, `evaluations.csv`, `trace.jsonl`
+/// and `metrics.prom`, once after a completed run and once between a
+/// kill and `--resume`: the resume renders them all again, to the
+/// uninterrupted run's bytes, and removes any tmp file. Losing the
+/// directory takes all of `cycles/` with the prom, the whole
+/// `evals/trial_N/` with the result, `trials/` with the log and the
+/// whole archive and trace trees with the snapshots at their roots. A
+/// kill leaves no snapshot of its own (they are written after the run's
+/// last record), so the killed run writes into the trees of an earlier
+/// completed run of the same seed, whose snapshots it damages.
 #[test]
 fn resume_renders_lost_or_torn_views_again() {
     let fx = Fixture::new("views", 2, 3);
@@ -433,6 +450,8 @@ fn resume_renders_lost_or_torn_views_again() {
 
         let ctx = format!("{damage:?} between a kill and --resume");
         let name = format!("killed-{damage:?}");
+        let earlier = fx.root.join(format!("{name}-earlier-journal"));
+        fx.optimize_ok(&name, &["--journal", earlier.to_str().unwrap()], &ctx);
         let kdir = fx.root.join(format!("{name}-journal"));
         let k = kdir.to_str().unwrap().to_string();
         let out = fx.optimize(
@@ -445,6 +464,43 @@ fn resume_renders_lost_or_torn_views_again() {
         }
         fx.optimize_ok(&name, &["--resume", &k], &ctx);
         assert_same_artifacts(&baseline, &fx.artifacts(&name), &ctx);
+    }
+    std::fs::remove_dir_all(&fx.root).unwrap();
+}
+
+/// A trial whose every attempt fails by an injected fault never runs its
+/// objective, so no prepare step makes its `evals/trial_N/` during the
+/// run. Every archived run makes each trial's directory in Phase III, so
+/// the uninterrupted run, a resume after completion and a resume after a
+/// kill at every journal boundary leave the same tree.
+#[test]
+fn a_trial_that_never_ran_its_objective_resumes_to_the_same_tree() {
+    let mut fx = Fixture::new("never-ran", 1, 3);
+    fx.faults = "fail:1";
+    fx.optimize_ok("base", &[], "baseline");
+    let baseline = fx.artifacts("base");
+    let trial_1 = baseline[0].join("evals").join("trial_1");
+    assert!(trial_1.is_dir(), "{} is missing", trial_1.display());
+    assert!(
+        !trial_1.join("result.csv").exists(),
+        "trial 1 never ran its objective, yet has a result"
+    );
+
+    let jdir = fx.root.join("full-journal");
+    let j = jdir.to_str().unwrap().to_string();
+    fx.optimize_ok("full", &["--journal", &j], "journaled run");
+    assert_same_artifacts(&baseline, &fx.artifacts("full"), "journaled vs plain");
+    fx.optimize_ok("full", &["--resume", &j], "resume after complete");
+    assert_same_artifacts(&baseline, &fx.artifacts("full"), "resume after complete");
+
+    for cut in 1..=wal_records(&jdir.join("run.wal")) {
+        let name = format!("cut{cut}");
+        let kdir = fx.root.join(format!("{name}-journal"));
+        let k = kdir.to_str().unwrap().to_string();
+        let out = fx.optimize(&name, &["--journal", &k, "--crash-at", &cut.to_string()]);
+        assert_eq!(out.status.code(), Some(86), "cut {cut}: {:?}", out.status);
+        fx.optimize_ok(&name, &["--resume", &k], &format!("cut {cut}: resume"));
+        assert_same_artifacts(&baseline, &fx.artifacts(&name), &format!("cut {cut}"));
     }
     std::fs::remove_dir_all(&fx.root).unwrap();
 }

@@ -14,6 +14,9 @@
 //! Scratch directories root at `E2C_GATE_DIR` when set so CI can upload
 //! the differing artifacts on failure.
 
+mod common;
+
+use common::{assert_same_tree, gate_root};
 use e2c_journal::Sameness;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -21,15 +24,6 @@ use std::process::Command;
 fn workspace_root() -> PathBuf {
     // These tests live in the workspace's root package.
     Path::new(env!("CARGO_MANIFEST_DIR")).to_path_buf()
-}
-
-/// Root for gate scratch directories: `E2C_GATE_DIR` when set (CI points
-/// this at a workspace path and uploads it when the gate fails), the
-/// system temp directory otherwise.
-fn gate_root() -> PathBuf {
-    std::env::var_os("E2C_GATE_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(std::env::temp_dir)
 }
 
 const TINY_CONF: &str = r#"
@@ -211,27 +205,22 @@ fn traced_runs_are_byte_identical_and_summarizable() {
         );
     }
     let (a, b) = (base.join("a"), base.join("b"));
-    for (fresh, other) in [(&a, &b), (&b, &a)] {
-        let entries = e2c_journal::compare_tree(fresh, other).unwrap();
-        assert!(
-            entries.iter().any(|(rel, _)| rel == "journal/run.wal"),
-            "{entries:?}"
-        );
-        assert!(
-            entries
-                .iter()
-                .any(|(rel, _)| rel.starts_with("trace/cycles/")),
-            "expected per-trial cycle exports: {entries:?}"
-        );
-        let bad: Vec<_> = entries
+    let entries = assert_same_tree(&a, &b, "seeded runs");
+    assert!(
+        entries.iter().any(|(rel, _)| rel == "journal/run.wal"),
+        "{entries:?}"
+    );
+    assert!(
+        entries
             .iter()
-            .filter(|(_, same)| !matches!(same, Sameness::Identical(1..)))
-            .collect();
-        assert!(
-            bad.is_empty(),
-            "empty or differs between seeded runs: {bad:?}"
-        );
-    }
+            .any(|(rel, _)| rel.starts_with("trace/cycles/")),
+        "expected per-trial cycle exports: {entries:?}"
+    );
+    let empty: Vec<_> = entries
+        .iter()
+        .filter(|(_, same)| *same == Sameness::Identical(0))
+        .collect();
+    assert!(empty.is_empty(), "empty files: {empty:?}");
 
     let out = Command::new(env!("CARGO_BIN_EXE_e2clab"))
         .args(["trace", "summarize"])

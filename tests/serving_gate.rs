@@ -19,18 +19,11 @@
 //! Scratch directories root at `E2C_GATE_DIR` when set so CI can upload
 //! the differing artifacts on failure.
 
-use e2c_journal::Sameness;
-use std::path::{Path, PathBuf};
-use std::process::Command;
+mod common;
 
-/// Root for gate scratch directories: `E2C_GATE_DIR` when set (CI points
-/// this at a workspace path and uploads it when the gate fails), the
-/// system temp directory otherwise.
-fn gate_root() -> PathBuf {
-    std::env::var_os("E2C_GATE_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(std::env::temp_dir)
-}
+use common::{assert_same_tree, gate_root};
+use std::path::PathBuf;
+use std::process::Command;
 
 struct Fixture {
     root: PathBuf,
@@ -76,26 +69,6 @@ impl Fixture {
     }
 }
 
-/// Assert that `want` and `got` hold the same files and directories with
-/// the same bytes, both ways round.
-fn assert_same_artifacts(want: &Path, got: &Path, ctx: &str) {
-    for (fresh, other) in [(want, got), (got, want)] {
-        let entries = e2c_journal::compare_tree(fresh, other)
-            .unwrap_or_else(|e| panic!("{ctx}: list {}: {e}", fresh.display()));
-        assert!(!entries.is_empty(), "{ctx}: {} is empty", fresh.display());
-        let bad: Vec<_> = entries
-            .iter()
-            .filter(|(_, same)| matches!(same, Sameness::Differs(..) | Sameness::Missing))
-            .collect();
-        assert!(
-            bad.is_empty(),
-            "{ctx}: {} against {}: {bad:?} — serving run is not byte-identical",
-            fresh.display(),
-            other.display()
-        );
-    }
-}
-
 /// Parse `serving.csv` rows into `(offered, admitted, rejected, shed,
 /// slo_violations)` tuples.
 fn csv_counters(bytes: &[u8]) -> Vec<(u64, u64, u64, u64, u64)> {
@@ -133,7 +106,7 @@ fn serving_matrix_reruns_are_byte_identical() {
                 );
             }
             let a = fx.artifacts("a");
-            assert_same_artifacts(&a, &fx.artifacts("b"), &ctx);
+            assert_same_tree(&a, &fx.artifacts("b"), &ctx);
             let rows = csv_counters(&std::fs::read(a.join("serving.csv")).unwrap());
             assert_eq!(rows.len(), 2, "{ctx}: one row per epoch");
             for (offered, admitted, rejected, shed, _) in rows {
@@ -218,7 +191,7 @@ fn kill_and_resume_converges_on_uninterrupted_bytes() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    assert_same_artifacts(&baseline, &fx.artifacts("full"), "journaled vs plain");
+    assert_same_tree(&baseline, &fx.artifacts("full"), "journaled vs plain");
 
     // Resuming a completed serving journal re-runs nothing and rewrites
     // the same bytes.
@@ -228,7 +201,7 @@ fn kill_and_resume_converges_on_uninterrupted_bytes() {
         "resume after complete: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    assert_same_artifacts(&baseline, &fx.artifacts("full"), "resume after complete");
+    assert_same_tree(&baseline, &fx.artifacts("full"), "resume after complete");
 
     // Mid-epoch kill: epoch 0's optimization cycle dies at its 5th
     // journal append (exit 86), leaving a half-written epoch journal.
@@ -250,7 +223,7 @@ fn kill_and_resume_converges_on_uninterrupted_bytes() {
         "mid-epoch resume: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    assert_same_artifacts(&baseline, &fx.artifacts("mid"), "mid-epoch kill");
+    assert_same_tree(&baseline, &fx.artifacts("mid"), "mid-epoch kill");
 
     // `--crash-at` counts this process's appends across epochs: epoch 0
     // appends fewer than 10 records, so the 10th lands inside epoch 1,
@@ -275,7 +248,7 @@ fn kill_and_resume_converges_on_uninterrupted_bytes() {
         "epoch-1 resume: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    assert_same_artifacts(&baseline, &fx.artifacts("late"), "epoch-1 kill");
+    assert_same_tree(&baseline, &fx.artifacts("late"), "epoch-1 kill");
 
     // A crash point no append reaches would let a chaos test pass
     // vacuously: the run fails and says so.
@@ -330,8 +303,69 @@ fn kill_and_resume_converges_on_uninterrupted_bytes() {
         "boundary resume: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    assert_same_artifacts(&baseline, &fx.artifacts("cut"), "epoch-boundary kill");
+    assert_same_tree(&baseline, &fx.artifacts("cut"), "epoch-boundary kill");
 
+    std::fs::remove_dir_all(&fx.root).unwrap();
+}
+
+/// A committed epoch's archive is a view of its complete epoch journal,
+/// so a machine crash may lose or tear its files. Lose one `result.csv`,
+/// overwrite another with garbage and tear the epoch snapshots, once
+/// after a completed run and once between an epoch-boundary kill and
+/// `--resume`: the resume renders every committed epoch's archive again
+/// from its journal, without re-running the epoch, to the uninterrupted
+/// run's bytes.
+#[test]
+fn resume_renders_committed_epoch_archives_again() {
+    let fx = Fixture::new("rerender", 3, 2_500_000.0);
+    let out = fx.serve("base", &[]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let baseline = fx.artifacts("base");
+    let damage = |name: &str| {
+        let epochs = fx.artifacts(name).join("epochs");
+        std::fs::remove_file(epochs.join("epoch_00/evals/trial_1/result.csv")).unwrap();
+        std::fs::write(epochs.join("epoch_00/evaluations.csv"), "torn").unwrap();
+        std::fs::remove_file(epochs.join("epoch_00/trials/trials.jsonl")).unwrap();
+        if epochs.join("epoch_01").exists() {
+            std::fs::write(epochs.join("epoch_01/evals/trial_0/result.csv"), "garbage").unwrap();
+            std::fs::remove_file(epochs.join("epoch_01/best.yaml")).unwrap();
+        }
+    };
+
+    let jfull = fx.root.join("full-journal");
+    let j = jfull.to_str().unwrap();
+    let out = fx.serve("full", &["--journal", j]);
+    assert!(out.status.success(), "{:?}", out.status);
+    damage("full");
+    let out = fx.serve("full", &["--resume", j]);
+    assert!(
+        out.status.success(),
+        "resume after complete: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_same_tree(&baseline, &fx.artifacts("full"), "damage after complete");
+
+    let jcut = fx.root.join("cut-journal");
+    let j = jcut.to_str().unwrap();
+    let out = fx.serve("cut", &["--journal", j, "--crash-at-epoch", "0"]);
+    assert_eq!(
+        out.status.code(),
+        Some(e2c_tune::CRASH_EXIT_CODE),
+        "{:?}",
+        out.status
+    );
+    damage("cut");
+    let out = fx.serve("cut", &["--resume", j]);
+    assert!(
+        out.status.success(),
+        "boundary resume: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_same_tree(&baseline, &fx.artifacts("cut"), "damage after a kill");
     std::fs::remove_dir_all(&fx.root).unwrap();
 }
 

@@ -18,18 +18,11 @@
 //! Scratch directories root at `E2C_GATE_DIR` when set so CI can upload
 //! the differing artifacts on failure.
 
-use e2c_journal::Sameness;
+mod common;
+
+use common::{assert_same_tree, gate_root};
 use std::path::{Path, PathBuf};
 use std::process::Command;
-
-/// Root for gate scratch directories: `E2C_GATE_DIR` when set (CI points
-/// this at a workspace path and uploads it when the gate fails), the
-/// system temp directory otherwise.
-fn gate_root() -> PathBuf {
-    std::env::var_os("E2C_GATE_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(std::env::temp_dir)
-}
 
 const TINY_CONF: &str = r#"
 name: worker-chaos-gate
@@ -116,21 +109,11 @@ fn assert_artifacts_identical(label: &str, a: &Path, b: &Path) {
         cycles.is_ok_and(|mut c| c.next().is_some()),
         "{label}: no per-trial prom snapshots"
     );
-    for (fresh, other) in [(a, b), (b, a)] {
-        let entries = e2c_journal::compare_tree(fresh, other)
-            .unwrap_or_else(|e| panic!("{label}: list {}: {e}", fresh.display()));
-        assert!(!entries.is_empty(), "{label}: {} is empty", fresh.display());
-        let bad: Vec<_> = entries
-            .iter()
-            .filter(|(_, same)| matches!(same, Sameness::Differs(..) | Sameness::Missing))
-            .collect();
-        assert!(
-            bad.is_empty(),
-            "{label}: {} against {}: {bad:?} — artifacts are kept for inspection",
-            fresh.display(),
-            other.display()
-        );
-    }
+    assert_same_tree(
+        a,
+        b,
+        &format!("{label} (artifacts are kept for inspection)"),
+    );
 }
 
 #[test]
